@@ -8,38 +8,15 @@ the dual poset does not help either).
 """
 
 import argparse
+import os
 import sys
-from itertools import combinations, permutations
 
-from trispcat.accat import check_closure_operator, poset_from_relation
+from trispcat.accat import check_closure_operator
 from trispcat.closure import TrispClosureMap, verify_trisp_closure_map
 from trispcat.nerve import nerve
 
-
-def natural_orders(n):
-    pairs_all = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs_all)):
-        rel = {pairs_all[i] for i in range(len(pairs_all)) if (mask >> i) & 1}
-        if all((a, c) in rel for (a, b) in rel for (b2, c) in rel if b2 == b):
-            yield rel
-
-
-def monotone_idempotent(p):
-    n = p.n
-
-    def extend(values):
-        if len(values) == n:
-            if all(values[values[x]] == values[x] for x in range(n)):
-                yield tuple(values)
-            return
-        x = len(values)
-        for y in range(n):
-            if all(not p.lt(z, x) or p.leq(values[z], y) for z in range(x)) and all(
-                not p.lt(x, z) or p.leq(y, values[z]) for z in range(x)
-            ):
-                yield from extend(values + [y])
-
-    yield from extend([])
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from oracles import all_posets_upto_iso, monotone_idempotent_maps  # noqa: E402
 
 
 def main():
@@ -54,41 +31,28 @@ def main():
     args = parser.parse_args()
 
     hits = 0
-    seen = set()
-    for n in range(2, args.max_n + 1):
-        for rel in natural_orders(n):
-            if not rel and not args.include_antichains:
+    for p in all_posets_upto_iso(args.max_n):
+        if p.n < 2 or not (p.mor_of or args.include_antichains):
+            continue
+        nv = nerve(p.category)
+        for f in monotone_idempotent_maps(p):
+            if check_closure_operator(p, f).direction() is not None:
                 continue
-            canon = min(
-                tuple(sorted((q[x], q[y]) for (x, y) in rel)) for q in permutations(range(n))
-            )
-            if (n, canon) in seen:
-                continue
-            seen.add((n, canon))
-            p = poset_from_relation(n, rel)
-            nv = nerve(p.category)
-            for values in monotone_idempotent(p):
-                from trispcat.accat import ACMap
-
-                f = ACMap.from_objects(p, values)
-                if check_closure_operator(p, f).direction() is not None:
-                    continue
-                red = frozenset(values)
-                blue = frozenset(range(n)) - red
-                mapping = {b: values[b] for b in blue}
-                reports = {
-                    conv: verify_trisp_closure_map(
-                        nv.trisp, TrispClosureMap(blue, red, mapping, conv)
-                    )
-                    for conv in ("min", "max")
-                }
-                if all(not r.ok for r in reports.values()):
-                    hits += 1
-                    print(f"poset {sorted(rel)}  operator {values}")
-                    for conv, r in reports.items():
-                        print(f"  {conv}: first failure {r.failures[0]}")
-                    if hits >= args.limit:
-                        return 0
+            values = f.obj
+            red = frozenset(values)
+            blue = frozenset(range(p.n)) - red
+            mapping = {b: values[b] for b in blue}
+            reports = {
+                conv: verify_trisp_closure_map(nv.trisp, TrispClosureMap(blue, red, mapping, conv))
+                for conv in ("min", "max")
+            }
+            if all(not r.ok for r in reports.values()):
+                hits += 1
+                print(f"poset {sorted(p.mor_of)}  operator {values}")
+                for conv, r in reports.items():
+                    print(f"  {conv}: first failure {r.failures[0]}")
+                if hits >= args.limit:
+                    return 0
     print(f"total hits: {hits}", file=sys.stderr)
     return 0
 

@@ -8,7 +8,7 @@ morphism "m1 followed by m2".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, NotAPosetError
 
@@ -66,16 +66,6 @@ class AcyclicCategory:
     def hom(self, x, y):
         """Indices of non-identity morphisms x -> y."""
         return self._hom.get((x, y), ())
-
-    def compose(self, m1, m2):
-        """Composite of m1 followed by m2."""
-        return self.comp[(m1, m2)]
-
-    def out_morphisms(self, x):
-        return tuple(m for m in range(self.n_morphisms) if self.src[m] == x)
-
-    def in_morphisms(self, x):
-        return tuple(m for m in range(self.n_morphisms) if self.tgt[m] == x)
 
     def __repr__(self):
         return f"AcyclicCategory({self.n_objects} objects, {self.n_morphisms} morphisms)"
@@ -239,13 +229,6 @@ class Poset:
     def lt(self, x, y):
         return (x, y) in self.mor_of
 
-    def incomparable(self, x, y):
-        return x != y and (x, y) not in self.mor_of and (y, x) not in self.mor_of
-
-    def morphism(self, x, y):
-        """Index of the morphism x -> y, or None (identities are implicit)."""
-        return self.mor_of.get((x, y))
-
     def __repr__(self):
         return f"Poset({self.n} elements, {self.category.n_morphisms} relations)"
 
@@ -366,9 +349,6 @@ class ACMap:
             fx, fy = obj_map[x], obj_map[y]
             mor[m] = None if fx == fy else p.mor_of[(fx, fy)]
         return cls(obj_map, tuple(mor))
-
-    def apply_obj(self, x):
-        return self.obj[x]
 
 
 def order_violation(p, obj_map):

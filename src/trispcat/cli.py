@@ -27,9 +27,7 @@ class RunConfig:
     n: int | None = None
     pipeline: str | None = None
     convention: str | None = None
-    seed: int = 0
     fmt: str = "json"
-    verbose: int = 0
 
 
 def _load(path):
@@ -188,7 +186,7 @@ def cmd_closure(config):
         if not report.ok:
             _emit(config, {"verified": False, **report.to_json()})
             return 1
-        cert = closure.full_collapse_audit(t, cmap)
+        cert = closure.full_collapse_audit(t, cmap, report)
         _emit(config, {"verified": True, **cert.to_json()})
         return 0
     if config.action is None:
@@ -256,8 +254,6 @@ def cmd_dgn(config):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="trispcat")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a category or trisp file")
@@ -307,9 +303,7 @@ def main(argv=None):
         n=getattr(args, "n", None),
         pipeline=getattr(args, "pipeline", None),
         convention=getattr(args, "convention", None),
-        seed=args.seed,
         fmt=getattr(args, "format", "json"),
-        verbose=args.verbose,
     )
     handlers = {
         "validate": cmd_validate,

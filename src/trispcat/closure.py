@@ -15,7 +15,7 @@ import time
 
 from .accat import find_terminal_object
 from .errors import InputError, PreconditionError
-from .trisp import euler_characteristic, induced_subtrisp, validate_trisp
+from .trisp import euler_characteristic, induced_subtrisp
 
 
 @dataclass
@@ -97,7 +97,7 @@ class ClosureVerifyReport:
         }
 
 
-def verify_trisp_closure_map(t, cmap, regular_checked=False):
+def verify_trisp_closure_map(t, cmap):
     """Check the closure-map property for every simplex with a blue vertex.
 
     For each such simplex, with b its extreme blue vertex: either the image
@@ -106,11 +106,10 @@ def verify_trisp_closure_map(t, cmap, regular_checked=False):
     image of b.
     """
     cmap.check_vertices(t)
-    if not regular_checked:
-        for d in range(1, t.dim + 1):
-            for s in range(t.n(d)):
-                if len(set(t.vertex_tuple(d, s))) != d + 1:
-                    raise PreconditionError(f"trisp is not regular at {(d, s)}")
+    for d in range(1, t.dim + 1):
+        for s in range(t.n(d)):
+            if len(set(t.vertex_tuple(d, s))) != d + 1:
+                raise PreconditionError(f"trisp is not regular at {(d, s)}")
     failures = []
     contained = extended = 0
     for d in range(t.dim + 1):
@@ -171,15 +170,14 @@ class Matching:
         }
 
 
-def closure_matching(t, cmap, verify_report=None):
+def closure_matching(t, cmap, verify_report):
     """Realize a verified closure map as a matching.
 
-    A blue-containing simplex not containing the image of its extreme blue
-    vertex pairs with its unique extension; one containing it pairs with the
-    face obtained by deleting that image vertex.  The two rules agree.
+    `verify_report` is the outcome of `verify_trisp_closure_map` on the same
+    map.  A blue-containing simplex not containing the image of its extreme
+    blue vertex pairs with its unique extension; one containing it pairs with
+    the face obtained by deleting that image vertex.  The two rules agree.
     """
-    if verify_report is None:
-        verify_report = verify_trisp_closure_map(t, cmap)
     if not verify_report.ok:
         raise PreconditionError(f"not a closure map: {verify_report.failures[:3]}")
     up = {}
@@ -273,8 +271,9 @@ def collapse(t, matching, red_vertices=None):
     """Execute an acyclic matching as an elementary collapse sequence.
 
     Repeatedly removes a matched pair whose face is free (contained in
-    exactly one remaining simplex, its partner).  Getting stuck contradicts
-    acyclicity and raises.
+    exactly one remaining simplex, its partner).  A collapse that finishes
+    proves the matching acyclic; getting stuck raises with the cycle that
+    `check_matching_acyclic` finds.
     """
     removed = set()
     coface_count = {}
@@ -309,8 +308,9 @@ def collapse(t, matching, red_vertices=None):
                     if key in up and key not in removed and is_free(key):
                         queue.append(key)
     if len(steps) != len(up):
+        _acyclic, cycle = check_matching_acyclic(t, matching)
         raise AssertionError(
-            f"collapse got stuck with {len(up) - len(steps)} pairs left; matching not acyclic?"
+            f"collapse got stuck with {len(up) - len(steps)} pairs left; cycle: {cycle}"
         )
     if red_vertices is None:
         red_set = {v for v in range(t.n(0)) if (0, v) not in removed}
@@ -318,33 +318,30 @@ def collapse(t, matching, red_vertices=None):
         red_set = set(red_vertices)
     final = induced_subtrisp(t, red_set)
     remaining = {(d, s) for d in range(t.dim + 1) for s in range(t.n(d))} - removed
-    assert remaining == final.parent_simplices(), "final subtrisp is not the red subtrisp"
-    chi_final = euler_characteristic(final.trisp)
-    assert chi_final == chi, "collapse changed the Euler characteristic"
+    if remaining != final.parent_simplices():
+        raise AssertionError("final subtrisp is not the red subtrisp")
+    if euler_characteristic(final.trisp) != chi:
+        raise AssertionError("collapse changed the Euler characteristic")
     return CollapseCertificate(matching, tuple(steps), final, chi)
 
 
-def full_collapse_audit(t, cmap):
-    """verify -> match -> acyclicity -> collapse, asserting each stage."""
-    report = verify_trisp_closure_map(t, cmap)
-    assert report.ok, f"closure map failed verification: {report.failures[:3]}"
-    matching = closure_matching(t, cmap, report)
-    acyclic, cycle = check_matching_acyclic(t, matching)
-    assert acyclic, f"matching has a cycle: {cycle}"
-    cert = collapse(t, matching, cmap.red)
-    return cert
+def full_collapse_audit(t, cmap, report=None):
+    """verify -> match -> collapse onto the red subtrisp.
 
-
-def verify_collapse_sequence(t, steps, start=None):
-    """Replay a collapse sequence, checking freeness at every step.
-
-    Returns the set of remaining simplices.  `start` defaults to the whole
-    trisp; pass a smaller simplex set to continue a partial collapse.
+    Verifies the map only when no `verify_trisp_closure_map` report is
+    given.  Raises PreconditionError when the map does not verify.
     """
-    if start is None:
-        remaining = {(d, s) for d in range(t.dim + 1) for s in range(t.n(d))}
-    else:
-        remaining = set(start)
+    if report is None:
+        report = verify_trisp_closure_map(t, cmap)
+    return collapse(t, closure_matching(t, cmap, report), cmap.red)
+
+
+def verify_collapse_sequence(t, steps):
+    """Replay a collapse sequence of the whole trisp, checking freeness at every step.
+
+    Returns the set of remaining simplices.
+    """
+    remaining = {(d, s) for d in range(t.dim + 1) for s in range(t.n(d))}
     coface_count = {}
     for (d, s) in remaining:
         count = sum(1 for (tau, _j) in t.cofaces(d, s) if (d + 1, tau) in remaining)
@@ -369,16 +366,13 @@ def verify_collapse_sequence(t, steps, start=None):
     return remaining
 
 
-def search_collapse_to_point(t, start=None, budget_seconds=60.0):
+def search_collapse_to_point(t, budget_seconds=60.0):
     """Exhaustive (backtracking) search for a collapse down to a single vertex.
 
     Returns (status, steps) with status one of "collapsed", "stuck",
     "timeout".  Memoizes failed states; meant for desk-scale complexes.
     """
-    if start is None:
-        start = frozenset((d, s) for d in range(t.dim + 1) for s in range(t.n(d)))
-    else:
-        start = frozenset(start)
+    start = frozenset((d, s) for d in range(t.dim + 1) for s in range(t.n(d)))
     deadline = time.monotonic() + budget_seconds
     failed = set()
 
@@ -414,7 +408,7 @@ def search_collapse_to_point(t, start=None, budget_seconds=60.0):
     return status, tuple(steps) if steps is not None else None
 
 
-def cone_closure_map(c, t_obj, nerve_obj=None):
+def cone_closure_map(c, t_obj):
     """Closure map collapsing the nerve of a category with terminal object to a point.
 
     Every object except the terminal one is blue and maps to it; maximal
@@ -425,8 +419,4 @@ def cone_closure_map(c, t_obj, nerve_obj=None):
     if terminal is None or terminal != t_obj:
         raise PreconditionError(f"object {t_obj} is not terminal (found {terminal})")
     blue = frozenset(range(c.n_objects)) - {t_obj}
-    cmap = TrispClosureMap(blue, frozenset({t_obj}), {b: t_obj for b in blue}, "max")
-    if nerve_obj is not None:
-        report = verify_trisp_closure_map(nerve_obj.trisp, cmap)
-        assert report.ok, "cone closure map must verify on the nerve"
-    return cmap
+    return TrispClosureMap(blue, frozenset({t_obj}), {b: t_obj for b in blue}, "max")

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .accat import ACMap, check_closure_operator, opposite_category, subposet, as_poset
+from .accat import check_closure_operator, opposite_category, subposet, as_poset
 from .closure import TrispClosureMap, verify_trisp_closure_map
 from .errors import PreconditionError
 from .nerve import nerve
 from .symmetry import (
     CatAut,
-    GroupAction,
     check_regular_action,
     close_group,
     quotient_category,
@@ -72,20 +71,21 @@ def check_equivariant(action, cmap):
 class PushedClosureMap:
     qt: object  # QuotientTrisp
     cmap: TrispClosureMap
-    verify_report: object
+    verify_report: object  # of the pushed map on the orbit trisp
+    base_report: object  # of the original map on t
 
 
-def push_closure_map(t, action, cmap, qt=None, regular_report=None):
+def push_closure_map(t, action, cmap, qt=None):
     """Quotient of an equivariant closure map; verified on the orbit trisp.
 
     Preconditions checked in order: the action satisfies the quotient-
     regularity condition (taken on faith for nerve-induced actions), the map
     verifies on t, and it is equivariant with blue/red closed.
     """
-    if regular_report is None and not action.nerve_induced:
+    if not action.nerve_induced:
         regular_report = check_regular_action(t, action)
-    if regular_report is not None and not regular_report.ok:
-        raise PreconditionError(f"quotient-regularity fails: {regular_report.witness}")
+        if not regular_report.ok:
+            raise PreconditionError(f"quotient-regularity fails: {regular_report.witness}")
     base_report = verify_trisp_closure_map(t, cmap)
     if not base_report.ok:
         raise PreconditionError(f"map does not verify upstairs: {base_report.failures[:3]}")
@@ -105,7 +105,7 @@ def push_closure_map(t, action, cmap, qt=None, regular_report=None):
     pushed = TrispClosureMap(blue, red, mapping, cmap.convention)
     report = verify_trisp_closure_map(qt.trisp, pushed)
     assert report.ok, f"pushed map failed verification: {report.failures[:3]}"
-    return PushedClosureMap(qt, pushed, report)
+    return PushedClosureMap(qt, pushed, report, base_report)
 
 
 @dataclass
@@ -194,9 +194,7 @@ def lift_closure_map(t, action, psi, qt=None):
     if not psi_report.ok:
         raise PreconditionError("psi does not verify on the quotient")
     lift = lift_candidate(t, action, psi, qt)
-    report = verify_trisp_closure_map(t, lift)
-    assert report.ok, f"forced lift failed verification on a simplicial complex: {report.failures[:3]}"
-    pushed = push_closure_map(t, action, lift, qt)
+    pushed = push_closure_map(t, action, lift, qt)  # verifies the lift on t
     assert pushed.cmap == psi or (
         pushed.cmap.blue == psi.blue
         and pushed.cmap.red == psi.red
@@ -214,24 +212,16 @@ def restrict_action_to_image(p, action, image):
     sub_p, keep = subposet(p, image)
     pos = {x: i for i, x in enumerate(keep)}
     gens = []
-    source = action.generators if action.generators else action.elements
-    for g in source:
+    for g in action.generators:
         if any(g.obj[x] not in pos for x in keep):
             raise PreconditionError("subset is not closed under the action")
-        obj = tuple(pos[g.obj[x]] for x in keep)
-        mor = [None] * sub_p.category.n_morphisms
-        for (x, y), m in sub_p.mor_of.items():
-            mor[m] = sub_p.mor_of[(obj[x], obj[y])]
-        gens.append(CatAut(obj, tuple(mor)))
-    if not gens:
-        from .symmetry import trivial_cat_action
-
-        return sub_p, keep, trivial_cat_action(sub_p.category)
+        gens.append(CatAut.from_poset(sub_p, (pos[g.obj[x]] for x in keep)))
     return sub_p, keep, close_group(gens, on=sub_p.category)
 
 
 def _poset_action_is_equivariant(p, action, f):
-    for g in action.elements:
+    """First object x with f(gx) != g f(x) for a generator g, as (x,), else None."""
+    for g in action.generators:
         for x in range(p.n):
             if f.obj[g.obj[x]] != g.obj[f.obj[x]]:
                 return (x,)
@@ -261,8 +251,7 @@ def check_operator_class_coherence(p, action, f, qc=None):
     if direction == "ascending" and not report.descending:
         # same permutations act on the opposite poset; the operator becomes descending
         op_p = as_poset(opposite_category(p.category))
-        gens = action.generators if action.generators else action.elements
-        op_action = close_group(list(gens), on=op_p.category)
+        op_action = close_group(list(action.generators), on=op_p.category)
         return check_operator_class_coherence(op_p, op_action, f, None)
     if _poset_action_is_equivariant(p, action, f) is not None:
         raise PreconditionError("operator is not equivariant")

@@ -17,17 +17,14 @@ from itertools import combinations
 
 from .accat import ACMap, Poset, check_closure_operator, find_terminal_object, poset_from_relation
 from .closure import (
-    check_matching_acyclic,
-    closure_matching,
-    collapse,
     cone_closure_map,
     full_collapse_audit,
     induced_trisp_closure_map,
     search_collapse_to_point,
     verify_collapse_sequence,
-    verify_trisp_closure_map,
 )
 from .equivariant import (
+    _poset_action_is_equivariant,
     check_image_subtrisp_equality,
     image_quotient_nerve,
     push_closure_map,
@@ -38,6 +35,7 @@ from .nerve import nerve
 from .symmetry import (
     CatAut,
     TrispAut,
+    _UnionFind,
     check_horizontal,
     check_regular_action,
     close_group,
@@ -60,23 +58,6 @@ from .trisp import (
 def edge_list(n):
     """Possible edges of a labeled graph on {0..n-1}, in lexicographic order."""
     return tuple(combinations(range(n), 2))
-
-
-def is_disconnected(n, edge_ids, edges):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_ids:
-        a, b = edges[e]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return len({find(x) for x in range(n)}) > 1
 
 
 @dataclass(eq=False)
@@ -102,7 +83,7 @@ def build_dgn(n):
     for size in range(1, m + 1):
         found = False
         for subset in combinations(range(m), size):
-            if is_disconnected(n, subset, edges):
+            if len(partition_of_edges(n, subset, edges)) > 1:
                 faces.append(subset)
                 found = True
         if not found:
@@ -230,24 +211,18 @@ def partition_poset(n, fine_on_top=True):
 
 
 def partition_of_edges(n, edge_ids, edges):
-    """Partition of {0..n-1} into the connected components of an edge set."""
-    parent = list(range(n))
+    """Partition of {0..n-1} into the connected components of an edge set.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    Blocks are sorted, and ordered by their least member.
+    """
+    uf = _UnionFind(n)
     for e in edge_ids:
-        a, b = edges[e]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    blocks = {}
-    for x in range(n):
-        blocks.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(sorted(b)) for b in blocks.values()))
+        uf.union(*edges[e])
+    block_of, reps = uf.classes()
+    blocks = [[] for _ in reps]
+    for x, k in enumerate(block_of):
+        blocks[k].append(x)
+    return tuple(tuple(b) for b in blocks)
 
 
 def edges_of_partition(partition, edge_index):
@@ -348,10 +323,7 @@ def face_poset_cat_aut(fp, vertex_perm_on_trisp_vertices, k):
         face = k.faces_by_dim[d][s]
         image = frozenset(eperm[e] for e in face)
         obj.append(fp.position[k.index[image]])
-    mor = [None] * fp.category.n_morphisms
-    for (x, y), m in fp.poset.mor_of.items():
-        mor[m] = fp.poset.mor_of[(obj[x], obj[y])]
-    return CatAut(tuple(obj), tuple(mor))
+    return CatAut.from_poset(fp.poset, obj)
 
 
 def face_poset_action(k, fp):
@@ -370,34 +342,12 @@ def partition_action(pp):
         for p in pp.partitions:
             image = tuple(sorted(tuple(sorted(perm[x] for x in block)) for block in p))
             obj.append(pp.index[image])
-        mor = [None] * pp.category.n_morphisms
-        for (x, y), m in pp.poset.mor_of.items():
-            mor[m] = pp.poset.mor_of[(obj[x], obj[y])]
-        gens.append(CatAut(tuple(obj), tuple(mor)))
+        gens.append(CatAut.from_poset(pp.poset, obj))
     action = close_group(gens, on=pp.category)
     assert action.order == math.factorial(pp.n)
     horizontal, witness = check_horizontal(pp.category, action)
     assert horizontal, f"partition action must be horizontal, witness {witness}"
     return action
-
-
-@dataclass(eq=False)
-class SnAction:
-    n: int
-    on_complex: object
-    on_face_poset: object
-    on_partitions: object
-
-
-def sn_action(n, k=None, fp=None, pp=None):
-    """The symmetric group acting on the complex, its face poset, and partitions."""
-    if k is None:
-        k = build_dgn(n)
-    if fp is None:
-        fp = face_poset(k)
-    if pp is None:
-        pp = partition_poset(n)
-    return SnAction(n, dgn_trisp_action(k), face_poset_action(k, fp), partition_action(pp))
 
 
 # -- pipelines ----------------------------------------------------------------
@@ -450,19 +400,18 @@ class _StageClock:
         raise PipelineError(name, message)
 
 
-def pipeline_quotient_trisp(n, endpoint_budget=300.0, check_regularity=None):
+def pipeline_quotient_trisp(n, endpoint_budget=300.0):
     """Collapse the quotient of the barycentric subdivision onto the partition complex.
 
     Builds the subdivision of the disconnected-graph complex, pushes the
     closure map induced by the transitive-closure operator through the
     symmetric-group action, collapses the quotient onto the subtrisp of
     partition chains, and at small n certifies full collapsibility to a
-    point by exhaustive search.  CLI name: pipeline 61.
+    point by exhaustive search.  The quotient-regularity condition is checked
+    for n <= 4 only.  CLI name: pipeline 61.
     """
     report = PipelineReport("quotient-trisp", n, False, [])
     clock = _StageClock(report)
-    if check_regularity is None:
-        check_regularity = n <= 4
 
     k = build_dgn(n)
     clock.done("build_complex", counts=list(k.trisp.counts))
@@ -474,47 +423,37 @@ def pipeline_quotient_trisp(n, endpoint_budget=300.0, check_regularity=None):
     cls = check_closure_operator(fp.poset, f)
     if not (cls.monotone and cls.idempotent and cls.ascending):
         clock.fail("closure_operator", str(cls.to_json()))
-    iso_ok, iso_witness, _pp = image_partition_isomorphism(k, fp, f)
+    iso_ok, iso_witness, pp = image_partition_isomorphism(k, fp, f)
     if not iso_ok:
         clock.fail("closure_operator", f"image not isomorphic to partitions at {iso_witness}")
     clock.done("closure_operator", image_size=len(set(f.obj)))
 
     act = face_poset_action(k, fp)
-    for g in act.generators:
-        for x in range(fp.category.n_objects):
-            if f.obj[g.obj[x]] != g.obj[f.obj[x]]:
-                clock.fail("action", f"operator not equivariant at {x}")
+    witness = _poset_action_is_equivariant(fp.poset, act, f)
+    if witness is not None:
+        clock.fail("action", f"operator not equivariant at {witness[0]}")
     tact = induced_trisp_action(bd, act)
     clock.done("action", order=act.order)
 
-    regular_report = None
-    if check_regularity:
+    if n <= 4:
         regular_report = check_regular_action(bd.trisp, tact)
         if not regular_report.ok:
             clock.fail("regularity_condition", str(regular_report.witness))
         clock.done("regularity_condition", pairs=regular_report.pairs_checked)
 
+    # push_closure_map verifies cmap upstairs; it is not verified again here
     cmap = induced_trisp_closure_map(fp.poset, f, cls)
-    base_verify = verify_trisp_closure_map(bd.trisp, cmap)
-    if not base_verify.ok:
-        clock.fail("induced_closure_map", str(base_verify.failures[:3]))
-    clock.done("induced_closure_map", extended=base_verify.extended)
-
-    pushed = push_closure_map(bd.trisp, tact, cmap, regular_report=regular_report)
+    pushed = push_closure_map(bd.trisp, tact, cmap)
+    clock.done("induced_closure_map", extended=pushed.base_report.extended)
     qt = pushed.qt
     if not qt.regular:
         clock.fail("quotient", f"quotient not regular at {qt.regularity_violations[:3]}")
     clock.done("quotient", counts=list(qt.trisp.counts), verified=pushed.verify_report.ok)
 
-    matching = closure_matching(qt.trisp, pushed.cmap, pushed.verify_report)
-    acyclic, cycle = check_matching_acyclic(qt.trisp, matching)
-    if not acyclic:
-        clock.fail("matching", f"cycle: {cycle}")
-    cert = collapse(qt.trisp, matching, pushed.cmap.red)
+    cert = full_collapse_audit(qt.trisp, pushed.cmap, pushed.verify_report)
     clock.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
     # the final subtrisp must be the quotient of the partition-chain complex
-    pp = partition_poset(n, fine_on_top=False)
     pact = partition_action(pp)
     pn = nerve(pp.category)
     ptact = induced_trisp_action(pn, pact)
@@ -548,7 +487,7 @@ def pipeline_quotient_trisp(n, endpoint_budget=300.0, check_regularity=None):
     return report, cert
 
 
-def pipeline_quotient_category(n, check_composition=True):
+def pipeline_quotient_category(n):
     """Collapse the nerve of the quotient of the face poset down to a point.
 
     Builds the quotient category of the face poset by the symmetric group,
@@ -566,7 +505,7 @@ def pipeline_quotient_category(n, check_composition=True):
     act = face_poset_action(k, fp)
     clock.done("action", order=act.order)
 
-    qc = quotient_category(fp.category, act, check_composition=check_composition)
+    qc = quotient_category(fp.category, act)
     nerve_q = nerve(qc.category)
     clock.done(
         "quotient_category",
@@ -580,11 +519,7 @@ def pipeline_quotient_category(n, check_composition=True):
         clock.fail("quotient_closure_map", str(qp.verify_report.failures[:3]))
     clock.done("quotient_closure_map", blue=len(qp.cmap.blue), red=len(qp.cmap.red))
 
-    matching = closure_matching(nerve_q.trisp, qp.cmap, qp.verify_report)
-    acyclic, cycle = check_matching_acyclic(nerve_q.trisp, matching)
-    if not acyclic:
-        clock.fail("matching", f"cycle: {cycle}")
-    cert = collapse(nerve_q.trisp, matching, qp.cmap.red)
+    cert = full_collapse_audit(nerve_q.trisp, qp.cmap, qp.verify_report)
     clock.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
     match52 = check_image_subtrisp_equality(fp.poset, act, f, qc, nerve_q)
@@ -610,7 +545,7 @@ def pipeline_quotient_category(n, check_composition=True):
     clock.done("partition_quotient", objects=pqc.category.n_objects, terminal=terminal)
 
     pn_q = nerve(pqc.category)
-    cone = cone_closure_map(pqc.category, terminal, pn_q)
+    cone = cone_closure_map(pqc.category, terminal)
     cone_cert = full_collapse_audit(pn_q.trisp, cone)
     if cone_cert.final.trisp.counts != (1,):
         clock.fail("cone_collapse", f"final counts {cone_cert.final.trisp.counts}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .accat import AcyclicCategory, validate_category
 from .errors import InputError, PreconditionError
-from .nerve import Nerve
+from .nerve import Nerve, nerve
 from .trisp import Trisp
 
 
@@ -49,6 +49,15 @@ class CatAut:
         return all(i == x for i, x in enumerate(self.obj)) and all(
             i == x for i, x in enumerate(self.mor)
         )
+
+    @classmethod
+    def from_poset(cls, p, obj):
+        """The automorphism of a poset that moves its objects by `obj`."""
+        obj = tuple(obj)
+        mor = [None] * p.category.n_morphisms
+        for (x, y), m in p.mor_of.items():
+            mor[m] = p.mor_of[(obj[x], obj[y])]
+        return cls(obj, tuple(mor))
 
 
 @dataclass(frozen=True)
@@ -122,7 +131,10 @@ def simplicial_automorphism_violation(t, g):
 
 @dataclass
 class GroupAction:
-    """A closed finite group of automorphisms, with its generators retained."""
+    """A closed finite group of automorphisms and a nonempty tuple of its generators.
+
+    Orbits are computed from the generators alone.
+    """
 
     generators: tuple
     elements: tuple
@@ -137,6 +149,8 @@ class GroupAction:
         return self._id_index
 
     def __post_init__(self):
+        if not self.generators:
+            raise InputError("a group action needs at least one generator")
         self._id_index = next(i for i, g in enumerate(self.elements) if g.is_identity())
 
 
@@ -188,35 +202,54 @@ def close_group(generators, on=None, setwise=False):
 
 def trivial_cat_action(c):
     identity = CatAut(tuple(range(c.n_objects)), tuple(range(c.n_morphisms)))
-    return GroupAction((), (identity,))
+    return GroupAction((identity,), (identity,))
 
 
 def trivial_trisp_action(t):
     identity = TrispAut(tuple(tuple(range(t.n(d))) for d in range(t.dim + 1)))
-    return GroupAction((), (identity,))
+    return GroupAction((identity,), (identity,))
+
+
+class _UnionFind:
+    """Disjoint sets on 0..n-1 whose root is always the least member."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def classes(self):
+        """(class id per item, least member per class), classes numbered by least member."""
+        roots = [self.find(x) for x in range(len(self.parent))]
+        reps = sorted(set(roots))
+        rank = {r: k for k, r in enumerate(reps)}
+        return [rank[r] for r in roots], reps
 
 
 def orbit_partition(perms, n):
     """(orbit id per item, orbit representatives) for a list of permutations.
 
-    Orbits are numbered by their least member, in increasing order.
+    Orbits are numbered by their least member, in increasing order.  The
+    generators of a group suffice: its orbits are the components of their graph.
     """
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(n)
     for p in perms:
         for i, j in enumerate(p):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    reps = sorted({find(i) for i in range(n)})
-    rank = {r: k for k, r in enumerate(reps)}
-    return [rank[find(i)] for i in range(n)], reps
+            uf.union(i, j)
+    return uf.classes()
 
 
 def check_horizontal(c, action_or_perms):
@@ -233,27 +266,23 @@ def check_horizontal(c, action_or_perms):
     return True, None
 
 
-def induced_trisp_action(nerve_obj, action):
+def induced_trisp_action(nv, action):
     """Transport a category action to the nerve: g sends a chain to its image chain."""
-    c = nerve_obj.category
-    t = nerve_obj.trisp
+    t = nv.trisp
     gens = []
-    for g in action.generators if action.generators else action.elements:
+    for g in action.generators:
         dims = [g.obj]
         for d in range(1, t.dim + 1):
             level = []
-            for ch in nerve_obj.chains[d]:
+            for ch in nv.chains[d]:
                 img = tuple(g.mor[m] for m in ch.morphisms)
-                level.append(nerve_obj.simplex_of_morphisms(img))
+                level.append(nv.simplex_of_morphisms(img))
             dims.append(tuple(level))
         aut = TrispAut(tuple(dims))
         witness = trisp_automorphism_violation(t, aut)
         assert witness is None, f"induced map is not an automorphism: {witness}"
         gens.append(aut)
-    if not gens:
-        out = trivial_trisp_action(t)
-    else:
-        out = close_group(gens)
+    out = close_group(gens)
     out.nerve_induced = True
     assert out.order == action.order, "the induced action must be faithful alongside the original"
     return out
@@ -317,7 +346,7 @@ def quotient_trisp(t, action):
     projection = []
     reps = []
     for d in range(t.dim + 1):
-        proj, rep = orbit_partition([g.dims[d] for g in action.elements], t.n(d))
+        proj, rep = orbit_partition([g.dims[d] for g in action.generators], t.n(d))
         projection.append(tuple(proj))
         reps.append(tuple(rep))
     counts = [len(r) for r in reps]
@@ -336,26 +365,6 @@ def quotient_trisp(t, action):
     return QuotientTrisp(qt, tuple(projection), tuple(reps), violations)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
 @dataclass
 class QuotientCategory:
     """Colimit quotient of a category by a group action.
@@ -371,15 +380,14 @@ class QuotientCategory:
     mor_members: tuple
 
 
-def quotient_category(c, action, check_composition=True):
+def quotient_category(c, action):
     horizontal, witness = check_horizontal(c, action)
     if not horizontal:
         raise PreconditionError(f"action is not horizontal at {witness}")
-    obj_class, obj_reps = orbit_partition([g.obj for g in action.elements], c.n_objects)
+    obj_class, obj_reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
 
     uf = _UnionFind(c.n_morphisms)
-    gens = action.generators if action.generators else action.elements
-    for g in gens:
+    for g in action.generators:
         for m in range(c.n_morphisms):
             uf.union(m, g.mor[m])
     pairs = list(c.comp.items())
@@ -395,9 +403,7 @@ def quotient_category(c, action, check_composition=True):
                 if uf.union(first, v):
                     changed = True
 
-    roots = sorted({uf.find(m) for m in range(c.n_morphisms)})
-    root_rank = {r: k for k, r in enumerate(roots)}
-    mor_class = [root_rank[uf.find(m)] for m in range(c.n_morphisms)]
+    mor_class, roots = uf.classes()
     mor_members = [[] for _ in roots]
     for m in range(c.n_morphisms):
         mor_members[mor_class[m]].append(m)
@@ -425,22 +431,16 @@ def quotient_category(c, action, check_composition=True):
             if q_tgt[k1] != q_src[k2]:
                 continue
             composites = set()
-            found = None
             for m1 in mor_members[k1]:
                 for m2 in by_class_and_src[k2].get(c.tgt[m1], ()):
                     m12 = c.comp.get((m1, m2))
                     assert m12 is not None, "composition missing on composable pair"
                     composites.add(mor_class[m12])
-                    found = mor_class[m12]
-                    if not check_composition:
-                        break
-                if found is not None and not check_composition:
-                    break
-            assert found is not None, "no composable representatives for composable classes"
+            assert composites, "no composable representatives for composable classes"
             assert len(composites) == 1, (
                 f"class composition not well-defined for ({k1}, {k2}): {sorted(composites)}"
             )
-            comp_entries[(k1, k2)] = found
+            comp_entries[(k1, k2)] = composites.pop()
 
     labels = [f"[{c.objects[obj_members[k][0]]}]" for k in range(len(obj_reps))]
     mor_list = [
@@ -518,25 +518,19 @@ class CanonicalMap:
         return orbit
 
 
-def canonical_map(c, action, nerve_src=None, taction=None, qt=None, qc=None, nerve_dst=None):
+def canonical_map(c, action, nerve_src=None, taction=None, qc=None):
     """Build the canonical map for a category action, with all the pieces.
 
     Precomputed pieces may be passed in to avoid recomputation.
     """
     if nerve_src is None:
-        from .nerve import nerve as _nerve
-
-        nerve_src = _nerve(c)
+        nerve_src = nerve(c)
     if taction is None:
         taction = induced_trisp_action(nerve_src, action)
-    if qt is None:
-        qt = quotient_trisp(nerve_src.trisp, taction)
+    qt = quotient_trisp(nerve_src.trisp, taction)
     if qc is None:
         qc = quotient_category(c, action)
-    if nerve_dst is None:
-        from .nerve import nerve as _nerve
-
-        nerve_dst = _nerve(qc.category)
+    nerve_dst = nerve(qc.category)
     entries = []
     for d in range(nerve_src.trisp.dim + 1):
         level = []

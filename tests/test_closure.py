@@ -97,7 +97,7 @@ def test_matching_on_three_chain_descending():
     f = ACMap.from_objects(p, [0, 1, 1])
     nv = nerve(p.category)
     cmap = induced_trisp_closure_map(p, f)
-    matching = closure_matching(nv.trisp, cmap)
+    matching = closure_matching(nv.trisp, cmap, verify_trisp_closure_map(nv.trisp, cmap))
     pair_tuples = {
         (nv.trisp.vertex_tuple(*a), nv.trisp.vertex_tuple(*b)) for a, b in matching.pairs
     }
@@ -158,8 +158,36 @@ def test_collapse_rejects_stuck_matching():
         ((0, 1), (1, index[frozenset({1, 2})][1])),
         ((0, 2), (1, index[frozenset({0, 2})][1])),
     )
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=r"cycle: \[\("):
         collapse(t, Matching(pairs, ()))
+
+
+def test_collapse_checks_red_subtrisp_under_optimize():
+    # the certificate checks must not vanish under `python -O`
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from trispcat.accat import ACMap, chain_poset\n"
+        "from trispcat.closure import closure_matching, collapse, induced_trisp_closure_map, "
+        "verify_trisp_closure_map\n"
+        "from trispcat.nerve import nerve\n"
+        "p = chain_poset(3)\n"
+        "nv = nerve(p.category)\n"
+        "cmap = induced_trisp_closure_map(p, ACMap.from_objects(p, [0, 1, 1]))\n"
+        "matching = closure_matching(nv.trisp, cmap, verify_trisp_closure_map(nv.trisp, cmap))\n"
+        "try:\n"
+        "    collapse(nv.trisp, matching, {0})\n"
+        "except AssertionError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "rejected: final subtrisp is not the red subtrisp\n"
 
 
 def test_verify_collapse_sequence_checks_freeness():
@@ -174,7 +202,7 @@ def test_verify_collapse_sequence_checks_freeness():
 def test_cone_closure_map_two_chain():
     p = chain_poset(2)
     nv = nerve(p.category)
-    cmap = cone_closure_map(p.category, 1, nv)
+    cmap = cone_closure_map(p.category, 1)
     assert cmap.convention == "max" and cmap.mapping == {0: 1}
     cert = full_collapse_audit(nv.trisp, cmap)
     assert cert.final.trisp.counts == (1,)
@@ -182,7 +210,7 @@ def test_cone_closure_map_two_chain():
 
 def test_cone_closure_map_full_triangle(chain3):
     nv = nerve(chain3.category)
-    cmap = cone_closure_map(chain3.category, 2, nv)
+    cmap = cone_closure_map(chain3.category, 2)
     cert = full_collapse_audit(nv.trisp, cmap)
     assert len(cert.steps) == 3
     assert cert.final.trisp.counts == (1,)

@@ -19,7 +19,6 @@ from trispcat.graphs import (
     pipeline_quotient_category,
     pipeline_quotient_trisp,
     set_partitions,
-    sn_action,
     transitive_closure_operator,
 )
 from trispcat.nerve import nerve
@@ -147,10 +146,10 @@ def test_partition_poset_orientation():
 
 
 def test_sn_actions_have_full_order():
-    bundle = sn_action(3)
-    assert bundle.on_complex.order == 6
-    assert bundle.on_face_poset.order == 6
-    assert bundle.on_partitions.order == 6
+    k = build_dgn(3)
+    assert dgn_trisp_action(k).order == 6
+    assert face_poset_action(k, face_poset(k)).order == 6
+    assert partition_action(partition_poset(3)).order == 6
 
 
 def test_s4_on_dgn4_and_face_poset(dgn4_bundle):
@@ -200,7 +199,7 @@ def test_cone_on_partition_quotient_collapses_to_point():
     qc = quotient_category(pp.category, act)
     nv = nerve(qc.category)
     t = find_terminal_object(qc.category)
-    cone = cone_closure_map(qc.category, t, nv)
+    cone = cone_closure_map(qc.category, t)
     assert cone.convention == "max"
     assert verify_trisp_closure_map(nv.trisp, cone).ok
     cert = full_collapse_audit(nv.trisp, cone)

@@ -14,6 +14,7 @@ from trispcat.errors import InputError, NotAPosetError
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
     CatAut,
+    GroupAction,
     TrispAut,
     canonical_map,
     check_horizontal,
@@ -47,6 +48,43 @@ def test_close_group_rejects_non_automorphism(chain3):
 
 def test_trivial_action_order_one(chain3):
     assert trivial_cat_action(chain3.category).order == 1
+
+
+def test_trivial_actions_are_generated_by_the_identity(chain3):
+    t = nerve(chain3.category).trisp
+    for action in (trivial_cat_action(chain3.category), trivial_trisp_action(t)):
+        assert action.generators == action.elements
+        assert action.generators[0].is_identity()
+
+
+def test_group_action_needs_a_generator(chain3):
+    identity = trivial_cat_action(chain3.category).elements[0]
+    with pytest.raises(InputError):
+        GroupAction((), (identity,))
+
+
+def _orbits_agree(action, n_by_dim, perm_of):
+    for d, n in enumerate(n_by_dim):
+        by_gens = orbit_partition([perm_of(g, d) for g in action.generators], n)
+        assert by_gens == orbit_partition([perm_of(g, d) for g in action.elements], n)
+
+
+def test_orbits_from_generators_dgn4(dgn4_bundle):
+    tact = dgn4_bundle["tact"]
+    t = dgn4_bundle["bd"].trisp
+    _orbits_agree(tact, t.counts, lambda g, d: g.dims[d])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_orbits_from_generators_random(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, max_n=6)
+    action = random_action(rng, p)
+    c = p.category
+    _orbits_agree(action, (c.n_objects, c.n_morphisms), lambda g, d: (g.obj, g.mor)[d])
+    nv = nerve(c)
+    _orbits_agree(induced_trisp_action(nv, action), nv.trisp.counts, lambda g, d: g.dims[d])
 
 
 def test_z2_on_double_filled_triangle(double_filled):
@@ -180,7 +218,6 @@ def test_quotient_category_hexagon_not_poset(triangle_boundary):
 
 def test_quotient_category_requires_horizontal():
     from trispcat.errors import PreconditionError
-    from trispcat.symmetry import GroupAction
 
     # a raw permutation pair that is not an automorphism, wrapped without validation
     c = AcyclicCategory(["a", "b"], [(0, 1)])
