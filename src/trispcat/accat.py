@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, NotAPosetError
+from .errors import InputError, NotAPosetError, malformed
 
 
 class AcyclicCategory:
@@ -82,23 +82,18 @@ class AcyclicCategory:
 
     @classmethod
     def from_json(cls, data):
-        try:
-            objs = data["objects"]
-            mors = data["morphisms"]
-            comp = data.get("composition", [])
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"not a category document: missing {exc}") from exc
-        labels = []
-        for i, o in enumerate(objs):
-            if o.get("id") != i:
-                raise InputError(f"object ids must be dense, got {o!r} at position {i}")
-            labels.append(o.get("label", str(i)))
-        morphisms = []
-        for i, m in enumerate(mors):
-            if m.get("id") != i:
-                raise InputError(f"morphism ids must be dense, got {m!r} at position {i}")
-            morphisms.append((m["src"], m["tgt"], m.get("label", f"m{i}")))
-        return cls(labels, morphisms, comp)
+        with malformed("category"):
+            labels = []
+            for i, o in enumerate(data["objects"]):
+                if o.get("id") != i:
+                    raise InputError(f"object ids must be dense, got {o!r} at position {i}")
+                labels.append(o.get("label", str(i)))
+            morphisms = []
+            for i, m in enumerate(data["morphisms"]):
+                if m.get("id") != i:
+                    raise InputError(f"morphism ids must be dense, got {m!r} at position {i}")
+                morphisms.append((m["src"], m["tgt"], m.get("label", f"m{i}")))
+            return cls(labels, morphisms, data.get("composition", []))
 
 
 @dataclass
@@ -181,28 +176,34 @@ def _find_cycle(c):
     for m in range(c.n_morphisms):
         if c.src[m] != c.tgt[m]:
             adjacency[c.src[m]].add(c.tgt[m])
-    color = {}
-    stack_path = []
+    return directed_cycle(range(c.n_objects), lambda x: sorted(adjacency[x]))
 
-    def visit(x):
-        color[x] = 1
-        stack_path.append(x)
-        for y in sorted(adjacency[x]):
-            if color.get(y, 0) == 1:
-                return stack_path[stack_path.index(y):]
-            if color.get(y, 0) == 0:
-                found = visit(y)
-                if found is not None:
-                    return found
-        stack_path.pop()
-        color[x] = 2
-        return None
 
-    for x in range(c.n_objects):
-        if color.get(x, 0) == 0:
-            found = visit(x)
-            if found is not None:
-                return found
+def directed_cycle(roots, successors):
+    """The first directed cycle a depth-first search from `roots` meets, or None.
+
+    `successors(node)` lists a node's out-neighbours in the order to visit
+    them.  The search keeps its own stack, so depth is not limited by
+    Python's recursion limit.
+    """
+    color = {}  # 1 while on the current path, 2 when finished
+    for root in roots:
+        if root in color:
+            continue
+        color[root] = 1
+        path, pending = [root], [iter(successors(root))]
+        while pending:
+            for nxt in pending[-1]:
+                if color.get(nxt) == 1:
+                    return path[path.index(nxt):]
+                if nxt not in color:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    pending.append(iter(successors(nxt)))
+                    break
+            else:
+                pending.pop()
+                color[path.pop()] = 2
     return None
 
 

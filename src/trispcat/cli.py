@@ -9,25 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import accat, closure, equivariant, graphs, symmetry, trisp
-from .errors import InputError, NotAPosetError, PipelineError, PreconditionError
+from .errors import InputError, NotAPosetError, PipelineError, PreconditionError, malformed
 from .nerve import nerve
-
-
-@dataclass
-class RunConfig:
-    command: str
-    subcommand: str | None = None
-    input: str | None = None
-    action: str | None = None
-    map: str | None = None
-    output: str | None = None
-    n: int | None = None
-    pipeline: str | None = None
-    convention: str | None = None
-    fmt: str = "json"
 
 
 def _load(path):
@@ -40,11 +25,11 @@ def _load(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _emit(config, payload, text=None):
+def _emit(args, payload, text=None):
     if text is None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -59,81 +44,74 @@ def _detect(doc):
 
 
 def _load_trisp_action(doc, t):
-    try:
-        gens = doc["generators"]
-    except (TypeError, KeyError) as exc:
-        raise InputError("not an action document") from exc
-    auts = []
-    for g in gens:
-        if "dims" not in g:
-            raise InputError("trisp action generators need 'dims'")
-        dims = [tuple(p) for p in g["dims"]]
-        auts.append(symmetry.TrispAut(tuple(dims)))
-    if not auts:
-        return symmetry.trivial_trisp_action(t)
-    return symmetry.close_group(auts, on=t)
+    with malformed("action"):
+        auts = []
+        for g in doc["generators"]:
+            if "dims" not in g:
+                raise InputError("trisp action generators need 'dims'")
+            auts.append(symmetry.TrispAut(tuple(tuple(p) for p in g["dims"])))
+        if not auts:
+            return symmetry.trivial_trisp_action(t)
+        return symmetry.close_group(auts, on=t)
 
 
 def _load_cat_action(doc, c):
-    try:
-        gens = doc["generators"]
-    except (TypeError, KeyError) as exc:
-        raise InputError("not an action document") from exc
-    auts = []
-    for g in gens:
-        if "objects" not in g or "morphisms" not in g:
-            raise InputError("category action generators need 'objects' and 'morphisms'")
-        auts.append(symmetry.CatAut(tuple(g["objects"]), tuple(g["morphisms"])))
-    if not auts:
-        return symmetry.trivial_cat_action(c)
-    return symmetry.close_group(auts, on=c)
+    with malformed("action"):
+        auts = []
+        for g in doc["generators"]:
+            if "objects" not in g or "morphisms" not in g:
+                raise InputError("category action generators need 'objects' and 'morphisms'")
+            auts.append(symmetry.CatAut(tuple(g["objects"]), tuple(g["morphisms"])))
+        if not auts:
+            return symmetry.trivial_cat_action(c)
+        return symmetry.close_group(auts, on=c)
 
 
-def cmd_validate(config):
-    doc = _load(config.input)
+def cmd_validate(args):
+    doc = _load(args.input)
     kind = _detect(doc)
     if kind == "category":
         c = accat.AcyclicCategory.from_json(doc)
         report = accat.validate_category(c)
-        if config.fmt == "dot":
+        if args.format == "dot":
             try:
                 obj = accat.as_poset(c)
             except NotAPosetError:
                 obj = c
-            _emit(config, None, accat.to_dot(obj))
+            _emit(args, None, accat.to_dot(obj))
             return 0 if report.ok else 1
-        _emit(config, {"kind": "category", **report.to_json()})
+        _emit(args, {"kind": "category", **report.to_json()})
         return 0 if report.ok else 1
     t = trisp.Trisp.from_json(doc)
     report = trisp.validate_trisp(t, compute_flags=t.total <= 3000)
-    if config.fmt == "dot":
-        _emit(config, None, trisp.skeleton_dot(t))
+    if args.format == "dot":
+        _emit(args, None, trisp.skeleton_dot(t))
         return 0 if report.ok else 1
-    _emit(config, {"kind": "trisp", **report.to_json()})
+    _emit(args, {"kind": "trisp", **report.to_json()})
     return 0 if report.ok else 1
 
 
-def cmd_nerve(config):
-    doc = _load(config.input)
+def cmd_nerve(args):
+    doc = _load(args.input)
     c = accat.AcyclicCategory.from_json(doc)
     report = accat.validate_category(c)
     if not report.ok:
-        _emit(config, {"error": "input category invalid", **report.to_json()})
+        _emit(args, {"error": "input category invalid", **report.to_json()})
         return 1
     nv = nerve(c)
-    if config.fmt == "dot":
-        _emit(config, None, trisp.skeleton_dot(nv.trisp))
+    if args.format == "dot":
+        _emit(args, None, trisp.skeleton_dot(nv.trisp))
         return 0
-    _emit(config, nv.trisp.to_json())
+    _emit(args, nv.trisp.to_json())
     return 0
 
 
-def cmd_quotient(config):
-    doc = _load(config.input)
-    act_doc = _load(config.action)
+def cmd_quotient(args):
+    doc = _load(args.input)
+    act_doc = _load(args.action)
     kind = _detect(doc)
-    if config.subcommand and config.subcommand != kind:
-        raise InputError(f"--mode {config.subcommand} but input is a {kind}")
+    if args.mode and args.mode != kind:
+        raise InputError(f"--mode {args.mode} but input is a {kind}")
     if kind == "trisp":
         t = trisp.Trisp.from_json(doc)
         action = _load_trisp_action(act_doc, t)
@@ -144,7 +122,7 @@ def cmd_quotient(config):
             "regular": qt.regular,
             "regularity_violations": [list(v) for v in qt.regularity_violations],
         }
-        _emit(config, payload)
+        _emit(args, payload)
         return 0
     c = accat.AcyclicCategory.from_json(doc)
     action = _load_cat_action(act_doc, c)
@@ -167,39 +145,39 @@ def cmd_quotient(config):
             "vertex_bijective": cmap.vertex_bijective,
         },
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return 0 if all(cmap.surjective_by_dim) and cmap.vertex_bijective else 1
 
 
-def cmd_closure(config):
-    t = trisp.Trisp.from_json(_load(config.input))
-    cmap = closure.TrispClosureMap.from_json(_load(config.map))
-    if config.convention:
-        cmap = closure.TrispClosureMap(cmap.blue, cmap.red, cmap.mapping, config.convention)
-    sub = config.subcommand
+def cmd_closure(args):
+    t = trisp.Trisp.from_json(_load(args.input))
+    cmap = closure.TrispClosureMap.from_json(_load(args.map))
+    if args.convention:
+        cmap = closure.TrispClosureMap(cmap.blue, cmap.red, cmap.mapping, args.convention)
+    sub = args.verb
     if sub == "verify":
         report = closure.verify_trisp_closure_map(t, cmap)
-        _emit(config, report.to_json())
+        _emit(args, report.to_json())
         return 0 if report.ok else 1
     if sub == "collapse":
         report = closure.verify_trisp_closure_map(t, cmap)
         if not report.ok:
-            _emit(config, {"verified": False, **report.to_json()})
+            _emit(args, {"verified": False, **report.to_json()})
             return 1
         cert = closure.full_collapse_audit(t, cmap, report)
-        _emit(config, {"verified": True, **cert.to_json()})
+        _emit(args, {"verified": True, **cert.to_json()})
         return 0
-    if config.action is None:
+    if args.action is None:
         raise InputError(f"closure {sub} needs --action")
-    action = _load_trisp_action(_load(config.action), t)
+    action = _load_trisp_action(_load(args.action), t)
     if sub == "push":
         try:
             pushed = equivariant.push_closure_map(t, action, cmap)
         except PreconditionError as exc:
-            _emit(config, {"ok": False, "error": str(exc)})
+            _emit(args, {"ok": False, "error": str(exc)})
             return 1
         _emit(
-            config,
+            args,
             {
                 "ok": True,
                 "quotient": pushed.qt.trisp.to_json(),
@@ -215,7 +193,7 @@ def cmd_closure(config):
         try:
             lifted = equivariant.lift_closure_map(t, action, cmap, qt)
             payload.update({"ok": True, "map": lifted.to_json()})
-            _emit(config, payload)
+            _emit(args, payload)
             return 0
         except PreconditionError as exc:
             payload.update({"ok": False, "error": str(exc)})
@@ -224,32 +202,32 @@ def cmd_closure(config):
                 report = closure.verify_trisp_closure_map(t, candidate)
                 payload["candidate"] = candidate.to_json()
                 payload["candidate_verify"] = report.to_json()
-            _emit(config, payload)
+            _emit(args, payload)
             return 1
     raise InputError(f"unknown closure subcommand {sub!r}")
 
 
-def cmd_dgn(config):
-    if config.subcommand == "build":
-        k = graphs.build_dgn(config.n)
-        if config.fmt == "dot":
-            _emit(config, None, trisp.skeleton_dot(k.trisp))
+def cmd_dgn(args):
+    if args.verb == "build":
+        k = graphs.build_dgn(args.n)
+        if args.format == "dot":
+            _emit(args, None, trisp.skeleton_dot(k.trisp))
             return 0
         payload = k.trisp.to_json()
         payload["edge_labels"] = [k.edge_label(e) for e in range(len(k.edges))]
-        _emit(config, payload)
+        _emit(args, payload)
         return 0
-    if config.subcommand == "pipeline":
-        variant = config.pipeline or "61"
+    if args.verb == "pipeline":
+        variant = args.pipeline or "61"
         if variant in ("61", "trisp"):
-            report, _cert = graphs.pipeline_quotient_trisp(config.n)
+            report, _cert = graphs.pipeline_quotient_trisp(args.n)
         elif variant in ("62", "category"):
-            report, _steps = graphs.pipeline_quotient_category(config.n)
+            report, _steps = graphs.pipeline_quotient_category(args.n)
         else:
             raise InputError(f"unknown pipeline {variant!r} (use 61 or 62)")
-        _emit(config, report.to_json())
+        _emit(args, report.to_json())
         return 0 if report.ok else 1
-    raise InputError(f"unknown dgn subcommand {config.subcommand!r}")
+    raise InputError(f"unknown dgn subcommand {args.verb!r}")
 
 
 def build_parser():
@@ -293,18 +271,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        subcommand=getattr(args, "verb", None) or getattr(args, "mode", None),
-        input=getattr(args, "input", None),
-        action=getattr(args, "action", None),
-        map=getattr(args, "map", None),
-        output=getattr(args, "output", None),
-        n=getattr(args, "n", None),
-        pipeline=getattr(args, "pipeline", None),
-        convention=getattr(args, "convention", None),
-        fmt=getattr(args, "format", "json"),
-    )
     handlers = {
         "validate": cmd_validate,
         "nerve": cmd_nerve,
@@ -313,7 +279,7 @@ def main(argv=None):
         "dgn": cmd_dgn,
     }
     try:
-        return handlers[config.command](config)
+        return handlers[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import time
 
-from .accat import find_terminal_object
-from .errors import InputError, PreconditionError
+from .accat import directed_cycle, find_terminal_object
+from .errors import InputError, PreconditionError, malformed
 from .trisp import euler_characteristic, induced_subtrisp
 
 
@@ -51,15 +51,13 @@ class TrispClosureMap:
 
     @classmethod
     def from_json(cls, data):
-        try:
+        with malformed("closure-map"):
             return cls(
                 frozenset(data["blue"]),
                 frozenset(data["red"]),
                 {int(k): v for k, v in data["map"].items()},
                 data.get("convention", "min"),
             )
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"not a closure-map document: {exc}") from exc
 
 
 def extreme_blue(t, d, s, cmap):
@@ -199,16 +197,17 @@ def closure_matching(t, cmap, verify_report):
                 (tau, _j), = extensions_by_vertex(t, d, s, phi_b)
                 up[(d, s)] = (d + 1, tau)
     # consistency: the two rules must produce the same involution
-    assert len(up) == len(down_partner), "matching rules disagree in size"
+    if len(up) != len(down_partner):
+        raise AssertionError("matching rules disagree in size")
     for sigma, tau in up.items():
-        assert down_partner.get(tau) == sigma, f"inconsistent pairing at {sigma} / {tau}"
+        if down_partner.get(tau) != sigma:
+            raise AssertionError(f"inconsistent pairing at {sigma} / {tau}")
     pairs = tuple(sorted((sigma, tau) for sigma, tau in up.items()))
     return Matching(pairs, tuple(sorted(unmatched)))
 
 
 def check_matching_acyclic(t, matching):
     """No directed cycle alternating up matched pairs and down face relations."""
-    up = dict(matching.pairs)
     out_edges = {}
     nodes = set()
     for sigma, tau in matching.pairs:
@@ -219,30 +218,8 @@ def check_matching_acyclic(t, matching):
         for f in t.faces(d, s):
             if (d - 1, f) != sigma:
                 out_edges.setdefault(tau, []).append((d - 1, f))
-    color = {}
-    path = []
-
-    def visit(node):
-        color[node] = 1
-        path.append(node)
-        for nxt in out_edges.get(node, ()):
-            c = color.get(nxt, 0)
-            if c == 1:
-                return path[path.index(nxt):]
-            if c == 0:
-                cycle = visit(nxt)
-                if cycle is not None:
-                    return cycle
-        path.pop()
-        color[node] = 2
-        return None
-
-    for node in sorted(nodes):
-        if color.get(node, 0) == 0:
-            cycle = visit(node)
-            if cycle is not None:
-                return False, cycle
-    return True, None
+    cycle = directed_cycle(sorted(nodes), lambda node: out_edges.get(node, ()))
+    return cycle is None, cycle
 
 
 @dataclass

@@ -5,6 +5,8 @@ schema) exits with code 2, while a checked mathematical failure (a witness
 was found) exits with code 1.
 """
 
+from contextlib import contextmanager
+
 
 class InputError(ValueError):
     """Structurally malformed input: out-of-range index, bad schema."""
@@ -28,3 +30,14 @@ class PipelineError(RuntimeError):
     def __init__(self, stage, message):
         self.stage = stage
         super().__init__(f"stage '{stage}': {message}")
+
+
+@contextmanager
+def malformed(what):
+    """Turn the errors that reading a wrongly shaped `what` document raises into InputError."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise InputError(f"malformed {what} document: {exc!r}") from exc

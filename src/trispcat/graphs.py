@@ -573,7 +573,8 @@ def pipeline_quotient_category(n):
     for i, x in enumerate(keep):
         vmap52[sub_qc.obj_class[i]] = red_pos[qc.obj_class[x]]
     match52b = trisps_equal_over_vertices(nerve_img.trisp, sub.trisp, vmap52)
-    assert match52b.ok
+    if not match52b.ok:
+        raise AssertionError(f"image quotient is not the red subtrisp: {match52b.witness}")
     translated = []
     for (d, s), (d2, s2) in cone_cert.steps:
         a = match52b.mapping[d][match_mirror.mapping[d][s]]

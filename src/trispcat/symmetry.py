@@ -3,12 +3,16 @@
 Group elements are explicit permutation tables: an automorphism of a
 category permutes objects and morphisms, an automorphism of a trisp
 permutes simplices dimension by dimension, commuting with the boundary
-operators.  Groups are closed by breadth-first products of generators.
+operators.  An action is given by its generators; orbits, quotients,
+equivariance and horizontality read only those.  The group itself is
+closed by breadth-first products of generators only on demand, for the
+quotient-regularity condition and the group order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .accat import AcyclicCategory, validate_category
 from .errors import InputError, PreconditionError
@@ -131,83 +135,76 @@ def simplicial_automorphism_violation(t, g):
 
 @dataclass
 class GroupAction:
-    """A closed finite group of automorphisms and a nonempty tuple of its generators.
+    """A finite group of automorphisms, given by a nonempty tuple of generators.
 
-    Orbits are computed from the generators alone.
+    Orbits, equivariance and horizontality are decided from the generators
+    alone; the group's elements are closed from them only when first read.
     """
 
     generators: tuple
-    elements: tuple
     nerve_induced: bool = False
+
+    def __post_init__(self):
+        if not self.generators:
+            raise InputError("a group action needs at least one generator")
+
+    @cached_property
+    def elements(self):
+        """Every element, by breadth-first products of the generators, sorted."""
+        first = self.generators[0]
+        if isinstance(first, CatAut):
+            identity = CatAut(tuple(range(len(first.obj))), tuple(range(len(first.mor))))
+        else:
+            identity = TrispAut(tuple(tuple(range(len(p))) for p in first.dims))
+        seen = {identity}
+        frontier = [g for g in self.generators if g not in seen]
+        seen.update(frontier)
+        while frontier:
+            new = []
+            for g in self.generators:
+                for h in frontier:
+                    gh = g * h
+                    if gh not in seen:
+                        seen.add(gh)
+                        new.append(gh)
+            frontier = new
+        ordered = sorted(seen, key=lambda g: (g.obj, g.mor) if isinstance(g, CatAut) else g.dims)
+        return tuple(ordered)
 
     @property
     def order(self):
         return len(self.elements)
 
-    @property
-    def identity_index(self):
-        return self._id_index
 
-    def __post_init__(self):
-        if not self.generators:
-            raise InputError("a group action needs at least one generator")
-        self._id_index = next(i for i, g in enumerate(self.elements) if g.is_identity())
+def close_group(generators, on, setwise=False):
+    """The action generated by `generators`, each checked to be an automorphism of `on`.
 
-
-def close_group(generators, on=None, setwise=False):
-    """Close generators under composition; assert the group axioms.
-
-    If `on` is a category or trisp, each generator is first checked to be a
-    genuine automorphism; a failure raises with a witness.  With
-    ``setwise=True`` a trisp generator only needs to map faces to faces
-    (vertex relabelings of simplicial complexes).
+    `on` is a category or trisp; a generator that is not a genuine
+    automorphism raises with a witness.  With ``setwise=True`` a trisp
+    generator only needs to map faces to faces (vertex relabelings of
+    simplicial complexes).
     """
     generators = tuple(generators)
-    if on is not None:
-        for k, g in enumerate(generators):
-            if isinstance(on, AcyclicCategory):
-                witness = cat_automorphism_violation(on, g)
-            elif setwise:
-                witness = simplicial_automorphism_violation(on, g)
-            else:
-                witness = trisp_automorphism_violation(on, g)
-            if witness is not None:
-                raise InputError(f"generator {k} is not an automorphism: {witness}")
-    if generators:
-        first = generators[0]
-        if isinstance(first, CatAut):
-            identity = CatAut(tuple(range(len(first.obj))), tuple(range(len(first.mor))))
+    for k, g in enumerate(generators):
+        if isinstance(on, AcyclicCategory):
+            witness = cat_automorphism_violation(on, g)
+        elif setwise:
+            witness = simplicial_automorphism_violation(on, g)
         else:
-            identity = TrispAut(tuple(tuple(range(len(p))) for p in first.dims))
-    else:
-        raise InputError("close_group of an empty generator list needs a carrier; "
-                         "use trivial_action instead")
-    elements = {identity}
-    frontier = [g for g in generators if g not in elements]
-    elements.update(frontier)
-    while frontier:
-        new = []
-        for g in generators:
-            for h in frontier:
-                gh = g * h
-                if gh not in elements:
-                    elements.add(gh)
-                    new.append(gh)
-        frontier = new
-    for g in elements:
-        assert g.inverse() in elements, "closure lost an inverse"
-    ordered = sorted(elements, key=lambda g: (g.obj, g.mor) if isinstance(g, CatAut) else g.dims)
-    return GroupAction(generators, tuple(ordered))
+            witness = trisp_automorphism_violation(on, g)
+        if witness is not None:
+            raise InputError(f"generator {k} is not an automorphism: {witness}")
+    return GroupAction(generators)
 
 
 def trivial_cat_action(c):
     identity = CatAut(tuple(range(c.n_objects)), tuple(range(c.n_morphisms)))
-    return GroupAction((identity,), (identity,))
+    return GroupAction((identity,))
 
 
 def trivial_trisp_action(t):
     identity = TrispAut(tuple(tuple(range(t.n(d))) for d in range(t.dim + 1)))
-    return GroupAction((identity,), (identity,))
+    return GroupAction((identity,))
 
 
 class _UnionFind:
@@ -252,17 +249,16 @@ def orbit_partition(perms, n):
     return uf.classes()
 
 
-def check_horizontal(c, action_or_perms):
-    """gx != x must imply that x and gx have no morphisms either way."""
-    if isinstance(action_or_perms, GroupAction):
-        perms = [g.obj for g in action_or_perms.elements]
-    else:
-        perms = list(action_or_perms)
-    for gi, p in enumerate(perms):
-        for x in range(c.n_objects):
-            gx = p[x]
-            if gx != x and (c.hom(x, gx) or c.hom(gx, x)):
-                return False, (gi, x)
+def check_horizontal(c, action):
+    """No morphism joins two distinct objects of one orbit: every orbit is an antichain.
+
+    The witness is (source, target) of the first such morphism.  Generator
+    orbits suffice: if y = hx and z = kx, then z = (kh⁻¹)y.
+    """
+    orbit, _reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
+    for x, y in zip(c.src, c.tgt):
+        if x != y and orbit[x] == orbit[y]:
+            return False, (x, y)
     return True, None
 
 
@@ -282,10 +278,7 @@ def induced_trisp_action(nv, action):
         witness = trisp_automorphism_violation(t, aut)
         assert witness is None, f"induced map is not an automorphism: {witness}"
         gens.append(aut)
-    out = close_group(gens)
-    out.nerve_induced = True
-    assert out.order == action.order, "the induced action must be faithful alongside the original"
-    return out
+    return GroupAction(tuple(gens), nerve_induced=True)
 
 
 @dataclass
@@ -306,16 +299,14 @@ class RegularActionReport:
 
 
 def check_regular_action(t, action):
+    moving = [(gi, g, g.inverse()) for gi, g in enumerate(action.elements) if not g.is_identity()]
     pairs = 0
     for d in range(t.dim + 1):
         for s in range(t.n(d)):
             face_list = sorted(t.iterated_faces(d, s))
             face_set = set(face_list)
-            for gi, g in enumerate(action.elements):
-                if gi == action.identity_index:
-                    continue
+            for gi, g, inv in moving:
                 pairs += 1
-                inv = g.inverse()
                 for (dd, ss) in face_list:
                     if (dd, inv.dims[dd][ss]) not in face_set:
                         continue  # not a face of g(σ)

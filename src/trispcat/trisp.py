@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, malformed
 
 
 class Trisp:
@@ -137,22 +137,19 @@ class Trisp:
 
     @classmethod
     def from_json(cls, data):
-        try:
-            dims = data["dims"]
-        except (TypeError, KeyError) as exc:
-            raise InputError("not a trisp document: missing 'dims'") from exc
-        counts = []
-        bnd = [()]
-        for d, layer in enumerate(dims):
-            if "count" not in layer:
-                raise InputError(f"dimension {d}: missing 'count'")
-            counts.append(layer["count"])
-            if d >= 1:
-                table = layer.get("bnd")
-                if table is None:
-                    raise InputError(f"dimension {d}: missing 'bnd'")
-                bnd.append(tuple(tuple(row) for row in table))
-        return cls(counts, bnd)
+        with malformed("trisp"):
+            counts = []
+            bnd = [()]
+            for d, layer in enumerate(data["dims"]):
+                if "count" not in layer:
+                    raise InputError(f"dimension {d}: missing 'count'")
+                counts.append(layer["count"])
+                if d >= 1:
+                    table = layer.get("bnd")
+                    if table is None:
+                        raise InputError(f"dimension {d}: missing 'bnd'")
+                    bnd.append(tuple(tuple(row) for row in table))
+            return cls(counts, bnd)
 
 
 # -- validation -----------------------------------------------------------

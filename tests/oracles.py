@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from trispcat.accat import ACMap, Poset, poset_from_relation
-from trispcat.symmetry import CatAut, GroupAction, close_group, trivial_cat_action
+from trispcat.symmetry import CatAut, GroupAction, trivial_cat_action
 
 
 def natural_orders(n):
@@ -164,11 +164,11 @@ def subgroups_upto_order(p, max_order):
     trivial = trivial_cat_action(p.category)
     seen[frozenset(trivial.elements)] = trivial
     for g in auts:
-        action = close_group([g])
+        action = GroupAction((g,))
         if action.order <= max_order:
             seen.setdefault(frozenset(action.elements), action)
     for g, h in combinations(auts, 2):
-        action = close_group([g, h])
+        action = GroupAction((g, h))
         if action.order <= max_order:
             seen.setdefault(frozenset(action.elements), action)
     return list(seen.values())
@@ -185,7 +185,7 @@ def random_action(rng, p, max_order=6, attempts=8):
     auts = poset_automorphisms(p)
     for _ in range(attempts):
         gens = rng.sample(auts, k=min(len(auts), rng.choice([1, 2])))
-        action = close_group(gens)
+        action = GroupAction(tuple(gens))
         if 1 < action.order <= max_order:
             return action
     return trivial_cat_action(p.category)

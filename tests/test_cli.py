@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -202,3 +205,68 @@ def test_quotient_of_dgn4_face_poset(capsys, tmp_path, dgn4_bundle):
     doc = json.loads(out)
     assert doc["canonical_map"]["vertex_bijective"] is True
     assert all(doc["canonical_map"]["surjective_by_dim"])
+
+
+_CATEGORY = {"objects": [{"id": 0}, {"id": 1}]}
+_POINT = {"dims": [{"count": 1}]}
+
+
+@pytest.mark.parametrize(
+    "argv, docs",
+    [
+        (["validate"], [{"dims": [{"count": "a"}]}]),
+        (["validate"], [{"dims": [{"count": 2}, {"count": 1, "bnd": [5]}]}]),
+        (["validate"], [{**_CATEGORY, "morphisms": [{"id": 0, "src": "0", "tgt": 1}]}]),
+        (["validate"], [{**_CATEGORY, "morphisms": [{"id": 0, "tgt": 1}]}]),
+        (["closure", "verify"], [_POINT, {"blue": [], "red": [0], "map": {"x": 0}}]),
+        (["quotient"], [{**_CATEGORY, "morphisms": []}, {"generators": [3]}]),
+    ],
+)
+def test_malformed_documents_exit_two(capsys, tmp_path, argv, docs):
+    files = [write(tmp_path / f"doc{i}.json", doc) for i, doc in enumerate(docs)]
+    flags = ["--input", "--map" if argv[0] == "closure" else "--action"]
+    code = main(argv + [arg for pair in zip(flags, files) for arg in pair])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def _path_category(n, closed=False):
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if closed else [])
+    return {
+        "objects": [{"id": i} for i in range(n)],
+        "morphisms": [{"id": m, "src": a, "tgt": b} for m, (a, b) in enumerate(edges)],
+    }
+
+
+def test_validate_deep_path_has_no_recursion_limit(capsys, tmp_path):
+    # no composition entries, so the path is acyclic but not a category
+    path = write(tmp_path / "p.json", _path_category(1500))
+    code, out = run(capsys, "validate", "--input", path)
+    assert code == 1
+    assert json.loads(out)["acyclic"] is True
+
+
+def test_validate_deep_cycle_has_no_recursion_limit(capsys, tmp_path):
+    path = write(tmp_path / "c.json", _path_category(1500, closed=True))
+    code, out = run(capsys, "validate", "--input", path)
+    assert code == 1
+    assert json.loads(out)["cycle"] == list(range(1500))
+
+
+@pytest.mark.parametrize("variant", ["61", "62"])
+def test_pipeline_certificates_survive_optimize(capsys, variant):
+    # the certificate checks must not rest on `assert`, which `python -O` strips
+    argv = ["dgn", "pipeline", "--n", "4", "--pipeline", variant]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "trispcat.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert optimized.returncode == 0, optimized.stderr
+    assert json.loads(optimized.stdout)["certificates"] == json.loads(out)["certificates"]

@@ -148,6 +148,15 @@ def test_cyclic_matching_detected():
     assert not ok and cycle
 
 
+def test_deep_acyclic_matching_has_no_recursion_limit():
+    # vertex i is matched up to edge i, whose other end is vertex i + 1
+    from trispcat.closure import Matching
+
+    t = Trisp([1500, 1499], [[(i + 1, i) for i in range(1499)]])
+    pairs = tuple(((0, i), (1, i)) for i in range(1499))
+    assert check_matching_acyclic(t, Matching(pairs, ((0, 1499),))) == (True, None)
+
+
 def test_collapse_rejects_stuck_matching():
     from trispcat.closure import Matching
     from trispcat.trisp import simplicial_from_faces

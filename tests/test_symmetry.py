@@ -10,6 +10,8 @@ from trispcat.accat import (
     poset_from_relation,
     validate_category,
 )
+from trispcat.closure import induced_trisp_closure_map
+from trispcat.equivariant import push_closure_map
 from trispcat.errors import InputError, NotAPosetError
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
@@ -57,10 +59,9 @@ def test_trivial_actions_are_generated_by_the_identity(chain3):
         assert action.generators[0].is_identity()
 
 
-def test_group_action_needs_a_generator(chain3):
-    identity = trivial_cat_action(chain3.category).elements[0]
+def test_group_action_needs_a_generator():
     with pytest.raises(InputError):
-        GroupAction((), (identity,))
+        GroupAction(())
 
 
 def _orbits_agree(action, n_by_dim, perm_of):
@@ -84,7 +85,25 @@ def test_orbits_from_generators_random(seed):
     c = p.category
     _orbits_agree(action, (c.n_objects, c.n_morphisms), lambda g, d: (g.obj, g.mor)[d])
     nv = nerve(c)
-    _orbits_agree(induced_trisp_action(nv, action), nv.trisp.counts, lambda g, d: g.dims[d])
+    tact = induced_trisp_action(nv, action)
+    _orbits_agree(tact, nv.trisp.counts, lambda g, d: g.dims[d])
+    assert tact.order == action.order
+    # horizontality by its all-elements definition: gx != x is never joined to x
+    horizontal = not any(
+        g.obj[x] != x and (c.hom(x, g.obj[x]) or c.hom(g.obj[x], x))
+        for g in action.elements
+        for x in range(c.n_objects)
+    )
+    assert check_horizontal(c, action)[0] == horizontal
+
+
+def test_pushing_through_the_induced_action_closes_no_group(dgn4_bundle):
+    # the bundle's own action is shared with tests that read its elements
+    b = dgn4_bundle
+    tact = induced_trisp_action(b["bd"], b["act"])
+    cmap = induced_trisp_closure_map(b["fp"].poset, b["f"], b["closure_report"])
+    push_closure_map(b["bd"].trisp, tact, cmap)
+    assert "elements" not in tact.__dict__
 
 
 def test_z2_on_double_filled_triangle(double_filled):
@@ -102,9 +121,9 @@ def test_horizontality_of_poset_automorphisms(two_edges_z2):
 
 def test_horizontality_witness_on_raw_permutation():
     c = AcyclicCategory(["a", "b"], [(0, 1)])
-    ok, witness = check_horizontal(c, [(1, 0)])
+    ok, witness = check_horizontal(c, GroupAction((CatAut((1, 0), (0,)),)))
     assert not ok
-    assert witness == (0, 0)
+    assert witness == (0, 1)
 
 
 def test_induced_action_on_hexagon(triangle_boundary):
@@ -221,9 +240,7 @@ def test_quotient_category_requires_horizontal():
 
     # a raw permutation pair that is not an automorphism, wrapped without validation
     c = AcyclicCategory(["a", "b"], [(0, 1)])
-    swap = CatAut((1, 0), (0,))
-    identity = CatAut((0, 1), (0,))
-    fake = GroupAction((swap,), (identity, swap))
+    fake = GroupAction((CatAut((1, 0), (0,)),))
     with pytest.raises(PreconditionError):
         quotient_category(c, fake)
 
