@@ -25,6 +25,7 @@ class AcyclicCategory:
         if isinstance(objects, int):
             objects = [str(i) for i in range(objects)]
         self.objects = tuple(str(o) for o in objects)
+        n_obj = len(self.objects)
         src, tgt, labels = [], [], []
         for m in morphisms:
             if len(m) == 2:
@@ -32,7 +33,7 @@ class AcyclicCategory:
                 lab = f"m{len(src)}"
             else:
                 s, t, lab = m
-            if not (0 <= s < len(self.objects) and 0 <= t < len(self.objects)):
+            if not (type(s) is type(t) is int and 0 <= s < n_obj and 0 <= t < n_obj):
                 raise InputError(f"morphism endpoint out of range: {m}")
             src.append(s)
             tgt.append(t)
@@ -43,9 +44,11 @@ class AcyclicCategory:
         n = len(self.src)
         comp = {}
         for m1, m2, m12 in composition:
-            for m in (m1, m2, m12):
-                if not 0 <= m < n:
-                    raise InputError(f"composition entry out of range: {(m1, m2, m12)}")
+            if not (
+                type(m1) is type(m2) is type(m12) is int
+                and 0 <= m1 < n and 0 <= m2 < n and 0 <= m12 < n
+            ):
+                raise InputError(f"composition entry out of range: {(m1, m2, m12)}")
             if (m1, m2) in comp and comp[(m1, m2)] != m12:
                 raise InputError(f"conflicting composition entries for {(m1, m2)}")
             comp[(m1, m2)] = m12

@@ -43,13 +43,20 @@ def _detect(doc):
     raise InputError("document is neither a category nor a trisp")
 
 
+def _indices(entries):
+    entries = tuple(entries)
+    if not all(type(x) is int for x in entries):
+        raise InputError(f"permutation entries must be integers: {list(entries)}")
+    return entries
+
+
 def _load_trisp_action(doc, t):
     with malformed("action"):
         auts = []
         for g in doc["generators"]:
             if "dims" not in g:
                 raise InputError("trisp action generators need 'dims'")
-            auts.append(symmetry.TrispAut(tuple(tuple(p) for p in g["dims"])))
+            auts.append(symmetry.TrispAut(tuple(_indices(p) for p in g["dims"])))
         if not auts:
             return symmetry.trivial_trisp_action(t)
         return symmetry.close_group(auts, on=t)
@@ -61,7 +68,7 @@ def _load_cat_action(doc, c):
         for g in doc["generators"]:
             if "objects" not in g or "morphisms" not in g:
                 raise InputError("category action generators need 'objects' and 'morphisms'")
-            auts.append(symmetry.CatAut(tuple(g["objects"]), tuple(g["morphisms"])))
+            auts.append(symmetry.CatAut(_indices(g["objects"]), _indices(g["morphisms"])))
         if not auts:
             return symmetry.trivial_cat_action(c)
         return symmetry.close_group(auts, on=c)

@@ -30,6 +30,9 @@ class TrispClosureMap:
         self.red = frozenset(self.red)
         if self.convention not in ("min", "max"):
             raise InputError(f"convention must be 'min' or 'max', got {self.convention!r}")
+        vertices = (*self.blue, *self.red, *self.mapping, *self.mapping.values())
+        if not all(type(v) is int for v in vertices):
+            raise InputError("vertices must be integers")
         if self.blue & self.red:
             raise InputError("blue and red overlap")
         if set(self.mapping) != set(self.blue):
@@ -160,12 +163,6 @@ class Matching:
 
     pairs: tuple  # ((d, s), (d + 1, tau)) sorted
     unmatched: tuple
-
-    def to_json(self):
-        return {
-            "pairs": [[list(a), list(b)] for a, b in self.pairs],
-            "unmatched": [list(x) for x in self.unmatched],
-        }
 
 
 def closure_matching(t, cmap, verify_report):

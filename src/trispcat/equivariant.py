@@ -38,14 +38,6 @@ class EquivarianceReport:
     def ok(self):
         return self.map_equivariant and self.blue_closed and self.red_closed
 
-    def to_json(self):
-        return {
-            "map_equivariant": self.map_equivariant,
-            "blue_closed": self.blue_closed,
-            "red_closed": self.red_closed,
-            "witnesses": [list(w) for w in self.witnesses],
-        }
-
 
 def check_equivariant(action, cmap):
     """φ(gb) = gφ(b), plus blue and red closed under the action.
@@ -201,12 +193,8 @@ def lift_closure_map(t, action, psi, qt=None):
         raise PreconditionError("psi does not verify on the quotient")
     lift = lift_candidate(t, action, psi, qt)
     pushed = push_closure_map(t, action, lift, qt)  # verifies the lift on t
-    assert pushed.cmap == psi or (
-        pushed.cmap.blue == psi.blue
-        and pushed.cmap.red == psi.red
-        and pushed.cmap.mapping == psi.mapping
-        and pushed.cmap.convention == psi.convention
-    ), "push of the lift does not recover the original map"
+    if pushed.cmap != psi:
+        raise AssertionError("push of the lift does not recover the original map")
     return lift
 
 
@@ -353,7 +341,8 @@ def quotient_poset_closure_map(p, action, f, qc=None, nerve_q=None):
     for cls in blue:
         members = qc.obj_members[cls]
         images = {qc.obj_class[f.obj[x]] for x in members}
-        assert len(images) == 1, "operator image is not constant on classes"
+        if len(images) != 1:
+            raise AssertionError("operator image is not constant on classes")
         mapping[cls] = images.pop()
     cmap = TrispClosureMap(blue, red, mapping, "min" if direction == "descending" else "max")
     verify = verify_trisp_closure_map(nerve_q.trisp, cmap)

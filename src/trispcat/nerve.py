@@ -26,17 +26,14 @@ class Chain:
 
 
 class Nerve:
-    def __init__(self, category, trisp, chains):
+    def __init__(self, category, trisp, chains, index):
         self.category = category
         self.trisp = trisp
-        self.chains = chains  # per dimension, tuple of Chain
-        self._index = {}
-        for d in range(1, len(chains)):
-            for s, ch in enumerate(chains[d]):
-                self._index[ch.morphisms] = s
+        self.chains = chains  # chains[d][s] = morphism tuple of the d-simplex s
+        self._index = index  # morphism tuple -> simplex index, over all d >= 1
 
     def chain(self, d, s):
-        return self.chains[d][s]
+        return Chain(self.trisp.vertex_tuple(d, s), self.chains[d][s])
 
     def simplex_of(self, chain):
         """(d, s) of a chain; vertices are indexed by their object."""
@@ -58,10 +55,13 @@ def _chain_objects(c, morphisms):
 def nerve(c):
     """Nerve of an acyclic category, with a bidirectional simplex <-> chain index.
 
-    Chain enumeration is deterministic: within each dimension chains are
-    sorted by (object list, morphism list).
+    Each simplex is stored once, as its morphism tuple; its objects are the
+    trisp's vertex tuple, and `Nerve.chain` pairs the two on demand.  Chain
+    enumeration is deterministic: within each dimension chains are sorted by
+    (object list, morphism list).
     """
-    chains = [tuple(Chain((x,), ()) for x in range(c.n_objects))]
+    chains = [((),) * c.n_objects]
+    index = {}
     out_by_src = {}
     for m in range(c.n_morphisms):
         out_by_src.setdefault(c.src[m], []).append(m)
@@ -69,38 +69,30 @@ def nerve(c):
     while level:
         if len(chains) > c.n_objects:
             raise InputError("chains do not terminate; the category has a directed cycle")
-        with_objects = [(_chain_objects(c, ms), ms) for ms in level]
-        with_objects.sort()
-        chains.append(tuple(Chain(objs, ms) for objs, ms in with_objects))
-        level = [
-            ms + (m,)
-            for _objs, ms in with_objects
-            for m in out_by_src.get(c.tgt[ms[-1]], ())
-        ]
-    index = [{ch.morphisms: s for s, ch in enumerate(lvl)} for lvl in chains]
-    counts = [len(lvl) for lvl in chains]
-    bnd = [()]
+        level = tuple(ms for _objs, ms in sorted((_chain_objects(c, ms), ms) for ms in level))
+        index.update((ms, s) for s, ms in enumerate(level))
+        chains.append(level)
+        level = [ms + (m,) for ms in level for m in out_by_src.get(c.tgt[ms[-1]], ())]
+    bnd = []
     for d in range(1, len(chains)):
         table = []
-        for ch in chains[d]:
-            ms = ch.morphisms
+        for ms in chains[d]:
             if d == 1:
-                row = (c.tgt[ms[0]], c.src[ms[0]])
-            else:
-                row = [index[d - 1][ms[1:]]]
-                for i in range(1, d):
-                    try:
-                        composite = c.comp[(ms[i - 1], ms[i])]
-                    except KeyError:
-                        raise InputError(
-                            f"composition table incomplete at {(ms[i - 1], ms[i])}"
-                        ) from None
-                    row.append(index[d - 1][ms[: i - 1] + (composite,) + ms[i + 1:]])
-                row.append(index[d - 1][ms[:-1]])
-                row = tuple(row)
-            table.append(row)
+                table.append((c.tgt[ms[0]], c.src[ms[0]]))
+                continue
+            row = [index[ms[1:]]]
+            for i in range(1, d):
+                try:
+                    composite = c.comp[(ms[i - 1], ms[i])]
+                except KeyError:
+                    raise InputError(
+                        f"composition table incomplete at {(ms[i - 1], ms[i])}"
+                    ) from None
+                row.append(index[ms[: i - 1] + (composite,) + ms[i + 1:]])
+            row.append(index[ms[:-1]])
+            table.append(tuple(row))
         bnd.append(tuple(table))
-    return Nerve(c, Trisp(counts, bnd), tuple(chains))
+    return Nerve(c, Trisp([len(lvl) for lvl in chains], bnd), tuple(chains), index)
 
 
 @dataclass
@@ -126,12 +118,12 @@ def map_chain(f, chain, dst_category):
 def nerve_of_map(nerve_src, nerve_dst, f):
     """Trisp map induced by a functor, deleting degenerate chain entries."""
     entries = []
-    for d in range(len(nerve_src.chains)):
-        level = [
-            nerve_dst.simplex_of(map_chain(f, ch, nerve_dst.category))
-            for ch in nerve_src.chains[d]
+    for d, level in enumerate(nerve_src.chains):
+        images = [
+            nerve_dst.simplex_of(map_chain(f, nerve_src.chain(d, s), nerve_dst.category))
+            for s in range(len(level))
         ]
-        entries.append(tuple(level))
+        entries.append(tuple(images))
     return TrispMap(nerve_src.trisp, nerve_dst.trisp, tuple(entries))
 
 

@@ -269,14 +269,12 @@ def induced_trisp_action(nv, action):
     for g in action.generators:
         dims = [g.obj]
         for d in range(1, t.dim + 1):
-            level = []
-            for ch in nv.chains[d]:
-                img = tuple(g.mor[m] for m in ch.morphisms)
-                level.append(nv.simplex_of_morphisms(img))
-            dims.append(tuple(level))
+            images = [nv.simplex_of_morphisms(tuple(g.mor[m] for m in ms)) for ms in nv.chains[d]]
+            dims.append(tuple(images))
         aut = TrispAut(tuple(dims))
         witness = trisp_automorphism_violation(t, aut)
-        assert witness is None, f"induced map is not an automorphism: {witness}"
+        if witness is not None:
+            raise AssertionError(f"induced map is not an automorphism: {witness}")
         gens.append(aut)
     return GroupAction(tuple(gens), nerve_induced=True)
 
@@ -293,9 +291,6 @@ class RegularActionReport:
     ok: bool
     witness: tuple | None  # (element index, simplex, face, kind)
     pairs_checked: int
-
-    def to_json(self):
-        return {"ok": self.ok, "witness": self.witness, "pairs_checked": self.pairs_checked}
 
 
 def check_regular_action(t, action):
@@ -340,14 +335,11 @@ def quotient_trisp(t, action):
         proj, rep = orbit_partition([g.dims[d] for g in action.generators], t.n(d))
         projection.append(tuple(proj))
         reps.append(tuple(rep))
-    counts = [len(r) for r in reps]
-    bnd = [()]
-    for d in range(1, t.dim + 1):
-        table = []
-        for rep in reps[d]:
-            table.append(tuple(projection[d - 1][f] for f in t.faces(d, rep)))
-        bnd.append(tuple(table))
-    qt = Trisp(counts, bnd)
+    bnd = [
+        [tuple(projection[d - 1][f] for f in t.faces(d, rep)) for rep in reps[d]]
+        for d in range(1, t.dim + 1)
+    ]
+    qt = Trisp([len(r) for r in reps], bnd)
     violations = []
     for d in range(1, qt.dim + 1):
         for s in range(qt.n(d)):
@@ -407,7 +399,8 @@ def quotient_category(c, action):
     for members in mor_members:
         srcs = {obj_class[c.src[m]] for m in members}
         tgts = {obj_class[c.tgt[m]] for m in members}
-        assert len(srcs) == 1 and len(tgts) == 1, "congruence broke endpoint classes"
+        if len(srcs) != 1 or len(tgts) != 1:
+            raise AssertionError("congruence broke endpoint classes")
         q_src.append(srcs.pop())
         q_tgt.append(tgts.pop())
 
@@ -425,12 +418,15 @@ def quotient_category(c, action):
             for m1 in mor_members[k1]:
                 for m2 in by_class_and_src[k2].get(c.tgt[m1], ()):
                     m12 = c.comp.get((m1, m2))
-                    assert m12 is not None, "composition missing on composable pair"
+                    if m12 is None:
+                        raise AssertionError("composition missing on composable pair")
                     composites.add(mor_class[m12])
-            assert composites, "no composable representatives for composable classes"
-            assert len(composites) == 1, (
-                f"class composition not well-defined for ({k1}, {k2}): {sorted(composites)}"
-            )
+            if not composites:
+                raise AssertionError("no composable representatives for composable classes")
+            if len(composites) != 1:
+                raise AssertionError(
+                    f"class composition not well-defined for ({k1}, {k2}): {sorted(composites)}"
+                )
             comp_entries[(k1, k2)] = composites.pop()
 
     labels = [f"[{c.objects[obj_members[k][0]]}]" for k in range(len(obj_reps))]
@@ -439,10 +435,12 @@ def quotient_category(c, action):
     ]
     quotient = AcyclicCategory(labels, mor_list, [(a, b, m) for (a, b), m in comp_entries.items()])
     report = validate_category(quotient)
-    assert report.ok, f"quotient category invalid: {report.to_json()}"
+    if not report.ok:
+        raise AssertionError(f"quotient category invalid: {report.to_json()}")
     # the projection must be a functor
     for (m1, m2), m12 in c.comp.items():
-        assert comp_entries[(mor_class[m1], mor_class[m2])] == mor_class[m12]
+        if comp_entries[(mor_class[m1], mor_class[m2])] != mor_class[m12]:
+            raise AssertionError(f"the projection is not a functor at {(m1, m2)}")
     return QuotientCategory(
         quotient,
         tuple(obj_class),
@@ -490,22 +488,23 @@ class CanonicalMap:
         if d == 0:
             member = self.qc.obj_members[s][0]
             return self.qt.projection[0][member]
-        target_chain = self.nerve_dst.chain(d, s)
         lifted = []
         current = None
-        for cls in target_chain.morphisms:
+        for cls in self.nerve_dst.chains[d][s]:
             members = self.qc.mor_members[cls]
             if current is None:
                 m = members[0]
             else:
                 matching = [m for m in members if self.nerve_src.category.src[m] == current]
-                assert matching, "no class member continues the lifted chain"
+                if not matching:
+                    raise AssertionError("no class member continues the lifted chain")
                 m = matching[0]
             lifted.append(m)
             current = self.nerve_src.category.tgt[m]
         src_simplex = self.nerve_src.simplex_of_morphisms(tuple(lifted))
         orbit = self.qt.projection[d][src_simplex]
-        assert self.entries[d][orbit] == s, "lift does not round-trip"
+        if self.entries[d][orbit] != s:
+            raise AssertionError("lift does not round-trip")
         return orbit
 
 
@@ -529,8 +528,7 @@ def canonical_map(c, action, nerve_src=None, taction=None, qc=None):
             if d == 0:
                 level.append(qc.obj_class[rep])
             else:
-                chain = nerve_src.chains[d][rep]
-                img = tuple(qc.mor_class[m] for m in chain.morphisms)
+                img = tuple(qc.mor_class[m] for m in nerve_src.chains[d][rep])
                 level.append(nerve_dst.simplex_of_morphisms(img))
         entries.append(tuple(level))
     cmap = CanonicalMap(nerve_src, taction, qt, qc, nerve_dst, tuple(entries))
@@ -539,8 +537,8 @@ def canonical_map(c, action, nerve_src=None, taction=None, qc=None):
         for o in range(qt.trisp.n(d)):
             img = entries[d][o]
             for i in range(d + 1):
-                assert entries[d - 1][qt.trisp.face(d, o, i)] == nerve_dst.trisp.face(d, img, i), (
-                    "canonical map does not commute with boundaries"
-                )
-    assert cmap.vertex_bijective, "canonical map must be bijective on vertices"
+                if entries[d - 1][qt.trisp.face(d, o, i)] != nerve_dst.trisp.face(d, img, i):
+                    raise AssertionError("canonical map does not commute with boundaries")
+    if not cmap.vertex_bijective:
+        raise AssertionError("canonical map must be bijective on vertices")
     return cmap

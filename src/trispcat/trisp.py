@@ -16,36 +16,34 @@ from .errors import InputError, malformed
 
 class Trisp:
     def __init__(self, counts, bnd):
-        """counts[d] = number of d-simplices; bnd[d] (d >= 1) = boundary table.
+        """counts[d] = number of d-simplices; bnd[d - 1] = boundary table of dimension d >= 1.
 
-        `bnd` may be given either with or without a placeholder entry for
-        dimension 0; rows of ``bnd[d]`` have length d+1.
+        Row s of the table of dimension d lists the d+1 faces (∂_0 s, ..., ∂_d s)
+        as indices of (d-1)-simplices.  Counts and face indices must be ints.
         """
-        counts = tuple(int(x) for x in counts)
+        counts = tuple(counts)
+        if not all(type(x) is int and x >= 0 for x in counts):
+            raise InputError(f"simplex counts must be non-negative integers: {list(counts)}")
         while counts and counts[-1] == 0:
             counts = counts[:-1]
-        if any(x < 0 for x in counts):
-            raise InputError("negative simplex count")
         if counts and counts[0] == 0:
             raise InputError("positive-dimensional simplices need vertices")
-        bnd = [tuple(tuple(int(i) for i in row) for row in table) for table in bnd]
-        if len(bnd) == max(len(counts) - 1, 0):
-            bnd = [()] + bnd
-        if len(bnd) < len(counts):
+        if len(bnd) < len(counts) - 1:
             raise InputError("boundary tables missing for some dimension")
-        bnd = bnd[: max(len(counts), 1)]
         self.counts = counts
-        self._bnd = tuple(bnd) if counts else ((),)
-        for d in range(1, self.dim + 1):
-            table = self._bnd[d]
+        tables = [()]  # _bnd[d] is the table of dimension d
+        for d in range(1, len(counts)):
+            table = tuple(tuple(row) for row in bnd[d - 1])
             if len(table) != counts[d]:
                 raise InputError(f"dimension {d}: {len(table)} rows for {counts[d]} simplices")
             for s, row in enumerate(table):
                 if len(row) != d + 1:
                     raise InputError(f"simplex ({d},{s}): boundary row must have {d + 1} entries")
                 for i in row:
-                    if not 0 <= i < counts[d - 1]:
-                        raise InputError(f"simplex ({d},{s}): face index {i} out of range")
+                    if type(i) is not int or not 0 <= i < counts[d - 1]:
+                        raise InputError(f"simplex ({d},{s}): face index {i!r} out of range")
+            tables.append(table)
+        self._bnd = tuple(tables)
         self._vt = None
         self._cofaces = None
 
@@ -139,7 +137,7 @@ class Trisp:
     def from_json(cls, data):
         with malformed("trisp"):
             counts = []
-            bnd = [()]
+            bnd = []
             for d, layer in enumerate(data["dims"]):
                 if "count" not in layer:
                     raise InputError(f"dimension {d}: missing 'count'")
@@ -148,7 +146,7 @@ class Trisp:
                     table = layer.get("bnd")
                     if table is None:
                         raise InputError(f"dimension {d}: missing 'bnd'")
-                    bnd.append(tuple(tuple(row) for row in table))
+                    bnd.append(table)
             return cls(counts, bnd)
 
 
@@ -346,9 +344,10 @@ def induced_subtrisp(t, vertices):
         keep.append(kept)
         new_index.append({s: i for i, s in enumerate(kept)})
     counts = [len(k) for k in keep]
-    bnd = [()]
-    for d in range(1, t.dim + 1):
-        bnd.append(tuple(tuple(new_index[d - 1][f] for f in t.faces(d, s)) for s in keep[d]))
+    bnd = [
+        [tuple(new_index[d - 1][f] for f in t.faces(d, s)) for s in keep[d]]
+        for d in range(1, t.dim + 1)
+    ]
     return Subtrisp(Trisp(counts, bnd), tuple(tuple(k) for k in keep))
 
 
@@ -400,9 +399,7 @@ def trisps_equal_over_vertices(t1, t2, vertex_map):
 
 def reverse_trisp(t):
     """Mirror image: boundary indices read back to front (nerve of the opposite)."""
-    bnd = [()]
-    for d in range(1, t.dim + 1):
-        bnd.append(tuple(tuple(reversed(t.faces(d, s))) for s in range(t.n(d))))
+    bnd = [[t.faces(d, s)[::-1] for s in range(t.n(d))] for d in range(1, t.dim + 1)]
     return Trisp(t.counts, bnd)
 
 
@@ -429,30 +426,21 @@ def simplicial_from_faces(n_vertices, faces):
         faces_by_dim.append(tuple(level))
         for s, f in enumerate(level):
             index[frozenset(f)] = (d, s)
-    for d in range(dim + 1):
-        if d == 0:
-            continue
+    for d in range(1, dim + 1):
         for f in faces_by_dim[d]:
             for sub in combinations(f, d):
                 if frozenset(sub) not in index:
                     raise InputError(f"family not downward closed: {sub} missing under {f}")
     if dim >= 0 and faces_by_dim[0] != tuple((v,) for v in range(n_vertices)):
         raise InputError("all vertices must appear as 0-dimensional faces")
-    counts = [n_vertices]
-    bnd = [()]
-    for d in range(1, dim + 1):
-        counts.append(len(faces_by_dim[d]))
-        table = []
-        for f in faces_by_dim[d]:
-            row = []
-            for i in range(d + 1):
-                sub = f[:i] + f[i + 1:]
-                if d == 1:
-                    row.append(sub[0])
-                else:
-                    row.append(index[frozenset(sub)][1])
-            table.append(tuple(row))
-        bnd.append(tuple(table))
+    counts = [n_vertices] + [len(faces_by_dim[d]) for d in range(1, dim + 1)]
+    bnd = [
+        [
+            tuple(index[frozenset(f[:i] + f[i + 1:])][1] for i in range(d + 1))
+            for f in faces_by_dim[d]
+        ]
+        for d in range(1, dim + 1)
+    ]
     return Trisp(counts, bnd), faces_by_dim, index
 
 

@@ -209,6 +209,7 @@ def test_quotient_of_dgn4_face_poset(capsys, tmp_path, dgn4_bundle):
 
 _CATEGORY = {"objects": [{"id": 0}, {"id": 1}]}
 _POINT = {"dims": [{"count": 1}]}
+_EDGE = {"dims": [{"count": 2}, {"count": 1, "bnd": [[1, 0]]}]}
 
 
 @pytest.mark.parametrize(
@@ -220,6 +221,16 @@ _POINT = {"dims": [{"count": 1}]}
         (["validate"], [{**_CATEGORY, "morphisms": [{"id": 0, "tgt": 1}]}]),
         (["closure", "verify"], [_POINT, {"blue": [], "red": [0], "map": {"x": 0}}]),
         (["quotient"], [{**_CATEGORY, "morphisms": []}, {"generators": [3]}]),
+        (["validate"], [{"dims": [{"count": 2.7}, {"count": 1, "bnd": [[1.9, 0]]}]}]),
+        (["validate"], [{**_CATEGORY, "morphisms": [{"id": 0, "src": 0.0, "tgt": 1}]}]),
+        (["closure", "verify"], [_EDGE, {"blue": [1.0], "red": [0], "map": {"1": 0.0}}]),
+        (
+            ["quotient"],
+            [
+                {**_CATEGORY, "morphisms": []},
+                {"generators": [{"objects": [1.0, 0.0], "morphisms": []}]},
+            ],
+        ),
     ],
 )
 def test_malformed_documents_exit_two(capsys, tmp_path, argv, docs):

@@ -29,6 +29,20 @@ def test_nerve_boundaries_follow_chain_structure(chain3):
     assert nv.chain(1, d2).objects == (0, 1)  # drops the maximal object
 
 
+def test_chains_are_morphism_tuples_over_vertex_tuples(dgn4_bundle):
+    nv = dgn4_bundle["bd"]
+    c = nv.category
+    for d in range(nv.trisp.dim + 1):
+        for s, ms in enumerate(nv.chains[d]):
+            assert type(ms) is tuple and len(ms) == d
+            assert all(c.tgt[a] == c.src[b] for a, b in zip(ms, ms[1:]))
+            chain = nv.chain(d, s)
+            assert chain == Chain(nv.trisp.vertex_tuple(d, s), ms)
+            if d:
+                assert chain.objects == (c.src[ms[0]],) + tuple(c.tgt[m] for m in ms)
+            assert nv.simplex_of(chain) == (d, s)
+
+
 def test_nerve_needs_total_composition():
     c = AcyclicCategory(["a", "b", "c"], [(0, 1), (1, 2)])
     with pytest.raises(InputError):

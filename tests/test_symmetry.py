@@ -136,6 +136,31 @@ def test_induced_action_on_hexagon(triangle_boundary):
     assert sorted(g.dims[0]) == list(range(6))
 
 
+def test_induced_action_checks_generators_under_optimize():
+    # the automorphism check must not vanish under `python -O`
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from trispcat.accat import AcyclicCategory\n"
+        "from trispcat.nerve import nerve\n"
+        "from trispcat.symmetry import CatAut, GroupAction, induced_trisp_action\n"
+        "c = AcyclicCategory(['a', 'b', 'c'], [(0, 2), (1, 2)])\n"
+        "swap = CatAut((0, 1, 2), (1, 0))  # fixes every object, swaps a->c and b->c\n"
+        "try:\n"
+        "    induced_trisp_action(nerve(c), GroupAction((swap,)))\n"
+        "except AssertionError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.startswith("rejected: induced map is not an automorphism: ('boundary'")
+
+
 def test_regular_action_fails_on_direct_complex_action():
     from trispcat.graphs import build_dgn, dgn_trisp_action
 

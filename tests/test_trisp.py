@@ -60,6 +60,12 @@ def test_vertex_tuple_conventions():
     assert tri.vertex_tuple(2, 0) == (0, 1, 2)
 
 
+@pytest.mark.parametrize("counts, bnd", [((2, 1), [[(1.0, 0)]]), ((True,), [])])
+def test_counts_and_face_indices_must_be_ints(counts, bnd):
+    with pytest.raises(InputError):
+        Trisp(counts, bnd)
+
+
 def test_vertex_tuple_deletion_identity(dgn4_bundle):
     for t in (full_triangle(), dgn4_bundle["bd"].trisp):
         for d in range(1, t.dim + 1):
