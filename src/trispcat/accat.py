@@ -501,7 +501,8 @@ def find_terminal_object(c):
             continue
         if all(len(c.hom(x, t)) == 1 for x in range(c.n_objects) if x != t):
             found.append(t)
-    assert len(found) <= 1, "two terminal objects would force a directed cycle"
+    if len(found) > 1:
+        raise AssertionError(f"terminal objects {found} would force a directed cycle")
     return found[0] if found else None
 
 

@@ -133,6 +133,10 @@ def cmd_quotient(args):
         return 0
     c = accat.AcyclicCategory.from_json(doc)
     action = _load_cat_action(act_doc, c)
+    report = accat.validate_category(c)
+    if not report.ok:
+        _emit(args, {"error": "input category invalid", **report.to_json()})
+        return 1
     qc = symmetry.quotient_category(c, action)
     cmap = symmetry.canonical_map(c, action, qc=qc)
     is_poset = True

@@ -55,10 +55,15 @@ class TrispClosureMap:
     @classmethod
     def from_json(cls, data):
         with malformed("closure-map"):
+            mapping = {}
+            for k, v in data["map"].items():
+                if str(int(k)) != k:
+                    raise InputError(f"map key {k!r} is not a vertex index")
+                mapping[int(k)] = v
             return cls(
                 frozenset(data["blue"]),
                 frozenset(data["red"]),
-                {int(k): v for k, v in data["map"].items()},
+                mapping,
                 data.get("convention", "min"),
             )
 
@@ -269,7 +274,8 @@ def collapse(t, matching, red_vertices=None):
         if not is_free(sigma):
             continue
         tau = up[sigma]
-        assert tau not in removed
+        if tau in removed:
+            raise AssertionError(f"matched pair {(sigma, tau)}: the coface {tau} is already removed")
         steps.append((sigma, tau))
         # χ is untouched: the pair contributes (-1)^d + (-1)^(d+1) = 0
         for cell in (tau, sigma):

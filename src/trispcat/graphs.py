@@ -34,6 +34,7 @@ from .errors import InputError, PipelineError
 from .nerve import nerve
 from .symmetry import (
     CatAut,
+    GroupAction,
     TrispAut,
     _UnionFind,
     check_horizontal,
@@ -67,6 +68,7 @@ class GraphComplex:
     trisp: object
     faces_by_dim: tuple  # per dimension, sorted tuples of edge ids
     index: dict  # frozenset of edge ids -> (d, s)
+    edge_index: dict  # vertex pair -> edge id
 
     def edge_label(self, e):
         a, b = self.edges[e]
@@ -89,7 +91,8 @@ def build_dgn(n):
         if not found:
             break
     trisp, faces_by_dim, index = simplicial_from_faces(m, faces)
-    return GraphComplex(n, edges, trisp, faces_by_dim, index)
+    edge_index = {pair: e for e, pair in enumerate(edges)}
+    return GraphComplex(n, edges, trisp, faces_by_dim, index, edge_index)
 
 
 @dataclass(eq=False)
@@ -240,12 +243,11 @@ def transitive_closure_operator(k, fp):
     Ascending, idempotent, monotone, and equivariant on the face poset; its
     image is the poset of nontrivial set partitions.
     """
-    edge_index = {pair: e for e, pair in enumerate(k.edges)}
     obj_map = []
     for (d, s) in fp.elements:
         face = k.faces_by_dim[d][s]
         partition = partition_of_edges(k.n, face, k.edges)
-        closed = edges_of_partition(partition, edge_index)
+        closed = edges_of_partition(partition, k.edge_index)
         obj_map.append(fp.position[k.index[frozenset(closed)]])
     return ACMap.from_objects(fp.poset, obj_map)
 
@@ -298,10 +300,9 @@ def dgn_trisp_action(k):
     action (it fails the quotient-regularity condition; that failure is the
     reason the face poset is used instead).
     """
-    edge_index = {pair: e for e, pair in enumerate(k.edges)}
     gens = []
     for perm in sn_generator_perms(k.n):
-        eperm = lift_to_edges(perm, k.edges, edge_index)
+        eperm = lift_to_edges(perm, k.edges, k.edge_index)
         dims = []
         for d, level in enumerate(k.faces_by_dim):
             table = []
@@ -310,44 +311,46 @@ def dgn_trisp_action(k):
                 table.append(k.index[frozenset(image)][1])
             dims.append(tuple(table))
         gens.append(TrispAut(tuple(dims)))
-    action = close_group(gens, on=k.trisp, setwise=True)
-    assert action.order == math.factorial(k.n)
+    return close_group(gens, on=k.trisp, setwise=True)
+
+
+def _sn_action(p, n, relabel):
+    """S_n on a poset, moving its objects by `relabel(perm)`: checked horizontal, not closed."""
+    gens = [CatAut.from_poset(p, relabel(perm)) for perm in sn_generator_perms(n)]
+    action = close_group(gens, on=p.category)
+    horizontal, witness = check_horizontal(p.category, action)
+    if not horizontal:
+        raise AssertionError(f"S_{n} action must be horizontal, witness {witness}")
     return action
-
-
-def face_poset_cat_aut(fp, vertex_perm_on_trisp_vertices, k):
-    edge_index = {pair: e for e, pair in enumerate(k.edges)}
-    eperm = lift_to_edges(vertex_perm_on_trisp_vertices, k.edges, edge_index)
-    obj = []
-    for (d, s) in fp.elements:
-        face = k.faces_by_dim[d][s]
-        image = frozenset(eperm[e] for e in face)
-        obj.append(fp.position[k.index[image]])
-    return CatAut.from_poset(fp.poset, obj)
 
 
 def face_poset_action(k, fp):
-    gens = [face_poset_cat_aut(fp, perm, k) for perm in sn_generator_perms(k.n)]
-    action = close_group(gens, on=fp.category)
-    assert action.order == math.factorial(k.n)
-    horizontal, witness = check_horizontal(fp.category, action)
-    assert horizontal, f"face poset action must be horizontal, witness {witness}"
-    return action
+    def relabel(perm):
+        eperm = lift_to_edges(perm, k.edges, k.edge_index)
+        return [
+            fp.position[k.index[frozenset(eperm[e] for e in k.faces_by_dim[d][s])]]
+            for (d, s) in fp.elements
+        ]
+
+    return _sn_action(fp.poset, k.n, relabel)
 
 
 def partition_action(pp):
-    gens = []
-    for perm in sn_generator_perms(pp.n):
-        obj = []
-        for p in pp.partitions:
-            image = tuple(sorted(tuple(sorted(perm[x] for x in block)) for block in p))
-            obj.append(pp.index[image])
-        gens.append(CatAut.from_poset(pp.poset, obj))
-    action = close_group(gens, on=pp.category)
-    assert action.order == math.factorial(pp.n)
-    horizontal, witness = check_horizontal(pp.category, action)
-    assert horizontal, f"partition action must be horizontal, witness {witness}"
-    return action
+    def relabel(perm):
+        return [
+            pp.index[tuple(sorted(tuple(sorted(perm[x] for x in block)) for block in p))]
+            for p in pp.partitions
+        ]
+
+    return _sn_action(pp.poset, pp.n, relabel)
+
+
+def _sn_order(n):
+    """Order of the group the S_n generators generate on n points; raises unless n!."""
+    order = GroupAction(tuple(CatAut(p, ()) for p in sn_generator_perms(n))).order
+    if order != math.factorial(n):
+        raise AssertionError(f"the S_{n} generators generate a group of order {order}")
+    return order
 
 
 # -- pipelines ----------------------------------------------------------------
@@ -433,7 +436,7 @@ def pipeline_quotient_trisp(n, endpoint_budget=300.0):
     if witness is not None:
         clock.fail("action", f"operator not equivariant at {witness[0]}")
     tact = induced_trisp_action(bd, act)
-    clock.done("action", order=act.order)
+    clock.done("action", order=_sn_order(n))
 
     if n <= 4:
         regular_report = check_regular_action(bd.trisp, tact)
@@ -503,7 +506,7 @@ def pipeline_quotient_category(n):
     clock.done("build_complex", faces=fp.category.n_objects)
     f = transitive_closure_operator(k, fp)
     act = face_poset_action(k, fp)
-    clock.done("action", order=act.order)
+    clock.done("action", order=_sn_order(n))
 
     qc = quotient_category(fp.category, act)
     nerve_q = nerve(qc.category)
@@ -556,11 +559,10 @@ def pipeline_quotient_category(n):
     image = sorted(set(f.obj))
     sub_p, keep, sub_qc, nerve_img = image_quotient_nerve(fp.poset, act, image)
     pos = {x: i for i, x in enumerate(keep)}
-    edge_index = {pair: e for e, pair in enumerate(k.edges)}
     vmap2 = [None] * pn_q.trisp.n(0)
     for cls in range(pqc.category.n_objects):
         partition = pp.partitions[pqc.obj_members[cls][0]]
-        closed = edges_of_partition(partition, edge_index)
+        closed = edges_of_partition(partition, k.edge_index)
         x = fp.position[k.index[frozenset(closed)]]
         vmap2[cls] = sub_qc.obj_class[pos[x]]
     match_mirror = trisps_equal_over_vertices(pn_q.trisp, reverse_trisp(nerve_img.trisp), vmap2)

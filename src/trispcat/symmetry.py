@@ -4,9 +4,10 @@ Group elements are explicit permutation tables: an automorphism of a
 category permutes objects and morphisms, an automorphism of a trisp
 permutes simplices dimension by dimension, commuting with the boundary
 operators.  An action is given by its generators; orbits, quotients,
-equivariance and horizontality read only those.  The group itself is
-closed by breadth-first products of generators only on demand, for the
-quotient-regularity condition and the group order.
+equivariance and horizontality read only those, and a quotient category's
+composition is read off the composable pairs.  The group itself is closed,
+by breadth-first products of generators, only for the quotient-regularity
+condition and when a caller reads its elements or order.
 """
 
 from __future__ import annotations
@@ -364,6 +365,10 @@ class QuotientCategory:
 
 
 def quotient_category(c, action):
+    """Quotient of `c` by a horizontal action; composition is read off the composable pairs.
+
+    Precondition: `c` is a valid acyclic category (`validate_category`).
+    """
     horizontal, witness = check_horizontal(c, action)
     if not horizontal:
         raise PreconditionError(f"action is not horizontal at {witness}")
@@ -373,18 +378,15 @@ def quotient_category(c, action):
     for g in action.generators:
         for m in range(c.n_morphisms):
             uf.union(m, g.mor[m])
-    pairs = list(c.comp.items())
+    # congruence: composites of pairs in one class pair share a class; a pass
+    # without a union is run with fixed classes, so the fixpoint is closed
     changed = True
     while changed:
         changed = False
-        buckets = {}
-        for (m1, m2), m12 in pairs:
-            buckets.setdefault((uf.find(m1), uf.find(m2)), []).append(m12)
-        for values in buckets.values():
-            first = values[0]
-            for v in values[1:]:
-                if uf.union(first, v):
-                    changed = True
+        first = {}
+        for (m1, m2), m12 in c.comp.items():
+            key = (uf.find(m1), uf.find(m2))
+            changed |= uf.union(first.setdefault(key, m12), m12)
 
     mor_class, roots = uf.classes()
     mor_members = [[] for _ in roots]
@@ -404,30 +406,13 @@ def quotient_category(c, action):
         q_src.append(srcs.pop())
         q_tgt.append(tgts.pop())
 
-    # class composition by representative lifting
-    by_class_and_src = [{} for _ in roots]
-    for k, members in enumerate(mor_members):
-        for m in members:
-            by_class_and_src[k].setdefault(c.src[m], []).append(m)
+    # the class composition is the image of the composition; a second
+    # value for one class pair means the projection is not a functor
     comp_entries = {}
-    for k1 in range(len(roots)):
-        for k2 in range(len(roots)):
-            if q_tgt[k1] != q_src[k2]:
-                continue
-            composites = set()
-            for m1 in mor_members[k1]:
-                for m2 in by_class_and_src[k2].get(c.tgt[m1], ()):
-                    m12 = c.comp.get((m1, m2))
-                    if m12 is None:
-                        raise AssertionError("composition missing on composable pair")
-                    composites.add(mor_class[m12])
-            if not composites:
-                raise AssertionError("no composable representatives for composable classes")
-            if len(composites) != 1:
-                raise AssertionError(
-                    f"class composition not well-defined for ({k1}, {k2}): {sorted(composites)}"
-                )
-            comp_entries[(k1, k2)] = composites.pop()
+    for (m1, m2), m12 in c.comp.items():
+        key = (mor_class[m1], mor_class[m2])
+        if comp_entries.setdefault(key, mor_class[m12]) != mor_class[m12]:
+            raise AssertionError(f"the projection is not a functor at {(m1, m2)}")
 
     labels = [f"[{c.objects[obj_members[k][0]]}]" for k in range(len(obj_reps))]
     mor_list = [
@@ -437,10 +422,6 @@ def quotient_category(c, action):
     report = validate_category(quotient)
     if not report.ok:
         raise AssertionError(f"quotient category invalid: {report.to_json()}")
-    # the projection must be a functor
-    for (m1, m2), m12 in c.comp.items():
-        if comp_entries[(mor_class[m1], mor_class[m2])] != mor_class[m12]:
-            raise AssertionError(f"the projection is not a functor at {(m1, m2)}")
     return QuotientCategory(
         quotient,
         tuple(obj_class),

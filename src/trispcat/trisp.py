@@ -24,13 +24,8 @@ class Trisp:
         counts = tuple(counts)
         if not all(type(x) is int and x >= 0 for x in counts):
             raise InputError(f"simplex counts must be non-negative integers: {list(counts)}")
-        while counts and counts[-1] == 0:
-            counts = counts[:-1]
-        if counts and counts[0] == 0:
-            raise InputError("positive-dimensional simplices need vertices")
         if len(bnd) < len(counts) - 1:
             raise InputError("boundary tables missing for some dimension")
-        self.counts = counts
         tables = [()]  # _bnd[d] is the table of dimension d
         for d in range(1, len(counts)):
             table = tuple(tuple(row) for row in bnd[d - 1])
@@ -43,7 +38,13 @@ class Trisp:
                     if type(i) is not int or not 0 <= i < counts[d - 1]:
                         raise InputError(f"simplex ({d},{s}): face index {i!r} out of range")
             tables.append(table)
-        self._bnd = tuple(tables)
+        # trailing zero counts are trimmed only after their tables are checked
+        while counts and counts[-1] == 0:
+            counts = counts[:-1]
+        if counts and counts[0] == 0:
+            raise InputError("positive-dimensional simplices need vertices")
+        self.counts = counts
+        self._bnd = tuple(tables[: len(counts) or 1])
         self._vt = None
         self._cofaces = None
 

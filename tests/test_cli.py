@@ -231,6 +231,16 @@ _EDGE = {"dims": [{"count": 2}, {"count": 1, "bnd": [[1, 0]]}]}
                 {"generators": [{"objects": [1.0, 0.0], "morphisms": []}]},
             ],
         ),
+        (["validate"], [{"dims": [{"count": 2}, {"count": 0, "bnd": [[1, 0]]}]}]),
+        (
+            ["closure", "verify"],
+            [
+                {"dims": [{"count": 11}, {"count": 1, "bnd": [[10, 0]]}]},
+                {"blue": [10], "red": list(range(10)), "map": {"1_0": 0}},
+            ],
+        ),
+        (["closure", "verify"], [_EDGE, {"blue": [1], "red": [0], "map": {" 1": 0}}]),
+        (["closure", "verify"], [_EDGE, {"blue": [1], "red": [0], "map": {"+1": 0}}]),
     ],
 )
 def test_malformed_documents_exit_two(capsys, tmp_path, argv, docs):
@@ -240,6 +250,17 @@ def test_malformed_documents_exit_two(capsys, tmp_path, argv, docs):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_quotient_checks_the_input_category(capsys, tmp_path):
+    # 0 -> 1 -> 2 with no composite: composable but not a category
+    path = write(tmp_path / "c.json", {**_path_category(3), "composition": []})
+    action = write(tmp_path / "a.json", {"generators": []})
+    code = main(["quotient", "--input", path, "--action", action])
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["error"] == "input category invalid" and doc["missing_compositions"] == [[0, 1]]
 
 
 def _path_category(n, closed=False):

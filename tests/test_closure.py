@@ -199,6 +199,31 @@ def test_collapse_checks_red_subtrisp_under_optimize():
     assert out.stdout == "rejected: final subtrisp is not the red subtrisp\n"
 
 
+def test_collapse_rejects_a_removed_coface_under_optimize():
+    # two vertices matched to one edge: the second pair must raise, even under `python -O`
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from trispcat.closure import Matching, collapse\n"
+        "from trispcat.trisp import Trisp\n"
+        "t = Trisp((3, 2), [[(1, 0), (2, 1)]])\n"
+        "try:\n"
+        "    collapse(t, Matching((((0, 0), (1, 0)), ((0, 1), (1, 0))), ()))\n"
+        "except AssertionError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == (
+        "rejected: matched pair ((0, 1), (1, 0)): the coface (1, 0) is already removed\n"
+    )
+
+
 def test_verify_collapse_sequence_checks_freeness():
     t, cmap = edge_fixture()
     cert = full_collapse_audit(t, cmap)

@@ -146,10 +146,18 @@ def test_partition_poset_orientation():
 
 
 def test_sn_actions_have_full_order():
-    k = build_dgn(3)
-    assert dgn_trisp_action(k).order == 6
-    assert face_poset_action(k, face_poset(k)).order == 6
-    assert partition_action(partition_poset(3)).order == 6
+    # the pipelines check the order on n points only; this pins the faithful lift
+    for n in (3, 4, 5):
+        k = build_dgn(n)
+        assert dgn_trisp_action(k).order == math.factorial(n)
+        assert face_poset_action(k, face_poset(k)).order == math.factorial(n)
+        assert partition_action(partition_poset(n)).order == math.factorial(n)
+
+
+def test_sn_actions_leave_the_group_unclosed():
+    k = build_dgn(4)
+    for act in (face_poset_action(k, face_poset(k)), partition_action(partition_poset(4))):
+        assert "elements" not in act.__dict__
 
 
 def test_s4_on_dgn4_and_face_poset(dgn4_bundle):
