@@ -8,6 +8,7 @@ morphism "m1 followed by m2".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError, NotAPosetError, malformed
@@ -257,29 +258,27 @@ def poset_from_relation(labels, strict_pairs):
         if x == y:
             raise InputError(f"relation is reflexive at {x}")
         succ[x].add(y)
-    desc = [0] * n  # descendant sets as bitmasks
-    state = [0] * n
-
-    def dfs(x):
-        if state[x] == 1:
-            raise InputError(f"relation has a cycle through {labels[x]}")
-        if state[x] == 2:
-            return desc[x]
-        state[x] = 1
-        mask = 0
+    cycle = directed_cycle(range(n), lambda x: sorted(succ[x]))
+    if cycle is not None:
+        raise InputError(f"relation has a cycle through {labels[cycle[0]]}")
+    indegree = Counter(y for ys in succ for y in ys)
+    order = [x for x in range(n) if not indegree[x]]  # grows into a topological order
+    for x in order:
         for y in succ[x]:
-            mask |= (1 << y) | dfs(y)
-        desc[x] = mask
-        state[x] = 2
-        return mask
-
+            indegree[y] -= 1
+            if not indegree[y]:
+                order.append(y)
+    desc = [0] * n  # descendant sets as bitmasks, filled in reverse topological order
+    for x in reversed(order):
+        for y in succ[x]:
+            desc[x] |= (1 << y) | desc[y]
+    pairs = []
     for x in range(n):
-        dfs(x)
-        if (desc[x] >> x) & 1:
-            raise InputError(f"relation has a cycle through {labels[x]}")
-    pairs = sorted(
-        (x, y) for x in range(n) for y in range(n) if (desc[x] >> y) & 1
-    )
+        mask = desc[x]
+        while mask:
+            low = mask & -mask
+            pairs.append((x, low.bit_length() - 1))
+            mask ^= low
     index = {p: i for i, p in enumerate(pairs)}
     by_src = {}
     for j, (y, z) in enumerate(pairs):

@@ -75,21 +75,20 @@ def push_closure_map(t, action, cmap, qt=None):
     """Quotient of an equivariant closure map; verified on the orbit trisp.
 
     Preconditions checked in order: the action satisfies the quotient-
-    regularity condition (taken on faith for nerve-induced actions), the map
-    verifies on t, and it is equivariant with blue/red closed.
+    regularity condition, the map verifies on t, and it is equivariant with
+    blue/red closed.
     """
-    if not action.nerve_induced:
-        regular_report = check_regular_action(t, action)
-        if not regular_report.ok:
-            raise PreconditionError(f"quotient-regularity fails: {regular_report.witness}")
+    if qt is None:
+        qt = quotient_trisp(t, action)
+    regular_report = check_regular_action(t, action, qt)
+    if not regular_report.ok:
+        raise PreconditionError(f"quotient-regularity fails: {regular_report.witness}")
     base_report = verify_trisp_closure_map(t, cmap)
     if not base_report.ok:
         raise PreconditionError(f"map does not verify upstairs: {base_report.failures[:3]}")
     eq = check_equivariant(action, cmap)
     if not eq.ok:
         raise PreconditionError(f"equivariance fails: {eq.witnesses[:3]}")
-    if qt is None:
-        qt = quotient_trisp(t, action)
     proj0 = qt.projection[0]
     blue = frozenset(proj0[b] for b in cmap.blue)
     red = frozenset(proj0[r] for r in cmap.red)
@@ -182,12 +181,11 @@ def lift_closure_map(t, action, psi, qt=None):
             "lifting is guaranteed only for abstract simplicial complexes; "
             "use lift_candidate to inspect the forced assignment"
         )
-    if not action.nerve_induced:
-        rep = check_regular_action(t, action)
-        if not rep.ok:
-            raise PreconditionError(f"quotient-regularity fails: {rep.witness}")
     if qt is None:
         qt = quotient_trisp(t, action)
+    rep = check_regular_action(t, action, qt)
+    if not rep.ok:
+        raise PreconditionError(f"quotient-regularity fails: {rep.witness}")
     psi_report = verify_trisp_closure_map(qt.trisp, psi)
     if not psi_report.ok:
         raise PreconditionError("psi does not verify on the quotient")

@@ -35,7 +35,6 @@ from .nerve import nerve
 from .symmetry import (
     CatAut,
     GroupAction,
-    TrispAut,
     _UnionFind,
     check_horizontal,
     check_regular_action,
@@ -292,28 +291,6 @@ def lift_to_edges(perm, edges, edge_index):
     return tuple(edge_index[tuple(sorted((perm[a], perm[b])))] for a, b in edges)
 
 
-def dgn_trisp_action(k):
-    """The relabeling action on the complex itself (not on its face poset).
-
-    Relabelings permute the vertices inside a simplex, so they are only
-    setwise automorphisms; the quotient machinery is never applied to this
-    action (it fails the quotient-regularity condition; that failure is the
-    reason the face poset is used instead).
-    """
-    gens = []
-    for perm in sn_generator_perms(k.n):
-        eperm = lift_to_edges(perm, k.edges, k.edge_index)
-        dims = []
-        for d, level in enumerate(k.faces_by_dim):
-            table = []
-            for face in level:
-                image = tuple(sorted(eperm[e] for e in face))
-                table.append(k.index[frozenset(image)][1])
-            dims.append(tuple(table))
-        gens.append(TrispAut(tuple(dims)))
-    return close_group(gens, on=k.trisp, setwise=True)
-
-
 def _sn_action(p, n, relabel):
     """S_n on a poset, moving its objects by `relabel(perm)`: checked horizontal, not closed."""
     gens = [CatAut.from_poset(p, relabel(perm)) for perm in sn_generator_perms(n)]
@@ -410,9 +387,11 @@ def pipeline_quotient_trisp(n, endpoint_budget=300.0):
     closure map induced by the transitive-closure operator through the
     symmetric-group action, collapses the quotient onto the subtrisp of
     partition chains, and at small n certifies full collapsibility to a
-    point by exhaustive search.  The quotient-regularity condition is checked
-    for n <= 4 only.  CLI name: pipeline 61.
+    point by exhaustive search.  Runs for n <= 5: at n = 6 the subdivision
+    of the 6,063-face poset does not fit in memory.  CLI name: pipeline 61.
     """
+    if n > 5:
+        raise InputError(f"pipeline 61 runs for n <= 5, got {n}")
     report = PipelineReport("quotient-trisp", n, False, [])
     clock = _StageClock(report)
 
@@ -438,19 +417,16 @@ def pipeline_quotient_trisp(n, endpoint_budget=300.0):
     tact = induced_trisp_action(bd, act)
     clock.done("action", order=_sn_order(n))
 
-    if n <= 4:
-        regular_report = check_regular_action(bd.trisp, tact)
-        if not regular_report.ok:
-            clock.fail("regularity_condition", str(regular_report.witness))
-        clock.done("regularity_condition", pairs=regular_report.pairs_checked)
+    qt = quotient_trisp(bd.trisp, tact)
+    regular_report = check_regular_action(bd.trisp, tact, qt)
+    if not regular_report.ok:
+        clock.fail("regularity_condition", str(regular_report.witness))
+    clock.done("regularity_condition")
 
     # push_closure_map verifies cmap upstairs; it is not verified again here
     cmap = induced_trisp_closure_map(fp.poset, f, cls)
-    pushed = push_closure_map(bd.trisp, tact, cmap)
+    pushed = push_closure_map(bd.trisp, tact, cmap, qt)
     clock.done("induced_closure_map", extended=pushed.base_report.extended)
-    qt = pushed.qt
-    if not qt.regular:
-        clock.fail("quotient", f"quotient not regular at {qt.regularity_violations[:3]}")
     clock.done("quotient", counts=list(qt.trisp.counts), verified=pushed.verify_report.ok)
 
     cert = full_collapse_audit(qt.trisp, pushed.cmap, pushed.verify_report)

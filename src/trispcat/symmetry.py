@@ -6,8 +6,8 @@ permutes simplices dimension by dimension, commuting with the boundary
 operators.  An action is given by its generators; orbits, quotients,
 equivariance and horizontality read only those, and a quotient category's
 composition is read off the composable pairs.  The group itself is closed,
-by breadth-first products of generators, only for the quotient-regularity
-condition and when a caller reads its elements or order.
+by breadth-first products of generators, only when a caller reads its
+elements or order.
 """
 
 from __future__ import annotations
@@ -112,28 +112,6 @@ def trisp_automorphism_violation(t, g):
     return None
 
 
-def simplicial_automorphism_violation(t, g):
-    """Setwise variant: faces must map to faces, but positions may permute.
-
-    Vertex relabelings of a simplicial complex are automorphisms in this
-    sense even when they reverse the vertex order inside a simplex; they
-    need not commute with the ordered boundary operators, which is what the
-    quotient machinery requires.
-    """
-    if len(g.dims) != t.dim + 1:
-        return ("wrong-dimension-count",)
-    for d in range(t.dim + 1):
-        if not _is_perm(g.dims[d], t.n(d)):
-            return ("not-a-permutation", d)
-    for d in range(1, t.dim + 1):
-        for s in range(t.n(d)):
-            image_faces = set(t.faces(d, g.dims[d][s]))
-            mapped_faces = {g.dims[d - 1][f] for f in t.faces(d, s)}
-            if image_faces != mapped_faces:
-                return ("faces", (d, s))
-    return None
-
-
 @dataclass
 class GroupAction:
     """A finite group of automorphisms, given by a nonempty tuple of generators.
@@ -143,7 +121,6 @@ class GroupAction:
     """
 
     generators: tuple
-    nerve_induced: bool = False
 
     def __post_init__(self):
         if not self.generators:
@@ -177,22 +154,17 @@ class GroupAction:
         return len(self.elements)
 
 
-def close_group(generators, on, setwise=False):
+def close_group(generators, on):
     """The action generated by `generators`, each checked to be an automorphism of `on`.
 
     `on` is a category or trisp; a generator that is not a genuine
-    automorphism raises with a witness.  With ``setwise=True`` a trisp
-    generator only needs to map faces to faces (vertex relabelings of
-    simplicial complexes).
+    automorphism raises with a witness.
     """
     generators = tuple(generators)
+    is_cat = isinstance(on, AcyclicCategory)
+    violation = cat_automorphism_violation if is_cat else trisp_automorphism_violation
     for k, g in enumerate(generators):
-        if isinstance(on, AcyclicCategory):
-            witness = cat_automorphism_violation(on, g)
-        elif setwise:
-            witness = simplicial_automorphism_violation(on, g)
-        else:
-            witness = trisp_automorphism_violation(on, g)
+        witness = violation(on, g)
         if witness is not None:
             raise InputError(f"generator {k} is not an automorphism: {witness}")
     return GroupAction(generators)
@@ -277,43 +249,7 @@ def induced_trisp_action(nv, action):
         if witness is not None:
             raise AssertionError(f"induced map is not an automorphism: {witness}")
         gens.append(aut)
-    return GroupAction(tuple(gens), nerve_induced=True)
-
-
-@dataclass
-class RegularActionReport:
-    """Outcome of the quotient-regularity condition on a trisp action.
-
-    The condition: for every group element g and simplex σ, every common
-    iterated face of σ and gσ (including σ itself when gσ = σ) is fixed by
-    g and fixed vertexwise.  It guarantees that T/G is a regular trisp.
-    """
-
-    ok: bool
-    witness: tuple | None  # (element index, simplex, face, kind)
-    pairs_checked: int
-
-
-def check_regular_action(t, action):
-    moving = [(gi, g, g.inverse()) for gi, g in enumerate(action.elements) if not g.is_identity()]
-    pairs = 0
-    for d in range(t.dim + 1):
-        for s in range(t.n(d)):
-            face_list = sorted(t.iterated_faces(d, s))
-            face_set = set(face_list)
-            for gi, g, inv in moving:
-                pairs += 1
-                for (dd, ss) in face_list:
-                    if (dd, inv.dims[dd][ss]) not in face_set:
-                        continue  # not a face of g(σ)
-                    if g.dims[dd][ss] != ss:
-                        return RegularActionReport(False, (gi, (d, s), (dd, ss), "moved"), pairs)
-                    for v in t.vertex_tuple(dd, ss):
-                        if g.dims[0][v] != v:
-                            return RegularActionReport(
-                                False, (gi, (d, s), (dd, ss), "vertex"), pairs
-                            )
-    return RegularActionReport(True, None, pairs)
+    return GroupAction(tuple(gens))
 
 
 @dataclass
@@ -347,6 +283,48 @@ def quotient_trisp(t, action):
             if len(set(qt.vertex_tuple(d, s))) != d + 1:
                 violations.append((d, s))
     return QuotientTrisp(qt, tuple(projection), tuple(reps), violations)
+
+
+@dataclass
+class RegularActionReport:
+    """Outcome of the quotient-regularity condition on a trisp action.
+
+    The condition: for every group element g and simplex σ, every common
+    iterated face of σ and gσ (including σ itself when gσ = σ) is fixed by
+    g and fixed vertexwise.  It guarantees that T/G is a regular trisp.
+
+    On a trisp whose simplices have pairwise distinct vertices it holds iff no
+    simplex has two distinct vertices in one orbit.  ⇒: if w = gv ≠ v in σ, g
+    moves the common face {w} of σ and gσ.  ⇐: a vertex u of a common face τ has
+    g⁻¹u in σ and in u's orbit, so g⁻¹u = u, and g⁻¹τ = τ as both are faces of σ
+    on one vertex set.
+    """
+
+    ok: bool
+    witness: tuple | None  # (element index, simplex, face, kind)
+
+
+def check_regular_action(t, action, qt=None):
+    """The quotient-regularity condition, read off the orbit trisp `qt` of `action` on `t`.
+
+    The generators commute with the boundaries, so the representative σ of the
+    first irregular orbit repeats a vertex (PreconditionError) or has vertices
+    v ≠ w in one orbit; only then is the group closed, to name a g with gv = w:
+    g moves the common face {w} of σ and gσ.
+    """
+    if qt is None:
+        qt = quotient_trisp(t, action)
+    if qt.regular:
+        return RegularActionReport(True, None)
+    d, orbit = qt.regularity_violations[0]
+    sigma = qt.reps[d][orbit]
+    vertices = t.vertex_tuple(d, sigma)
+    if len(set(vertices)) != len(vertices):
+        raise PreconditionError(f"trisp is not regular at {(d, sigma)}")
+    proj0 = qt.projection[0]
+    v, w = next((v, w) for v in vertices for w in vertices if v != w and proj0[v] == proj0[w])
+    gi = next(gi for gi, g in enumerate(action.elements) if g.dims[0][v] == w)
+    return RegularActionReport(False, (gi, (d, sigma), (0, w), "moved"))
 
 
 @dataclass

@@ -10,7 +10,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from trispcat.accat import ACMap, Poset, poset_from_relation
-from trispcat.symmetry import CatAut, GroupAction, trivial_cat_action
+from trispcat.graphs import lift_to_edges, sn_generator_perms
+from trispcat.symmetry import CatAut, GroupAction, TrispAut, trivial_cat_action
 
 
 def natural_orders(n):
@@ -230,3 +231,75 @@ def random_path_category(rng, max_nodes=5, max_edges=6):
         if edges[p1[-1]][1] == edges[p2[0]][0]
     ]
     return AcyclicCategory(n, morphisms, comp)
+
+
+def regular_action_oracle(t, action):
+    """The quotient-regularity condition by its definition, over every group element.
+
+    For every element g and simplex σ, every common iterated face of σ and
+    gσ must be fixed by g and fixed vertexwise.  Returns (ok, witness) with
+    the witness (element index, simplex, face, kind).
+    """
+    moving = [(gi, g, g.inverse()) for gi, g in enumerate(action.elements) if not g.is_identity()]
+    for d in range(t.dim + 1):
+        for s in range(t.n(d)):
+            face_list = sorted(t.iterated_faces(d, s))
+            face_set = set(face_list)
+            for gi, g, inv in moving:
+                for (dd, ss) in face_list:
+                    if (dd, inv.dims[dd][ss]) not in face_set:
+                        continue  # not a face of g(σ)
+                    if g.dims[dd][ss] != ss:
+                        return False, (gi, (d, s), (dd, ss), "moved")
+                    if any(g.dims[0][v] != v for v in t.vertex_tuple(dd, ss)):
+                        return False, (gi, (d, s), (dd, ss), "vertex")
+    return True, None
+
+
+def simplicial_automorphism_violation(t, g):
+    """Setwise automorphism check: faces must map to faces, but positions may permute.
+
+    Vertex relabelings of a simplicial complex are automorphisms in this
+    sense even when they reverse the vertex order inside a simplex; they
+    need not commute with the ordered boundary operators, which is what the
+    quotient machinery requires.
+    """
+    if len(g.dims) != t.dim + 1:
+        return ("wrong-dimension-count",)
+    for d in range(t.dim + 1):
+        if sorted(g.dims[d]) != list(range(t.n(d))):
+            return ("not-a-permutation", d)
+    for d in range(1, t.dim + 1):
+        for s in range(t.n(d)):
+            image_faces = set(t.faces(d, g.dims[d][s]))
+            mapped_faces = {g.dims[d - 1][f] for f in t.faces(d, s)}
+            if image_faces != mapped_faces:
+                return ("faces", (d, s))
+    return None
+
+
+def dgn_trisp_action(k, perms=None):
+    """The relabeling action on the complex DG_n itself (not on its face poset).
+
+    Generated by the vertex permutations `perms` (by default the generators
+    of S_n).  Relabelings permute the vertices inside a simplex, so they are
+    only setwise automorphisms; the action fails the quotient-regularity
+    condition unless it is trivial, which is why the pipelines act on the
+    face poset instead.
+    """
+    gens = []
+    for perm in sn_generator_perms(k.n) if perms is None else perms:
+        eperm = lift_to_edges(perm, k.edges, k.edge_index)
+        dims = []
+        for level in k.faces_by_dim:
+            table = []
+            for face in level:
+                image = tuple(sorted(eperm[e] for e in face))
+                table.append(k.index[frozenset(image)][1])
+            dims.append(tuple(table))
+        g = TrispAut(tuple(dims))
+        witness = simplicial_automorphism_violation(k.trisp, g)
+        if witness is not None:
+            raise AssertionError(f"relabeling {perm} is not a setwise automorphism: {witness}")
+        gens.append(g)
+    return GroupAction(tuple(gens))

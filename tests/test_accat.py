@@ -88,6 +88,9 @@ def test_poset_from_relation_closes_transitively():
 def test_poset_from_relation_rejects_cycles():
     with pytest.raises(InputError):
         poset_from_relation(2, [(0, 1), (1, 0)])
+    # the search keeps its own stack, so a long cycle is no recursion error
+    with pytest.raises(InputError, match="cycle through"):
+        poset_from_relation(1500, [(i, (i + 1) % 1500) for i in range(1500)])
 
 
 def test_identity_map_is_functor(chain3):

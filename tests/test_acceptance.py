@@ -32,7 +32,6 @@ from trispcat.equivariant import (
 )
 from trispcat.graphs import (
     build_dgn,
-    dgn_trisp_action,
     edge_list,
     face_poset,
     face_poset_action,
@@ -58,6 +57,7 @@ from trispcat.trisp import euler_characteristic
 from oracles import (
     all_posets_upto_iso,
     decomposition_quotient_classes,
+    dgn_trisp_action,
     monotone_idempotent_maps,
     random_action,
     random_poset,

@@ -146,6 +146,20 @@ def test_closure_push_command(capsys, tmp_path, two_edges_z2):
     assert doc["ok"] and doc["verify"]["ok"]
 
 
+def test_closure_push_rejects_an_irregular_action(capsys, tmp_path):
+    # the swap of the two edges of a digon identifies its two vertices
+    digon = {"dims": [{"count": 2}, {"count": 2, "bnd": [[1, 0], [0, 1]]}]}
+    t_file = write(tmp_path / "t.json", digon)
+    map_file = write(tmp_path / "m.json", {"blue": [0], "red": [1], "map": {"0": 1}})
+    act_file = write(tmp_path / "act.json", {"generators": [{"dims": [[1, 0], [1, 0]]}]})
+    code, out = run(
+        capsys, "closure", "push", "--input", t_file, "--map", map_file, "--action", act_file
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False and "quotient-regularity fails" in doc["error"]
+
+
 def test_closure_lift_documented_failure(capsys, tmp_path, double_filled):
     t, action, psi = double_filled
     t_file = write(tmp_path / "t.json", t.to_json())
@@ -177,6 +191,11 @@ def test_dgn_build_and_pipeline(capsys, tmp_path):
 def test_unknown_pipeline_is_input_error(capsys):
     code, _ = run(capsys, "dgn", "pipeline", "--n", "4", "--pipeline", "99")
     assert code == 2
+
+
+def test_pipeline_61_refuses_n6_before_building(capsys):
+    assert main(["dgn", "pipeline", "--n", "6", "--pipeline", "61"]) == 2
+    assert "pipeline 61 runs for n <= 5" in capsys.readouterr().err
 
 
 def test_nerve_of_partition_poset_file(capsys, tmp_path):

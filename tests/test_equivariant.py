@@ -52,7 +52,6 @@ def test_equivariance_witness_for_skewed_map(two_edges_z2):
 def test_push_trivial_group_keeps_map(two_edges_z2):
     _p, nv, _cat, _tact, cmap = two_edges_z2
     triv = trivial_trisp_action(nv.trisp)
-    triv.nerve_induced = True
     pushed = push_closure_map(nv.trisp, triv, cmap)
     assert pushed.cmap.blue == cmap.blue and pushed.cmap.mapping == cmap.mapping
 

@@ -7,7 +7,6 @@ from trispcat.errors import InputError
 from trispcat.graphs import (
     build_dgn,
     barycentric,
-    dgn_trisp_action,
     edge_list,
     face_poset,
     face_poset_action,
@@ -24,6 +23,8 @@ from trispcat.graphs import (
 from trispcat.nerve import nerve
 from trispcat.symmetry import check_regular_action, quotient_category
 from trispcat.trisp import simplicial_from_faces, validate_trisp
+
+from oracles import dgn_trisp_action
 
 
 def test_dgn3_is_three_isolated_vertices():

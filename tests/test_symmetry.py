@@ -12,7 +12,8 @@ from trispcat.accat import (
 )
 from trispcat.closure import induced_trisp_closure_map
 from trispcat.equivariant import push_closure_map
-from trispcat.errors import InputError, NotAPosetError
+from trispcat.errors import InputError, NotAPosetError, PreconditionError
+from trispcat.graphs import build_dgn
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
     CatAut,
@@ -29,8 +30,15 @@ from trispcat.symmetry import (
     trivial_cat_action,
     trivial_trisp_action,
 )
+from trispcat.trisp import Trisp
 
-from oracles import decomposition_quotient_classes, random_action, random_poset
+from oracles import (
+    decomposition_quotient_classes,
+    dgn_trisp_action,
+    random_action,
+    random_poset,
+    regular_action_oracle,
+)
 from test_accat import posets
 
 
@@ -131,7 +139,6 @@ def test_induced_action_on_hexagon(triangle_boundary):
     nv = nerve(p.category)
     tact = induced_trisp_action(nv, action)
     assert tact.order == 3
-    assert tact.nerve_induced
     g = next(g for g in tact.elements if not g.is_identity())
     assert sorted(g.dims[0]) == list(range(6))
 
@@ -161,24 +168,60 @@ def test_induced_action_checks_generators_under_optimize():
     assert out.stdout.startswith("rejected: induced map is not an automorphism: ('boundary'")
 
 
-def test_regular_action_fails_on_direct_complex_action():
-    from trispcat.graphs import build_dgn, dgn_trisp_action
+def _assert_witness_violates(t, action, witness):
+    """(g, σ, ρ, kind): ρ is a common face of σ and gσ that g moves or moves a vertex of."""
+    gi, (d, s), (dd, ss), _kind = witness
+    g = action.elements[gi]
+    faces = t.iterated_faces(d, s)
+    assert (dd, ss) in faces and (dd, g.inverse().dims[dd][ss]) in faces
+    assert g.dims[dd][ss] != ss or any(g.dims[0][v] != v for v in t.vertex_tuple(dd, ss))
 
+
+def test_regular_action_fails_on_direct_complex_action():
     k = build_dgn(4)
     action = dgn_trisp_action(k)
     report = check_regular_action(k.trisp, action)
     assert not report.ok
-    gi, sigma, rho, kind = report.witness
-    # the reported witness must actually violate the condition
-    g = action.elements[gi]
-    d, s = sigma
-    dd, ss = rho
-    assert (dd, ss) in k.trisp.iterated_faces(d, s)
-    ginv = g.inverse()
-    assert (dd, ginv.dims[dd][ss]) in k.trisp.iterated_faces(d, s)
-    moved = g.dims[dd][ss] != ss
-    vertex_moved = any(g.dims[0][v] != v for v in k.trisp.vertex_tuple(dd, ss))
-    assert moved or vertex_moved
+    _assert_witness_violates(k.trisp, action, report.witness)
+
+
+def _assert_regularity_matches_oracle(t, action, regular):
+    report = check_regular_action(t, action)
+    assert report.ok == regular
+    if regular:
+        assert "elements" not in action.__dict__
+    else:
+        _assert_witness_violates(t, action, report.witness)
+    assert regular_action_oracle(t, action)[0] == regular
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets(), st.randoms(use_true_random=False))
+def test_regularity_from_orbits_matches_the_definition_on_nerves(p, rng):
+    # an automorphism of a finite poset is horizontal, so every induced action is regular
+    nv = nerve(p.category)
+    action = random_action(rng, p)
+    _assert_regularity_matches_oracle(nv.trisp, induced_trisp_action(nv, action), True)
+
+
+def test_regularity_from_orbits_matches_the_definition_on_other_actions(double_filled):
+    rng = random.Random(31337)
+    k = build_dgn(4)
+    for _ in range(25):
+        perms = [tuple(rng.sample(range(4), 4)) for _ in range(rng.choice([1, 2]))]
+        action = dgn_trisp_action(k, perms)
+        trivial = all(p == (0, 1, 2, 3) for p in perms)
+        _assert_regularity_matches_oracle(k.trisp, action, trivial)
+    t, action, _psi = double_filled  # its two 2-simplices share every vertex
+    _assert_regularity_matches_oracle(t, action, True)
+    digon = Trisp((2, 2), [[(1, 0), (0, 1)]])
+    _assert_regularity_matches_oracle(digon, GroupAction((TrispAut(((1, 0), (1, 0))),)), False)
+
+
+def test_regularity_rejects_a_loop_edge():
+    t = Trisp((1, 1), [[(0, 0)]])
+    with pytest.raises(PreconditionError, match=r"trisp is not regular at \(1, 0\)"):
+        check_regular_action(t, trivial_trisp_action(t))
 
 
 def test_double_transposition_edge_pair_is_a_witness():
