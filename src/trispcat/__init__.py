@@ -34,7 +34,7 @@ from .equivariant import (
     push_closure_map,
     quotient_poset_closure_map,
 )
-from .errors import InputError, NotAPosetError, PipelineError, PreconditionError
+from .errors import InputError, NotAPosetError, PipelineError, PreconditionError, SoundnessError
 from .nerve import Chain, Nerve, nerve, nerve_of_map
 from .symmetry import (
     CatAut,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InputError, NotAPosetError, malformed
+from .errors import InputError, NotAPosetError, SoundnessError, malformed
 
 
 class AcyclicCategory:
@@ -501,7 +501,7 @@ def find_terminal_object(c):
         if all(len(c.hom(x, t)) == 1 for x in range(c.n_objects) if x != t):
             found.append(t)
     if len(found) > 1:
-        raise AssertionError(f"terminal objects {found} would force a directed cycle")
+        raise SoundnessError(f"terminal objects {found} would force a directed cycle")
     return found[0] if found else None
 
 

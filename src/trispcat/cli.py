@@ -11,7 +11,9 @@ import json
 import sys
 
 from . import accat, closure, equivariant, graphs, symmetry, trisp
-from .errors import InputError, NotAPosetError, PipelineError, PreconditionError, malformed
+from .errors import (
+    InputError, NotAPosetError, PipelineError, PreconditionError, SoundnessError, malformed,
+)
 from .nerve import nerve
 
 
@@ -297,7 +299,7 @@ def main(argv=None):
     except NotAPosetError as exc:
         sys.stderr.write(f"not a poset: {exc}\n")
         return 1
-    except (PreconditionError, PipelineError) as exc:
+    except (PreconditionError, PipelineError, SoundnessError) as exc:
         sys.stderr.write(f"failed: {exc}\n")
         return 1
 

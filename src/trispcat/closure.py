@@ -5,7 +5,9 @@ blue vertex to a red one, so that every simplex with a blue vertex either
 contains the image of its extreme blue vertex or extends by it in exactly
 one way.  Such a map certifies that the trisp collapses onto the subtrisp
 spanned by the red vertices; here the certificate is made executable as an
-acyclic matching plus an elementary collapse sequence.
+acyclic matching plus an elementary collapse sequence.  The kernels keep
+per-dimension lists and bytearrays indexed by simplex id and read coface
+incidences off the boundary rows; no coface table is built.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import time
 
 from .accat import directed_cycle, find_terminal_object
-from .errors import InputError, PreconditionError, malformed
+from .errors import InputError, PreconditionError, SoundnessError, malformed
 from .trisp import euler_characteristic, induced_subtrisp
 
 
@@ -68,23 +70,46 @@ class TrispClosureMap:
             )
 
 
-def extreme_blue(t, d, s, cmap):
-    """Position and vertex of the extreme blue vertex of a simplex, or None."""
-    vt = t.vertex_tuple(d, s)
-    positions = [p for p, v in enumerate(vt) if v in cmap.blue]
-    if not positions:
-        return None
-    p = positions[0] if cmap.convention == "min" else positions[-1]
-    return p, vt[p]
+def _coface_counts(t):
+    """count[d][s] = number of pairs (τ, j) with ∂_j τ = s, read off the boundary rows."""
+    counts = [[0] * t.n(d) for d in range(t.dim + 1)]
+    for d in range(1, t.dim + 1):
+        count = counts[d - 1]
+        for row in t.boundary_table(d):
+            for f in row:
+                count[f] += 1
+    return counts
 
 
-def extensions_by_vertex(t, d, s, vertex):
-    """All (coface, j) whose j-th face is (d, s) and whose j-th vertex is `vertex`."""
-    return [
-        (tau, j)
-        for (tau, j) in t.cofaces(d, s)
-        if t.vertex_tuple(d + 1, tau)[j] == vertex
-    ]
+def _targets(t, cmap):
+    """target[d][s] = image of the extreme blue vertex of (d, s), or -1 if none is blue.
+
+    The vertex tuple of (d, s) is that of its face ∂_d followed by one more
+    vertex, so the extreme blue vertex is either that face's or the new one.
+    """
+    phi = [cmap.mapping.get(v, -1) for v in range(t.n(0))]
+    targets = [phi]
+    for d in range(1, t.dim + 1):
+        prev, level = targets[-1], []
+        for row, vt in zip(t.boundary_table(d), t.vertex_tuples(d)):
+            head, last = prev[row[d]], phi[vt[-1]]
+            if cmap.convention == "min":
+                level.append(head if head >= 0 else last)
+            else:
+                level.append(last if last >= 0 else head)
+        targets.append(level)
+    return targets
+
+
+def _extensions(t, targets, d):
+    """Per d-simplex σ: count of (τ, j), ∂_j τ = σ, j-th vertex σ's target; and the last τ."""
+    target, count, last = targets[d], [0] * t.n(d), [-1] * t.n(d)
+    for tau, (row, vt) in enumerate(zip(t.boundary_table(d + 1), t.vertex_tuples(d + 1))):
+        for f, v in zip(row, vt):
+            if target[f] == v:
+                count[f] += 1
+                last[f] = tau
+    return count, last
 
 
 @dataclass
@@ -109,30 +134,27 @@ def verify_trisp_closure_map(t, cmap):
     For each such simplex, with b its extreme blue vertex: either the image
     of b is one of its vertices (then the face dropping that vertex exists
     automatically), or there must be exactly one coface extending it by the
-    image of b.
+    image of b; `_extensions` counts them from the boundary rows.
     """
     cmap.check_vertices(t)
     for d in range(1, t.dim + 1):
-        for s in range(t.n(d)):
-            if len(set(t.vertex_tuple(d, s))) != d + 1:
+        for s, vt in enumerate(t.vertex_tuples(d)):
+            if len(set(vt)) != d + 1:
                 raise PreconditionError(f"trisp is not regular at {(d, s)}")
+    targets = _targets(t, cmap)
     failures = []
     contained = extended = 0
     for d in range(t.dim + 1):
-        for s in range(t.n(d)):
-            hit = extreme_blue(t, d, s, cmap)
-            if hit is None:
+        count, _last = _extensions(t, targets, d)
+        for s, (b, vt) in enumerate(zip(targets[d], t.vertex_tuples(d))):
+            if b < 0:
                 continue
-            _, b = hit
-            phi_b = cmap.mapping[b]
-            if phi_b in t.vertex_tuple(d, s):
+            if b in vt:
                 contained += 1
-                continue
-            exts = extensions_by_vertex(t, d, s, phi_b)
-            if len(exts) == 1:
+            elif count[s] == 1:
                 extended += 1
             else:
-                failures.append((d, s, len(exts)))
+                failures.append((d, s, count[s]))
     return ClosureVerifyReport(not failures, failures, contained, extended)
 
 
@@ -174,38 +196,36 @@ def closure_matching(t, cmap, verify_report):
     """Realize a verified closure map as a matching.
 
     `verify_report` is the outcome of `verify_trisp_closure_map` on the same
-    map.  A blue-containing simplex not containing the image of its extreme
-    blue vertex pairs with its unique extension; one containing it pairs with
-    the face obtained by deleting that image vertex.  The two rules agree.
+    map.  A blue-containing simplex σ not containing the image of its extreme
+    blue vertex pairs up with its unique extension τ; one containing it pairs
+    down with the face obtained by deleting that image vertex.  The two rules
+    must agree: τ's own down partner is σ, and both kinds are equally many.
     """
     if not verify_report.ok:
         raise PreconditionError(f"not a closure map: {verify_report.failures[:3]}")
-    up = {}
-    down_partner = {}
-    unmatched = []
+    targets = _targets(t, cmap)
+    pairs, unmatched = [], []
+    down = 0
     for d in range(t.dim + 1):
-        for s in range(t.n(d)):
-            hit = extreme_blue(t, d, s, cmap)
-            if hit is None:
+        count, ext = _extensions(t, targets, d)
+        up_targets = targets[d + 1] if d < t.dim else ()
+        up_vts, up_rows = t.vertex_tuples(d + 1), t.boundary_table(d + 1)
+        for s, (b, vt) in enumerate(zip(targets[d], t.vertex_tuples(d))):
+            if b < 0:
                 unmatched.append((d, s))
-                continue
-            _, b = hit
-            phi_b = cmap.mapping[b]
-            vt = t.vertex_tuple(d, s)
-            if phi_b in vt:
-                pos = vt.index(phi_b)
-                down_partner[(d, s)] = (d - 1, t.face(d, s, pos))
+            elif b in vt:
+                down += 1
+            elif count[s] != 1:
+                raise SoundnessError(f"{(d, s)} has {count[s]} extensions in a verified map")
             else:
-                (tau, _j), = extensions_by_vertex(t, d, s, phi_b)
-                up[(d, s)] = (d + 1, tau)
-    # consistency: the two rules must produce the same involution
-    if len(up) != len(down_partner):
-        raise AssertionError("matching rules disagree in size")
-    for sigma, tau in up.items():
-        if down_partner.get(tau) != sigma:
-            raise AssertionError(f"inconsistent pairing at {sigma} / {tau}")
-    pairs = tuple(sorted((sigma, tau) for sigma, tau in up.items()))
-    return Matching(pairs, tuple(sorted(unmatched)))
+                tau = ext[s]
+                tb, tvt = up_targets[tau], up_vts[tau]
+                if tb not in tvt or up_rows[tau][tvt.index(tb)] != s:
+                    raise SoundnessError(f"inconsistent pairing at {(d, s)} / {(d + 1, tau)}")
+                pairs.append(((d, s), (d + 1, tau)))
+    if len(pairs) != down:
+        raise SoundnessError("matching rules disagree in size")
+    return Matching(tuple(pairs), tuple(unmatched))
 
 
 def check_matching_acyclic(t, matching):
@@ -252,56 +272,52 @@ def collapse(t, matching, red_vertices=None):
     Repeatedly removes a matched pair whose face is free (contained in
     exactly one remaining simplex, its partner).  A collapse that finishes
     proves the matching acyclic; getting stuck raises with the cycle that
-    `check_matching_acyclic` finds.
+    `check_matching_acyclic` finds.  The steps follow a LIFO queue seeded with
+    the free matched faces in matching order, fed in boundary order.
     """
-    removed = set()
-    coface_count = {}
-    for d in range(t.dim + 1):
-        for s in range(t.n(d)):
-            coface_count[(d, s)] = len(t.cofaces(d, s))
-    up = dict(matching.pairs)
-
-    def is_free(sigma):
-        return coface_count[sigma] == 1
-
-    queue = [sigma for sigma in up if is_free(sigma)]
+    dims = range(t.dim + 1)
+    count = _coface_counts(t)
+    removed = [bytearray(t.n(d)) for d in dims]
+    up = [[-1] * t.n(d) for d in dims]
+    for (d, s), (d1, tau) in matching.pairs:
+        if d1 != d + 1 or up[d][s] >= 0:
+            raise PreconditionError(f"malformed matched pair {((d, s), (d1, tau))}")
+        up[d][s] = tau
+    queue = [sigma for sigma, _tau in matching.pairs if count[sigma[0]][sigma[1]] == 1]
     steps = []
     chi = euler_characteristic(t)
     while queue:
         sigma = queue.pop()
-        if sigma in removed or sigma not in up:
+        d, s = sigma
+        if removed[d][s] or count[d][s] != 1:
             continue
-        if not is_free(sigma):
-            continue
-        tau = up[sigma]
-        if tau in removed:
-            raise AssertionError(f"matched pair {(sigma, tau)}: the coface {tau} is already removed")
+        tau = (d + 1, up[d][s])
+        if removed[d + 1][tau[1]]:
+            raise SoundnessError(
+                f"matched pair {(sigma, tau)}: the coface {tau} is already removed"
+            )
         steps.append((sigma, tau))
         # χ is untouched: the pair contributes (-1)^d + (-1)^(d+1) = 0
-        for cell in (tau, sigma):
-            removed.add(cell)
-            d, s = cell
-            if d > 0:
-                for f in t.faces(d, s):
-                    key = (d - 1, f)
-                    coface_count[key] -= 1
-                    if key in up and key not in removed and is_free(key):
-                        queue.append(key)
-    if len(steps) != len(up):
+        for dd, ss in (tau, sigma):
+            removed[dd][ss] = 1
+            if dd > 0:
+                fcount, fup, fremoved = count[dd - 1], up[dd - 1], removed[dd - 1]
+                for f in t.faces(dd, ss):
+                    fcount[f] -= 1
+                    if fcount[f] == 1 and fup[f] >= 0 and not fremoved[f]:
+                        queue.append((dd - 1, f))
+    if len(steps) != len(matching.pairs):
         _acyclic, cycle = check_matching_acyclic(t, matching)
-        raise AssertionError(
-            f"collapse got stuck with {len(up) - len(steps)} pairs left; cycle: {cycle}"
-        )
+        left = len(matching.pairs) - len(steps)
+        raise SoundnessError(f"collapse got stuck with {left} pairs left; cycle: {cycle}")
     if red_vertices is None:
-        red_set = {v for v in range(t.n(0)) if (0, v) not in removed}
-    else:
-        red_set = set(red_vertices)
-    final = induced_subtrisp(t, red_set)
-    remaining = {(d, s) for d in range(t.dim + 1) for s in range(t.n(d))} - removed
-    if remaining != final.parent_simplices():
-        raise AssertionError("final subtrisp is not the red subtrisp")
+        red_vertices = [v for v in range(t.n(0)) if not removed[0][v]]
+    final = induced_subtrisp(t, red_vertices)
+    for d in dims:
+        if tuple(s for s, gone in enumerate(removed[d]) if not gone) != final.to_parent[d]:
+            raise SoundnessError("final subtrisp is not the red subtrisp")
     if euler_characteristic(final.trisp) != chi:
-        raise AssertionError("collapse changed the Euler characteristic")
+        raise SoundnessError("collapse changed the Euler characteristic")
     return CollapseCertificate(matching, tuple(steps), final, chi)
 
 
@@ -316,34 +332,41 @@ def full_collapse_audit(t, cmap, report=None):
     return collapse(t, closure_matching(t, cmap, report), cmap.red)
 
 
+def _present(removed, cell):
+    """Is `cell` a pair of ints (d, s) naming a simplex not yet removed?"""
+    d, s = cell if isinstance(cell, (tuple, list)) and len(cell) == 2 else (None, None)
+    return (
+        type(d) is int and type(s) is int
+        and 0 <= d < len(removed) and 0 <= s < len(removed[d]) and not removed[d][s]
+    )
+
+
 def verify_collapse_sequence(t, steps):
     """Replay a collapse sequence of the whole trisp, checking freeness at every step.
 
-    Returns the set of remaining simplices.
+    Each step must remove two present simplices, given as int pairs (d, s)
+    in range, of adjacent dimensions, the first a free face of the second.
+    Coface counts and removal flags are per-dimension arrays.  Returns the
+    set of remaining simplices.
     """
-    remaining = {(d, s) for d in range(t.dim + 1) for s in range(t.n(d))}
-    coface_count = {}
-    for (d, s) in remaining:
-        count = sum(1 for (tau, _j) in t.cofaces(d, s) if (d + 1, tau) in remaining)
-        coface_count[(d, s)] = count
+    dims = range(t.dim + 1)
+    count = _coface_counts(t)
+    removed = [bytearray(t.n(d)) for d in dims]
     for sigma, tau in steps:
-        d, s = sigma
-        if sigma not in remaining or tau not in remaining:
-            raise AssertionError(f"step removes absent simplex: {sigma}, {tau}")
-        if tau[0] != d + 1:
-            raise AssertionError(f"step pair has wrong dimensions: {sigma}, {tau}")
-        if coface_count[sigma] != 1:
-            raise AssertionError(f"face {sigma} is not free (count {coface_count[sigma]})")
-        if sigma[1] not in t.faces(tau[0], tau[1]):
-            raise AssertionError(f"{sigma} is not a face of {tau}")
-        for cell in (tau, sigma):
-            remaining.discard(cell)
-            dd, ss = cell
-            if dd > 0:
-                for f in t.faces(dd, ss):
-                    if (dd - 1, f) in remaining:
-                        coface_count[(dd - 1, f)] -= 1
-    return remaining
+        if not (_present(removed, sigma) and _present(removed, tau)):
+            raise SoundnessError(f"step removes absent simplex: {sigma}, {tau}")
+        (d, s), (d1, s1) = sigma, tau
+        if d1 != d + 1:
+            raise SoundnessError(f"step pair has wrong dimensions: {sigma}, {tau}")
+        if count[d][s] != 1:
+            raise SoundnessError(f"face {sigma} is not free (count {count[d][s]})")
+        if s not in t.faces(d1, s1):
+            raise SoundnessError(f"{sigma} is not a face of {tau}")
+        removed[d1][s1] = removed[d][s] = 1
+        for dd, ss in (tau, sigma):
+            for f in t.faces(dd, ss) if dd > 0 else ():
+                count[dd - 1][f] -= 1
+    return {(d, s) for d in dims for s, gone in enumerate(removed[d]) if not gone}
 
 
 def search_collapse_to_point(t, budget_seconds=60.0):
@@ -357,16 +380,14 @@ def search_collapse_to_point(t, budget_seconds=60.0):
     failed = set()
 
     def free_pairs(remaining):
-        pairs = []
+        count, partner = {}, {}
         for (d, s) in remaining:
-            cofs = [
-                (d + 1, tau)
-                for (tau, _j) in t.cofaces(d, s)
-                if (d + 1, tau) in remaining
-            ]
-            if len(cofs) == 1:
-                pairs.append(((d, s), cofs[0]))
-        return sorted(pairs)
+            for f in t.faces(d, s) if d > 0 else ():
+                count[(d - 1, f)] = count.get((d - 1, f), 0) + 1
+                partner[(d - 1, f)] = (d, s)
+        return sorted(
+            (sigma, partner[sigma]) for sigma, c in count.items() if c == 1 and sigma in remaining
+        )
 
     def dfs(remaining):
         if time.monotonic() > deadline:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .accat import check_closure_operator, opposite_category, subposet, as_poset
 from .closure import TrispClosureMap, verify_trisp_closure_map
-from .errors import PreconditionError
+from .errors import PreconditionError, SoundnessError
 from .nerve import nerve
 from .symmetry import (
     CatAut,
@@ -93,7 +93,7 @@ def push_closure_map(t, action, cmap, qt=None):
     blue = frozenset(proj0[b] for b in cmap.blue)
     red = frozenset(proj0[r] for r in cmap.red)
     if blue & red:
-        raise AssertionError("blue and red orbits overlap despite closedness")
+        raise SoundnessError("blue and red orbits overlap despite closedness")
     mapping = {}
     for orbit, rep in enumerate(qt.reps[0]):
         if orbit in blue:
@@ -101,7 +101,7 @@ def push_closure_map(t, action, cmap, qt=None):
     pushed = TrispClosureMap(blue, red, mapping, cmap.convention)
     report = verify_trisp_closure_map(qt.trisp, pushed)
     if not report.ok:
-        raise AssertionError(f"pushed map failed verification: {report.failures[:3]}")
+        raise SoundnessError(f"pushed map failed verification: {report.failures[:3]}")
     return PushedClosureMap(qt, pushed, report, base_report)
 
 
@@ -192,7 +192,7 @@ def lift_closure_map(t, action, psi, qt=None):
     lift = lift_candidate(t, action, psi, qt)
     pushed = push_closure_map(t, action, lift, qt)  # verifies the lift on t
     if pushed.cmap != psi:
-        raise AssertionError("push of the lift does not recover the original map")
+        raise SoundnessError("push of the lift does not recover the original map")
     return lift
 
 
@@ -340,7 +340,7 @@ def quotient_poset_closure_map(p, action, f, qc=None, nerve_q=None):
         members = qc.obj_members[cls]
         images = {qc.obj_class[f.obj[x]] for x in members}
         if len(images) != 1:
-            raise AssertionError("operator image is not constant on classes")
+            raise SoundnessError("operator image is not constant on classes")
         mapping[cls] = images.pop()
     cmap = TrispClosureMap(blue, red, mapping, "min" if direction == "descending" else "max")
     verify = verify_trisp_closure_map(nerve_q.trisp, cmap)

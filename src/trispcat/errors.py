@@ -24,6 +24,10 @@ class PreconditionError(RuntimeError):
     """A stated precondition of an operation does not hold."""
 
 
+class SoundnessError(AssertionError):
+    """A soundness check failed (message: the witness); unlike `assert`, kept under -O."""
+
+
 class PipelineError(RuntimeError):
     """A pipeline stage failed; carries the stage name."""
 

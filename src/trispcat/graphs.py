@@ -30,7 +30,7 @@ from .equivariant import (
     push_closure_map,
     quotient_poset_closure_map,
 )
-from .errors import InputError, PipelineError
+from .errors import InputError, PipelineError, SoundnessError
 from .nerve import nerve
 from .symmetry import (
     CatAut,
@@ -297,7 +297,7 @@ def _sn_action(p, n, relabel):
     action = close_group(gens, on=p.category)
     horizontal, witness = check_horizontal(p.category, action)
     if not horizontal:
-        raise AssertionError(f"S_{n} action must be horizontal, witness {witness}")
+        raise SoundnessError(f"S_{n} action must be horizontal, witness {witness}")
     return action
 
 
@@ -326,7 +326,7 @@ def _sn_order(n):
     """Order of the group the S_n generators generate on n points; raises unless n!."""
     order = GroupAction(tuple(CatAut(p, ()) for p in sn_generator_perms(n))).order
     if order != math.factorial(n):
-        raise AssertionError(f"the S_{n} generators generate a group of order {order}")
+        raise SoundnessError(f"the S_{n} generators generate a group of order {order}")
     return order
 
 
@@ -552,7 +552,7 @@ def pipeline_quotient_category(n):
         vmap52[sub_qc.obj_class[i]] = red_pos[qc.obj_class[x]]
     match52b = trisps_equal_over_vertices(nerve_img.trisp, sub.trisp, vmap52)
     if not match52b.ok:
-        raise AssertionError(f"image quotient is not the red subtrisp: {match52b.witness}")
+        raise SoundnessError(f"image quotient is not the red subtrisp: {match52b.witness}")
     translated = []
     for (d, s), (d2, s2) in cone_cert.steps:
         a = match52b.mapping[d][match_mirror.mapping[d][s]]

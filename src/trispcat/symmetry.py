@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .accat import AcyclicCategory, validate_category
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, SoundnessError
 from .nerve import Nerve, nerve
 from .trisp import Trisp
 
@@ -247,7 +247,7 @@ def induced_trisp_action(nv, action):
         aut = TrispAut(tuple(dims))
         witness = trisp_automorphism_violation(t, aut)
         if witness is not None:
-            raise AssertionError(f"induced map is not an automorphism: {witness}")
+            raise SoundnessError(f"induced map is not an automorphism: {witness}")
         gens.append(aut)
     return GroupAction(tuple(gens))
 
@@ -380,7 +380,7 @@ def quotient_category(c, action):
         srcs = {obj_class[c.src[m]] for m in members}
         tgts = {obj_class[c.tgt[m]] for m in members}
         if len(srcs) != 1 or len(tgts) != 1:
-            raise AssertionError("congruence broke endpoint classes")
+            raise SoundnessError("congruence broke endpoint classes")
         q_src.append(srcs.pop())
         q_tgt.append(tgts.pop())
 
@@ -390,7 +390,7 @@ def quotient_category(c, action):
     for (m1, m2), m12 in c.comp.items():
         key = (mor_class[m1], mor_class[m2])
         if comp_entries.setdefault(key, mor_class[m12]) != mor_class[m12]:
-            raise AssertionError(f"the projection is not a functor at {(m1, m2)}")
+            raise SoundnessError(f"the projection is not a functor at {(m1, m2)}")
 
     labels = [f"[{c.objects[obj_members[k][0]]}]" for k in range(len(obj_reps))]
     mor_list = [
@@ -399,7 +399,7 @@ def quotient_category(c, action):
     quotient = AcyclicCategory(labels, mor_list, [(a, b, m) for (a, b), m in comp_entries.items()])
     report = validate_category(quotient)
     if not report.ok:
-        raise AssertionError(f"quotient category invalid: {report.to_json()}")
+        raise SoundnessError(f"quotient category invalid: {report.to_json()}")
     return QuotientCategory(
         quotient,
         tuple(obj_class),
@@ -456,14 +456,14 @@ class CanonicalMap:
             else:
                 matching = [m for m in members if self.nerve_src.category.src[m] == current]
                 if not matching:
-                    raise AssertionError("no class member continues the lifted chain")
+                    raise SoundnessError("no class member continues the lifted chain")
                 m = matching[0]
             lifted.append(m)
             current = self.nerve_src.category.tgt[m]
         src_simplex = self.nerve_src.simplex_of_morphisms(tuple(lifted))
         orbit = self.qt.projection[d][src_simplex]
         if self.entries[d][orbit] != s:
-            raise AssertionError("lift does not round-trip")
+            raise SoundnessError("lift does not round-trip")
         return orbit
 
 
@@ -497,7 +497,7 @@ def canonical_map(c, action, nerve_src=None, taction=None, qc=None):
             img = entries[d][o]
             for i in range(d + 1):
                 if entries[d - 1][qt.trisp.face(d, o, i)] != nerve_dst.trisp.face(d, img, i):
-                    raise AssertionError("canonical map does not commute with boundaries")
+                    raise SoundnessError("canonical map does not commute with boundaries")
     if not cmap.vertex_bijective:
-        raise AssertionError("canonical map must be bijective on vertices")
+        raise SoundnessError("canonical map must be bijective on vertices")
     return cmap

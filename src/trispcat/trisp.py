@@ -2,8 +2,8 @@
 
 A trisp stores, per dimension d, only the simplex count and for d >= 1 the
 boundary table ``bnd[d][s][i]`` = index of the i-th face of simplex s in
-dimension d-1.  Everything else (vertex tuples, cofaces, skeleta) is derived,
-so there is a single source of truth.
+dimension d-1.  Everything else (vertex tuples, skeleta) is derived, so
+there is a single source of truth.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class Trisp:
         self.counts = counts
         self._bnd = tuple(tables[: len(counts) or 1])
         self._vt = None
-        self._cofaces = None
 
     @property
     def dim(self):
@@ -67,7 +66,8 @@ class Trisp:
         return self._bnd[d][s]
 
     def boundary_table(self, d):
-        return self._bnd[d]
+        """Rows of dimension d; empty for d = 0 and above the top dimension."""
+        return self._bnd[d] if 0 <= d <= self.dim else ()
 
     def simplices(self):
         for d in range(self.dim + 1):
@@ -80,7 +80,7 @@ class Trisp:
     # -- derived structure ------------------------------------------------
 
     def vertex_tuples(self, d):
-        """Ordered vertex tuples of every d-simplex (position 0 = minimal vertex)."""
+        """Ordered vertex tuples of every d-simplex (position 0 = minimal vertex); () above dim."""
         if self._vt is None:
             vt = [tuple((v,) for v in range(self.n(0)))]
             for k in range(1, self.dim + 1):
@@ -94,39 +94,10 @@ class Trisp:
                         rows.append(prefix + (last,))
                 vt.append(tuple(rows))
             self._vt = vt
-        return self._vt[d]
+        return self._vt[d] if 0 <= d <= self.dim else ()
 
     def vertex_tuple(self, d, s):
         return self.vertex_tuples(d)[s]
-
-    def cofaces(self, d, s):
-        """All (t, j) with ∂_j t = s in dimension d+1."""
-        if self._cofaces is None:
-            tables = []
-            for k in range(self.dim + 1):
-                table = [[] for _ in range(self.counts[k])]
-                if k < self.dim:
-                    for t in range(self.counts[k + 1]):
-                        for j, f in enumerate(self.faces(k + 1, t)):
-                            table[f].append((t, j))
-                tables.append(tuple(tuple(x) for x in table))
-            self._cofaces = tables
-        return self._cofaces[d][s]
-
-    def iterated_faces(self, d, s):
-        """All simplices reachable by repeated boundaries, including (d, s) itself."""
-        seen = {(d, s)}
-        frontier = [(d, s)]
-        while frontier:
-            dd, ss = frontier.pop()
-            if dd == 0:
-                continue
-            for f in self.faces(dd, ss):
-                key = (dd - 1, f)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(key)
-        return seen
 
     def to_json(self):
         dims = [{"count": self.n(0)}] if self.counts else []

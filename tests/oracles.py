@@ -2,7 +2,9 @@
 
 Everything here recomputes results by brute force along a different route
 than the library: path counting for nerve sizes, factorization matching for
-morphism classes, exhaustive enumeration of posets and operators.
+morphism classes, exhaustive enumeration of posets and operators, and the
+closure kernels on dicts and sets keyed by (d, s) with an explicit coface
+table, as they were before the library moved them onto per-dimension arrays.
 """
 
 from __future__ import annotations
@@ -10,8 +12,16 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from trispcat.accat import ACMap, Poset, poset_from_relation
+from trispcat.closure import (
+    ClosureVerifyReport,
+    CollapseCertificate,
+    Matching,
+    check_matching_acyclic,
+)
+from trispcat.errors import PreconditionError
 from trispcat.graphs import lift_to_edges, sn_generator_perms
 from trispcat.symmetry import CatAut, GroupAction, TrispAut, trivial_cat_action
+from trispcat.trisp import euler_characteristic, induced_subtrisp
 
 
 def natural_orders(n):
@@ -243,7 +253,7 @@ def regular_action_oracle(t, action):
     moving = [(gi, g, g.inverse()) for gi, g in enumerate(action.elements) if not g.is_identity()]
     for d in range(t.dim + 1):
         for s in range(t.n(d)):
-            face_list = sorted(t.iterated_faces(d, s))
+            face_list = sorted(iterated_faces(t, d, s))
             face_set = set(face_list)
             for gi, g, inv in moving:
                 for (dd, ss) in face_list:
@@ -303,3 +313,187 @@ def dgn_trisp_action(k, perms=None):
             raise AssertionError(f"relabeling {perm} is not a setwise automorphism: {witness}")
         gens.append(g)
     return GroupAction(tuple(gens))
+
+
+def iterated_faces(t, d, s):
+    """All simplices reachable by repeated boundaries, including (d, s) itself."""
+    seen = {(d, s)}
+    frontier = [(d, s)]
+    while frontier:
+        dd, ss = frontier.pop()
+        if dd == 0:
+            continue
+        for f in t.faces(dd, ss):
+            key = (dd - 1, f)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(key)
+    return seen
+
+
+# -- reference closure kernels -------------------------------------------------
+
+
+def coface_table(t):
+    """cofaces[(d, s)] = all (τ, j) with ∂_j τ = s in dimension d + 1."""
+    cofaces = {(d, s): [] for d in range(t.dim + 1) for s in range(t.n(d))}
+    for d in range(1, t.dim + 1):
+        for tau in range(t.n(d)):
+            for j, f in enumerate(t.faces(d, tau)):
+                cofaces[(d - 1, f)].append((tau, j))
+    return cofaces
+
+
+def extreme_blue(t, d, s, cmap):
+    """Position and vertex of the extreme blue vertex of a simplex, or None."""
+    vt = t.vertex_tuple(d, s)
+    positions = [p for p, v in enumerate(vt) if v in cmap.blue]
+    if not positions:
+        return None
+    p = positions[0] if cmap.convention == "min" else positions[-1]
+    return p, vt[p]
+
+
+def extensions_by_vertex(t, cofaces, d, s, vertex):
+    """All (coface, j) whose j-th face is (d, s) and whose j-th vertex is `vertex`."""
+    return [
+        (tau, j)
+        for (tau, j) in cofaces[(d, s)]
+        if t.vertex_tuple(d + 1, tau)[j] == vertex
+    ]
+
+
+def verify_trisp_closure_map_oracle(t, cmap):
+    cmap.check_vertices(t)
+    for d in range(1, t.dim + 1):
+        for s in range(t.n(d)):
+            if len(set(t.vertex_tuple(d, s))) != d + 1:
+                raise PreconditionError(f"trisp is not regular at {(d, s)}")
+    cofaces = coface_table(t)
+    failures = []
+    contained = extended = 0
+    for d in range(t.dim + 1):
+        for s in range(t.n(d)):
+            hit = extreme_blue(t, d, s, cmap)
+            if hit is None:
+                continue
+            _, b = hit
+            phi_b = cmap.mapping[b]
+            if phi_b in t.vertex_tuple(d, s):
+                contained += 1
+                continue
+            exts = extensions_by_vertex(t, cofaces, d, s, phi_b)
+            if len(exts) == 1:
+                extended += 1
+            else:
+                failures.append((d, s, len(exts)))
+    return ClosureVerifyReport(not failures, failures, contained, extended)
+
+
+def closure_matching_oracle(t, cmap, verify_report):
+    if not verify_report.ok:
+        raise PreconditionError(f"not a closure map: {verify_report.failures[:3]}")
+    cofaces = coface_table(t)
+    up = {}
+    down_partner = {}
+    unmatched = []
+    for d in range(t.dim + 1):
+        for s in range(t.n(d)):
+            hit = extreme_blue(t, d, s, cmap)
+            if hit is None:
+                unmatched.append((d, s))
+                continue
+            _, b = hit
+            phi_b = cmap.mapping[b]
+            vt = t.vertex_tuple(d, s)
+            if phi_b in vt:
+                pos = vt.index(phi_b)
+                down_partner[(d, s)] = (d - 1, t.face(d, s, pos))
+            else:
+                (tau, _j), = extensions_by_vertex(t, cofaces, d, s, phi_b)
+                up[(d, s)] = (d + 1, tau)
+    if len(up) != len(down_partner):
+        raise AssertionError("matching rules disagree in size")
+    for sigma, tau in up.items():
+        if down_partner.get(tau) != sigma:
+            raise AssertionError(f"inconsistent pairing at {sigma} / {tau}")
+    pairs = tuple(sorted((sigma, tau) for sigma, tau in up.items()))
+    return Matching(pairs, tuple(sorted(unmatched)))
+
+
+def collapse_oracle(t, matching, red_vertices=None):
+    removed = set()
+    cofaces = coface_table(t)
+    coface_count = {key: len(cofs) for key, cofs in cofaces.items()}
+    up = dict(matching.pairs)
+
+    def is_free(sigma):
+        return coface_count[sigma] == 1
+
+    queue = [sigma for sigma in up if is_free(sigma)]
+    steps = []
+    chi = euler_characteristic(t)
+    while queue:
+        sigma = queue.pop()
+        if sigma in removed or sigma not in up:
+            continue
+        if not is_free(sigma):
+            continue
+        tau = up[sigma]
+        if tau in removed:
+            raise AssertionError(
+                f"matched pair {(sigma, tau)}: the coface {tau} is already removed"
+            )
+        steps.append((sigma, tau))
+        for cell in (tau, sigma):
+            removed.add(cell)
+            d, s = cell
+            if d > 0:
+                for f in t.faces(d, s):
+                    key = (d - 1, f)
+                    coface_count[key] -= 1
+                    if key in up and key not in removed and is_free(key):
+                        queue.append(key)
+    if len(steps) != len(up):
+        _acyclic, cycle = check_matching_acyclic(t, matching)
+        raise AssertionError(
+            f"collapse got stuck with {len(up) - len(steps)} pairs left; cycle: {cycle}"
+        )
+    if red_vertices is None:
+        red_set = {v for v in range(t.n(0)) if (0, v) not in removed}
+    else:
+        red_set = set(red_vertices)
+    final = induced_subtrisp(t, red_set)
+    remaining = {(d, s) for d in range(t.dim + 1) for s in range(t.n(d))} - removed
+    if remaining != final.parent_simplices():
+        raise AssertionError("final subtrisp is not the red subtrisp")
+    if euler_characteristic(final.trisp) != chi:
+        raise AssertionError("collapse changed the Euler characteristic")
+    return CollapseCertificate(matching, tuple(steps), final, chi)
+
+
+def verify_collapse_sequence_oracle(t, steps):
+    remaining = {(d, s) for d in range(t.dim + 1) for s in range(t.n(d))}
+    cofaces = coface_table(t)
+    coface_count = {}
+    for (d, s) in remaining:
+        count = sum(1 for (tau, _j) in cofaces[(d, s)] if (d + 1, tau) in remaining)
+        coface_count[(d, s)] = count
+    for sigma, tau in steps:
+        d, s = sigma
+        if sigma not in remaining or tau not in remaining:
+            raise AssertionError(f"step removes absent simplex: {sigma}, {tau}")
+        if tau[0] != d + 1:
+            raise AssertionError(f"step pair has wrong dimensions: {sigma}, {tau}")
+        if coface_count[sigma] != 1:
+            raise AssertionError(f"face {sigma} is not free (count {coface_count[sigma]})")
+        if sigma[1] not in t.faces(tau[0], tau[1]):
+            raise AssertionError(f"{sigma} is not a face of {tau}")
+        for cell in (tau, sigma):
+            remaining.discard(cell)
+            dd, ss = cell
+            if dd > 0:
+                for f in t.faces(dd, ss):
+                    if (dd - 1, f) in remaining:
+                        coface_count[(dd - 1, f)] -= 1
+    return remaining

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -321,3 +322,39 @@ def test_pipeline_certificates_survive_optimize(capsys, variant):
     )
     assert optimized.returncode == 0, optimized.stderr
     assert json.loads(optimized.stdout)["certificates"] == json.loads(out)["certificates"]
+
+
+def test_soundness_failure_exits_one_without_traceback(capsys, tmp_path, monkeypatch):
+    from trispcat import closure
+    from trispcat.errors import SoundnessError
+
+    def unsound(*_args, **_kwargs):
+        raise SoundnessError("final subtrisp is not the red subtrisp")
+
+    monkeypatch.setattr(closure, "collapse", unsound)
+    t_file = write(tmp_path / "t.json", nerve(chain_poset(2).category).trisp.to_json())
+    map_file = write(tmp_path / "m.json", {"blue": [1], "red": [0], "map": {"1": 0}})
+    code = main(["closure", "collapse", "--input", t_file, "--map", map_file])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "failed: final subtrisp is not the red subtrisp\n"
+    assert "Traceback" not in captured.err
+
+
+# sha256 of the `certificates` of `dgn pipeline`, serialised with sorted keys and no spaces
+CERTIFICATE_SHA256 = {
+    ("61", 3): "a30f987a8c9aab844c1ba6927838f87b9aebc73bd54209ebc469fb0f14c00376",
+    ("61", 4): "e03a5d6fbbc46a456dd10260b729c59d2e134c26fc6f55ecaaa3c61822ad2f61",
+    ("61", 5): "568161f668ea32232dd4c106bb8a2ac3383da4c6743ccce2591f61800b3cf4f0",
+    ("62", 3): "cb68daeeabb5c6f750a3d1f2b13661a9cd88bbed9f3aef7b64434f7a51419cd8",
+    ("62", 4): "e15a715ad3d03ef09930d2f4fc0d3f9af5d41857150806e9bed889445a67918a",
+    ("62", 5): "0e82ad39bf3f4341f426a7879fe107a5bb15170d53eb0287fe967dd9316260d2",
+}
+
+
+@pytest.mark.parametrize("variant, n", sorted(CERTIFICATE_SHA256))
+def test_pipeline_certificates_are_pinned(capsys, variant, n):
+    code, out = run(capsys, "dgn", "pipeline", "--n", str(n), "--pipeline", variant)
+    assert code == 0
+    certs = json.dumps(json.loads(out)["certificates"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(certs.encode()).hexdigest() == CERTIFICATE_SHA256[(variant, n)]

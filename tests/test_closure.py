@@ -22,10 +22,11 @@ from trispcat.closure import (
     verify_collapse_sequence,
     verify_trisp_closure_map,
 )
-from trispcat.errors import InputError, PreconditionError
+from trispcat.errors import InputError, PreconditionError, SoundnessError
 from trispcat.nerve import nerve
 from trispcat.trisp import Trisp, euler_characteristic
 
+import oracles
 from oracles import monotone_idempotent_maps
 from test_accat import posets
 
@@ -331,3 +332,117 @@ def test_random_descending_operators_collapse(p, rng):
             if set(t.vertex_tuple(d, s)) <= cmap.red
         }
         assert red_simplices == cert.final.parent_simplices()
+
+
+def _outcome(fn, *args):
+    """What a kernel did: ("returned", value), or the kind and message of what it raised."""
+    try:
+        return "returned", fn(*args)
+    except AssertionError as exc:  # a SoundnessError here, a bare AssertionError in the oracles
+        return "unsound", str(exc)
+    except PreconditionError as exc:
+        return "precondition", str(exc)
+
+
+def _random_maps(rng, p):
+    """Closure maps on the nerve of p: induced ones (they verify) and random ones (most fail)."""
+    maps = []
+    for f in monotone_idempotent_maps(p)[:4]:
+        if check_closure_operator(p, f).direction() is not None:
+            red = frozenset(f.obj)
+            blue = frozenset(range(p.n)) - red
+            maps.append((blue, red, {b: f.obj[b] for b in blue}))
+    for _ in range(3):
+        blue = frozenset(v for v in range(p.n) if rng.random() < 0.5)
+        red = frozenset(range(p.n)) - blue
+        if red:
+            maps.append((blue, red, {b: rng.choice(sorted(red)) for b in blue}))
+    return [TrispClosureMap(*m, convention) for m in maps for convention in ("min", "max")]
+
+
+def _collapse_outcome(fn, t, matching, red):
+    kind, value = _outcome(fn, t, matching, red)
+    if kind != "returned":
+        return kind, value
+    return kind, (value.steps, value.final.to_parent, value.euler)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_array_kernels_agree_with_the_reference_kernels(rng):
+    p = oracles.random_poset(rng)
+    t = nerve(p.category).trisp
+    for cmap in _random_maps(rng, p):
+        report = verify_trisp_closure_map(t, cmap)
+        assert report == oracles.verify_trisp_closure_map_oracle(t, cmap)
+        kind, matching = _outcome(closure_matching, t, cmap, report)
+        assert (kind, matching) == _outcome(oracles.closure_matching_oracle, t, cmap, report)
+        if kind != "returned":
+            assert not report.ok
+            continue
+        assert _collapse_outcome(collapse, t, matching, None) == _collapse_outcome(
+            oracles.collapse_oracle, t, matching, None
+        )
+        kind, cert = _collapse_outcome(collapse, t, matching, cmap.red)
+        assert (kind, cert) == _collapse_outcome(oracles.collapse_oracle, t, matching, cmap.red)
+        if kind != "returned":
+            continue
+        steps = list(cert[0])
+        trials = [steps, steps + steps[:1]]
+        if len(steps) >= 2:
+            i, j = rng.sample(range(len(steps)), 2)
+            swapped = list(steps)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            trials.append(swapped)
+        for trial in trials:
+            assert _outcome(verify_collapse_sequence, t, trial) == _outcome(
+                oracles.verify_collapse_sequence_oracle, t, trial
+            )
+
+
+# the path 0 - 1 - 2: edge 0 spans vertices (0, 1), edge 1 spans (1, 2)
+PATH = ((3, 2), [[(1, 0), (2, 1)]])
+REPLAY_REJECTIONS = [
+    ([((0, -1), (1, 0))], "step removes absent simplex: (0, -1), (1, 0)"),
+    ([((0, 3), (1, 0))], "step removes absent simplex: (0, 3), (1, 0)"),
+    ([((0, 0), (1, 2))], "step removes absent simplex: (0, 0), (1, 2)"),
+    ([((0, 0.0), (1, 0))], "step removes absent simplex: (0, 0.0), (1, 0)"),
+    ([((0, True), (1, 0))], "step removes absent simplex: (0, True), (1, 0)"),
+    ([((0, 0), (0, 1))], "step pair has wrong dimensions: (0, 0), (0, 1)"),
+    ([((0, 0), (1, 1))], "(0, 0) is not a face of (1, 1)"),
+    ([((0, 0), (1, 0)), ((0, 0), (1, 0))], "step removes absent simplex: (0, 0), (1, 0)"),
+    ([((0, 1), (1, 1)), ((0, 0), (1, 0))], "face (0, 1) is not free (count 2)"),
+]
+
+
+def test_replay_rejects_malformed_and_unsound_steps():
+    t = Trisp(*PATH)
+    assert verify_collapse_sequence(t, [((0, 0), (1, 0)), ((0, 1), (1, 1))]) == {(0, 2)}
+    for steps, message in REPLAY_REJECTIONS:
+        with pytest.raises(SoundnessError) as info:
+            verify_collapse_sequence(t, steps)
+        assert str(info.value) == message
+
+
+def test_replay_rejections_survive_optimize():
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from trispcat.closure import verify_collapse_sequence\n"
+        "from trispcat.trisp import Trisp\n"
+        f"t = Trisp(*{PATH!r})\n"
+        f"for steps, _message in {REPLAY_REJECTIONS!r}:\n"
+        "    try:\n"
+        "        verify_collapse_sequence(t, steps)\n"
+        "        print('accepted')\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines() == [message for _steps, message in REPLAY_REJECTIONS]

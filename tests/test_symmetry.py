@@ -35,6 +35,7 @@ from trispcat.trisp import Trisp
 from oracles import (
     decomposition_quotient_classes,
     dgn_trisp_action,
+    iterated_faces,
     random_action,
     random_poset,
     regular_action_oracle,
@@ -172,7 +173,7 @@ def _assert_witness_violates(t, action, witness):
     """(g, σ, ρ, kind): ρ is a common face of σ and gσ that g moves or moves a vertex of."""
     gi, (d, s), (dd, ss), _kind = witness
     g = action.elements[gi]
-    faces = t.iterated_faces(d, s)
+    faces = iterated_faces(t, d, s)
     assert (dd, ss) in faces and (dd, g.inverse().dims[dd][ss]) in faces
     assert g.dims[dd][ss] != ss or any(g.dims[0][v] != v for v in t.vertex_tuple(dd, ss))
 
