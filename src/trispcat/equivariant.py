@@ -208,7 +208,7 @@ def restrict_action_to_image(p, action, image):
         if any(g.obj[x] not in pos for x in keep):
             raise PreconditionError("subset is not closed under the action")
         gens.append(CatAut.from_poset(sub_p, (pos[g.obj[x]] for x in keep)))
-    return sub_p, keep, close_group(gens, on=sub_p.category)
+    return sub_p, keep, close_group(gens, on=sub_p)
 
 
 def _poset_action_is_equivariant(p, action, f):
@@ -243,7 +243,7 @@ def check_operator_class_coherence(p, action, f, qc=None):
     if direction == "ascending" and not report.descending:
         # same permutations act on the opposite poset; the operator becomes descending
         op_p = as_poset(opposite_category(p.category))
-        op_action = close_group(list(action.generators), on=op_p.category)
+        op_action = close_group(list(action.generators), on=op_p)
         return check_operator_class_coherence(op_p, op_action, f, None)
     if _poset_action_is_equivariant(p, action, f) is not None:
         raise PreconditionError("operator is not equivariant")

@@ -294,7 +294,7 @@ def lift_to_edges(perm, edges, edge_index):
 def _sn_action(p, n, relabel):
     """S_n on a poset, moving its objects by `relabel(perm)`: checked horizontal, not closed."""
     gens = [CatAut.from_poset(p, relabel(perm)) for perm in sn_generator_perms(n)]
-    action = close_group(gens, on=p.category)
+    action = close_group(gens, on=p)
     horizontal, witness = check_horizontal(p.category, action)
     if not horizontal:
         raise SoundnessError(f"S_{n} action must be horizontal, witness {witness}")

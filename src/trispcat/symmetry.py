@@ -4,10 +4,11 @@ Group elements are explicit permutation tables: an automorphism of a
 category permutes objects and morphisms, an automorphism of a trisp
 permutes simplices dimension by dimension, commuting with the boundary
 operators.  An action is given by its generators; orbits, quotients,
-equivariance and horizontality read only those, and a quotient category's
-composition is read off the composable pairs.  The group itself is closed,
-by breadth-first products of generators, only when a caller reads its
-elements or order.
+equivariance and horizontality read only those, and a quotient category is
+read off the composable pairs whose first source is an orbit representative.
+A poset automorphism is checked against the order, not the composition
+table.  The group itself is closed, by breadth-first products of generators,
+only when a caller reads its elements or order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .accat import AcyclicCategory, validate_category
+from .accat import AcyclicCategory, Poset, validate_category
 from .errors import InputError, PreconditionError, SoundnessError
 from .nerve import Nerve, nerve
 from .trisp import Trisp
@@ -24,13 +25,6 @@ from .trisp import Trisp
 def _compose_perm(g, h):
     """Permutation g∘h (apply h first)."""
     return tuple(g[x] for x in h)
-
-
-def _invert_perm(g):
-    inv = [0] * len(g)
-    for i, x in enumerate(g):
-        inv[x] = i
-    return tuple(inv)
 
 
 def _is_perm(p, n):
@@ -47,21 +41,22 @@ class CatAut:
     def __mul__(self, other):
         return CatAut(_compose_perm(self.obj, other.obj), _compose_perm(self.mor, other.mor))
 
-    def inverse(self):
-        return CatAut(_invert_perm(self.obj), _invert_perm(self.mor))
-
-    def is_identity(self):
-        return all(i == x for i, x in enumerate(self.obj)) and all(
-            i == x for i, x in enumerate(self.mor)
-        )
-
     @classmethod
     def from_poset(cls, p, obj):
-        """The automorphism of a poset that moves its objects by `obj`."""
+        """The automorphism of a poset that moves its objects by `obj`.
+
+        Raises InputError if `obj` is not a permutation of the objects, or
+        names the first relation x < y whose image is not a relation.
+        """
         obj = tuple(obj)
+        if not _is_perm(obj, p.n):
+            raise InputError(f"{list(obj)} is not a permutation of the {p.n} objects")
         mor = [None] * p.category.n_morphisms
         for (x, y), m in p.mor_of.items():
-            mor[m] = p.mor_of[(obj[x], obj[y])]
+            image = p.mor_of.get((obj[x], obj[y]))
+            if image is None:
+                raise InputError(f"relabelling does not keep the order at {(x, y)}")
+            mor[m] = image
         return cls(obj, tuple(mor))
 
 
@@ -73,12 +68,6 @@ class TrispAut:
 
     def __mul__(self, other):
         return TrispAut(tuple(_compose_perm(g, h) for g, h in zip(self.dims, other.dims)))
-
-    def inverse(self):
-        return TrispAut(tuple(_invert_perm(g) for g in self.dims))
-
-    def is_identity(self):
-        return all(all(i == x for i, x in enumerate(p)) for p in self.dims)
 
 
 def cat_automorphism_violation(c, g):
@@ -94,6 +83,24 @@ def cat_automorphism_violation(c, g):
     for (m1, m2), m12 in c.comp.items():
         if c.comp.get((g.mor[m1], g.mor[m2])) != g.mor[m12]:
             return ("composition", (m1, m2))
+    return None
+
+
+def _poset_automorphism_violation(p, g):
+    """`cat_automorphism_violation` on a poset, read off the order.
+
+    A poset's hom-sets have at most one element and its composition is total
+    (as `poset_from_relation` builds it), so the composite of the images of
+    x < y < z is the one morphism gx -> gz, the image of the composite.  It
+    suffices that g.mor sends each x -> y to the morphism gx -> gy.
+    """
+    c = p.category
+    if not _is_perm(g.obj, c.n_objects) or not _is_perm(g.mor, c.n_morphisms):
+        return ("not-a-permutation",)
+    obj, mor_of = g.obj, p.mor_of
+    for m, (x, y) in enumerate(zip(c.src, c.tgt)):
+        if g.mor[m] != mor_of.get((obj[x], obj[y])):
+            return ("order", m)
     return None
 
 
@@ -157,12 +164,18 @@ class GroupAction:
 def close_group(generators, on):
     """The action generated by `generators`, each checked to be an automorphism of `on`.
 
-    `on` is a category or trisp; a generator that is not a genuine
-    automorphism raises with a witness.
+    `on` is a category, a poset or a trisp; a generator that is not a genuine
+    automorphism raises with a witness.  A category is checked entry by entry
+    of its composition table, a poset only by its order, in one pass over
+    its morphisms: a `Poset` must have a total composition.
     """
     generators = tuple(generators)
-    is_cat = isinstance(on, AcyclicCategory)
-    violation = cat_automorphism_violation if is_cat else trisp_automorphism_violation
+    if isinstance(on, Poset):
+        violation = _poset_automorphism_violation
+    elif isinstance(on, AcyclicCategory):
+        violation = cat_automorphism_violation
+    else:
+        violation = trisp_automorphism_violation
     for k, g in enumerate(generators):
         witness = violation(on, g)
         if witness is not None:
@@ -345,12 +358,36 @@ class QuotientCategory:
 def quotient_category(c, action):
     """Quotient of `c` by a horizontal action; composition is read off the composable pairs.
 
-    Precondition: `c` is a valid acyclic category (`validate_category`).
+    Preconditions: `c` is a valid acyclic category (`validate_category`) and
+    the generators are automorphisms of it (as `close_group` checks).
+
+    Only the representative pairs are scanned: the composable pairs (m1, m2)
+    whose first source is an object-orbit representative.  Every class holds
+    whole morphism orbits from the start, and every composable pair is a
+    translate (g r1, g r2) of a representative pair, with composite g r12.
+    So the pair has the class key of (r1, r2), and its composite lies in the
+    class of r12: a fixpoint over the representative pairs is closed over
+    all pairs too, and it is the same least congruence.  The same argument
+    makes the functor check over them a check over all pairs.
+    Union-find roots are least members, so the classes do not depend on the
+    order of the unions.
     """
     horizontal, witness = check_horizontal(c, action)
     if not horizontal:
         raise PreconditionError(f"action is not horizontal at {witness}")
     obj_class, obj_reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
+
+    out = {}
+    for m, x in enumerate(c.src):
+        out.setdefault(x, []).append(m)
+    pairs = []  # (m1, m2, composite) with src[m1] an orbit representative
+    for x in obj_reps:
+        for m1 in out.get(x, ()):
+            for m2 in out.get(c.tgt[m1], ()):
+                m12 = c.comp.get((m1, m2))
+                if m12 is None:
+                    raise PreconditionError(f"composition table incomplete at {(m1, m2)}")
+                pairs.append((m1, m2, m12))
 
     uf = _UnionFind(c.n_morphisms)
     for g in action.generators:
@@ -362,7 +399,7 @@ def quotient_category(c, action):
     while changed:
         changed = False
         first = {}
-        for (m1, m2), m12 in c.comp.items():
+        for m1, m2, m12 in pairs:
             key = (uf.find(m1), uf.find(m2))
             changed |= uf.union(first.setdefault(key, m12), m12)
 
@@ -387,7 +424,7 @@ def quotient_category(c, action):
     # the class composition is the image of the composition; a second
     # value for one class pair means the projection is not a functor
     comp_entries = {}
-    for (m1, m2), m12 in c.comp.items():
+    for m1, m2, m12 in pairs:
         key = (mor_class[m1], mor_class[m2])
         if comp_entries.setdefault(key, mor_class[m12]) != mor_class[m12]:
             raise SoundnessError(f"the projection is not a functor at {(m1, m2)}")

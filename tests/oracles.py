@@ -2,25 +2,37 @@
 
 Everything here recomputes results by brute force along a different route
 than the library: path counting for nerve sizes, factorization matching for
-morphism classes, exhaustive enumeration of posets and operators, and the
+morphism classes, exhaustive enumeration of posets and operators, the
 closure kernels on dicts and sets keyed by (d, s) with an explicit coface
-table, as they were before the library moved them onto per-dimension arrays.
+table, as they were before the library moved them onto per-dimension arrays,
+and the category quotient over the whole composition table, as it was before
+the library scanned only orbit-representative pairs.  Inverses and identity
+tests of group elements live here too; only tests read them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from trispcat.accat import ACMap, Poset, poset_from_relation
+from trispcat.accat import ACMap, AcyclicCategory, Poset, poset_from_relation, validate_category
 from trispcat.closure import (
     ClosureVerifyReport,
     CollapseCertificate,
     Matching,
     check_matching_acyclic,
 )
-from trispcat.errors import PreconditionError
+from trispcat.errors import PreconditionError, SoundnessError
 from trispcat.graphs import lift_to_edges, sn_generator_perms
-from trispcat.symmetry import CatAut, GroupAction, TrispAut, trivial_cat_action
+from trispcat.symmetry import (
+    CatAut,
+    GroupAction,
+    QuotientCategory,
+    TrispAut,
+    _UnionFind,
+    check_horizontal,
+    orbit_partition,
+    trivial_cat_action,
+)
 from trispcat.trisp import euler_characteristic, induced_subtrisp
 
 
@@ -208,8 +220,6 @@ def random_path_category(rng, max_nodes=5, max_edges=6):
     Duplicate edges give parallel morphisms, so this exercises the
     non-poset corners of the category machinery.
     """
-    from trispcat.accat import AcyclicCategory
-
     n = rng.randint(2, max_nodes)
     edges = []
     for _ in range(rng.randint(1, max_edges)):
@@ -243,6 +253,26 @@ def random_path_category(rng, max_nodes=5, max_edges=6):
     return AcyclicCategory(n, morphisms, comp)
 
 
+def invert_perm(g):
+    inv = [0] * len(g)
+    for i, x in enumerate(g):
+        inv[x] = i
+    return tuple(inv)
+
+
+def inverse(g):
+    """Inverse of a CatAut or a TrispAut."""
+    if isinstance(g, CatAut):
+        return CatAut(invert_perm(g.obj), invert_perm(g.mor))
+    return TrispAut(tuple(invert_perm(p) for p in g.dims))
+
+
+def is_identity(g):
+    """Does the CatAut or TrispAut fix everything?"""
+    perms = (g.obj, g.mor) if isinstance(g, CatAut) else g.dims
+    return all(all(i == x for i, x in enumerate(p)) for p in perms)
+
+
 def regular_action_oracle(t, action):
     """The quotient-regularity condition by its definition, over every group element.
 
@@ -250,7 +280,7 @@ def regular_action_oracle(t, action):
     gσ must be fixed by g and fixed vertexwise.  Returns (ok, witness) with
     the witness (element index, simplex, face, kind).
     """
-    moving = [(gi, g, g.inverse()) for gi, g in enumerate(action.elements) if not g.is_identity()]
+    moving = [(gi, g, inverse(g)) for gi, g in enumerate(action.elements) if not is_identity(g)]
     for d in range(t.dim + 1):
         for s in range(t.n(d)):
             face_list = sorted(iterated_faces(t, d, s))
@@ -264,6 +294,67 @@ def regular_action_oracle(t, action):
                     if any(g.dims[0][v] != v for v in t.vertex_tuple(dd, ss)):
                         return False, (gi, (d, s), (dd, ss), "vertex")
     return True, None
+
+
+def quotient_category_oracle(c, action):
+    """`symmetry.quotient_category` as it was before it scanned only
+    representative pairs: the fixpoint and the functor check run over every
+    entry of the composition table."""
+    horizontal, witness = check_horizontal(c, action)
+    if not horizontal:
+        raise PreconditionError(f"action is not horizontal at {witness}")
+    obj_class, obj_reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
+
+    uf = _UnionFind(c.n_morphisms)
+    for g in action.generators:
+        for m in range(c.n_morphisms):
+            uf.union(m, g.mor[m])
+    changed = True
+    while changed:
+        changed = False
+        first = {}
+        for (m1, m2), m12 in c.comp.items():
+            key = (uf.find(m1), uf.find(m2))
+            changed |= uf.union(first.setdefault(key, m12), m12)
+
+    mor_class, roots = uf.classes()
+    mor_members = [[] for _ in roots]
+    for m in range(c.n_morphisms):
+        mor_members[mor_class[m]].append(m)
+    obj_members = [[] for _ in obj_reps]
+    for x in range(c.n_objects):
+        obj_members[obj_class[x]].append(x)
+
+    q_src, q_tgt = [], []
+    for members in mor_members:
+        srcs = {obj_class[c.src[m]] for m in members}
+        tgts = {obj_class[c.tgt[m]] for m in members}
+        if len(srcs) != 1 or len(tgts) != 1:
+            raise SoundnessError("congruence broke endpoint classes")
+        q_src.append(srcs.pop())
+        q_tgt.append(tgts.pop())
+
+    comp_entries = {}
+    for (m1, m2), m12 in c.comp.items():
+        key = (mor_class[m1], mor_class[m2])
+        if comp_entries.setdefault(key, mor_class[m12]) != mor_class[m12]:
+            raise SoundnessError(f"the projection is not a functor at {(m1, m2)}")
+
+    labels = [f"[{c.objects[obj_members[k][0]]}]" for k in range(len(obj_reps))]
+    mor_list = [
+        (q_src[k], q_tgt[k], f"[{c.mor_labels[mor_members[k][0]]}]") for k in range(len(roots))
+    ]
+    quotient = AcyclicCategory(labels, mor_list, [(a, b, m) for (a, b), m in comp_entries.items()])
+    report = validate_category(quotient)
+    if not report.ok:
+        raise SoundnessError(f"quotient category invalid: {report.to_json()}")
+    return QuotientCategory(
+        quotient,
+        tuple(obj_class),
+        tuple(mor_class),
+        tuple(tuple(m) for m in obj_members),
+        tuple(tuple(m) for m in mor_members),
+    )
 
 
 def simplicial_automorphism_violation(t, g):

@@ -58,6 +58,7 @@ from oracles import (
     all_posets_upto_iso,
     decomposition_quotient_classes,
     dgn_trisp_action,
+    inverse,
     iterated_faces,
     monotone_idempotent_maps,
     random_action,
@@ -344,7 +345,7 @@ def test_criterion_09_regularity_condition_witness(dgn4_bundle):
     gi, sigma, rho, kind = report.witness
     g = direct.elements[gi]
     d, s = sigma
-    assert (rho[0], g.inverse().dims[rho[0]][rho[1]]) in iterated_faces(k.trisp, d, s)
+    assert (rho[0], inverse(g).dims[rho[0]][rho[1]]) in iterated_faces(k.trisp, d, s)
     assert g.dims[rho[0]][rho[1]] != rho[1] or any(
         g.dims[0][v] != v for v in k.trisp.vertex_tuple(*rho)
     )

@@ -1,14 +1,24 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trispcat.accat import chain_poset
 from trispcat.cli import main
 from trispcat.nerve import nerve
+from trispcat.symmetry import CatAut
+
+from oracles import is_identity
 
 
 def write(path, payload):
@@ -106,7 +116,7 @@ def test_quotient_category_command(capsys, tmp_path, triangle_boundary):
 def test_quotient_trisp_command(capsys, tmp_path, double_filled):
     t, action, _psi = double_filled
     t_file = write(tmp_path / "t.json", t.to_json())
-    g = next(g for g in action.elements if not g.is_identity())
+    g = next(g for g in action.elements if not is_identity(g))
     act_file = write(tmp_path / "act.json", {"generators": [{"dims": [list(p) for p in g.dims]}]})
     code, out = run(
         capsys, "quotient", "--input", t_file, "--action", act_file, "--mode", "trisp"
@@ -137,7 +147,7 @@ def test_closure_push_command(capsys, tmp_path, two_edges_z2):
     _p, nv, _cat, tact, cmap = two_edges_z2
     t_file = write(tmp_path / "t.json", nv.trisp.to_json())
     map_file = write(tmp_path / "m.json", cmap.to_json())
-    g = next(g for g in tact.elements if not g.is_identity())
+    g = next(g for g in tact.elements if not is_identity(g))
     act_file = write(tmp_path / "act.json", {"generators": [{"dims": [list(p) for p in g.dims]}]})
     code, out = run(
         capsys, "closure", "push", "--input", t_file, "--map", map_file, "--action", act_file
@@ -165,7 +175,7 @@ def test_closure_lift_documented_failure(capsys, tmp_path, double_filled):
     t, action, psi = double_filled
     t_file = write(tmp_path / "t.json", t.to_json())
     map_file = write(tmp_path / "m.json", psi.to_json())
-    g = next(g for g in action.elements if not g.is_identity())
+    g = next(g for g in action.elements if not is_identity(g))
     act_file = write(tmp_path / "act.json", {"generators": [{"dims": [list(p) for p in g.dims]}]})
     code, out = run(
         capsys, "closure", "lift", "--input", t_file, "--map", map_file, "--action", act_file
@@ -358,3 +368,110 @@ def test_pipeline_certificates_are_pinned(capsys, variant, n):
     assert code == 0
     certs = json.dumps(json.loads(out)["certificates"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(certs.encode()).hexdigest() == CERTIFICATE_SHA256[(variant, n)]
+
+
+@pytest.mark.slow
+def test_pipeline_62_n6_is_pinned():
+    # a child process, so that the run's 1.2 GB is handed back when it exits
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    run62 = subprocess.run(
+        [sys.executable, "-m", "trispcat.cli", "dgn", "pipeline", "--n", "6", "--pipeline", "62"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run62.returncode == 0, run62.stderr
+    report = json.loads(run62.stdout)
+    certs = json.dumps(report["certificates"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(certs.encode()).hexdigest() == (
+        "6854b8c2bd8a1d2513cb76facd9ccdaa52e1e11b7e65688dfd42778e3e597e8d"
+    )
+    assert len(report["certificates"]["collapse"]) == 45_068
+    stages = {s["name"]: s["info"] for s in report["stages"]}
+    assert stages["quotient_category"]["nerve_counts"] == [
+        43, 462, 2451, 7874, 16543, 23245, 21650, 12830, 4382, 657
+    ]
+
+
+def _quotient_documents():
+    """Valid `quotient` inputs: a category and a trisp, each with a generating action."""
+    from trispcat.accat import poset_from_relation
+    from trispcat.trisp import Trisp
+
+    hexagon = poset_from_relation(
+        ["v0", "v1", "v2", "e0", "e1", "e2"],
+        [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)],
+    )
+    rotation = CatAut.from_poset(hexagon, (1, 2, 0, 4, 5, 3))
+    filled = Trisp((3, 3, 2), [[(1, 0), (2, 0), (2, 1)], [(2, 1, 0), (2, 1, 0)]])
+    rotate = {"objects": list(rotation.obj), "morphisms": list(rotation.mor)}
+    return [
+        ("category", hexagon.category.to_json(), {"generators": [rotate]}),
+        # no generators: a mutated category reaches validation and the quotient
+        ("category", hexagon.category.to_json(), {"generators": []}),
+        ("category", chain_poset(4).category.to_json(), {"generators": []}),
+        ("trisp", filled.to_json(), {"generators": [{"dims": [[0, 1, 2], [0, 1, 2], [1, 0]]}]}),
+    ]
+
+
+_FUZZ_VALUES = [None, True, False, -1, 0, 1, 2, 5, 1.5, "0", "x", [], [0], [[1, 0]], {}, {"id": 0}]
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutate(doc, data):
+    """Renumber, replace, delete or duplicate one to three nodes of a JSON document."""
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        value = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_VALUES)))
+        if not path:
+            doc = value
+            continue
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        key = path[-1]
+        how = data.draw(st.sampled_from(["renumber", "replace", "delete", "duplicate"]))
+        if how == "renumber" and type(parent[key]) is int:
+            parent[key] = data.draw(st.integers(min_value=0, max_value=6))
+        elif how == "delete":
+            del parent[key]
+        elif how == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(range(4)),
+    st.sampled_from(["input", "action", "both"]),
+    st.booleans(),
+    st.data(),
+)
+def test_quotient_exit_codes_hold_on_mutated_documents(which, target, with_mode, data):
+    kind, doc, action = copy.deepcopy(_quotient_documents()[which])
+    if target != "action":
+        doc = _mutate(doc, data)
+    if target != "input":
+        action = _mutate(action, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("input.json", "action.json")]
+        for path, payload in zip(paths, (doc, action)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+        argv = ["quotient", "--input", paths[0], "--action", paths[1]]
+        if with_mode:
+            argv += ["--mode", kind]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("input error:")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,9 @@ from trispcat.symmetry import (
     CatAut,
     GroupAction,
     TrispAut,
+    _poset_automorphism_violation,
     canonical_map,
+    cat_automorphism_violation,
     check_horizontal,
     check_regular_action,
     close_group,
@@ -35,8 +38,12 @@ from trispcat.trisp import Trisp
 from oracles import (
     decomposition_quotient_classes,
     dgn_trisp_action,
+    inverse,
+    is_identity,
     iterated_faces,
+    quotient_category_oracle,
     random_action,
+    random_path_category,
     random_poset,
     regular_action_oracle,
 )
@@ -57,6 +64,107 @@ def test_close_group_rejects_non_automorphism(chain3):
         close_group([bad], on=chain3.category)
 
 
+def test_from_poset_names_the_first_unordered_pair(chain3):
+    # relations in morphism order: 0 < 1, 0 < 2, 1 < 2; (1 0 2) sends 0 < 1 to 1, 0
+    with pytest.raises(InputError, match=r"does not keep the order at \(0, 1\)"):
+        CatAut.from_poset(chain3, (1, 0, 2))
+    with pytest.raises(InputError, match=r"does not keep the order at \(1, 2\)"):
+        CatAut.from_poset(chain3, (0, 2, 1))
+    assert CatAut.from_poset(chain3, (0, 1, 2)) == CatAut((0, 1, 2), (0, 1, 2))
+
+
+@pytest.mark.parametrize("obj", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)])
+def test_from_poset_rejects_a_non_permutation(chain3, obj):
+    with pytest.raises(InputError, match="is not a permutation of the 3 objects"):
+        CatAut.from_poset(chain3, obj)
+
+
+def test_close_group_checks_a_poset_by_its_order(chain3):
+    swapped = CatAut((0, 1, 2), (1, 0, 2))
+    assert _poset_automorphism_violation(chain3, swapped) == ("order", 0)
+    with pytest.raises(InputError, match=r"generator 0 is not an automorphism: \('order', 0\)"):
+        close_group([swapped], on=chain3)
+    with pytest.raises(InputError, match="not-a-permutation"):
+        close_group([CatAut((0, 1, 1), (0, 1, 2))], on=chain3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets(max_n=5))
+def test_order_check_agrees_with_the_composition_scan(p):
+    # every object permutation: from_poset accepts exactly the automorphisms,
+    # which both checks accept, and both reject one with two morphisms swapped
+    c = p.category
+    for perm in itertools.permutations(range(p.n)):
+        keeps = all(p.lt(perm[x], perm[y]) for (x, y) in p.mor_of)
+        try:
+            g = CatAut.from_poset(p, perm)
+        except InputError:
+            assert not keeps
+            continue
+        assert keeps
+        assert _poset_automorphism_violation(p, g) is None
+        assert cat_automorphism_violation(c, g) is None
+        if c.n_morphisms >= 2:
+            mor = list(g.mor)
+            mor[0], mor[-1] = mor[-1], mor[0]
+            bad = CatAut(g.obj, tuple(mor))
+            assert _poset_automorphism_violation(p, bad) is not None
+            assert cat_automorphism_violation(c, bad) is not None
+
+
+def _quotient_outcome(quotient, c, action):
+    try:
+        qc = quotient(c, action)
+    except Exception as exc:  # the outcome compared is the exception and its message
+        return (type(exc), str(exc))
+    return (
+        qc.obj_class, qc.mor_class, qc.obj_members, qc.mor_members, qc.category.to_json()
+    )
+
+
+def _criterion_10_fixtures(triangle_boundary, two_edges_z2):
+    """Acceptance criterion 10's fixtures, with non-poset categories and quotients,
+    and a swap of the ends of an arrow, which is not horizontal."""
+    p1, a1 = triangle_boundary
+    p2, _nv, a2, _t, _c = two_edges_z2
+    par = AcyclicCategory(["a", "b"], [(0, 1), (0, 1)])
+    fork = AcyclicCategory(
+        ["a", "b1", "b2", "c"],
+        [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (0, 3)],
+        [(0, 2, 4), (1, 3, 5)],
+    )
+    arrow = AcyclicCategory(["a", "b"], [(0, 1)])
+    c3 = chain_poset(3).category
+    return [
+        (p1.category, a1),
+        (p2.category, a2),
+        (par, close_group([CatAut((0, 1), (1, 0))], on=par)),
+        (fork, close_group([CatAut((0, 2, 1, 3), (1, 0, 3, 2, 5, 4))], on=fork)),
+        (c3, trivial_cat_action(c3)),
+        (arrow, GroupAction((CatAut((1, 0), (0,)),))),
+    ]
+
+
+def test_representative_pairs_match_the_full_scan_on_fixtures(triangle_boundary, two_edges_z2):
+    for c, action in _criterion_10_fixtures(triangle_boundary, two_edges_z2):
+        assert _quotient_outcome(quotient_category, c, action) == _quotient_outcome(
+            quotient_category_oracle, c, action
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_representative_pairs_match_the_full_scan_random(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, max_n=7)
+    action = random_action(rng, p)
+    path = random_path_category(rng)
+    for c, action in ((p.category, action), (path, trivial_cat_action(path))):
+        assert _quotient_outcome(quotient_category, c, action) == _quotient_outcome(
+            quotient_category_oracle, c, action
+        )
+
+
 def test_trivial_action_order_one(chain3):
     assert trivial_cat_action(chain3.category).order == 1
 
@@ -65,7 +173,7 @@ def test_trivial_actions_are_generated_by_the_identity(chain3):
     t = nerve(chain3.category).trisp
     for action in (trivial_cat_action(chain3.category), trivial_trisp_action(t)):
         assert action.generators == action.elements
-        assert action.generators[0].is_identity()
+        assert is_identity(action.generators[0])
 
 
 def test_group_action_needs_a_generator():
@@ -140,7 +248,7 @@ def test_induced_action_on_hexagon(triangle_boundary):
     nv = nerve(p.category)
     tact = induced_trisp_action(nv, action)
     assert tact.order == 3
-    g = next(g for g in tact.elements if not g.is_identity())
+    g = next(g for g in tact.elements if not is_identity(g))
     assert sorted(g.dims[0]) == list(range(6))
 
 
@@ -174,7 +282,7 @@ def _assert_witness_violates(t, action, witness):
     gi, (d, s), (dd, ss), _kind = witness
     g = action.elements[gi]
     faces = iterated_faces(t, d, s)
-    assert (dd, ss) in faces and (dd, g.inverse().dims[dd][ss]) in faces
+    assert (dd, ss) in faces and (dd, inverse(g).dims[dd][ss]) in faces
     assert g.dims[dd][ss] != ss or any(g.dims[0][v] != v for v in t.vertex_tuple(dd, ss))
 
 
