@@ -13,7 +13,6 @@ incidences off the boundary rows; no coface table is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import time
 
 from .accat import directed_cycle, find_terminal_object
 from .errors import InputError, PreconditionError, SoundnessError, malformed
@@ -369,14 +368,15 @@ def verify_collapse_sequence(t, steps):
     return {(d, s) for d in dims for s, gone in enumerate(removed[d]) if not gone}
 
 
-def search_collapse_to_point(t, budget_seconds=60.0):
-    """Exhaustive (backtracking) search for a collapse down to a single vertex.
+def search_collapse_to_point(t):
+    """Exhaustive depth-first search for a collapse down to a single vertex.
 
-    Returns (status, steps) with status one of "collapsed", "stuck",
-    "timeout".  Memoizes failed states; meant for desk-scale complexes.
+    Tries the free pairs of each state in sorted order and memoizes the
+    states that cannot reach a vertex.  Returns the steps, or None when no
+    order of elementary collapses reaches one.  The search keeps its own
+    stack; it is exponential in general (deciding collapsibility is
+    NP-complete), so it is meant for desk-scale complexes.
     """
-    start = frozenset((d, s) for d in range(t.dim + 1) for s in range(t.n(d)))
-    deadline = time.monotonic() + budget_seconds
     failed = set()
 
     def free_pairs(remaining):
@@ -389,24 +389,22 @@ def search_collapse_to_point(t, budget_seconds=60.0):
             (sigma, partner[sigma]) for sigma, c in count.items() if c == 1 and sigma in remaining
         )
 
-    def dfs(remaining):
-        if time.monotonic() > deadline:
-            return "timeout", None
+    start = frozenset((d, s) for d in range(t.dim + 1) for s in range(t.n(d)))
+    path, pending = [(start, None)], [iter(free_pairs(start))]  # (state, step into it)
+    while pending:
+        remaining = path[-1][0]
         if len(remaining) == 1 and next(iter(remaining))[0] == 0:
-            return "collapsed", []
-        if remaining in failed:
-            return "stuck", None
-        for sigma, tau in free_pairs(remaining):
-            status, steps = dfs(remaining - {sigma, tau})
-            if status == "collapsed":
-                return "collapsed", [(sigma, tau)] + steps
-            if status == "timeout":
-                return "timeout", None
-        failed.add(remaining)
-        return "stuck", None
-
-    status, steps = dfs(start)
-    return status, tuple(steps) if steps is not None else None
+            return tuple(step for _state, step in path[1:])
+        for sigma, tau in pending[-1]:
+            after = remaining - {sigma, tau}
+            if after not in failed:
+                path.append((after, (sigma, tau)))
+                pending.append(iter(free_pairs(after)))
+                break
+        else:
+            pending.pop()
+            failed.add(path.pop()[0])
+    return None
 
 
 def cone_closure_map(c, t_obj):

@@ -48,7 +48,7 @@ def check_equivariant(action, cmap):
     witnesses = []
     map_eq = blue_closed = red_closed = True
     for gi, g in enumerate(action.generators):
-        vperm = g.dims[0]
+        vperm = g.dims[0] if g.dims else ()  # the empty trisp has no dimensions
         for b in sorted(cmap.blue):
             if vperm[b] not in cmap.blue:
                 blue_closed = False
@@ -89,15 +89,12 @@ def push_closure_map(t, action, cmap, qt=None):
     eq = check_equivariant(action, cmap)
     if not eq.ok:
         raise PreconditionError(f"equivariance fails: {eq.witnesses[:3]}")
-    proj0 = qt.projection[0]
+    proj0 = qt.projection[0] if qt.projection else ()
     blue = frozenset(proj0[b] for b in cmap.blue)
     red = frozenset(proj0[r] for r in cmap.red)
     if blue & red:
         raise SoundnessError("blue and red orbits overlap despite closedness")
-    mapping = {}
-    for orbit, rep in enumerate(qt.reps[0]):
-        if orbit in blue:
-            mapping[orbit] = proj0[cmap.mapping[rep]]
+    mapping = {orbit: proj0[cmap.mapping[qt.reps[0][orbit]]] for orbit in sorted(blue)}
     pushed = TrispClosureMap(blue, red, mapping, cmap.convention)
     report = verify_trisp_closure_map(qt.trisp, pushed)
     if not report.ok:
@@ -129,7 +126,7 @@ def check_lift_condition(t, action, psi, qt=None):
     """Unique red partner in the image orbit, joined by a unique 1-simplex."""
     if qt is None:
         qt = quotient_trisp(t, action)
-    proj0 = qt.projection[0]
+    proj0 = qt.projection[0] if qt.projection else ()
     blue = [v for v in range(t.n(0)) if proj0[v] in psi.blue]
     edges_between = {}
     for e in range(t.n(1)):
@@ -162,7 +159,7 @@ def lift_candidate(t, action, psi, qt=None):
         raise PreconditionError(f"lift condition fails: {report.to_json()['candidates']}")
     if qt is None:
         qt = quotient_trisp(t, action)
-    proj0 = qt.projection[0]
+    proj0 = qt.projection[0] if qt.projection else ()
     blue = frozenset(v for v in range(t.n(0)) if proj0[v] in psi.blue)
     red = frozenset(v for v in range(t.n(0)) if proj0[v] in psi.red)
     return TrispClosureMap(blue, red, dict(report.assignment), psi.convention)

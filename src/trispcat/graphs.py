@@ -99,7 +99,6 @@ class FacePoset:
     poset: Poset
     elements: tuple  # object -> (d, s) of the underlying trisp
     position: dict  # (d, s) -> object
-    vertex_sets: tuple  # object -> frozenset of trisp vertices
 
     @property
     def category(self):
@@ -107,8 +106,15 @@ class FacePoset:
 
 
 def face_poset(k):
-    """Poset of the nonempty faces of a simplicial trisp, ordered by inclusion."""
+    """Poset of the nonempty faces of a simplicial trisp, ordered by inclusion.
+
+    The relation only puts each face over its boundary facets: every subface
+    is reached through facets, so the transitive closure is inclusion.
+    """
     t = k.trisp if isinstance(k, GraphComplex) else k
+    elements = [(d, s) for d in range(t.dim + 1) for s in range(t.n(d))]
+    position = {ds: i for i, ds in enumerate(elements)}
+    pairs = []
     for d in range(1, t.dim + 1):
         seen = set()
         for s in range(t.n(d)):
@@ -116,18 +122,10 @@ def face_poset(k):
             if key in seen or len(key) != d + 1:
                 raise InputError("face poset needs a simplicial complex")
             seen.add(key)
-    elements = [(d, s) for d in range(t.dim + 1) for s in range(t.n(d))]
-    position = {ds: i for i, ds in enumerate(elements)}
-    vertex_sets = [frozenset(t.vertex_tuple(d, s)) for (d, s) in elements]
-    by_set = {vs: i for i, vs in enumerate(vertex_sets)}
-    pairs = []
-    for i, vs in enumerate(vertex_sets):
-        for size in range(1, len(vs)):
-            for sub in combinations(sorted(vs), size):
-                pairs.append((by_set[frozenset(sub)], i))
-    labels = ["{" + ",".join(map(str, sorted(vs))) + "}" for vs in vertex_sets]
+            pairs.extend((position[(d - 1, f)], position[(d, s)]) for f in t.faces(d, s))
+    labels = ["{" + ",".join(map(str, sorted(t.vertex_tuple(d, s)))) + "}" for d, s in elements]
     poset = poset_from_relation(labels, pairs)
-    return FacePoset(poset, tuple(elements), position, tuple(vertex_sets))
+    return FacePoset(poset, tuple(elements), position)
 
 
 def barycentric(k):
@@ -349,7 +347,6 @@ class PipelineReport:
     n: int
     ok: bool
     stages: list
-    endpoint_search_skipped: bool = False
     certificates: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -357,7 +354,6 @@ class PipelineReport:
             "variant": self.variant,
             "n": self.n,
             "ok": self.ok,
-            "endpoint_search_skipped": self.endpoint_search_skipped,
             "stages": [s.to_json() for s in self.stages],
             "certificates": {
                 name: [[list(a), list(b)] for a, b in steps]
@@ -380,15 +376,16 @@ class _StageClock:
         raise PipelineError(name, message)
 
 
-def pipeline_quotient_trisp(n, endpoint_budget=300.0):
+def pipeline_quotient_trisp(n):
     """Collapse the quotient of the barycentric subdivision onto the partition complex.
 
     Builds the subdivision of the disconnected-graph complex, pushes the
     closure map induced by the transitive-closure operator through the
     symmetric-group action, collapses the quotient onto the subtrisp of
-    partition chains, and at small n certifies full collapsibility to a
-    point by exhaustive search.  Runs for n <= 5: at n = 6 the subdivision
-    of the 6,063-face poset does not fit in memory.  CLI name: pipeline 61.
+    partition chains, and certifies by exhaustive search, with no time
+    budget, that this subtrisp collapses to a point.  Runs for n <= 5: at
+    n = 6 the subdivision of the 6,063-face poset does not fit in memory.
+    CLI name: pipeline 61.
     """
     if n > 5:
         raise InputError(f"pipeline 61 runs for n <= 5, got {n}")
@@ -451,16 +448,12 @@ def pipeline_quotient_trisp(n, endpoint_budget=300.0):
     chi = euler_characteristic(cert.final.trisp)
     if chi != 1:
         clock.fail("endpoint_search", f"final complex has Euler characteristic {chi}")
-    status, steps = search_collapse_to_point(cert.final.trisp, budget_seconds=endpoint_budget)
+    steps = search_collapse_to_point(cert.final.trisp)
+    if steps is None:
+        clock.fail("endpoint_search", "no sequence of elementary collapses reaches a vertex")
     report.certificates["collapse"] = cert.steps
-    if status == "collapsed":
-        report.certificates["endpoint"] = steps
-        clock.done("endpoint_search", steps=len(steps))
-    elif status == "timeout" and n >= 5:
-        report.endpoint_search_skipped = True
-        clock.done("endpoint_search", skipped=True)
-    else:
-        clock.fail("endpoint_search", f"search returned {status}")
+    report.certificates["endpoint"] = steps
+    clock.done("endpoint_search", steps=len(steps))
 
     report.ok = True
     return report, cert

@@ -253,7 +253,7 @@ def induced_trisp_action(nv, action):
     t = nv.trisp
     gens = []
     for g in action.generators:
-        dims = [g.obj]
+        dims = [g.obj] if t.dim >= 0 else []  # the empty category has an empty nerve
         for d in range(1, t.dim + 1):
             images = [nv.simplex_of_morphisms(tuple(g.mor[m] for m in ms)) for ms in nv.chains[d]]
             dims.append(tuple(images))
@@ -471,7 +471,7 @@ class CanonicalMap:
 
     @property
     def vertex_bijective(self):
-        entries = self.entries[0]
+        entries = self.entries[0] if self.entries else ()
         return len(set(entries)) == len(entries) == self.nerve_dst.trisp.n(0)
 
     def lift(self, d, s):

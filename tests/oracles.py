@@ -5,9 +5,11 @@ than the library: path counting for nerve sizes, factorization matching for
 morphism classes, exhaustive enumeration of posets and operators, the
 closure kernels on dicts and sets keyed by (d, s) with an explicit coface
 table, as they were before the library moved them onto per-dimension arrays,
-and the category quotient over the whole composition table, as it was before
-the library scanned only orbit-representative pairs.  Inverses and identity
-tests of group elements live here too; only tests read them.
+the category quotient over the whole composition table, as it was before
+the library scanned only orbit-representative pairs, and the recursive
+search for a collapse to a point, as it was before the library gave it its
+own stack.  Inverses and identity tests of group elements live here too;
+only tests read them.
 """
 
 from __future__ import annotations
@@ -588,3 +590,37 @@ def verify_collapse_sequence_oracle(t, steps):
                     if (dd - 1, f) in remaining:
                         coface_count[(dd - 1, f)] -= 1
     return remaining
+
+
+def search_collapse_to_point_oracle(t):
+    """Recursive backtracking search for a collapse to a vertex: the steps, or None.
+
+    Least free pair first, failed states memoized; recursion depth is the
+    number of steps, so this is for small complexes only.
+    """
+    failed = set()
+
+    def free_pairs(remaining):
+        count, partner = {}, {}
+        for (d, s) in remaining:
+            for f in t.faces(d, s) if d > 0 else ():
+                count[(d - 1, f)] = count.get((d - 1, f), 0) + 1
+                partner[(d - 1, f)] = (d, s)
+        return sorted(
+            (sigma, partner[sigma]) for sigma, c in count.items() if c == 1 and sigma in remaining
+        )
+
+    def dfs(remaining):
+        if len(remaining) == 1 and next(iter(remaining))[0] == 0:
+            return []
+        if remaining in failed:
+            return None
+        for sigma, tau in free_pairs(remaining):
+            steps = dfs(remaining - {sigma, tau})
+            if steps is not None:
+                return [(sigma, tau)] + steps
+        failed.add(remaining)
+        return None
+
+    steps = dfs(frozenset((d, s) for d in range(t.dim + 1) for s in range(t.n(d))))
+    return tuple(steps) if steps is not None else None

@@ -397,25 +397,38 @@ def test_pipeline_62_n6_is_pinned():
 def _quotient_documents():
     """Valid `quotient` inputs: a category and a trisp, each with a generating action."""
     from trispcat.accat import poset_from_relation
-    from trispcat.trisp import Trisp
 
     hexagon = poset_from_relation(
         ["v0", "v1", "v2", "e0", "e1", "e2"],
         [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)],
     )
     rotation = CatAut.from_poset(hexagon, (1, 2, 0, 4, 5, 3))
-    filled = Trisp((3, 3, 2), [[(1, 0), (2, 0), (2, 1)], [(2, 1, 0), (2, 1, 0)]])
     rotate = {"objects": list(rotation.obj), "morphisms": list(rotation.mor)}
     return [
         ("category", hexagon.category.to_json(), {"generators": [rotate]}),
         # no generators: a mutated category reaches validation and the quotient
         ("category", hexagon.category.to_json(), {"generators": []}),
         ("category", chain_poset(4).category.to_json(), {"generators": []}),
-        ("trisp", filled.to_json(), {"generators": [{"dims": [[0, 1, 2], [0, 1, 2], [1, 0]]}]}),
+        ("trisp", _FILLED, _FILLED_SWAP),
+        ("category", _EMPTY_CATEGORY, {"generators": []}),
     ]
 
 
 _FUZZ_VALUES = [None, True, False, -1, 0, 1, 2, 5, 1.5, "0", "x", [], [0], [[1, 0]], {}, {"id": 0}]
+_EMPTY_CATEGORY = {"objects": [], "morphisms": []}
+_EMPTY_TRISP = {"dims": []}
+_EMPTY_MAP = {"blue": [], "red": [], "map": {}}
+_FILLED = {
+    "dims": [
+        {"count": 3},
+        {"count": 3, "bnd": [[1, 0], [2, 0], [2, 1]]},
+        {"count": 2, "bnd": [[2, 1, 0], [2, 1, 0]]},
+    ]
+}
+_FILLED_SWAP = {"generators": [{"dims": [[0, 1, 2], [0, 1, 2], [1, 0]]}]}
+_TWO_EDGES = {"dims": [{"count": 4}, {"count": 2, "bnd": [[1, 0], [3, 2]]}]}
+_TWO_EDGES_MAP = {"blue": [1, 3], "red": [0, 2], "map": {"1": 0, "3": 2}, "convention": "min"}
+_TWO_EDGES_SWAP = {"generators": [{"dims": [[2, 3, 0, 1], [1, 0]]}]}
 
 
 def _json_paths(doc, prefix=()):
@@ -425,9 +438,52 @@ def _json_paths(doc, prefix=()):
         yield from _json_paths(value, prefix + (key,))
 
 
+def _retarget(doc, data):
+    """Point one morphism at another object, within range."""
+    objects, morphisms = doc.get("objects"), doc.get("morphisms")
+    if isinstance(objects, list) and objects and isinstance(morphisms, list) and morphisms:
+        m = data.draw(st.sampled_from(morphisms))
+        if isinstance(m, dict):
+            end = data.draw(st.sampled_from(["src", "tgt"]))
+            m[end] = data.draw(st.integers(min_value=0, max_value=len(objects) - 1))
+
+
+def _drop_composite(doc, data):
+    """Delete one entry of the composition table."""
+    comp = doc.get("composition")
+    if isinstance(comp, list) and comp:
+        del comp[data.draw(st.integers(min_value=0, max_value=len(comp) - 1))]
+
+
+def _swap_faces(doc, data):
+    """Swap two entries of one boundary row."""
+    layers = doc.get("dims") if isinstance(doc.get("dims"), list) else []
+    rows = [
+        row
+        for layer in layers
+        if isinstance(layer, dict) and isinstance(layer.get("bnd"), list)
+        for row in layer["bnd"]
+        if isinstance(row, list) and len(row) > 1
+    ]
+    if rows:
+        row = data.draw(st.sampled_from(rows))
+        positions = st.sampled_from(range(len(row)))
+        i, j = data.draw(st.lists(positions, min_size=2, max_size=2, unique=True))
+        row[i], row[j] = row[j], row[i]
+
+
+# mutations that keep a document well formed, so that its checks get to fail
+_WELL_FORMED = {"retarget": _retarget, "drop-composite": _drop_composite, "swap-faces": _swap_faces}
+
+
 def _mutate(doc, data):
-    """Renumber, replace, delete or duplicate one to three nodes of a JSON document."""
+    """Renumber, replace, delete or duplicate one to three nodes, or mutate them well formed."""
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        well_formed = data.draw(st.sampled_from([None, *_WELL_FORMED]))
+        if well_formed is not None:
+            if isinstance(doc, dict):
+                _WELL_FORMED[well_formed](doc, data)
+            continue
         path = data.draw(st.sampled_from(list(_json_paths(doc))))
         value = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_VALUES)))
         if not path:
@@ -449,7 +505,7 @@ def _mutate(doc, data):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(range(4)),
+    st.sampled_from(range(len(_quotient_documents()))),
     st.sampled_from(["input", "action", "both"]),
     st.booleans(),
     st.data(),
@@ -460,18 +516,75 @@ def test_quotient_exit_codes_hold_on_mutated_documents(which, target, with_mode,
         doc = _mutate(doc, data)
     if target != "input":
         action = _mutate(action, data)
+    argv = ["quotient", "--mode", kind] if with_mode else ["quotient"]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, name) for name in ("input.json", "action.json")]
-        for path, payload in zip(paths, (doc, action)):
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-        argv = ["quotient", "--input", paths[0], "--action", paths[1]]
-        if with_mode:
-            argv += ["--mode", kind]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        _run_documents(argv, [doc, action], tmp)
+
+
+def _check_exit_contract(argv):
+    """Exit 0, 1 or 2 with no traceback; 2 says `input error:`, 1 names its witness."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("input error:")
+    if code == 1 and not err.getvalue().startswith("failed:"):
+        assert isinstance(json.loads(out.getvalue()), dict)
+    return code
+
+
+_FLAGS = {
+    "validate": ["--input"],
+    "nerve": ["--input"],
+    "closure": ["--input", "--map", "--action"],
+    "quotient": ["--input", "--action"],
+}
+
+# inputs of validate, nerve and closure, each a command and its documents in flag order
+_CLI_DOCUMENTS = [
+    (["validate"], [_quotient_documents()[0][1]]),
+    (["validate"], [_FILLED]),
+    (["validate"], [_EMPTY_CATEGORY]),
+    (["validate"], [_EMPTY_TRISP]),
+    (["nerve"], [chain_poset(4).category.to_json()]),
+    (["nerve"], [_EMPTY_CATEGORY]),
+    (["closure", "verify"], [_TWO_EDGES, _TWO_EDGES_MAP]),
+    (["closure", "collapse"], [_TWO_EDGES, _TWO_EDGES_MAP]),
+    (["closure", "push"], [_TWO_EDGES, _TWO_EDGES_MAP, _TWO_EDGES_SWAP]),
+    (["closure", "lift"], [_FILLED, {"blue": [0], "red": [1, 2], "map": {"0": 2}}, _FILLED_SWAP]),
+    (["closure", "verify"], [_EMPTY_TRISP, _EMPTY_MAP]),
+    (["closure", "collapse"], [_EMPTY_TRISP, _EMPTY_MAP]),
+    (["closure", "push"], [_EMPTY_TRISP, _EMPTY_MAP, {"generators": []}]),
+    (["closure", "push"], [_EMPTY_TRISP, _EMPTY_MAP, {"generators": [{"dims": []}]}]),
+    (["closure", "lift"], [_EMPTY_TRISP, _EMPTY_MAP, {"generators": []}]),
+    (["closure", "lift"], [_EMPTY_TRISP, _EMPTY_MAP, {"generators": [{"dims": []}]}]),
+]
+
+
+def _run_documents(argv, docs, tmp):
+    paths = [os.path.join(tmp, f"doc{i}.json") for i in range(len(docs))]
+    for path, payload in zip(paths, docs):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+    return _check_exit_contract(argv + [a for pair in zip(_FLAGS[argv[0]], paths) for a in pair])
+
+
+@pytest.mark.parametrize(
+    "argv, docs",
+    [(["quotient"], [_EMPTY_CATEGORY, {"generators": []}])]
+    + [(argv, docs) for argv, docs in _CLI_DOCUMENTS if docs[0] in (_EMPTY_CATEGORY, _EMPTY_TRISP)],
+)
+def test_empty_documents_exit_zero(tmp_path, argv, docs):
+    assert _run_documents(argv, docs, str(tmp_path)) == 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(range(len(_CLI_DOCUMENTS))), st.data())
+def test_exit_codes_hold_on_mutated_documents(which, data):
+    argv, docs = copy.deepcopy(_CLI_DOCUMENTS[which])
+    i = data.draw(st.sampled_from(range(len(docs))))
+    docs[i] = _mutate(docs[i], data)
+    with tempfile.TemporaryDirectory() as tmp:
+        _run_documents(argv, docs, tmp)

@@ -260,8 +260,8 @@ def test_cone_requires_terminal_object():
 
 def test_search_collapse_full_triangle(chain3):
     t = nerve(chain3.category).trisp
-    status, steps = search_collapse_to_point(t)
-    assert status == "collapsed"
+    steps = search_collapse_to_point(t)
+    assert steps is not None
     remaining = verify_collapse_sequence(t, steps)
     assert len(remaining) == 1
 
@@ -270,8 +270,49 @@ def test_search_detects_non_collapsible():
     from trispcat.trisp import simplicial_from_faces
 
     hollow, _, _ = simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
-    status, steps = search_collapse_to_point(hollow)
-    assert status == "stuck" and steps is None
+    assert search_collapse_to_point(hollow) is None
+    assert oracles.search_collapse_to_point_oracle(hollow) is None
+
+
+def test_search_rejects_the_one_triangle_dunce_hat():
+    # χ = 1 - 1 + 1, but the vertex is a face of the edge twice and the edge
+    # a face of the triangle three times, so nothing is free
+    hat = Trisp((1, 1, 1), [[(0, 0)], [(0, 0, 0)]])
+    assert euler_characteristic(hat) == 1
+    assert search_collapse_to_point(hat) is None
+    assert oracles.search_collapse_to_point_oracle(hat) is None
+
+
+@pytest.mark.parametrize("n, expected_steps", [(3, 0), (4, 2), (5, 9)])
+def test_search_on_the_pipeline_61_endpoint(n, expected_steps):
+    from trispcat.graphs import pipeline_quotient_trisp
+
+    report, cert = pipeline_quotient_trisp(n)
+    t = cert.final.trisp
+    steps = search_collapse_to_point(t)
+    assert len(steps) == expected_steps
+    assert steps == oracles.search_collapse_to_point_oracle(t)
+    assert steps == report.certificates["endpoint"]
+    remaining = verify_collapse_sequence(t, steps)
+    assert len(remaining) == 1 and next(iter(remaining))[0] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_search_agrees_with_the_recursive_search(rng):
+    from trispcat.trisp import induced_subtrisp
+
+    t = nerve(oracles.random_poset(rng, max_n=6).category).trisp
+    trisps = [t] + [
+        induced_subtrisp(t, [v for v in range(t.n(0)) if rng.random() < 0.7]).trisp
+        for _ in range(2)
+    ]
+    for u in trisps:
+        steps = search_collapse_to_point(u)
+        assert steps == oracles.search_collapse_to_point_oracle(u)
+        if steps is not None:
+            remaining = verify_collapse_sequence(u, steps)
+            assert len(remaining) == 1 and next(iter(remaining))[0] == 0
 
 
 def test_convention_swap_through_opposite(chain3):

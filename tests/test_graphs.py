@@ -232,7 +232,6 @@ def test_pipeline_quotient_trisp_n3():
 def test_pipeline_quotient_trisp_n4():
     report, cert = pipeline_quotient_trisp(4)
     assert report.ok
-    assert not report.endpoint_search_skipped
     stages = {s.name: s for s in report.stages}
     assert stages["barycentric"].info["counts"][0] == 25
     assert stages["collapse"].info["final_counts"] == [3, 2]
@@ -248,7 +247,7 @@ def test_pipeline_quotient_category_n4():
 
 @pytest.mark.slow
 def test_pipeline_quotient_trisp_n5():
-    report, cert = pipeline_quotient_trisp(5, endpoint_budget=600.0)
+    report, cert = pipeline_quotient_trisp(5)
     assert report.ok
     stages = {s.name: s for s in report.stages}
     assert stages["barycentric"].info["counts"] == [295, 3210, 10980, 17040, 12600, 3600]
