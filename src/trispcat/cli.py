@@ -23,7 +23,7 @@ def _load(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -31,8 +31,11 @@ def _emit(args, payload, text=None):
     if text is None:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -140,7 +143,7 @@ def cmd_quotient(args):
         _emit(args, {"error": "input category invalid", **report.to_json()})
         return 1
     qc = symmetry.quotient_category(c, action)
-    cmap = symmetry.canonical_map(c, action, qc=qc)
+    cmap = symmetry.canonical_map(qc)
     is_poset = True
     try:
         accat.as_poset(qc.category)
@@ -182,10 +185,10 @@ def cmd_closure(args):
         return 0
     if args.action is None:
         raise InputError(f"closure {sub} needs --action")
-    action = _load_trisp_action(_load(args.action), t)
+    qt = symmetry.quotient_trisp(t, _load_trisp_action(_load(args.action), t))
     if sub == "push":
         try:
-            pushed = equivariant.push_closure_map(t, action, cmap)
+            pushed = equivariant.push_closure_map(qt, cmap)
         except PreconditionError as exc:
             _emit(args, {"ok": False, "error": str(exc)})
             return 1
@@ -200,18 +203,17 @@ def cmd_closure(args):
         )
         return 0
     if sub == "lift":
-        qt = symmetry.quotient_trisp(t, action)
-        condition = equivariant.check_lift_condition(t, action, cmap, qt)
+        condition = equivariant.check_lift_condition(qt, cmap)
         payload = {"lift_condition": condition.to_json()}
         try:
-            lifted = equivariant.lift_closure_map(t, action, cmap, qt)
+            lifted = equivariant.lift_closure_map(qt, cmap)
             payload.update({"ok": True, "map": lifted.to_json()})
             _emit(args, payload)
             return 0
         except PreconditionError as exc:
             payload.update({"ok": False, "error": str(exc)})
             if condition.holds:
-                candidate = equivariant.lift_candidate(t, action, cmap, qt)
+                candidate = equivariant.lift_candidate(qt, cmap)
                 report = closure.verify_trisp_closure_map(t, candidate)
                 payload["candidate"] = candidate.to_json()
                 payload["candidate_verify"] = report.to_json()

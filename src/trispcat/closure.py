@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .accat import directed_cycle, find_terminal_object
 from .errors import InputError, PreconditionError, SoundnessError, malformed
-from .trisp import euler_characteristic, induced_subtrisp
+from .trisp import euler_characteristic, induced_subtrisp, regularity_violations
 
 
 @dataclass
@@ -136,10 +136,9 @@ def verify_trisp_closure_map(t, cmap):
     image of b; `_extensions` counts them from the boundary rows.
     """
     cmap.check_vertices(t)
-    for d in range(1, t.dim + 1):
-        for s, vt in enumerate(t.vertex_tuples(d)):
-            if len(set(vt)) != d + 1:
-                raise PreconditionError(f"trisp is not regular at {(d, s)}")
+    irregular = regularity_violations(t)
+    if irregular:
+        raise PreconditionError(f"trisp is not regular at {irregular[0]}")
     targets = _targets(t, cmap)
     failures = []
     contained = extended = 0
@@ -344,7 +343,8 @@ def verify_collapse_sequence(t, steps):
     """Replay a collapse sequence of the whole trisp, checking freeness at every step.
 
     Each step must remove two present simplices, given as int pairs (d, s)
-    in range, of adjacent dimensions, the first a free face of the second.
+    in range, of adjacent dimensions, the first a free face of the second
+    and the second maximal (which freeness implies only on a regular trisp).
     Coface counts and removal flags are per-dimension arrays.  Returns the
     set of remaining simplices.
     """
@@ -361,6 +361,8 @@ def verify_collapse_sequence(t, steps):
             raise SoundnessError(f"face {sigma} is not free (count {count[d][s]})")
         if s not in t.faces(d1, s1):
             raise SoundnessError(f"{sigma} is not a face of {tau}")
+        if count[d1][s1]:
+            raise SoundnessError(f"coface {tau} is not maximal (count {count[d1][s1]})")
         removed[d1][s1] = removed[d][s] = 1
         for dd, ss in (tau, sigma):
             for f in t.faces(dd, ss) if dd > 0 else ():
@@ -385,8 +387,11 @@ def search_collapse_to_point(t):
             for f in t.faces(d, s) if d > 0 else ():
                 count[(d - 1, f)] = count.get((d - 1, f), 0) + 1
                 partner[(d - 1, f)] = (d, s)
+        # σ lies in exactly one simplex τ, and τ in none
         return sorted(
-            (sigma, partner[sigma]) for sigma, c in count.items() if c == 1 and sigma in remaining
+            (sigma, partner[sigma])
+            for sigma, c in count.items()
+            if c == 1 and sigma in remaining and partner[sigma] not in count
         )
 
     start = frozenset((d, s) for d in range(t.dim + 1) for s in range(t.n(d)))

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from .accat import check_closure_operator, opposite_category, subposet, as_poset
 from .closure import TrispClosureMap, verify_trisp_closure_map
 from .errors import PreconditionError, SoundnessError
-from .nerve import nerve
 from .symmetry import (
     CatAut,
     check_regular_action,
     close_group,
     quotient_category,
-    quotient_trisp,
 )
 from .trisp import induced_subtrisp, trisps_equal_over_vertices
 
@@ -71,22 +69,20 @@ class PushedClosureMap:
     base_report: object  # of the original map on t
 
 
-def push_closure_map(t, action, cmap, qt=None):
-    """Quotient of an equivariant closure map; verified on the orbit trisp.
+def push_closure_map(qt, cmap):
+    """Quotient of an equivariant closure map on `qt.source`; verified on the orbit trisp.
 
     Preconditions checked in order: the action satisfies the quotient-
-    regularity condition, the map verifies on t, and it is equivariant with
-    blue/red closed.
+    regularity condition, the map verifies on the source, and it is
+    equivariant with blue/red closed.
     """
-    if qt is None:
-        qt = quotient_trisp(t, action)
-    regular_report = check_regular_action(t, action, qt)
+    regular_report = check_regular_action(qt)
     if not regular_report.ok:
         raise PreconditionError(f"quotient-regularity fails: {regular_report.witness}")
-    base_report = verify_trisp_closure_map(t, cmap)
+    base_report = verify_trisp_closure_map(qt.source, cmap)
     if not base_report.ok:
         raise PreconditionError(f"map does not verify upstairs: {base_report.failures[:3]}")
-    eq = check_equivariant(action, cmap)
+    eq = check_equivariant(qt.action, cmap)
     if not eq.ok:
         raise PreconditionError(f"equivariance fails: {eq.witnesses[:3]}")
     proj0 = qt.projection[0] if qt.projection else ()
@@ -122,10 +118,9 @@ class LiftConditionReport:
         }
 
 
-def check_lift_condition(t, action, psi, qt=None):
+def check_lift_condition(qt, psi):
     """Unique red partner in the image orbit, joined by a unique 1-simplex."""
-    if qt is None:
-        qt = quotient_trisp(t, action)
+    t = qt.source
     proj0 = qt.projection[0] if qt.projection else ()
     blue = [v for v in range(t.n(0)) if proj0[v] in psi.blue]
     edges_between = {}
@@ -152,42 +147,38 @@ def check_lift_condition(t, action, psi, qt=None):
     return LiftConditionReport(holds, candidates, assignment if holds else {})
 
 
-def lift_candidate(t, action, psi, qt=None):
-    """The forced candidate lift, without any verification."""
-    report = check_lift_condition(t, action, psi, qt)
+def lift_candidate(qt, psi):
+    """The forced candidate lift to `qt.source`, without any verification."""
+    report = check_lift_condition(qt, psi)
     if not report.holds:
         raise PreconditionError(f"lift condition fails: {report.to_json()['candidates']}")
-    if qt is None:
-        qt = quotient_trisp(t, action)
     proj0 = qt.projection[0] if qt.projection else ()
-    blue = frozenset(v for v in range(t.n(0)) if proj0[v] in psi.blue)
-    red = frozenset(v for v in range(t.n(0)) if proj0[v] in psi.red)
+    blue = frozenset(v for v, orbit in enumerate(proj0) if orbit in psi.blue)
+    red = frozenset(v for v, orbit in enumerate(proj0) if orbit in psi.red)
     return TrispClosureMap(blue, red, dict(report.assignment), psi.convention)
 
 
-def lift_closure_map(t, action, psi, qt=None):
-    """Lift a closure map from the orbit trisp back to the trisp.
+def lift_closure_map(qt, psi):
+    """Lift a closure map from the orbit trisp `qt` back to its source.
 
     Guaranteed only for abstract simplicial complexes; on general trisps the
     forced candidate may fail, so non-simplicial input is rejected.
     """
     from .trisp import compute_simplicial_flag
 
-    if not compute_simplicial_flag(t).is_simplicial:
+    if not compute_simplicial_flag(qt.source).is_simplicial:
         raise PreconditionError(
             "lifting is guaranteed only for abstract simplicial complexes; "
             "use lift_candidate to inspect the forced assignment"
         )
-    if qt is None:
-        qt = quotient_trisp(t, action)
-    rep = check_regular_action(t, action, qt)
+    rep = check_regular_action(qt)
     if not rep.ok:
         raise PreconditionError(f"quotient-regularity fails: {rep.witness}")
     psi_report = verify_trisp_closure_map(qt.trisp, psi)
     if not psi_report.ok:
         raise PreconditionError("psi does not verify on the quotient")
-    lift = lift_candidate(t, action, psi, qt)
-    pushed = push_closure_map(t, action, lift, qt)  # verifies the lift on t
+    lift = lift_candidate(qt, psi)
+    pushed = push_closure_map(qt, lift)  # verifies the lift on the source
     if pushed.cmap != psi:
         raise SoundnessError("push of the lift does not recover the original map")
     return lift
@@ -224,7 +215,7 @@ def _arrow_class(p, qc, x, y):
     return ("mor", qc.mor_class[p.mor_of[(x, y)]])
 
 
-def check_operator_class_coherence(p, action, f, qc=None):
+def check_operator_class_coherence(p, action, f):
     """Equal morphism classes stay equal after applying the operator.
 
     For a descending equivariant closure operator: whenever two poset
@@ -241,11 +232,10 @@ def check_operator_class_coherence(p, action, f, qc=None):
         # same permutations act on the opposite poset; the operator becomes descending
         op_p = as_poset(opposite_category(p.category))
         op_action = close_group(list(action.generators), on=op_p)
-        return check_operator_class_coherence(op_p, op_action, f, None)
+        return check_operator_class_coherence(op_p, op_action, f)
     if _poset_action_is_equivariant(p, action, f) is not None:
         raise PreconditionError("operator is not equivariant")
-    if qc is None:
-        qc = quotient_category(p.category, action)
+    qc = quotient_category(p.category, action)
     image = sorted(set(f.obj))
     sub_p, keep, sub_action = restrict_action_to_image(p, action, image)
     sub_qc = quotient_category(sub_p.category, sub_action)
@@ -271,28 +261,25 @@ def check_operator_class_coherence(p, action, f, qc=None):
 
 
 def image_quotient_nerve(p, action, image):
-    """Quotient machinery for the induced subposet on an action-closed subset."""
+    """(kept elements, quotient) of the induced subposet on an action-closed subset."""
     sub_p, keep, sub_action = restrict_action_to_image(p, action, sorted(set(image)))
-    sub_qc = quotient_category(sub_p.category, sub_action)
-    return sub_p, keep, sub_qc, nerve(sub_qc.category)
+    return keep, quotient_category(sub_p.category, sub_action)
 
 
-def check_image_subtrisp_equality(p, action, f, qc=None, nerve_q=None):
-    """The red part of the quotient nerve equals the nerve of the quotient image.
+def check_image_subtrisp_equality(p, f, qc):
+    """The red part of the nerve of `qc`, a quotient of `p`, is the nerve of the image quotient.
 
     Red vertices of the quotient are the classes meeting the operator image.
     The subtrisp of the quotient nerve they induce must equal, boundary for
     boundary, the nerve of the quotient category of the image subposet.
     """
-    if qc is None:
-        qc = quotient_category(p.category, action)
-    if nerve_q is None:
-        nerve_q = nerve(qc.category)
+    if qc.source is not p.category:
+        raise PreconditionError("the quotient is not a quotient of this poset")
     image = sorted(set(f.obj))
     red_classes = sorted({qc.obj_class[x] for x in image})
-    sub = induced_subtrisp(nerve_q.trisp, set(red_classes))
+    sub = induced_subtrisp(qc.nerve.trisp, set(red_classes))
 
-    sub_p, keep, sub_qc, nerve_img = image_quotient_nerve(p, action, image)
+    keep, sub_qc = image_quotient_nerve(p, qc.action, image)
 
     # vertex identification: class of x in the image quotient -> position of
     # the class of x among the red classes of the big quotient
@@ -300,35 +287,31 @@ def check_image_subtrisp_equality(p, action, f, qc=None, nerve_q=None):
     vertex_map = [None] * sub_qc.category.n_objects
     for i, x in enumerate(keep):
         vertex_map[sub_qc.obj_class[i]] = red_pos[qc.obj_class[x]]
-    match = trisps_equal_over_vertices(nerve_img.trisp, sub.trisp, vertex_map)
-    return match
+    return trisps_equal_over_vertices(sub_qc.nerve.trisp, sub.trisp, vertex_map)
 
 
 @dataclass
 class QuotientPosetClosure:
-    qc: object
-    nerve_q: object
+    qc: object  # QuotientCategory
     cmap: TrispClosureMap
     verify_report: object
 
 
-def quotient_poset_closure_map(p, action, f, qc=None, nerve_q=None):
-    """Closure map on the nerve of a poset quotient, from an equivariant operator.
+def quotient_poset_closure_map(p, f, qc):
+    """Closure map on the nerve of the quotient `qc` of `p`, from an equivariant operator.
 
     Red classes are those meeting the operator image, the map sends a blue
     class to the class of the operator image of any member, and the
     convention follows the operator direction.  The result is verified.
     """
+    if qc.source is not p.category:
+        raise PreconditionError("the quotient is not a quotient of this poset")
     report = check_closure_operator(p, f)
     direction = report.direction()
     if direction is None:
         raise PreconditionError("operator is not a one-sided closure operator")
-    if _poset_action_is_equivariant(p, action, f) is not None:
+    if _poset_action_is_equivariant(p, qc.action, f) is not None:
         raise PreconditionError("operator is not equivariant")
-    if qc is None:
-        qc = quotient_category(p.category, action)
-    if nerve_q is None:
-        nerve_q = nerve(qc.category)
     image = set(f.obj)
     red = frozenset(qc.obj_class[x] for x in image)
     blue = frozenset(range(qc.category.n_objects)) - red
@@ -340,5 +323,5 @@ def quotient_poset_closure_map(p, action, f, qc=None, nerve_q=None):
             raise SoundnessError("operator image is not constant on classes")
         mapping[cls] = images.pop()
     cmap = TrispClosureMap(blue, red, mapping, "min" if direction == "descending" else "max")
-    verify = verify_trisp_closure_map(nerve_q.trisp, cmap)
-    return QuotientPosetClosure(qc, nerve_q, cmap, verify)
+    verify = verify_trisp_closure_map(qc.nerve.trisp, cmap)
+    return QuotientPosetClosure(qc, cmap, verify)

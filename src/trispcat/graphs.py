@@ -415,14 +415,14 @@ def pipeline_quotient_trisp(n):
     clock.done("action", order=_sn_order(n))
 
     qt = quotient_trisp(bd.trisp, tact)
-    regular_report = check_regular_action(bd.trisp, tact, qt)
+    regular_report = check_regular_action(qt)
     if not regular_report.ok:
         clock.fail("regularity_condition", str(regular_report.witness))
     clock.done("regularity_condition")
 
     # push_closure_map verifies cmap upstairs; it is not verified again here
     cmap = induced_trisp_closure_map(fp.poset, f, cls)
-    pushed = push_closure_map(bd.trisp, tact, cmap, qt)
+    pushed = push_closure_map(qt, cmap)
     clock.done("induced_closure_map", extended=pushed.base_report.extended)
     clock.done("quotient", counts=list(qt.trisp.counts), verified=pushed.verify_report.ok)
 
@@ -478,7 +478,7 @@ def pipeline_quotient_category(n):
     clock.done("action", order=_sn_order(n))
 
     qc = quotient_category(fp.category, act)
-    nerve_q = nerve(qc.category)
+    nerve_q = qc.nerve
     clock.done(
         "quotient_category",
         objects=qc.category.n_objects,
@@ -486,7 +486,7 @@ def pipeline_quotient_category(n):
         nerve_counts=list(nerve_q.trisp.counts),
     )
 
-    qp = quotient_poset_closure_map(fp.poset, act, f, qc, nerve_q)
+    qp = quotient_poset_closure_map(fp.poset, f, qc)
     if not qp.verify_report.ok:
         clock.fail("quotient_closure_map", str(qp.verify_report.failures[:3]))
     clock.done("quotient_closure_map", blue=len(qp.cmap.blue), red=len(qp.cmap.red))
@@ -494,7 +494,7 @@ def pipeline_quotient_category(n):
     cert = full_collapse_audit(nerve_q.trisp, qp.cmap, qp.verify_report)
     clock.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
-    match52 = check_image_subtrisp_equality(fp.poset, act, f, qc, nerve_q)
+    match52 = check_image_subtrisp_equality(fp.poset, f, qc)
     if not match52.ok:
         clock.fail("image_subtrisp_equality", str(match52.witness))
     clock.done("image_subtrisp_equality")
@@ -516,7 +516,7 @@ def pipeline_quotient_category(n):
         clock.fail("partition_quotient", f"terminal object is {rep_partition}")
     clock.done("partition_quotient", objects=pqc.category.n_objects, terminal=terminal)
 
-    pn_q = nerve(pqc.category)
+    pn_q = pqc.nerve
     cone = cone_closure_map(pqc.category, terminal)
     cone_cert = full_collapse_audit(pn_q.trisp, cone)
     if cone_cert.final.trisp.counts != (1,):
@@ -526,7 +526,7 @@ def pipeline_quotient_category(n):
     # stitch the cone collapse back into the big nerve through the two
     # identifications: partition quotient ~ mirror of image quotient ~ red subtrisp
     image = sorted(set(f.obj))
-    sub_p, keep, sub_qc, nerve_img = image_quotient_nerve(fp.poset, act, image)
+    keep, sub_qc = image_quotient_nerve(fp.poset, act, image)
     pos = {x: i for i, x in enumerate(keep)}
     vmap2 = [None] * pn_q.trisp.n(0)
     for cls in range(pqc.category.n_objects):
@@ -534,16 +534,16 @@ def pipeline_quotient_category(n):
         closed = edges_of_partition(partition, k.edge_index)
         x = fp.position[k.index[frozenset(closed)]]
         vmap2[cls] = sub_qc.obj_class[pos[x]]
-    match_mirror = trisps_equal_over_vertices(pn_q.trisp, reverse_trisp(nerve_img.trisp), vmap2)
+    match_mirror = trisps_equal_over_vertices(pn_q.trisp, reverse_trisp(sub_qc.nerve.trisp), vmap2)
     if not match_mirror.ok:
         clock.fail("stitch", f"partition nerve mismatch: {match_mirror.witness}")
     red_classes = sorted({qc.obj_class[x] for x in image})
     sub = induced_subtrisp(nerve_q.trisp, set(red_classes))
-    vmap52 = [None] * nerve_img.trisp.n(0)
+    vmap52 = [None] * sub_qc.nerve.trisp.n(0)
     red_pos = {c: i for i, c in enumerate(red_classes)}
     for i, x in enumerate(keep):
         vmap52[sub_qc.obj_class[i]] = red_pos[qc.obj_class[x]]
-    match52b = trisps_equal_over_vertices(nerve_img.trisp, sub.trisp, vmap52)
+    match52b = trisps_equal_over_vertices(sub_qc.nerve.trisp, sub.trisp, vmap52)
     if not match52b.ok:
         raise SoundnessError(f"image quotient is not the red subtrisp: {match52b.witness}")
     translated = []

@@ -19,7 +19,7 @@ from functools import cached_property
 from .accat import AcyclicCategory, Poset, validate_category
 from .errors import InputError, PreconditionError, SoundnessError
 from .nerve import Nerve, nerve
-from .trisp import Trisp
+from .trisp import Trisp, regularity_violations
 
 
 def _compose_perm(g, h):
@@ -267,6 +267,10 @@ def induced_trisp_action(nv, action):
 
 @dataclass
 class QuotientTrisp:
+    """The orbit trisp of `action` on `source`, with its projection."""
+
+    source: Trisp
+    action: GroupAction
     trisp: Trisp
     projection: tuple  # per dimension, item -> orbit index
     reps: tuple  # per dimension, orbit -> least original index
@@ -290,12 +294,7 @@ def quotient_trisp(t, action):
         for d in range(1, t.dim + 1)
     ]
     qt = Trisp([len(r) for r in reps], bnd)
-    violations = []
-    for d in range(1, qt.dim + 1):
-        for s in range(qt.n(d)):
-            if len(set(qt.vertex_tuple(d, s))) != d + 1:
-                violations.append((d, s))
-    return QuotientTrisp(qt, tuple(projection), tuple(reps), violations)
+    return QuotientTrisp(t, action, qt, tuple(projection), tuple(reps), regularity_violations(qt))
 
 
 @dataclass
@@ -317,26 +316,24 @@ class RegularActionReport:
     witness: tuple | None  # (element index, simplex, face, kind)
 
 
-def check_regular_action(t, action, qt=None):
-    """The quotient-regularity condition, read off the orbit trisp `qt` of `action` on `t`.
+def check_regular_action(qt):
+    """The quotient-regularity condition, read off the orbit trisp `qt`.
 
     The generators commute with the boundaries, so the representative σ of the
     first irregular orbit repeats a vertex (PreconditionError) or has vertices
     v ≠ w in one orbit; only then is the group closed, to name a g with gv = w:
     g moves the common face {w} of σ and gσ.
     """
-    if qt is None:
-        qt = quotient_trisp(t, action)
     if qt.regular:
         return RegularActionReport(True, None)
     d, orbit = qt.regularity_violations[0]
     sigma = qt.reps[d][orbit]
-    vertices = t.vertex_tuple(d, sigma)
+    vertices = qt.source.vertex_tuple(d, sigma)
     if len(set(vertices)) != len(vertices):
         raise PreconditionError(f"trisp is not regular at {(d, sigma)}")
     proj0 = qt.projection[0]
     v, w = next((v, w) for v in vertices for w in vertices if v != w and proj0[v] == proj0[w])
-    gi = next(gi for gi, g in enumerate(action.elements) if g.dims[0][v] == w)
+    gi = next(gi for gi, g in enumerate(qt.action.elements) if g.dims[0][v] == w)
     return RegularActionReport(False, (gi, (d, sigma), (0, w), "moved"))
 
 
@@ -348,11 +345,18 @@ class QuotientCategory:
     generated by m ~ gm and closed under composition of equal classes.
     """
 
+    source: AcyclicCategory
+    action: GroupAction
     category: AcyclicCategory
     obj_class: tuple  # object -> class index
     mor_class: tuple  # morphism -> class index
     obj_members: tuple
     mor_members: tuple
+
+    @cached_property
+    def nerve(self):
+        """The nerve of the quotient category, built on first read."""
+        return nerve(self.category)
 
 
 def quotient_category(c, action):
@@ -438,6 +442,8 @@ def quotient_category(c, action):
     if not report.ok:
         raise SoundnessError(f"quotient category invalid: {report.to_json()}")
     return QuotientCategory(
+        c,
+        action,
         quotient,
         tuple(obj_class),
         tuple(mor_class),
@@ -455,7 +461,6 @@ class CanonicalMap:
     """
 
     nerve_src: Nerve
-    action: GroupAction
     qt: QuotientTrisp
     qc: QuotientCategory
     nerve_dst: Nerve
@@ -504,19 +509,11 @@ class CanonicalMap:
         return orbit
 
 
-def canonical_map(c, action, nerve_src=None, taction=None, qc=None):
-    """Build the canonical map for a category action, with all the pieces.
-
-    Precomputed pieces may be passed in to avoid recomputation.
-    """
-    if nerve_src is None:
-        nerve_src = nerve(c)
-    if taction is None:
-        taction = induced_trisp_action(nerve_src, action)
-    qt = quotient_trisp(nerve_src.trisp, taction)
-    if qc is None:
-        qc = quotient_category(c, action)
-    nerve_dst = nerve(qc.category)
+def canonical_map(qc):
+    """The canonical map of `qc`, from the orbit trisp of the nerve of its source."""
+    nerve_src = nerve(qc.source)
+    qt = quotient_trisp(nerve_src.trisp, induced_trisp_action(nerve_src, qc.action))
+    nerve_dst = qc.nerve
     entries = []
     for d in range(nerve_src.trisp.dim + 1):
         level = []
@@ -527,7 +524,7 @@ def canonical_map(c, action, nerve_src=None, taction=None, qc=None):
                 img = tuple(qc.mor_class[m] for m in nerve_src.chains[d][rep])
                 level.append(nerve_dst.simplex_of_morphisms(img))
         entries.append(tuple(level))
-    cmap = CanonicalMap(nerve_src, taction, qt, qc, nerve_dst, tuple(entries))
+    cmap = CanonicalMap(nerve_src, qt, qc, nerve_dst, tuple(entries))
     # commutes with boundaries
     for d in range(1, qt.trisp.dim + 1):
         for o in range(qt.trisp.n(d)):

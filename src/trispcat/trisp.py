@@ -183,17 +183,21 @@ def validate_trisp(t, compute_flags=True):
             for i, j in combinations(range(d + 1), 2):
                 if t.face(d - 1, row[j], i) != t.face(d - 1, row[i], j - 1):
                     identity.append((d, s, i, j))
-    regularity = []
-    if not identity:
-        for d in range(1, t.dim + 1):
-            for s in range(t.n(d)):
-                vt = t.vertex_tuple(d, s)
-                if len(set(vt)) != d + 1:
-                    regularity.append((d, s))
+    regularity = [] if identity else regularity_violations(t)
     flags = None
     if not identity and not regularity and compute_flags:
         flags = compute_simplicial_flag(t)
     return TrispReport(identity, regularity, flags)
+
+
+def regularity_violations(t):
+    """(d, s) of every simplex whose d + 1 vertices are not pairwise distinct."""
+    return [
+        (d, s)
+        for d in range(1, t.dim + 1)
+        for s, vt in enumerate(t.vertex_tuples(d))
+        if len(set(vt)) != d + 1
+    ]
 
 
 def edge_matrix(t, d, s, cache):

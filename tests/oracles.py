@@ -351,6 +351,8 @@ def quotient_category_oracle(c, action):
     if not report.ok:
         raise SoundnessError(f"quotient category invalid: {report.to_json()}")
     return QuotientCategory(
+        c,
+        action,
         quotient,
         tuple(obj_class),
         tuple(mor_class),
@@ -582,6 +584,8 @@ def verify_collapse_sequence_oracle(t, steps):
             raise AssertionError(f"face {sigma} is not free (count {coface_count[sigma]})")
         if sigma[1] not in t.faces(tau[0], tau[1]):
             raise AssertionError(f"{sigma} is not a face of {tau}")
+        if coface_count[tau] != 0:
+            raise AssertionError(f"coface {tau} is not maximal (count {coface_count[tau]})")
         for cell in (tau, sigma):
             remaining.discard(cell)
             dd, ss = cell
@@ -607,7 +611,9 @@ def search_collapse_to_point_oracle(t):
                 count[(d - 1, f)] = count.get((d - 1, f), 0) + 1
                 partner[(d - 1, f)] = (d, s)
         return sorted(
-            (sigma, partner[sigma]) for sigma, c in count.items() if c == 1 and sigma in remaining
+            (sigma, partner[sigma])
+            for sigma, c in count.items()
+            if c == 1 and sigma in remaining and partner[sigma] not in count
         )
 
     def dfs(remaining):

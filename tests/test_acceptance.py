@@ -126,15 +126,15 @@ def test_criterion_01_double_filling_obstruction(double_filled):
     t0 = time.perf_counter()
     t, action, psi = double_filled
 
-    assert check_regular_action(t, action).ok
+    assert check_regular_action(quotient_trisp(t, action)).ok
     qt = quotient_trisp(t, action)
     assert qt.trisp.counts == (3, 3, 1) and qt.regular
     assert verify_trisp_closure_map(qt.trisp, psi).ok
-    condition = check_lift_condition(t, action, psi, qt)
+    condition = check_lift_condition(qt, psi)
     assert condition.holds and condition.assignment == {0: 2}
 
     # the forced candidate fails with the double extension of the edge {b, x}
-    forced = lift_candidate(t, action, psi, qt)
+    forced = lift_candidate(qt, psi)
     report = verify_trisp_closure_map(t, forced)
     assert not report.ok and report.failures == [(1, 0, 2)]
     assert t.vertex_tuple(1, 0) == (0, 1)  # vertices b and x
@@ -154,11 +154,11 @@ def test_criterion_01_double_filling_obstruction(double_filled):
 def test_criterion_02_canonical_map_surjectivity(triangle_boundary, dgn4_bundle):
     t0 = time.perf_counter()
     p, action = triangle_boundary
-    cm = canonical_map(p.category, action)
+    cm = canonical_map(quotient_category(p.category, action))
     assert cm.vertex_bijective and all(cm.surjective_by_dim)
 
     fp, act = dgn4_bundle["fp"], dgn4_bundle["act"]
-    cm = canonical_map(fp.category, act, nerve_src=dgn4_bundle["bd"], taction=dgn4_bundle["tact"])
+    cm = canonical_map(quotient_category(fp.category, act))
     assert cm.vertex_bijective and all(cm.surjective_by_dim)
     for d in range(cm.nerve_dst.trisp.dim + 1):
         for s in range(cm.nerve_dst.trisp.n(d)):
@@ -169,7 +169,7 @@ def test_criterion_02_canonical_map_surjectivity(triangle_boundary, dgn4_bundle)
     for _ in range(200):
         q = random_poset(rng, max_n=7)
         a = random_action(rng, q, max_order=6)
-        cmq = canonical_map(q.category, a)
+        cmq = canonical_map(quotient_category(q.category, a))
         if not (cmq.vertex_bijective and all(cmq.surjective_by_dim)):
             failures += 1
     assert failures == 0
@@ -219,7 +219,7 @@ def test_criterion_04_pushforward_verifies(equivariant_corpus):
             cmap = induced_trisp_closure_map(p, f, rep)
             eq = check_equivariant(tact, cmap)
             assert eq.ok
-            pushed = push_closure_map(nv.trisp, tact, cmap)
+            pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
             assert pushed.verify_report.ok
             pushed_count += 1
     assert pushed_count >= 861  # at least the trivial action covers every operator
@@ -234,15 +234,16 @@ def test_criterion_05_poset_quotient_transfer(equivariant_corpus, dgn4_bundle):
         for f, rep in equivariant:
             ok, witnesses = check_operator_class_coherence(p, action, f)
             assert ok, witnesses
-            assert check_image_subtrisp_equality(p, action, f).ok
-            result = quotient_poset_closure_map(p, action, f)
+            assert check_image_subtrisp_equality(p, f, quotient_category(p.category, action)).ok
+            result = quotient_poset_closure_map(p, f, quotient_category(p.category, action))
             assert result.verify_report.ok
 
     fp, f, act = dgn4_bundle["fp"], dgn4_bundle["f"], dgn4_bundle["act"]
     ok, witnesses = check_operator_class_coherence(fp.poset, act, f)
     assert ok, witnesses
-    assert check_image_subtrisp_equality(fp.poset, act, f).ok
-    result = quotient_poset_closure_map(fp.poset, act, f)
+    qc = quotient_category(fp.category, act)
+    assert check_image_subtrisp_equality(fp.poset, f, qc).ok
+    result = quotient_poset_closure_map(fp.poset, f, qc)
     assert result.verify_report.ok
 
     elapsed = time.perf_counter() - t0
@@ -273,13 +274,13 @@ def test_criterion_06_every_verified_map_collapses(poset_corpus, two_edges_z2, d
 
     _p, nv, _cat, tact, cmap = two_edges_z2
     audit(nv.trisp, cmap)
-    pushed = push_closure_map(nv.trisp, tact, cmap)
+    pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
     audit(pushed.qt.trisp, pushed.cmap)
 
     fp, f, bd, tact4 = dgn4_bundle["fp"], dgn4_bundle["f"], dgn4_bundle["bd"], dgn4_bundle["tact"]
     cmap4 = induced_trisp_closure_map(fp.poset, f, dgn4_bundle["closure_report"])
     audit(bd.trisp, cmap4)
-    pushed4 = push_closure_map(bd.trisp, tact4, cmap4)
+    pushed4 = push_closure_map(quotient_trisp(bd.trisp, tact4), cmap4)
     audit(pushed4.qt.trisp, pushed4.cmap)
 
     assert audited == 861 + 4
@@ -340,7 +341,7 @@ def test_criterion_09_regularity_condition_witness(dgn4_bundle):
     t0 = time.perf_counter()
     k = dgn4_bundle["k"]
     direct = dgn_trisp_action(k)
-    report = check_regular_action(k.trisp, direct)
+    report = check_regular_action(quotient_trisp(k.trisp, direct))
     assert not report.ok
     gi, sigma, rho, kind = report.witness
     g = direct.elements[gi]
@@ -361,7 +362,7 @@ def test_criterion_09_regularity_condition_witness(dgn4_bundle):
     assert element.dims[d][s] == s
     assert any(element.dims[0][v] != v for v in k.trisp.vertex_tuple(d, s))
 
-    induced = check_regular_action(dgn4_bundle["bd"].trisp, dgn4_bundle["tact"])
+    induced = check_regular_action(quotient_trisp(dgn4_bundle["bd"].trisp, dgn4_bundle["tact"]))
     assert induced.ok
 
     elapsed = time.perf_counter() - t0

@@ -65,6 +65,13 @@ def test_validate_truncated_json_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_validate_non_utf8_input_exits_two(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["validate", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {bad} is not valid JSON: ")
+
+
 def test_validate_trisp_and_dot(capsys, tmp_path, chain3):
     t = nerve(chain3.category).trisp
     path = write(tmp_path / "t.json", t.to_json())
@@ -197,6 +204,13 @@ def test_dgn_build_and_pipeline(capsys, tmp_path):
     assert code == 0 and json.loads(out)["ok"]
     code, out = run(capsys, "dgn", "pipeline", "--n", "4", "--pipeline", "62")
     assert code == 0 and json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_is_input_error(capsys, tmp_path, where):
+    path = tmp_path / "missing" / "out.json" if where == "missing directory" else tmp_path
+    assert main(["dgn", "build", "--n", "3", "--output", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {path}: ")
 
 
 def test_unknown_pipeline_is_input_error(capsys):

@@ -283,6 +283,21 @@ def test_search_rejects_the_one_triangle_dunce_hat():
     assert oracles.search_collapse_to_point_oracle(hat) is None
 
 
+def test_a_free_face_needs_a_maximal_coface():
+    # the cone over the one-triangle dunce hat: edge (1, 1) is a face of the
+    # apex (0, 1) once, but still a face of triangle (2, 1) twice
+    cone = Trisp((2, 2, 2, 1), [[(0, 0), (1, 0)], [(0, 0, 0), (1, 1, 0)], [(1, 1, 1, 0)]])
+    assert euler_characteristic(cone) == 1
+    steps = search_collapse_to_point(cone)
+    assert steps == (((2, 0), (3, 0)), ((1, 0), (2, 1)), ((0, 0), (1, 1)))
+    assert steps == oracles.search_collapse_to_point_oracle(cone)
+    assert verify_collapse_sequence(cone, steps) == {(0, 1)}
+    false_collapse = [((0, 1), (1, 1)), ((2, 0), (3, 0)), ((1, 0), (2, 1))]
+    for replay in (verify_collapse_sequence, oracles.verify_collapse_sequence_oracle):
+        with pytest.raises(AssertionError, match=r"coface \(1, 1\) is not maximal \(count 2\)"):
+            replay(cone, false_collapse)
+
+
 @pytest.mark.parametrize("n, expected_steps", [(3, 0), (4, 2), (5, 9)])
 def test_search_on_the_pipeline_61_endpoint(n, expected_steps):
     from trispcat.graphs import pipeline_quotient_trisp

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trispcat.accat import ACMap, check_closure_operator
+from trispcat.accat import ACMap, check_closure_operator, poset_from_relation
 from trispcat.closure import TrispClosureMap, full_collapse_audit, verify_trisp_closure_map
 from trispcat.equivariant import (
     check_equivariant,
@@ -52,13 +52,13 @@ def test_equivariance_witness_for_skewed_map(two_edges_z2):
 def test_push_trivial_group_keeps_map(two_edges_z2):
     _p, nv, _cat, _tact, cmap = two_edges_z2
     triv = trivial_trisp_action(nv.trisp)
-    pushed = push_closure_map(nv.trisp, triv, cmap)
+    pushed = push_closure_map(quotient_trisp(nv.trisp, triv), cmap)
     assert pushed.cmap.blue == cmap.blue and pushed.cmap.mapping == cmap.mapping
 
 
 def test_push_two_edge_fixture(two_edges_z2):
     _p, nv, _cat, tact, cmap = two_edges_z2
-    pushed = push_closure_map(nv.trisp, tact, cmap)
+    pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
     assert pushed.qt.trisp.counts == (2, 1)
     assert pushed.verify_report.ok
     assert pushed.cmap.convention == "min"
@@ -68,29 +68,29 @@ def test_push_requires_equivariance(two_edges_z2):
     _p, nv, _cat, tact, _cmap = two_edges_z2
     skew = TrispClosureMap(frozenset({1, 3}), frozenset({0, 2}), {1: 0, 3: 0}, "min")
     with pytest.raises(PreconditionError):
-        push_closure_map(nv.trisp, tact, skew)
+        push_closure_map(quotient_trisp(nv.trisp, tact), skew)
 
 
 def test_lift_condition_trivial_group(two_edges_z2):
     _p, nv, _cat, _tact, cmap = two_edges_z2
     triv = trivial_trisp_action(nv.trisp)
     qt = quotient_trisp(nv.trisp, triv)
-    report = check_lift_condition(nv.trisp, triv, cmap, qt)
+    report = check_lift_condition(qt, cmap)
     assert report.holds
     assert report.assignment == dict(cmap.mapping)
 
 
 def test_lift_condition_double_filled(double_filled):
     t, action, psi = double_filled
-    report = check_lift_condition(t, action, psi)
+    report = check_lift_condition(quotient_trisp(t, action), psi)
     assert report.holds
     assert report.assignment == {0: 2}
 
 
 def test_lift_two_edge_fixture_roundtrip(two_edges_z2):
     _p, nv, _cat, tact, cmap = two_edges_z2
-    pushed = push_closure_map(nv.trisp, tact, cmap)
-    lifted = lift_closure_map(nv.trisp, tact, pushed.cmap, pushed.qt)
+    pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
+    lifted = lift_closure_map(pushed.qt, pushed.cmap)
     assert lifted.mapping == dict(cmap.mapping)
     assert lifted.blue == cmap.blue
 
@@ -98,8 +98,8 @@ def test_lift_two_edge_fixture_roundtrip(two_edges_z2):
 def test_lift_rejected_on_double_filled(double_filled):
     t, action, psi = double_filled
     with pytest.raises(PreconditionError, match="simplicial"):
-        lift_closure_map(t, action, psi)
-    cand = lift_candidate(t, action, psi)
+        lift_closure_map(quotient_trisp(t, action), psi)
+    cand = lift_candidate(quotient_trisp(t, action), psi)
     assert not verify_trisp_closure_map(t, cand).ok
 
 
@@ -121,9 +121,10 @@ def test_class_coherence_two_edges(two_edges_z2):
 def test_image_subtrisp_equality_trivial(two_edges_z2):
     p, _nv, cat_action, _tact, _cmap = two_edges_z2
     f = ACMap.from_objects(p, [0, 0, 2, 2])
-    match = check_image_subtrisp_equality(p, trivial_cat_action(p.category), f)
+    trivial = quotient_category(p.category, trivial_cat_action(p.category))
+    match = check_image_subtrisp_equality(p, f, trivial)
     assert match.ok
-    match = check_image_subtrisp_equality(p, cat_action, f)
+    match = check_image_subtrisp_equality(p, f, quotient_category(p.category, cat_action))
     assert match.ok
 
 
@@ -131,7 +132,8 @@ def test_quotient_poset_closure_trivial_group_reduces_to_induced(chain3):
     from trispcat.closure import induced_trisp_closure_map
 
     f = ACMap.from_objects(chain3, [0, 1, 1])
-    result = quotient_poset_closure_map(chain3, trivial_cat_action(chain3.category), f)
+    trivial = quotient_category(chain3.category, trivial_cat_action(chain3.category))
+    result = quotient_poset_closure_map(chain3, f, trivial)
     direct = induced_trisp_closure_map(chain3, f)
     assert result.cmap.blue == direct.blue
     assert result.cmap.mapping == dict(direct.mapping)
@@ -142,12 +144,21 @@ def test_quotient_poset_closure_trivial_group_reduces_to_induced(chain3):
 def test_quotient_poset_closure_two_edges(two_edges_z2):
     p, _nv, cat_action, _tact, _cmap = two_edges_z2
     f = ACMap.from_objects(p, [0, 0, 2, 2])
-    result = quotient_poset_closure_map(p, cat_action, f)
+    result = quotient_poset_closure_map(p, f, quotient_category(p.category, cat_action))
     assert result.verify_report.ok
     assert result.qc.category.n_objects == 2
     assert result.cmap.convention == "min"
-    cert = full_collapse_audit(result.nerve_q.trisp, result.cmap)
+    cert = full_collapse_audit(result.qc.nerve.trisp, result.cmap)
     assert cert.final.trisp.counts == (1,)
+
+
+def test_poset_transfers_reject_a_quotient_of_another_poset(chain3):
+    other = poset_from_relation(["a", "b", "c"], [(0, 1)])
+    qc = quotient_category(other.category, trivial_cat_action(other.category))
+    f = ACMap.from_objects(chain3, [0, 1, 1])
+    for transfer in (quotient_poset_closure_map, check_image_subtrisp_equality):
+        with pytest.raises(PreconditionError, match="not a quotient of this poset"):
+            transfer(chain3, f, qc)
 
 
 def _equivariant_one_sided_operators(p, action):
@@ -176,15 +187,15 @@ def test_push_and_sectionwise_checks_random(seed):
         from trispcat.closure import induced_trisp_closure_map
 
         cmap = induced_trisp_closure_map(p, f, report)
-        pushed = push_closure_map(nv.trisp, tact, cmap)
+        pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
         assert pushed.verify_report.ok
         ok, witnesses = check_operator_class_coherence(p, action, f)
         assert ok, witnesses
-        assert check_image_subtrisp_equality(p, action, f).ok
-        result = quotient_poset_closure_map(p, action, f)
+        assert check_image_subtrisp_equality(p, f, quotient_category(p.category, action)).ok
+        result = quotient_poset_closure_map(p, f, quotient_category(p.category, action))
         assert result.verify_report.ok
         # round trip through the quotient when the nerve is simplicial
-        lifted = lift_closure_map(nv.trisp, tact, pushed.cmap, pushed.qt)
+        lifted = lift_closure_map(pushed.qt, pushed.cmap)
         assert lifted.blue == cmap.blue and lifted.mapping == dict(cmap.mapping)
 
 
@@ -205,7 +216,7 @@ def test_lift_condition_necessity_by_exhaustive_assignment_search():
             from trispcat.closure import induced_trisp_closure_map
 
             cmap = induced_trisp_closure_map(p, f, report)
-            pushed = push_closure_map(nv.trisp, tact, cmap)
+            pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
             qt, psi = pushed.qt, pushed.cmap
             blue = sorted(v for v in range(nv.trisp.n(0)) if qt.projection[0][v] in psi.blue)
             red = sorted(v for v in range(nv.trisp.n(0)) if qt.projection[0][v] in psi.red)
@@ -226,5 +237,5 @@ def test_lift_condition_necessity_by_exhaustive_assignment_search():
                         break
             if lift_exists:
                 cases += 1
-                assert check_lift_condition(nv.trisp, tact, psi, qt).holds
+                assert check_lift_condition(qt, psi).holds
     assert cases >= 3  # the search must actually have exercised the property

@@ -21,7 +21,7 @@ from trispcat.graphs import (
     transitive_closure_operator,
 )
 from trispcat.nerve import nerve
-from trispcat.symmetry import check_regular_action, quotient_category
+from trispcat.symmetry import check_regular_action, quotient_category, quotient_trisp
 from trispcat.trisp import simplicial_from_faces, validate_trisp
 
 from oracles import dgn_trisp_action
@@ -171,9 +171,9 @@ def test_s4_on_dgn4_and_face_poset(dgn4_bundle):
 def test_direct_action_fails_regularity_induced_passes(dgn4_bundle):
     k, bd, tact = dgn4_bundle["k"], dgn4_bundle["bd"], dgn4_bundle["tact"]
     direct = dgn_trisp_action(k)
-    report = check_regular_action(k.trisp, direct)
+    report = check_regular_action(quotient_trisp(k.trisp, direct))
     assert not report.ok
-    induced = check_regular_action(bd.trisp, tact)
+    induced = check_regular_action(quotient_trisp(bd.trisp, tact))
     assert induced.ok
 
 
@@ -271,12 +271,10 @@ def test_dgn6_construction_only():
 
 @pytest.mark.slow
 def test_canonical_map_surjectivity_n5():
-    from trispcat.symmetry import canonical_map, induced_trisp_action
+    from trispcat.symmetry import canonical_map
 
     k = build_dgn(5)
     fp = face_poset(k)
-    bd = nerve(fp.category)
     act = face_poset_action(k, fp)
-    tact = induced_trisp_action(bd, act)
-    cm = canonical_map(fp.category, act, nerve_src=bd, taction=tact)
+    cm = canonical_map(quotient_category(fp.category, act))
     assert cm.vertex_bijective and all(cm.surjective_by_dim)

@@ -28,3 +28,19 @@ def test_only_the_stage_clock_imports_time():
         or isinstance(node, ast.ImportFrom) and node.module == "time"
     }
     assert importers == {"graphs.py"}
+
+
+def test_no_quotient_piece_is_an_optional_parameter():
+    # a quotient carries its source and its action, so a function that needs
+    # one takes it whole; an optional piece would be a second, unchecked path
+    pieces = {"qt", "qc", "nerve_q", "nerve_src", "taction"}
+    found = []
+    for name, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+            ]
+            found += [f"{name}:{node.lineno} {a.arg}" for a in defaulted if a.arg in pieces]
+    assert found == []

@@ -219,14 +219,14 @@ def test_pushing_through_the_induced_action_closes_no_group(dgn4_bundle):
     b = dgn4_bundle
     tact = induced_trisp_action(b["bd"], b["act"])
     cmap = induced_trisp_closure_map(b["fp"].poset, b["f"], b["closure_report"])
-    push_closure_map(b["bd"].trisp, tact, cmap)
+    push_closure_map(quotient_trisp(b["bd"].trisp, tact), cmap)
     assert "elements" not in tact.__dict__
 
 
 def test_z2_on_double_filled_triangle(double_filled):
     t, action, _psi = double_filled
     assert action.order == 2
-    report = check_regular_action(t, action)
+    report = check_regular_action(quotient_trisp(t, action))
     assert report.ok
 
 
@@ -289,13 +289,13 @@ def _assert_witness_violates(t, action, witness):
 def test_regular_action_fails_on_direct_complex_action():
     k = build_dgn(4)
     action = dgn_trisp_action(k)
-    report = check_regular_action(k.trisp, action)
+    report = check_regular_action(quotient_trisp(k.trisp, action))
     assert not report.ok
     _assert_witness_violates(k.trisp, action, report.witness)
 
 
 def _assert_regularity_matches_oracle(t, action, regular):
-    report = check_regular_action(t, action)
+    report = check_regular_action(quotient_trisp(t, action))
     assert report.ok == regular
     if regular:
         assert "elements" not in action.__dict__
@@ -330,7 +330,7 @@ def test_regularity_from_orbits_matches_the_definition_on_other_actions(double_f
 def test_regularity_rejects_a_loop_edge():
     t = Trisp((1, 1), [[(0, 0)]])
     with pytest.raises(PreconditionError, match=r"trisp is not regular at \(1, 0\)"):
-        check_regular_action(t, trivial_trisp_action(t))
+        check_regular_action(quotient_trisp(t, trivial_trisp_action(t)))
 
 
 def test_double_transposition_edge_pair_is_a_witness():
@@ -429,7 +429,7 @@ def test_orbit_partition_least_representative():
 
 
 def test_canonical_map_trivial_group_is_isomorphism(chain3):
-    cm = canonical_map(chain3.category, trivial_cat_action(chain3.category))
+    cm = canonical_map(quotient_category(chain3.category, trivial_cat_action(chain3.category)))
     assert cm.vertex_bijective
     assert all(cm.surjective_by_dim)
     for d in range(cm.nerve_dst.trisp.dim + 1):
@@ -438,14 +438,14 @@ def test_canonical_map_trivial_group_is_isomorphism(chain3):
 
 def test_canonical_map_hexagon_bijective(triangle_boundary):
     p, action = triangle_boundary
-    cm = canonical_map(p.category, action)
+    cm = canonical_map(quotient_category(p.category, action))
     assert cm.vertex_bijective and all(cm.surjective_by_dim)
     assert cm.qt.trisp.counts == cm.nerve_dst.trisp.counts
 
 
 def test_canonical_map_lifts_round_trip(dgn4_bundle):
     fp, act = dgn4_bundle["fp"], dgn4_bundle["act"]
-    cm = canonical_map(fp.category, act, nerve_src=dgn4_bundle["bd"], taction=dgn4_bundle["tact"])
+    cm = canonical_map(quotient_category(fp.category, act))
     assert all(cm.surjective_by_dim)
     for d in range(cm.nerve_dst.trisp.dim + 1):
         for s in range(cm.nerve_dst.trisp.n(d)):
@@ -493,6 +493,6 @@ def test_canonical_map_surjective_random(seed):
     rng = random.Random(seed)
     p = random_poset(rng, max_n=6)
     action = random_action(rng, p)
-    cm = canonical_map(p.category, action)
+    cm = canonical_map(quotient_category(p.category, action))
     assert cm.vertex_bijective
     assert all(cm.surjective_by_dim)
