@@ -5,11 +5,8 @@ from .accat import (
     AcyclicCategory,
     Poset,
     as_poset,
-    check_ac_map,
     check_closure_operator,
-    check_closure_prerequisites,
     find_terminal_object,
-    opposite_category,
     poset_from_relation,
     validate_category,
 )
@@ -29,13 +26,12 @@ from .equivariant import (
     check_equivariant,
     check_image_subtrisp_equality,
     check_lift_condition,
-    check_operator_class_coherence,
     lift_closure_map,
     push_closure_map,
     quotient_poset_closure_map,
 )
 from .errors import InputError, NotAPosetError, PipelineError, PreconditionError, SoundnessError
-from .nerve import Chain, Nerve, nerve, nerve_of_map
+from .nerve import Nerve, nerve
 from .symmetry import (
     CatAut,
     GroupAction,

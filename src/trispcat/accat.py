@@ -291,15 +291,6 @@ def poset_from_relation(labels, strict_pairs):
     return Poset(cat)
 
 
-def chain_poset(k):
-    """The total order 0 < 1 < ... < k-1."""
-    return poset_from_relation(k, [(i, i + 1) for i in range(k - 1)])
-
-
-def antichain_poset(k):
-    return poset_from_relation(k, [])
-
-
 def subposet(p, keep):
     """Induced subposet on `keep`; returns (poset, new-to-old index map)."""
     keep = sorted(keep)
@@ -307,13 +298,6 @@ def subposet(p, keep):
     pairs = [(pos[x], pos[y]) for (x, y) in p.mor_of if x in pos and y in pos]
     labels = [p.labels[x] for x in keep]
     return poset_from_relation(labels, pairs), tuple(keep)
-
-
-def opposite_category(c):
-    """Same objects, all morphisms reversed."""
-    morphisms = [(c.tgt[m], c.src[m], c.mor_labels[m]) for m in range(c.n_morphisms)]
-    comp = [(m2, m1, m12) for (m1, m2), m12 in c.comp.items()]
-    return AcyclicCategory(c.objects, morphisms, comp)
 
 
 def covers(p):
@@ -337,10 +321,6 @@ class ACMap:
     mor: tuple
 
     @classmethod
-    def identity(cls, c):
-        return cls(tuple(range(c.n_objects)), tuple(range(c.n_morphisms)))
-
-    @classmethod
     def from_objects(cls, p, obj_map):
         """Lift an order-preserving object map on a poset to an ACMap."""
         obj_map = tuple(obj_map)
@@ -360,59 +340,6 @@ def order_violation(p, obj_map):
         if not p.leq(obj_map[x], obj_map[y]):
             return (x, y)
     return None
-
-
-@dataclass
-class FunctorReport:
-    witnesses: list
-
-    @property
-    def ok(self):
-        return not self.witnesses
-
-
-def check_functor(c, d, f):
-    """Does f preserve sources, targets, and all defined composites of c -> d?"""
-    witnesses = []
-    if len(f.obj) != c.n_objects or len(f.mor) != c.n_morphisms:
-        raise InputError("map has wrong domain size")
-    for x in f.obj:
-        if not 0 <= x < d.n_objects:
-            raise InputError(f"object image out of range: {x}")
-    for m in range(c.n_morphisms):
-        fm = f.mor[m]
-        fs, ft = f.obj[c.src[m]], f.obj[c.tgt[m]]
-        if fm is None:
-            if fs != ft:
-                witnesses.append(("identity-collapse", m))
-        else:
-            if not 0 <= fm < d.n_morphisms:
-                raise InputError(f"morphism image out of range: {fm}")
-            if d.src[fm] != fs:
-                witnesses.append(("source", m))
-            if d.tgt[fm] != ft:
-                witnesses.append(("target", m))
-    for (m1, m2), m12 in c.comp.items():
-        fm1, fm2, fm12 = f.mor[m1], f.mor[m2], f.mor[m12]
-        if fm1 is None and fm2 is None:
-            expected = None
-        elif fm1 is None:
-            expected = fm2
-        elif fm2 is None:
-            expected = fm1
-        else:
-            expected = d.comp.get((fm1, fm2))
-            if expected is None:
-                witnesses.append(("composition-undefined", (m1, m2)))
-                continue
-        if fm12 != expected:
-            witnesses.append(("composition", (m1, m2)))
-    return FunctorReport(witnesses)
-
-
-def check_ac_map(c, f):
-    """Functor check of an endomap; on a poset this is order-preservation."""
-    return check_functor(c, c, f)
 
 
 @dataclass
@@ -469,27 +396,6 @@ def check_closure_operator(p, f):
         ascending=not witnesses["ascending"],
         witnesses=witnesses,
     )
-
-
-def check_closure_prerequisites(c, f, blue):
-    """Necessary conditions for an AC-map to induce a closure map on the nerve.
-
-    With B the chosen blue objects: B and f(B) must be disjoint, and every
-    b in B must be joined to f(b) by exactly one morphism (in either
-    direction, counting both).
-    """
-    blue = set(blue)
-    witnesses = []
-    image = {f.obj[b] for b in blue}
-    overlap = blue & image
-    for x in sorted(overlap):
-        witnesses.append(("not-disjoint", x))
-    for b in sorted(blue):
-        fb = f.obj[b]
-        count = len(c.hom(b, fb)) + len(c.hom(fb, b))
-        if count != 1:
-            witnesses.append(("hom-count", b, count))
-    return (not witnesses), witnesses
 
 
 def find_terminal_object(c):

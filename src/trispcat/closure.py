@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .accat import directed_cycle, find_terminal_object
+from .accat import check_closure_operator, directed_cycle, find_terminal_object
 from .errors import InputError, PreconditionError, SoundnessError, malformed
 from .trisp import euler_characteristic, induced_subtrisp, regularity_violations
 
@@ -162,8 +162,6 @@ def induced_trisp_closure_map(p, f, report=None):
     Red vertices are the image of the operator, blue the rest; a descending
     operator selects minimal blue vertices, an ascending one maximal.
     """
-    from .accat import check_closure_operator
-
     if report is None:
         report = check_closure_operator(p, f)
     direction = report.direction()

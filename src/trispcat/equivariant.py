@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .accat import check_closure_operator, opposite_category, subposet, as_poset
+from .accat import check_closure_operator, subposet
 from .closure import TrispClosureMap, verify_trisp_closure_map
 from .errors import PreconditionError, SoundnessError
 from .symmetry import (
@@ -22,7 +22,7 @@ from .symmetry import (
     close_group,
     quotient_category,
 )
-from .trisp import induced_subtrisp, trisps_equal_over_vertices
+from .trisp import compute_simplicial_flag, induced_subtrisp, trisps_equal_over_vertices
 
 
 @dataclass
@@ -164,8 +164,6 @@ def lift_closure_map(qt, psi):
     Guaranteed only for abstract simplicial complexes; on general trisps the
     forced candidate may fail, so non-simplicial input is rejected.
     """
-    from .trisp import compute_simplicial_flag
-
     if not compute_simplicial_flag(qt.source).is_simplicial:
         raise PreconditionError(
             "lifting is guaranteed only for abstract simplicial complexes; "
@@ -187,18 +185,6 @@ def lift_closure_map(qt, psi):
 # -- poset quotients --------------------------------------------------------
 
 
-def restrict_action_to_image(p, action, image):
-    """Restrict a poset action to the induced subposet on `image` elements."""
-    sub_p, keep = subposet(p, image)
-    pos = {x: i for i, x in enumerate(keep)}
-    gens = []
-    for g in action.generators:
-        if any(g.obj[x] not in pos for x in keep):
-            raise PreconditionError("subset is not closed under the action")
-        gens.append(CatAut.from_poset(sub_p, (pos[g.obj[x]] for x in keep)))
-    return sub_p, keep, close_group(gens, on=sub_p)
-
-
 def _poset_action_is_equivariant(p, action, f):
     """First object x with f(gx) != g f(x) for a generator g, as (x,), else None."""
     for g in action.generators:
@@ -208,62 +194,16 @@ def _poset_action_is_equivariant(p, action, f):
     return None
 
 
-def _arrow_class(p, qc, x, y):
-    """Class tag of the image arrow x <= y in the quotient: identity or morphism class."""
-    if x == y:
-        return ("id", qc.obj_class[x])
-    return ("mor", qc.mor_class[p.mor_of[(x, y)]])
-
-
-def check_operator_class_coherence(p, action, f):
-    """Equal morphism classes stay equal after applying the operator.
-
-    For a descending equivariant closure operator: whenever two poset
-    morphisms with a common target lie in one class of the quotient, their
-    operator images lie in one class too, both in the quotient of the poset
-    and in the quotient of the image subposet.  Ascending operators are
-    handled on the opposite poset.
-    """
-    report = check_closure_operator(p, f)
-    direction = report.direction()
-    if direction is None:
-        raise PreconditionError("operator is not one-sided")
-    if direction == "ascending" and not report.descending:
-        # same permutations act on the opposite poset; the operator becomes descending
-        op_p = as_poset(opposite_category(p.category))
-        op_action = close_group(list(action.generators), on=op_p)
-        return check_operator_class_coherence(op_p, op_action, f)
-    if _poset_action_is_equivariant(p, action, f) is not None:
-        raise PreconditionError("operator is not equivariant")
-    qc = quotient_category(p.category, action)
-    image = sorted(set(f.obj))
-    sub_p, keep, sub_action = restrict_action_to_image(p, action, image)
-    sub_qc = quotient_category(sub_p.category, sub_action)
-    pos = {x: i for i, x in enumerate(keep)}
-
-    witnesses = []
-    for members in qc.mor_members:
-        tags_q = set()
-        tags_img = set()
-        for m in members:
-            x, y = p.category.src[m], p.category.tgt[m]
-            fx, fy = f.obj[x], f.obj[y]
-            tags_q.add(_arrow_class(p, qc, fx, fy))
-            if fx == fy:
-                tags_img.add(("id", sub_qc.obj_class[pos[fx]]))
-            else:
-                tags_img.add(("mor", sub_qc.mor_class[sub_p.mor_of[(pos[fx], pos[fy])]]))
-        if len(tags_q) > 1:
-            witnesses.append(("quotient", tuple(members), tuple(sorted(tags_q))))
-        if len(tags_img) > 1:
-            witnesses.append(("image-quotient", tuple(members), tuple(sorted(tags_img))))
-    return (not witnesses), witnesses
-
-
 def image_quotient_nerve(p, action, image):
     """(kept elements, quotient) of the induced subposet on an action-closed subset."""
-    sub_p, keep, sub_action = restrict_action_to_image(p, action, sorted(set(image)))
-    return keep, quotient_category(sub_p.category, sub_action)
+    sub_p, keep = subposet(p, set(image))
+    pos = {x: i for i, x in enumerate(keep)}
+    gens = []
+    for g in action.generators:
+        if any(g.obj[x] not in pos for x in keep):
+            raise PreconditionError("subset is not closed under the action")
+        gens.append(CatAut.from_poset(sub_p, (pos[g.obj[x]] for x in keep)))
+    return keep, quotient_category(sub_p.category, close_group(gens, on=sub_p))
 
 
 def check_image_subtrisp_equality(p, f, qc):

@@ -128,11 +128,6 @@ def face_poset(k):
     return FacePoset(poset, tuple(elements), position)
 
 
-def barycentric(k):
-    """Barycentric subdivision: the nerve of the face poset."""
-    return nerve(face_poset(k).category)
-
-
 # -- partitions --------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Group actions on categories and trisps; orbits, quotients, and lifting.
+"""Group actions on categories and trisps; orbits, quotients, and the canonical map.
 
 Group elements are explicit permutation tables: an automorphism of a
 category permutes objects and morphisms, an automorphism of a trisp
@@ -455,7 +455,7 @@ def quotient_category(c, action):
 @dataclass
 class CanonicalMap:
     """The canonical comparison from the orbit trisp of the nerve to the nerve
-    of the quotient category, together with a constructive lift procedure.
+    of the quotient category.
 
     It is bijective on vertices and surjective in every dimension.
     """
@@ -478,35 +478,6 @@ class CanonicalMap:
     def vertex_bijective(self):
         entries = self.entries[0] if self.entries else ()
         return len(set(entries)) == len(entries) == self.nerve_dst.trisp.n(0)
-
-    def lift(self, d, s):
-        """An orbit of the source whose image is the simplex (d, s) of the target.
-
-        Built inductively: extend a lifted chain one morphism at a time,
-        translating the next representative by a group element so that the
-        endpoints match.
-        """
-        if d == 0:
-            member = self.qc.obj_members[s][0]
-            return self.qt.projection[0][member]
-        lifted = []
-        current = None
-        for cls in self.nerve_dst.chains[d][s]:
-            members = self.qc.mor_members[cls]
-            if current is None:
-                m = members[0]
-            else:
-                matching = [m for m in members if self.nerve_src.category.src[m] == current]
-                if not matching:
-                    raise SoundnessError("no class member continues the lifted chain")
-                m = matching[0]
-            lifted.append(m)
-            current = self.nerve_src.category.tgt[m]
-        src_simplex = self.nerve_src.simplex_of_morphisms(tuple(lifted))
-        orbit = self.qt.projection[d][src_simplex]
-        if self.entries[d][orbit] != s:
-            raise SoundnessError("lift does not round-trip")
-        return orbit
 
 
 def canonical_map(qc):

@@ -69,11 +69,6 @@ class Trisp:
         """Rows of dimension d; empty for d = 0 and above the top dimension."""
         return self._bnd[d] if 0 <= d <= self.dim else ()
 
-    def simplices(self):
-        for d in range(self.dim + 1):
-            for s in range(self.counts[d]):
-                yield (d, s)
-
     def __repr__(self):
         return f"Trisp(counts={self.counts})"
 
@@ -305,9 +300,6 @@ def compute_simplicial_flag(t):
 class Subtrisp:
     trisp: Trisp
     to_parent: tuple  # per dimension, tuple mapping sub-index -> parent index
-
-    def parent_simplices(self):
-        return {(d, s) for d in range(len(self.to_parent)) for s in self.to_parent[d]}
 
 
 def induced_subtrisp(t, vertices):

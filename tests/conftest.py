@@ -5,10 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from trispcat.accat import chain_poset, poset_from_relation
+from trispcat.accat import poset_from_relation
 from trispcat.nerve import nerve
 from trispcat.symmetry import CatAut, TrispAut, close_group
 from trispcat.trisp import Trisp
+
+from oracles import chain_poset
 
 
 @pytest.fixture

@@ -8,21 +8,31 @@ table, as they were before the library moved them onto per-dimension arrays,
 the category quotient over the whole composition table, as it was before
 the library scanned only orbit-representative pairs, and the recursive
 search for a collapse to a point, as it was before the library gave it its
-own stack.  Inverses and identity tests of group elements live here too;
-only tests read them.
+own stack.  Inverses and identity tests of group elements live here too,
+with the small constructions only tests read: chain posets, opposite
+categories, functor checks, nerves of functors, class coherence of an
+operator and lifts through the canonical map.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from trispcat.accat import ACMap, AcyclicCategory, Poset, poset_from_relation, validate_category
+from trispcat.accat import (
+    ACMap,
+    AcyclicCategory,
+    as_poset,
+    check_closure_operator,
+    poset_from_relation,
+    validate_category,
+)
 from trispcat.closure import (
     ClosureVerifyReport,
     CollapseCertificate,
     Matching,
     check_matching_acyclic,
 )
+from trispcat.equivariant import image_quotient_nerve
 from trispcat.errors import PreconditionError, SoundnessError
 from trispcat.graphs import lift_to_edges, sn_generator_perms
 from trispcat.symmetry import (
@@ -32,7 +42,9 @@ from trispcat.symmetry import (
     TrispAut,
     _UnionFind,
     check_horizontal,
+    close_group,
     orbit_partition,
+    quotient_category,
     trivial_cat_action,
 )
 from trispcat.trisp import euler_characteristic, induced_subtrisp
@@ -253,6 +265,109 @@ def random_path_category(rng, max_nodes=5, max_edges=6):
         if edges[p1[-1]][1] == edges[p2[0]][0]
     ]
     return AcyclicCategory(n, morphisms, comp)
+
+
+def chain_poset(k):
+    """The total order 0 < 1 < ... < k-1."""
+    return poset_from_relation(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def opposite_category(c):
+    """Same objects, all morphisms reversed."""
+    morphisms = [(c.tgt[m], c.src[m], c.mor_labels[m]) for m in range(c.n_morphisms)]
+    comp = [(m2, m1, m12) for (m1, m2), m12 in c.comp.items()]
+    return AcyclicCategory(c.objects, morphisms, comp)
+
+
+def check_functor(c, d, f):
+    """Witnesses where the ACMap f: c -> d breaks an endpoint or a defined composite."""
+    witnesses = []
+    for m in range(c.n_morphisms):
+        fs, ft, fm = f.obj[c.src[m]], f.obj[c.tgt[m]], f.mor[m]
+        if (fs, ft) != ((fs, fs) if fm is None else (d.src[fm], d.tgt[fm])):
+            witnesses.append(("endpoints", m))
+    for (m1, m2), m12 in c.comp.items():
+        fm1, fm2 = f.mor[m1], f.mor[m2]
+        if fm1 is None or fm2 is None:
+            expected = fm2 if fm1 is None else fm1
+        else:
+            expected = d.comp.get((fm1, fm2), "undefined")
+        if f.mor[m12] != expected:
+            witnesses.append(("composition", (m1, m2)))
+    return witnesses
+
+
+def nerve_map_images(nv_src, nv_dst, f):
+    """images[d][s] = (dim, index) in nv_dst of the simplex (d, s) of nv_src under f.
+
+    Identity components of the image chain are deleted; a chain that
+    collapses entirely goes to the vertex of its image object.
+    """
+    images = []
+    for d, level in enumerate(nv_src.chains):
+        row = []
+        for s, ms in enumerate(level):
+            img = tuple(f.mor[m] for m in ms if f.mor[m] is not None)
+            if img:
+                row.append((len(img), nv_dst.simplex_of_morphisms(img)))
+            else:
+                row.append((0, f.obj[nv_src.trisp.vertex_tuple(d, s)[0]]))
+        images.append(tuple(row))
+    return tuple(images)
+
+
+def check_operator_class_coherence(p, action, f):
+    """Do equal morphism classes stay equal after a one-sided equivariant operator?
+
+    Each class of the quotient of `p` must go to one class (or one identity)
+    both in that quotient and in the quotient of the image subposet.  An
+    ascending operator is checked as a descending one on the opposite poset,
+    where the same permutations act.  Returns (ok, witnesses).
+    """
+    report = check_closure_operator(p, f)
+    if report.direction() is None:
+        raise PreconditionError("operator is not one-sided")
+    if not report.descending:
+        p = as_poset(opposite_category(p.category))
+        action = close_group(list(action.generators), on=p)
+    if any(f.obj[g.obj[x]] != g.obj[f.obj[x]] for g in action.generators for x in range(p.n)):
+        raise PreconditionError("operator is not equivariant")
+    qc = quotient_category(p.category, action)
+    keep, sub_qc = image_quotient_nerve(p, action, f.obj)
+    sub_p = as_poset(sub_qc.source)
+    pos = {x: i for i, x in enumerate(keep)}
+
+    def arrow_class(q, poset, x, y):
+        return ("id", q.obj_class[x]) if x == y else ("mor", q.mor_class[poset.mor_of[(x, y)]])
+
+    witnesses = []
+    for members in qc.mor_members:
+        tags_q, tags_img = set(), set()
+        for m in members:
+            fx, fy = f.obj[p.category.src[m]], f.obj[p.category.tgt[m]]
+            tags_q.add(arrow_class(qc, p, fx, fy))
+            tags_img.add(arrow_class(sub_qc, sub_p, pos[fx], pos[fy]))
+        if len(tags_q) > 1:
+            witnesses.append(("quotient", members, tuple(sorted(tags_q))))
+        if len(tags_img) > 1:
+            witnesses.append(("image-quotient", members, tuple(sorted(tags_img))))
+    return (not witnesses), witnesses
+
+
+def canonical_lift(cm, d, s):
+    """An orbit of the source nerve over the simplex (d, s) of the quotient nerve.
+
+    The chain of classes is lifted one morphism at a time: each next class
+    member must start where the lifted chain ends.
+    """
+    if d == 0:
+        return cm.qt.projection[0][cm.qc.obj_members[s][0]]
+    c = cm.nerve_src.category
+    lifted = []
+    for cls in cm.nerve_dst.chains[d][s]:
+        members = cm.qc.mor_members[cls]
+        lifted.append(next(m for m in members if not lifted or c.src[m] == c.tgt[lifted[-1]]))
+    return cm.qt.projection[d][cm.nerve_src.simplex_of_morphisms(lifted)]
 
 
 def invert_perm(g):
@@ -516,6 +631,11 @@ def closure_matching_oracle(t, cmap, verify_report):
     return Matching(pairs, tuple(sorted(unmatched)))
 
 
+def parent_simplices(sub):
+    """The simplices (d, s) of the parent trisp that a subtrisp keeps."""
+    return {(d, s) for d, level in enumerate(sub.to_parent) for s in level}
+
+
 def collapse_oracle(t, matching, red_vertices=None):
     removed = set()
     cofaces = coface_table(t)
@@ -560,7 +680,7 @@ def collapse_oracle(t, matching, red_vertices=None):
         red_set = set(red_vertices)
     final = induced_subtrisp(t, red_set)
     remaining = {(d, s) for d in range(t.dim + 1) for s in range(t.n(d))} - removed
-    if remaining != final.parent_simplices():
+    if remaining != parent_simplices(final):
         raise AssertionError("final subtrisp is not the red subtrisp")
     if euler_characteristic(final.trisp) != chi:
         raise AssertionError("collapse changed the Euler characteristic")

@@ -4,23 +4,20 @@ from hypothesis import given, settings, strategies as st
 from trispcat.accat import (
     ACMap,
     AcyclicCategory,
-    antichain_poset,
     as_poset,
-    chain_poset,
-    check_ac_map,
     check_closure_operator,
-    check_closure_prerequisites,
     covers,
     find_terminal_object,
-    opposite_category,
     order_violation,
     poset_from_relation,
     to_dot,
     validate_category,
 )
+from trispcat.closure import TrispClosureMap, verify_trisp_closure_map
 from trispcat.errors import InputError, NotAPosetError
+from trispcat.nerve import nerve
 
-from oracles import all_posets_upto_iso
+from oracles import all_posets_upto_iso, chain_poset, check_functor, opposite_category
 
 
 def two_chain():
@@ -94,13 +91,14 @@ def test_poset_from_relation_rejects_cycles():
 
 
 def test_identity_map_is_functor(chain3):
-    f = ACMap.identity(chain3.category)
-    assert check_ac_map(chain3.category, f).ok
+    f = ACMap.from_objects(chain3, [0, 1, 2])
+    assert f.mor == tuple(range(chain3.category.n_morphisms))
+    assert check_functor(chain3.category, chain3.category, f) == []
 
 
 def test_order_preserving_map_on_chain(chain3):
     f = ACMap.from_objects(chain3, [0, 0, 2])
-    assert check_ac_map(chain3.category, f).ok
+    assert check_functor(chain3.category, chain3.category, f) == []
 
 
 def test_non_order_preserving_map_has_witness(chain3):
@@ -112,11 +110,11 @@ def test_non_order_preserving_map_has_witness(chain3):
 def test_broken_morphism_map_detected(chain3):
     good = ACMap.from_objects(chain3, [0, 0, 2])
     bad = ACMap(good.obj, tuple(0 for _ in good.mor))
-    assert not check_ac_map(chain3.category, bad).ok
+    assert check_functor(chain3.category, chain3.category, bad) != []
 
 
 def test_closure_report_identity(chain3):
-    rep = check_closure_operator(chain3, ACMap.identity(chain3.category))
+    rep = check_closure_operator(chain3, ACMap.from_objects(chain3, [0, 1, 2]))
     assert rep.monotone and rep.idempotent and rep.descending and rep.ascending
 
 
@@ -128,46 +126,19 @@ def test_closure_report_two_chain_drop():
     assert not rep.ascending and rep.witnesses["ascending"] == [1]
 
 
-def test_closure_prerequisites_two_chain():
-    p = chain_poset(2)
-    f = ACMap.from_objects(p, [0, 0])
-    ok, _ = check_closure_prerequisites(p.category, f, {1})
-    assert ok
-    ok, witnesses = check_closure_prerequisites(p.category, f, {0, 1})
-    assert not ok
-    assert ("not-disjoint", 0) in witnesses
-
-
-def test_closure_prerequisites_parallel_pair():
-    c = AcyclicCategory(["b", "r"], [(0, 1), (0, 1)])
-    f = ACMap((1, 1), (None, None))
-    assert check_ac_map(c, f).ok
-    ok, witnesses = check_closure_prerequisites(c, f, {0})
-    assert not ok
-    assert ("hom-count", 0, 2) in witnesses
-
-
-def test_closure_prerequisites_relabel_invariant():
-    import random
-
-    rng = random.Random(7)
-    p = poset_from_relation(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    f = ACMap.from_objects(p, [0, 0, 0, 3])
-    base = check_closure_prerequisites(p.category, f, {1, 2})[0]
-    for _ in range(10):
-        perm = list(range(4))
-        rng.shuffle(perm)
-        inv = [perm.index(i) for i in range(4)]
-        pairs = [(perm[x], perm[y]) for (x, y) in p.mor_of]
-        q = poset_from_relation(4, pairs)
-        g = ACMap.from_objects(q, [perm[f.obj[inv[i]]] for i in range(4)])
-        relabeled = check_closure_prerequisites(q.category, g, {perm[1], perm[2]})[0]
-        assert relabeled == base
+def test_closure_map_needs_disjoint_colours_and_one_edge_to_the_image():
+    # two parallel morphisms b -> r give b two edges to its image r
+    t = nerve(AcyclicCategory(["b", "r"], [(0, 1), (0, 1)])).trisp
+    for convention in ("min", "max"):
+        report = verify_trisp_closure_map(t, TrispClosureMap({0}, {1}, {0: 1}, convention))
+        assert not report.ok and report.failures == [(0, 0, 2)]
+    with pytest.raises(InputError, match="overlap"):
+        TrispClosureMap({0, 1}, {0}, {0: 0, 1: 0}, "min")
 
 
 def test_terminal_object_chain_and_antichain():
     assert find_terminal_object(chain_poset(2).category) == 1
-    assert find_terminal_object(antichain_poset(2).category) is None
+    assert find_terminal_object(poset_from_relation(2, []).category) is None
 
 
 def test_opposite_category_roundtrip(chain3):
@@ -232,6 +203,6 @@ def test_ac_maps_on_posets_preserve_order(p, rng):
     if order_violation(p, values) is not None:
         return
     f = ACMap.from_objects(p, values)
-    assert check_ac_map(p.category, f).ok
+    assert check_functor(p.category, p.category, f) == []
     for (x, y) in p.mor_of:
         assert p.leq(f.obj[x], f.obj[y])

@@ -13,12 +13,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trispcat.accat import chain_poset
 from trispcat.cli import main
 from trispcat.nerve import nerve
 from trispcat.symmetry import CatAut
 
-from oracles import is_identity
+from oracles import chain_poset, is_identity
 
 
 def write(path, payload):

@@ -9,7 +9,6 @@ from trispcat.equivariant import (
     check_equivariant,
     check_image_subtrisp_equality,
     check_lift_condition,
-    check_operator_class_coherence,
     lift_candidate,
     lift_closure_map,
     push_closure_map,
@@ -25,8 +24,12 @@ from trispcat.symmetry import (
     trivial_trisp_action,
 )
 
-from oracles import monotone_idempotent_maps, poset_automorphisms, random_action, random_poset, subgroups_upto_order
-from test_accat import posets
+from oracles import (
+    check_operator_class_coherence,
+    monotone_idempotent_maps,
+    random_action,
+    random_poset,
+)
 
 
 def test_equivariance_trivial_group(two_edges_z2):
@@ -104,7 +107,7 @@ def test_lift_rejected_on_double_filled(double_filled):
 
 
 def test_class_coherence_trivial_and_identity(chain3):
-    f = ACMap.identity(chain3.category)
+    f = ACMap.from_objects(chain3, [0, 1, 2])
     ok, witnesses = check_operator_class_coherence(
         chain3, trivial_cat_action(chain3.category), f
     )

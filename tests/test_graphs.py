@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from trispcat.accat import check_closure_operator, find_terminal_object, validate_category
+from trispcat.accat import find_terminal_object, validate_category
 from trispcat.errors import InputError
 from trispcat.graphs import (
     build_dgn,
-    barycentric,
     edge_list,
     face_poset,
     face_poset_action,
@@ -17,7 +16,6 @@ from trispcat.graphs import (
     partition_poset,
     pipeline_quotient_category,
     pipeline_quotient_trisp,
-    set_partitions,
     transitive_closure_operator,
 )
 from trispcat.nerve import nerve
@@ -77,13 +75,13 @@ def test_face_poset_rejects_non_simplicial(double_filled):
 
 def test_barycentric_of_edge_is_path():
     edge = simplicial_from_faces(2, [(0,), (1,), (0, 1)])[0]
-    nv = barycentric(edge)
+    nv = nerve(face_poset(edge).category)
     assert nv.trisp.counts == (3, 2)
 
 
 def test_barycentric_of_hollow_triangle_is_hexagon():
     hollow = simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])[0]
-    nv = barycentric(hollow)
+    nv = nerve(face_poset(hollow).category)
     assert nv.trisp.counts == (6, 6)
 
 

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings
 
-from trispcat.accat import ACMap, AcyclicCategory, chain_poset, find_terminal_object
+from trispcat.accat import ACMap, AcyclicCategory, find_terminal_object
 from trispcat.errors import InputError
-from trispcat.nerve import Chain, map_chain, nerve, nerve_of_map, surviving_positions
+from trispcat.nerve import nerve
 from trispcat.trisp import validate_trisp
 
-from oracles import count_chains_by_length
+from oracles import chain_poset, count_chains_by_length, nerve_map_images
 from test_accat import posets
 
 
@@ -18,15 +18,15 @@ def test_nerve_of_single_object_is_point():
 def test_nerve_of_three_chain_is_full_triangle(chain3):
     nv = nerve(chain3.category)
     assert nv.trisp.counts == (3, 3, 1)
-    assert nv.chain(2, 0).objects == (0, 1, 2)
+    assert nv.trisp.vertex_tuple(2, 0) == (0, 1, 2)
 
 
 def test_nerve_boundaries_follow_chain_structure(chain3):
     nv = nerve(chain3.category)
     d0, d1, d2 = nv.trisp.faces(2, 0)
-    assert nv.chain(1, d0).objects == (1, 2)  # drops the minimal object
-    assert nv.chain(1, d1).objects == (0, 2)  # composes through the middle
-    assert nv.chain(1, d2).objects == (0, 1)  # drops the maximal object
+    assert nv.trisp.vertex_tuple(1, d0) == (1, 2)  # drops the minimal object
+    assert nv.trisp.vertex_tuple(1, d1) == (0, 2)  # composes through the middle
+    assert nv.trisp.vertex_tuple(1, d2) == (0, 1)  # drops the maximal object
 
 
 def test_chains_are_morphism_tuples_over_vertex_tuples(dgn4_bundle):
@@ -36,11 +36,9 @@ def test_chains_are_morphism_tuples_over_vertex_tuples(dgn4_bundle):
         for s, ms in enumerate(nv.chains[d]):
             assert type(ms) is tuple and len(ms) == d
             assert all(c.tgt[a] == c.src[b] for a, b in zip(ms, ms[1:]))
-            chain = nv.chain(d, s)
-            assert chain == Chain(nv.trisp.vertex_tuple(d, s), ms)
-            if d:
-                assert chain.objects == (c.src[ms[0]],) + tuple(c.tgt[m] for m in ms)
-            assert nv.simplex_of(chain) == (d, s)
+            objects = (c.src[ms[0]],) + tuple(c.tgt[m] for m in ms) if d else (s,)
+            assert nv.trisp.vertex_tuple(d, s) == objects
+            assert not d or nv.simplex_of_morphisms(ms) == s
 
 
 def test_nerve_needs_total_composition():
@@ -71,10 +69,10 @@ def test_simplex_counts_match_path_counting_random(p):
 
 def test_identity_map_induces_identity(chain3):
     nv = nerve(chain3.category)
-    tm = nerve_of_map(nv, nv, ACMap.identity(chain3.category))
+    tm = nerve_map_images(nv, nv, ACMap.from_objects(chain3, [0, 1, 2]))
     for d in range(nv.trisp.dim + 1):
         for s in range(nv.trisp.n(d)):
-            assert tm.image(d, s) == (d, s)
+            assert tm[d][s] == (d, s)
 
 
 def test_constant_map_collapses_edge_to_vertex():
@@ -82,18 +80,18 @@ def test_constant_map_collapses_edge_to_vertex():
     nv = nerve(p.category)
     t = find_terminal_object(p.category)
     f = ACMap.from_objects(p, [t, t])
-    tm = nerve_of_map(nv, nv, f)
-    assert tm.image(1, 0) == (0, t)
+    assert nerve_map_images(nv, nv, f)[1][0] == (0, t)
 
 
 def _degeneracy_aware_commutes(nv_src, nv_dst, f, tm):
     for d in range(1, nv_src.trisp.dim + 1):
         for s in range(nv_src.trisp.n(d)):
-            chain = nv_src.chain(d, s)
-            pos = surviving_positions(f, chain)
-            img_d, img_s = tm.image(d, s)
+            pos = [0]  # image position of each vertex of the chain
+            for m in nv_src.chains[d][s]:
+                pos.append(pos[-1] + (f.mor[m] is not None))
+            img_d, img_s = tm[d][s]
             for j in range(d + 1):
-                face_image = tm.image(d - 1, nv_src.trisp.face(d, s, j))
+                face_image = tm[d - 1][nv_src.trisp.face(d, s, j)]
                 collapses = pos.count(pos[j]) > 1
                 if collapses:
                     assert face_image == (img_d, img_s)
@@ -105,18 +103,17 @@ def _degeneracy_aware_commutes(nv_src, nv_dst, f, tm):
 def test_nerve_map_commutes_with_boundaries_after_degeneracy_removal(chain3):
     nv = nerve(chain3.category)
     f = ACMap.from_objects(chain3, [0, 0, 2])
-    tm = nerve_of_map(nv, nv, f)
-    _degeneracy_aware_commutes(nv, nv, f, tm)
+    _degeneracy_aware_commutes(nv, nv, f, nerve_map_images(nv, nv, f))
 
 
 def test_transitive_closure_images_are_chains(dgn4_bundle):
-    fp, f, bd = dgn4_bundle["fp"], dgn4_bundle["f"], dgn4_bundle["bd"]
-    tm = nerve_of_map(bd, bd, f)
+    f, bd = dgn4_bundle["f"], dgn4_bundle["bd"]
+    tm = nerve_map_images(bd, bd, f)
     _degeneracy_aware_commutes(bd, bd, f, tm)
     for d in range(1, bd.trisp.dim + 1):
         for s in range(bd.trisp.n(d)):
-            img = map_chain(f, bd.chain(d, s), fp.category)
-            assert all(f.obj[o] == o for o in img.objects)  # image objects are closed
+            # image objects are closed
+            assert all(f.obj[o] == o for o in bd.trisp.vertex_tuple(*tm[d][s]))
 
 
 @settings(max_examples=30, deadline=None)

@@ -44,3 +44,37 @@ def test_no_quotient_piece_is_an_optional_parameter():
             ]
             found += [f"{name}:{node.lineno} {a.arg}" for a in defaulted if a.arg in pieces]
     assert found == []
+
+
+def test_every_public_definition_is_used_in_the_package():
+    # what only tests reach belongs in tests/oracles.py, not in the package;
+    # an import alias is not a use, and neither is a call from its own body
+    modules = [(name, node) for name, node in _package_nodes() if isinstance(node, ast.Module)]
+    defined = []
+    for name, module in modules:
+        if name == "__init__.py":
+            continue
+        for node in module.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+    uses = {}
+    for _name, module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                key = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(key, []).append(node)
+    unused = []
+    for qualname, node in defined:
+        short = qualname.rpartition(".")[2]
+        if short.startswith("_"):
+            continue
+        own = {id(n) for n in ast.walk(node)}
+        if all(id(n) in own for n in uses.get(short, ())):
+            unused.append(qualname)
+    assert unused == []

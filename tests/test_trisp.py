@@ -1,8 +1,7 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 from itertools import combinations
 
-from trispcat.accat import chain_poset, poset_from_relation
 from trispcat.errors import InputError
 from trispcat.nerve import nerve
 from trispcat.trisp import (
@@ -16,6 +15,7 @@ from trispcat.trisp import (
     validate_trisp,
 )
 
+from oracles import chain_poset, opposite_category
 from test_accat import posets
 
 
@@ -147,8 +147,6 @@ def test_equality_is_boundary_sensitive():
 
 
 def test_reverse_trisp_matches_opposite_nerve(chain3):
-    from trispcat.accat import opposite_category
-
     forward = nerve(chain3.category).trisp
     backward = nerve(opposite_category(chain3.category)).trisp
     rev = reverse_trisp(forward)
