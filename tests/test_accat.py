@@ -126,14 +126,21 @@ def test_closure_report_two_chain_drop():
     assert not rep.ascending and rep.witnesses["ascending"] == [1]
 
 
-def test_closure_map_needs_disjoint_colours_and_one_edge_to_the_image():
+def test_closure_prerequisites_two_chain():
+    # on a -> b, sending the blue b down to the red a is a closure map;
+    # blue and red sharing a vertex is refused
+    t = nerve(two_chain()).trisp
+    assert verify_trisp_closure_map(t, TrispClosureMap({1}, {0}, {1: 0}, "max")).ok
+    with pytest.raises(InputError, match="overlap"):
+        TrispClosureMap({0, 1}, {0}, {0: 0, 1: 0}, "min")
+
+
+def test_closure_prerequisites_parallel_pair():
     # two parallel morphisms b -> r give b two edges to its image r
     t = nerve(AcyclicCategory(["b", "r"], [(0, 1), (0, 1)])).trisp
     for convention in ("min", "max"):
         report = verify_trisp_closure_map(t, TrispClosureMap({0}, {1}, {0: 1}, convention))
         assert not report.ok and report.failures == [(0, 0, 2)]
-    with pytest.raises(InputError, match="overlap"):
-        TrispClosureMap({0, 1}, {0}, {0: 0, 1: 0}, "min")
 
 
 def test_terminal_object_chain_and_antichain():
