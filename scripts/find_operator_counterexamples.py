@@ -38,17 +38,16 @@ def main():
         for f in monotone_idempotent_maps(p):
             if check_closure_operator(p, f).direction() is not None:
                 continue
-            values = f.obj
-            red = frozenset(values)
+            red = frozenset(f)
             blue = frozenset(range(p.n)) - red
-            mapping = {b: values[b] for b in blue}
+            mapping = {b: f[b] for b in blue}
             reports = {
                 conv: verify_trisp_closure_map(nv.trisp, TrispClosureMap(blue, red, mapping, conv))
                 for conv in ("min", "max")
             }
             if all(not r.ok for r in reports.values()):
                 hits += 1
-                print(f"poset {sorted(p.mor_of)}  operator {values}")
+                print(f"poset {sorted(p.mor_of)}  operator {f}")
                 for conv, r in reports.items():
                     print(f"  {conv}: first failure {r.failures[0]}")
                 if hits >= args.limit:

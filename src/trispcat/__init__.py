@@ -1,7 +1,6 @@
 """Acyclic categories, regular trisps, equivariant quotients, and collapse certificates."""
 
 from .accat import (
-    ACMap,
     AcyclicCategory,
     Poset,
     as_poset,

@@ -1,9 +1,11 @@
-"""Finite acyclic categories, posets, and structure-preserving maps.
+"""Finite acyclic categories, posets, and closure operators on posets.
 
 Objects and non-identity morphisms are dense integer indices with optional
 string labels; identities are implicit and never stored.  Composition is a
 partial table defined exactly on composable pairs: ``comp[(m1, m2)]`` is the
-morphism "m1 followed by m2".
+morphism "m1 followed by m2".  An operator on a poset is the tuple of its
+object images, ``f[x]``: a poset has at most one morphism between two
+objects, so the images of the objects fix those of the morphisms.
 """
 
 from __future__ import annotations
@@ -309,39 +311,6 @@ def covers(p):
     return out
 
 
-@dataclass(frozen=True)
-class ACMap:
-    """A functor given by an object map and a morphism map.
-
-    A morphism entry of None means the morphism collapses to the identity
-    at the (shared) image of its endpoints.
-    """
-
-    obj: tuple
-    mor: tuple
-
-    @classmethod
-    def from_objects(cls, p, obj_map):
-        """Lift an order-preserving object map on a poset to an ACMap."""
-        obj_map = tuple(obj_map)
-        witness = order_violation(p, obj_map)
-        if witness is not None:
-            raise InputError(f"object map is not order-preserving at {witness}")
-        mor = [None] * p.category.n_morphisms
-        for (x, y), m in p.mor_of.items():
-            fx, fy = obj_map[x], obj_map[y]
-            mor[m] = None if fx == fy else p.mor_of[(fx, fy)]
-        return cls(obj_map, tuple(mor))
-
-
-def order_violation(p, obj_map):
-    """First pair (x, y) with x < y whose images are not related, else None."""
-    for (x, y) in sorted(p.mor_of):
-        if not p.leq(obj_map[x], obj_map[y]):
-            return (x, y)
-    return None
-
-
 @dataclass
 class ClosureReport:
     """Flags for a candidate closure operator; each False flag has witnesses."""
@@ -377,17 +346,20 @@ class ClosureReport:
 
 
 def check_closure_operator(p, f):
-    """Classify an ACMap on a poset: monotone, idempotent, descending, ascending."""
+    """Classify an operator `f` (object images) on a poset: monotone, idempotent, one-sided.
+
+    The monotone witnesses are every relation x < y with f(x) not below f(y).
+    """
     witnesses = {"monotone": [], "idempotent": [], "descending": [], "ascending": []}
     for (x, y) in p.mor_of:
-        if not p.leq(f.obj[x], f.obj[y]):
+        if not p.leq(f[x], f[y]):
             witnesses["monotone"].append((x, y))
     for x in range(p.n):
-        if f.obj[f.obj[x]] != f.obj[x]:
+        if f[f[x]] != f[x]:
             witnesses["idempotent"].append(x)
-        if not p.leq(f.obj[x], x):
+        if not p.leq(f[x], x):
             witnesses["descending"].append(x)
-        if not p.leq(x, f.obj[x]):
+        if not p.leq(x, f[x]):
             witnesses["ascending"].append(x)
     return ClosureReport(
         monotone=not witnesses["monotone"],

@@ -171,6 +171,8 @@ def cmd_closure(args):
     if args.convention:
         cmap = closure.TrispClosureMap(cmap.blue, cmap.red, cmap.mapping, args.convention)
     sub = args.verb
+    if sub in ("verify", "collapse") and args.action is not None:
+        raise InputError(f"closure {sub} takes no --action")
     if sub == "verify":
         report = closure.verify_trisp_closure_map(t, cmap)
         _emit(args, report.to_json())
@@ -224,6 +226,8 @@ def cmd_closure(args):
 
 def cmd_dgn(args):
     if args.verb == "build":
+        if args.pipeline is not None:
+            raise InputError("dgn build takes no --pipeline")
         k = graphs.build_dgn(args.n)
         if args.format == "dot":
             _emit(args, None, trisp.skeleton_dot(k.trisp))
@@ -233,6 +237,8 @@ def cmd_dgn(args):
         _emit(args, payload)
         return 0
     if args.verb == "pipeline":
+        if args.format == "dot":
+            raise InputError("dgn pipeline has no dot format")
         variant = args.pipeline or "61"
         if variant in ("61", "trisp"):
             report, _cert = graphs.pipeline_quotient_trisp(args.n)

@@ -169,9 +169,9 @@ def induced_trisp_closure_map(p, f, report=None):
         raise PreconditionError(
             "operator is not a one-sided closure operator: " + str(report.to_json())
         )
-    red = frozenset(f.obj)
+    red = frozenset(f)
     blue = frozenset(range(p.n)) - red
-    mapping = {b: f.obj[b] for b in blue}
+    mapping = {b: f[b] for b in blue}
     convention = "min" if direction == "descending" else "max"
     return TrispClosureMap(blue, red, mapping, convention)
 
@@ -181,11 +181,10 @@ class Matching:
     """A perfect matching on the blue-containing simplices.
 
     Each pair (σ, τ) has dim τ = dim σ + 1 and σ a boundary face of τ; the
-    unmatched simplices are exactly those with only red vertices.
+    simplices in no pair are exactly those with only red vertices.
     """
 
     pairs: tuple  # ((d, s), (d + 1, tau)) sorted
-    unmatched: tuple
 
 
 def closure_matching(t, cmap, verify_report):
@@ -200,7 +199,7 @@ def closure_matching(t, cmap, verify_report):
     if not verify_report.ok:
         raise PreconditionError(f"not a closure map: {verify_report.failures[:3]}")
     targets = _targets(t, cmap)
-    pairs, unmatched = [], []
+    pairs = []
     down = 0
     for d in range(t.dim + 1):
         count, ext = _extensions(t, targets, d)
@@ -208,8 +207,8 @@ def closure_matching(t, cmap, verify_report):
         up_vts, up_rows = t.vertex_tuples(d + 1), t.boundary_table(d + 1)
         for s, (b, vt) in enumerate(zip(targets[d], t.vertex_tuples(d))):
             if b < 0:
-                unmatched.append((d, s))
-            elif b in vt:
+                continue
+            if b in vt:
                 down += 1
             elif count[s] != 1:
                 raise SoundnessError(f"{(d, s)} has {count[s]} extensions in a verified map")
@@ -221,7 +220,7 @@ def closure_matching(t, cmap, verify_report):
                 pairs.append(((d, s), (d + 1, tau)))
     if len(pairs) != down:
         raise SoundnessError("matching rules disagree in size")
-    return Matching(tuple(pairs), tuple(unmatched))
+    return Matching(tuple(pairs))
 
 
 def check_matching_acyclic(t, matching):
@@ -249,7 +248,6 @@ class CollapseCertificate:
     the Euler characteristic is unchanged after every step.
     """
 
-    matching: Matching
     steps: tuple
     final: object  # Subtrisp
     euler: int
@@ -262,14 +260,15 @@ class CollapseCertificate:
         }
 
 
-def collapse(t, matching, red_vertices=None):
-    """Execute an acyclic matching as an elementary collapse sequence.
+def collapse(t, matching, red_vertices):
+    """Execute an acyclic matching as an elementary collapse onto the red subtrisp.
 
     Repeatedly removes a matched pair whose face is free (contained in
     exactly one remaining simplex, its partner).  A collapse that finishes
     proves the matching acyclic; getting stuck raises with the cycle that
-    `check_matching_acyclic` finds.  The steps follow a LIFO queue seeded with
-    the free matched faces in matching order, fed in boundary order.
+    `check_matching_acyclic` finds.  What is left must be the subtrisp that
+    `red_vertices` induce.  The steps follow a LIFO queue seeded with the
+    free matched faces in matching order, fed in boundary order.
     """
     dims = range(t.dim + 1)
     count = _coface_counts(t)
@@ -306,15 +305,13 @@ def collapse(t, matching, red_vertices=None):
         _acyclic, cycle = check_matching_acyclic(t, matching)
         left = len(matching.pairs) - len(steps)
         raise SoundnessError(f"collapse got stuck with {left} pairs left; cycle: {cycle}")
-    if red_vertices is None:
-        red_vertices = [v for v in range(t.n(0)) if not removed[0][v]]
     final = induced_subtrisp(t, red_vertices)
     for d in dims:
         if tuple(s for s, gone in enumerate(removed[d]) if not gone) != final.to_parent[d]:
             raise SoundnessError("final subtrisp is not the red subtrisp")
     if euler_characteristic(final.trisp) != chi:
         raise SoundnessError("collapse changed the Euler characteristic")
-    return CollapseCertificate(matching, tuple(steps), final, chi)
+    return CollapseCertificate(tuple(steps), final, chi)
 
 
 def full_collapse_audit(t, cmap, report=None):

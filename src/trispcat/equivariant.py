@@ -189,7 +189,7 @@ def _poset_action_is_equivariant(p, action, f):
     """First object x with f(gx) != g f(x) for a generator g, as (x,), else None."""
     for g in action.generators:
         for x in range(p.n):
-            if f.obj[g.obj[x]] != g.obj[f.obj[x]]:
+            if f[g.obj[x]] != g.obj[f[x]]:
                 return (x,)
     return None
 
@@ -215,7 +215,7 @@ def check_image_subtrisp_equality(p, f, qc):
     """
     if qc.source is not p.category:
         raise PreconditionError("the quotient is not a quotient of this poset")
-    image = sorted(set(f.obj))
+    image = sorted(set(f))
     red_classes = sorted({qc.obj_class[x] for x in image})
     sub = induced_subtrisp(qc.nerve.trisp, set(red_classes))
 
@@ -232,7 +232,6 @@ def check_image_subtrisp_equality(p, f, qc):
 
 @dataclass
 class QuotientPosetClosure:
-    qc: object  # QuotientCategory
     cmap: TrispClosureMap
     verify_report: object
 
@@ -252,16 +251,16 @@ def quotient_poset_closure_map(p, f, qc):
         raise PreconditionError("operator is not a one-sided closure operator")
     if _poset_action_is_equivariant(p, qc.action, f) is not None:
         raise PreconditionError("operator is not equivariant")
-    image = set(f.obj)
+    image = set(f)
     red = frozenset(qc.obj_class[x] for x in image)
     blue = frozenset(range(qc.category.n_objects)) - red
     mapping = {}
     for cls in blue:
         members = qc.obj_members[cls]
-        images = {qc.obj_class[f.obj[x]] for x in members}
+        images = {qc.obj_class[f[x]] for x in members}
         if len(images) != 1:
             raise SoundnessError("operator image is not constant on classes")
         mapping[cls] = images.pop()
     cmap = TrispClosureMap(blue, red, mapping, "min" if direction == "descending" else "max")
     verify = verify_trisp_closure_map(qc.nerve.trisp, cmap)
-    return QuotientPosetClosure(qc, cmap, verify)
+    return QuotientPosetClosure(cmap, verify)

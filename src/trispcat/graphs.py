@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .accat import ACMap, Poset, check_closure_operator, find_terminal_object, poset_from_relation
+from .accat import Poset, check_closure_operator, find_terminal_object, poset_from_relation
 from .closure import (
     cone_closure_map,
     full_collapse_audit,
@@ -170,17 +170,17 @@ def number_partition(partition):
 class PartitionPoset:
     """Set partitions of {0..n-1} except the discrete and one-block partitions.
 
-    With ``fine_on_top=True`` morphisms point from coarser to finer
-    partitions, so the one-doubleton classes sit at the top and survive as a
-    terminal object in the quotient.  With ``fine_on_top=False`` the order
-    matches inclusion of the corresponding unions of complete graphs.
+    Built by `partition_poset`: with ``fine_on_top=True`` morphisms point
+    from coarser to finer partitions, so the one-doubleton classes sit at the
+    top and survive as a terminal object in the quotient.  With
+    ``fine_on_top=False`` the order matches inclusion of the corresponding
+    unions of complete graphs.
     """
 
     n: int
     partitions: tuple
     poset: Poset
     index: dict
-    fine_on_top: bool
 
     @property
     def category(self):
@@ -202,7 +202,7 @@ def partition_poset(n, fine_on_top=True):
                 pairs.append((j, i) if fine_on_top else (i, j))
     labels = [partition_label(p) for p in parts]
     poset = poset_from_relation(labels, pairs)
-    return PartitionPoset(n, tuple(parts), poset, index, fine_on_top)
+    return PartitionPoset(n, tuple(parts), poset, index)
 
 
 def partition_of_edges(n, edge_ids, edges):
@@ -230,10 +230,11 @@ def edges_of_partition(partition, edge_index):
 
 
 def transitive_closure_operator(k, fp):
-    """The map sending each face to the edge set of its transitive closure.
+    """The operator sending each face to the edge set of its transitive closure.
 
-    Ascending, idempotent, monotone, and equivariant on the face poset; its
-    image is the poset of nontrivial set partitions.
+    Returned as the tuple of object images.  Ascending, idempotent, monotone,
+    and equivariant on the face poset (`check_closure_operator` checks the
+    first three); its image is the poset of nontrivial set partitions.
     """
     obj_map = []
     for (d, s) in fp.elements:
@@ -241,7 +242,7 @@ def transitive_closure_operator(k, fp):
         partition = partition_of_edges(k.n, face, k.edges)
         closed = edges_of_partition(partition, k.edge_index)
         obj_map.append(fp.position[k.index[frozenset(closed)]])
-    return ACMap.from_objects(fp.poset, obj_map)
+    return tuple(obj_map)
 
 
 def image_partition_isomorphism(k, fp, f):
@@ -253,7 +254,7 @@ def image_partition_isomorphism(k, fp, f):
     partition of its components.
     """
     pp = partition_poset(k.n, fine_on_top=False)
-    image = sorted(set(f.obj))
+    image = sorted(set(f))
     bijection = {}
     for x in image:
         d, s = fp.elements[x]
@@ -400,7 +401,7 @@ def pipeline_quotient_trisp(n):
     iso_ok, iso_witness, pp = image_partition_isomorphism(k, fp, f)
     if not iso_ok:
         clock.fail("closure_operator", f"image not isomorphic to partitions at {iso_witness}")
-    clock.done("closure_operator", image_size=len(set(f.obj)))
+    clock.done("closure_operator", image_size=len(set(f)))
 
     act = face_poset_action(k, fp)
     witness = _poset_action_is_equivariant(fp.poset, act, f)
@@ -520,7 +521,7 @@ def pipeline_quotient_category(n):
 
     # stitch the cone collapse back into the big nerve through the two
     # identifications: partition quotient ~ mirror of image quotient ~ red subtrisp
-    image = sorted(set(f.obj))
+    image = sorted(set(f))
     keep, sub_qc = image_quotient_nerve(fp.poset, act, image)
     pos = {x: i for i, x in enumerate(keep)}
     vmap2 = [None] * pn_q.trisp.n(0)

@@ -12,8 +12,7 @@ from .trisp import Trisp
 
 
 class Nerve:
-    def __init__(self, category, trisp, chains, index):
-        self.category = category
+    def __init__(self, trisp, chains, index):
         self.trisp = trisp
         self.chains = chains  # chains[d][s] = morphism tuple of the d-simplex s
         self._index = index  # morphism tuple -> simplex index, over all d >= 1
@@ -68,5 +67,5 @@ def nerve(c):
             row.append(index[ms[:-1]])
             table.append(tuple(row))
         bnd.append(tuple(table))
-    return Nerve(c, Trisp([len(lvl) for lvl in chains], bnd), tuple(chains), index)
+    return Nerve(Trisp([len(lvl) for lvl in chains], bnd), tuple(chains), index)
 

@@ -351,7 +351,6 @@ class QuotientCategory:
     obj_class: tuple  # object -> class index
     mor_class: tuple  # morphism -> class index
     obj_members: tuple
-    mor_members: tuple
 
     @cached_property
     def nerve(self):
@@ -448,21 +447,17 @@ def quotient_category(c, action):
         tuple(obj_class),
         tuple(mor_class),
         tuple(tuple(m) for m in obj_members),
-        tuple(tuple(m) for m in mor_members),
     )
 
 
 @dataclass
 class CanonicalMap:
     """The canonical comparison from the orbit trisp of the nerve to the nerve
-    of the quotient category.
+    of the quotient category, as its simplex map.
 
     It is bijective on vertices and surjective in every dimension.
     """
 
-    nerve_src: Nerve
-    qt: QuotientTrisp
-    qc: QuotientCategory
     nerve_dst: Nerve
     entries: tuple  # per dimension, orbit index -> simplex of nerve_dst
 
@@ -495,7 +490,7 @@ def canonical_map(qc):
                 img = tuple(qc.mor_class[m] for m in nerve_src.chains[d][rep])
                 level.append(nerve_dst.simplex_of_morphisms(img))
         entries.append(tuple(level))
-    cmap = CanonicalMap(nerve_src, qt, qc, nerve_dst, tuple(entries))
+    cmap = CanonicalMap(nerve_dst, tuple(entries))
     # commutes with boundaries
     for d in range(1, qt.trisp.dim + 1):
         for o in range(qt.trisp.n(d)):

@@ -133,8 +133,6 @@ class SimplicialFlag:
 
     is_simplicial: bool
     is_flag_complex: bool
-    simplicial_witness: tuple | None = None
-    flag_witness: tuple | None = None
 
 
 @dataclass
@@ -214,36 +212,23 @@ def edge_matrix(t, d, s, cache):
 
 def compute_simplicial_flag(t):
     """Brute-force simpliciality and flagness check; intended for desk scale."""
-    simplicial, s_wit = True, None
-    for d in range(1, t.dim + 1):
-        seen = {}
-        for s in range(t.n(d)):
-            key = frozenset(t.vertex_tuple(d, s))
-            if key in seen:
-                simplicial, s_wit = False, (d, seen[key], s)
-                break
-            seen[key] = s
-        if not simplicial:
-            break
+    simplicial = all(
+        len({frozenset(vt) for vt in t.vertex_tuples(d)}) == t.n(d) for d in range(1, t.dim + 1)
+    )
 
     cache = {}
-    flag, f_wit = True, None
     # dimension 2: every composable edge pair must span exactly one triangle
     fillings = {}
     for s in range(t.n(2)):
         key = (t.face(2, s, 2), t.face(2, s, 0))
         fillings[key] = fillings.get(key, 0) + 1
-    for e1 in range(t.n(1)):
-        v = t.vertex_tuple(1, e1)[1]
-        for e2 in range(t.n(1)):
-            if t.vertex_tuple(1, e2)[0] != v:
-                continue
-            n_fill = fillings.get((e1, e2), 0)
-            if n_fill != 1:
-                flag, f_wit = False, (2, (e1, e2), n_fill)
-                break
-        if not flag:
-            break
+    edges = t.vertex_tuples(1)
+    flag = all(
+        fillings.get((e1, e2), 0) == 1
+        for e1, (_u, v) in enumerate(edges)
+        for e2, (w, _x) in enumerate(edges)
+        if w == v
+    )
 
     if flag:
         # extend realized cliques by one vertex at a time; every coherent
@@ -284,13 +269,10 @@ def compute_simplicial_flag(t):
             for s in range(t.n(d)):
                 key = tuple(sorted(edge_matrix(t, d, s, cache).items()))
                 realized_d[key] = realized_d.get(key, 0) + 1
-            for key in sorted(candidates):
-                if realized_d.get(key, 0) != 1:
-                    flag, f_wit = False, (d, key, realized_d.get(key, 0))
-                    break
+            flag = all(realized_d.get(key, 0) == 1 for key in candidates)
             d += 1
 
-    return SimplicialFlag(simplicial, flag, s_wit, f_wit)
+    return SimplicialFlag(simplicial, flag)
 
 
 # -- derived constructions -------------------------------------------------

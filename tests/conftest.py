@@ -55,7 +55,6 @@ def two_edges_z2():
     Built as the nerve of the disjoint union of two 2-chains, so vertex ids
     are poset elements: 0=r1, 1=b1, 2=r2, 3=b2.
     """
-    from trispcat.accat import ACMap
     from trispcat.closure import induced_trisp_closure_map
 
     p = poset_from_relation(["r1", "b1", "r2", "b2"], [(0, 1), (2, 3)])
@@ -68,8 +67,7 @@ def two_edges_z2():
     from trispcat.symmetry import induced_trisp_action
 
     taction = induced_trisp_action(nv, cat_action)
-    f = ACMap.from_objects(p, [0, 0, 2, 2])
-    cmap = induced_trisp_closure_map(p, f)
+    cmap = induced_trisp_closure_map(p, (0, 0, 2, 2))
     return p, nv, cat_action, taction, cmap
 
 

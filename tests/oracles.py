@@ -10,16 +10,17 @@ the library scanned only orbit-representative pairs, and the recursive
 search for a collapse to a point, as it was before the library gave it its
 own stack.  Inverses and identity tests of group elements live here too,
 with the small constructions only tests read: chain posets, opposite
-categories, functor checks, nerves of functors, class coherence of an
-operator and lifts through the canonical map.
+categories, the functor an order-preserving map of a poset induces, functor
+checks, nerves of functors, class coherence of an operator and lifts
+through the canonical map.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from trispcat.accat import (
-    ACMap,
     AcyclicCategory,
     as_poset,
     check_closure_operator,
@@ -35,6 +36,7 @@ from trispcat.closure import (
 from trispcat.equivariant import image_quotient_nerve
 from trispcat.errors import PreconditionError, SoundnessError
 from trispcat.graphs import lift_to_edges, sn_generator_perms
+from trispcat.nerve import nerve
 from trispcat.symmetry import (
     CatAut,
     GroupAction,
@@ -43,8 +45,10 @@ from trispcat.symmetry import (
     _UnionFind,
     check_horizontal,
     close_group,
+    induced_trisp_action,
     orbit_partition,
     quotient_category,
+    quotient_trisp,
     trivial_cat_action,
 )
 from trispcat.trisp import euler_characteristic, induced_subtrisp
@@ -158,14 +162,14 @@ def decomposition_quotient_classes(c, action):
 
 
 def monotone_idempotent_maps(p):
-    """All monotone idempotent self-maps of a poset, as ACMaps."""
+    """All monotone idempotent self-maps of a poset, as tuples of object images."""
     n = p.n
     out = []
 
     def extend(values):
         if len(values) == n:
             if all(values[values[x]] == values[x] for x in range(n)):
-                out.append(ACMap.from_objects(p, values))
+                out.append(tuple(values))
             return
         x = len(values)
         for y in range(n):
@@ -279,8 +283,31 @@ def opposite_category(c):
     return AcyclicCategory(c.objects, morphisms, comp)
 
 
+class Functor(NamedTuple):
+    """A functor given by an object map and a morphism map.
+
+    A morphism entry of None means the morphism collapses to the identity
+    at the (shared) image of its endpoints.
+    """
+
+    obj: tuple
+    mor: tuple
+
+
+def poset_functor(p, obj):
+    """The functor on a poset that an order-preserving object map induces."""
+    obj = tuple(obj)
+    mor = [None] * p.category.n_morphisms
+    for (x, y), m in p.mor_of.items():
+        fx, fy = obj[x], obj[y]
+        if not p.leq(fx, fy):
+            raise ValueError(f"object map is not order-preserving at {(x, y)}")
+        mor[m] = None if fx == fy else p.mor_of[(fx, fy)]
+    return Functor(obj, tuple(mor))
+
+
 def check_functor(c, d, f):
-    """Witnesses where the ACMap f: c -> d breaks an endpoint or a defined composite."""
+    """Witnesses where the Functor f: c -> d breaks an endpoint or a defined composite."""
     witnesses = []
     for m in range(c.n_morphisms):
         fs, ft, fm = f.obj[c.src[m]], f.obj[c.tgt[m]], f.mor[m]
@@ -330,10 +357,10 @@ def check_operator_class_coherence(p, action, f):
     if not report.descending:
         p = as_poset(opposite_category(p.category))
         action = close_group(list(action.generators), on=p)
-    if any(f.obj[g.obj[x]] != g.obj[f.obj[x]] for g in action.generators for x in range(p.n)):
+    if any(f[g.obj[x]] != g.obj[f[x]] for g in action.generators for x in range(p.n)):
         raise PreconditionError("operator is not equivariant")
     qc = quotient_category(p.category, action)
-    keep, sub_qc = image_quotient_nerve(p, action, f.obj)
+    keep, sub_qc = image_quotient_nerve(p, action, f)
     sub_p = as_poset(sub_qc.source)
     pos = {x: i for i, x in enumerate(keep)}
 
@@ -341,10 +368,10 @@ def check_operator_class_coherence(p, action, f):
         return ("id", q.obj_class[x]) if x == y else ("mor", q.mor_class[poset.mor_of[(x, y)]])
 
     witnesses = []
-    for members in qc.mor_members:
+    for members in class_members(qc.mor_class):
         tags_q, tags_img = set(), set()
         for m in members:
-            fx, fy = f.obj[p.category.src[m]], f.obj[p.category.tgt[m]]
+            fx, fy = f[p.category.src[m]], f[p.category.tgt[m]]
             tags_q.add(arrow_class(qc, p, fx, fy))
             tags_img.add(arrow_class(sub_qc, sub_p, pos[fx], pos[fy]))
         if len(tags_q) > 1:
@@ -354,20 +381,37 @@ def check_operator_class_coherence(p, action, f):
     return (not witnesses), witnesses
 
 
-def canonical_lift(cm, d, s):
-    """An orbit of the source nerve over the simplex (d, s) of the quotient nerve.
+def class_members(classes):
+    """members[k] = the items of class k, in increasing order."""
+    members = [[] for _ in range(max(classes, default=-1) + 1)]
+    for item, k in enumerate(classes):
+        members[k].append(item)
+    return tuple(tuple(m) for m in members)
 
-    The chain of classes is lifted one morphism at a time: each next class
-    member must start where the lifted chain ends.
+
+def canonical_lifts(qc, cm):
+    """lifts[d][s] = an orbit of the source nerve over the simplex (d, s) of the quotient nerve.
+
+    `cm` is the canonical map of `qc`; its orbits are those of the orbit
+    trisp rebuilt here.  A chain of classes is lifted one morphism at a
+    time: each next class member must start where the lifted chain ends.
     """
-    if d == 0:
-        return cm.qt.projection[0][cm.qc.obj_members[s][0]]
-    c = cm.nerve_src.category
-    lifted = []
-    for cls in cm.nerve_dst.chains[d][s]:
-        members = cm.qc.mor_members[cls]
-        lifted.append(next(m for m in members if not lifted or c.src[m] == c.tgt[lifted[-1]]))
-    return cm.qt.projection[d][cm.nerve_src.simplex_of_morphisms(lifted)]
+    c = qc.source
+    nerve_src = nerve(c)
+    qt = quotient_trisp(nerve_src.trisp, induced_trisp_action(nerve_src, qc.action))
+    mor_members = class_members(qc.mor_class)
+    lifts = [tuple(qt.projection[0][members[0]] for members in qc.obj_members)]
+    for d in range(1, cm.nerve_dst.trisp.dim + 1):
+        level = []
+        for classes in cm.nerve_dst.chains[d]:
+            lifted = []
+            for cls in classes:
+                lifted.append(next(
+                    m for m in mor_members[cls] if not lifted or c.src[m] == c.tgt[lifted[-1]]
+                ))
+            level.append(qt.projection[d][nerve_src.simplex_of_morphisms(lifted)])
+        lifts.append(tuple(level))
+    return tuple(lifts)
 
 
 def invert_perm(g):
@@ -472,7 +516,6 @@ def quotient_category_oracle(c, action):
         tuple(obj_class),
         tuple(mor_class),
         tuple(tuple(m) for m in obj_members),
-        tuple(tuple(m) for m in mor_members),
     )
 
 
@@ -606,12 +649,10 @@ def closure_matching_oracle(t, cmap, verify_report):
     cofaces = coface_table(t)
     up = {}
     down_partner = {}
-    unmatched = []
     for d in range(t.dim + 1):
         for s in range(t.n(d)):
             hit = extreme_blue(t, d, s, cmap)
             if hit is None:
-                unmatched.append((d, s))
                 continue
             _, b = hit
             phi_b = cmap.mapping[b]
@@ -628,7 +669,7 @@ def closure_matching_oracle(t, cmap, verify_report):
         if down_partner.get(tau) != sigma:
             raise AssertionError(f"inconsistent pairing at {sigma} / {tau}")
     pairs = tuple(sorted((sigma, tau) for sigma, tau in up.items()))
-    return Matching(pairs, tuple(sorted(unmatched)))
+    return Matching(pairs)
 
 
 def parent_simplices(sub):
@@ -636,7 +677,7 @@ def parent_simplices(sub):
     return {(d, s) for d, level in enumerate(sub.to_parent) for s in level}
 
 
-def collapse_oracle(t, matching, red_vertices=None):
+def collapse_oracle(t, matching, red_vertices):
     removed = set()
     cofaces = coface_table(t)
     coface_count = {key: len(cofs) for key, cofs in cofaces.items()}
@@ -674,17 +715,13 @@ def collapse_oracle(t, matching, red_vertices=None):
         raise AssertionError(
             f"collapse got stuck with {len(up) - len(steps)} pairs left; cycle: {cycle}"
         )
-    if red_vertices is None:
-        red_set = {v for v in range(t.n(0)) if (0, v) not in removed}
-    else:
-        red_set = set(red_vertices)
-    final = induced_subtrisp(t, red_set)
+    final = induced_subtrisp(t, red_vertices)
     remaining = {(d, s) for d in range(t.dim + 1) for s in range(t.n(d))} - removed
     if remaining != parent_simplices(final):
         raise AssertionError("final subtrisp is not the red subtrisp")
     if euler_characteristic(final.trisp) != chi:
         raise AssertionError("collapse changed the Euler characteristic")
-    return CollapseCertificate(matching, tuple(steps), final, chi)
+    return CollapseCertificate(tuple(steps), final, chi)
 
 
 def verify_collapse_sequence_oracle(t, steps):

@@ -2,13 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trispcat.accat import (
-    ACMap,
     AcyclicCategory,
     as_poset,
     check_closure_operator,
     covers,
     find_terminal_object,
-    order_violation,
     poset_from_relation,
     to_dot,
     validate_category,
@@ -17,7 +15,14 @@ from trispcat.closure import TrispClosureMap, verify_trisp_closure_map
 from trispcat.errors import InputError, NotAPosetError
 from trispcat.nerve import nerve
 
-from oracles import all_posets_upto_iso, chain_poset, check_functor, opposite_category
+from oracles import (
+    Functor,
+    all_posets_upto_iso,
+    chain_poset,
+    check_functor,
+    opposite_category,
+    poset_functor,
+)
 
 
 def two_chain():
@@ -91,37 +96,37 @@ def test_poset_from_relation_rejects_cycles():
 
 
 def test_identity_map_is_functor(chain3):
-    f = ACMap.from_objects(chain3, [0, 1, 2])
+    f = poset_functor(chain3, [0, 1, 2])
     assert f.mor == tuple(range(chain3.category.n_morphisms))
     assert check_functor(chain3.category, chain3.category, f) == []
 
 
 def test_order_preserving_map_on_chain(chain3):
-    f = ACMap.from_objects(chain3, [0, 0, 2])
+    f = poset_functor(chain3, [0, 0, 2])
     assert check_functor(chain3.category, chain3.category, f) == []
 
 
 def test_non_order_preserving_map_has_witness(chain3):
-    assert order_violation(chain3, (2, 1, 0)) == (0, 1)
-    with pytest.raises(InputError):
-        ACMap.from_objects(chain3, [2, 1, 0])
+    report = check_closure_operator(chain3, (2, 1, 0))
+    assert not report.monotone and report.witnesses["monotone"][0] == (0, 1)
+    with pytest.raises(ValueError, match=r"order-preserving at \(0, 1\)"):
+        poset_functor(chain3, [2, 1, 0])
 
 
 def test_broken_morphism_map_detected(chain3):
-    good = ACMap.from_objects(chain3, [0, 0, 2])
-    bad = ACMap(good.obj, tuple(0 for _ in good.mor))
+    good = poset_functor(chain3, [0, 0, 2])
+    bad = Functor(good.obj, tuple(0 for _ in good.mor))
     assert check_functor(chain3.category, chain3.category, bad) != []
 
 
 def test_closure_report_identity(chain3):
-    rep = check_closure_operator(chain3, ACMap.from_objects(chain3, [0, 1, 2]))
+    rep = check_closure_operator(chain3, (0, 1, 2))
     assert rep.monotone and rep.idempotent and rep.descending and rep.ascending
 
 
 def test_closure_report_two_chain_drop():
     p = chain_poset(2)
-    f = ACMap.from_objects(p, [0, 0])
-    rep = check_closure_operator(p, f)
+    rep = check_closure_operator(p, (0, 0))
     assert rep.direction() == "descending"
     assert not rep.ascending and rep.witnesses["ascending"] == [1]
 
@@ -206,10 +211,10 @@ def test_random_posets_validate(p):
 @settings(max_examples=40, deadline=None)
 @given(posets(max_n=5), st.randoms(use_true_random=False))
 def test_ac_maps_on_posets_preserve_order(p, rng):
-    values = [rng.randrange(p.n) for _ in range(p.n)]
-    if order_violation(p, values) is not None:
+    values = tuple(rng.randrange(p.n) for _ in range(p.n))
+    if not check_closure_operator(p, values).monotone:
         return
-    f = ACMap.from_objects(p, values)
+    f = poset_functor(p, values)
     assert check_functor(p.category, p.category, f) == []
     for (x, y) in p.mor_of:
         assert p.leq(f.obj[x], f.obj[y])

@@ -46,7 +46,7 @@ from trispcat.trisp import euler_characteristic
 
 from oracles import (
     all_posets_upto_iso,
-    canonical_lift,
+    canonical_lifts,
     chain_poset,
     check_operator_class_coherence,
     decomposition_quotient_classes,
@@ -88,7 +88,7 @@ def equivariant_corpus(poset_corpus):
                 (f, rep)
                 for f, rep in one_sided
                 if all(
-                    f.obj[g.obj[x]] == g.obj[f.obj[x]]
+                    f[g.obj[x]] == g.obj[f[x]]
                     for g in action.elements
                     for x in range(p.n)
                 )
@@ -100,9 +100,9 @@ def equivariant_corpus(poset_corpus):
 
 
 def _candidate(f, p, convention):
-    red = frozenset(f.obj)
+    red = frozenset(f)
     blue = frozenset(range(p.n)) - red
-    return TrispClosureMap(blue, red, {b: f.obj[b] for b in blue}, convention)
+    return TrispClosureMap(blue, red, {b: f[b] for b in blue}, convention)
 
 
 def _chi_preserved_stepwise(t, steps):
@@ -152,11 +152,13 @@ def test_criterion_02_canonical_map_surjectivity(triangle_boundary, dgn4_bundle)
     assert cm.vertex_bijective and all(cm.surjective_by_dim)
 
     fp, act = dgn4_bundle["fp"], dgn4_bundle["act"]
-    cm = canonical_map(quotient_category(fp.category, act))
+    qc = quotient_category(fp.category, act)
+    cm = canonical_map(qc)
     assert cm.vertex_bijective and all(cm.surjective_by_dim)
+    lifts = canonical_lifts(qc, cm)
     for d in range(cm.nerve_dst.trisp.dim + 1):
         for s in range(cm.nerve_dst.trisp.n(d)):
-            assert cm.entries[d][canonical_lift(cm, d, s)] == s
+            assert cm.entries[d][lifts[d][s]] == s
 
     rng = random.Random(20260810)
     failures = 0
@@ -185,7 +187,7 @@ def test_criterion_03_one_sided_operators_induce_closure_maps(poset_corpus):
             if direction is not None:
                 one_sided += 1
                 cmap = induced_trisp_closure_map(p, f, rep)
-                assert verify_trisp_closure_map(nv.trisp, cmap).ok, (p.mor_of, f.obj)
+                assert verify_trisp_closure_map(nv.trisp, cmap).ok, (p.mor_of, f)
             else:
                 mixed += 1
                 bad_min = not verify_trisp_closure_map(nv.trisp, _candidate(f, p, "min")).ok

@@ -222,6 +222,46 @@ def test_pipeline_61_refuses_n6_before_building(capsys):
     assert "pipeline 61 runs for n <= 5" in capsys.readouterr().err
 
 
+def test_pipeline_dot_format_is_input_error(capsys):
+    assert main(["dgn", "pipeline", "--n", "3", "--format", "dot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: dgn pipeline has no dot format\n"
+
+
+def test_build_with_pipeline_is_input_error(capsys):
+    assert main(["dgn", "build", "--n", "3", "--pipeline", "62"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: dgn build takes no --pipeline\n"
+
+
+def test_closure_verify_and_collapse_reject_an_action(capsys, tmp_path):
+    t_file = write(tmp_path / "t.json", nerve(chain_poset(2).category).trisp.to_json())
+    map_file = write(tmp_path / "m.json", {"blue": [1], "red": [0], "map": {"1": 0}})
+    action_file = write(tmp_path / "a.json", {"generators": []})
+    for verb in ("verify", "collapse"):
+        argv = ["closure", verb, "--input", t_file, "--map", map_file, "--action", action_file]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: closure {verb} takes no --action\n"
+
+
+def test_counterexample_script_prints_operator_tuples():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "find_operator_counterexamples.py"),
+         "--max-n", "3"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "poset [(0, 1)]  operator (0, 0, 0)"
+
+
 def test_nerve_of_partition_poset_file(capsys, tmp_path):
     from trispcat.graphs import partition_poset
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trispcat.accat import ACMap, check_closure_operator, poset_from_relation
+from trispcat.accat import check_closure_operator, poset_from_relation
 from trispcat.closure import TrispClosureMap, full_collapse_audit, verify_trisp_closure_map
 from trispcat.equivariant import (
     check_equivariant,
@@ -107,7 +107,7 @@ def test_lift_rejected_on_double_filled(double_filled):
 
 
 def test_class_coherence_trivial_and_identity(chain3):
-    f = ACMap.from_objects(chain3, [0, 1, 2])
+    f = (0, 1, 2)
     ok, witnesses = check_operator_class_coherence(
         chain3, trivial_cat_action(chain3.category), f
     )
@@ -116,14 +116,14 @@ def test_class_coherence_trivial_and_identity(chain3):
 
 def test_class_coherence_two_edges(two_edges_z2):
     p, _nv, cat_action, _tact, _cmap = two_edges_z2
-    f = ACMap.from_objects(p, [0, 0, 2, 2])
+    f = (0, 0, 2, 2)
     ok, witnesses = check_operator_class_coherence(p, cat_action, f)
     assert ok, witnesses
 
 
 def test_image_subtrisp_equality_trivial(two_edges_z2):
     p, _nv, cat_action, _tact, _cmap = two_edges_z2
-    f = ACMap.from_objects(p, [0, 0, 2, 2])
+    f = (0, 0, 2, 2)
     trivial = quotient_category(p.category, trivial_cat_action(p.category))
     match = check_image_subtrisp_equality(p, f, trivial)
     assert match.ok
@@ -134,7 +134,7 @@ def test_image_subtrisp_equality_trivial(two_edges_z2):
 def test_quotient_poset_closure_trivial_group_reduces_to_induced(chain3):
     from trispcat.closure import induced_trisp_closure_map
 
-    f = ACMap.from_objects(chain3, [0, 1, 1])
+    f = (0, 1, 1)
     trivial = quotient_category(chain3.category, trivial_cat_action(chain3.category))
     result = quotient_poset_closure_map(chain3, f, trivial)
     direct = induced_trisp_closure_map(chain3, f)
@@ -146,19 +146,20 @@ def test_quotient_poset_closure_trivial_group_reduces_to_induced(chain3):
 
 def test_quotient_poset_closure_two_edges(two_edges_z2):
     p, _nv, cat_action, _tact, _cmap = two_edges_z2
-    f = ACMap.from_objects(p, [0, 0, 2, 2])
-    result = quotient_poset_closure_map(p, f, quotient_category(p.category, cat_action))
+    f = (0, 0, 2, 2)
+    qc = quotient_category(p.category, cat_action)
+    result = quotient_poset_closure_map(p, f, qc)
     assert result.verify_report.ok
-    assert result.qc.category.n_objects == 2
+    assert qc.category.n_objects == 2
     assert result.cmap.convention == "min"
-    cert = full_collapse_audit(result.qc.nerve.trisp, result.cmap)
+    cert = full_collapse_audit(qc.nerve.trisp, result.cmap)
     assert cert.final.trisp.counts == (1,)
 
 
 def test_poset_transfers_reject_a_quotient_of_another_poset(chain3):
     other = poset_from_relation(["a", "b", "c"], [(0, 1)])
     qc = quotient_category(other.category, trivial_cat_action(other.category))
-    f = ACMap.from_objects(chain3, [0, 1, 1])
+    f = (0, 1, 1)
     for transfer in (quotient_poset_closure_map, check_image_subtrisp_equality):
         with pytest.raises(PreconditionError, match="not a quotient of this poset"):
             transfer(chain3, f, qc)
@@ -171,7 +172,7 @@ def _equivariant_one_sided_operators(p, action):
         if report.direction() is None:
             continue
         if all(
-            f.obj[g.obj[x]] == g.obj[f.obj[x]] for g in action.elements for x in range(p.n)
+            f[g.obj[x]] == g.obj[f[x]] for g in action.elements for x in range(p.n)
         ):
             out.append((f, report))
     return out

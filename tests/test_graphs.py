@@ -94,13 +94,13 @@ def test_transitive_closure_operator_properties(dgn4_bundle):
     report = dgn4_bundle["closure_report"]
     assert report.monotone and report.idempotent and report.ascending
     assert not report.descending
-    assert len(set(f.obj)) == 13
+    assert len(set(f)) == 13
 
 
 def test_single_edge_is_fixed_point(dgn4_bundle):
     k, fp, f = dgn4_bundle["k"], dgn4_bundle["fp"], dgn4_bundle["f"]
     x = fp.position[k.index[frozenset({0})]]
-    assert f.obj[x] == x
+    assert f[x] == x
 
 
 def test_path_closes_to_triangle_at_n5():
@@ -111,7 +111,7 @@ def test_path_closes_to_triangle_at_n5():
     path = frozenset({edge_index[(0, 1)], edge_index[(1, 2)]})
     triangle = frozenset({edge_index[(0, 1)], edge_index[(0, 2)], edge_index[(1, 2)]})
     x = fp.position[k.index[path]]
-    assert f.obj[x] == fp.position[k.index[triangle]]
+    assert f[x] == fp.position[k.index[triangle]]
 
 
 def test_partition_poset_counts():
@@ -132,7 +132,8 @@ def test_image_isomorphic_to_partition_poset(dgn4_bundle):
     )
     assert ok
     assert len(bijection) == 13
-    assert not pp.fine_on_top
+    # inclusion orientation: a finer partition lies below a coarser one
+    assert pp.poset.lt(pp.index[((0, 1), (2,), (3,))], pp.index[((0, 1, 2), (3,))])
 
 
 def test_partition_poset_orientation():
@@ -178,8 +179,8 @@ def test_direct_action_fails_regularity_induced_passes(dgn4_bundle):
 def test_operator_is_equivariant(dgn4_bundle):
     f, act = dgn4_bundle["f"], dgn4_bundle["act"]
     for g in act.elements:
-        for x in range(len(f.obj)):
-            assert f.obj[g.obj[x]] == g.obj[f.obj[x]]
+        for x in range(len(f)):
+            assert f[g.obj[x]] == g.obj[f[x]]
 
 
 def test_partition_quotient_objects_and_terminal():

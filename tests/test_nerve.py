@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings
 
-from trispcat.accat import ACMap, AcyclicCategory, find_terminal_object
+from trispcat.accat import AcyclicCategory, find_terminal_object
 from trispcat.errors import InputError
 from trispcat.nerve import nerve
 from trispcat.trisp import validate_trisp
 
-from oracles import chain_poset, count_chains_by_length, nerve_map_images
+from oracles import chain_poset, count_chains_by_length, nerve_map_images, poset_functor
 from test_accat import posets
 
 
@@ -31,7 +31,7 @@ def test_nerve_boundaries_follow_chain_structure(chain3):
 
 def test_chains_are_morphism_tuples_over_vertex_tuples(dgn4_bundle):
     nv = dgn4_bundle["bd"]
-    c = nv.category
+    c = dgn4_bundle["fp"].category
     for d in range(nv.trisp.dim + 1):
         for s, ms in enumerate(nv.chains[d]):
             assert type(ms) is tuple and len(ms) == d
@@ -69,7 +69,7 @@ def test_simplex_counts_match_path_counting_random(p):
 
 def test_identity_map_induces_identity(chain3):
     nv = nerve(chain3.category)
-    tm = nerve_map_images(nv, nv, ACMap.from_objects(chain3, [0, 1, 2]))
+    tm = nerve_map_images(nv, nv, poset_functor(chain3, [0, 1, 2]))
     for d in range(nv.trisp.dim + 1):
         for s in range(nv.trisp.n(d)):
             assert tm[d][s] == (d, s)
@@ -79,7 +79,7 @@ def test_constant_map_collapses_edge_to_vertex():
     p = chain_poset(2)
     nv = nerve(p.category)
     t = find_terminal_object(p.category)
-    f = ACMap.from_objects(p, [t, t])
+    f = poset_functor(p, [t, t])
     assert nerve_map_images(nv, nv, f)[1][0] == (0, t)
 
 
@@ -102,12 +102,12 @@ def _degeneracy_aware_commutes(nv_src, nv_dst, f, tm):
 
 def test_nerve_map_commutes_with_boundaries_after_degeneracy_removal(chain3):
     nv = nerve(chain3.category)
-    f = ACMap.from_objects(chain3, [0, 0, 2])
+    f = poset_functor(chain3, [0, 0, 2])
     _degeneracy_aware_commutes(nv, nv, f, nerve_map_images(nv, nv, f))
 
 
 def test_transitive_closure_images_are_chains(dgn4_bundle):
-    f, bd = dgn4_bundle["f"], dgn4_bundle["bd"]
+    f, bd = poset_functor(dgn4_bundle["fp"].poset, dgn4_bundle["f"]), dgn4_bundle["bd"]
     tm = nerve_map_images(bd, bd, f)
     _degeneracy_aware_commutes(bd, bd, f, tm)
     for d in range(1, bd.trisp.dim + 1):
