@@ -411,6 +411,7 @@ def pipeline_quotient_trisp(n):
     clock.done("action", order=_sn_order(n))
 
     qt = quotient_trisp(bd.trisp, tact)
+    clock.done("quotient", counts=list(qt.trisp.counts))
     regular_report = check_regular_action(qt)
     if not regular_report.ok:
         clock.fail("regularity_condition", str(regular_report.witness))
@@ -419,8 +420,8 @@ def pipeline_quotient_trisp(n):
     # push_closure_map verifies cmap upstairs; it is not verified again here
     cmap = induced_trisp_closure_map(fp.poset, f, cls)
     pushed = push_closure_map(qt, cmap)
-    clock.done("induced_closure_map", extended=pushed.base_report.extended)
-    clock.done("quotient", counts=list(qt.trisp.counts), verified=pushed.verify_report.ok)
+    verified = pushed.verify_report.ok
+    clock.done("induced_closure_map", extended=pushed.base_report.extended, verified=verified)
 
     cert = full_collapse_audit(qt.trisp, pushed.cmap, pushed.verify_report)
     clock.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))

@@ -7,65 +7,78 @@ or compose two consecutive morphisms.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import ne
+
+from .accat import validate_category
 from .errors import InputError
 from .trisp import Trisp
+
+_CYCLE = "chains do not terminate; the category has a directed cycle"
 
 
 class Nerve:
     def __init__(self, trisp, chains, index):
         self.trisp = trisp
         self.chains = chains  # chains[d][s] = morphism tuple of the d-simplex s
-        self._index = index  # morphism tuple -> simplex index, over all d >= 1
+        self.index = index  # morphism tuple -> simplex index, over all d >= 1
 
     def simplex_of_morphisms(self, morphisms):
         morphisms = tuple(morphisms)
         if not morphisms:
             raise InputError("a zero-length chain is identified by its object")
-        return self._index[morphisms]
-
-
-def _chain_objects(c, morphisms):
-    return (c.src[morphisms[0]],) + tuple(c.tgt[m] for m in morphisms)
+        return self.index[morphisms]
 
 
 def nerve(c):
     """Nerve of an acyclic category, with a bidirectional simplex <-> chain index.
 
     Each simplex is stored once, as its morphism tuple; its objects are the
-    trisp's vertex tuple.  Chain enumeration is deterministic: within each
-    dimension chains are sorted by (object list, morphism list).
+    trisp's vertex tuple.  Within each dimension chains are sorted by
+    (object list, morphism list).  Level d extends level d - 1: a d-chain is
+    its face p = ∂_d plus a last morphism m, keyed ``p * n_morphisms + m``.
+    So each ∂_i is one lookup one level down: ∂_i p extended by m for
+    i < d - 1, and ∂_{d-1} p extended by the composite of p's last morphism
+    and m.  The object list is p's plus the target of m, so a level, listed
+    in (p, m) order, sorts stably on (rank of p's object list, target of m).
     """
-    chains = [((),) * c.n_objects]
-    index = {}
-    out_by_src = {}
-    for m in range(c.n_morphisms):
-        out_by_src.setdefault(c.src[m], []).append(m)
-    level = [(m,) for m in range(c.n_morphisms)]
-    while level:
-        if len(chains) > c.n_objects:
-            raise InputError("chains do not terminate; the category has a directed cycle")
-        level = tuple(ms for _objs, ms in sorted((_chain_objects(c, ms), ms) for ms in level))
-        index.update((ms, s) for s, ms in enumerate(level))
+    n_obj, n_mor, src, tgt = c.n_objects, c.n_morphisms, c.src, c.tgt
+    out_by_src = [[] for _ in range(n_obj)]
+    for m in range(n_mor):
+        out_by_src[src[m]].append(m)
+    chains = [((),) * n_obj]
+    index, bnd = {}, []
+    ids = ends = rank = range(n_obj)  # a vertex ends at itself; its object list ranks as itself
+    while True:
+        parents = [p for p, e in zip(ids, ends) for _m in out_by_src[e]]
+        if not parents:
+            break
+        if len(chains) > n_obj:
+            raise InputError(_CYCLE)
+        lasts = [m for e in ends for m in out_by_src[e]]
+        keys = [rank[p] * n_obj + tgt[m] for p, m in zip(parents, lasts)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        parents, lasts, keys = ([col[j] for j in order] for col in (parents, lasts, keys))
+        prev, d = chains[-1], len(chains)
+        ids = list(range(len(order)))  # one int per simplex, shared by the index and the rows
+        level = tuple([prev[p] + (m,) for p, m in zip(parents, lasts)])
+        index.update(zip(level, ids))
+        if d == 1:
+            cols = [[tgt[m] for m in lasts]]
+        else:
+            try:
+                composites = [c.comp[(prev[p][-1], m)] for p, m in zip(parents, lasts)]
+            except KeyError as missing:
+                if not validate_category(c).acyclic:  # a cycle is reported first
+                    raise InputError(_CYCLE) from None
+                raise InputError(f"composition table incomplete at {missing.args[0]}") from None
+            faces, cols = bnd[-1], []
+            for i, tail in enumerate([lasts] * (d - 1) + [composites]):
+                cols.append([ext[faces[p][i] * n_mor + m] for p, m in zip(parents, tail)])
+        bnd.append(tuple(zip(*cols, parents)))
+        ext = None  # release the level below before keying this one
+        ext = {p * n_mor + m: s for s, p, m in zip(ids, parents, lasts)}
+        ends = [tgt[m] for m in lasts]
+        rank = list(accumulate(map(ne, keys[1:], keys), initial=0))
         chains.append(level)
-        level = [ms + (m,) for ms in level for m in out_by_src.get(c.tgt[ms[-1]], ())]
-    bnd = []
-    for d in range(1, len(chains)):
-        table = []
-        for ms in chains[d]:
-            if d == 1:
-                table.append((c.tgt[ms[0]], c.src[ms[0]]))
-                continue
-            row = [index[ms[1:]]]
-            for i in range(1, d):
-                try:
-                    composite = c.comp[(ms[i - 1], ms[i])]
-                except KeyError:
-                    raise InputError(
-                        f"composition table incomplete at {(ms[i - 1], ms[i])}"
-                    ) from None
-                row.append(index[ms[: i - 1] + (composite,) + ms[i + 1:]])
-            row.append(index[ms[:-1]])
-            table.append(tuple(row))
-        bnd.append(tuple(table))
     return Nerve(Trisp([len(lvl) for lvl in chains], bnd), tuple(chains), index)
-

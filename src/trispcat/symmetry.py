@@ -8,7 +8,10 @@ equivariance and horizontality read only those, and a quotient category is
 read off the composable pairs whose first source is an orbit representative.
 A poset automorphism is checked against the order, not the composition
 table.  The group itself is closed, by breadth-first products of generators,
-only when a caller reads its elements or order.
+only when a caller reads its elements or order.  Kernels on a nerve read
+whole tables: an induced action maps chains column by column, the
+automorphism check compares boundary columns, and orbits are labelled by a
+stack search along the generators.
 """
 
 from __future__ import annotations
@@ -105,16 +108,24 @@ def _poset_automorphism_violation(p, g):
 
 
 def trisp_automorphism_violation(t, g):
+    """None if g is an automorphism of t, else a witness tuple.
+
+    Boundary columns are compared whole, ``col[g_d[s]]`` against
+    ``g_{d-1}[col[s]]``; a dimension where one differs is scanned face by
+    face for the first witness ("boundary", (d, s, i)).
+    """
     if len(g.dims) != t.dim + 1:
         return ("wrong-dimension-count",)
     for d in range(t.dim + 1):
         if not _is_perm(g.dims[d], t.n(d)):
             return ("not-a-permutation", d)
     for d in range(1, t.dim + 1):
-        for s in range(t.n(d)):
-            gs = g.dims[d][s]
-            for i in range(d + 1):
-                if t.face(d, gs, i) != g.dims[d - 1][t.face(d, s, i)]:
+        table, g_d, g_low = t.boundary_table(d), g.dims[d], g.dims[d - 1]
+        if all([col[x] for x in g_d] == [g_low[f] for f in col] for col in zip(*table)):
+            continue
+        for s, gs in enumerate(g_d):
+            for i, f in enumerate(table[s]):
+                if table[gs][i] != g_low[f]:
                     return ("boundary", (d, s, i))
     return None
 
@@ -223,16 +234,26 @@ class _UnionFind:
 
 
 def orbit_partition(perms, n):
-    """(orbit id per item, orbit representatives) for a list of permutations.
+    """(orbit id per item, orbit representatives) for a list of permutations of 0..n-1.
 
     Orbits are numbered by their least member, in increasing order.  The
-    generators of a group suffice: its orbits are the components of their graph.
+    generators of a group suffice: each orbit is labelled by a stack search
+    from its least item along the generators, whose powers hold the inverses.
     """
-    uf = _UnionFind(n)
-    for p in perms:
-        for i, j in enumerate(p):
-            uf.union(i, j)
-    return uf.classes()
+    orbit, reps = [-1] * n, []
+    for x in range(n):
+        if orbit[x] < 0:
+            k = orbit[x] = len(reps)
+            reps.append(x)
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for p in perms:
+                    z = p[y]
+                    if orbit[z] < 0:
+                        orbit[z] = k
+                        stack.append(z)
+    return orbit, reps
 
 
 def check_horizontal(c, action):
@@ -249,14 +270,19 @@ def check_horizontal(c, action):
 
 
 def induced_trisp_action(nv, action):
-    """Transport a category action to the nerve: g sends a chain to its image chain."""
-    t = nv.trisp
+    """Transport a category action to the nerve: g sends a chain to its image chain.
+
+    Chains are mapped column by column: position j of every chain of one
+    dimension goes through g's morphism map at once.
+    """
+    t, index = nv.trisp, nv.index
+    columns = [list(zip(*nv.chains[d])) for d in range(1, t.dim + 1)]
     gens = []
     for g in action.generators:
         dims = [g.obj] if t.dim >= 0 else []  # the empty category has an empty nerve
-        for d in range(1, t.dim + 1):
-            images = [nv.simplex_of_morphisms(tuple(g.mor[m] for m in ms)) for ms in nv.chains[d]]
-            dims.append(tuple(images))
+        for cols in columns:
+            images = zip(*[[g.mor[m] for m in col] for col in cols])
+            dims.append(tuple([index[ms] for ms in images]))
         aut = TrispAut(tuple(dims))
         witness = trisp_automorphism_violation(t, aut)
         if witness is not None:

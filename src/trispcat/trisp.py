@@ -79,14 +79,11 @@ class Trisp:
         if self._vt is None:
             vt = [tuple((v,) for v in range(self.n(0)))]
             for k in range(1, self.dim + 1):
-                rows = []
-                for s in range(self.counts[k]):
-                    if k == 1:
-                        rows.append((self.face(1, s, 1), self.face(1, s, 0)))
-                    else:
-                        prefix = vt[k - 1][self.face(k, s, k)]
-                        last = vt[k - 1][self.face(k, s, 0)][-1]
-                        rows.append(prefix + (last,))
+                below, table = vt[k - 1], self._bnd[k]
+                if k == 1:
+                    rows = [(row[1], row[0]) for row in table]
+                else:
+                    rows = [below[row[k]] + (below[row[0]][-1],) for row in table]
                 vt.append(tuple(rows))
             self._vt = vt
         return self._vt[d] if 0 <= d <= self.dim else ()

@@ -1,18 +1,22 @@
 """Independent oracles and enumerators used to cross-check the implementation.
 
 Everything here recomputes results by brute force along a different route
-than the library: path counting for nerve sizes, factorization matching for
-morphism classes, exhaustive enumeration of posets and operators, the
-closure kernels on dicts and sets keyed by (d, s) with an explicit coface
-table, as they were before the library moved them onto per-dimension arrays,
-the category quotient over the whole composition table, as it was before
-the library scanned only orbit-representative pairs, and the recursive
-search for a collapse to a point, as it was before the library gave it its
-own stack.  Inverses and identity tests of group elements live here too,
-with the small constructions only tests read: chain posets, opposite
-categories, the functor an order-preserving map of a poset induces, functor
-checks, nerves of functors, class coherence of an operator and lifts
-through the canonical map.
+than the library: path counting for nerve sizes, the nerve built chain by
+chain on whole tuples, as it was before the library read whole levels,
+factorization matching for morphism classes, exhaustive enumeration of
+posets and operators, the automorphism check face by face and orbits by
+union-find, as they were before the library compared whole columns and
+labelled orbits by a search, the closure kernels on dicts and sets keyed by
+(d, s) with an explicit coface table, as they were before the library moved
+them onto per-dimension arrays, the category quotient over the whole
+composition table, as it was before the library scanned only
+orbit-representative pairs, and the recursive search for a collapse to a
+point, as it was before the library gave it its own stack.  Inverses and
+identity tests of group elements live here too, with the small
+constructions only tests read: chain posets, opposite categories, the
+functor an order-preserving map of a poset induces, functor checks, nerves
+of functors, class coherence of an operator and lifts through the canonical
+map.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from trispcat.closure import (
     check_matching_acyclic,
 )
 from trispcat.equivariant import image_quotient_nerve
-from trispcat.errors import PreconditionError, SoundnessError
+from trispcat.errors import InputError, PreconditionError, SoundnessError
 from trispcat.graphs import lift_to_edges, sn_generator_perms
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
@@ -100,6 +104,51 @@ def count_chains_by_length(c):
             return totals
         totals.append(total)
         count = nxt
+
+
+def nerve_oracle(c):
+    """(chains, boundary tables, index) of the nerve, chain by chain.
+
+    Each level is extended from the one below and sorted on whole object and
+    morphism tuples; every boundary is looked up as a morphism tuple, with
+    its composite read from the table, as `nerve` did before it read whole
+    levels.  Raises `nerve`'s InputError on a directed cycle or a missing
+    composite.
+    """
+
+    def objects(ms):
+        return (c.src[ms[0]],) + tuple(c.tgt[m] for m in ms)
+
+    chains = [((),) * c.n_objects]
+    index = {}
+    out_by_src = {}
+    for m in range(c.n_morphisms):
+        out_by_src.setdefault(c.src[m], []).append(m)
+    level = [(m,) for m in range(c.n_morphisms)]
+    while level:
+        if len(chains) > c.n_objects:
+            raise InputError("chains do not terminate; the category has a directed cycle")
+        level = tuple(ms for _objs, ms in sorted((objects(ms), ms) for ms in level))
+        index.update((ms, s) for s, ms in enumerate(level))
+        chains.append(level)
+        level = [ms + (m,) for ms in level for m in out_by_src.get(c.tgt[ms[-1]], ())]
+    bnd = []
+    for d in range(1, len(chains)):
+        table = []
+        for ms in chains[d]:
+            if d == 1:
+                table.append((c.tgt[ms[0]], c.src[ms[0]]))
+                continue
+            row = [index[ms[1:]]]
+            for i in range(1, d):
+                pair = (ms[i - 1], ms[i])
+                if pair not in c.comp:
+                    raise InputError(f"composition table incomplete at {pair}")
+                row.append(index[ms[: i - 1] + (c.comp[pair],) + ms[i + 1:]])
+            row.append(index[ms[:-1]])
+            table.append(tuple(row))
+        bnd.append(tuple(table))
+    return tuple(chains), bnd, index
 
 
 def decomposition_quotient_classes(c, action):
@@ -539,6 +588,30 @@ def simplicial_automorphism_violation(t, g):
             if image_faces != mapped_faces:
                 return ("faces", (d, s))
     return None
+
+
+def automorphism_violation_by_face(t, g):
+    """`trisp_automorphism_violation`, scanning every face (d, s, i) in order."""
+    if len(g.dims) != t.dim + 1:
+        return ("wrong-dimension-count",)
+    for d in range(t.dim + 1):
+        if sorted(g.dims[d]) != list(range(t.n(d))):
+            return ("not-a-permutation", d)
+    for d in range(1, t.dim + 1):
+        for s in range(t.n(d)):
+            for i in range(d + 1):
+                if t.face(d, g.dims[d][s], i) != g.dims[d - 1][t.face(d, s, i)]:
+                    return ("boundary", (d, s, i))
+    return None
+
+
+def union_find_orbits(perms, n):
+    """`orbit_partition` by union-find over the edges i -- p[i] of every permutation."""
+    uf = _UnionFind(n)
+    for p in perms:
+        for i, j in enumerate(p):
+            uf.union(i, j)
+    return uf.classes()
 
 
 def dgn_trisp_action(k, perms=None):

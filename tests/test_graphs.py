@@ -237,6 +237,26 @@ def test_pipeline_quotient_trisp_n4():
     assert stages["endpoint_search"].info["steps"] == 2
 
 
+def test_pipeline_quotient_trisp_stage_order():
+    """The quotient stage times quotient_trisp, before the regularity check reads it."""
+    report, _cert = pipeline_quotient_trisp(4)
+    assert [s.name for s in report.stages] == [
+        "build_complex",
+        "barycentric",
+        "closure_operator",
+        "action",
+        "quotient",
+        "regularity_condition",
+        "induced_closure_map",
+        "collapse",
+        "target_equality",
+        "endpoint_search",
+    ]
+    stages = {s.name: s for s in report.stages}
+    assert stages["quotient"].info == {"counts": [4, 4, 1]}
+    assert stages["induced_closure_map"].info["verified"] is True
+
+
 def test_pipeline_quotient_category_n4():
     report, steps = pipeline_quotient_category(4)
     assert report.ok

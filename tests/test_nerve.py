@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,7 +8,15 @@ from trispcat.errors import InputError
 from trispcat.nerve import nerve
 from trispcat.trisp import validate_trisp
 
-from oracles import chain_poset, count_chains_by_length, nerve_map_images, poset_functor
+from oracles import (
+    chain_poset,
+    count_chains_by_length,
+    nerve_map_images,
+    nerve_oracle,
+    poset_functor,
+    random_path_category,
+    random_poset,
+)
 from test_accat import posets
 
 
@@ -136,3 +146,69 @@ def test_nerves_of_random_path_categories_are_regular_flag():
         assert report.ok
         assert report.flags.is_flag_complex
         assert list(nerve(c).trisp.counts) == count_chains_by_length(c)
+
+
+def _assert_nerve_matches_oracle(c):
+    nv = nerve(c)
+    chains, bnd, index = nerve_oracle(c)
+    assert nv.chains == chains
+    assert [nv.trisp.boundary_table(d) for d in range(1, len(chains))] == bnd
+    assert nv.index == index
+    for level in chains[1:]:
+        for s, ms in enumerate(level):
+            assert nv.simplex_of_morphisms(ms) == s
+    return nv
+
+
+def _has_tied_object_lists(nv):
+    return any(
+        len(set(nv.trisp.vertex_tuples(d))) < nv.trisp.n(d) for d in range(1, nv.trisp.dim + 1)
+    )
+
+
+def test_nerve_matches_chain_by_chain_oracle(dgn4_bundle):
+    from trispcat.graphs import build_dgn, face_poset
+
+    rng = random.Random(61)
+    for _ in range(60):
+        _assert_nerve_matches_oracle(random_poset(rng).category)
+    # parallel morphisms give two chains one object list: the sort breaks the tie
+    tied = [_has_tied_object_lists(_assert_nerve_matches_oracle(random_path_category(rng)))
+            for _ in range(60)]
+    assert any(tied)
+    dg3 = face_poset(build_dgn(3)).category
+    assert dg3.n_morphisms == 0
+    _assert_nerve_matches_oracle(dg3)
+    _assert_nerve_matches_oracle(AcyclicCategory(["*"], []))
+    _assert_nerve_matches_oracle(dgn4_bundle["fp"].category)
+
+
+def _same_input_error(c):
+    with pytest.raises(InputError) as expected:
+        nerve_oracle(c)
+    with pytest.raises(InputError) as got:
+        nerve(c)
+    assert str(got.value) == str(expected.value)
+    return str(got.value)
+
+
+def test_nerve_errors_match_oracle():
+    cycle = "chains do not terminate; the category has a directed cycle"
+    # a directed cycle is reported even where a composite is missing too
+    assert _same_input_error(AcyclicCategory(["a", "b"], [(0, 1), (1, 0)])) == cycle
+    assert _same_input_error(AcyclicCategory(["a"], [(0, 0)], [(0, 0, 0)])) == cycle
+    missing = AcyclicCategory(["a", "b", "c"], [(0, 1), (1, 2)])
+    assert _same_input_error(missing) == "composition table incomplete at (0, 1)"
+    rng = random.Random(62)
+    dropped = 0
+    while dropped < 20:
+        c = random_path_category(rng)
+        if not c.comp:
+            continue
+        comp = sorted((m1, m2, m12) for (m1, m2), m12 in c.comp.items())
+        del comp[rng.randrange(len(comp))]
+        morphisms = list(zip(c.src, c.tgt, c.mor_labels))
+        assert _same_input_error(AcyclicCategory(c.objects, morphisms, comp)).startswith(
+            "composition table incomplete"
+        )
+        dropped += 1

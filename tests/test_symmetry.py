@@ -12,7 +12,7 @@ from trispcat.accat import (
 )
 from trispcat.closure import induced_trisp_closure_map
 from trispcat.equivariant import push_closure_map
-from trispcat.errors import InputError, NotAPosetError, PreconditionError
+from trispcat.errors import InputError, NotAPosetError, PreconditionError, SoundnessError
 from trispcat.graphs import build_dgn
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
@@ -31,10 +31,12 @@ from trispcat.symmetry import (
     quotient_trisp,
     trivial_cat_action,
     trivial_trisp_action,
+    trisp_automorphism_violation,
 )
 from trispcat.trisp import Trisp
 
 from oracles import (
+    automorphism_violation_by_face,
     canonical_lifts,
     chain_poset,
     decomposition_quotient_classes,
@@ -47,6 +49,7 @@ from oracles import (
     random_path_category,
     random_poset,
     regular_action_oracle,
+    union_find_orbits,
 )
 from test_accat import posets
 
@@ -427,6 +430,54 @@ def test_orbit_partition_least_representative():
     ids, reps = orbit_partition([(1, 2, 0, 3)], 4)
     assert ids == [0, 0, 0, 1]
     assert reps == [0, 3]
+
+
+def test_orbit_partition_matches_union_find():
+    """Stack-search labels equal union-find classes, ids and representatives alike.
+
+    The lists are random generating sets, which are not groups themselves,
+    whole groups, the empty list and n = 0.
+    """
+    rng = random.Random(7)
+    cases = [([], 0), ([], 5), ([()], 0), ([(0,)], 1)]
+    for _ in range(200):
+        n = rng.randrange(0, 12)
+        perms = [tuple(rng.sample(range(n), n)) for _ in range(rng.randrange(0, 4))]
+        cases.append((perms, n))
+    for n in range(1, 5):
+        cases.append((list(itertools.permutations(range(n))), n))
+    for perms, n in cases:
+        assert orbit_partition(perms, n) == union_find_orbits(perms, n)
+
+
+def _swap(perm, a, b):
+    perm = list(perm)
+    perm[a], perm[b] = perm[b], perm[a]
+    return tuple(perm)
+
+
+def test_automorphism_violation_names_the_first_face(dgn4_bundle):
+    t = dgn4_bundle["bd"].trisp
+    rng = random.Random(11)
+    for g in dgn4_bundle["tact"].generators:
+        assert trisp_automorphism_violation(t, g) is None
+        for d in range(t.dim + 1):
+            for _ in range(5):
+                a, b = rng.sample(range(t.n(d)), 2)
+                dims = list(g.dims)
+                dims[d] = _swap(dims[d], a, b)
+                broken = TrispAut(tuple(dims))
+                witness = trisp_automorphism_violation(t, broken)
+                assert witness is not None and witness[0] == "boundary"
+                assert witness == automorphism_violation_by_face(t, broken)
+
+
+def test_induced_action_checks_the_chain_index(dgn4_bundle):
+    nv = nerve(dgn4_bundle["fp"].category)
+    a, b = nv.chains[2][:2]
+    nv.index[a], nv.index[b] = nv.index[b], nv.index[a]
+    with pytest.raises(SoundnessError, match="not an automorphism"):
+        induced_trisp_action(nv, dgn4_bundle["act"])
 
 
 def test_canonical_map_trivial_group_is_isomorphism(chain3):
