@@ -29,7 +29,8 @@ def _load(path):
 
 def _emit(args, payload, text=None):
     if text is None:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # one line: without `indent`, json serves the dump from its C encoder
+        text = json.dumps(payload, sort_keys=True) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

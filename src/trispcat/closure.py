@@ -271,6 +271,7 @@ def collapse(t, matching, red_vertices):
     free matched faces in matching order, fed in boundary order.
     """
     dims = range(t.dim + 1)
+    bnd = [t.boundary_table(d) for d in dims]
     count = _coface_counts(t)
     removed = [bytearray(t.n(d)) for d in dims]
     up = [[-1] * t.n(d) for d in dims]
@@ -297,7 +298,7 @@ def collapse(t, matching, red_vertices):
             removed[dd][ss] = 1
             if dd > 0:
                 fcount, fup, fremoved = count[dd - 1], up[dd - 1], removed[dd - 1]
-                for f in t.faces(dd, ss):
+                for f in bnd[dd][ss]:
                     fcount[f] -= 1
                     if fcount[f] == 1 and fup[f] >= 0 and not fremoved[f]:
                         queue.append((dd - 1, f))
@@ -325,43 +326,53 @@ def full_collapse_audit(t, cmap, report=None):
     return collapse(t, closure_matching(t, cmap, report), cmap.red)
 
 
-def _present(removed, cell):
-    """Is `cell` a pair of ints (d, s) naming a simplex not yet removed?"""
-    d, s = cell if isinstance(cell, (tuple, list)) and len(cell) == 2 else (None, None)
-    return (
-        type(d) is int and type(s) is int
-        and 0 <= d < len(removed) and 0 <= s < len(removed[d]) and not removed[d][s]
-    )
-
-
 def verify_collapse_sequence(t, steps):
     """Replay a collapse sequence of the whole trisp, checking freeness at every step.
 
-    Each step must remove two present simplices, given as int pairs (d, s)
-    in range, of adjacent dimensions, the first a free face of the second
-    and the second maximal (which freeness implies only on a regular trisp).
-    Coface counts and removal flags are per-dimension arrays.  Returns the
-    set of remaining simplices.
+    Each step must remove two present simplices, given as lists or tuples
+    (d, s) of two ints (bools and floats are refused) in range, of adjacent
+    dimensions, the first a free face of the second and the second maximal
+    (which freeness implies only on a regular trisp).  Coface counts and
+    removal flags are per-dimension arrays.  Returns the set of remaining
+    simplices.
     """
     dims = range(t.dim + 1)
+    bnd = [t.boundary_table(d) for d in dims]
     count = _coface_counts(t)
     removed = [bytearray(t.n(d)) for d in dims]
+    n_dims = len(removed)
     for sigma, tau in steps:
-        if not (_present(removed, sigma) and _present(removed, tau)):
+        if (
+            isinstance(sigma, (tuple, list)) and len(sigma) == 2
+            and isinstance(tau, (tuple, list)) and len(tau) == 2
+        ):
+            (d, s), (d1, s1) = sigma, tau
+        else:
+            d = s = d1 = s1 = None
+        if not (
+            type(d) is int and type(s) is int and type(d1) is int and type(s1) is int
+            and 0 <= d < n_dims and 0 <= d1 < n_dims
+            and 0 <= s < len(removed[d]) and 0 <= s1 < len(removed[d1])
+            and not removed[d][s] and not removed[d1][s1]
+        ):
             raise SoundnessError(f"step removes absent simplex: {sigma}, {tau}")
-        (d, s), (d1, s1) = sigma, tau
         if d1 != d + 1:
             raise SoundnessError(f"step pair has wrong dimensions: {sigma}, {tau}")
         if count[d][s] != 1:
             raise SoundnessError(f"face {sigma} is not free (count {count[d][s]})")
-        if s not in t.faces(d1, s1):
+        row = bnd[d1][s1]
+        if s not in row:
             raise SoundnessError(f"{sigma} is not a face of {tau}")
         if count[d1][s1]:
             raise SoundnessError(f"coface {tau} is not maximal (count {count[d1][s1]})")
         removed[d1][s1] = removed[d][s] = 1
-        for dd, ss in (tau, sigma):
-            for f in t.faces(dd, ss) if dd > 0 else ():
-                count[dd - 1][f] -= 1
+        below = count[d]
+        for f in row:
+            below[f] -= 1
+        if d:
+            below = count[d - 1]
+            for f in bnd[d][s]:
+                below[f] -= 1
     return {(d, s) for d in dims for s, gone in enumerate(removed[d]) if not gone}
 
 

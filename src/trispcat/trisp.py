@@ -287,7 +287,7 @@ def induced_subtrisp(t, vertices):
     keep = []
     new_index = []
     for d in range(t.dim + 1):
-        kept = [s for s in range(t.n(d)) if set(t.vertex_tuple(d, s)) <= vertices]
+        kept = [s for s, vt in enumerate(t.vertex_tuples(d)) if vertices.issuperset(vt)]
         keep.append(kept)
         new_index.append({s: i for i, s in enumerate(kept)})
     counts = [len(k) for k in keep]

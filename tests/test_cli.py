@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trispcat.cli import main
+from trispcat.closure import full_collapse_audit, induced_trisp_closure_map
 from trispcat.nerve import nerve
 from trispcat.symmetry import CatAut
 
@@ -147,6 +148,26 @@ def test_closure_verify_and_collapse(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["verified"] and doc["final_counts"] == [1]
+
+
+def test_collapse_certificate_is_one_line_with_sorted_keys(capsys, tmp_path):
+    p = chain_poset(3)
+    t = nerve(p.category).trisp
+    cmap = induced_trisp_closure_map(p, (0, 0, 0))
+    t_file = write(tmp_path / "t.json", t.to_json())
+    map_file = write(tmp_path / "m.json", cmap.to_json())
+    out_path = tmp_path / "cert.json"
+    code, _ = run(
+        capsys, "closure", "collapse", "--input", t_file, "--map", map_file,
+        "--output", str(out_path),
+    )
+    assert code == 0
+    text = out_path.read_text(encoding="utf-8")
+    assert len(text.splitlines()) == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    expected = {"verified": True, **full_collapse_audit(t, cmap).to_json()}
+    assert json.loads(text) == json.loads(json.dumps(expected))
+    assert expected["steps"]
 
 
 def test_closure_push_command(capsys, tmp_path, two_edges_z2):
@@ -445,6 +466,41 @@ def test_pipeline_62_n6_is_pinned():
     assert stages["quotient_category"]["nerve_counts"] == [
         43, 462, 2451, 7874, 16543, 23245, 21650, 12830, 4382, 657
     ]
+
+
+@pytest.mark.slow
+def test_dgn5_subdivision_certificate_replays(capsys, tmp_path):
+    # the barycentric subdivision of DG_5 collapsed onto the image of its
+    # transitive-closure operator, emitted by the CLI and replayed from the file
+    from trispcat.accat import check_closure_operator
+    from trispcat.closure import verify_collapse_sequence
+    from trispcat.graphs import build_dgn, face_poset, transitive_closure_operator
+    from trispcat.trisp import Trisp, induced_subtrisp
+
+    k = build_dgn(5)
+    fp = face_poset(k)
+    t = nerve(fp.category).trisp
+    f = transitive_closure_operator(k, fp)
+    cmap = induced_trisp_closure_map(fp.poset, f, check_closure_operator(fp.poset, f))
+    t_file = write(tmp_path / "t.json", t.to_json())
+    map_file = write(tmp_path / "m.json", cmap.to_json())
+    out_path = tmp_path / "cert.json"
+    code, _ = run(
+        capsys, "closure", "collapse", "--input", t_file, "--map", map_file,
+        "--output", str(out_path),
+    )
+    assert code == 0
+    cert = json.loads(out_path.read_text(encoding="utf-8"))
+    assert cert["verified"] is True
+    assert len(cert["steps"]) == 23_645
+    assert cert["final_counts"] == [50, 205, 180]
+    with open(t_file, encoding="utf-8") as fh:
+        replayed = Trisp.from_json(json.load(fh))
+    steps = [(tuple(a), tuple(b)) for a, b in cert["steps"]]
+    remaining = verify_collapse_sequence(replayed, steps)
+    red = induced_subtrisp(t, cmap.red).to_parent
+    assert remaining == {(d, s) for d, kept in enumerate(red) for s in kept}
+    assert len(remaining) == 435
 
 
 def _quotient_documents():

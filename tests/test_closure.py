@@ -454,6 +454,12 @@ REPLAY_REJECTIONS = [
     ([((0, 0), (1, 2))], "step removes absent simplex: (0, 0), (1, 2)"),
     ([((0, 0.0), (1, 0))], "step removes absent simplex: (0, 0.0), (1, 0)"),
     ([((0, True), (1, 0))], "step removes absent simplex: (0, True), (1, 0)"),
+    ([((0, 0, 0), (1, 0))], "step removes absent simplex: (0, 0, 0), (1, 0)"),
+    ([(0, (1, 0))], "step removes absent simplex: 0, (1, 0)"),
+    ([((0, 0), None)], "step removes absent simplex: (0, 0), None"),
+    ([((1, 0), (2, 0))], "step removes absent simplex: (1, 0), (2, 0)"),
+    ([((-1, 0), (0, 0))], "step removes absent simplex: (-1, 0), (0, 0)"),
+    ([((0, 0), (1, 0)), ((0, 1), (1, 0))], "step removes absent simplex: (0, 1), (1, 0)"),
     ([((0, 0), (0, 1))], "step pair has wrong dimensions: (0, 0), (0, 1)"),
     ([((0, 0), (1, 1))], "(0, 0) is not a face of (1, 1)"),
     ([((0, 0), (1, 0)), ((0, 0), (1, 0))], "step removes absent simplex: (0, 0), (1, 0)"),
