@@ -11,7 +11,6 @@ from .accat import (
 )
 from .closure import (
     CollapseCertificate,
-    Matching,
     TrispClosureMap,
     check_matching_acyclic,
     closure_matching,

@@ -385,10 +385,14 @@ def find_terminal_object(c):
 
 def to_dot(obj):
     """DOT export: full morphism digraph for a category, Hasse diagram for a poset."""
+
+    def quoted(label):  # a DOT string: `\` and `"` inside it are escaped
+        return '"' + str(label).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     if isinstance(obj, Poset):
         lines = ["digraph hasse {"]
         for i, lab in enumerate(obj.labels):
-            lines.append(f'  n{i} [label="{lab}"];')
+            lines.append(f"  n{i} [label={quoted(lab)}];")
         for x, y in covers(obj):
             lines.append(f"  n{x} -> n{y};")
         lines.append("}")
@@ -396,8 +400,8 @@ def to_dot(obj):
     c = obj
     lines = ["digraph category {"]
     for i, lab in enumerate(c.objects):
-        lines.append(f'  n{i} [label="{lab}"];')
+        lines.append(f"  n{i} [label={quoted(lab)}];")
     for m in range(c.n_morphisms):
-        lines.append(f'  n{c.src[m]} -> n{c.tgt[m]} [label="{c.mor_labels[m]}"];')
+        lines.append(f"  n{c.src[m]} -> n{c.tgt[m]} [label={quoted(c.mor_labels[m])}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

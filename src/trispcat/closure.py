@@ -5,13 +5,14 @@ blue vertex to a red one, so that every simplex with a blue vertex either
 contains the image of its extreme blue vertex or extends by it in exactly
 one way.  Such a map certifies that the trisp collapses onto the subtrisp
 spanned by the red vertices; here the certificate is made executable as an
-acyclic matching plus an elementary collapse sequence.  The kernels keep
-per-dimension lists and bytearrays indexed by simplex id and read coface
-incidences off the boundary rows; no coface table is built.
+acyclic matching, read off the extensions that verification records, plus an
+elementary collapse sequence.  The kernels keep per-dimension arrays indexed
+by simplex id and read coface incidences off the boundary rows.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .accat import check_closure_operator, directed_cycle, find_terminal_object
@@ -102,7 +103,7 @@ def _targets(t, cmap):
 
 def _extensions(t, targets, d):
     """Per d-simplex σ: count of (τ, j), ∂_j τ = σ, j-th vertex σ's target; and the last τ."""
-    target, count, last = targets[d], [0] * t.n(d), [-1] * t.n(d)
+    target, count, last = targets[d], [0] * t.n(d), array("l", [-1]) * t.n(d)
     for tau, (row, vt) in enumerate(zip(t.boundary_table(d + 1), t.vertex_tuples(d + 1))):
         for f, v in zip(row, vt):
             if target[f] == v:
@@ -117,6 +118,7 @@ class ClosureVerifyReport:
     failures: list  # (d, s, extension count)
     contained: int  # simplices whose extreme blue vertex maps into the simplex
     extended: int
+    partners: list  # per dimension, array: the unique extension τ of s, or -1
 
     def to_json(self):
         return {
@@ -133,27 +135,30 @@ def verify_trisp_closure_map(t, cmap):
     For each such simplex, with b its extreme blue vertex: either the image
     of b is one of its vertices (then the face dropping that vertex exists
     automatically), or there must be exactly one coface extending it by the
-    image of b; `_extensions` counts them from the boundary rows.
+    image of b; `_extensions` counts them from the boundary rows, and the
+    report records that unique coface as the simplex's partner.
     """
     cmap.check_vertices(t)
     irregular = regularity_violations(t)
     if irregular:
         raise PreconditionError(f"trisp is not regular at {irregular[0]}")
     targets = _targets(t, cmap)
-    failures = []
+    failures, partners = [], []
     contained = extended = 0
     for d in range(t.dim + 1):
-        count, _last = _extensions(t, targets, d)
+        count, last = _extensions(t, targets, d)
         for s, (b, vt) in enumerate(zip(targets[d], t.vertex_tuples(d))):
             if b < 0:
                 continue
             if b in vt:
-                contained += 1
+                contained += 1  # regularity leaves such a simplex no extension
             elif count[s] == 1:
                 extended += 1
             else:
                 failures.append((d, s, count[s]))
-    return ClosureVerifyReport(not failures, failures, contained, extended)
+                last[s] = -1
+        partners.append(last)
+    return ClosureVerifyReport(not failures, failures, contained, extended, partners)
 
 
 def induced_trisp_closure_map(p, f, report=None):
@@ -176,58 +181,37 @@ def induced_trisp_closure_map(p, f, report=None):
     return TrispClosureMap(blue, red, mapping, convention)
 
 
-@dataclass
-class Matching:
-    """A perfect matching on the blue-containing simplices.
-
-    Each pair (σ, τ) has dim τ = dim σ + 1 and σ a boundary face of τ; the
-    simplices in no pair are exactly those with only red vertices.
-    """
-
-    pairs: tuple  # ((d, s), (d + 1, tau)) sorted
-
-
 def closure_matching(t, cmap, verify_report):
-    """Realize a verified closure map as a matching.
+    """Read the matching off a verified closure map's report, as sorted pairs (σ, τ).
 
     `verify_report` is the outcome of `verify_trisp_closure_map` on the same
-    map.  A blue-containing simplex σ not containing the image of its extreme
-    blue vertex pairs up with its unique extension τ; one containing it pairs
-    down with the face obtained by deleting that image vertex.  The two rules
-    must agree: τ's own down partner is σ, and both kinds are equally many.
+    map, which records each extended simplex σ's unique extension τ.  Each
+    pair (σ, τ) is checked: σ and τ share the target b, b is a vertex of τ,
+    τ drops b to σ, and the pairs are as many as the contained simplices.
     """
     if not verify_report.ok:
         raise PreconditionError(f"not a closure map: {verify_report.failures[:3]}")
     targets = _targets(t, cmap)
     pairs = []
-    down = 0
-    for d in range(t.dim + 1):
-        count, ext = _extensions(t, targets, d)
+    for d, (partner, target) in enumerate(zip(verify_report.partners, targets)):
         up_targets = targets[d + 1] if d < t.dim else ()
         up_vts, up_rows = t.vertex_tuples(d + 1), t.boundary_table(d + 1)
-        for s, (b, vt) in enumerate(zip(targets[d], t.vertex_tuples(d))):
-            if b < 0:
-                continue
-            if b in vt:
-                down += 1
-            elif count[s] != 1:
-                raise SoundnessError(f"{(d, s)} has {count[s]} extensions in a verified map")
-            else:
-                tau = ext[s]
-                tb, tvt = up_targets[tau], up_vts[tau]
-                if tb not in tvt or up_rows[tau][tvt.index(tb)] != s:
+        for s, tau in enumerate(partner):
+            if tau >= 0:
+                b, tvt = target[s], up_vts[tau]
+                if up_targets[tau] != b or b not in tvt or up_rows[tau][tvt.index(b)] != s:
                     raise SoundnessError(f"inconsistent pairing at {(d, s)} / {(d + 1, tau)}")
                 pairs.append(((d, s), (d + 1, tau)))
-    if len(pairs) != down:
+    if len(pairs) != verify_report.contained:
         raise SoundnessError("matching rules disagree in size")
-    return Matching(tuple(pairs))
+    return tuple(pairs)
 
 
 def check_matching_acyclic(t, matching):
     """No directed cycle alternating up matched pairs and down face relations."""
     out_edges = {}
     nodes = set()
-    for sigma, tau in matching.pairs:
+    for sigma, tau in matching:
         nodes.add(sigma)
         nodes.add(tau)
         out_edges.setdefault(sigma, []).append(tau)
@@ -263,8 +247,9 @@ class CollapseCertificate:
 def collapse(t, matching, red_vertices):
     """Execute an acyclic matching as an elementary collapse onto the red subtrisp.
 
-    Repeatedly removes a matched pair whose face is free (contained in
-    exactly one remaining simplex, its partner).  A collapse that finishes
+    The matching is a sorted tuple of pairs (σ, τ), as `closure_matching`
+    reads it off the extensions that verification records.  Repeatedly
+    removes a pair whose σ is free (its one remaining coface is τ).  Finishing
     proves the matching acyclic; getting stuck raises with the cycle that
     `check_matching_acyclic` finds.  What is left must be the subtrisp that
     `red_vertices` induce.  The steps follow a LIFO queue seeded with the
@@ -275,11 +260,11 @@ def collapse(t, matching, red_vertices):
     count = _coface_counts(t)
     removed = [bytearray(t.n(d)) for d in dims]
     up = [[-1] * t.n(d) for d in dims]
-    for (d, s), (d1, tau) in matching.pairs:
+    for (d, s), (d1, tau) in matching:
         if d1 != d + 1 or up[d][s] >= 0:
             raise PreconditionError(f"malformed matched pair {((d, s), (d1, tau))}")
         up[d][s] = tau
-    queue = [sigma for sigma, _tau in matching.pairs if count[sigma[0]][sigma[1]] == 1]
+    queue = [sigma for sigma, _tau in matching if count[sigma[0]][sigma[1]] == 1]
     steps = []
     chi = euler_characteristic(t)
     while queue:
@@ -302,9 +287,9 @@ def collapse(t, matching, red_vertices):
                     fcount[f] -= 1
                     if fcount[f] == 1 and fup[f] >= 0 and not fremoved[f]:
                         queue.append((dd - 1, f))
-    if len(steps) != len(matching.pairs):
+    if len(steps) != len(matching):
         _acyclic, cycle = check_matching_acyclic(t, matching)
-        left = len(matching.pairs) - len(steps)
+        left = len(matching) - len(steps)
         raise SoundnessError(f"collapse got stuck with {left} pairs left; cycle: {cycle}")
     final = induced_subtrisp(t, red_vertices)
     for d in dims:

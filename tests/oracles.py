@@ -21,6 +21,7 @@ map.
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -34,7 +35,6 @@ from trispcat.accat import (
 from trispcat.closure import (
     ClosureVerifyReport,
     CollapseCertificate,
-    Matching,
     check_matching_acyclic,
 )
 from trispcat.equivariant import image_quotient_nerve
@@ -697,6 +697,7 @@ def verify_trisp_closure_map_oracle(t, cmap):
                 raise PreconditionError(f"trisp is not regular at {(d, s)}")
     cofaces = coface_table(t)
     failures = []
+    partners = [array("l", [-1] * t.n(d)) for d in range(t.dim + 1)]
     contained = extended = 0
     for d in range(t.dim + 1):
         for s in range(t.n(d)):
@@ -711,9 +712,10 @@ def verify_trisp_closure_map_oracle(t, cmap):
             exts = extensions_by_vertex(t, cofaces, d, s, phi_b)
             if len(exts) == 1:
                 extended += 1
+                partners[d][s] = exts[0][0]
             else:
                 failures.append((d, s, len(exts)))
-    return ClosureVerifyReport(not failures, failures, contained, extended)
+    return ClosureVerifyReport(not failures, failures, contained, extended, partners)
 
 
 def closure_matching_oracle(t, cmap, verify_report):
@@ -741,8 +743,7 @@ def closure_matching_oracle(t, cmap, verify_report):
     for sigma, tau in up.items():
         if down_partner.get(tau) != sigma:
             raise AssertionError(f"inconsistent pairing at {sigma} / {tau}")
-    pairs = tuple(sorted((sigma, tau) for sigma, tau in up.items()))
-    return Matching(pairs)
+    return tuple(sorted((sigma, tau) for sigma, tau in up.items()))
 
 
 def parent_simplices(sub):
@@ -754,7 +755,7 @@ def collapse_oracle(t, matching, red_vertices):
     removed = set()
     cofaces = coface_table(t)
     coface_count = {key: len(cofs) for key, cofs in cofaces.items()}
-    up = dict(matching.pairs)
+    up = dict(matching)
 
     def is_free(sigma):
         return coface_count[sigma] == 1

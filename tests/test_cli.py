@@ -81,6 +81,32 @@ def test_validate_trisp_and_dot(capsys, tmp_path, chain3):
     assert code == 0 and "digraph" in out
 
 
+def test_validate_dot_escapes_labels(capsys, tmp_path):
+    # a `"` inside a label, or a `\` at its end, must not close the DOT string
+    objects = [{"id": 0, "label": 'a"b'}, {"id": 1, "label": "c\\"}]
+    poset = {"objects": objects, "morphisms": [{"id": 0, "src": 0, "tgt": 1, "label": "m"}]}
+    code, out = run(capsys, "validate", "--input", write(tmp_path / "p.json", poset),
+                    "--format", "dot")
+    assert code == 0
+    assert out == 'digraph hasse {\n  n0 [label="a\\"b"];\n  n1 [label="c\\\\"];\n  n0 -> n1;\n}\n'
+    parallel = {
+        "objects": objects,
+        "morphisms": [
+            {"id": 0, "src": 0, "tgt": 1, "label": 'm"'},
+            {"id": 1, "src": 0, "tgt": 1, "label": "n\\"},
+        ],
+    }
+    code, out = run(capsys, "validate", "--input", write(tmp_path / "c.json", parallel),
+                    "--format", "dot")
+    assert code == 0
+    assert out.splitlines()[1:5] == [
+        '  n0 [label="a\\"b"];',
+        '  n1 [label="c\\\\"];',
+        '  n0 -> n1 [label="m\\""];',
+        '  n0 -> n1 [label="n\\\\"];',
+    ]
+
+
 def test_nerve_command_counts(capsys, chain3_file, tmp_path):
     out_path = tmp_path / "nerve.json"
     code, _ = run(capsys, "nerve", "--input", chain3_file, "--output", str(out_path))

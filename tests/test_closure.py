@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +57,8 @@ def test_double_filled_candidate_fails_with_two_extensions(double_filled):
     report = verify_trisp_closure_map(t, cand)
     assert not report.ok
     assert report.failures == [(1, 0, 2)]  # edge {b, x} extends twice
+    assert report.partners[1][0] == -1
+    assert report == oracles.verify_trisp_closure_map_oracle(t, cand)
 
 
 def test_nonregular_trisp_rejected():
@@ -92,16 +96,53 @@ def test_matching_on_three_chain_descending():
     nv = nerve(p.category)
     cmap = induced_trisp_closure_map(p, (0, 1, 1))
     matching = closure_matching(nv.trisp, cmap, verify_trisp_closure_map(nv.trisp, cmap))
-    pair_tuples = {
-        (nv.trisp.vertex_tuple(*a), nv.trisp.vertex_tuple(*b)) for a, b in matching.pairs
-    }
+    pair_tuples = {(nv.trisp.vertex_tuple(*a), nv.trisp.vertex_tuple(*b)) for a, b in matching}
     assert pair_tuples == {((2,), (1, 2)), ((0, 2), (0, 1, 2))}
-    matched = {x for pair in matching.pairs for x in pair}
+    matched = {x for pair in matching for x in pair}
     unmatched = {
         vt for d in range(nv.trisp.dim + 1) for s, vt in enumerate(nv.trisp.vertex_tuples(d))
         if (d, s) not in matched
     }
     assert unmatched == {(0,), (1,), (0, 1)}
+
+
+def _three_chain_report(f):
+    """The nerve of 0 < 1 < 2, the closure map that f induces on it, and its report."""
+    p = chain_poset(3)
+    t = nerve(p.category).trisp
+    cmap = induced_trisp_closure_map(p, f)
+    return t, cmap, verify_trisp_closure_map(t, cmap)
+
+
+def _swap_partner(report, t):
+    # vertex 2 extends by vertex 1 to the edge {1, 2}; point it at the edge {0, 2}
+    edges = t.vertex_tuples(1)
+    assert report.partners[0][2] == edges.index((1, 2))
+    report.partners[0][2] = edges.index((0, 2))
+    return report, f"inconsistent pairing at (0, 2) / (1, {edges.index((0, 2))})"
+
+
+def _other_map(report, t):
+    # 0 <- 1, 0 <- 2 verifies too, but vertex 1 is red under the map (0, 1, 1)
+    _t, _cmap, other = _three_chain_report((0, 0, 0))
+    assert other.ok
+    return other, f"inconsistent pairing at (0, 1) / (1, {t.vertex_tuples(1).index((0, 1))})"
+
+
+def _contained_off_by_one(report, t):
+    return dataclasses.replace(report, contained=report.contained + 1), (
+        "matching rules disagree in size"
+    )
+
+
+@pytest.mark.parametrize("tamper", [_swap_partner, _other_map, _contained_off_by_one])
+def test_closure_matching_refuses_a_tampered_report(tamper):
+    t, cmap, report = _three_chain_report((0, 1, 1))
+    assert report.ok
+    bad, message = tamper(report, t)
+    with pytest.raises(SoundnessError) as exc:
+        closure_matching(t, cmap, bad)
+    assert str(exc.value) == message
 
 
 def test_edge_fixture_collapse():
@@ -124,15 +165,12 @@ def test_three_chain_collapse_to_edge():
 
 def test_empty_matching_is_acyclic():
     t, _ = edge_fixture()
-    from trispcat.closure import Matching
-
-    ok, cycle = check_matching_acyclic(t, Matching(()))
+    ok, cycle = check_matching_acyclic(t, ())
     assert ok and cycle is None
 
 
 def test_cyclic_matching_detected():
     # hollow triangle with every vertex matched to the edge it does not start
-    from trispcat.closure import Matching
     from trispcat.trisp import simplicial_from_faces
 
     t, _, index = simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
@@ -141,21 +179,18 @@ def test_cyclic_matching_detected():
         ((0, 1), (1, index[frozenset({1, 2})][1])),
         ((0, 2), (1, index[frozenset({0, 2})][1])),
     )
-    ok, cycle = check_matching_acyclic(t, Matching(pairs))
+    ok, cycle = check_matching_acyclic(t, pairs)
     assert not ok and cycle
 
 
 def test_deep_acyclic_matching_has_no_recursion_limit():
     # vertex i is matched up to edge i, whose other end is vertex i + 1
-    from trispcat.closure import Matching
-
     t = Trisp([1500, 1499], [[(i + 1, i) for i in range(1499)]])
     pairs = tuple(((0, i), (1, i)) for i in range(1499))
-    assert check_matching_acyclic(t, Matching(pairs)) == (True, None)
+    assert check_matching_acyclic(t, pairs) == (True, None)
 
 
 def test_collapse_rejects_stuck_matching():
-    from trispcat.closure import Matching
     from trispcat.trisp import simplicial_from_faces
 
     t, _, index = simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
@@ -165,7 +200,7 @@ def test_collapse_rejects_stuck_matching():
         ((0, 2), (1, index[frozenset({0, 2})][1])),
     )
     with pytest.raises(AssertionError, match=r"cycle: \[\("):
-        collapse(t, Matching(pairs), ())
+        collapse(t, pairs, ())
 
 
 def test_collapse_checks_red_subtrisp_under_optimize():
@@ -196,6 +231,36 @@ def test_collapse_checks_red_subtrisp_under_optimize():
     assert out.stdout == "rejected: final subtrisp is not the red subtrisp\n"
 
 
+def test_closure_matching_refuses_a_tampered_report_under_optimize():
+    # the cross-check is all that stands between a report and `collapse`
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from trispcat.accat import poset_from_relation\n"
+        "from trispcat.closure import closure_matching, induced_trisp_closure_map, "
+        "verify_trisp_closure_map\n"
+        "from trispcat.nerve import nerve\n"
+        "p = poset_from_relation(3, [(0, 1), (1, 2)])\n"
+        "t = nerve(p.category).trisp\n"
+        "cmap = induced_trisp_closure_map(p, (0, 1, 1))\n"
+        "report = verify_trisp_closure_map(t, cmap)\n"
+        "report.partners[0][2] = t.vertex_tuples(1).index((0, 2))\n"
+        "try:\n"
+        "    closure_matching(t, cmap, report)\n"
+        "except AssertionError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    edge = nerve(chain_poset(3).category).trisp.vertex_tuples(1).index((0, 2))
+    assert out.stdout == f"rejected: inconsistent pairing at (0, 2) / (1, {edge})\n"
+
+
 def test_collapse_rejects_a_removed_coface_under_optimize():
     # two vertices matched to one edge: the second pair must raise, even under `python -O`
     import os
@@ -203,11 +268,11 @@ def test_collapse_rejects_a_removed_coface_under_optimize():
     import sys
 
     code = (
-        "from trispcat.closure import Matching, collapse\n"
+        "from trispcat.closure import collapse\n"
         "from trispcat.trisp import Trisp\n"
         "t = Trisp((3, 2), [[(1, 0), (2, 1)]])\n"
         "try:\n"
-        "    collapse(t, Matching((((0, 0), (1, 0)), ((0, 1), (1, 0)))), {2})\n"
+        "    collapse(t, (((0, 0), (1, 0)), ((0, 1), (1, 0))), {2})\n"
         "except AssertionError as exc:\n"
         "    print('rejected:', exc)\n"
     )
