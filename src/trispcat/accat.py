@@ -2,15 +2,19 @@
 
 Objects and non-identity morphisms are dense integer indices with optional
 string labels; identities are implicit and never stored.  Composition is a
-partial table defined exactly on composable pairs: ``comp[(m1, m2)]`` is the
-morphism "m1 followed by m2".  An operator on a poset is the tuple of its
-object images, ``f[x]``: a poset has at most one morphism between two
-objects, so the images of the objects fix those of the morphisms.
+partial map defined exactly on composable pairs: ``comp[(m1, m2)]`` is the
+morphism "m1 followed by m2".  A category read from a document stores it as
+a table.  A poset built by `poset_from_relation` stores none: in a poset
+(x<y)(y<z) is x<z, so ``comp`` is a read-only view that looks the composite
+up in the order.  An operator on a poset is the tuple of its object images,
+``f[x]``: a poset has at most one morphism between two objects, so the
+images of the objects fix those of the morphisms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import InputError, NotAPosetError, SoundnessError, malformed
@@ -19,9 +23,11 @@ from .errors import InputError, NotAPosetError, SoundnessError, malformed
 class AcyclicCategory:
     """A finite category in which only the (implicit) identities are invertible.
 
-    Immutable after construction; construction checks index ranges only.
+    Immutable once handed out; construction checks index ranges only.
     Whether the data actually is an acyclic category (no directed cycles,
     total and associative composition) is the job of `validate_category`.
+    `poset_from_relation` passes no table and installs its order view as
+    ``comp`` before it returns.
     """
 
     def __init__(self, objects, morphisms, composition=()):
@@ -249,7 +255,11 @@ def as_poset(c):
 
 
 def poset_from_relation(labels, strict_pairs):
-    """Build a poset from any irreflexive acyclic relation, taking the transitive closure."""
+    """Build a poset from any irreflexive acyclic relation, taking the transitive closure.
+
+    The category stores one morphism per related pair and no composition
+    table; its ``comp`` reads each composite off the order.
+    """
     if isinstance(labels, int):
         labels = [str(i) for i in range(labels)]
     n = len(labels)
@@ -281,16 +291,43 @@ def poset_from_relation(labels, strict_pairs):
             low = mask & -mask
             pairs.append((x, low.bit_length() - 1))
             mask ^= low
-    index = {p: i for i, p in enumerate(pairs)}
-    by_src = {}
-    for j, (y, z) in enumerate(pairs):
-        by_src.setdefault(y, []).append(j)
-    comp = []
-    for i, (x, y) in enumerate(pairs):
-        for j in by_src.get(y, ()):
-            comp.append((i, j, index[(x, pairs[j][1])]))
-    cat = AcyclicCategory(labels, [(x, y, f"{labels[x]}<{labels[y]}") for x, y in pairs], comp)
-    return Poset(cat)
+    cat = AcyclicCategory(labels, [(x, y, f"{labels[x]}<{labels[y]}") for x, y in pairs])
+    p = Poset(cat)
+    cat.comp = _OrderComposition(cat, p.mor_of)
+    return p
+
+
+class _OrderComposition(Mapping):
+    """The composition of a poset's category, read off its order.
+
+    ``self[(m1, m2)]`` is the morphism src[m1] -> tgt[m2] when tgt[m1] ==
+    src[m2], and a KeyError otherwise.  Pairs are listed by m1 and then by
+    m2, the order in which a stored table would be filled, and counted
+    without listing them.
+    """
+
+    def __init__(self, c, mor_of):
+        self._src, self._tgt, self._mor_of = c.src, c.tgt, mor_of
+        self._out = [[] for _ in range(c.n_objects)]  # morphisms by source
+        for m, x in enumerate(c.src):
+            self._out[x].append(m)
+
+    def __getitem__(self, pair):
+        m1, m2 = pair
+        src, tgt = self._src, self._tgt
+        if 0 <= m1 < len(src) and 0 <= m2 < len(src) and tgt[m1] == src[m2]:
+            return self._mor_of[(src[m1], tgt[m2])]
+        raise KeyError(pair)
+
+    def __iter__(self):
+        out = self._out
+        for m1, y in enumerate(self._tgt):
+            for m2 in out[y]:
+                yield (m1, m2)
+
+    def __len__(self):
+        out = self._out
+        return sum(len(out[y]) for y in self._tgt)
 
 
 def subposet(p, keep):

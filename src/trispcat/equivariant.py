@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from .accat import check_closure_operator, subposet
 from .closure import TrispClosureMap, verify_trisp_closure_map
 from .errors import PreconditionError, SoundnessError
-from .symmetry import (
-    CatAut,
-    check_regular_action,
-    close_group,
-    quotient_category,
-)
+from .symmetry import check_regular_action, close_group, quotient_category
 from .trisp import compute_simplicial_flag, induced_subtrisp, trisps_equal_over_vertices
 
 
@@ -202,7 +197,7 @@ def image_quotient_nerve(p, action, image):
     for g in action.generators:
         if any(g.obj[x] not in pos for x in keep):
             raise PreconditionError("subset is not closed under the action")
-        gens.append(CatAut.from_poset(sub_p, (pos[g.obj[x]] for x in keep)))
+        gens.append([pos[g.obj[x]] for x in keep])
     return keep, quotient_category(sub_p.category, close_group(gens, on=sub_p))
 
 

@@ -149,15 +149,6 @@ def set_partitions(n):
     return sorted(out)
 
 
-def refines(fine, coarse):
-    """Every block of `fine` is contained in a block of `coarse`."""
-    lookup = {}
-    for i, block in enumerate(coarse):
-        for x in block:
-            lookup[x] = i
-    return all(len({lookup[x] for x in block}) == 1 for block in fine)
-
-
 def partition_label(partition):
     return "|".join("".join(str(x + 1) for x in block) for block in partition)
 
@@ -194,11 +185,12 @@ def partition_poset(n, fine_on_top=True):
         p for p in set_partitions(n) if 1 < len(p) < n
     ]
     index = {p: i for i, p in enumerate(parts)}
-    pairs = []
+    pairs = []  # the covers: q merges two blocks of p, so p is finer than q
     for i, p in enumerate(parts):
-        for j, q in enumerate(parts):
-            if i != j and refines(p, q):
-                # p strictly finer than q
+        for a, b in combinations(range(len(p)), 2):
+            rest = [block for k, block in enumerate(p) if k != a and k != b]
+            j = index.get(tuple(sorted(rest + [tuple(sorted(p[a] + p[b]))])))
+            if j is not None:  # None: the merge is the one-block partition
                 pairs.append((j, i) if fine_on_top else (i, j))
     labels = [partition_label(p) for p in parts]
     poset = poset_from_relation(labels, pairs)
@@ -287,8 +279,7 @@ def lift_to_edges(perm, edges, edge_index):
 
 def _sn_action(p, n, relabel):
     """S_n on a poset, moving its objects by `relabel(perm)`: checked horizontal, not closed."""
-    gens = [CatAut.from_poset(p, relabel(perm)) for perm in sn_generator_perms(n)]
-    action = close_group(gens, on=p)
+    action = close_group([relabel(perm) for perm in sn_generator_perms(n)], on=p)
     horizontal, witness = check_horizontal(p.category, action)
     if not horizontal:
         raise SoundnessError(f"S_{n} action must be horizontal, witness {witness}")

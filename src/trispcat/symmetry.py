@@ -6,12 +6,13 @@ permutes simplices dimension by dimension, commuting with the boundary
 operators.  An action is given by its generators; orbits, quotients,
 equivariance and horizontality read only those, and a quotient category is
 read off the composable pairs whose first source is an orbit representative.
-A poset automorphism is checked against the order, not the composition
-table.  The group itself is closed, by breadth-first products of generators,
-only when a caller reads its elements or order.  Kernels on a nerve read
-whole tables: an induced action maps chains column by column, the
-automorphism check compares boundary columns, and orbits are labelled by a
-stack search along the generators.
+A poset action is given by object maps: each is built into an automorphism
+by one pass over the order, since a poset composes through its order and
+has no composition table to check.  The group itself is closed, by
+breadth-first products of generators, only when a caller reads its elements
+or order.  Kernels on a nerve read whole tables: an induced action maps
+chains column by column, the automorphism check compares boundary columns,
+and orbits are labelled by a stack search along the generators.
 """
 
 from __future__ import annotations
@@ -89,24 +90,6 @@ def cat_automorphism_violation(c, g):
     return None
 
 
-def _poset_automorphism_violation(p, g):
-    """`cat_automorphism_violation` on a poset, read off the order.
-
-    A poset's hom-sets have at most one element and its composition is total
-    (as `poset_from_relation` builds it), so the composite of the images of
-    x < y < z is the one morphism gx -> gz, the image of the composite.  It
-    suffices that g.mor sends each x -> y to the morphism gx -> gy.
-    """
-    c = p.category
-    if not _is_perm(g.obj, c.n_objects) or not _is_perm(g.mor, c.n_morphisms):
-        return ("not-a-permutation",)
-    obj, mor_of = g.obj, p.mor_of
-    for m, (x, y) in enumerate(zip(c.src, c.tgt)):
-        if g.mor[m] != mor_of.get((obj[x], obj[y])):
-            return ("order", m)
-    return None
-
-
 def trisp_automorphism_violation(t, g):
     """None if g is an automorphism of t, else a witness tuple.
 
@@ -177,21 +160,43 @@ def close_group(generators, on):
 
     `on` is a category, a poset or a trisp; a generator that is not a genuine
     automorphism raises with a witness.  A category is checked entry by entry
-    of its composition table, a poset only by its order, in one pass over
-    its morphisms: a `Poset` must have a total composition.
+    of its composition.  A poset's generators are object maps or `CatAut`s,
+    each built once by `CatAut.from_poset` from its object map, which is the
+    whole check: `obj` is a permutation, and each ``mor[m]`` is by
+    construction ``mor_of[(obj[x], obj[y])]`` for m: x -> y.  So ``mor`` is
+    injective on a finite set, hence a permutation, and it sends the
+    composite x -> z of x -> y -> z to the composite of the images.  A
+    `CatAut` whose ``mor`` differs from the built one is refused at the
+    first morphism where they differ, with the witness ("order", m).
     """
-    generators = tuple(generators)
-    if isinstance(on, Poset):
-        violation = _poset_automorphism_violation
-    elif isinstance(on, AcyclicCategory):
-        violation = cat_automorphism_violation
-    else:
-        violation = trisp_automorphism_violation
+    built = []
     for k, g in enumerate(generators):
-        witness = violation(on, g)
+        if isinstance(on, Poset):
+            g, witness = _poset_generator(on, g)
+        elif isinstance(on, AcyclicCategory):
+            witness = cat_automorphism_violation(on, g)
+        else:
+            witness = trisp_automorphism_violation(on, g)
         if witness is not None:
             raise InputError(f"generator {k} is not an automorphism: {witness}")
-    return GroupAction(generators)
+        built.append(g)
+    return GroupAction(tuple(built))
+
+
+def _poset_generator(p, g):
+    """(the automorphism of `p` built from the object map of `g`, None), or (None, witness)."""
+    obj = tuple(g.obj if isinstance(g, CatAut) else g)
+    if not _is_perm(obj, p.n):
+        return None, ("not-a-permutation",)
+    try:
+        aut = CatAut.from_poset(p, obj)
+    except InputError as exc:  # names the first relation whose image is not one
+        return None, str(exc)
+    if isinstance(g, CatAut) and g.mor != aut.mor:
+        if len(g.mor) != len(aut.mor):
+            return None, ("not-a-permutation",)
+        return None, ("order", next(m for m, (a, b) in enumerate(zip(g.mor, aut.mor)) if a != b))
+    return aut, None
 
 
 def trivial_cat_action(c):
@@ -418,10 +423,10 @@ def quotient_category(c, action):
                     raise PreconditionError(f"composition table incomplete at {(m1, m2)}")
                 pairs.append((m1, m2, m12))
 
+    # each morphism orbit starts as one class, rooted at its least member
+    mor_orbit, mor_reps = orbit_partition([g.mor for g in action.generators], c.n_morphisms)
     uf = _UnionFind(c.n_morphisms)
-    for g in action.generators:
-        for m in range(c.n_morphisms):
-            uf.union(m, g.mor[m])
+    uf.parent = [mor_reps[k] for k in mor_orbit]
     # congruence: composites of pairs in one class pair share a class; a pass
     # without a union is run with fixed classes, so the fixpoint is closed
     changed = True

@@ -11,8 +11,12 @@ labelled orbits by a search, the closure kernels on dicts and sets keyed by
 them onto per-dimension arrays, the category quotient over the whole
 composition table, as it was before the library scanned only
 orbit-representative pairs, and the recursive search for a collapse to a
-point, as it was before the library gave it its own stack.  Inverses and
-identity tests of group elements live here too, with the small
+point, as it was before the library gave it its own stack.  The
+composition table of a poset, the partition poset from an all-pairs
+refinement scan and the poset automorphism check against a given morphism
+map are kept as they were before a poset composed through its order, was
+built from block merges and built its automorphisms from object maps.
+Inverses and identity tests of group elements live here too, with the small
 constructions only tests read: chain posets, opposite categories, the
 functor an order-preserving map of a poset induces, functor checks, nerves
 of functors, class coherence of an operator and lifts through the canonical
@@ -39,13 +43,14 @@ from trispcat.closure import (
 )
 from trispcat.equivariant import image_quotient_nerve
 from trispcat.errors import InputError, PreconditionError, SoundnessError
-from trispcat.graphs import lift_to_edges, sn_generator_perms
+from trispcat.graphs import lift_to_edges, partition_label, set_partitions, sn_generator_perms
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
     CatAut,
     GroupAction,
     QuotientCategory,
     TrispAut,
+    _is_perm,
     _UnionFind,
     check_horizontal,
     close_group,
@@ -323,6 +328,60 @@ def random_path_category(rng, max_nodes=5, max_edges=6):
 def chain_poset(k):
     """The total order 0 < 1 < ... < k-1."""
     return poset_from_relation(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def poset_composition_table(p):
+    """Every composite of a poset, listed as `poset_from_relation` once stored them.
+
+    A dict (m1, m2) -> m12, filled by m1 and then by m2.
+    """
+    c = p.category
+    by_src = {}
+    for j, y in enumerate(c.src):
+        by_src.setdefault(y, []).append(j)
+    table = {}
+    for i, (x, y) in enumerate(zip(c.src, c.tgt)):
+        for j in by_src.get(y, ()):
+            table[(i, j)] = p.mor_of[(x, c.tgt[j])]
+    return table
+
+
+def poset_automorphism_violation(p, g):
+    """`cat_automorphism_violation` on a poset, read off the order.
+
+    A poset's hom-sets have at most one element and it composes through its
+    order, so the composite of the images of x < y < z is the one morphism
+    gx -> gz, the image of the composite.  It suffices that g.mor sends each
+    x -> y to the morphism gx -> gy.
+    """
+    c = p.category
+    if not _is_perm(g.obj, c.n_objects) or not _is_perm(g.mor, c.n_morphisms):
+        return ("not-a-permutation",)
+    obj, mor_of = g.obj, p.mor_of
+    for m, (x, y) in enumerate(zip(c.src, c.tgt)):
+        if g.mor[m] != mor_of.get((obj[x], obj[y])):
+            return ("order", m)
+    return None
+
+
+def refines(fine, coarse):
+    """Every block of `fine` is contained in a block of `coarse`."""
+    lookup = {}
+    for i, block in enumerate(coarse):
+        for x in block:
+            lookup[x] = i
+    return all(len({lookup[x] for x in block}) == 1 for block in fine)
+
+
+def partition_poset_oracle(n, fine_on_top=True):
+    """(partitions, poset) of `partition_poset`, related by an all-pairs refinement scan."""
+    parts = [p for p in set_partitions(n) if 1 < len(p) < n]
+    pairs = []
+    for i, p in enumerate(parts):
+        for j, q in enumerate(parts):
+            if i != j and refines(p, q):
+                pairs.append((j, i) if fine_on_top else (i, j))
+    return tuple(parts), poset_from_relation([partition_label(p) for p in parts], pairs)
 
 
 def opposite_category(c):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from trispcat.accat import (
 )
 from trispcat.closure import TrispClosureMap, verify_trisp_closure_map
 from trispcat.errors import InputError, NotAPosetError
+from trispcat.graphs import build_dgn, face_poset
 from trispcat.nerve import nerve
 
 from oracles import (
@@ -20,7 +23,9 @@ from oracles import (
     all_posets_upto_iso,
     chain_poset,
     check_functor,
+    nerve_oracle,
     opposite_category,
+    poset_composition_table,
     poset_functor,
 )
 
@@ -218,3 +223,49 @@ def test_ac_maps_on_posets_preserve_order(p, rng):
     assert check_functor(p.category, p.category, f) == []
     for (x, y) in p.mor_of:
         assert p.leq(f.obj[x], f.obj[y])
+
+
+def _assert_composition_is_the_table(p):
+    # the composition read off the order is the table once stored, entry for
+    # entry and in the same order, and every reader sees the same category
+    c = p.category
+    table = poset_composition_table(p)
+    assert list(c.comp.items()) == list(table.items())
+    assert len(c.comp) == len(table) and c.comp == table
+    n = c.n_morphisms
+    for m1 in range(-1, n + 1):
+        for m2 in range(-1, n + 1):
+            if (m1, m2) not in table:
+                assert c.comp.get((m1, m2)) is None and (m1, m2) not in c.comp
+                with pytest.raises(KeyError):
+                    c.comp[(m1, m2)]
+    stored = AcyclicCategory(
+        c.objects, zip(c.src, c.tgt, c.mor_labels), [(a, b, m) for (a, b), m in table.items()]
+    )
+    assert json.dumps(c.to_json()) == json.dumps(stored.to_json())
+    assert validate_category(c).ok and validate_category(stored).ok
+    assert validate_category(c).to_json() == validate_category(stored).to_json()
+    nv = nerve(c)
+    chains, bnd, index = nerve_oracle(stored)
+    assert nv.chains == chains and nv.index == index
+    assert [nv.trisp.boundary_table(d) for d in range(1, len(chains))] == bnd
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets())
+def test_poset_composition_is_the_stored_table(p):
+    _assert_composition_is_the_table(p)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_face_poset_composition_is_the_stored_table(n):
+    _assert_composition_is_the_table(face_poset(build_dgn(n)).poset)
+
+
+def test_long_chain_composes_without_a_table():
+    # a stored table would hold C(800, 3) composites and take minutes to build
+    p = poset_from_relation(800, [(i, i + 1) for i in range(799)])
+    assert len(p.category.comp) == 85_013_600
+    m1, m2 = p.mor_of[(10, 500)], p.mor_of[(500, 799)]
+    assert p.category.comp[(m1, m2)] == p.mor_of[(10, 799)]
+    assert p.category.comp.get((m2, m1)) is None

@@ -470,9 +470,28 @@ def test_pipeline_certificates_are_pinned(capsys, variant, n):
     assert hashlib.sha256(certs.encode()).hexdigest() == CERTIFICATE_SHA256[(variant, n)]
 
 
+@pytest.mark.parametrize("seed", ["0", "12345"])
+@pytest.mark.parametrize("variant", ["61", "62"])
+def test_pipeline_certificates_do_not_depend_on_the_hash_seed(variant, seed):
+    # string hashing varies with PYTHONHASHSEED; no certificate may follow it
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    argv = ["dgn", "pipeline", "--n", "4", "--pipeline", variant]
+    child = subprocess.run(
+        [sys.executable, "-m", "trispcat.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    certs = json.loads(child.stdout)["certificates"]
+    certs = json.dumps(certs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(certs.encode()).hexdigest() == CERTIFICATE_SHA256[(variant, 4)]
+
+
 @pytest.mark.slow
 def test_pipeline_62_n6_is_pinned():
-    # a child process, so that the run's 1.2 GB is handed back when it exits
+    # a child process, so that the run's memory is handed back when it exits
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     run62 = subprocess.run(
         [sys.executable, "-m", "trispcat.cli", "dgn", "pipeline", "--n", "6", "--pipeline", "62"],

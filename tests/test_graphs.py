@@ -22,7 +22,7 @@ from trispcat.nerve import nerve
 from trispcat.symmetry import check_regular_action, quotient_category, quotient_trisp
 from trispcat.trisp import simplicial_from_faces, validate_trisp
 
-from oracles import dgn_trisp_action
+from oracles import dgn_trisp_action, partition_poset_oracle
 
 
 def test_dgn3_is_three_isolated_vertices():
@@ -118,6 +118,20 @@ def test_partition_poset_counts():
     assert len(partition_poset(3).partitions) == 3
     assert len(partition_poset(4).partitions) == 13
     assert len(partition_poset(5).partitions) == 50
+
+
+@pytest.mark.parametrize("fine_on_top", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_partition_poset_from_merges_matches_the_refinement_scan(n, fine_on_top):
+    # the covers (two blocks merged) close to the same order as all refinements
+    pp = partition_poset(n, fine_on_top)
+    parts, p = partition_poset_oracle(n, fine_on_top)
+    assert pp.partitions == parts
+    assert pp.index == {q: i for i, q in enumerate(parts)}
+    c, expected = pp.category, p.category
+    assert (c.objects, c.src, c.tgt, c.mor_labels) == (
+        expected.objects, expected.src, expected.tgt, expected.mor_labels
+    )
 
 
 def test_partition_helpers():

@@ -19,7 +19,6 @@ from trispcat.symmetry import (
     CatAut,
     GroupAction,
     TrispAut,
-    _poset_automorphism_violation,
     canonical_map,
     cat_automorphism_violation,
     check_horizontal,
@@ -44,6 +43,7 @@ from oracles import (
     inverse,
     is_identity,
     iterated_faces,
+    poset_automorphism_violation,
     quotient_category_oracle,
     random_action,
     random_path_category,
@@ -85,18 +85,39 @@ def test_from_poset_rejects_a_non_permutation(chain3, obj):
 
 def test_close_group_checks_a_poset_by_its_order(chain3):
     swapped = CatAut((0, 1, 2), (1, 0, 2))
-    assert _poset_automorphism_violation(chain3, swapped) == ("order", 0)
+    assert poset_automorphism_violation(chain3, swapped) == ("order", 0)
     with pytest.raises(InputError, match=r"generator 0 is not an automorphism: \('order', 0\)"):
         close_group([swapped], on=chain3)
     with pytest.raises(InputError, match="not-a-permutation"):
         close_group([CatAut((0, 1, 1), (0, 1, 2))], on=chain3)
 
 
+def test_close_group_builds_a_poset_generator_from_its_object_map(chain3):
+    # an object map is built into its automorphism; one that breaks the
+    # order is refused at the first relation whose image is not one
+    action = close_group([(0, 1, 2), CatAut((0, 1, 2), (0, 1, 2))], on=chain3)
+    assert action.generators == (CatAut((0, 1, 2), (0, 1, 2)),) * 2
+    antichain = poset_from_relation(3, [])
+    assert close_group([[1, 2, 0]], on=antichain).order == 3
+    refused = "generator {} is not an automorphism: "
+    with pytest.raises(InputError) as got:
+        close_group([(0, 1, 2), (1, 0, 2)], on=chain3)
+    assert str(got.value) == refused.format(1) + "relabelling does not keep the order at (0, 1)"
+    with pytest.raises(InputError, match=r"does not keep the order at \(1, 2\)"):
+        close_group([CatAut((0, 2, 1), (0, 1, 2))], on=chain3)
+    with pytest.raises(InputError) as got:
+        close_group([(0, 1)], on=chain3)
+    assert str(got.value) == refused.format(0) + "('not-a-permutation',)"
+    with pytest.raises(InputError, match="not-a-permutation"):
+        close_group([CatAut((0, 1, 2), (0, 1))], on=chain3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(posets(max_n=5))
 def test_order_check_agrees_with_the_composition_scan(p):
     # every object permutation: from_poset accepts exactly the automorphisms,
-    # which both checks accept, and both reject one with two morphisms swapped
+    # which both checks and close_group accept, and all three reject one with
+    # two morphisms swapped, close_group with the reference check's witness
     c = p.category
     for perm in itertools.permutations(range(p.n)):
         keeps = all(p.lt(perm[x], perm[y]) for (x, y) in p.mor_of)
@@ -106,14 +127,19 @@ def test_order_check_agrees_with_the_composition_scan(p):
             assert not keeps
             continue
         assert keeps
-        assert _poset_automorphism_violation(p, g) is None
+        assert poset_automorphism_violation(p, g) is None
         assert cat_automorphism_violation(c, g) is None
+        assert close_group([g], on=p).generators == (g,)
         if c.n_morphisms >= 2:
             mor = list(g.mor)
             mor[0], mor[-1] = mor[-1], mor[0]
             bad = CatAut(g.obj, tuple(mor))
-            assert _poset_automorphism_violation(p, bad) is not None
+            assert poset_automorphism_violation(p, bad) is not None
             assert cat_automorphism_violation(c, bad) is not None
+            with pytest.raises(InputError) as got:
+                close_group([bad], on=p)
+            witness = poset_automorphism_violation(p, bad)
+            assert str(got.value) == f"generator 0 is not an automorphism: {witness}"
 
 
 def _quotient_outcome(quotient, c, action):
