@@ -2,10 +2,12 @@
 
 The complex DG_n has one vertex per possible edge of a graph on n labeled
 vertices and one simplex per nonempty edge set whose graph is disconnected
-(isolated vertices count).  The symmetric group acts by relabeling graph
-vertices; taking transitive closures of graphs gives an ascending,
-equivariant closure operator on the face poset whose image is the poset of
-nontrivial set partitions.
+(isolated vertices count).  It is built by extending each face by one larger
+edge, and each face carries the partition of {0..n-1} into the components of
+its graph.  The symmetric group acts by relabeling graph vertices; taking
+transitive closures of graphs gives an ascending, equivariant closure
+operator on the face poset whose image is the poset of nontrivial set
+partitions.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .nerve import nerve
 from .symmetry import (
     CatAut,
     GroupAction,
-    _UnionFind,
-    check_horizontal,
     check_regular_action,
     close_group,
     induced_trisp_action,
@@ -68,6 +68,8 @@ class GraphComplex:
     faces_by_dim: tuple  # per dimension, sorted tuples of edge ids
     index: dict  # frozenset of edge ids -> (d, s)
     edge_index: dict  # vertex pair -> edge id
+    components: tuple  # per dimension, the partition of each face (one object per partition)
+    closed: dict  # partition -> (d, s) of the union of complete graphs on its blocks
 
     def edge_label(self, e):
         a, b = self.edges[e]
@@ -75,23 +77,51 @@ class GraphComplex:
 
 
 def build_dgn(n):
-    """All nonempty edge sets of disconnected graphs on n labeled vertices."""
+    """All nonempty edge sets of disconnected graphs on n labeled vertices.
+
+    A face of k+1 edges extends a face of k edges by a larger edge, since a
+    subset of a disconnected edge set is disconnected.  Each level comes in
+    lexicographic order, as `faces_by_dim` sorts it, so the partitions line
+    up with it.  An extension's partition merges the blocks of the new
+    edge's ends; one block left means connected, and it is dropped.  A face
+    is its partition's closure when it has as many edges as the complete
+    graphs on the blocks.  Blocks are sorted, ordered by least member.
+    """
     if not 3 <= n <= 6:
         raise InputError(f"n must be between 3 and 6, got {n}")
     edges = edge_list(n)
     m = len(edges)
-    faces = []
-    for size in range(1, m + 1):
-        found = False
-        for subset in combinations(range(m), size):
-            if len(partition_of_edges(n, subset, edges)) > 1:
-                faces.append(subset)
-                found = True
-        if not found:
-            break
+    interned, merged = {}, {}  # partition -> its one object; (partition, edge) -> merge
+
+    def merge(p, e):
+        if (p, e) not in merged:
+            a, b = edges[e]
+            ends = [block for block in p if a in block or b in block]
+            rest = [block for block in p if block not in ends]
+            q = tuple(sorted(rest + [tuple(sorted(sum(ends, ())))]))
+            merged[(p, e)] = interned.setdefault(q, q)
+        return merged[(p, e)]
+
+    levels = [[((e,), merge(tuple((v,) for v in range(n)), e)) for e in range(m)]]
+    while levels[-1]:
+        levels.append([
+            (face + (e,), q)
+            for face, p in levels[-1]
+            for e in range(face[-1] + 1, m)
+            if len(q := merge(p, e)) > 1
+        ])
+    levels.pop()  # the first empty level
+    faces = [face for level in levels for face, _p in level]
     trisp, faces_by_dim, index = simplicial_from_faces(m, faces)
+    components = tuple(tuple(p for _face, p in level) for level in levels)
+    closed = {
+        p: (d, s)
+        for d, parts in enumerate(components)
+        for s, p in enumerate(parts)
+        if d + 1 == sum(len(b) * (len(b) - 1) // 2 for b in p)
+    }
     edge_index = {pair: e for e, pair in enumerate(edges)}
-    return GraphComplex(n, edges, trisp, faces_by_dim, index, edge_index)
+    return GraphComplex(n, edges, trisp, faces_by_dim, index, edge_index, components, closed)
 
 
 @dataclass(eq=False)
@@ -197,30 +227,6 @@ def partition_poset(n, fine_on_top=True):
     return PartitionPoset(n, tuple(parts), poset, index)
 
 
-def partition_of_edges(n, edge_ids, edges):
-    """Partition of {0..n-1} into the connected components of an edge set.
-
-    Blocks are sorted, and ordered by their least member.
-    """
-    uf = _UnionFind(n)
-    for e in edge_ids:
-        uf.union(*edges[e])
-    block_of, reps = uf.classes()
-    blocks = [[] for _ in reps]
-    for x, k in enumerate(block_of):
-        blocks[k].append(x)
-    return tuple(tuple(b) for b in blocks)
-
-
-def edges_of_partition(partition, edge_index):
-    """Edge ids of the union of complete graphs on the blocks."""
-    out = []
-    for block in partition:
-        for pair in combinations(block, 2):
-            out.append(edge_index[pair])
-    return tuple(sorted(out))
-
-
 def transitive_closure_operator(k, fp):
     """The operator sending each face to the edge set of its transitive closure.
 
@@ -228,13 +234,7 @@ def transitive_closure_operator(k, fp):
     and equivariant on the face poset (`check_closure_operator` checks the
     first three); its image is the poset of nontrivial set partitions.
     """
-    obj_map = []
-    for (d, s) in fp.elements:
-        face = k.faces_by_dim[d][s]
-        partition = partition_of_edges(k.n, face, k.edges)
-        closed = edges_of_partition(partition, k.edge_index)
-        obj_map.append(fp.position[k.index[frozenset(closed)]])
-    return tuple(obj_map)
+    return tuple(fp.position[k.closed[k.components[d][s]]] for d, s in fp.elements)
 
 
 def image_partition_isomorphism(k, fp, f):
@@ -250,8 +250,7 @@ def image_partition_isomorphism(k, fp, f):
     bijection = {}
     for x in image:
         d, s = fp.elements[x]
-        partition = partition_of_edges(k.n, k.faces_by_dim[d][s], k.edges)
-        bijection[x] = pp.index[partition]
+        bijection[x] = pp.index[k.components[d][s]]
     if sorted(bijection.values()) != list(range(len(pp.partitions))):
         return False, None, pp
     for x in image:
@@ -278,12 +277,14 @@ def lift_to_edges(perm, edges, edge_index):
 
 
 def _sn_action(p, n, relabel):
-    """S_n on a poset, moving its objects by `relabel(perm)`: checked horizontal, not closed."""
-    action = close_group([relabel(perm) for perm in sn_generator_perms(n)], on=p)
-    horizontal, witness = check_horizontal(p.category, action)
-    if not horizontal:
-        raise SoundnessError(f"S_{n} action must be horizontal, witness {witness}")
-    return action
+    """S_n on a poset, moving its objects by `relabel(perm)`; the group is not closed.
+
+    The action is horizontal with no check: `close_group` builds each
+    generator as a poset automorphism, so every group element h is one.  If
+    x < hx for h of order k, then x < hx < ... < h^k x = x is a cycle in a
+    finite poset, which is impossible; hx < x likewise.
+    """
+    return close_group([relabel(perm) for perm in sn_generator_perms(n)], on=p)
 
 
 def face_poset_action(k, fp):
@@ -424,10 +425,8 @@ def pipeline_quotient_trisp(n):
     pqt = quotient_trisp(pn.trisp, ptact)
     vmap = []
     for parent in cert.final.to_parent[0]:
-        rep_vertex = qt.reps[0][parent]
-        d, s = fp.elements[rep_vertex]
-        partition = partition_of_edges(n, k.faces_by_dim[d][s], k.edges)
-        vmap.append(pqt.projection[0][pp.index[partition]])
+        d, s = fp.elements[qt.reps[0][parent]]
+        vmap.append(pqt.projection[0][pp.index[k.components[d][s]]])
     match = trisps_equal_over_vertices(cert.final.trisp, pqt.trisp, vmap)
     if not match.ok:
         clock.fail("target_equality", str(match.witness))
@@ -518,9 +517,7 @@ def pipeline_quotient_category(n):
     pos = {x: i for i, x in enumerate(keep)}
     vmap2 = [None] * pn_q.trisp.n(0)
     for cls in range(pqc.category.n_objects):
-        partition = pp.partitions[pqc.obj_members[cls][0]]
-        closed = edges_of_partition(partition, k.edge_index)
-        x = fp.position[k.index[frozenset(closed)]]
+        x = fp.position[k.closed[pp.partitions[pqc.obj_members[cls][0]]]]
         vmap2[cls] = sub_qc.obj_class[pos[x]]
     match_mirror = trisps_equal_over_vertices(pn_q.trisp, reverse_trisp(sub_qc.nerve.trisp), vmap2)
     if not match_mirror.ok:

@@ -434,8 +434,9 @@ def quotient_category(c, action):
         changed = False
         first = {}
         for m1, m2, m12 in pairs:
-            key = (uf.find(m1), uf.find(m2))
-            changed |= uf.union(first.setdefault(key, m12), m12)
+            claimed = first.setdefault((uf.find(m1), uf.find(m2)), m12)
+            if claimed != m12:
+                changed |= uf.union(claimed, m12)
 
     mor_class, roots = uf.classes()
     mor_members = [[] for _ in roots]

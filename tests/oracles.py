@@ -15,7 +15,10 @@ point, as it was before the library gave it its own stack.  The
 composition table of a poset, the partition poset from an all-pairs
 refinement scan and the poset automorphism check against a given morphism
 map are kept as they were before a poset composed through its order, was
-built from block merges and built its automorphisms from object maps.
+built from block merges and built its automorphisms from object maps; the
+components of an edge set by union-find and its transitive closure through
+the edges inside them, as they were before DG_n carried each face's
+partition.
 Inverses and identity tests of group elements live here too, with the small
 constructions only tests read: chain posets, opposite categories, the
 functor an order-preserving map of a poset induces, functor checks, nerves
@@ -382,6 +385,32 @@ def partition_poset_oracle(n, fine_on_top=True):
             if i != j and refines(p, q):
                 pairs.append((j, i) if fine_on_top else (i, j))
     return tuple(parts), poset_from_relation([partition_label(p) for p in parts], pairs)
+
+
+def partition_of_edges(n, edge_ids, edges):
+    """Partition of {0..n-1} into the connected components of an edge set.
+
+    Blocks are sorted, and ordered by their least member.
+    """
+    uf = _UnionFind(n)
+    for e in edge_ids:
+        uf.union(*edges[e])
+    block_of, reps = uf.classes()
+    blocks = [[] for _ in reps]
+    for x, k in enumerate(block_of):
+        blocks[k].append(x)
+    return tuple(tuple(b) for b in blocks)
+
+
+def transitive_closure_oracle(k, fp):
+    """`transitive_closure_operator`: each face to the union of complete graphs
+    on its components, found by union-find and looked up by its edge set."""
+    images = []
+    for d, s in fp.elements:
+        partition = partition_of_edges(k.n, k.faces_by_dim[d][s], k.edges)
+        closed = [k.edge_index[pair] for block in partition for pair in combinations(block, 2)]
+        images.append(fp.position[k.index[frozenset(closed)]])
+    return tuple(images)
 
 
 def opposite_category(c):

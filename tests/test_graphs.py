@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +13,6 @@ from trispcat.graphs import (
     image_partition_isomorphism,
     number_partition,
     partition_action,
-    partition_of_edges,
     partition_poset,
     pipeline_quotient_category,
     pipeline_quotient_trisp,
@@ -22,7 +22,12 @@ from trispcat.nerve import nerve
 from trispcat.symmetry import check_regular_action, quotient_category, quotient_trisp
 from trispcat.trisp import simplicial_from_faces, validate_trisp
 
-from oracles import dgn_trisp_action, partition_poset_oracle
+from oracles import (
+    dgn_trisp_action,
+    partition_of_edges,
+    partition_poset_oracle,
+    transitive_closure_oracle,
+)
 
 
 def test_dgn3_is_three_isolated_vertices():
@@ -47,8 +52,6 @@ def test_dgn_faces_are_hereditary(dgn4_bundle):
     k = dgn4_bundle["k"]
     report = validate_trisp(k.trisp)
     assert report.ok and report.flags.is_simplicial
-    from itertools import combinations
-
     for level in k.faces_by_dim:
         for face in level:
             for size in range(1, len(face)):
@@ -136,8 +139,25 @@ def test_partition_poset_from_merges_matches_the_refinement_scan(n, fine_on_top)
 
 def test_partition_helpers():
     assert number_partition(((0, 1), (2,), (3,))) == (2, 1, 1)
-    edges = edge_list(4)
-    assert partition_of_edges(4, [0], edges) == ((0, 1), (2,), (3,))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_each_face_carries_its_components_and_each_partition_its_closure(n):
+    k = build_dgn(n)
+    assert partition_of_edges(n, [0], edge_list(n)) == ((0, 1),) + tuple((v,) for v in range(2, n))
+    assert [len(parts) for parts in k.components] == [len(level) for level in k.faces_by_dim]
+    for level, parts in zip(k.faces_by_dim, k.components):
+        assert list(parts) == [partition_of_edges(n, face, k.edges) for face in level]
+    # equal partitions are one stored object
+    distinct = {p for parts in k.components for p in parts}
+    assert len({id(p) for parts in k.components for p in parts}) == len(distinct)
+    # every partition but the discrete and the one-block ones (Bell number minus 2)
+    assert len(k.closed) == {3: 3, 4: 13, 5: 50, 6: 201}[n]
+    for partition, (d, s) in k.closed.items():
+        inside = [k.edge_index[pair] for block in partition for pair in combinations(block, 2)]
+        assert k.faces_by_dim[d][s] == tuple(sorted(inside))
+    fp = face_poset(k)
+    assert transitive_closure_operator(k, fp) == transitive_closure_oracle(k, fp)
 
 
 def test_image_isomorphic_to_partition_poset(dgn4_bundle):

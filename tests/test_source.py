@@ -1,4 +1,7 @@
 import ast
+import importlib
+import json
+import types
 from pathlib import Path
 
 import trispcat
@@ -126,3 +129,38 @@ def test_every_public_field_is_read_in_the_package():
     shorts = {f: f.rpartition(".")[2] for f in fields}
     unread = sorted(f for f, a in shorts.items() if not a.startswith("_") and a not in read)
     assert unread == []
+
+
+def test_every_benchmark_span_names_a_function_of_the_package():
+    # the benchmark's traced run wraps module-level functions by name and
+    # marks a metric null, failing the run, when its function is gone; a
+    # span metric is <module>.<function>.<field>, and two-part names count work
+    names = [
+        metric["name"]
+        for metric in json.loads(
+            (Path(__file__).parents[1] / "BENCHMARK.json").read_text(encoding="utf-8")
+        )["per_layer"]
+    ]
+    spans = {
+        name.rpartition(".")[0]
+        for name in names
+        if name.count(".") >= 2 and name.split(".")[0] not in ("stage", "layer", "trace")
+    }
+    assert "trisp.from_json" in spans and "graphs.pipeline" in spans
+    missing = []
+    for span in sorted(spans):
+        module_name, function = span.split(".")
+        module = importlib.import_module(f"trispcat.{module_name}")
+        if span == "trisp.from_json":  # a classmethod, wrapped on its class
+            found = isinstance(module.Trisp.__dict__.get("from_json"), classmethod)
+        elif span == "graphs.pipeline":  # the sum over the pipeline_* functions
+            found = any(
+                isinstance(obj, types.FunctionType) and attr.startswith("pipeline_")
+                for attr, obj in vars(module).items()
+            )
+        else:
+            obj = vars(module).get(function)
+            found = isinstance(obj, types.FunctionType) and obj.__module__ == module.__name__
+        if not found:
+            missing.append(span)
+    assert missing == []

@@ -242,6 +242,9 @@ def test_orbits_from_generators_random(seed):
         for x in range(c.n_objects)
     )
     assert check_horizontal(c, action)[0] == horizontal
+    # a group of poset automorphisms is horizontal: x < hx would give the
+    # cycle x < hx < ... < h^k x = x
+    assert horizontal
 
 
 def test_pushing_through_the_induced_action_closes_no_group(dgn4_bundle):
