@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Report the check sites whose deletion no test notices.
+
+A check site is a ``raise SoundnessError(...)``, ``raise PreconditionError(...)``
+or ``clock.fail(...)`` statement in ``src/trispcat``.  For each site the
+script makes one mutant, with that statement replaced by ``pass``, and runs
+the tier-1 suite against it, stopping at the first failure.  A mutant that
+passes is a survivor: no test reaches its check.
+
+    python3 scripts/check_site_mutants.py              # every module
+    python3 scripts/check_site_mutants.py symmetry     # one module
+
+The checkout is copied once to a temporary directory, and each mutant is
+written into that copy in turn, so nothing inside the checkout changes and
+one suite runs at a time.  Expect about a tier-1 run per surviving site.
+The exit code is 1 when a site survives.
+"""
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join("src", "trispcat")
+CHECKS = {"SoundnessError", "PreconditionError"}
+SUITE_TIMEOUT_S = 900
+
+
+def _is_site(node):
+    if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+        return isinstance(node.exc.func, ast.Name) and node.exc.func.id in CHECKS
+    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+        func = node.value.func
+        return (
+            isinstance(func, ast.Attribute) and func.attr == "fail"
+            and isinstance(func.value, ast.Name) and func.value.id == "clock"
+        )
+    return False
+
+
+def check_sites(source):
+    """The check-site statements of a module's source, in line order."""
+    return sorted(
+        (node for node in ast.walk(ast.parse(source)) if _is_site(node)),
+        key=lambda node: (node.lineno, node.col_offset),
+    )
+
+
+def mutant(source, node):
+    """`source` with the statement `node` replaced by ``pass``; line numbers are kept."""
+    lines = source.splitlines(keepends=True)
+    first, last = node.lineno - 1, node.end_lineno - 1
+    head = lines[first][: node.col_offset]
+    tail = lines[last][node.end_col_offset:]
+    return "".join(lines[:first] + [head + "pass" + tail] + ["\n"] * (last - first) + lines[last + 1:])
+
+
+def suite_passes(copy):
+    # no bytecode cache, so a module is never read from a stale one
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
+    try:
+        run = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=SUITE_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False  # a mutant that hangs the suite is noticed
+    return run.returncode == 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("module", nargs="?", help="a module of the package, such as accat")
+    args = parser.parse_args()
+    names = sorted(f for f in os.listdir(os.path.join(ROOT, PACKAGE)) if f.endswith(".py"))
+    if args.module:
+        names = [f for f in names if f == args.module.removesuffix(".py") + ".py"]
+        if not names:
+            parser.error(f"no module {args.module!r} in {PACKAGE}")
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = os.path.join(tmp, "checkout")
+        ignore = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".perfbench", "__pycache__")
+        shutil.copytree(ROOT, copy, ignore=ignore)
+        if not suite_passes(copy):
+            sys.exit("the unmutated suite fails; no mutant can be judged")
+        for name in names:
+            path = os.path.join(copy, PACKAGE, name)
+            with open(path) as f:
+                source = f.read()
+            for node in check_sites(source):
+                site = f"{name}:{node.lineno}: {ast.get_source_segment(source, node).splitlines()[0]}"
+                with open(path, "w") as f:
+                    f.write(mutant(source, node))
+                survived = suite_passes(copy)
+                print(("SURVIVES " if survived else "killed   ") + site, flush=True)
+                if survived:
+                    survivors.append(site)
+            with open(path, "w") as f:
+                f.write(source)
+    print(f"{len(survivors)} surviving site(s)")
+    for site in survivors:
+        print("  " + site)
+    sys.exit(1 if survivors else 0)
+
+
+if __name__ == "__main__":
+    main()

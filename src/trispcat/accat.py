@@ -1,12 +1,14 @@
 """Finite acyclic categories, posets, and closure operators on posets.
 
 Objects and non-identity morphisms are dense integer indices with optional
-string labels; identities are implicit and never stored.  Composition is a
-partial map defined exactly on composable pairs: ``comp[(m1, m2)]`` is the
-morphism "m1 followed by m2".  A category read from a document stores it as
-a table.  A poset built by `poset_from_relation` stores none: in a poset
-(x<y)(y<z) is x<z, so ``comp`` is a read-only view that looks the composite
-up in the order.  An operator on a poset is the tuple of its object images,
+string labels; identities are implicit and never stored.  A category
+indexes its morphisms by source once, as ``out[x]``; the nerve, validation
+and quotients read that index.  Composition is a partial map defined
+exactly on composable pairs: ``comp[(m1, m2)]`` is the morphism "m1
+followed by m2".  A category read from a document stores it as a table.
+A poset built by `poset_from_relation` stores none: in a poset (x<y)(y<z)
+is x<z, so ``comp`` is a read-only view that looks the composite up in
+the order.  An operator on a poset is the tuple of its object images,
 ``f[x]``: a poset has at most one morphism between two objects, so the
 images of the objects fix those of the morphisms.
 """
@@ -16,14 +18,18 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .errors import InputError, NotAPosetError, SoundnessError, malformed
+from .errors import InputError, NotAPosetError, malformed
 
 
 class AcyclicCategory:
     """A finite category in which only the (implicit) identities are invertible.
 
-    Immutable once handed out; construction checks index ranges only.
+    Immutable once handed out.  Construction checks the endpoint columns as
+    a whole (int type and range) and each composition entry, and indexes
+    the morphisms by source: ``out[x]`` is the tuple of morphisms with
+    source x, in increasing order.
     Whether the data actually is an acyclic category (no directed cycles,
     total and associative composition) is the job of `validate_category`.
     `poset_from_relation` passes no table and installs its order view as
@@ -35,22 +41,19 @@ class AcyclicCategory:
             objects = [str(i) for i in range(objects)]
         self.objects = tuple(str(o) for o in objects)
         n_obj = len(self.objects)
-        src, tgt, labels = [], [], []
-        for m in morphisms:
-            if len(m) == 2:
-                s, t = m
-                lab = f"m{len(src)}"
-            else:
-                s, t, lab = m
-            if not (type(s) is type(t) is int and 0 <= s < n_obj and 0 <= t < n_obj):
-                raise InputError(f"morphism endpoint out of range: {m}")
-            src.append(s)
-            tgt.append(t)
-            labels.append(str(lab))
-        self.src = tuple(src)
-        self.tgt = tuple(tgt)
-        self.mor_labels = tuple(labels)
-        n = len(self.src)
+        morphisms = list(morphisms)
+        rows = [m if len(m) == 3 else (*m, f"m{i}") for i, m in enumerate(morphisms)]
+        if set(map(len, rows)) - {3}:
+            raise ValueError("a morphism is (src, tgt) or (src, tgt, label)")
+        src, tgt, labels = (tuple(map(itemgetter(k), rows)) for k in range(3))
+        ends = src + tgt
+        if ends and not (set(map(type, ends)) == {int} and min(ends) >= 0 and max(ends) < n_obj):
+            for m, s, t in zip(morphisms, src, tgt):
+                if not (type(s) is type(t) is int and 0 <= s < n_obj and 0 <= t < n_obj):
+                    raise InputError(f"morphism endpoint out of range: {m}")
+        self.src, self.tgt = src, tgt
+        self.mor_labels = tuple(map(str, labels))
+        n = len(src)
         comp = {}
         for m1, m2, m12 in composition:
             if not (
@@ -62,10 +65,10 @@ class AcyclicCategory:
                 raise InputError(f"conflicting composition entries for {(m1, m2)}")
             comp[(m1, m2)] = m12
         self.comp = comp
-        hom = {}
-        for m in range(n):
-            hom.setdefault((self.src[m], self.tgt[m]), []).append(m)
-        self._hom = {k: tuple(v) for k, v in hom.items()}
+        out = [[] for _ in range(n_obj)]
+        for m, x in enumerate(src):
+            out[x].append(m)
+        self.out = tuple(map(tuple, out))
 
     @property
     def n_objects(self):
@@ -77,7 +80,7 @@ class AcyclicCategory:
 
     def hom(self, x, y):
         """Indices of non-identity morphisms x -> y."""
-        return self._hom.get((x, y), ())
+        return tuple(m for m in self.out[x] if self.tgt[m] == y)
 
     def __repr__(self):
         return f"AcyclicCategory({self.n_objects} objects, {self.n_morphisms} morphisms)"
@@ -158,13 +161,10 @@ def validate_category(c):
     self_loops = [m for m in range(c.n_morphisms) if c.src[m] == c.tgt[m]]
     cycle = _find_cycle(c)
 
-    by_src = {}
-    for m in range(c.n_morphisms):
-        by_src.setdefault(c.src[m], []).append(m)
     missing = []
     bad_endpoints = []
     for m1 in range(c.n_morphisms):
-        for m2 in by_src.get(c.tgt[m1], ()):
+        for m2 in c.out[c.tgt[m1]]:
             m12 = c.comp.get((m1, m2))
             if m12 is None:
                 missing.append((m1, m2))
@@ -173,7 +173,7 @@ def validate_category(c):
 
     assoc = []
     for (m1, m2), m12 in c.comp.items():
-        for m3 in by_src.get(c.tgt[m2], ()):
+        for m3 in c.out[c.tgt[m2]]:
             left = c.comp.get((m12, m3))
             m23 = c.comp.get((m2, m3))
             right = None if m23 is None else c.comp.get((m1, m23))
@@ -184,11 +184,7 @@ def validate_category(c):
 
 def _find_cycle(c):
     """Directed cycle of objects in the morphism digraph, or None."""
-    adjacency = {x: set() for x in range(c.n_objects)}
-    for m in range(c.n_morphisms):
-        if c.src[m] != c.tgt[m]:
-            adjacency[c.src[m]].add(c.tgt[m])
-    return directed_cycle(range(c.n_objects), lambda x: sorted(adjacency[x]))
+    return directed_cycle(range(c.n_objects), lambda x: sorted({c.tgt[m] for m in c.out[x]} - {x}))
 
 
 def directed_cycle(roots, successors):
@@ -224,9 +220,7 @@ class Poset:
 
     def __init__(self, category):
         self.category = category
-        self.mor_of = {}
-        for m in range(category.n_morphisms):
-            self.mor_of[(category.src[m], category.tgt[m])] = m
+        self.mor_of = dict(zip(zip(category.src, category.tgt), range(category.n_morphisms)))
 
     @property
     def n(self):
@@ -248,10 +242,10 @@ class Poset:
 
 def as_poset(c):
     """View a category as a poset; raises NotAPosetError with a witness pair."""
-    for (x, y), ms in c._hom.items():
-        if len(ms) > 1:
-            raise NotAPosetError((x, y))
-    return Poset(c)
+    p = Poset(c)
+    if len(p.mor_of) < c.n_morphisms:
+        raise NotAPosetError(next(pair for pair, k in Counter(zip(c.src, c.tgt)).items() if k > 1))
+    return p
 
 
 def poset_from_relation(labels, strict_pairs):
@@ -270,9 +264,6 @@ def poset_from_relation(labels, strict_pairs):
         if x == y:
             raise InputError(f"relation is reflexive at {x}")
         succ[x].add(y)
-    cycle = directed_cycle(range(n), lambda x: sorted(succ[x]))
-    if cycle is not None:
-        raise InputError(f"relation has a cycle through {labels[cycle[0]]}")
     indegree = Counter(y for ys in succ for y in ys)
     order = [x for x in range(n) if not indegree[x]]  # grows into a topological order
     for x in order:
@@ -280,6 +271,9 @@ def poset_from_relation(labels, strict_pairs):
             indegree[y] -= 1
             if not indegree[y]:
                 order.append(y)
+    if len(order) < n:  # the objects on or behind a cycle never reach indegree 0
+        cycle = directed_cycle(range(n), lambda x: sorted(succ[x]))
+        raise InputError(f"relation has a cycle through {labels[cycle[0]]}")
     desc = [0] * n  # descendant sets as bitmasks, filled in reverse topological order
     for x in reversed(order):
         for y in succ[x]:
@@ -307,10 +301,7 @@ class _OrderComposition(Mapping):
     """
 
     def __init__(self, c, mor_of):
-        self._src, self._tgt, self._mor_of = c.src, c.tgt, mor_of
-        self._out = [[] for _ in range(c.n_objects)]  # morphisms by source
-        for m, x in enumerate(c.src):
-            self._out[x].append(m)
+        self._src, self._tgt, self._out, self._mor_of = c.src, c.tgt, c.out, mor_of
 
     def __getitem__(self, pair):
         m1, m2 = pair
@@ -408,16 +399,21 @@ def check_closure_operator(p, f):
 
 
 def find_terminal_object(c):
-    """The object receiving exactly one morphism from every other object, or None."""
-    found = []
-    for t in range(c.n_objects):
-        if any(c.hom(t, x) for x in range(c.n_objects) if x != t):
-            continue
-        if all(len(c.hom(x, t)) == 1 for x in range(c.n_objects) if x != t):
-            found.append(t)
-    if len(found) > 1:
-        raise SoundnessError(f"terminal objects {found} would force a directed cycle")
-    return found[0] if found else None
+    """The object that sends no morphism to another object and receives
+    exactly one from every other object, or None.
+
+    At most one object qualifies, for any category data, self-loops
+    included: if t1 != t2 both did, t1 would receive exactly one morphism
+    t2 -> t1, while t2 sends none to another object.  So the first object
+    that qualifies is the only one.
+    """
+    n, tgt = c.n_objects, c.tgt
+    for t in range(n):
+        if all(tgt[m] == t for m in c.out[t]) and all(
+            len(c.hom(x, t)) == 1 for x in range(n) if x != t
+        ):
+            return t
+    return None
 
 
 def to_dot(obj):

@@ -42,20 +42,17 @@ def nerve(c):
     and m.  The object list is p's plus the target of m, so a level, listed
     in (p, m) order, sorts stably on (rank of p's object list, target of m).
     """
-    n_obj, n_mor, src, tgt = c.n_objects, c.n_morphisms, c.src, c.tgt
-    out_by_src = [[] for _ in range(n_obj)]
-    for m in range(n_mor):
-        out_by_src[src[m]].append(m)
+    n_obj, n_mor, tgt, out = c.n_objects, c.n_morphisms, c.tgt, c.out
     chains = [((),) * n_obj]
     index, bnd = {}, []
     ids = ends = rank = range(n_obj)  # a vertex ends at itself; its object list ranks as itself
     while True:
-        parents = [p for p, e in zip(ids, ends) for _m in out_by_src[e]]
+        parents = [p for p, e in zip(ids, ends) for _m in out[e]]
         if not parents:
             break
         if len(chains) > n_obj:
             raise InputError(_CYCLE)
-        lasts = [m for e in ends for m in out_by_src[e]]
+        lasts = [m for e in ends for m in out[e]]
         keys = [rank[p] * n_obj + tgt[m] for p, m in zip(parents, lasts)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         parents, lasts, keys = ([col[j] for j in order] for col in (parents, lasts, keys))

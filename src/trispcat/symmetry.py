@@ -411,13 +411,10 @@ def quotient_category(c, action):
         raise PreconditionError(f"action is not horizontal at {witness}")
     obj_class, obj_reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
 
-    out = {}
-    for m, x in enumerate(c.src):
-        out.setdefault(x, []).append(m)
     pairs = []  # (m1, m2, composite) with src[m1] an orbit representative
     for x in obj_reps:
-        for m1 in out.get(x, ()):
-            for m2 in out.get(c.tgt[m1], ()):
+        for m1 in c.out[x]:
+            for m2 in c.out[c.tgt[m1]]:
                 m12 = c.comp.get((m1, m2))
                 if m12 is None:
                     raise PreconditionError(f"composition table incomplete at {(m1, m2)}")

@@ -349,6 +349,17 @@ def poset_composition_table(p):
     return table
 
 
+def terminal_objects(c):
+    """Every object that sends no morphism to another object and receives
+    exactly one from each other object, read off the morphism list."""
+    n, arrows = c.n_objects, list(zip(c.src, c.tgt))
+    return [
+        t
+        for t in range(n)
+        if all(arrows.count((t, x)) == 0 and arrows.count((x, t)) == 1 for x in range(n) if x != t)
+    ]
+
+
 def poset_automorphism_violation(p, g):
     """`cat_automorphism_violation` on a poset, read off the order.
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,8 @@ from oracles import (
     opposite_category,
     poset_composition_table,
     poset_functor,
+    random_path_category,
+    terminal_objects,
 )
 
 
@@ -66,6 +69,22 @@ def test_malformed_index_is_input_error():
         AcyclicCategory(["a", "b"], [(0, 1)], [(0, 0, 7)])
 
 
+def test_constructor_takes_two_morphism_shapes():
+    assert AcyclicCategory(2, [(0, 1), (0, 1, "f")]).mor_labels == ("m0", "f")
+    for bad in [(0,), (0, 1, "f", "g")]:
+        with pytest.raises(ValueError):
+            AcyclicCategory(2, [(0, 1), bad])
+
+
+@pytest.mark.parametrize("bad", [(0, True), (0, 1.0), (1, 2), (-1, 0, "f"), ("0", 1)])
+def test_constructor_names_the_first_bad_morphism(bad):
+    # the endpoint columns are checked at once; the message still names the
+    # first bad morphism, after valid ones, in the shape it was given
+    with pytest.raises(InputError) as err:
+        AcyclicCategory(["a", "b"], [(0, 1), (1, 1, "loop"), bad, (0, 7)])
+    assert str(err.value) == f"morphism endpoint out of range: {bad}"
+
+
 def test_as_poset_two_chain():
     p = as_poset(two_chain())
     assert p.lt(0, 1) and not p.lt(1, 0) and p.leq(0, 0)
@@ -73,6 +92,11 @@ def test_as_poset_two_chain():
 
 def test_as_poset_rejects_parallel_pair():
     c = AcyclicCategory(["a", "b"], [(0, 1), (0, 1)])
+    with pytest.raises(NotAPosetError) as err:
+        as_poset(c)
+    assert err.value.pair == (0, 1)
+    # the witness is the first pair, by first occurrence, with two morphisms
+    c = AcyclicCategory(["a", "b", "c"], [(0, 1), (1, 2), (1, 2), (0, 1)])
     with pytest.raises(NotAPosetError) as err:
         as_poset(c)
     assert err.value.pair == (0, 1)
@@ -90,6 +114,14 @@ def test_poset_from_relation_closes_transitively():
     p = poset_from_relation(3, [(0, 1), (1, 2)])
     assert p.lt(0, 2)
     assert p.category.n_morphisms == 3
+
+
+def test_poset_from_relation_names_the_cycle_a_search_meets_first():
+    # two disjoint cycles, f <-> e (reached from a) and b <-> c: the search
+    # from a meets f first, though b is the least object left unordered
+    with pytest.raises(InputError) as err:
+        poset_from_relation(list("abcdef"), [(0, 5), (5, 4), (4, 5), (1, 2), (2, 1)])
+    assert str(err.value) == "relation has a cycle through f"
 
 
 def test_poset_from_relation_rejects_cycles():
@@ -269,3 +301,58 @@ def test_long_chain_composes_without_a_table():
     m1, m2 = p.mor_of[(10, 500)], p.mor_of[(500, 799)]
     assert p.category.comp[(m1, m2)] == p.mor_of[(10, 799)]
     assert p.category.comp.get((m2, m1)) is None
+
+
+def _assert_index_is_the_scan(c):
+    # out[x] lists the morphisms with source x in increasing order, and hom(x, y)
+    # those among them ending at y
+    mors = range(c.n_morphisms)
+    for x in range(c.n_objects):
+        assert c.out[x] == tuple(m for m in mors if c.src[m] == x)
+        for y in range(c.n_objects):
+            assert c.hom(x, y) == tuple(m for m in mors if (c.src[m], c.tgt[m]) == (x, y))
+
+
+def assert_terminal_object_is_the_definition(c):
+    found = terminal_objects(c)
+    assert len(found) <= 1
+    assert find_terminal_object(c) == (found[0] if found else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets())
+def test_index_and_terminal_object_on_posets(p):
+    _assert_index_is_the_scan(p.category)
+    assert_terminal_object_is_the_definition(p.category)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_index_and_terminal_object_on_path_categories(seed):
+    c = random_path_category(random.Random(seed))
+    _assert_index_is_the_scan(c)
+    assert_terminal_object_is_the_definition(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8),
+        )
+    )
+)
+def test_index_and_terminal_object_on_any_category_data(data):
+    # self-loops, parallel morphisms and cycles: at most one object is terminal
+    n, morphisms = data
+    c = AcyclicCategory(n, morphisms)
+    _assert_index_is_the_scan(c)
+    assert_terminal_object_is_the_definition(c)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_index_and_terminal_object_on_face_posets(n):
+    c = face_poset(build_dgn(n)).poset.category
+    _assert_index_is_the_scan(c)
+    assert_terminal_object_is_the_definition(c)

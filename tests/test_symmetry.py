@@ -51,7 +51,7 @@ from oracles import (
     regular_action_oracle,
     union_find_orbits,
 )
-from test_accat import posets
+from test_accat import assert_terminal_object_is_the_definition, posets
 
 
 def test_close_group_s3_on_antichain():
@@ -192,6 +192,24 @@ def test_representative_pairs_match_the_full_scan_random(seed):
     for c, action in ((p.category, action), (path, trivial_cat_action(path))):
         assert _quotient_outcome(quotient_category, c, action) == _quotient_outcome(
             quotient_category_oracle, c, action
+        )
+
+
+def test_terminal_object_of_fixture_quotients_is_the_definition(triangle_boundary, two_edges_z2):
+    # the last fixture's action is not horizontal, so it has no quotient
+    for c, action in _criterion_10_fixtures(triangle_boundary, two_edges_z2)[:-1]:
+        assert_terminal_object_is_the_definition(quotient_category(c, action).category)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_terminal_object_of_random_quotients_is_the_definition(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, max_n=6)
+    with_top = poset_from_relation(p.n + 1, [*p.mor_of, *((x, p.n) for x in range(p.n))])
+    for q in (p, with_top):
+        assert_terminal_object_is_the_definition(
+            quotient_category(q.category, random_action(rng, q)).category
         )
 
 
