@@ -61,7 +61,6 @@ class PushedClosureMap:
     qt: object  # QuotientTrisp
     cmap: TrispClosureMap
     verify_report: object  # of the pushed map on the orbit trisp
-    base_report: object  # of the original map on t
 
 
 def push_closure_map(qt, cmap):
@@ -70,6 +69,16 @@ def push_closure_map(qt, cmap):
     Preconditions checked in order: the action satisfies the quotient-
     regularity condition, the map verifies on the source, and it is
     equivariant with blue/red closed.
+
+    Pipeline 61 pushes through `push_to_orbit_nerve` instead and never
+    verifies upstairs, because there the check cannot fail.  Its map is
+    induced by an operator f that `check_closure_operator` found monotone,
+    idempotent and ascending (convention max).  Let σ be a chain with a
+    blue element, b its largest blue element and c = f(b) > b.  An element
+    x < b of σ has x < c.  An element x > b of σ is red, so x = f(x) >= f(b)
+    = c by monotonicity.  So either c is in σ, or σ + c is a chain, the one
+    simplex of the nerve on those elements: exactly one extension, which
+    is the closure-map condition at σ.
     """
     regular_report = check_regular_action(qt)
     if not regular_report.ok:
@@ -90,7 +99,23 @@ def push_closure_map(qt, cmap):
     report = verify_trisp_closure_map(qt.trisp, pushed)
     if not report.ok:
         raise SoundnessError(f"pushed map failed verification: {report.failures[:3]}")
-    return PushedClosureMap(qt, pushed, report, base_report)
+    return PushedClosureMap(qt, pushed, report)
+
+
+def push_to_orbit_nerve(on, cmap):
+    """(the pushed map, its report) of an equivariant closure map on the nerve of `on.poset`.
+
+    `on` is an `orbit_nerve`.  The map's vertices are the poset's objects;
+    a vertex orbit is blue or red as its objects are, and a blue orbit goes
+    to the orbit of the image of its least object.  The pushed map is
+    verified on the orbit trisp, and the report says whether it passed.
+    """
+    orbit = on.obj_orbit
+    blue = frozenset(orbit[b] for b in cmap.blue)
+    red = frozenset(orbit[r] for r in cmap.red)
+    mapping = {o: orbit[cmap.mapping[on.chains[0][o][0]]] for o in sorted(blue)}
+    pushed = TrispClosureMap(blue, red, mapping, cmap.convention)
+    return pushed, verify_trisp_closure_map(on.trisp, pushed)
 
 
 @dataclass

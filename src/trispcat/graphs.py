@@ -29,20 +29,12 @@ from .equivariant import (
     _poset_action_is_equivariant,
     check_image_subtrisp_equality,
     image_quotient_nerve,
-    push_closure_map,
+    push_to_orbit_nerve,
     quotient_poset_closure_map,
 )
 from .errors import InputError, PipelineError, SoundnessError
-from .nerve import nerve
-from .symmetry import (
-    CatAut,
-    GroupAction,
-    check_regular_action,
-    close_group,
-    induced_trisp_action,
-    quotient_category,
-    quotient_trisp,
-)
+from .nerve import chain_counts
+from .symmetry import CatAut, GroupAction, close_group, orbit_nerve, quotient_category
 from .trisp import (
     euler_characteristic,
     induced_subtrisp,
@@ -367,13 +359,21 @@ class _StageClock:
 def pipeline_quotient_trisp(n):
     """Collapse the quotient of the barycentric subdivision onto the partition complex.
 
-    Builds the subdivision of the disconnected-graph complex, pushes the
-    closure map induced by the transitive-closure operator through the
+    Pushes the closure map that the transitive-closure operator induces on
+    the subdivision of the disconnected-graph complex through the
     symmetric-group action, collapses the quotient onto the subtrisp of
     partition chains, and certifies by exhaustive search, with no time
-    budget, that this subtrisp collapses to a point.  Runs for n <= 5: at
-    n = 6 the subdivision of the 6,063-face poset does not fit in memory.
-    CLI name: pipeline 61.
+    budget, that this subtrisp collapses to a point.  CLI name: pipeline 61.
+
+    The subdivision, the nerve of the face poset, is never built.  Its
+    counts come from `chain_counts`, and the quotient is built from chain
+    orbits by `orbit_nerve`.  The quotient stage fails unless the orbit
+    sizes |G| / |Stab| add up to those counts in every dimension, so an
+    orbit listed twice or missed shows.  The pushed map is verified on the
+    quotient; `push_closure_map` and `induced_trisp_action` say in their
+    docstrings why their upstairs checks cannot fail here.  The
+    partition-chain complex is built the same way.  Runs for n <= 5: n = 6
+    is neither measured nor pinned.
     """
     if n > 5:
         raise InputError(f"pipeline 61 runs for n <= 5, got {n}")
@@ -383,8 +383,8 @@ def pipeline_quotient_trisp(n):
     k = build_dgn(n)
     clock.done("build_complex", counts=list(k.trisp.counts))
     fp = face_poset(k)
-    bd = nerve(fp.category)
-    clock.done("barycentric", counts=list(bd.trisp.counts))
+    counts = chain_counts(fp.category)
+    clock.done("barycentric", counts=counts)
 
     f = transitive_closure_operator(k, fp)
     cls = check_closure_operator(fp.poset, f)
@@ -399,34 +399,39 @@ def pipeline_quotient_trisp(n):
     witness = _poset_action_is_equivariant(fp.poset, act, f)
     if witness is not None:
         clock.fail("action", f"operator not equivariant at {witness[0]}")
-    tact = induced_trisp_action(bd, act)
     clock.done("action", order=_sn_order(n))
 
-    qt = quotient_trisp(bd.trisp, tact)
+    qt = orbit_nerve(fp.poset, act)
+    sums = [sum(sizes) for sizes in qt.orbit_sizes]
+    if sums != counts:
+        clock.fail("quotient", f"the orbits hold {sums} chains, the subdivision {counts}")
     clock.done("quotient", counts=list(qt.trisp.counts))
-    regular_report = check_regular_action(qt)
-    if not regular_report.ok:
-        clock.fail("regularity_condition", str(regular_report.witness))
+    if qt.regularity_witness is not None:
+        clock.fail("regularity_condition", str(qt.regularity_witness))
     clock.done("regularity_condition")
 
-    # push_closure_map verifies cmap upstairs; it is not verified again here
     cmap = induced_trisp_closure_map(fp.poset, f, cls)
-    pushed = push_closure_map(qt, cmap)
-    verified = pushed.verify_report.ok
-    clock.done("induced_closure_map", extended=pushed.base_report.extended, verified=verified)
+    pushed, verify = push_to_orbit_nerve(qt, cmap)
+    if not verify.ok:
+        clock.fail("induced_closure_map", f"pushed map failed verification: {verify.failures[:3]}")
+    # the orbits with a partner are the extended ones, each standing for its chains
+    extended = sum(
+        size
+        for sizes, partners in zip(qt.orbit_sizes, verify.partners)
+        for size, tau in zip(sizes, partners)
+        if tau >= 0
+    )
+    clock.done("induced_closure_map", extended=extended, verified=verify.ok)
 
-    cert = full_collapse_audit(qt.trisp, pushed.cmap, pushed.verify_report)
+    cert = full_collapse_audit(qt.trisp, pushed, verify)
     clock.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
     # the final subtrisp must be the quotient of the partition-chain complex
-    pact = partition_action(pp)
-    pn = nerve(pp.category)
-    ptact = induced_trisp_action(pn, pact)
-    pqt = quotient_trisp(pn.trisp, ptact)
+    pqt = orbit_nerve(pp.poset, partition_action(pp))
     vmap = []
     for parent in cert.final.to_parent[0]:
-        d, s = fp.elements[qt.reps[0][parent]]
-        vmap.append(pqt.projection[0][pp.index[k.components[d][s]]])
+        d, s = fp.elements[qt.chains[0][parent][0]]
+        vmap.append(pqt.obj_orbit[pp.index[k.components[d][s]]])
     match = trisps_equal_over_vertices(cert.final.trisp, pqt.trisp, vmap)
     if not match.ok:
         clock.fail("target_equality", str(match.witness))

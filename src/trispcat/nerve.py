@@ -79,3 +79,24 @@ def nerve(c):
         rank = list(accumulate(map(ne, keys[1:], keys), initial=0))
         chains.append(level)
     return Nerve(Trisp([len(lvl) for lvl in chains], bnd), tuple(chains), index)
+
+
+def chain_counts(c):
+    """The simplex counts of the nerve of `c`, per dimension, with no chain built.
+
+    ``ends[x]`` counts the chains of the current length that end at x; one
+    more morphism x -> y carries them to y.  An acyclic category has no
+    chain with more objects than it has, so a longer one is a cycle.
+    """
+    ends, counts = [1] * c.n_objects, []
+    while any(ends):
+        if len(counts) >= c.n_objects:
+            raise InputError(_CYCLE)
+        counts.append(sum(ends))
+        grown = [0] * c.n_objects
+        for x, k in enumerate(ends):
+            if k:
+                for m in c.out[x]:
+                    grown[c.tgt[m]] += k
+        ends = grown
+    return counts

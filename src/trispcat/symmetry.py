@@ -12,13 +12,18 @@ has no composition table to check.  The group itself is closed, by
 breadth-first products of generators, only when a caller reads its elements
 or order.  Kernels on a nerve read whole tables: an induced action maps
 chains column by column, the automorphism check compares boundary columns,
-and orbits are labelled by a stack search along the generators.
+and orbits are labelled by a stack search along the generators.  The orbit
+trisp of a poset's nerve is also built without the nerve: `orbit_nerve`
+closes the group on object maps and lists each orbit of chains once, by
+its least chain, extending each least chain at its top under its
+stabilizer (orderly generation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .accat import AcyclicCategory, Poset, validate_category
 from .errors import InputError, PreconditionError, SoundnessError
@@ -28,7 +33,7 @@ from .trisp import Trisp, regularity_violations
 
 def _compose_perm(g, h):
     """Permutation g∘h (apply h first)."""
-    return tuple(g[x] for x in h)
+    return tuple(map(g.__getitem__, h))
 
 
 def _is_perm(p, n):
@@ -278,7 +283,17 @@ def induced_trisp_action(nv, action):
     """Transport a category action to the nerve: g sends a chain to its image chain.
 
     Chains are mapped column by column: position j of every chain of one
-    dimension goes through g's morphism map at once.
+    dimension goes through g's morphism map at once.  Each image is checked
+    to be an automorphism of the nerve.
+
+    Pipeline 61 builds its orbit trisp with `orbit_nerve` and never runs
+    this check, because on a poset it cannot fail.  There each generator
+    comes from `CatAut.from_poset`, so its object map g is a permutation
+    with x < y => gx < gy.  As a permutation of the finite set of relations
+    it has an inverse that keeps the order too.  So g sends a chain
+    x_0 < ... < x_d to the chain gx_0 < ... < gx_d, bijectively in each
+    dimension, and dropping x_i commutes with applying g: the induced map
+    commutes with every boundary.
     """
     t, index = nv.trisp, nv.index
     columns = [list(zip(*nv.chains[d])) for d in range(1, t.dim + 1)]
@@ -326,6 +341,97 @@ def quotient_trisp(t, action):
     ]
     qt = Trisp([len(r) for r in reps], bnd)
     return QuotientTrisp(t, action, qt, tuple(projection), tuple(reps), regularity_violations(qt))
+
+
+@dataclass
+class OrbitNerve:
+    """The orbit trisp of the nerve of a poset under a group of its automorphisms.
+
+    Built from chain orbits by `orbit_nerve`, never from the nerve itself,
+    and numbered as `quotient_trisp` numbers the orbits of the nerve: in
+    each dimension by least member.  A chain is its object tuple, listed
+    from the least object up, as the nerve's vertex tuples are.
+    """
+
+    poset: Poset
+    action: GroupAction
+    trisp: Trisp
+    chains: tuple  # per dimension, orbit -> its least chain
+    orbit_sizes: tuple  # per dimension, orbit -> |G| / |Stab| of its chains
+    obj_orbit: tuple  # object -> vertex orbit
+    regularity_violations: list
+
+    @property
+    def regularity_witness(self):
+        """None when the orbit trisp is regular, else its first irregular orbit.
+
+        The witness is read off that orbit's least chain: ((d, orbit), the
+        chain, the vertex orbit of each of its objects), two of which agree.
+        """
+        if not self.regularity_violations:
+            return None
+        d, o = self.regularity_violations[0]
+        chain = self.chains[d][o]
+        return ((d, o), chain, tuple(self.obj_orbit[x] for x in chain))
+
+
+def orbit_nerve(p, action):
+    """The orbit trisp of the nerve of the poset `p` under `action`, by orderly generation.
+
+    Precondition: the generators are automorphisms of `p` (as `close_group`
+    checks).  Only their object maps are read, and the group is closed on
+    them alone.  Each orbit of chains is listed once, by its least chain in
+    the lexicographic order of object tuples:
+    - the least chains of the vertex orbits are their least objects;
+    - a least chain C with stabilizer S is extended at its top by each y
+      above it that is least in its S-orbit, and C + y has stabilizer
+      {g in S : gy = y}.
+    C + y is least in its orbit: an image gC + gy is larger unless gC = C,
+    and then g is in S and gy >= y.  Every orbit is reached once: a chain
+    D + z is moved by some g onto C + gz with C least, and then by some h
+    in S onto C + y with y least in the S-orbit of gz; two such y in one
+    orbit would lie in one S-orbit.  Taking the parents in order and each
+    y ascending lists every level sorted by least chain.
+
+    The last face of C + y is its parent C.  Any other face f is looked up
+    by its least image: the minimum of gf over the transporters of f's
+    first object, the g that send it to the least object of its orbit.
+    """
+    up = [sorted(p.category.tgt[m] for m in out) for out in p.category.out]
+    objs = GroupAction(tuple(CatAut(g.obj, ()) for g in action.generators)).elements
+    elements = [g.obj for g in objs]
+    obj_orbit, reps = orbit_partition([g.obj for g in action.generators], p.n)
+    transporters = {}
+
+    def face_orbit(face, index):
+        x = face[0]
+        if len(face) == 1:
+            return obj_orbit[x]
+        if x not in transporters:
+            least = reps[obj_orbit[x]]
+            transporters[x] = [g for g in elements if g[x] == least]
+        return index[min(map(itemgetter(*face), transporters[x]))]
+
+    level = [((r,), [g for g in elements if g[r] == r]) for r in reps]
+    chains, sizes, bnd = [], [], []
+    while level:
+        chains.append(tuple(chain for chain, _stab in level))
+        sizes.append(tuple(len(elements) // len(stab) for _chain, stab in level))
+        index = {chain: k for k, chain in enumerate(chains[-1])}
+        grown, rows = [], []
+        for k, (chain, stab) in enumerate(level):
+            for y in up[chain[-1]]:
+                if all(g[y] >= y for g in stab):
+                    child = chain + (y,)
+                    grown.append((child, [g for g in stab if g[y] == y]))
+                    faces = [child[:i] + child[i + 1:] for i in range(len(chain))]
+                    rows.append((*[face_orbit(face, index) for face in faces], k))
+        if grown:
+            bnd.append(rows)
+        level = grown
+    t = Trisp(list(map(len, chains)), bnd)
+    violations = regularity_violations(t)
+    return OrbitNerve(p, action, t, tuple(chains), tuple(sizes), tuple(obj_orbit), violations)
 
 
 @dataclass

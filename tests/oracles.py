@@ -29,7 +29,7 @@ map.
 from __future__ import annotations
 
 from array import array
-from itertools import combinations, permutations
+from itertools import combinations, permutations, zip_longest
 from typing import NamedTuple
 
 from trispcat.accat import (
@@ -37,6 +37,7 @@ from trispcat.accat import (
     as_poset,
     check_closure_operator,
     poset_from_relation,
+    subposet,
     validate_category,
 )
 from trispcat.closure import (
@@ -112,6 +113,26 @@ def count_chains_by_length(c):
             return totals
         totals.append(total)
         count = nxt
+
+
+def burnside_chain_orbit_counts(p, action):
+    """Orbits of the chains of each length of `p` under `action`, by Burnside's lemma.
+
+    An automorphism keeps the order, so it sends the i-th element of a chain
+    to the i-th element of the image: it fixes a chain exactly when it fixes
+    each element.  The chains g fixes are thus the chains of the subposet g
+    fixes, counted by path counting, and the orbit count is their average
+    over the group.
+    """
+    totals = []
+    for g in action.elements:
+        fixed, _keep = subposet(p, [x for x in range(p.n) if g.obj[x] == x])
+        counts = count_chains_by_length(fixed.category)
+        totals = [a + b for a, b in zip_longest(totals, counts, fillvalue=0)]
+    while totals and totals[-1] == 0:
+        totals.pop()
+    assert all(total % action.order == 0 for total in totals)
+    return [total // action.order for total in totals]
 
 
 def nerve_oracle(c):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import functools
 import hashlib
+import importlib
 import io
 import json
 import operator
@@ -470,12 +471,10 @@ def test_pipeline_certificates_are_pinned(capsys, variant, n):
     assert hashlib.sha256(certs.encode()).hexdigest() == CERTIFICATE_SHA256[(variant, n)]
 
 
-@pytest.mark.parametrize("seed", ["0", "12345"])
-@pytest.mark.parametrize("variant", ["61", "62"])
-def test_pipeline_certificates_do_not_depend_on_the_hash_seed(variant, seed):
+def _certificate_sha256_under_hash_seed(variant, n, seed):
     # string hashing varies with PYTHONHASHSEED; no certificate may follow it
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    argv = ["dgn", "pipeline", "--n", "4", "--pipeline", variant]
+    argv = ["dgn", "pipeline", "--n", str(n), "--pipeline", variant]
     child = subprocess.run(
         [sys.executable, "-m", "trispcat.cli", *argv],
         env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
@@ -486,7 +485,85 @@ def test_pipeline_certificates_do_not_depend_on_the_hash_seed(variant, seed):
     assert child.returncode == 0, child.stderr
     certs = json.loads(child.stdout)["certificates"]
     certs = json.dumps(certs, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(certs.encode()).hexdigest() == CERTIFICATE_SHA256[(variant, 4)]
+    return hashlib.sha256(certs.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+@pytest.mark.parametrize("variant", ["61", "62"])
+def test_pipeline_certificates_do_not_depend_on_the_hash_seed(variant, seed):
+    sha = _certificate_sha256_under_hash_seed(variant, 4, seed)
+    assert sha == CERTIFICATE_SHA256[(variant, 4)]
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_pipeline_61_n5_certificates_do_not_depend_on_the_hash_seed(seed):
+    # the orbit trisp is built from dicts of chains and minima over group elements
+    assert _certificate_sha256_under_hash_seed("61", 5, seed) == CERTIFICATE_SHA256[("61", 5)]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pipeline_61_builds_no_subdivision(capsys, monkeypatch, n):
+    from trispcat import equivariant, graphs, symmetry
+
+    nerve_module = importlib.import_module("trispcat.nerve")
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("pipeline 61 reached the subdivision")
+
+    for module in (graphs, symmetry, nerve_module):
+        monkeypatch.setattr(module, "nerve", forbidden, raising=False)
+    for module in (graphs, symmetry):
+        monkeypatch.setattr(module, "induced_trisp_action", forbidden, raising=False)
+        monkeypatch.setattr(module, "quotient_trisp", forbidden, raising=False)
+    for module in (graphs, equivariant):
+        monkeypatch.setattr(module, "push_closure_map", forbidden, raising=False)
+    code, out = run(capsys, "dgn", "pipeline", "--n", str(n), "--pipeline", "61")
+    assert code == 0
+    certs = json.dumps(json.loads(out)["certificates"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(certs.encode()).hexdigest() == CERTIFICATE_SHA256[("61", n)]
+
+
+def _pipeline_61_n4_failure(capsys):
+    code = main(["dgn", "pipeline", "--n", "4", "--pipeline", "61"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    return captured.err
+
+
+def test_pipeline_61_fails_its_quotient_when_an_orbit_is_miscounted(capsys, monkeypatch):
+    from trispcat import graphs
+    from trispcat.nerve import chain_counts
+
+    monkeypatch.setattr(graphs, "chain_counts", lambda c: chain_counts(c)[:-1] + [25])
+    assert _pipeline_61_n4_failure(capsys) == (
+        "failed: stage 'quotient': the orbits hold [25, 54, 24] chains, "
+        "the subdivision [25, 54, 25]\n"
+    )
+
+
+def test_pipeline_61_names_an_irregular_orbit_by_its_least_chain(capsys, monkeypatch):
+    from trispcat import graphs, symmetry
+
+    k = graphs.build_dgn(4)
+    fp = graphs.face_poset(k)
+    on = symmetry.orbit_nerve(fp.poset, graphs.face_poset_action(k, fp))
+    chain = on.chains[1][2]
+    monkeypatch.setattr(symmetry, "regularity_violations", lambda t: [(1, 2)])
+    witness = ((1, 2), chain, tuple(on.obj_orbit[x] for x in chain))
+    assert _pipeline_61_n4_failure(capsys) == (
+        f"failed: stage 'regularity_condition': {witness}\n"
+    )
+
+
+def test_pipeline_61_fails_when_the_pushed_map_does_not_verify(capsys, monkeypatch):
+    from trispcat import equivariant
+    from trispcat.closure import ClosureVerifyReport
+
+    failing = ClosureVerifyReport(False, [(1, 0, 2)], 0, 0, [])
+    monkeypatch.setattr(equivariant, "verify_trisp_closure_map", lambda t, cmap: failing)
+    assert _pipeline_61_n4_failure(capsys) == (
+        "failed: stage 'induced_closure_map': pushed map failed verification: [(1, 0, 2)]\n"
+    )
 
 
 @pytest.mark.slow

@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from trispcat.accat import find_terminal_object, validate_category
+from trispcat.accat import check_closure_operator, find_terminal_object, validate_category
+from trispcat.closure import induced_trisp_closure_map, verify_trisp_closure_map
+from trispcat.equivariant import check_equivariant, push_closure_map, push_to_orbit_nerve
 from trispcat.errors import InputError
 from trispcat.graphs import (
     build_dgn,
@@ -19,7 +21,13 @@ from trispcat.graphs import (
     transitive_closure_operator,
 )
 from trispcat.nerve import nerve
-from trispcat.symmetry import check_regular_action, quotient_category, quotient_trisp
+from trispcat.symmetry import (
+    check_regular_action,
+    induced_trisp_action,
+    orbit_nerve,
+    quotient_category,
+    quotient_trisp,
+)
 from trispcat.trisp import simplicial_from_faces, validate_trisp
 
 from oracles import (
@@ -289,6 +297,34 @@ def test_pipeline_quotient_trisp_stage_order():
     stages = {s.name: s for s in report.stages}
     assert stages["quotient"].info == {"counts": [4, 4, 1]}
     assert stages["induced_closure_map"].info["verified"] is True
+
+
+@pytest.mark.parametrize("n, extended", [(3, 0), (4, 36), (5, 23_645)])
+def test_pipeline_61_pushes_what_the_subdivision_pushes(n, extended):
+    """The upstairs path pipeline 61 no longer runs, kept as its differential."""
+    report, _cert = pipeline_quotient_trisp(n)
+    stages = {s.name: s.info for s in report.stages}
+    assert stages["induced_closure_map"] == {"extended": extended, "verified": True}
+
+    k = build_dgn(n)
+    fp = face_poset(k)
+    f = transitive_closure_operator(k, fp)
+    act = face_poset_action(k, fp)
+    cmap = induced_trisp_closure_map(fp.poset, f, check_closure_operator(fp.poset, f))
+    bd = nerve(fp.category)
+    tact = induced_trisp_action(bd, act)
+    upstairs = push_closure_map(quotient_trisp(bd.trisp, tact), cmap)
+    pushed, verify = push_to_orbit_nerve(orbit_nerve(fp.poset, act), cmap)
+    # the same map on the same orbit numbering, with the same report downstairs
+    assert (pushed.blue, pushed.red, pushed.mapping, pushed.convention) == (
+        upstairs.cmap.blue, upstairs.cmap.red, upstairs.cmap.mapping, upstairs.cmap.convention
+    )
+    assert verify.to_json() == upstairs.verify_report.to_json()
+    # what push_closure_map verifies upstairs, and the closedness it requires
+    base = verify_trisp_closure_map(bd.trisp, cmap)
+    assert base.ok and base.extended == extended
+    eq = check_equivariant(tact, cmap)
+    assert eq.map_equivariant and eq.blue_closed and eq.red_closed and eq.witnesses == []
 
 
 def test_pipeline_quotient_category_n4():

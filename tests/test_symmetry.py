@@ -13,8 +13,14 @@ from trispcat.accat import (
 from trispcat.closure import induced_trisp_closure_map
 from trispcat.equivariant import push_closure_map
 from trispcat.errors import InputError, NotAPosetError, PreconditionError, SoundnessError
-from trispcat.graphs import build_dgn
-from trispcat.nerve import nerve
+from trispcat.graphs import (
+    build_dgn,
+    face_poset,
+    face_poset_action,
+    partition_action,
+    partition_poset,
+)
+from trispcat.nerve import chain_counts, nerve
 from trispcat.symmetry import (
     CatAut,
     GroupAction,
@@ -25,6 +31,7 @@ from trispcat.symmetry import (
     check_regular_action,
     close_group,
     induced_trisp_action,
+    orbit_nerve,
     orbit_partition,
     quotient_category,
     quotient_trisp,
@@ -36,6 +43,7 @@ from trispcat.trisp import Trisp
 
 from oracles import (
     automorphism_violation_by_face,
+    burnside_chain_orbit_counts,
     canonical_lifts,
     chain_poset,
     decomposition_quotient_classes,
@@ -597,3 +605,61 @@ def test_canonical_map_surjective_random(seed):
     cm = canonical_map(quotient_category(p.category, action))
     assert cm.vertex_bijective
     assert all(cm.surjective_by_dim)
+
+
+def _assert_orbit_nerve_is_the_quotient_of_the_nerve(p, action):
+    """The orbit nerve equals `quotient_trisp` of the nerve, table for table."""
+    on = orbit_nerve(p, action)
+    nv = nerve(p.category)
+    qt = quotient_trisp(nv.trisp, induced_trisp_action(nv, action))
+    assert on.trisp.counts == qt.trisp.counts
+    for d in range(qt.trisp.dim + 1):
+        assert on.trisp.boundary_table(d) == qt.trisp.boundary_table(d)
+        assert on.chains[d] == tuple(nv.trisp.vertex_tuple(d, rep) for rep in qt.reps[d])
+    assert on.obj_orbit == qt.projection[0]
+    # each orbit counted once: the orbit sizes add up to the chains, per dimension
+    assert [sum(sizes) for sizes in on.orbit_sizes] == list(nv.trisp.counts)
+    assert chain_counts(p.category) == list(nv.trisp.counts)
+    assert on.regularity_violations == qt.regularity_violations == []
+    assert on.regularity_witness is None
+    assert burnside_chain_orbit_counts(p, action) == list(on.trisp.counts)
+    return on
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_orbit_nerve_is_the_quotient_of_the_nerve_random(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng)
+    _assert_orbit_nerve_is_the_quotient_of_the_nerve(p, random_action(rng, p))
+
+
+@pytest.mark.parametrize("n, counts", [
+    (3, [1]), (4, [4, 4, 1]), (5, [12, 55, 122, 153, 105, 30])
+])
+def test_orbit_nerve_of_the_dgn_face_poset(n, counts):
+    k = build_dgn(n)
+    fp = face_poset(k)
+    on = _assert_orbit_nerve_is_the_quotient_of_the_nerve(fp.poset, face_poset_action(k, fp))
+    assert list(on.trisp.counts) == counts
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("fine_on_top", [False, True])
+def test_orbit_nerve_of_the_partition_poset(n, fine_on_top):
+    pp = partition_poset(n, fine_on_top=fine_on_top)
+    _assert_orbit_nerve_is_the_quotient_of_the_nerve(pp.poset, partition_action(pp))
+
+
+def test_orbit_nerve_of_the_empty_poset():
+    p = poset_from_relation(0, [])
+    on = orbit_nerve(p, trivial_cat_action(p.category))
+    assert on.trisp.counts == () and on.chains == () and on.obj_orbit == ()
+
+
+def test_chain_counts_refuse_a_cycle():
+    loop = AcyclicCategory(2, [(0, 1), (1, 0)])
+    with pytest.raises(InputError, match="directed cycle"):
+        chain_counts(loop)
+    with pytest.raises(InputError, match="directed cycle"):
+        nerve(loop)
