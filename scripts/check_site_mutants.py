@@ -13,13 +13,16 @@ passes is a survivor: no test reaches its check.
 The checkout is copied once to a temporary directory, and each mutant is
 written into that copy in turn, so nothing inside the checkout changes and
 one suite runs at a time.  Expect about a tier-1 run per surviving site.
-The exit code is 1 when a site survives.
+The exit code is 1 when a site survives.  Stopped by SIGTERM or SIGINT, the
+script stops the running suite with every process it started and removes
+the copy before it exits.
 """
 
 import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -63,11 +66,26 @@ def suite_passes(copy):
     # no bytecode cache, so a module is never read from a stale one
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
+    suite = None
     try:
-        run = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, timeout=SUITE_TIMEOUT_S)
+        # its own process group, so that stopping it stops the processes its tests start
+        suite = subprocess.Popen(
+            cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        return suite.wait(timeout=SUITE_TIMEOUT_S) == 0
     except subprocess.TimeoutExpired:
         return False  # a mutant that hangs the suite is noticed
-    return run.returncode == 0
+    finally:
+        # a suite still unreaped keeps its pid, so the group id cannot name another group
+        if suite is not None and suite.returncode is None:
+            os.killpg(suite.pid, signal.SIGKILL)
+            suite.wait()
+
+
+def _exit_on_signal(signum, _frame):
+    # unwinds through suite_passes and the temporary directory, which clean up
+    sys.exit(128 + signum)
 
 
 def main():
@@ -80,6 +98,8 @@ def main():
         if not names:
             parser.error(f"no module {args.module!r} in {PACKAGE}")
     survivors = []
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _exit_on_signal)
     with tempfile.TemporaryDirectory() as tmp:
         copy = os.path.join(tmp, "checkout")
         ignore = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".perfbench", "__pycache__")

@@ -166,6 +166,7 @@ def cmd_quotient(args):
     return 0 if all(cmap.surjective_by_dim) and cmap.vertex_bijective else 1
 
 
+@trisp.nogc
 def cmd_closure(args):
     t = trisp.Trisp.from_json(_load(args.input))
     cmap = closure.TrispClosureMap.from_json(_load(args.map))

@@ -5,19 +5,26 @@ blue vertex to a red one, so that every simplex with a blue vertex either
 contains the image of its extreme blue vertex or extends by it in exactly
 one way.  Such a map certifies that the trisp collapses onto the subtrisp
 spanned by the red vertices; here the certificate is made executable as an
-acyclic matching, read off the extensions that verification records, plus an
-elementary collapse sequence.  The kernels keep per-dimension arrays indexed
-by simplex id and read coface incidences off the boundary rows.
+acyclic matching plus an elementary collapse sequence.  The matching is the
+verification's own per-dimension partner arrays (the unique extension of
+each simplex, or -1), checked and then read as they are.  The kernels keep
+per-dimension arrays indexed by simplex id and read coface incidences off
+the boundary rows.  Replaying a certificate, reading a trisp and the
+`closure` command run with the cyclic garbage collector paused
+(`trisp.nogc`): their tables are flat containers of ints with no reference
+cycles, so each collection their allocations would set off scans them all
+and frees nothing.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .accat import check_closure_operator, directed_cycle, find_terminal_object
 from .errors import InputError, PreconditionError, SoundnessError, malformed
-from .trisp import euler_characteristic, induced_subtrisp, regularity_violations
+from .trisp import euler_characteristic, induced_subtrisp, nogc, regularity_violations
 
 
 @dataclass
@@ -182,17 +189,18 @@ def induced_trisp_closure_map(p, f, report=None):
 
 
 def closure_matching(t, cmap, verify_report):
-    """Read the matching off a verified closure map's report, as sorted pairs (σ, τ).
+    """Read the matching off a verified closure map's report, as per-dimension partner arrays.
 
     `verify_report` is the outcome of `verify_trisp_closure_map` on the same
-    map, which records each extended simplex σ's unique extension τ.  Each
-    pair (σ, τ) is checked: σ and τ share the target b, b is a vertex of τ,
-    τ drops b to σ, and the pairs are as many as the contained simplices.
+    map, which records each extended d-simplex σ's unique extension τ as
+    `partners[d][σ]` (-1 when σ has none); those arrays are the matching.
+    Each pair (σ, τ) is checked: σ and τ share the target b, b is a vertex of
+    τ, τ drops b to σ, and the pairs are as many as the contained simplices.
     """
     if not verify_report.ok:
         raise PreconditionError(f"not a closure map: {verify_report.failures[:3]}")
     targets = _targets(t, cmap)
-    pairs = []
+    pairs = 0
     for d, (partner, target) in enumerate(zip(verify_report.partners, targets)):
         up_targets = targets[d + 1] if d < t.dim else ()
         up_vts, up_rows = t.vertex_tuples(d + 1), t.boundary_table(d + 1)
@@ -201,24 +209,30 @@ def closure_matching(t, cmap, verify_report):
                 b, tvt = target[s], up_vts[tau]
                 if up_targets[tau] != b or b not in tvt or up_rows[tau][tvt.index(b)] != s:
                     raise SoundnessError(f"inconsistent pairing at {(d, s)} / {(d + 1, tau)}")
-                pairs.append(((d, s), (d + 1, tau)))
-    if len(pairs) != verify_report.contained:
+                pairs += 1
+    if pairs != verify_report.contained:
         raise SoundnessError("matching rules disagree in size")
-    return tuple(pairs)
+    return verify_report.partners
 
 
-def check_matching_acyclic(t, matching):
-    """No directed cycle alternating up matched pairs and down face relations."""
+def check_matching_acyclic(t, up):
+    """No directed cycle alternating up matched pairs and down face relations.
+
+    `up[d][σ]` is the d-simplex σ's matched coface τ in dimension d + 1, or -1.
+    """
     out_edges = {}
     nodes = set()
-    for sigma, tau in matching:
-        nodes.add(sigma)
-        nodes.add(tau)
-        out_edges.setdefault(sigma, []).append(tau)
-        d, s = tau
-        for f in t.faces(d, s):
-            if (d - 1, f) != sigma:
-                out_edges.setdefault(tau, []).append((d - 1, f))
+    for d, partner in enumerate(up):
+        for s, tau in enumerate(partner):
+            if tau < 0:
+                continue
+            sigma, coface = (d, s), (d + 1, tau)
+            nodes.add(sigma)
+            nodes.add(coface)
+            out_edges.setdefault(sigma, []).append(coface)
+            for f in t.faces(d + 1, tau):
+                if f != s:
+                    out_edges.setdefault(coface, []).append((d, f))
     cycle = directed_cycle(sorted(nodes), lambda node: out_edges.get(node, ()))
     return cycle is None, cycle
 
@@ -237,67 +251,73 @@ class CollapseCertificate:
     euler: int
 
     def to_json(self):
+        # json writes the step tuples as arrays, so they need no copy into lists
         return {
-            "steps": [[list(a), list(b)] for a, b in self.steps],
+            "steps": self.steps,
             "final_counts": list(self.final.trisp.counts),
             "euler": self.euler,
         }
 
 
-def collapse(t, matching, red_vertices):
+def collapse(t, up, red_vertices):
     """Execute an acyclic matching as an elementary collapse onto the red subtrisp.
 
-    The matching is a sorted tuple of pairs (σ, τ), as `closure_matching`
-    reads it off the extensions that verification records.  Repeatedly
-    removes a pair whose σ is free (its one remaining coface is τ).  Finishing
-    proves the matching acyclic; getting stuck raises with the cycle that
-    `check_matching_acyclic` finds.  What is left must be the subtrisp that
-    `red_vertices` induce.  The steps follow a LIFO queue seeded with the
-    free matched faces in matching order, fed in boundary order.
+    The matching is given as per-dimension partner arrays, as
+    `closure_matching` returns them: `up[d][σ]` is the d-simplex σ's matched
+    coface in dimension d + 1, or -1.  Each σ has one slot and its partner
+    always lies one dimension up, so a matched pair cannot be malformed.
+    Repeatedly removes a pair whose σ is free (its one remaining coface is
+    τ).  Finishing proves the matching acyclic; getting stuck raises with
+    the cycle that `check_matching_acyclic` finds.  What is left must be the
+    subtrisp that `red_vertices` induce.  That subtrisp has the Euler
+    characteristic χ of the whole trisp with no further check: each step
+    removes one d-simplex and one (d+1)-simplex, which changes χ by
+    (-1)^d + (-1)^(d+1) = 0.  The steps follow a LIFO queue seeded with the
+    free matched faces in (d, σ) order, fed in boundary order.
     """
     dims = range(t.dim + 1)
     bnd = [t.boundary_table(d) for d in dims]
     count = _coface_counts(t)
-    removed = [bytearray(t.n(d)) for d in dims]
-    up = [[-1] * t.n(d) for d in dims]
-    for (d, s), (d1, tau) in matching:
-        if d1 != d + 1 or up[d][s] >= 0:
-            raise PreconditionError(f"malformed matched pair {((d, s), (d1, tau))}")
-        up[d][s] = tau
-    queue = [sigma for sigma, _tau in matching if count[sigma[0]][sigma[1]] == 1]
+    present = [bytearray(b"\x01") * t.n(d) for d in dims]
+    queue = [
+        (d, s) for d, partner, free in zip(dims, up, count)
+        for s, tau in enumerate(partner) if tau >= 0 and free[s] == 1
+    ]
     steps = []
-    chi = euler_characteristic(t)
     while queue:
         sigma = queue.pop()
         d, s = sigma
-        if removed[d][s] or count[d][s] != 1:
+        count_d, present_d, up_d = count[d], present[d], up[d]
+        if not present_d[s] or count_d[s] != 1:
             continue
-        tau = (d + 1, up[d][s])
-        if removed[d + 1][tau[1]]:
+        tau = up_d[s]
+        coface, present_up = (d + 1, tau), present[d + 1]
+        if not present_up[tau]:
             raise SoundnessError(
-                f"matched pair {(sigma, tau)}: the coface {tau} is already removed"
+                f"matched pair {(sigma, coface)}: the coface {coface} is already removed"
             )
-        steps.append((sigma, tau))
-        # χ is untouched: the pair contributes (-1)^d + (-1)^(d+1) = 0
-        for dd, ss in (tau, sigma):
-            removed[dd][ss] = 1
-            if dd > 0:
-                fcount, fup, fremoved = count[dd - 1], up[dd - 1], removed[dd - 1]
-                for f in bnd[dd][ss]:
-                    fcount[f] -= 1
-                    if fcount[f] == 1 and fup[f] >= 0 and not fremoved[f]:
-                        queue.append((dd - 1, f))
-    if len(steps) != len(matching):
-        _acyclic, cycle = check_matching_acyclic(t, matching)
-        left = len(matching) - len(steps)
+        steps.append((sigma, coface))
+        present_up[tau] = present_d[s] = 0
+        for f in bnd[d + 1][tau]:
+            count_d[f] -= 1
+            if count_d[f] == 1 and up_d[f] >= 0 and present_d[f]:
+                queue.append((d, f))
+        if d:
+            count_d, present_d, up_d = count[d - 1], present[d - 1], up[d - 1]
+            for f in bnd[d][s]:
+                count_d[f] -= 1
+                if count_d[f] == 1 and up_d[f] >= 0 and present_d[f]:
+                    queue.append((d - 1, f))
+    pairs = sum(len(partner) - partner.count(-1) for partner in up)
+    if len(steps) != pairs:
+        _acyclic, cycle = check_matching_acyclic(t, up)
+        left = pairs - len(steps)
         raise SoundnessError(f"collapse got stuck with {left} pairs left; cycle: {cycle}")
     final = induced_subtrisp(t, red_vertices)
     for d in dims:
-        if tuple(s for s, gone in enumerate(removed[d]) if not gone) != final.to_parent[d]:
+        if tuple(compress(range(t.n(d)), present[d])) != final.to_parent[d]:
             raise SoundnessError("final subtrisp is not the red subtrisp")
-    if euler_characteristic(final.trisp) != chi:
-        raise SoundnessError("collapse changed the Euler characteristic")
-    return CollapseCertificate(tuple(steps), final, chi)
+    return CollapseCertificate(tuple(steps), final, euler_characteristic(t))
 
 
 def full_collapse_audit(t, cmap, report=None):
@@ -311,6 +331,7 @@ def full_collapse_audit(t, cmap, report=None):
     return collapse(t, closure_matching(t, cmap, report), cmap.red)
 
 
+@nogc
 def verify_collapse_sequence(t, steps):
     """Replay a collapse sequence of the whole trisp, checking freeness at every step.
 
@@ -318,47 +339,43 @@ def verify_collapse_sequence(t, steps):
     (d, s) of two ints (bools and floats are refused) in range, of adjacent
     dimensions, the first a free face of the second and the second maximal
     (which freeness implies only on a regular trisp).  Coface counts and
-    removal flags are per-dimension arrays.  Returns the set of remaining
+    presence flags are per-dimension arrays.  Returns the set of remaining
     simplices.
     """
     dims = range(t.dim + 1)
     bnd = [t.boundary_table(d) for d in dims]
     count = _coface_counts(t)
-    removed = [bytearray(t.n(d)) for d in dims]
-    n_dims = len(removed)
+    present = [bytearray(b"\x01") * t.n(d) for d in dims]
+    n_dims = len(present)
     for sigma, tau in steps:
-        if (
+        if not (
             isinstance(sigma, (tuple, list)) and len(sigma) == 2
             and isinstance(tau, (tuple, list)) and len(tau) == 2
-        ):
-            (d, s), (d1, s1) = sigma, tau
-        else:
-            d = s = d1 = s1 = None
-        if not (
-            type(d) is int and type(s) is int and type(d1) is int and type(s1) is int
+            and type(d := sigma[0]) is int and type(s := sigma[1]) is int
+            and type(d1 := tau[0]) is int and type(s1 := tau[1]) is int
             and 0 <= d < n_dims and 0 <= d1 < n_dims
-            and 0 <= s < len(removed[d]) and 0 <= s1 < len(removed[d1])
-            and not removed[d][s] and not removed[d1][s1]
+            and 0 <= s < len(present[d]) and 0 <= s1 < len(present[d1])
+            and present[d][s] and present[d1][s1]
         ):
             raise SoundnessError(f"step removes absent simplex: {sigma}, {tau}")
         if d1 != d + 1:
             raise SoundnessError(f"step pair has wrong dimensions: {sigma}, {tau}")
-        if count[d][s] != 1:
-            raise SoundnessError(f"face {sigma} is not free (count {count[d][s]})")
+        below = count[d]
+        if below[s] != 1:
+            raise SoundnessError(f"face {sigma} is not free (count {below[s]})")
         row = bnd[d1][s1]
         if s not in row:
             raise SoundnessError(f"{sigma} is not a face of {tau}")
         if count[d1][s1]:
             raise SoundnessError(f"coface {tau} is not maximal (count {count[d1][s1]})")
-        removed[d1][s1] = removed[d][s] = 1
-        below = count[d]
+        present[d1][s1] = present[d][s] = 0
         for f in row:
             below[f] -= 1
         if d:
             below = count[d - 1]
             for f in bnd[d][s]:
                 below[f] -= 1
-    return {(d, s) for d in dims for s, gone in enumerate(removed[d]) if not gone}
+    return {(d, s) for d in dims for s in compress(range(t.n(d)), present[d])}
 
 
 def search_collapse_to_point(t):

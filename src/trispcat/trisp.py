@@ -8,10 +8,35 @@ there is a single source of truth.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputError, malformed
+
+
+def nogc(fn):
+    """Run `fn` with the cyclic garbage collector paused, then restore its state.
+
+    The collector runs whenever enough container objects have been allocated,
+    whether or not they can form cycles.  The tables a certificate is read,
+    built and replayed from are tuples, lists, bytearrays and arrays of ints
+    with no reference cycles, so on a large trisp those runs find nothing and
+    scan every live table each time.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class Trisp:
@@ -98,6 +123,7 @@ class Trisp:
         return {"dims": dims}
 
     @classmethod
+    @nogc
     def from_json(cls, data):
         with malformed("trisp"):
             counts = []

@@ -22,8 +22,9 @@ partition.
 Inverses and identity tests of group elements live here too, with the small
 constructions only tests read: chain posets, opposite categories, the
 functor an order-preserving map of a poset induces, functor checks, nerves
-of functors, class coherence of an operator and lifts through the canonical
-map.
+of functors, class coherence of an operator, lifts through the canonical
+map, and a matching turned from pairs into the partner arrays the library
+collapses and back.
 """
 
 from __future__ import annotations
@@ -871,6 +872,22 @@ def parent_simplices(sub):
     return {(d, s) for d, level in enumerate(sub.to_parent) for s in level}
 
 
+def partner_arrays(t, pairs):
+    """Partner arrays of a matching given as pairs ((d, σ), (d + 1, τ)): up[d][σ] = τ, else -1."""
+    up = [array("l", [-1]) * t.n(d) for d in range(t.dim + 1)]
+    for (d, s), (_d1, tau) in pairs:
+        up[d][s] = tau
+    return up
+
+
+def matching_pairs(up):
+    """The pairs ((d, σ), (d + 1, τ)) that partner arrays match, in (d, σ) order."""
+    return tuple(
+        ((d, s), (d + 1, tau)) for d, partner in enumerate(up) for s, tau in enumerate(partner)
+        if tau >= 0
+    )
+
+
 def collapse_oracle(t, matching, red_vertices):
     removed = set()
     cofaces = coface_table(t)
@@ -905,7 +922,7 @@ def collapse_oracle(t, matching, red_vertices):
                     if key in up and key not in removed and is_free(key):
                         queue.append(key)
     if len(steps) != len(up):
-        _acyclic, cycle = check_matching_acyclic(t, matching)
+        _acyclic, cycle = check_matching_acyclic(t, partner_arrays(t, matching))
         raise AssertionError(
             f"collapse got stuck with {len(up) - len(steps)} pairs left; cycle: {cycle}"
         )

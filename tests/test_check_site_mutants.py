@@ -1,0 +1,62 @@
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).parents[1] / "scripts" / "check_site_mutants.py"
+
+
+def _processes_under(path):
+    """Pids of the processes whose working directory lies under `path`."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            cwd = os.readlink(f"/proc/{pid}/cwd")
+        except OSError:
+            continue  # ended, or not ours to read
+        if cwd == str(path) or cwd.startswith(str(path) + os.sep):
+            found.append(int(pid))
+    return found
+
+
+def _wait_for(condition, timeout_s):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        value = condition()
+        if value:
+            return value
+        time.sleep(0.05)
+    return condition()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="finds the suite through /proc")
+def test_a_stopped_run_leaves_no_copy_and_no_suite(tmp_path):
+    # the copy is made under TMPDIR, and its suite runs with the copy as its
+    # working directory; SIGTERM once that suite runs must remove both
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    run = subprocess.Popen(
+        [sys.executable, str(SCRIPT), "errors"], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    try:
+        suite = _wait_for(lambda: _processes_under(tmp_path), 60)
+        copies = list(tmp_path.glob("tmp*/checkout"))
+        assert suite and copies
+        run.send_signal(signal.SIGTERM)
+        assert run.wait(timeout=60) == 128 + signal.SIGTERM
+        assert not any(p.exists() for p in copies)
+        assert list(tmp_path.glob("tmp*")) == []
+        assert _wait_for(lambda: not _processes_under(tmp_path), 10)
+    finally:
+        if run.poll() is None:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.wait()
+        for pid in _processes_under(tmp_path):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass  # already gone

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,7 +97,9 @@ def test_matching_on_three_chain_descending():
     p = chain_poset(3)
     nv = nerve(p.category)
     cmap = induced_trisp_closure_map(p, (0, 1, 1))
-    matching = closure_matching(nv.trisp, cmap, verify_trisp_closure_map(nv.trisp, cmap))
+    matching = oracles.matching_pairs(
+        closure_matching(nv.trisp, cmap, verify_trisp_closure_map(nv.trisp, cmap))
+    )
     pair_tuples = {(nv.trisp.vertex_tuple(*a), nv.trisp.vertex_tuple(*b)) for a, b in matching}
     assert pair_tuples == {((2,), (1, 2)), ((0, 2), (0, 1, 2))}
     matched = {x for pair in matching for x in pair}
@@ -165,7 +169,7 @@ def test_three_chain_collapse_to_edge():
 
 def test_empty_matching_is_acyclic():
     t, _ = edge_fixture()
-    ok, cycle = check_matching_acyclic(t, ())
+    ok, cycle = check_matching_acyclic(t, oracles.partner_arrays(t, ()))
     assert ok and cycle is None
 
 
@@ -179,7 +183,7 @@ def test_cyclic_matching_detected():
         ((0, 1), (1, index[frozenset({1, 2})][1])),
         ((0, 2), (1, index[frozenset({0, 2})][1])),
     )
-    ok, cycle = check_matching_acyclic(t, pairs)
+    ok, cycle = check_matching_acyclic(t, oracles.partner_arrays(t, pairs))
     assert not ok and cycle
 
 
@@ -187,7 +191,7 @@ def test_deep_acyclic_matching_has_no_recursion_limit():
     # vertex i is matched up to edge i, whose other end is vertex i + 1
     t = Trisp([1500, 1499], [[(i + 1, i) for i in range(1499)]])
     pairs = tuple(((0, i), (1, i)) for i in range(1499))
-    assert check_matching_acyclic(t, pairs) == (True, None)
+    assert check_matching_acyclic(t, oracles.partner_arrays(t, pairs)) == (True, None)
 
 
 def test_collapse_rejects_stuck_matching():
@@ -200,7 +204,7 @@ def test_collapse_rejects_stuck_matching():
         ((0, 2), (1, index[frozenset({0, 2})][1])),
     )
     with pytest.raises(AssertionError, match=r"cycle: \[\("):
-        collapse(t, pairs, ())
+        collapse(t, oracles.partner_arrays(t, pairs), ())
 
 
 def test_collapse_checks_red_subtrisp_under_optimize():
@@ -268,16 +272,18 @@ def test_collapse_rejects_a_removed_coface_under_optimize():
     import sys
 
     code = (
+        "from oracles import partner_arrays\n"
         "from trispcat.closure import collapse\n"
         "from trispcat.trisp import Trisp\n"
         "t = Trisp((3, 2), [[(1, 0), (2, 1)]])\n"
+        "up = partner_arrays(t, (((0, 0), (1, 0)), ((0, 1), (1, 0))))\n"
         "try:\n"
-        "    collapse(t, (((0, 0), (1, 0)), ((0, 1), (1, 0))), {2})\n"
+        "    collapse(t, up, {2})\n"
         "except AssertionError as exc:\n"
         "    print('rejected:', exc)\n"
     )
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    here = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(here, "..", "src"), here]))
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -359,6 +365,39 @@ def test_a_free_face_needs_a_maximal_coface():
             replay(cone, false_collapse)
 
 
+# The dunce hat times an interval, cut as a prism over the one-triangle hat
+# into three tetrahedra.  Vertex 0 is the bottom, vertex 1 the top; edges:
+# the bottom loop 0, the top loop 1, the vertical edge 2 and the diagonal 3;
+# triangles: the bottom hat 0, the four triangles of the prism 1-4 and the
+# top hat 5.
+HAT_PRISM = (
+    (2, 4, 6, 3),
+    [
+        [(0, 0), (1, 1), (1, 0), (1, 0)],
+        [(0, 0, 0), (2, 3, 0), (1, 3, 2), (3, 3, 0), (1, 3, 3), (1, 1, 1)],
+        [(1, 1, 3, 0), (2, 4, 3, 1), (5, 4, 2, 2)],
+    ],
+)
+# the least free pair at every state collapses the prism onto the top hat
+HAT_PRISM_DEAD_END = (
+    ((2, 0), (3, 0)), ((2, 1), (3, 1)), ((1, 0), (2, 3)),
+    ((2, 4), (3, 2)), ((1, 2), (2, 2)), ((0, 0), (1, 3)),
+)
+
+
+def test_search_backtracks_out_of_a_dead_end():
+    t = Trisp(*HAT_PRISM)
+    assert euler_characteristic(t) == 1
+    assert verify_collapse_sequence(t, HAT_PRISM_DEAD_END) == {(0, 1), (1, 1), (2, 5)}
+    steps = search_collapse_to_point(t)
+    # back at the state after three steps, the top hat goes with the last tetrahedron
+    assert steps == HAT_PRISM_DEAD_END[:3] + (
+        ((2, 5), (3, 2)), ((1, 2), (2, 2)), ((1, 1), (2, 4)), ((0, 0), (1, 3)),
+    )
+    assert steps == oracles.search_collapse_to_point_oracle(t)
+    assert verify_collapse_sequence(t, steps) == {(0, 1)}
+
+
 @pytest.mark.parametrize("n, expected_steps", [(3, 0), (4, 2), (5, 9)])
 def test_search_on_the_pipeline_61_endpoint(n, expected_steps):
     from trispcat.graphs import pipeline_quotient_trisp
@@ -425,6 +464,28 @@ def test_one_sided_operators_verify_exhaustively_n6():
             assert verify_trisp_closure_map(nv.trisp, cmap).ok, (p.mor_of, f)
 
 
+def _collapse_agrees_with_the_oracle(t, cmap):
+    """`collapse` on the partner arrays, checked against the oracle fed the pairs read off them."""
+    up = closure_matching(t, cmap, verify_trisp_closure_map(t, cmap))
+    cert = collapse(t, up, cmap.red)
+    expected = oracles.collapse_oracle(t, oracles.matching_pairs(up), cmap.red)
+    assert (cert.steps, cert.final.to_parent, cert.euler) == (
+        expected.steps, expected.final.to_parent, expected.euler
+    )
+    return cert
+
+
+@pytest.mark.parametrize("n, expected_steps", [(3, 0), (4, 36)])
+def test_collapse_of_the_dgn_subdivision_agrees_with_the_oracle(n, expected_steps):
+    from trispcat.graphs import build_dgn, face_poset, transitive_closure_operator
+
+    k = build_dgn(n)
+    fp = face_poset(k)
+    cmap = induced_trisp_closure_map(fp.poset, transitive_closure_operator(k, fp))
+    cert = _collapse_agrees_with_the_oracle(nerve(fp.category).trisp, cmap)
+    assert len(cert.steps) == expected_steps
+
+
 @settings(max_examples=30, deadline=None)
 @given(posets(max_n=5), st.randoms(use_true_random=False))
 def test_random_descending_operators_collapse(p, rng):
@@ -437,7 +498,7 @@ def test_random_descending_operators_collapse(p, rng):
             continue
         cmap = induced_trisp_closure_map(p, f, report)
         t = nerve(p.category).trisp
-        cert = full_collapse_audit(t, cmap)
+        cert = _collapse_agrees_with_the_oracle(t, cmap)
         assert euler_characteristic(cert.final.trisp) == euler_characteristic(t)
         red_simplices = {
             (d, s)
@@ -489,13 +550,14 @@ def test_array_kernels_agree_with_the_reference_kernels(rng):
     for cmap in _random_maps(rng, p):
         report = verify_trisp_closure_map(t, cmap)
         assert report == oracles.verify_trisp_closure_map_oracle(t, cmap)
-        kind, matching = _outcome(closure_matching, t, cmap, report)
-        assert (kind, matching) == _outcome(oracles.closure_matching_oracle, t, cmap, report)
+        kind, up = _outcome(closure_matching, t, cmap, report)
+        pairs = oracles.matching_pairs(up) if kind == "returned" else up
+        assert (kind, pairs) == _outcome(oracles.closure_matching_oracle, t, cmap, report)
         if kind != "returned":
             assert not report.ok
             continue
-        kind, cert = _collapse_outcome(collapse, t, matching, cmap.red)
-        assert (kind, cert) == _collapse_outcome(oracles.collapse_oracle, t, matching, cmap.red)
+        kind, cert = _collapse_outcome(collapse, t, up, cmap.red)
+        assert (kind, cert) == _collapse_outcome(oracles.collapse_oracle, t, pairs, cmap.red)
         if kind != "returned":
             continue
         steps = list(cert[0])
@@ -563,3 +625,66 @@ def test_replay_rejections_survive_optimize():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines() == [message for _steps, message in REPLAY_REJECTIONS]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
+@pytest.mark.parametrize("entry", ["from_json", "replay", "cli"])
+def test_the_certificate_path_pauses_the_collector_and_restores_it(
+    entry, fails, enabled, tmp_path, monkeypatch
+):
+    from trispcat import cli, closure
+
+    t, cmap = edge_fixture()
+    steps = list(full_collapse_audit(t, cmap).steps)
+    seen = []  # the collector's state, noted inside each call
+
+    class Document(dict):
+        def __getitem__(self, key):
+            seen.append(gc.isenabled())
+            return dict.__getitem__(self, key)
+
+    def noted(steps):
+        seen.append(gc.isenabled())
+        yield from steps
+
+    if entry == "from_json":
+        doc = Document({"dims": [{}]} if fails else t.to_json())
+        call, error = (lambda: Trisp.from_json(doc)), InputError
+    elif entry == "replay":
+        replay = steps * 2 if fails else steps
+        call, error = (lambda: verify_collapse_sequence(t, noted(replay))), SoundnessError
+    else:
+        t_file, m_file = tmp_path / "t.json", tmp_path / "m.json"
+        t_file.write_text(json.dumps(t.to_json()), encoding="utf-8")
+        m_file.write_text(json.dumps(cmap.to_json()), encoding="utf-8")
+        verify = closure.verify_trisp_closure_map
+
+        def noted_verify(*args):
+            seen.append(gc.isenabled())
+            return verify(*args)
+
+        monkeypatch.setattr(closure, "verify_trisp_closure_map", noted_verify)
+        if fails:
+            def stuck(*_args):
+                raise SoundnessError("collapse got stuck")
+
+            monkeypatch.setattr(closure, "collapse", stuck)
+        argv = ["closure", "collapse", "--input", str(t_file), "--map", str(m_file),
+                "--output", str(tmp_path / "cert.json")]
+        call, error = (lambda: cli.main(argv)), None
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fails and error is not None:
+            with pytest.raises(error):
+                call()
+        else:
+            outcome = call()
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    assert seen and not any(seen)
+    if entry == "cli":
+        assert outcome == (1 if fails else 0)
