@@ -34,7 +34,7 @@ from .equivariant import (
 )
 from .errors import InputError, PipelineError, SoundnessError
 from .nerve import chain_counts
-from .symmetry import CatAut, GroupAction, close_group, orbit_nerve, quotient_category
+from .symmetry import GroupAction, close_group, orbit_nerve, quotient_category
 from .trisp import (
     euler_characteristic,
     induced_subtrisp,
@@ -271,6 +271,11 @@ def lift_to_edges(perm, edges, edge_index):
 def _sn_action(p, n, relabel):
     """S_n on a poset, moving its objects by `relabel(perm)`; the group is not closed.
 
+    Generator k is built from ``sn_generator_perms(n)[k]``, so `_lift` can
+    carry the elements of `_sn_group(n)` to the poset.  `relabel` must be an
+    action, relabel(g∘h) = relabel(g)∘relabel(h), as moving faces and
+    partitions by a vertex permutation is.
+
     The action is horizontal with no check: `close_group` builds each
     generator as a poset automorphism, so every group element h is one.  If
     x < hx for h of order k, then x < hx < ... < h^k x = x is a cycle in a
@@ -300,12 +305,28 @@ def partition_action(pp):
     return _sn_action(pp.poset, pp.n, relabel)
 
 
-def _sn_order(n):
-    """Order of the group the S_n generators generate on n points; raises unless n!."""
-    order = GroupAction(tuple(CatAut(p, ()) for p in sn_generator_perms(n))).order
-    if order != math.factorial(n):
-        raise SoundnessError(f"the S_{n} generators generate a group of order {order}")
-    return order
+def _sn_group(n):
+    """S_n closed once, on n points, from `sn_generator_perms`; raises unless its order is n!."""
+    group = GroupAction(sn_generator_perms(n))
+    if group.order != math.factorial(n):
+        raise SoundnessError(f"the S_{n} generators generate a group of order {group.order}")
+    return group
+
+
+def _lift(group, action):
+    """The object map in `action`, an `_sn_action`, of every element of `group`, in tree order.
+
+    Element i, generator k times element j in `group.tree`, lifts by one
+    product to L_k∘lift(j), where L_k is the object map of generator k of
+    `action`.  As relabelling is an action, that is the relabelling by
+    element i.  Each element of the acting group is listed once when the
+    action is faithful, as on faces and on partitions.
+    """
+    gens = [g.obj for g in action.generators]
+    lifted = [tuple(range(len(gens[0])))]
+    for _g, k, j in group.tree[1:]:
+        lifted.append(tuple(map(gens[k].__getitem__, lifted[j])))
+    return lifted
 
 
 # -- pipelines ----------------------------------------------------------------
@@ -372,8 +393,10 @@ def pipeline_quotient_trisp(n):
     orbit listed twice or missed shows.  The pushed map is verified on the
     quotient; `push_closure_map` and `induced_trisp_action` say in their
     docstrings why their upstairs checks cannot fail here.  The
-    partition-chain complex is built the same way.  Runs for n <= 5: n = 6
-    is neither measured nor pinned.
+    partition-chain complex is built the same way.  S_n is closed once, on
+    n points, and each element is lifted to the faces and to the partitions
+    by one product (`_lift`).  Runs for n <= 5: n = 6 is neither measured
+    nor pinned.
     """
     if n > 5:
         raise InputError(f"pipeline 61 runs for n <= 5, got {n}")
@@ -399,9 +422,10 @@ def pipeline_quotient_trisp(n):
     witness = _poset_action_is_equivariant(fp.poset, act, f)
     if witness is not None:
         clock.fail("action", f"operator not equivariant at {witness[0]}")
-    clock.done("action", order=_sn_order(n))
+    group = _sn_group(n)
+    clock.done("action", order=group.order)
 
-    qt = orbit_nerve(fp.poset, act)
+    qt = orbit_nerve(fp.poset, _lift(group, act))
     sums = [sum(sizes) for sizes in qt.orbit_sizes]
     if sums != counts:
         clock.fail("quotient", f"the orbits hold {sums} chains, the subdivision {counts}")
@@ -427,7 +451,7 @@ def pipeline_quotient_trisp(n):
     clock.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
     # the final subtrisp must be the quotient of the partition-chain complex
-    pqt = orbit_nerve(pp.poset, partition_action(pp))
+    pqt = orbit_nerve(pp.poset, _lift(group, partition_action(pp)))
     vmap = []
     for parent in cert.final.to_parent[0]:
         d, s = fp.elements[qt.chains[0][parent][0]]
@@ -467,7 +491,7 @@ def pipeline_quotient_category(n):
     clock.done("build_complex", faces=fp.category.n_objects)
     f = transitive_closure_operator(k, fp)
     act = face_poset_action(k, fp)
-    clock.done("action", order=_sn_order(n))
+    clock.done("action", order=_sn_group(n).order)
 
     qc = quotient_category(fp.category, act)
     nerve_q = qc.nerve

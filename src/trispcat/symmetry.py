@@ -14,16 +14,16 @@ or order.  Kernels on a nerve read whole tables: an induced action maps
 chains column by column, the automorphism check compares boundary columns,
 and orbits are labelled by a stack search along the generators.  The orbit
 trisp of a poset's nerve is also built without the nerve: `orbit_nerve`
-closes the group on object maps and lists each orbit of chains once, by
-its least chain, extending each least chain at its top under its
-stabilizer (orderly generation).
+takes the group as the object maps of its elements, closed by the caller,
+and lists each orbit of chains once, by its least chain, extending each
+least chain at its top under its stabilizer (orderly generation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .accat import AcyclicCategory, Poset, validate_category
 from .errors import InputError, PreconditionError, SoundnessError
@@ -120,10 +120,12 @@ def trisp_automorphism_violation(t, g):
 
 @dataclass
 class GroupAction:
-    """A finite group of automorphisms, given by a nonempty tuple of generators.
+    """A finite group, given by a nonempty tuple of generators.
 
-    Orbits, equivariance and horizontality are decided from the generators
-    alone; the group's elements are closed from them only when first read.
+    The generators are automorphisms (`CatAut` or `TrispAut`) or bare
+    permutations of 0..n-1 as tuples.  Orbits, equivariance and
+    horizontality are decided from the generators alone; the group's
+    elements are closed from them only when first read.
     """
 
     generators: tuple
@@ -133,27 +135,44 @@ class GroupAction:
             raise InputError("a group action needs at least one generator")
 
     @cached_property
-    def elements(self):
-        """Every element, by breadth-first products of the generators, sorted."""
-        first = self.generators[0]
-        if isinstance(first, CatAut):
+    def tree(self):
+        """Every element once, by breadth-first products of the generators.
+
+        Entry i is (element, k, j): the element was first reached as
+        generator k times entry j.  Entry 0 is (identity, -1, -1), and each
+        level multiplies the last one on the left by each generator in turn.
+        """
+        first, product = self.generators[0], mul
+        if isinstance(first, tuple):
+            identity, product = tuple(range(len(first))), _compose_perm
+        elif isinstance(first, CatAut):
             identity = CatAut(tuple(range(len(first.obj))), tuple(range(len(first.mor))))
         else:
             identity = TrispAut(tuple(tuple(range(len(p))) for p in first.dims))
-        seen = {identity}
-        frontier = [g for g in self.generators if g not in seen]
-        seen.update(frontier)
+        index = {identity: 0}
+        tree, frontier = [(identity, -1, -1)], [identity]
         while frontier:
             new = []
-            for g in self.generators:
+            for k, g in enumerate(self.generators):
                 for h in frontier:
-                    gh = g * h
-                    if gh not in seen:
-                        seen.add(gh)
+                    gh = product(g, h)
+                    if gh not in index:
+                        index[gh] = len(tree)
+                        tree.append((gh, k, index[h]))
                         new.append(gh)
             frontier = new
-        ordered = sorted(seen, key=lambda g: (g.obj, g.mor) if isinstance(g, CatAut) else g.dims)
-        return tuple(ordered)
+        return tuple(tree)
+
+    @cached_property
+    def elements(self):
+        """Every element of `tree`, sorted."""
+
+        def key(g):
+            if isinstance(g, CatAut):
+                return (g.obj, g.mor)
+            return g.dims if isinstance(g, TrispAut) else g
+
+        return tuple(sorted((g for g, _k, _j in self.tree), key=key))
 
     @property
     def order(self):
@@ -354,7 +373,6 @@ class OrbitNerve:
     """
 
     poset: Poset
-    action: GroupAction
     trisp: Trisp
     chains: tuple  # per dimension, orbit -> its least chain
     orbit_sizes: tuple  # per dimension, orbit -> |G| / |Stab| of its chains
@@ -375,13 +393,15 @@ class OrbitNerve:
         return ((d, o), chain, tuple(self.obj_orbit[x] for x in chain))
 
 
-def orbit_nerve(p, action):
-    """The orbit trisp of the nerve of the poset `p` under `action`, by orderly generation.
+def orbit_nerve(p, elements):
+    """The orbit trisp of the nerve of the poset `p` under a group, by orderly generation.
 
-    Precondition: the generators are automorphisms of `p` (as `close_group`
-    checks).  Only their object maps are read, and the group is closed on
-    them alone.  Each orbit of chains is listed once, by its least chain in
-    the lexicographic order of object tuples:
+    `elements` is the group, closed by the caller, as the object map of
+    each element, listed once.  Precondition: each is an automorphism of
+    `p`.  They are read only through counts, minima and all(), so their
+    order does not matter.  An object's orbit is its set of images, and
+    orbits are numbered by least member.  Each orbit of chains is listed
+    once, by its least chain in the lexicographic order of object tuples:
     - the least chains of the vertex orbits are their least objects;
     - a least chain C with stabilizer S is extended at its top by each y
       above it that is least in its S-orbit, and C + y has stabilizer
@@ -398,9 +418,12 @@ def orbit_nerve(p, action):
     first object, the g that send it to the least object of its orbit.
     """
     up = [sorted(p.category.tgt[m] for m in out) for out in p.category.out]
-    objs = GroupAction(tuple(CatAut(g.obj, ()) for g in action.generators)).elements
-    elements = [g.obj for g in objs]
-    obj_orbit, reps = orbit_partition([g.obj for g in action.generators], p.n)
+    obj_orbit, reps = [-1] * p.n, []
+    for x in range(p.n):
+        if obj_orbit[x] < 0:
+            for g in elements:
+                obj_orbit[g[x]] = len(reps)
+            reps.append(x)
     transporters = {}
 
     def face_orbit(face, index):
@@ -431,7 +454,7 @@ def orbit_nerve(p, action):
         level = grown
     t = Trisp(list(map(len, chains)), bnd)
     violations = regularity_violations(t)
-    return OrbitNerve(p, action, t, tuple(chains), tuple(sizes), tuple(obj_orbit), violations)
+    return OrbitNerve(p, t, tuple(chains), tuple(sizes), tuple(obj_orbit), violations)
 
 
 @dataclass

@@ -207,13 +207,21 @@ def validate_trisp(t, compute_flags=True):
 
 
 def regularity_violations(t):
-    """(d, s) of every simplex whose d + 1 vertices are not pairwise distinct."""
-    return [
-        (d, s)
-        for d in range(1, t.dim + 1)
-        for s, vt in enumerate(t.vertex_tuples(d))
-        if len(set(vt)) != d + 1
-    ]
+    """(d, s) of every simplex whose d + 1 vertices are not pairwise distinct.
+
+    Read off the last vertex.  By `vertex_tuples`, vt(σ) = vt(∂_d σ) + (v,)
+    for the last vertex v of σ.  So two vertices of σ agree exactly when two
+    of ∂_d σ agree, or when v is also an earlier one, vt.index(v) != d.
+    Listed by dimension, then by simplex.
+    """
+    out, irregular = [], set()  # the irregular simplices of the dimension below
+    for d in range(1, t.dim + 1):
+        found = {s for s, vt in enumerate(t.vertex_tuples(d)) if vt.index(vt[-1]) != d}
+        if irregular:
+            found.update(s for s, row in enumerate(t.boundary_table(d)) if row[d] in irregular)
+        out.extend((d, s) for s in sorted(found))
+        irregular = found
+    return out
 
 
 def edge_matrix(t, d, s, cache):

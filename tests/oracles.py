@@ -311,6 +311,14 @@ def random_action(rng, p, max_order=6, attempts=8):
     return trivial_cat_action(p.category)
 
 
+def object_maps(action):
+    """The object map of every element of a category action, closed by `GroupAction.elements`.
+
+    This is how `orbit_nerve` takes its group.
+    """
+    return [g.obj for g in action.elements]
+
+
 def random_path_category(rng, max_nodes=5, max_edges=6):
     """Free category on a random DAG multigraph: morphisms are directed paths.
 

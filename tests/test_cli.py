@@ -19,7 +19,7 @@ from trispcat.closure import full_collapse_audit, induced_trisp_closure_map
 from trispcat.nerve import nerve
 from trispcat.symmetry import CatAut
 
-from oracles import chain_poset, is_identity
+from oracles import chain_poset, is_identity, object_maps
 
 
 def write(path, payload):
@@ -523,6 +523,34 @@ def test_pipeline_61_builds_no_subdivision(capsys, monkeypatch, n):
     assert hashlib.sha256(certs.encode()).hexdigest() == CERTIFICATE_SHA256[("61", n)]
 
 
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("variant", ["61", "62"])
+def test_pipelines_close_no_group_of_automorphisms(capsys, monkeypatch, variant, n):
+    # S_n is closed once, on n points; pipeline 61 lifts its elements to the posets
+    from trispcat import symmetry
+
+    def forbidden(*_args):
+        raise AssertionError("a group of category automorphisms was closed")
+
+    monkeypatch.setattr(symmetry.CatAut, "__mul__", forbidden)
+    code, out = run(capsys, "dgn", "pipeline", "--n", str(n), "--pipeline", variant)
+    assert code == 0
+    certs = json.dumps(json.loads(out)["certificates"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(certs.encode()).hexdigest() == CERTIFICATE_SHA256[(variant, n)]
+
+
+@pytest.mark.parametrize("variant", ["61", "62"])
+def test_pipelines_check_the_order_of_the_symmetric_group(capsys, monkeypatch, variant):
+    from trispcat import graphs
+
+    transposition = (1, 0, 2, 3, 4)
+    monkeypatch.setattr(graphs, "sn_generator_perms", lambda n: (transposition, transposition))
+    code = main(["dgn", "pipeline", "--n", "5", "--pipeline", variant])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "failed: the S_5 generators generate a group of order 2\n"
+
+
 def _pipeline_61_n4_failure(capsys):
     code = main(["dgn", "pipeline", "--n", "4", "--pipeline", "61"])
     captured = capsys.readouterr()
@@ -546,7 +574,7 @@ def test_pipeline_61_names_an_irregular_orbit_by_its_least_chain(capsys, monkeyp
 
     k = graphs.build_dgn(4)
     fp = graphs.face_poset(k)
-    on = symmetry.orbit_nerve(fp.poset, graphs.face_poset_action(k, fp))
+    on = symmetry.orbit_nerve(fp.poset, object_maps(graphs.face_poset_action(k, fp)))
     chain = on.chains[1][2]
     monkeypatch.setattr(symmetry, "regularity_violations", lambda t: [(1, 2)])
     witness = ((1, 2), chain, tuple(on.obj_orbit[x] for x in chain))

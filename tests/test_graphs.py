@@ -1,5 +1,6 @@
+import functools
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -8,11 +9,14 @@ from trispcat.closure import induced_trisp_closure_map, verify_trisp_closure_map
 from trispcat.equivariant import check_equivariant, push_closure_map, push_to_orbit_nerve
 from trispcat.errors import InputError
 from trispcat.graphs import (
+    _lift,
+    _sn_group,
     build_dgn,
     edge_list,
     face_poset,
     face_poset_action,
     image_partition_isomorphism,
+    lift_to_edges,
     number_partition,
     partition_action,
     partition_poset,
@@ -32,6 +36,7 @@ from trispcat.trisp import simplicial_from_faces, validate_trisp
 
 from oracles import (
     dgn_trisp_action,
+    object_maps,
     partition_of_edges,
     partition_poset_oracle,
     transitive_closure_oracle,
@@ -196,6 +201,42 @@ def test_sn_actions_have_full_order():
         assert partition_action(partition_poset(n)).order == math.factorial(n)
 
 
+def _face_map(k, fp, perm):
+    # the relabelling `face_poset_action` applies to a generator
+    eperm = lift_to_edges(perm, k.edges, k.edge_index)
+    return tuple(
+        fp.position[k.index[frozenset(eperm[e] for e in k.faces_by_dim[d][s])]]
+        for d, s in fp.elements
+    )
+
+
+def _partition_map(pp, perm):
+    # the relabelling `partition_action` applies to a generator
+    return tuple(
+        pp.index[tuple(sorted(tuple(sorted(perm[x] for x in block)) for block in p))]
+        for p in pp.partitions
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lifted_elements_are_the_relabellings(n):
+    group = _sn_group(n)
+    perms = [perm for perm, _k, _j in group.tree]
+    assert sorted(perms) == sorted(permutations(range(n)))
+    k = build_dgn(n)
+    fp = face_poset(k)
+    posets = [(face_poset_action(k, fp), functools.partial(_face_map, k, fp))]
+    for fine_on_top in (False, True):
+        pp = partition_poset(n, fine_on_top=fine_on_top)
+        posets.append((partition_action(pp), functools.partial(_partition_map, pp)))
+    for act, relabel in posets:
+        lifted = _lift(group, act)
+        assert lifted == [relabel(perm) for perm in perms]
+        # the old path: the object maps `GroupAction.elements` closes
+        assert sorted(lifted) == object_maps(act)
+        assert len(set(lifted)) == math.factorial(n)
+
+
 def test_sn_actions_leave_the_group_unclosed():
     k = build_dgn(4)
     for act in (face_poset_action(k, face_poset(k)), partition_action(partition_poset(4))):
@@ -314,7 +355,7 @@ def test_pipeline_61_pushes_what_the_subdivision_pushes(n, extended):
     bd = nerve(fp.category)
     tact = induced_trisp_action(bd, act)
     upstairs = push_closure_map(quotient_trisp(bd.trisp, tact), cmap)
-    pushed, verify = push_to_orbit_nerve(orbit_nerve(fp.poset, act), cmap)
+    pushed, verify = push_to_orbit_nerve(orbit_nerve(fp.poset, object_maps(act)), cmap)
     # the same map on the same orbit numbering, with the same report downstairs
     assert (pushed.blue, pushed.red, pushed.mapping, pushed.convention) == (
         upstairs.cmap.blue, upstairs.cmap.red, upstairs.cmap.mapping, upstairs.cmap.convention

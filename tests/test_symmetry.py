@@ -51,6 +51,7 @@ from oracles import (
     inverse,
     is_identity,
     iterated_faces,
+    object_maps,
     poset_automorphism_violation,
     quotient_category_oracle,
     random_action,
@@ -609,7 +610,7 @@ def test_canonical_map_surjective_random(seed):
 
 def _assert_orbit_nerve_is_the_quotient_of_the_nerve(p, action):
     """The orbit nerve equals `quotient_trisp` of the nerve, table for table."""
-    on = orbit_nerve(p, action)
+    on = orbit_nerve(p, object_maps(action))
     nv = nerve(p.category)
     qt = quotient_trisp(nv.trisp, induced_trisp_action(nv, action))
     assert on.trisp.counts == qt.trisp.counts
@@ -653,7 +654,7 @@ def test_orbit_nerve_of_the_partition_poset(n, fine_on_top):
 
 def test_orbit_nerve_of_the_empty_poset():
     p = poset_from_relation(0, [])
-    on = orbit_nerve(p, trivial_cat_action(p.category))
+    on = orbit_nerve(p, object_maps(trivial_cat_action(p.category)))
     assert on.trisp.counts == () and on.chains == () and on.obj_orbit == ()
 
 

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from itertools import combinations
 
 from trispcat.errors import InputError
@@ -8,6 +10,7 @@ from trispcat.trisp import (
     Trisp,
     euler_characteristic,
     induced_subtrisp,
+    regularity_violations,
     reverse_trisp,
     simplicial_from_faces,
     skeleton_dot,
@@ -43,6 +46,37 @@ def test_loop_edge_fails_regularity():
     report = validate_trisp(t)
     assert not report.ok
     assert report.regularity_violations == [(1, 0)]
+
+
+def test_an_irregular_face_makes_its_cofaces_irregular():
+    # the triangle's vertices are (0, 0, 1): its last vertex is new, but its
+    # last face, the loop, repeats one
+    t = Trisp((2, 2, 1), [[(0, 0), (1, 0)], [(1, 1, 0)]])
+    assert t.vertex_tuple(2, 0) == (0, 0, 1)
+    assert regularity_violations(t) == [(1, 0), (2, 0)]
+
+
+def _regularity_oracle(t):
+    return [
+        (d, s)
+        for d in range(1, t.dim + 1)
+        for s, vt in enumerate(t.vertex_tuples(d))
+        if len(set(vt)) != d + 1
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_regularity_violations_match_distinct_vertices_random(seed):
+    # any boundary rows, simplicial identities or not: vertex tuples are defined
+    rng = random.Random(seed)
+    counts = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+    bnd = [
+        [tuple(rng.randrange(counts[d - 1]) for _ in range(d + 1)) for _ in range(counts[d])]
+        for d in range(1, len(counts))
+    ]
+    t = Trisp(counts, bnd)
+    assert regularity_violations(t) == _regularity_oracle(t)
 
 
 def test_identity_violation_detected():
