@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from .errors import InputError, NotAPosetError, malformed
@@ -32,8 +33,10 @@ class AcyclicCategory:
     source x, in increasing order.
     Whether the data actually is an acyclic category (no directed cycles,
     total and associative composition) is the job of `validate_category`.
-    `poset_from_relation` passes no table and installs its order view as
-    ``comp`` before it returns.
+    These row checks are the only path for documents, quotients and tests.
+    `poset_from_relation` alone bypasses them: it passes no morphisms and
+    installs its own columns, ``out`` and its order view as ``comp``
+    before it returns.
     """
 
     def __init__(self, objects, morphisms, composition=()):
@@ -230,9 +233,6 @@ class Poset:
     def labels(self):
         return self.category.objects
 
-    def leq(self, x, y):
-        return x == y or (x, y) in self.mor_of
-
     def lt(self, x, y):
         return (x, y) in self.mor_of
 
@@ -251,8 +251,11 @@ def as_poset(c):
 def poset_from_relation(labels, strict_pairs):
     """Build a poset from any irreflexive acyclic relation, taking the transitive closure.
 
-    The category stores one morphism per related pair and no composition
-    table; its ``comp`` reads each composite off the order.
+    Descendant sets are unions taken in reverse topological order.  The
+    columns are written directly, as the closure of the checked pairs needs
+    no row checks: morphisms x -> y, labelled "x<y", are listed by source
+    and then by target, so ``out[x]`` is a contiguous range.  There is no
+    composition table; ``comp`` reads each composite off the order.
     """
     if isinstance(labels, int):
         labels = [str(i) for i in range(labels)]
@@ -264,7 +267,9 @@ def poset_from_relation(labels, strict_pairs):
         if x == y:
             raise InputError(f"relation is reflexive at {x}")
         succ[x].add(y)
-    indegree = Counter(y for ys in succ for y in ys)
+    indegree = [0] * n
+    for y in chain.from_iterable(succ):
+        indegree[y] += 1
     order = [x for x in range(n) if not indegree[x]]  # grows into a topological order
     for x in order:
         for y in succ[x]:
@@ -274,18 +279,19 @@ def poset_from_relation(labels, strict_pairs):
     if len(order) < n:  # the objects on or behind a cycle never reach indegree 0
         cycle = directed_cycle(range(n), lambda x: sorted(succ[x]))
         raise InputError(f"relation has a cycle through {labels[cycle[0]]}")
-    desc = [0] * n  # descendant sets as bitmasks, filled in reverse topological order
+    desc = [None] * n
     for x in reversed(order):
-        for y in succ[x]:
-            desc[x] |= (1 << y) | desc[y]
-    pairs = []
+        desc[x] = succ[x].union(*map(desc.__getitem__, succ[x]))
+    cat = AcyclicCategory(labels, ())
+    names = cat.objects
+    src, tgt, mor_labels, out = [], [], [], []
     for x in range(n):
-        mask = desc[x]
-        while mask:
-            low = mask & -mask
-            pairs.append((x, low.bit_length() - 1))
-            mask ^= low
-    cat = AcyclicCategory(labels, [(x, y, f"{labels[x]}<{labels[y]}") for x, y in pairs])
+        ys = sorted(desc[x])
+        out.append(tuple(range(len(tgt), len(tgt) + len(ys))))
+        src += [x] * len(ys)
+        tgt += ys
+        mor_labels += map(f"{names[x]}<".__add__, map(names.__getitem__, ys))
+    cat.src, cat.tgt, cat.mor_labels, cat.out = tuple(src), tuple(tgt), tuple(mor_labels), tuple(out)
     p = Poset(cat)
     cat.comp = _OrderComposition(cat, p.mor_of)
     return p
@@ -378,17 +384,13 @@ def check_closure_operator(p, f):
 
     The monotone witnesses are every relation x < y with f(x) not below f(y).
     """
-    witnesses = {"monotone": [], "idempotent": [], "descending": [], "ascending": []}
-    for (x, y) in p.mor_of:
-        if not p.leq(f[x], f[y]):
-            witnesses["monotone"].append((x, y))
-    for x in range(p.n):
-        if f[f[x]] != f[x]:
-            witnesses["idempotent"].append(x)
-        if not p.leq(f[x], x):
-            witnesses["descending"].append(x)
-        if not p.leq(x, f[x]):
-            witnesses["ascending"].append(x)
+    mor_of, objects = p.mor_of, range(p.n)
+    witnesses = {
+        "monotone": [(x, y) for x, y in mor_of if f[x] != f[y] and (f[x], f[y]) not in mor_of],
+        "idempotent": [x for x in objects if f[f[x]] != f[x]],
+        "descending": [x for x in objects if f[x] != x and (f[x], x) not in mor_of],
+        "ascending": [x for x in objects if f[x] != x and (x, f[x]) not in mor_of],
+    }
     return ClosureReport(
         monotone=not witnesses["monotone"],
         idempotent=not witnesses["idempotent"],

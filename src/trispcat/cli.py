@@ -29,8 +29,9 @@ def _load(path):
 
 def _emit(args, payload, text=None):
     if text is None:
-        # one line: without `indent`, json serves the dump from its C encoder
-        text = json.dumps(payload, sort_keys=True) + "\n"
+        # one line: without `indent`, json serves the dump from its C encoder;
+        # no payload holds a reference cycle, so none is looked for
+        text = json.dumps(payload, sort_keys=True, check_circular=False) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 from .accat import Poset, check_closure_operator, find_terminal_object, poset_from_relation
 from .closure import (
@@ -132,20 +133,23 @@ def face_poset(k):
 
     The relation only puts each face over its boundary facets: every subface
     is reached through facets, so the transitive closure is inclusion.
+    The pairs of a level are its boundary columns, shifted by level offsets.
+    Its vertex sets must be distinct, each d-simplex having d+1 vertices.
     """
     t = k.trisp if isinstance(k, GraphComplex) else k
     elements = [(d, s) for d in range(t.dim + 1) for s in range(t.n(d))]
     position = {ds: i for i, ds in enumerate(elements)}
-    pairs = []
-    for d in range(1, t.dim + 1):
-        seen = set()
-        for s in range(t.n(d)):
-            key = frozenset(t.vertex_tuple(d, s))
-            if key in seen or len(key) != d + 1:
-                raise InputError("face poset needs a simplicial complex")
-            seen.add(key)
-            pairs.extend((position[(d - 1, f)], position[(d, s)]) for f in t.faces(d, s))
-    labels = ["{" + ",".join(map(str, sorted(t.vertex_tuple(d, s)))) + "}" for d, s in elements]
+    pairs, labels, offset = [], [], 0
+    for d in range(t.dim + 1):
+        keys = list(map(frozenset, t.vertex_tuples(d)))
+        if len(set(keys)) < len(keys) or any(len(key) != d + 1 for key in keys):
+            raise InputError("face poset needs a simplicial complex")
+        labels += ["{" + ",".join(map(str, sorted(key))) + "}" for key in keys]
+        if d:
+            below, faces = offset - t.n(d - 1), range(offset, offset + t.n(d))
+            for column in zip(*t.boundary_table(d)):
+                pairs += zip(map(below.__add__, column), faces)
+        offset += t.n(d)
     poset = poset_from_relation(labels, pairs)
     return FacePoset(poset, tuple(elements), position)
 
@@ -235,23 +239,22 @@ def image_partition_isomorphism(k, fp, f):
     The image, as a subposet of the inclusion-ordered face poset, is matched
     against the partition poset in its inclusion orientation
     (``fine_on_top=False``); the bijection sends a closed edge set to the
-    partition of its components.
+    partition of its components.  The mapped image relation is compared with
+    the partition order as a whole; only a mismatch scans pairs for a witness.
     """
     pp = partition_poset(k.n, fine_on_top=False)
     image = sorted(set(f))
-    bijection = {}
-    for x in image:
-        d, s = fp.elements[x]
-        bijection[x] = pp.index[k.components[d][s]]
+    elements = map(fp.elements.__getitem__, image)
+    bijection = {x: pp.index[k.components[d][s]] for x, (d, s) in zip(image, elements)}
     if sorted(bijection.values()) != list(range(len(pp.partitions))):
         return False, None, pp
+    relation = [(x, y) for x, y in fp.poset.mor_of if x in bijection and y in bijection]
+    if {(bijection[x], bijection[y]) for x, y in relation} == set(pp.poset.mor_of):
+        return True, bijection, pp
     for x in image:
         for y in image:
-            if x == y:
-                continue
-            if fp.poset.lt(x, y) != pp.poset.lt(bijection[x], bijection[y]):
+            if x != y and fp.poset.lt(x, y) != pp.poset.lt(bijection[x], bijection[y]):
                 return False, (x, y), pp
-    return True, bijection, pp
 
 
 # -- symmetric group actions -------------------------------------------------
@@ -320,12 +323,13 @@ def _lift(group, action):
     product to L_k∘lift(j), where L_k is the object map of generator k of
     `action`.  As relabelling is an action, that is the relabelling by
     element i.  Each element of the acting group is listed once when the
-    action is faithful, as on faces and on partitions.
+    action is faithful, as on faces and on partitions.  `itemgetter` gives a
+    tuple for two or more indices; these posets always have at least 3 objects.
     """
     gens = [g.obj for g in action.generators]
     lifted = [tuple(range(len(gens[0])))]
     for _g, k, j in group.tree[1:]:
-        lifted.append(tuple(map(gens[k].__getitem__, lifted[j])))
+        lifted.append(itemgetter(*lifted[j])(gens[k]))
     return lifted
 
 

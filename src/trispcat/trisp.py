@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from .errors import InputError, malformed
 
@@ -389,7 +389,8 @@ def simplicial_from_faces(n_vertices, faces):
 
     Faces are iterables of vertex indices; every nonempty proper subset of a
     face must itself be present.  Returns (trisp, faces_by_dim, index) where
-    index maps a frozenset to its (d, s).
+    index maps a frozenset to its (d, s).  A sorted face's facets ∂_d, ..., ∂_0
+    are its ``combinations(f, d)``, looked up in the level below by tuple.
     """
     by_dim = {}
     for f in faces:
@@ -400,28 +401,20 @@ def simplicial_from_faces(n_vertices, faces):
             raise InputError(f"face {fs} out of vertex range")
         by_dim.setdefault(len(fs) - 1, set()).add(fs)
     dim = max(by_dim, default=-1)
-    faces_by_dim = []
-    index = {}
-    for d in range(dim + 1):
-        level = sorted(by_dim.get(d, ()))
-        faces_by_dim.append(tuple(level))
-        for s, f in enumerate(level):
-            index[frozenset(f)] = (d, s)
-    for d in range(1, dim + 1):
-        for f in faces_by_dim[d]:
-            for sub in combinations(f, d):
-                if frozenset(sub) not in index:
-                    raise InputError(f"family not downward closed: {sub} missing under {f}")
+    faces_by_dim = [tuple(sorted(by_dim.get(d, ()))) for d in range(dim + 1)]
+    bnd = []
+    for d, level in enumerate(faces_by_dim[1:], 1):
+        below = {f: s for s, f in enumerate(faces_by_dim[d - 1])}
+        facets = list(map(below.get, chain.from_iterable(map(combinations, level, repeat(d)))))
+        if None in facets:
+            f = level[facets.index(None) // (d + 1)]
+            sub = next(sub for sub in combinations(f, d) if sub not in below)
+            raise InputError(f"family not downward closed: {sub} missing under {f}")
+        bnd.append([row[::-1] for row in zip(*[iter(facets)] * (d + 1))])
     if dim >= 0 and faces_by_dim[0] != tuple((v,) for v in range(n_vertices)):
         raise InputError("all vertices must appear as 0-dimensional faces")
     counts = [n_vertices] + [len(faces_by_dim[d]) for d in range(1, dim + 1)]
-    bnd = [
-        [
-            tuple(index[frozenset(f[:i] + f[i + 1:])][1] for i in range(d + 1))
-            for f in faces_by_dim[d]
-        ]
-        for d in range(1, dim + 1)
-    ]
+    index = {frozenset(f): (d, s) for d, level in enumerate(faces_by_dim) for s, f in enumerate(level)}
     return Trisp(counts, bnd), faces_by_dim, index
 
 

@@ -15,28 +15,32 @@ point, as it was before the library gave it its own stack.  The
 composition table of a poset, the partition poset from an all-pairs
 refinement scan and the poset automorphism check against a given morphism
 map are kept as they were before a poset composed through its order, was
-built from block merges and built its automorphisms from object maps; the
-components of an edge set by union-find and its transitive closure through
-the edges inside them, as they were before DG_n carried each face's
-partition.
+built from block merges and built its automorphisms from object maps, and
+the poset builder on descendant bitmasks through the category's row
+checks, as it was before it wrote its columns directly; the components of
+an edge set by union-find and its transitive closure through the edges
+inside them, as they were before DG_n carried each face's partition.
 Inverses and identity tests of group elements live here too, with the small
-constructions only tests read: chain posets, opposite categories, the
-functor an order-preserving map of a poset induces, functor checks, nerves
-of functors, class coherence of an operator, lifts through the canonical
-map, and a matching turned from pairs into the partner arrays the library
-collapses and back.
+constructions only tests read: the test x <= y in a poset, chain posets,
+opposite categories, the functor an order-preserving map of a poset
+induces, functor checks, nerves of functors, class coherence of an
+operator, lifts through the canonical map, and a matching turned from
+pairs into the partner arrays the library collapses and back.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from itertools import combinations, permutations, zip_longest
 from typing import NamedTuple
 
 from trispcat.accat import (
     AcyclicCategory,
+    Poset,
     as_poset,
     check_closure_operator,
+    directed_cycle,
     poset_from_relation,
     subposet,
     validate_category,
@@ -253,10 +257,10 @@ def monotone_idempotent_maps(p):
         x = len(values)
         for y in range(n):
             if all(
-                not p.lt(z, x) or p.leq(values[z], y)
+                not p.lt(z, x) or leq(p, values[z], y)
                 for z in range(x)
             ) and all(
-                not p.lt(x, z) or p.leq(y, values[z])
+                not p.lt(x, z) or leq(p, y, values[z])
                 for z in range(x)
             ):
                 extend(values + [y])
@@ -379,6 +383,54 @@ def poset_composition_table(p):
     return table
 
 
+def poset_from_relation_oracle(labels, strict_pairs):
+    """`poset_from_relation` on descendant bitmasks through the constructor's row checks.
+
+    Refuses a relation with the library's messages, and stores every
+    composite in a table.
+    """
+    if isinstance(labels, int):
+        labels = [str(i) for i in range(labels)]
+    n = len(labels)
+    succ = [set() for _ in range(n)]
+    for x, y in strict_pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise InputError(f"relation pair out of range: {(x, y)}")
+        if x == y:
+            raise InputError(f"relation is reflexive at {x}")
+        succ[x].add(y)
+    indegree = Counter(y for ys in succ for y in ys)
+    order = [x for x in range(n) if not indegree[x]]
+    for x in order:
+        for y in succ[x]:
+            indegree[y] -= 1
+            if not indegree[y]:
+                order.append(y)
+    if len(order) < n:
+        cycle = directed_cycle(range(n), lambda x: sorted(succ[x]))
+        raise InputError(f"relation has a cycle through {labels[cycle[0]]}")
+    desc = [0] * n
+    for x in reversed(order):
+        for y in succ[x]:
+            desc[x] |= (1 << y) | desc[y]
+    pairs = []
+    for x in range(n):
+        mask = desc[x]
+        while mask:
+            low = mask & -mask
+            pairs.append((x, low.bit_length() - 1))
+            mask ^= low
+    cat = AcyclicCategory(labels, [(x, y, f"{labels[x]}<{labels[y]}") for x, y in pairs])
+    p = Poset(cat)
+    cat.comp = poset_composition_table(p)
+    return p
+
+
+def leq(p, x, y):
+    """x <= y in the poset p."""
+    return x == y or (x, y) in p.mor_of
+
+
 def terminal_objects(c):
     """Every object that sends no morphism to another object and receives
     exactly one from each other object, read off the morphism list."""
@@ -478,7 +530,7 @@ def poset_functor(p, obj):
     mor = [None] * p.category.n_morphisms
     for (x, y), m in p.mor_of.items():
         fx, fy = obj[x], obj[y]
-        if not p.leq(fx, fy):
+        if not leq(p, fx, fy):
             raise ValueError(f"object map is not order-preserving at {(x, y)}")
         mor[m] = None if fx == fy else p.mor_of[(fx, fy)]
     return Functor(obj, tuple(mor))

@@ -1,8 +1,9 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trispcat.accat import (
     AcyclicCategory,
@@ -24,9 +25,11 @@ from oracles import (
     all_posets_upto_iso,
     chain_poset,
     check_functor,
+    leq,
     nerve_oracle,
     opposite_category,
     poset_composition_table,
+    poset_from_relation_oracle,
     poset_functor,
     random_path_category,
     terminal_objects,
@@ -87,7 +90,7 @@ def test_constructor_names_the_first_bad_morphism(bad):
 
 def test_as_poset_two_chain():
     p = as_poset(two_chain())
-    assert p.lt(0, 1) and not p.lt(1, 0) and p.leq(0, 0)
+    assert p.lt(0, 1) and not p.lt(1, 0) and leq(p, 0, 0)
 
 
 def test_as_poset_rejects_parallel_pair():
@@ -130,6 +133,45 @@ def test_poset_from_relation_rejects_cycles():
     # the search keeps its own stack, so a long cycle is no recursion error
     with pytest.raises(InputError, match="cycle through"):
         poset_from_relation(1500, [(i, (i + 1) % 1500) for i in range(1500)])
+
+
+@st.composite
+def relations(draw, max_n=7):
+    # half forward pairs under a random numbering, which are acyclic; half
+    # any pairs, endpoints one out of range included
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    labels = n if draw(st.booleans()) else [f"v{i}" for i in range(n)]
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        forward = list(combinations(range(n), 2))
+        chosen = draw(st.lists(st.sampled_from(forward), max_size=20)) if forward else []
+        pairs = [(perm[a], perm[b]) for a, b in chosen]
+    else:
+        end = st.integers(min_value=-1, max_value=n)
+        pairs = draw(st.lists(st.tuples(end, end), max_size=12))
+    return labels, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations())
+@example((3, [(0, 1), (1, 3)]))
+@example((["a", "b"], [(0, 1), (1, 1)]))
+@example((list("abc"), [(0, 1), (1, 2), (2, 1)]))
+def test_poset_from_relation_matches_the_bitmask_builder(relation):
+    labels, pairs = relation
+    try:
+        expected = poset_from_relation_oracle(labels, pairs)
+    except InputError as refusal:
+        with pytest.raises(InputError) as err:
+            poset_from_relation(labels, pairs)
+        assert str(err.value) == str(refusal)
+        return
+    p = poset_from_relation(labels, pairs)
+    c, e = p.category, expected.category
+    assert c.objects == e.objects
+    assert (c.src, c.tgt, c.out, c.mor_labels) == (e.src, e.tgt, e.out, e.mor_labels)
+    assert list(p.mor_of.items()) == list(expected.mor_of.items())
+    assert len(c.comp) == len(e.comp)
 
 
 def test_identity_map_is_functor(chain3):
@@ -219,13 +261,13 @@ def test_enumerated_posets_are_valid_partial_orders():
         assert validate_category(p.category).ok
         n = p.n
         for x in range(n):
-            assert p.leq(x, x)
+            assert leq(p, x, x)
             for y in range(n):
-                if x != y and p.leq(x, y):
-                    assert not p.leq(y, x)
+                if x != y and leq(p, x, y):
+                    assert not leq(p, y, x)
                 for z in range(n):
-                    if p.leq(x, y) and p.leq(y, z):
-                        assert p.leq(x, z)
+                    if leq(p, x, y) and leq(p, y, z):
+                        assert leq(p, x, z)
 
 
 @st.composite
@@ -233,8 +275,6 @@ def posets(draw, max_n=6):
     n = draw(st.integers(min_value=1, max_value=max_n))
     bits = n * (n - 1) // 2
     mask = draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
-    from itertools import combinations
-
     pairs = [pair for i, pair in enumerate(combinations(range(n), 2)) if (mask >> i) & 1]
     return poset_from_relation(n, pairs)
 
@@ -254,7 +294,7 @@ def test_ac_maps_on_posets_preserve_order(p, rng):
     f = poset_functor(p, values)
     assert check_functor(p.category, p.category, f) == []
     for (x, y) in p.mor_of:
-        assert p.leq(f.obj[x], f.obj[y])
+        assert leq(p, f.obj[x], f.obj[y])
 
 
 def _assert_composition_is_the_table(p):

@@ -551,6 +551,22 @@ def test_pipelines_check_the_order_of_the_symmetric_group(capsys, monkeypatch, v
     assert captured.err == "failed: the S_5 generators generate a group of order 2\n"
 
 
+@pytest.mark.parametrize("n, witness", [(4, (0, 10)), (5, (0, 16))])
+def test_pipeline_61_fails_when_the_image_is_not_the_partition_order(capsys, monkeypatch, n, witness):
+    from trispcat import graphs
+
+    partition_poset = graphs.partition_poset
+    monkeypatch.setattr(
+        graphs, "partition_poset", lambda m, fine_on_top=True: partition_poset(m, not fine_on_top)
+    )
+    code = main(["dgn", "pipeline", "--n", str(n), "--pipeline", "61"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        f"failed: stage 'closure_operator': image not isomorphic to partitions at {witness}\n"
+    )
+
+
 def _pipeline_61_n4_failure(capsys):
     code = main(["dgn", "pipeline", "--n", "4", "--pipeline", "61"])
     captured = capsys.readouterr()

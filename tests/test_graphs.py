@@ -32,7 +32,7 @@ from trispcat.symmetry import (
     quotient_category,
     quotient_trisp,
 )
-from trispcat.trisp import simplicial_from_faces, validate_trisp
+from trispcat.trisp import Trisp, simplicial_from_faces, validate_trisp
 
 from oracles import (
     dgn_trisp_action,
@@ -87,6 +87,19 @@ def test_face_poset_rejects_non_simplicial(double_filled):
     t, _, _ = double_filled
     with pytest.raises(InputError):
         face_poset(t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        Trisp((2, 2), [[(1, 0), (1, 0)]]),  # two edges on the vertex pair {0, 1}
+        Trisp((3, 3, 1), [[(1, 0), (2, 0), (1, 2)], [(2, 1, 0)]]),  # a triangle on (0, 1, 1)
+    ],
+)
+def test_face_poset_refuses_a_repeated_vertex_set(t):
+    with pytest.raises(InputError) as err:
+        face_poset(t)
+    assert str(err.value) == "face poset needs a simplicial complex"
 
 
 def test_barycentric_of_edge_is_path():

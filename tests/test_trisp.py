@@ -190,8 +190,23 @@ def test_reverse_trisp_matches_opposite_nerve(chain3):
 
 
 def test_simplicial_from_faces_requires_closure():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1, 2)])
+    assert str(err.value) == "family not downward closed: (0, 1) missing under (0, 1, 2)"
+
+
+@pytest.mark.parametrize(
+    "faces, message",
+    [
+        ([(0,), (2,), (0, 2)], "all vertices must appear as 0-dimensional faces"),
+        ([(0,), (5,)], "face (5,) out of vertex range"),
+        ([(0,), (), (5,)], "empty face"),
+    ],
+)
+def test_simplicial_from_faces_names_what_it_refuses(faces, message):
+    with pytest.raises(InputError) as err:
+        simplicial_from_faces(3, faces)
+    assert str(err.value) == message
 
 
 def test_json_roundtrip(double_filled):
