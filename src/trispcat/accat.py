@@ -13,15 +13,13 @@ the order.  An operator on a poset is the tuple of its object images,
 images of the objects fix those of the morphisms.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
 from .errors import InputError, NotAPosetError, malformed
+from .trisp import nogc
 
 
 class AcyclicCategory:
@@ -114,15 +112,15 @@ class AcyclicCategory:
             return cls(labels, morphisms, data.get("composition", []))
 
 
-@dataclass
 class CategoryReport:
     """Validation outcome with witnesses for every failed law."""
 
-    self_loops: list
-    cycle: list | None
-    missing_compositions: list
-    bad_endpoints: list
-    associativity_failures: list
+    def __init__(self, self_loops, cycle, missing_compositions, bad_endpoints, associativity_failures):
+        self.self_loops = self_loops
+        self.cycle = cycle  # list, or None
+        self.missing_compositions = missing_compositions
+        self.bad_endpoints = bad_endpoints
+        self.associativity_failures = associativity_failures
 
     @property
     def acyclic(self):
@@ -248,6 +246,7 @@ def as_poset(c):
     return p
 
 
+@nogc
 def poset_from_relation(labels, strict_pairs):
     """Build a poset from any irreflexive acyclic relation, taking the transitive closure.
 
@@ -255,7 +254,9 @@ def poset_from_relation(labels, strict_pairs):
     columns are written directly, as the closure of the checked pairs needs
     no row checks: morphisms x -> y, labelled "x<y", are listed by source
     and then by target, so ``out[x]`` is a contiguous range.  There is no
-    composition table; ``comp`` reads each composite off the order.
+    composition table; ``comp`` reads each composite off the order.  The
+    collector is paused: a collection here would scan the key tuples and
+    labels of every morphism made so far, all of them live.
     """
     if isinstance(labels, int):
         labels = [str(i) for i in range(labels)]
@@ -345,15 +346,15 @@ def covers(p):
     return out
 
 
-@dataclass
 class ClosureReport:
     """Flags for a candidate closure operator; each False flag has witnesses."""
 
-    monotone: bool
-    idempotent: bool
-    descending: bool
-    ascending: bool
-    witnesses: dict
+    def __init__(self, monotone, idempotent, descending, ascending, witnesses):
+        self.monotone = monotone
+        self.idempotent = idempotent
+        self.descending = descending
+        self.ascending = ascending
+        self.witnesses = witnesses
 
     @property
     def is_closure_operator(self):

@@ -4,8 +4,6 @@ Exit codes: 0 success / property holds, 1 checked mathematical failure with
 a witness in the report, 2 malformed input.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -16,10 +16,7 @@ cycles, so each collection their allocations would set off scans them all
 and frees nothing.
 """
 
-from __future__ import annotations
-
 from array import array
-from dataclasses import dataclass
 from itertools import compress
 
 from .accat import check_closure_operator, directed_cycle, find_terminal_object
@@ -27,16 +24,12 @@ from .errors import InputError, PreconditionError, SoundnessError, malformed
 from .trisp import euler_characteristic, induced_subtrisp, nogc, regularity_violations
 
 
-@dataclass
 class TrispClosureMap:
-    blue: frozenset
-    red: frozenset
-    mapping: dict  # blue vertex -> red vertex
-    convention: str  # "min" | "max": which extreme blue vertex is selected
-
-    def __post_init__(self):
-        self.blue = frozenset(self.blue)
-        self.red = frozenset(self.red)
+    def __init__(self, blue, red, mapping, convention):
+        self.blue = frozenset(blue)
+        self.red = frozenset(red)
+        self.mapping = mapping  # blue vertex -> red vertex
+        self.convention = convention  # "min" | "max": which extreme blue vertex is selected
         if self.convention not in ("min", "max"):
             raise InputError(f"convention must be 'min' or 'max', got {self.convention!r}")
         vertices = (*self.blue, *self.red, *self.mapping, *self.mapping.values())
@@ -48,6 +41,9 @@ class TrispClosureMap:
             raise InputError("map domain must be exactly the blue vertices")
         if not set(self.mapping.values()) <= set(self.red):
             raise InputError("map must land in the red vertices")
+
+    def __eq__(self, other):
+        return type(other) is TrispClosureMap and vars(self) == vars(other)
 
     def check_vertices(self, t):
         if self.blue | self.red != set(range(t.n(0))):
@@ -95,7 +91,7 @@ def _targets(t, cmap):
     vertex, so the extreme blue vertex is either that face's or the new one.
     """
     phi = [cmap.mapping.get(v, -1) for v in range(t.n(0))]
-    targets = [phi]
+    targets = [phi] if t.dim >= 0 else []
     for d in range(1, t.dim + 1):
         prev, level = targets[-1], []
         for row, vt in zip(t.boundary_table(d), t.vertex_tuples(d)):
@@ -119,13 +115,17 @@ def _extensions(t, targets, d):
     return count, last
 
 
-@dataclass
 class ClosureVerifyReport:
-    ok: bool
-    failures: list  # (d, s, extension count)
-    contained: int  # simplices whose extreme blue vertex maps into the simplex
-    extended: int
-    partners: list  # per dimension, array: the unique extension τ of s, or -1
+    def __init__(self, ok, failures, contained, extended, partners, targets):
+        self.ok = ok
+        self.failures = failures  # (d, s, extension count)
+        self.contained = contained  # simplices whose extreme blue vertex maps into the simplex
+        self.extended = extended
+        self.partners = partners  # per dimension, array: the unique extension τ of s, or -1
+        self.targets = targets  # per dimension, image of each simplex's extreme blue vertex, or -1
+
+    def __eq__(self, other):
+        return type(other) is ClosureVerifyReport and vars(self) == vars(other)
 
     def to_json(self):
         return {
@@ -165,7 +165,7 @@ def verify_trisp_closure_map(t, cmap):
                 failures.append((d, s, count[s]))
                 last[s] = -1
         partners.append(last)
-    return ClosureVerifyReport(not failures, failures, contained, extended, partners)
+    return ClosureVerifyReport(not failures, failures, contained, extended, partners, targets)
 
 
 def induced_trisp_closure_map(p, f, report=None):
@@ -194,12 +194,16 @@ def closure_matching(t, cmap, verify_report):
     `verify_report` is the outcome of `verify_trisp_closure_map` on the same
     map, which records each extended d-simplex σ's unique extension τ as
     `partners[d][σ]` (-1 when σ has none); those arrays are the matching.
+    It also records each simplex's target, the image of its extreme blue
+    vertex, as `targets[d][σ]`; those are read from the report, except that
+    the vertex targets come from `cmap`, so a report made for another map
+    fails at its first matched vertex whose image differs.
     Each pair (σ, τ) is checked: σ and τ share the target b, b is a vertex of
     τ, τ drops b to σ, and the pairs are as many as the contained simplices.
     """
     if not verify_report.ok:
         raise PreconditionError(f"not a closure map: {verify_report.failures[:3]}")
-    targets = _targets(t, cmap)
+    targets = [[cmap.mapping.get(v, -1) for v in range(t.n(0))], *verify_report.targets[1:]]
     pairs = 0
     for d, (partner, target) in enumerate(zip(verify_report.partners, targets)):
         up_targets = targets[d + 1] if d < t.dim else ()
@@ -237,7 +241,6 @@ def check_matching_acyclic(t, up):
     return cycle is None, cycle
 
 
-@dataclass
 class CollapseCertificate:
     """An executable collapse: matched pairs removed in a free order.
 
@@ -246,9 +249,10 @@ class CollapseCertificate:
     the Euler characteristic is unchanged after every step.
     """
 
-    steps: tuple
-    final: object  # Subtrisp
-    euler: int
+    def __init__(self, steps, final, euler):
+        self.steps = steps
+        self.final = final  # Subtrisp
+        self.euler = euler
 
     def to_json(self):
         # json writes the step tuples as arrays, so they need no copy into lists

@@ -9,10 +9,6 @@ one-sided equivariant closure operator still induces a closure map on the
 nerve of the quotient category.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .accat import check_closure_operator, subposet
 from .closure import TrispClosureMap, verify_trisp_closure_map
 from .errors import PreconditionError, SoundnessError
@@ -20,12 +16,12 @@ from .symmetry import check_regular_action, close_group, quotient_category
 from .trisp import compute_simplicial_flag, induced_subtrisp, trisps_equal_over_vertices
 
 
-@dataclass
 class EquivarianceReport:
-    map_equivariant: bool
-    blue_closed: bool
-    red_closed: bool
-    witnesses: list
+    def __init__(self, map_equivariant, blue_closed, red_closed, witnesses):
+        self.map_equivariant = map_equivariant
+        self.blue_closed = blue_closed
+        self.red_closed = red_closed
+        self.witnesses = witnesses
 
     @property
     def ok(self):
@@ -56,11 +52,11 @@ def check_equivariant(action, cmap):
     return EquivarianceReport(map_eq, blue_closed, red_closed, witnesses)
 
 
-@dataclass
 class PushedClosureMap:
-    qt: object  # QuotientTrisp
-    cmap: TrispClosureMap
-    verify_report: object  # of the pushed map on the orbit trisp
+    def __init__(self, qt, cmap, verify_report):
+        self.qt = qt  # QuotientTrisp
+        self.cmap = cmap  # TrispClosureMap
+        self.verify_report = verify_report  # of the pushed map on the orbit trisp
 
 
 def push_closure_map(qt, cmap):
@@ -118,7 +114,6 @@ def push_to_orbit_nerve(on, cmap):
     return pushed, verify_trisp_closure_map(on.trisp, pushed)
 
 
-@dataclass
 class LiftConditionReport:
     """Per blue vertex: candidate red partners in the prescribed orbit.
 
@@ -126,9 +121,10 @@ class LiftConditionReport:
     a single 1-simplex; the assignment is then forced.
     """
 
-    holds: bool
-    candidates: dict  # blue vertex -> list of (red vertex, 1-simplex count)
-    assignment: dict  # blue vertex -> red vertex, when holds
+    def __init__(self, holds, candidates, assignment):
+        self.holds = holds
+        self.candidates = candidates  # blue vertex -> list of (red vertex, 1-simplex count)
+        self.assignment = assignment  # blue vertex -> red vertex, when holds
 
     def to_json(self):
         return {
@@ -250,10 +246,10 @@ def check_image_subtrisp_equality(p, f, qc):
     return trisps_equal_over_vertices(sub_qc.nerve.trisp, sub.trisp, vertex_map)
 
 
-@dataclass
 class QuotientPosetClosure:
-    cmap: TrispClosureMap
-    verify_report: object
+    def __init__(self, cmap, verify_report):
+        self.cmap = cmap  # TrispClosureMap
+        self.verify_report = verify_report
 
 
 def quotient_poset_closure_map(p, f, qc):

@@ -10,15 +10,12 @@ operator on the face poset whose image is the poset of nontrivial set
 partitions.
 """
 
-from __future__ import annotations
-
 import math
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 
-from .accat import Poset, check_closure_operator, find_terminal_object, poset_from_relation
+from .accat import check_closure_operator, find_terminal_object, poset_from_relation
 from .closure import (
     cone_closure_map,
     full_collapse_audit,
@@ -53,16 +50,17 @@ def edge_list(n):
     return tuple(combinations(range(n), 2))
 
 
-@dataclass(eq=False)
 class GraphComplex:
-    n: int
-    edges: tuple  # edge id -> vertex pair
-    trisp: object
-    faces_by_dim: tuple  # per dimension, sorted tuples of edge ids
-    index: dict  # frozenset of edge ids -> (d, s)
-    edge_index: dict  # vertex pair -> edge id
-    components: tuple  # per dimension, the partition of each face (one object per partition)
-    closed: dict  # partition -> (d, s) of the union of complete graphs on its blocks
+    def __init__(self, n, edges, trisp, faces_by_dim, index, edge_index, components, closed):
+        self.n = n
+        self.edges = edges  # edge id -> vertex pair
+        self.trisp = trisp
+        self.faces_by_dim = faces_by_dim  # per dimension, sorted tuples of edge ids
+        self.index = index  # frozenset of edge ids -> (d, s)
+        self.edge_index = edge_index  # vertex pair -> edge id
+        # per dimension, the partition of each face (one object per partition)
+        self.components = components
+        self.closed = closed  # partition -> (d, s) of the union of complete graphs on its blocks
 
     def edge_label(self, e):
         a, b = self.edges[e]
@@ -117,11 +115,11 @@ def build_dgn(n):
     return GraphComplex(n, edges, trisp, faces_by_dim, index, edge_index, components, closed)
 
 
-@dataclass(eq=False)
 class FacePoset:
-    poset: Poset
-    elements: tuple  # object -> (d, s) of the underlying trisp
-    position: dict  # (d, s) -> object
+    def __init__(self, poset, elements, position):
+        self.poset = poset
+        self.elements = elements  # object -> (d, s) of the underlying trisp
+        self.position = position  # (d, s) -> object
 
     @property
     def category(self):
@@ -183,7 +181,6 @@ def number_partition(partition):
     return tuple(sorted((len(b) for b in partition), reverse=True))
 
 
-@dataclass(eq=False)
 class PartitionPoset:
     """Set partitions of {0..n-1} except the discrete and one-block partitions.
 
@@ -194,10 +191,11 @@ class PartitionPoset:
     unions of complete graphs.
     """
 
-    n: int
-    partitions: tuple
-    poset: Poset
-    index: dict
+    def __init__(self, n, partitions, poset, index):
+        self.n = n
+        self.partitions = partitions
+        self.poset = poset
+        self.index = index
 
     @property
     def category(self):
@@ -336,23 +334,23 @@ def _lift(group, action):
 # -- pipelines ----------------------------------------------------------------
 
 
-@dataclass
 class Stage:
-    name: str
-    seconds: float
-    info: dict = field(default_factory=dict)
+    def __init__(self, name, seconds, info):
+        self.name = name
+        self.seconds = seconds
+        self.info = info
 
     def to_json(self):
         return {"name": self.name, "seconds": round(self.seconds, 4), "info": self.info}
 
 
-@dataclass
 class PipelineReport:
-    variant: str
-    n: int
-    ok: bool
-    stages: list
-    certificates: dict = field(default_factory=dict)
+    def __init__(self, variant, n, ok, stages):
+        self.variant = variant
+        self.n = n
+        self.ok = ok
+        self.stages = stages
+        self.certificates = {}
 
     def to_json(self):
         return {

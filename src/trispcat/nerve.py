@@ -5,8 +5,6 @@ morphisms; the 0-simplices are the objects.  Boundaries drop an end object
 or compose two consecutive morphisms.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 from operator import ne
 

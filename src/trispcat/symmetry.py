@@ -19,15 +19,12 @@ and lists each orbit of chains once, by its least chain, extending each
 least chain at its top under its stabilizer (orderly generation).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, mul
 
 from .accat import AcyclicCategory, Poset, validate_category
 from .errors import InputError, PreconditionError, SoundnessError
-from .nerve import Nerve, nerve
+from .nerve import nerve
 from .trisp import Trisp, regularity_violations
 
 
@@ -40,12 +37,18 @@ def _is_perm(p, n):
     return len(p) == n and sorted(p) == list(range(n))
 
 
-@dataclass(frozen=True)
 class CatAut:
     """Automorphism of a category: an object permutation plus a morphism permutation."""
 
-    obj: tuple
-    mor: tuple
+    def __init__(self, obj, mor):
+        self.obj = obj
+        self.mor = mor
+
+    def __eq__(self, other):
+        return type(other) is CatAut and self.obj == other.obj and self.mor == other.mor
+
+    def __hash__(self):
+        return hash((self.obj, self.mor))
 
     def __mul__(self, other):
         return CatAut(_compose_perm(self.obj, other.obj), _compose_perm(self.mor, other.mor))
@@ -69,11 +72,17 @@ class CatAut:
         return cls(obj, tuple(mor))
 
 
-@dataclass(frozen=True)
 class TrispAut:
     """Automorphism of a trisp: one simplex permutation per dimension."""
 
-    dims: tuple
+    def __init__(self, dims):
+        self.dims = dims
+
+    def __eq__(self, other):
+        return type(other) is TrispAut and self.dims == other.dims
+
+    def __hash__(self):
+        return hash(self.dims)
 
     def __mul__(self, other):
         return TrispAut(tuple(_compose_perm(g, h) for g, h in zip(self.dims, other.dims)))
@@ -118,7 +127,6 @@ def trisp_automorphism_violation(t, g):
     return None
 
 
-@dataclass
 class GroupAction:
     """A finite group, given by a nonempty tuple of generators.
 
@@ -128,11 +136,10 @@ class GroupAction:
     elements are closed from them only when first read.
     """
 
-    generators: tuple
-
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, generators):
+        if not generators:
             raise InputError("a group action needs at least one generator")
+        self.generators = generators
 
     @cached_property
     def tree(self):
@@ -330,16 +337,16 @@ def induced_trisp_action(nv, action):
     return GroupAction(tuple(gens))
 
 
-@dataclass
 class QuotientTrisp:
     """The orbit trisp of `action` on `source`, with its projection."""
 
-    source: Trisp
-    action: GroupAction
-    trisp: Trisp
-    projection: tuple  # per dimension, item -> orbit index
-    reps: tuple  # per dimension, orbit -> least original index
-    regularity_violations: list
+    def __init__(self, source, action, trisp, projection, reps, regularity_violations):
+        self.source = source  # Trisp
+        self.action = action  # GroupAction
+        self.trisp = trisp
+        self.projection = projection  # per dimension, item -> orbit index
+        self.reps = reps  # per dimension, orbit -> least original index
+        self.regularity_violations = regularity_violations
 
     @property
     def regular(self):
@@ -362,7 +369,6 @@ def quotient_trisp(t, action):
     return QuotientTrisp(t, action, qt, tuple(projection), tuple(reps), regularity_violations(qt))
 
 
-@dataclass
 class OrbitNerve:
     """The orbit trisp of the nerve of a poset under a group of its automorphisms.
 
@@ -372,12 +378,13 @@ class OrbitNerve:
     from the least object up, as the nerve's vertex tuples are.
     """
 
-    poset: Poset
-    trisp: Trisp
-    chains: tuple  # per dimension, orbit -> its least chain
-    orbit_sizes: tuple  # per dimension, orbit -> |G| / |Stab| of its chains
-    obj_orbit: tuple  # object -> vertex orbit
-    regularity_violations: list
+    def __init__(self, poset, trisp, chains, orbit_sizes, obj_orbit, regularity_violations):
+        self.poset = poset
+        self.trisp = trisp
+        self.chains = chains  # per dimension, orbit -> its least chain
+        self.orbit_sizes = orbit_sizes  # per dimension, orbit -> |G| / |Stab| of its chains
+        self.obj_orbit = obj_orbit  # object -> vertex orbit
+        self.regularity_violations = regularity_violations
 
     @property
     def regularity_witness(self):
@@ -457,7 +464,6 @@ def orbit_nerve(p, elements):
     return OrbitNerve(p, t, tuple(chains), tuple(sizes), tuple(obj_orbit), violations)
 
 
-@dataclass
 class RegularActionReport:
     """Outcome of the quotient-regularity condition on a trisp action.
 
@@ -472,8 +478,9 @@ class RegularActionReport:
     on one vertex set.
     """
 
-    ok: bool
-    witness: tuple | None  # (element index, simplex, face, kind)
+    def __init__(self, ok, witness):
+        self.ok = ok
+        self.witness = witness  # (element index, simplex, face, kind), or None
 
 
 def check_regular_action(qt):
@@ -497,7 +504,6 @@ def check_regular_action(qt):
     return RegularActionReport(False, (gi, (d, sigma), (0, w), "moved"))
 
 
-@dataclass
 class QuotientCategory:
     """Colimit quotient of a category by a group action.
 
@@ -505,12 +511,13 @@ class QuotientCategory:
     generated by m ~ gm and closed under composition of equal classes.
     """
 
-    source: AcyclicCategory
-    action: GroupAction
-    category: AcyclicCategory
-    obj_class: tuple  # object -> class index
-    mor_class: tuple  # morphism -> class index
-    obj_members: tuple
+    def __init__(self, source, action, category, obj_class, mor_class, obj_members):
+        self.source = source  # AcyclicCategory
+        self.action = action  # GroupAction
+        self.category = category
+        self.obj_class = obj_class  # object -> class index
+        self.mor_class = mor_class  # morphism -> class index
+        self.obj_members = obj_members
 
     @cached_property
     def nerve(self):
@@ -608,7 +615,6 @@ def quotient_category(c, action):
     )
 
 
-@dataclass
 class CanonicalMap:
     """The canonical comparison from the orbit trisp of the nerve to the nerve
     of the quotient category, as its simplex map.
@@ -616,8 +622,9 @@ class CanonicalMap:
     It is bijective on vertices and surjective in every dimension.
     """
 
-    nerve_dst: Nerve
-    entries: tuple  # per dimension, orbit index -> simplex of nerve_dst
+    def __init__(self, nerve_dst, entries):
+        self.nerve_dst = nerve_dst  # Nerve
+        self.entries = entries  # per dimension, orbit index -> simplex of nerve_dst
 
     @property
     def surjective_by_dim(self):

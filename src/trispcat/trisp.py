@@ -6,11 +6,8 @@ dimension d-1.  Everything else (vertex tuples, skeleta) is derived, so
 there is a single source of truth.
 """
 
-from __future__ import annotations
-
 import functools
 import gc
-from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 
 from .errors import InputError, malformed
@@ -143,7 +140,6 @@ class Trisp:
 # -- validation -----------------------------------------------------------
 
 
-@dataclass
 class SimplicialFlag:
     """Is the trisp an abstract simplicial complex, and is it flag?
 
@@ -154,15 +150,16 @@ class SimplicialFlag:
     clique (all triples realized) is filled by exactly one simplex.
     """
 
-    is_simplicial: bool
-    is_flag_complex: bool
+    def __init__(self, is_simplicial, is_flag_complex):
+        self.is_simplicial = is_simplicial
+        self.is_flag_complex = is_flag_complex
 
 
-@dataclass
 class TrispReport:
-    identity_violations: list
-    regularity_violations: list
-    flags: SimplicialFlag | None
+    def __init__(self, identity_violations, regularity_violations, flags):
+        self.identity_violations = identity_violations
+        self.regularity_violations = regularity_violations
+        self.flags = flags  # SimplicialFlag, or None
 
     @property
     def ok(self):
@@ -309,10 +306,10 @@ def compute_simplicial_flag(t):
 # -- derived constructions -------------------------------------------------
 
 
-@dataclass
 class Subtrisp:
-    trisp: Trisp
-    to_parent: tuple  # per dimension, tuple mapping sub-index -> parent index
+    def __init__(self, trisp, to_parent):
+        self.trisp = trisp
+        self.to_parent = to_parent  # per dimension, tuple mapping sub-index -> parent index
 
 
 def induced_subtrisp(t, vertices):
@@ -336,11 +333,11 @@ def euler_characteristic(t):
     return sum((-1) ** d * t.n(d) for d in range(t.dim + 1))
 
 
-@dataclass
 class TrispMatch:
-    ok: bool
-    mapping: tuple | None  # per dimension, tuple T1-index -> T2-index
-    witness: tuple | None = None
+    def __init__(self, ok, mapping, witness):
+        self.ok = ok
+        self.mapping = mapping  # per dimension, tuple T1-index -> T2-index, or None
+        self.witness = witness  # tuple, or None
 
 
 def trisps_equal_over_vertices(t1, t2, vertex_map):
@@ -375,7 +372,7 @@ def trisps_equal_over_vertices(t1, t2, vertex_map):
             for a, b in zip(sorted(members), sorted(others)):
                 level[a] = b
         mapping.append(tuple(level))
-    return TrispMatch(True, tuple(mapping))
+    return TrispMatch(True, tuple(mapping), None)
 
 
 def reverse_trisp(t):

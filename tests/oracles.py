@@ -879,6 +879,7 @@ def verify_trisp_closure_map_oracle(t, cmap):
     cofaces = coface_table(t)
     failures = []
     partners = [array("l", [-1] * t.n(d)) for d in range(t.dim + 1)]
+    targets = [[-1] * t.n(d) for d in range(t.dim + 1)]
     contained = extended = 0
     for d in range(t.dim + 1):
         for s in range(t.n(d)):
@@ -886,7 +887,7 @@ def verify_trisp_closure_map_oracle(t, cmap):
             if hit is None:
                 continue
             _, b = hit
-            phi_b = cmap.mapping[b]
+            phi_b = targets[d][s] = cmap.mapping[b]
             if phi_b in t.vertex_tuple(d, s):
                 contained += 1
                 continue
@@ -896,7 +897,7 @@ def verify_trisp_closure_map_oracle(t, cmap):
                 partners[d][s] = exts[0][0]
             else:
                 failures.append((d, s, len(exts)))
-    return ClosureVerifyReport(not failures, failures, contained, extended, partners)
+    return ClosureVerifyReport(not failures, failures, contained, extended, partners, targets)
 
 
 def closure_matching_oracle(t, cmap, verify_report):

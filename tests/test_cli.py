@@ -603,7 +603,7 @@ def test_pipeline_61_fails_when_the_pushed_map_does_not_verify(capsys, monkeypat
     from trispcat import equivariant
     from trispcat.closure import ClosureVerifyReport
 
-    failing = ClosureVerifyReport(False, [(1, 0, 2)], 0, 0, [])
+    failing = ClosureVerifyReport(False, [(1, 0, 2)], 0, 0, [], [])
     monkeypatch.setattr(equivariant, "verify_trisp_closure_map", lambda t, cmap: failing)
     assert _pipeline_61_n4_failure(capsys) == (
         "failed: stage 'induced_closure_map': pushed map failed verification: [(1, 0, 2)]\n"

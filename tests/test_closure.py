@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 
@@ -11,6 +10,7 @@ from trispcat.accat import (
     poset_from_relation,
 )
 from trispcat.closure import (
+    ClosureVerifyReport,
     TrispClosureMap,
     check_matching_acyclic,
     closure_matching,
@@ -134,9 +134,11 @@ def _other_map(report, t):
 
 
 def _contained_off_by_one(report, t):
-    return dataclasses.replace(report, contained=report.contained + 1), (
-        "matching rules disagree in size"
+    tampered = ClosureVerifyReport(
+        report.ok, report.failures, report.contained + 1, report.extended, report.partners,
+        report.targets,
     )
+    return tampered, "matching rules disagree in size"
 
 
 @pytest.mark.parametrize("tamper", [_swap_partner, _other_map, _contained_off_by_one])

@@ -1,6 +1,9 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -22,15 +25,45 @@ def test_package_has_no_assert_statement():
     assert found == []
 
 
-def test_only_the_stage_clock_imports_time():
-    # no result may depend on a clock; graphs._StageClock only times stages
-    importers = {
+def _importers(module):
+    """File names of the package modules that import `module`."""
+    return {
         name
         for name, node in _package_nodes()
-        if isinstance(node, ast.Import) and any(alias.name == "time" for alias in node.names)
-        or isinstance(node, ast.ImportFrom) and node.module == "time"
+        if isinstance(node, ast.Import) and any(alias.name == module for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == module
     }
-    assert importers == {"graphs.py"}
+
+
+def test_only_the_stage_clock_imports_time():
+    # no result may depend on a clock; graphs._StageClock only times stages
+    assert _importers("time") == {"graphs.py"}
+
+
+def test_no_package_module_imports_dataclasses():
+    # every CLI call starts a process: importing dataclasses loads inspect,
+    # ast, dis and tokenize, and decorating a class execs generated source
+    assert _importers("dataclasses") == set()
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter, so that what the test run has loaded does not count
+    src = str(Path(__file__).parents[1] / "src")
+    probe = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys; before = set(sys.modules); import trispcat, trispcat.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))",
+        ],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(probe.stdout.split())
+    assert "trispcat.cli" in loaded
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy"}
+    assert loaded & heavy == set()
 
 
 def test_no_quotient_piece_is_an_optional_parameter():
@@ -90,36 +123,71 @@ def test_every_public_definition_is_used_in_the_package():
     assert unused == []
 
 
-def _is_dataclass(node):
-    return any(
-        isinstance(d, ast.Name) and d.id == "dataclass"
-        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
-        for d in node.decorator_list
-    )
+def _stored_fields():
+    """Class.attr for every attribute a package class's __init__ stores on self.
+
+    errors.py is left out: exception attributes serve handlers.
+    """
+    return [
+        f"{cls.name}.{n.attr}"
+        for name, module in _modules()
+        if name != "errors.py"
+        for cls in module.body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+        for n in ast.walk(item)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name) and n.value.id == "self"
+    ]
+
+
+# every field of the package's 26 record classes: 93 in all
+RECORD_FIELDS = {
+    "CategoryReport": "self_loops cycle missing_compositions bad_endpoints associativity_failures",
+    "ClosureReport": "monotone idempotent descending ascending witnesses",
+    "TrispClosureMap": "blue red mapping convention",
+    "ClosureVerifyReport": "ok failures contained extended partners",
+    "CollapseCertificate": "steps final euler",
+    "EquivarianceReport": "map_equivariant blue_closed red_closed witnesses",
+    "PushedClosureMap": "qt cmap verify_report",
+    "LiftConditionReport": "holds candidates assignment",
+    "QuotientPosetClosure": "cmap verify_report",
+    "GraphComplex": "n edges trisp faces_by_dim index edge_index components closed",
+    "FacePoset": "poset elements position",
+    "PartitionPoset": "n partitions poset index",
+    "Stage": "name seconds info",
+    "PipelineReport": "variant n ok stages certificates",
+    "CatAut": "obj mor",
+    "TrispAut": "dims",
+    "GroupAction": "generators",
+    "QuotientTrisp": "source action trisp projection reps regularity_violations",
+    "OrbitNerve": "poset trisp chains orbit_sizes obj_orbit regularity_violations",
+    "RegularActionReport": "ok witness",
+    "QuotientCategory": "source action category obj_class mor_class obj_members",
+    "CanonicalMap": "nerve_dst entries",
+    "SimplicialFlag": "is_simplicial is_flag_complex",
+    "TrispReport": "identity_violations regularity_violations flags",
+    "Subtrisp": "trisp to_parent",
+    "TrispMatch": "ok mapping witness",
+}
+
+
+def test_the_field_guard_sees_every_record_field():
+    # the guard below reads fields off __init__ stores; a record class that
+    # stopped storing its fields there would drop out of it unseen
+    expected = [f"{cls}.{field}" for cls, names in RECORD_FIELDS.items() for field in names.split()]
+    assert len(expected) == 93
+    assert sorted(set(expected) - set(_stored_fields())) == []
 
 
 def test_every_public_field_is_read_in_the_package():
     # a stored value nothing in the package reads is dead weight that its
-    # owner keeps alive; exception attributes (errors.py) serve handlers.
-    # Reads are matched by attribute name alone, so an unread field passes
-    # when another attribute of its name is read: a stored CanonicalMap.qt
-    # would pass through PushedClosureMap.qt, and Nerve.category through
-    # Poset.category.
-    fields = []
-    for name, module in _modules():
-        if name == "errors.py":
-            continue
-        for cls in (node for node in module.body if isinstance(node, ast.ClassDef)):
-            for item in cls.body:
-                if _is_dataclass(cls) and isinstance(item, ast.AnnAssign):
-                    fields.append(f"{cls.name}.{item.target.id}")
-                if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__post_init__"):
-                    fields += [
-                        f"{cls.name}.{n.attr}"
-                        for n in ast.walk(item)
-                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
-                        and isinstance(n.value, ast.Name) and n.value.id == "self"
-                    ]
+    # owner keeps alive.  Reads are matched by attribute name alone, so an
+    # unread field passes when another attribute of its name is read: a
+    # stored CanonicalMap.qt would pass through PushedClosureMap.qt, and
+    # Nerve.category through Poset.category.
+    fields = _stored_fields()
     read = {
         node.attr
         for _name, module in _modules()
