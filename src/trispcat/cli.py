@@ -191,7 +191,7 @@ def cmd_closure(args):
     qt = symmetry.quotient_trisp(t, _load_trisp_action(_load(args.action), t))
     if sub == "push":
         try:
-            pushed = equivariant.push_closure_map(qt, cmap)
+            pushed, report = equivariant.push_closure_map(qt, cmap)
         except PreconditionError as exc:
             _emit(args, {"ok": False, "error": str(exc)})
             return 1
@@ -199,9 +199,9 @@ def cmd_closure(args):
             args,
             {
                 "ok": True,
-                "quotient": pushed.qt.trisp.to_json(),
-                "map": pushed.cmap.to_json(),
-                "verify": pushed.verify_report.to_json(),
+                "quotient": qt.trisp.to_json(),
+                "map": pushed.to_json(),
+                "verify": report.to_json(),
             },
         )
         return 0
@@ -240,13 +240,10 @@ def cmd_dgn(args):
     if args.verb == "pipeline":
         if args.format == "dot":
             raise InputError("dgn pipeline has no dot format")
-        variant = args.pipeline or "61"
-        if variant in ("61", "trisp"):
-            report, _cert = graphs.pipeline_quotient_trisp(args.n)
-        elif variant in ("62", "category"):
+        if args.pipeline == "62":
             report, _steps = graphs.pipeline_quotient_category(args.n)
         else:
-            raise InputError(f"unknown pipeline {variant!r} (use 61 or 62)")
+            report, _cert = graphs.pipeline_quotient_trisp(args.n)
         _emit(args, report.to_json())
         return 0 if report.ok else 1
     raise InputError(f"unknown dgn subcommand {args.verb!r}")
@@ -283,7 +280,7 @@ def build_parser():
     p = sub.add_parser("dgn", help="disconnected graph complexes and pipelines")
     p.add_argument("verb", choices=["build", "pipeline"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pipeline", help="61 or 62")
+    p.add_argument("--pipeline", choices=["61", "62"], help="61 (the default) or 62")
     p.add_argument("--output")
     p.add_argument("--format", choices=["json", "dot"], default="json")
 
@@ -291,8 +288,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse wrote its usage error (code 2) or help (0)
+        return exc.code
     handlers = {
         "validate": cmd_validate,
         "nerve": cmd_nerve,

@@ -1,16 +1,18 @@
 """Transfer of closure maps across quotients.
 
 Pushing forward: an equivariant closure map on a trisp with a quotient-
-regular action descends to the orbit trisp.  Lifting: a closure map on the
-quotient lifts back exactly when each blue vertex has a unique red partner
-in the right orbit (and the trisp is an honest simplicial complex).
-Finally, a poset quotient need not be a poset, but the quotient of a
-one-sided equivariant closure operator still induces a closure map on the
-nerve of the quotient category.
+regular action descends to the orbit trisp.  One function, `push_to_orbits`,
+builds every pushed map: for a trisp quotient, for pipeline 61's orbit nerve
+and for a poset quotient.  Lifting: a closure map on the quotient lifts back
+exactly when each blue vertex has a unique red partner in the right orbit
+(and the trisp is an honest simplicial complex).  Finally, a poset quotient
+need not be a poset, but the quotient of a one-sided equivariant closure
+operator still induces a closure map on the nerve of the quotient category:
+the push of the map the operator induces on the nerve of the poset.
 """
 
 from .accat import check_closure_operator, subposet
-from .closure import TrispClosureMap, verify_trisp_closure_map
+from .closure import TrispClosureMap, induced_trisp_closure_map, verify_trisp_closure_map
 from .errors import PreconditionError, SoundnessError
 from .symmetry import check_regular_action, close_group, quotient_category
 from .trisp import compute_simplicial_flag, induced_subtrisp, trisps_equal_over_vertices
@@ -52,21 +54,32 @@ def check_equivariant(action, cmap):
     return EquivarianceReport(map_eq, blue_closed, red_closed, witnesses)
 
 
-class PushedClosureMap:
-    def __init__(self, qt, cmap, verify_report):
-        self.qt = qt  # QuotientTrisp
-        self.cmap = cmap  # TrispClosureMap
-        self.verify_report = verify_report  # of the pushed map on the orbit trisp
+def push_to_orbits(t, orbit, least, cmap):
+    """(the pushed map, its report on `t`) of a closure map on the vertices upstairs.
+
+    `t` is the orbit trisp, `orbit[v]` the orbit of the vertex v upstairs and
+    `least[o]` the least vertex of the orbit o.  An orbit is blue or red as
+    its vertices are, and a blue orbit goes to the orbit of the image of its
+    least vertex.  The caller judges the report.
+    """
+    blue = frozenset(orbit[b] for b in cmap.blue)
+    red = frozenset(orbit[r] for r in cmap.red)
+    if blue & red:
+        raise SoundnessError("blue and red orbits overlap despite closedness")
+    mapping = {o: orbit[cmap.mapping[least[o]]] for o in sorted(blue)}
+    pushed = TrispClosureMap(blue, red, mapping, cmap.convention)
+    return pushed, verify_trisp_closure_map(t, pushed)
 
 
 def push_closure_map(qt, cmap):
-    """Quotient of an equivariant closure map on `qt.source`; verified on the orbit trisp.
+    """(the pushed map, its report) of an equivariant closure map on `qt.source`.
 
     Preconditions checked in order: the action satisfies the quotient-
     regularity condition, the map verifies on the source, and it is
-    equivariant with blue/red closed.
+    equivariant with blue/red closed.  The pushed map must verify on the
+    orbit trisp.
 
-    Pipeline 61 pushes through `push_to_orbit_nerve` instead and never
+    Pipeline 61 calls `push_to_orbits` on its orbit nerve instead and never
     verifies upstairs, because there the check cannot fail.  Its map is
     induced by an operator f that `check_closure_operator` found monotone,
     idempotent and ascending (convention max).  Let σ be a chain with a
@@ -85,33 +98,12 @@ def push_closure_map(qt, cmap):
     eq = check_equivariant(qt.action, cmap)
     if not eq.ok:
         raise PreconditionError(f"equivariance fails: {eq.witnesses[:3]}")
-    proj0 = qt.projection[0] if qt.projection else ()
-    blue = frozenset(proj0[b] for b in cmap.blue)
-    red = frozenset(proj0[r] for r in cmap.red)
-    if blue & red:
-        raise SoundnessError("blue and red orbits overlap despite closedness")
-    mapping = {orbit: proj0[cmap.mapping[qt.reps[0][orbit]]] for orbit in sorted(blue)}
-    pushed = TrispClosureMap(blue, red, mapping, cmap.convention)
-    report = verify_trisp_closure_map(qt.trisp, pushed)
+    # the empty trisp has no dimensions
+    orbit, least = (qt.projection[0], qt.reps[0]) if qt.projection else ((), ())
+    pushed, report = push_to_orbits(qt.trisp, orbit, least, cmap)
     if not report.ok:
         raise SoundnessError(f"pushed map failed verification: {report.failures[:3]}")
-    return PushedClosureMap(qt, pushed, report)
-
-
-def push_to_orbit_nerve(on, cmap):
-    """(the pushed map, its report) of an equivariant closure map on the nerve of `on.poset`.
-
-    `on` is an `orbit_nerve`.  The map's vertices are the poset's objects;
-    a vertex orbit is blue or red as its objects are, and a blue orbit goes
-    to the orbit of the image of its least object.  The pushed map is
-    verified on the orbit trisp, and the report says whether it passed.
-    """
-    orbit = on.obj_orbit
-    blue = frozenset(orbit[b] for b in cmap.blue)
-    red = frozenset(orbit[r] for r in cmap.red)
-    mapping = {o: orbit[cmap.mapping[on.chains[0][o][0]]] for o in sorted(blue)}
-    pushed = TrispClosureMap(blue, red, mapping, cmap.convention)
-    return pushed, verify_trisp_closure_map(on.trisp, pushed)
+    return pushed, report
 
 
 class LiftConditionReport:
@@ -192,8 +184,8 @@ def lift_closure_map(qt, psi):
     if not psi_report.ok:
         raise PreconditionError("psi does not verify on the quotient")
     lift = lift_candidate(qt, psi)
-    pushed = push_closure_map(qt, lift)  # verifies the lift on the source
-    if pushed.cmap != psi:
+    pushed, _report = push_closure_map(qt, lift)  # verifies the lift on the source
+    if pushed != psi:
         raise SoundnessError("push of the lift does not recover the original map")
     return lift
 
@@ -246,37 +238,25 @@ def check_image_subtrisp_equality(p, f, qc):
     return trisps_equal_over_vertices(sub_qc.nerve.trisp, sub.trisp, vertex_map)
 
 
-class QuotientPosetClosure:
-    def __init__(self, cmap, verify_report):
-        self.cmap = cmap  # TrispClosureMap
-        self.verify_report = verify_report
-
-
 def quotient_poset_closure_map(p, f, qc):
-    """Closure map on the nerve of the quotient `qc` of `p`, from an equivariant operator.
+    """(the closure map, its report) on the nerve of the quotient `qc` of `p`.
 
-    Red classes are those meeting the operator image, the map sends a blue
-    class to the class of the operator image of any member, and the
-    convention follows the operator direction.  The result is verified.
+    The closure map that an equivariant one-sided operator induces on the
+    nerve of `p`, pushed to the classes: red classes are those meeting the
+    operator image, a blue class goes to the class of the operator image of
+    each of its members, and the convention follows the operator direction.
+    The caller judges the report.
     """
     if qc.source is not p.category:
         raise PreconditionError("the quotient is not a quotient of this poset")
     report = check_closure_operator(p, f)
-    direction = report.direction()
-    if direction is None:
+    if report.direction() is None:
         raise PreconditionError("operator is not a one-sided closure operator")
     if _poset_action_is_equivariant(p, qc.action, f) is not None:
         raise PreconditionError("operator is not equivariant")
-    image = set(f)
-    red = frozenset(qc.obj_class[x] for x in image)
-    blue = frozenset(range(qc.category.n_objects)) - red
-    mapping = {}
-    for cls in blue:
-        members = qc.obj_members[cls]
-        images = {qc.obj_class[f[x]] for x in members}
-        if len(images) != 1:
-            raise SoundnessError("operator image is not constant on classes")
-        mapping[cls] = images.pop()
-    cmap = TrispClosureMap(blue, red, mapping, "min" if direction == "descending" else "max")
-    verify = verify_trisp_closure_map(qc.nerve.trisp, cmap)
-    return QuotientPosetClosure(cmap, verify)
+    cmap = induced_trisp_closure_map(p, f, report)
+    least = [members[0] for members in qc.obj_members]
+    pushed, verify = push_to_orbits(qc.nerve.trisp, qc.obj_class, least, cmap)
+    if any(qc.obj_class[f[x]] != pushed.mapping[qc.obj_class[x]] for x in cmap.blue):
+        raise SoundnessError("operator image is not constant on classes")
+    return pushed, verify

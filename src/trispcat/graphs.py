@@ -27,7 +27,7 @@ from .equivariant import (
     _poset_action_is_equivariant,
     check_image_subtrisp_equality,
     image_quotient_nerve,
-    push_to_orbit_nerve,
+    push_to_orbits,
     quotient_poset_closure_map,
 )
 from .errors import InputError, PipelineError, SoundnessError
@@ -35,7 +35,6 @@ from .nerve import chain_counts
 from .symmetry import GroupAction, close_group, orbit_nerve, quotient_category
 from .trisp import (
     euler_characteristic,
-    induced_subtrisp,
     reverse_trisp,
     simplicial_from_faces,
     trisps_equal_over_vertices,
@@ -437,7 +436,7 @@ def pipeline_quotient_trisp(n):
     clock.done("regularity_condition")
 
     cmap = induced_trisp_closure_map(fp.poset, f, cls)
-    pushed, verify = push_to_orbit_nerve(qt, cmap)
+    pushed, verify = push_to_orbits(qt.trisp, qt.obj_orbit, [c[0] for c in qt.chains[0]], cmap)
     if not verify.ok:
         clock.fail("induced_closure_map", f"pushed map failed verification: {verify.failures[:3]}")
     # the orbits with a partner are the extended ones, each standing for its chains
@@ -504,12 +503,12 @@ def pipeline_quotient_category(n):
         nerve_counts=list(nerve_q.trisp.counts),
     )
 
-    qp = quotient_poset_closure_map(fp.poset, f, qc)
-    if not qp.verify_report.ok:
-        clock.fail("quotient_closure_map", str(qp.verify_report.failures[:3]))
-    clock.done("quotient_closure_map", blue=len(qp.cmap.blue), red=len(qp.cmap.red))
+    qmap, qverify = quotient_poset_closure_map(fp.poset, f, qc)
+    if not qverify.ok:
+        clock.fail("quotient_closure_map", str(qverify.failures[:3]))
+    clock.done("quotient_closure_map", blue=len(qmap.blue), red=len(qmap.red))
 
-    cert = full_collapse_audit(nerve_q.trisp, qp.cmap, qp.verify_report)
+    cert = full_collapse_audit(nerve_q.trisp, qmap, qverify)
     clock.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
     match52 = check_image_subtrisp_equality(fp.poset, f, qc)
@@ -553,10 +552,10 @@ def pipeline_quotient_category(n):
     match_mirror = trisps_equal_over_vertices(pn_q.trisp, reverse_trisp(sub_qc.nerve.trisp), vmap2)
     if not match_mirror.ok:
         clock.fail("stitch", f"partition nerve mismatch: {match_mirror.witness}")
-    red_classes = sorted({qc.obj_class[x] for x in image})
-    sub = induced_subtrisp(nerve_q.trisp, set(red_classes))
+    # the collapse ends on the red subtrisp, the classes meeting the image
+    sub = cert.final
     vmap52 = [None] * sub_qc.nerve.trisp.n(0)
-    red_pos = {c: i for i, c in enumerate(red_classes)}
+    red_pos = {c: i for i, c in enumerate(sub.to_parent[0])}
     for i, x in enumerate(keep):
         vmap52[sub_qc.obj_class[i]] = red_pos[qc.obj_class[x]]
     match52b = trisps_equal_over_vertices(sub_qc.nerve.trisp, sub.trisp, vmap52)

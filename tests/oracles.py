@@ -24,7 +24,9 @@ Inverses and identity tests of group elements live here too, with the small
 constructions only tests read: the test x <= y in a poset, chain posets,
 opposite categories, the functor an order-preserving map of a poset
 induces, functor checks, nerves of functors, class coherence of an
-operator, lifts through the canonical map, and a matching turned from
+operator, the closure map on a poset quotient built class by class, as it
+was before the library pushed the operator's own map to the classes, lifts
+through the canonical map, and a matching turned from
 pairs into the partner arrays the library collapses and back.
 """
 
@@ -48,6 +50,7 @@ from trispcat.accat import (
 from trispcat.closure import (
     ClosureVerifyReport,
     CollapseCertificate,
+    TrispClosureMap,
     check_matching_acyclic,
 )
 from trispcat.equivariant import image_quotient_nerve
@@ -609,6 +612,28 @@ def check_operator_class_coherence(p, action, f):
         if len(tags_img) > 1:
             witnesses.append(("image-quotient", members, tuple(sorted(tags_img))))
     return (not witnesses), witnesses
+
+
+def quotient_poset_closure_oracle(p, f, qc):
+    """The closure map on the nerve of the quotient `qc` of `p`, class by class.
+
+    Red classes are those meeting the image of the one-sided operator `f`,
+    the other classes are blue, and each blue class goes to the class of the
+    image of its members, which must agree.  As `quotient_poset_closure_map`
+    built it before it pushed the map `f` induces on the nerve of `p`.
+    """
+    direction = check_closure_operator(p, f).direction()
+    if direction is None:
+        raise PreconditionError("operator is not a one-sided closure operator")
+    red = frozenset(qc.obj_class[x] for x in set(f))
+    blue = frozenset(range(qc.category.n_objects)) - red
+    mapping = {}
+    for cls in blue:
+        images = {qc.obj_class[f[x]] for x in qc.obj_members[cls]}
+        if len(images) != 1:
+            raise SoundnessError("operator image is not constant on classes")
+        mapping[cls] = images.pop()
+    return TrispClosureMap(blue, red, mapping, "min" if direction == "descending" else "max")
 
 
 def class_members(classes):

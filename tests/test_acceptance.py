@@ -215,8 +215,8 @@ def test_criterion_04_pushforward_verifies(equivariant_corpus):
             cmap = induced_trisp_closure_map(p, f, rep)
             eq = check_equivariant(tact, cmap)
             assert eq.ok
-            pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
-            assert pushed.verify_report.ok
+            _pushed, report = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
+            assert report.ok
             pushed_count += 1
     assert pushed_count >= 861  # at least the trivial action covers every operator
 
@@ -231,16 +231,16 @@ def test_criterion_05_poset_quotient_transfer(equivariant_corpus, dgn4_bundle):
             ok, witnesses = check_operator_class_coherence(p, action, f)
             assert ok, witnesses
             assert check_image_subtrisp_equality(p, f, quotient_category(p.category, action)).ok
-            result = quotient_poset_closure_map(p, f, quotient_category(p.category, action))
-            assert result.verify_report.ok
+            _qmap, report = quotient_poset_closure_map(p, f, quotient_category(p.category, action))
+            assert report.ok
 
     fp, f, act = dgn4_bundle["fp"], dgn4_bundle["f"], dgn4_bundle["act"]
     ok, witnesses = check_operator_class_coherence(fp.poset, act, f)
     assert ok, witnesses
     qc = quotient_category(fp.category, act)
     assert check_image_subtrisp_equality(fp.poset, f, qc).ok
-    result = quotient_poset_closure_map(fp.poset, f, qc)
-    assert result.verify_report.ok
+    _qmap, report = quotient_poset_closure_map(fp.poset, f, qc)
+    assert report.ok
 
     elapsed = time.perf_counter() - t0
     report_pass(5, "class coherence, image equality, quotient closure maps", elapsed)
@@ -270,14 +270,14 @@ def test_criterion_06_every_verified_map_collapses(poset_corpus, two_edges_z2, d
 
     _p, nv, _cat, tact, cmap = two_edges_z2
     audit(nv.trisp, cmap)
-    pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
-    audit(pushed.qt.trisp, pushed.cmap)
+    qt = quotient_trisp(nv.trisp, tact)
+    audit(qt.trisp, push_closure_map(qt, cmap)[0])
 
     fp, f, bd, tact4 = dgn4_bundle["fp"], dgn4_bundle["f"], dgn4_bundle["bd"], dgn4_bundle["tact"]
     cmap4 = induced_trisp_closure_map(fp.poset, f, dgn4_bundle["closure_report"])
     audit(bd.trisp, cmap4)
-    pushed4 = push_closure_map(quotient_trisp(bd.trisp, tact4), cmap4)
-    audit(pushed4.qt.trisp, pushed4.cmap)
+    qt4 = quotient_trisp(bd.trisp, tact4)
+    audit(qt4.trisp, push_closure_map(qt4, cmap4)[0])
 
     assert audited == 861 + 4
 

@@ -265,6 +265,14 @@ def test_unknown_pipeline_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("alias", ["trisp", "category"])
+def test_pipeline_takes_only_61_or_62(capsys, alias):
+    assert main(["dgn", "pipeline", "--n", "3", "--pipeline", alias]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --pipeline: invalid choice: '{alias}'" in captured.err
+
+
 def test_pipeline_61_refuses_n6_before_building(capsys):
     assert main(["dgn", "pipeline", "--n", "6", "--pipeline", "61"]) == 2
     assert "pipeline 61 runs for n <= 5" in capsys.readouterr().err

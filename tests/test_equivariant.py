@@ -3,8 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trispcat import equivariant
 from trispcat.accat import check_closure_operator, poset_from_relation
-from trispcat.closure import TrispClosureMap, full_collapse_audit, verify_trisp_closure_map
+from trispcat.closure import (
+    ClosureVerifyReport,
+    TrispClosureMap,
+    full_collapse_audit,
+    verify_trisp_closure_map,
+)
 from trispcat.equivariant import (
     check_equivariant,
     check_image_subtrisp_equality,
@@ -12,21 +18,27 @@ from trispcat.equivariant import (
     lift_candidate,
     lift_closure_map,
     push_closure_map,
+    push_to_orbits,
     quotient_poset_closure_map,
 )
-from trispcat.errors import PreconditionError
+from trispcat.errors import PreconditionError, SoundnessError
+from trispcat.graphs import build_dgn, face_poset, face_poset_action, transitive_closure_operator
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
+    GroupAction,
+    TrispAut,
     induced_trisp_action,
     quotient_category,
     quotient_trisp,
     trivial_cat_action,
     trivial_trisp_action,
 )
+from trispcat.trisp import Trisp
 
 from oracles import (
     check_operator_class_coherence,
     monotone_idempotent_maps,
+    quotient_poset_closure_oracle,
     random_action,
     random_poset,
 )
@@ -55,23 +67,58 @@ def test_equivariance_witness_for_skewed_map(two_edges_z2):
 def test_push_trivial_group_keeps_map(two_edges_z2):
     _p, nv, _cat, _tact, cmap = two_edges_z2
     triv = trivial_trisp_action(nv.trisp)
-    pushed = push_closure_map(quotient_trisp(nv.trisp, triv), cmap)
-    assert pushed.cmap.blue == cmap.blue and pushed.cmap.mapping == cmap.mapping
+    pushed, _report = push_closure_map(quotient_trisp(nv.trisp, triv), cmap)
+    assert pushed.blue == cmap.blue and pushed.mapping == cmap.mapping
 
 
 def test_push_two_edge_fixture(two_edges_z2):
     _p, nv, _cat, tact, cmap = two_edges_z2
-    pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
-    assert pushed.qt.trisp.counts == (2, 1)
-    assert pushed.verify_report.ok
-    assert pushed.cmap.convention == "min"
+    qt = quotient_trisp(nv.trisp, tact)
+    pushed, report = push_closure_map(qt, cmap)
+    assert qt.trisp.counts == (2, 1)
+    assert report.ok
+    assert pushed == TrispClosureMap(frozenset({1}), frozenset({0}), {1: 0}, "min")
+
+
+def test_push_requires_a_regular_action():
+    digon = Trisp((2, 2), [[(1, 0), (0, 1)]])
+    qt = quotient_trisp(digon, GroupAction((TrispAut(((1, 0), (1, 0))),)))
+    cmap = TrispClosureMap(frozenset({1}), frozenset({0}), {1: 0}, "min")
+    with pytest.raises(PreconditionError, match="quotient-regularity fails"):
+        push_closure_map(qt, cmap)
+
+
+def test_push_requires_the_map_to_verify_upstairs(two_edges_z2):
+    _p, nv, _cat, tact, _cmap = two_edges_z2
+    # 3 -> 0 is no edge, and the map is not equivariant either
+    skew = TrispClosureMap(frozenset({1, 3}), frozenset({0, 2}), {1: 0, 3: 0}, "min")
+    with pytest.raises(PreconditionError, match="map does not verify upstairs"):
+        push_closure_map(quotient_trisp(nv.trisp, tact), skew)
 
 
 def test_push_requires_equivariance(two_edges_z2):
     _p, nv, _cat, tact, _cmap = two_edges_z2
-    skew = TrispClosureMap(frozenset({1, 3}), frozenset({0, 2}), {1: 0, 3: 0}, "min")
-    with pytest.raises(PreconditionError):
-        push_closure_map(quotient_trisp(nv.trisp, tact), skew)
+    # verifies on the two edges, but the swap takes the blue b1 to the red b2
+    one_sided = TrispClosureMap(frozenset({1}), frozenset({0, 2, 3}), {1: 0}, "min")
+    assert verify_trisp_closure_map(nv.trisp, one_sided).ok
+    with pytest.raises(PreconditionError, match=r"equivariance fails: \[\('blue-not-closed', 0, 1\)"):
+        push_closure_map(quotient_trisp(nv.trisp, tact), one_sided)
+
+
+def test_push_refuses_a_pushed_map_that_does_not_verify(two_edges_z2, monkeypatch):
+    _p, nv, _cat, tact, cmap = two_edges_z2
+    push = equivariant.push_to_orbits
+    failing = ClosureVerifyReport(False, [(0, 1, 2)], 0, 0, [], [])
+    monkeypatch.setattr(equivariant, "push_to_orbits", lambda *args: (push(*args)[0], failing))
+    with pytest.raises(SoundnessError, match=r"pushed map failed verification: \[\(0, 1, 2\)\]"):
+        push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
+
+
+def test_push_to_orbits_refuses_an_orbit_with_blue_and_red_vertices(two_edges_z2):
+    _p, nv, _cat, _tact, cmap = two_edges_z2
+    # r1 and b1 put in one orbit, which no action closed on blue and red does
+    with pytest.raises(SoundnessError, match="blue and red orbits overlap despite closedness"):
+        push_to_orbits(nv.trisp, (0, 0, 1, 1), (0, 2), cmap)
 
 
 def test_lift_condition_trivial_group(two_edges_z2):
@@ -92,8 +139,8 @@ def test_lift_condition_double_filled(double_filled):
 
 def test_lift_two_edge_fixture_roundtrip(two_edges_z2):
     _p, nv, _cat, tact, cmap = two_edges_z2
-    pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
-    lifted = lift_closure_map(pushed.qt, pushed.cmap)
+    qt = quotient_trisp(nv.trisp, tact)
+    lifted = lift_closure_map(qt, push_closure_map(qt, cmap)[0])
     assert lifted.mapping == dict(cmap.mapping)
     assert lifted.blue == cmap.blue
 
@@ -136,23 +183,20 @@ def test_quotient_poset_closure_trivial_group_reduces_to_induced(chain3):
 
     f = (0, 1, 1)
     trivial = quotient_category(chain3.category, trivial_cat_action(chain3.category))
-    result = quotient_poset_closure_map(chain3, f, trivial)
-    direct = induced_trisp_closure_map(chain3, f)
-    assert result.cmap.blue == direct.blue
-    assert result.cmap.mapping == dict(direct.mapping)
-    assert result.cmap.convention == direct.convention
-    assert result.verify_report.ok
+    qmap, report = quotient_poset_closure_map(chain3, f, trivial)
+    assert qmap == induced_trisp_closure_map(chain3, f)
+    assert report.ok
 
 
 def test_quotient_poset_closure_two_edges(two_edges_z2):
     p, _nv, cat_action, _tact, _cmap = two_edges_z2
     f = (0, 0, 2, 2)
     qc = quotient_category(p.category, cat_action)
-    result = quotient_poset_closure_map(p, f, qc)
-    assert result.verify_report.ok
+    qmap, report = quotient_poset_closure_map(p, f, qc)
+    assert report.ok
     assert qc.category.n_objects == 2
-    assert result.cmap.convention == "min"
-    cert = full_collapse_audit(qc.nerve.trisp, result.cmap)
+    assert qmap.convention == "min"
+    cert = full_collapse_audit(qc.nerve.trisp, qmap)
     assert cert.final.trisp.counts == (1,)
 
 
@@ -163,6 +207,62 @@ def test_poset_transfers_reject_a_quotient_of_another_poset(chain3):
     for transfer in (quotient_poset_closure_map, check_image_subtrisp_equality):
         with pytest.raises(PreconditionError, match="not a quotient of this poset"):
             transfer(chain3, f, qc)
+
+
+def test_quotient_poset_closure_map_requires_a_one_sided_operator(two_edges_z2):
+    p, _nv, cat_action, _tact, _cmap = two_edges_z2
+    qc = quotient_category(p.category, cat_action)
+    # monotone and idempotent, but it raises r1 and lowers b2; it is not
+    # equivariant either, and the one-sided check comes first
+    with pytest.raises(PreconditionError, match="operator is not a one-sided closure operator"):
+        quotient_poset_closure_map(p, (1, 1, 2, 2), qc)
+
+
+def test_quotient_poset_closure_map_requires_an_equivariant_operator(two_edges_z2):
+    p, _nv, cat_action, _tact, _cmap = two_edges_z2
+    qc = quotient_category(p.category, cat_action)
+    # descending, but it lowers b1 and fixes its image b2 under the swap
+    with pytest.raises(PreconditionError, match="operator is not equivariant"):
+        quotient_poset_closure_map(p, (0, 0, 2, 3), qc)
+
+
+def test_quotient_poset_closure_map_refuses_an_image_that_leaves_a_class(chain3, monkeypatch):
+    # an induced map that sends 1 to 2 while the operator sends it to 0
+    trivial = quotient_category(chain3.category, trivial_cat_action(chain3.category))
+    skewed = TrispClosureMap(frozenset({1}), frozenset({0, 2}), {1: 2}, "min")
+    monkeypatch.setattr(equivariant, "induced_trisp_closure_map", lambda p, f, report: skewed)
+    with pytest.raises(SoundnessError, match="operator image is not constant on classes"):
+        quotient_poset_closure_map(chain3, (0, 0, 2), trivial)
+
+
+def _assert_push_matches_the_class_by_class_map(p, f, qc):
+    qmap, report = quotient_poset_closure_map(p, f, qc)
+    reference = quotient_poset_closure_oracle(p, f, qc)
+    assert (qmap.blue, qmap.red, qmap.mapping, qmap.convention) == (
+        reference.blue, reference.red, reference.mapping, reference.convention
+    )
+    assert report.ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=5_000))
+def test_quotient_poset_closure_map_is_the_class_by_class_map_random(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, max_n=5)
+    action = random_action(rng, p, max_order=6)
+    qc = quotient_category(p.category, action)
+    for f, _report in _equivariant_one_sided_operators(p, action)[:6]:
+        _assert_push_matches_the_class_by_class_map(p, f, qc)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_quotient_poset_closure_map_is_the_class_by_class_map_on_dgn(n):
+    k = build_dgn(n)
+    fp = face_poset(k)
+    f = transitive_closure_operator(k, fp)
+    _assert_push_matches_the_class_by_class_map(
+        fp.poset, f, quotient_category(fp.category, face_poset_action(k, fp))
+    )
 
 
 def _equivariant_one_sided_operators(p, action):
@@ -191,15 +291,16 @@ def test_push_and_sectionwise_checks_random(seed):
         from trispcat.closure import induced_trisp_closure_map
 
         cmap = induced_trisp_closure_map(p, f, report)
-        pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
-        assert pushed.verify_report.ok
+        qt = quotient_trisp(nv.trisp, tact)
+        pushed, report = push_closure_map(qt, cmap)
+        assert report.ok
         ok, witnesses = check_operator_class_coherence(p, action, f)
         assert ok, witnesses
         assert check_image_subtrisp_equality(p, f, quotient_category(p.category, action)).ok
-        result = quotient_poset_closure_map(p, f, quotient_category(p.category, action))
-        assert result.verify_report.ok
+        _qmap, report = quotient_poset_closure_map(p, f, quotient_category(p.category, action))
+        assert report.ok
         # round trip through the quotient when the nerve is simplicial
-        lifted = lift_closure_map(pushed.qt, pushed.cmap)
+        lifted = lift_closure_map(qt, pushed)
         assert lifted.blue == cmap.blue and lifted.mapping == dict(cmap.mapping)
 
 
@@ -220,8 +321,8 @@ def test_lift_condition_necessity_by_exhaustive_assignment_search():
             from trispcat.closure import induced_trisp_closure_map
 
             cmap = induced_trisp_closure_map(p, f, report)
-            pushed = push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
-            qt, psi = pushed.qt, pushed.cmap
+            qt = quotient_trisp(nv.trisp, tact)
+            psi, _report = push_closure_map(qt, cmap)
             blue = sorted(v for v in range(nv.trisp.n(0)) if qt.projection[0][v] in psi.blue)
             red = sorted(v for v in range(nv.trisp.n(0)) if qt.projection[0][v] in psi.red)
             if not blue or len(red) ** len(blue) > 4000:

@@ -6,7 +6,7 @@ import pytest
 
 from trispcat.accat import check_closure_operator, find_terminal_object, validate_category
 from trispcat.closure import induced_trisp_closure_map, verify_trisp_closure_map
-from trispcat.equivariant import check_equivariant, push_closure_map, push_to_orbit_nerve
+from trispcat.equivariant import check_equivariant, push_closure_map, push_to_orbits
 from trispcat.errors import InputError
 from trispcat.graphs import (
     _lift,
@@ -367,13 +367,14 @@ def test_pipeline_61_pushes_what_the_subdivision_pushes(n, extended):
     cmap = induced_trisp_closure_map(fp.poset, f, check_closure_operator(fp.poset, f))
     bd = nerve(fp.category)
     tact = induced_trisp_action(bd, act)
-    upstairs = push_closure_map(quotient_trisp(bd.trisp, tact), cmap)
-    pushed, verify = push_to_orbit_nerve(orbit_nerve(fp.poset, object_maps(act)), cmap)
+    upstairs, upstairs_report = push_closure_map(quotient_trisp(bd.trisp, tact), cmap)
+    on = orbit_nerve(fp.poset, object_maps(act))
+    pushed, verify = push_to_orbits(on.trisp, on.obj_orbit, [c[0] for c in on.chains[0]], cmap)
     # the same map on the same orbit numbering, with the same report downstairs
     assert (pushed.blue, pushed.red, pushed.mapping, pushed.convention) == (
-        upstairs.cmap.blue, upstairs.cmap.red, upstairs.cmap.mapping, upstairs.cmap.convention
+        upstairs.blue, upstairs.red, upstairs.mapping, upstairs.convention
     )
-    assert verify.to_json() == upstairs.verify_report.to_json()
+    assert verify.to_json() == upstairs_report.to_json()
     # what push_closure_map verifies upstairs, and the closedness it requires
     base = verify_trisp_closure_map(bd.trisp, cmap)
     assert base.ok and base.extended == extended

@@ -142,7 +142,7 @@ def _stored_fields():
     ]
 
 
-# every field of the package's 26 record classes: 93 in all
+# every field of the package's 24 record classes: 88 in all
 RECORD_FIELDS = {
     "CategoryReport": "self_loops cycle missing_compositions bad_endpoints associativity_failures",
     "ClosureReport": "monotone idempotent descending ascending witnesses",
@@ -150,9 +150,7 @@ RECORD_FIELDS = {
     "ClosureVerifyReport": "ok failures contained extended partners",
     "CollapseCertificate": "steps final euler",
     "EquivarianceReport": "map_equivariant blue_closed red_closed witnesses",
-    "PushedClosureMap": "qt cmap verify_report",
     "LiftConditionReport": "holds candidates assignment",
-    "QuotientPosetClosure": "cmap verify_report",
     "GraphComplex": "n edges trisp faces_by_dim index edge_index components closed",
     "FacePoset": "poset elements position",
     "PartitionPoset": "n partitions poset index",
@@ -177,7 +175,7 @@ def test_the_field_guard_sees_every_record_field():
     # the guard below reads fields off __init__ stores; a record class that
     # stopped storing its fields there would drop out of it unseen
     expected = [f"{cls}.{field}" for cls, names in RECORD_FIELDS.items() for field in names.split()]
-    assert len(expected) == 93
+    assert len(expected) == 88
     assert sorted(set(expected) - set(_stored_fields())) == []
 
 
@@ -185,8 +183,7 @@ def test_every_public_field_is_read_in_the_package():
     # a stored value nothing in the package reads is dead weight that its
     # owner keeps alive.  Reads are matched by attribute name alone, so an
     # unread field passes when another attribute of its name is read: a
-    # stored CanonicalMap.qt would pass through PushedClosureMap.qt, and
-    # Nerve.category through Poset.category.
+    # stored Nerve.category would pass through Poset.category.
     fields = _stored_fields()
     read = {
         node.attr
