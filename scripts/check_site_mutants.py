@@ -2,7 +2,7 @@
 """Report the check sites whose deletion no test notices.
 
 A check site is a ``raise SoundnessError(...)``, ``raise PreconditionError(...)``
-or ``clock.fail(...)`` statement in ``src/trispcat``.  For each site the
+or ``report.fail(...)`` statement in ``src/trispcat``.  For each site the
 script makes one mutant, with that statement replaced by ``pass``, and runs
 the tier-1 suite against it, stopping at the first failure.  A mutant that
 passes is a survivor: no test reaches its check.
@@ -40,7 +40,7 @@ def _is_site(node):
         func = node.value.func
         return (
             isinstance(func, ast.Attribute) and func.attr == "fail"
-            and isinstance(func.value, ast.Name) and func.value.id == "clock"
+            and isinstance(func.value, ast.Name) and func.value.id == "report"
         )
     return False
 

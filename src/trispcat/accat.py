@@ -160,7 +160,7 @@ def validate_category(c):
     failures wherever both parenthesizations are defined.
     """
     self_loops = [m for m in range(c.n_morphisms) if c.src[m] == c.tgt[m]]
-    cycle = _find_cycle(c)
+    cycle = directed_cycle(range(c.n_objects), lambda x: sorted({c.tgt[m] for m in c.out[x]} - {x}))
 
     missing = []
     bad_endpoints = []
@@ -181,11 +181,6 @@ def validate_category(c):
             if left is not None and right is not None and left != right:
                 assoc.append((m1, m2, m3))
     return CategoryReport(self_loops, cycle, missing, bad_endpoints, assoc)
-
-
-def _find_cycle(c):
-    """Directed cycle of objects in the morphism digraph, or None."""
-    return directed_cycle(range(c.n_objects), lambda x: sorted({c.tgt[m] for m in c.out[x]} - {x}))
 
 
 def directed_cycle(roots, successors):

@@ -223,6 +223,7 @@ def check_matching_acyclic(t, up):
     """No directed cycle alternating up matched pairs and down face relations.
 
     `up[d][σ]` is the d-simplex σ's matched coface τ in dimension d + 1, or -1.
+    Returns the first such cycle, or None.
     """
     out_edges = {}
     nodes = set()
@@ -237,8 +238,7 @@ def check_matching_acyclic(t, up):
             for f in t.faces(d + 1, tau):
                 if f != s:
                     out_edges.setdefault(coface, []).append((d, f))
-    cycle = directed_cycle(sorted(nodes), lambda node: out_edges.get(node, ()))
-    return cycle is None, cycle
+    return directed_cycle(sorted(nodes), lambda node: out_edges.get(node, ()))
 
 
 class CollapseCertificate:
@@ -314,7 +314,7 @@ def collapse(t, up, red_vertices):
                     queue.append((d - 1, f))
     pairs = sum(len(partner) - partner.count(-1) for partner in up)
     if len(steps) != pairs:
-        _acyclic, cycle = check_matching_acyclic(t, up)
+        cycle = check_matching_acyclic(t, up)
         left = pairs - len(steps)
         raise SoundnessError(f"collapse got stuck with {left} pairs left; cycle: {cycle}")
     final = induced_subtrisp(t, red_vertices)

@@ -18,40 +18,26 @@ from .symmetry import check_regular_action, close_group, quotient_category
 from .trisp import compute_simplicial_flag, induced_subtrisp, trisps_equal_over_vertices
 
 
-class EquivarianceReport:
-    def __init__(self, map_equivariant, blue_closed, red_closed, witnesses):
-        self.map_equivariant = map_equivariant
-        self.blue_closed = blue_closed
-        self.red_closed = red_closed
-        self.witnesses = witnesses
-
-    @property
-    def ok(self):
-        return self.map_equivariant and self.blue_closed and self.red_closed
-
-
 def check_equivariant(action, cmap):
     """φ(gb) = gφ(b), plus blue and red closed under the action.
 
+    Returns the witnesses, empty when all three hold: ("blue-not-closed",
+    gi, b), ("not-equivariant", gi, b) and ("red-not-closed", gi, r).
     Checked on the generators, so witnesses name a generator index: what
     holds for each generator holds for every product of generators.
     """
     witnesses = []
-    map_eq = blue_closed = red_closed = True
     for gi, g in enumerate(action.generators):
         vperm = g.dims[0] if g.dims else ()  # the empty trisp has no dimensions
         for b in sorted(cmap.blue):
             if vperm[b] not in cmap.blue:
-                blue_closed = False
                 witnesses.append(("blue-not-closed", gi, b))
             elif cmap.mapping[vperm[b]] != vperm[cmap.mapping[b]]:
-                map_eq = False
                 witnesses.append(("not-equivariant", gi, b))
         for r in sorted(cmap.red):
             if vperm[r] not in cmap.red:
-                red_closed = False
                 witnesses.append(("red-not-closed", gi, r))
-    return EquivarianceReport(map_eq, blue_closed, red_closed, witnesses)
+    return witnesses
 
 
 def push_to_orbits(t, orbit, least, cmap):
@@ -89,15 +75,15 @@ def push_closure_map(qt, cmap):
     simplex of the nerve on those elements: exactly one extension, which
     is the closure-map condition at σ.
     """
-    regular_report = check_regular_action(qt)
-    if not regular_report.ok:
-        raise PreconditionError(f"quotient-regularity fails: {regular_report.witness}")
+    witness = check_regular_action(qt)
+    if witness is not None:
+        raise PreconditionError(f"quotient-regularity fails: {witness}")
     base_report = verify_trisp_closure_map(qt.source, cmap)
     if not base_report.ok:
         raise PreconditionError(f"map does not verify upstairs: {base_report.failures[:3]}")
-    eq = check_equivariant(qt.action, cmap)
-    if not eq.ok:
-        raise PreconditionError(f"equivariance fails: {eq.witnesses[:3]}")
+    witnesses = check_equivariant(qt.action, cmap)
+    if witnesses:
+        raise PreconditionError(f"equivariance fails: {witnesses[:3]}")
     # the empty trisp has no dimensions
     orbit, least = (qt.projection[0], qt.reps[0]) if qt.projection else ((), ())
     pushed, report = push_to_orbits(qt.trisp, orbit, least, cmap)
@@ -177,9 +163,9 @@ def lift_closure_map(qt, psi):
             "lifting is guaranteed only for abstract simplicial complexes; "
             "use lift_candidate to inspect the forced assignment"
         )
-    rep = check_regular_action(qt)
-    if not rep.ok:
-        raise PreconditionError(f"quotient-regularity fails: {rep.witness}")
+    witness = check_regular_action(qt)
+    if witness is not None:
+        raise PreconditionError(f"quotient-regularity fails: {witness}")
     psi_report = verify_trisp_closure_map(qt.trisp, psi)
     if not psi_report.ok:
         raise PreconditionError("psi does not verify on the quotient")

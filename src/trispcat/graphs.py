@@ -333,49 +333,36 @@ def _lift(group, action):
 # -- pipelines ----------------------------------------------------------------
 
 
-class Stage:
-    def __init__(self, name, seconds, info):
-        self.name = name
-        self.seconds = seconds
-        self.info = info
-
-    def to_json(self):
-        return {"name": self.name, "seconds": round(self.seconds, 4), "info": self.info}
-
-
 class PipelineReport:
-    def __init__(self, variant, n, ok, stages):
+    """A pipeline's stages, each as its JSON and timed from the end of the one before."""
+
+    def __init__(self, variant, n):
         self.variant = variant
         self.n = n
-        self.ok = ok
-        self.stages = stages
+        self.ok = False
+        self.stages = []
         self.certificates = {}
+        self._t0 = time.perf_counter()
+
+    def done(self, name, **info):
+        t1 = time.perf_counter()
+        self.stages.append({"name": name, "seconds": round(t1 - self._t0, 4), "info": info})
+        self._t0 = t1
+
+    def fail(self, name, message):
+        raise PipelineError(name, message)
 
     def to_json(self):
         return {
             "variant": self.variant,
             "n": self.n,
             "ok": self.ok,
-            "stages": [s.to_json() for s in self.stages],
+            "stages": self.stages,
             "certificates": {
                 name: [[list(a), list(b)] for a, b in steps]
                 for name, steps in self.certificates.items()
             },
         }
-
-
-class _StageClock:
-    def __init__(self, report):
-        self.report = report
-        self.t0 = time.perf_counter()
-
-    def done(self, name, **info):
-        t1 = time.perf_counter()
-        self.report.stages.append(Stage(name, t1 - self.t0, info))
-        self.t0 = t1
-
-    def fail(self, name, message):
-        raise PipelineError(name, message)
 
 
 def pipeline_quotient_trisp(n):
@@ -401,44 +388,43 @@ def pipeline_quotient_trisp(n):
     """
     if n > 5:
         raise InputError(f"pipeline 61 runs for n <= 5, got {n}")
-    report = PipelineReport("quotient-trisp", n, False, [])
-    clock = _StageClock(report)
+    report = PipelineReport("quotient-trisp", n)
 
     k = build_dgn(n)
-    clock.done("build_complex", counts=list(k.trisp.counts))
+    report.done("build_complex", counts=list(k.trisp.counts))
     fp = face_poset(k)
     counts = chain_counts(fp.category)
-    clock.done("barycentric", counts=counts)
+    report.done("barycentric", counts=counts)
 
     f = transitive_closure_operator(k, fp)
     cls = check_closure_operator(fp.poset, f)
     if not (cls.monotone and cls.idempotent and cls.ascending):
-        clock.fail("closure_operator", str(cls.to_json()))
+        report.fail("closure_operator", str(cls.to_json()))
     iso_ok, iso_witness, pp = image_partition_isomorphism(k, fp, f)
     if not iso_ok:
-        clock.fail("closure_operator", f"image not isomorphic to partitions at {iso_witness}")
-    clock.done("closure_operator", image_size=len(set(f)))
+        report.fail("closure_operator", f"image not isomorphic to partitions at {iso_witness}")
+    report.done("closure_operator", image_size=len(set(f)))
 
     act = face_poset_action(k, fp)
     witness = _poset_action_is_equivariant(fp.poset, act, f)
     if witness is not None:
-        clock.fail("action", f"operator not equivariant at {witness[0]}")
+        report.fail("action", f"operator not equivariant at {witness[0]}")
     group = _sn_group(n)
-    clock.done("action", order=group.order)
+    report.done("action", order=group.order)
 
     qt = orbit_nerve(fp.poset, _lift(group, act))
     sums = [sum(sizes) for sizes in qt.orbit_sizes]
     if sums != counts:
-        clock.fail("quotient", f"the orbits hold {sums} chains, the subdivision {counts}")
-    clock.done("quotient", counts=list(qt.trisp.counts))
+        report.fail("quotient", f"the orbits hold {sums} chains, the subdivision {counts}")
+    report.done("quotient", counts=list(qt.trisp.counts))
     if qt.regularity_witness is not None:
-        clock.fail("regularity_condition", str(qt.regularity_witness))
-    clock.done("regularity_condition")
+        report.fail("regularity_condition", str(qt.regularity_witness))
+    report.done("regularity_condition")
 
     cmap = induced_trisp_closure_map(fp.poset, f, cls)
     pushed, verify = push_to_orbits(qt.trisp, qt.obj_orbit, [c[0] for c in qt.chains[0]], cmap)
     if not verify.ok:
-        clock.fail("induced_closure_map", f"pushed map failed verification: {verify.failures[:3]}")
+        report.fail("induced_closure_map", f"pushed map failed verification: {verify.failures[:3]}")
     # the orbits with a partner are the extended ones, each standing for its chains
     extended = sum(
         size
@@ -446,10 +432,10 @@ def pipeline_quotient_trisp(n):
         for size, tau in zip(sizes, partners)
         if tau >= 0
     )
-    clock.done("induced_closure_map", extended=extended, verified=verify.ok)
+    report.done("induced_closure_map", extended=extended, verified=verify.ok)
 
     cert = full_collapse_audit(qt.trisp, pushed, verify)
-    clock.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
+    report.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
     # the final subtrisp must be the quotient of the partition-chain complex
     pqt = orbit_nerve(pp.poset, _lift(group, partition_action(pp)))
@@ -459,18 +445,18 @@ def pipeline_quotient_trisp(n):
         vmap.append(pqt.obj_orbit[pp.index[k.components[d][s]]])
     match = trisps_equal_over_vertices(cert.final.trisp, pqt.trisp, vmap)
     if not match.ok:
-        clock.fail("target_equality", str(match.witness))
-    clock.done("target_equality", counts=list(pqt.trisp.counts))
+        report.fail("target_equality", str(match.witness))
+    report.done("target_equality", counts=list(pqt.trisp.counts))
 
     chi = euler_characteristic(cert.final.trisp)
     if chi != 1:
-        clock.fail("endpoint_search", f"final complex has Euler characteristic {chi}")
+        report.fail("endpoint_search", f"final complex has Euler characteristic {chi}")
     steps = search_collapse_to_point(cert.final.trisp)
     if steps is None:
-        clock.fail("endpoint_search", "no sequence of elementary collapses reaches a vertex")
+        report.fail("endpoint_search", "no sequence of elementary collapses reaches a vertex")
     report.certificates["collapse"] = cert.steps
     report.certificates["endpoint"] = steps
-    clock.done("endpoint_search", steps=len(steps))
+    report.done("endpoint_search", steps=len(steps))
 
     report.ok = True
     return report, cert
@@ -483,20 +469,30 @@ def pipeline_quotient_category(n):
     the closure map its equivariant operator induces there, collapses onto
     the nerve of the image quotient, and finishes through the terminal
     object of the partition quotient.  CLI name: pipeline 62.
+
+    The stitch carries the cone collapse into the big nerve through
+    `match_mirror`, from the partition quotient's nerve to the mirror of the
+    image quotient's, and `match52`, the image_subtrisp_equality stage's
+    match from the image quotient's nerve to
+    `induced_subtrisp(nerve_q.trisp, red)`, red the classes meeting the
+    operator image.  That is `cert.final`: the collapse ends on
+    `induced_subtrisp(nerve_q.trisp, qmap.red)`, and `qmap.red`, the
+    operator image pushed to its classes, is the same set.  The stitch
+    builds its image quotient by the same call as the stage, so the
+    numbering `match52` reads is its own.
     """
-    report = PipelineReport("quotient-category", n, False, [])
-    clock = _StageClock(report)
+    report = PipelineReport("quotient-category", n)
 
     k = build_dgn(n)
     fp = face_poset(k)
-    clock.done("build_complex", faces=fp.category.n_objects)
+    report.done("build_complex", faces=fp.category.n_objects)
     f = transitive_closure_operator(k, fp)
     act = face_poset_action(k, fp)
-    clock.done("action", order=_sn_group(n).order)
+    report.done("action", order=_sn_group(n).order)
 
     qc = quotient_category(fp.category, act)
     nerve_q = qc.nerve
-    clock.done(
+    report.done(
         "quotient_category",
         objects=qc.category.n_objects,
         morphisms=qc.category.n_morphisms,
@@ -505,40 +501,40 @@ def pipeline_quotient_category(n):
 
     qmap, qverify = quotient_poset_closure_map(fp.poset, f, qc)
     if not qverify.ok:
-        clock.fail("quotient_closure_map", str(qverify.failures[:3]))
-    clock.done("quotient_closure_map", blue=len(qmap.blue), red=len(qmap.red))
+        report.fail("quotient_closure_map", str(qverify.failures[:3]))
+    report.done("quotient_closure_map", blue=len(qmap.blue), red=len(qmap.red))
 
     cert = full_collapse_audit(nerve_q.trisp, qmap, qverify)
-    clock.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
+    report.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
     match52 = check_image_subtrisp_equality(fp.poset, f, qc)
     if not match52.ok:
-        clock.fail("image_subtrisp_equality", str(match52.witness))
-    clock.done("image_subtrisp_equality")
+        report.fail("image_subtrisp_equality", str(match52.witness))
+    report.done("image_subtrisp_equality")
 
     pp = partition_poset(n, fine_on_top=True)
     pact = partition_action(pp)
     pqc = quotient_category(pp.category, pact)
     expected_objects = len({number_partition(p) for p in pp.partitions})
     if pqc.category.n_objects != expected_objects:
-        clock.fail(
+        report.fail(
             "partition_quotient",
             f"{pqc.category.n_objects} objects, expected {expected_objects}",
         )
     terminal = find_terminal_object(pqc.category)
     if terminal is None:
-        clock.fail("partition_quotient", "no terminal object")
+        report.fail("partition_quotient", "no terminal object")
     rep_partition = pp.partitions[pqc.obj_members[terminal][0]]
     if number_partition(rep_partition) != tuple([2] + [1] * (n - 2)):
-        clock.fail("partition_quotient", f"terminal object is {rep_partition}")
-    clock.done("partition_quotient", objects=pqc.category.n_objects, terminal=terminal)
+        report.fail("partition_quotient", f"terminal object is {rep_partition}")
+    report.done("partition_quotient", objects=pqc.category.n_objects, terminal=terminal)
 
     pn_q = pqc.nerve
     cone = cone_closure_map(pqc.category, terminal)
     cone_cert = full_collapse_audit(pn_q.trisp, cone)
     if cone_cert.final.trisp.counts != (1,):
-        clock.fail("cone_collapse", f"final counts {cone_cert.final.trisp.counts}")
-    clock.done("cone_collapse", steps=len(cone_cert.steps))
+        report.fail("cone_collapse", f"final counts {cone_cert.final.trisp.counts}")
+    report.done("cone_collapse", steps=len(cone_cert.steps))
 
     # stitch the cone collapse back into the big nerve through the two
     # identifications: partition quotient ~ mirror of image quotient ~ red subtrisp
@@ -551,27 +547,18 @@ def pipeline_quotient_category(n):
         vmap2[cls] = sub_qc.obj_class[pos[x]]
     match_mirror = trisps_equal_over_vertices(pn_q.trisp, reverse_trisp(sub_qc.nerve.trisp), vmap2)
     if not match_mirror.ok:
-        clock.fail("stitch", f"partition nerve mismatch: {match_mirror.witness}")
-    # the collapse ends on the red subtrisp, the classes meeting the image
-    sub = cert.final
-    vmap52 = [None] * sub_qc.nerve.trisp.n(0)
-    red_pos = {c: i for i, c in enumerate(sub.to_parent[0])}
-    for i, x in enumerate(keep):
-        vmap52[sub_qc.obj_class[i]] = red_pos[qc.obj_class[x]]
-    match52b = trisps_equal_over_vertices(sub_qc.nerve.trisp, sub.trisp, vmap52)
-    if not match52b.ok:
-        raise SoundnessError(f"image quotient is not the red subtrisp: {match52b.witness}")
+        report.fail("stitch", f"partition nerve mismatch: {match_mirror.witness}")
     translated = []
     for (d, s), (d2, s2) in cone_cert.steps:
-        a = match52b.mapping[d][match_mirror.mapping[d][s]]
-        b = match52b.mapping[d2][match_mirror.mapping[d2][s2]]
-        translated.append(((d, sub.to_parent[d][a]), (d2, sub.to_parent[d2][b])))
+        a = match52.mapping[d][match_mirror.mapping[d][s]]
+        b = match52.mapping[d2][match_mirror.mapping[d2][s2]]
+        translated.append(((d, cert.final.to_parent[d][a]), (d2, cert.final.to_parent[d2][b])))
     full_steps = list(cert.steps) + translated
     remaining = verify_collapse_sequence(nerve_q.trisp, full_steps)
     if len(remaining) != 1 or next(iter(remaining))[0] != 0:
-        clock.fail("stitch", f"stitched collapse leaves {sorted(remaining)[:5]}")
+        report.fail("stitch", f"stitched collapse leaves {sorted(remaining)[:5]}")
     report.certificates["collapse"] = tuple(full_steps)
-    clock.done("stitch", total_steps=len(full_steps))
+    report.done("stitch", total_steps=len(full_steps))
 
     report.ok = True
     return report, full_steps

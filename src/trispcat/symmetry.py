@@ -295,14 +295,14 @@ def orbit_partition(perms, n):
 def check_horizontal(c, action):
     """No morphism joins two distinct objects of one orbit: every orbit is an antichain.
 
-    The witness is (source, target) of the first such morphism.  Generator
+    Returns (source, target) of the first such morphism, or None.  Generator
     orbits suffice: if y = hx and z = kx, then z = (kh⁻¹)y.
     """
     orbit, _reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
     for x, y in zip(c.src, c.tgt):
         if x != y and orbit[x] == orbit[y]:
-            return False, (x, y)
-    return True, None
+            return (x, y)
+    return None
 
 
 def induced_trisp_action(nv, action):
@@ -464,8 +464,8 @@ def orbit_nerve(p, elements):
     return OrbitNerve(p, t, tuple(chains), tuple(sizes), tuple(obj_orbit), violations)
 
 
-class RegularActionReport:
-    """Outcome of the quotient-regularity condition on a trisp action.
+def check_regular_action(qt):
+    """The quotient-regularity condition, read off the orbit trisp `qt`.
 
     The condition: for every group element g and simplex σ, every common
     iterated face of σ and gσ (including σ itself when gσ = σ) is fixed by
@@ -476,23 +476,15 @@ class RegularActionReport:
     moves the common face {w} of σ and gσ.  ⇐: a vertex u of a common face τ has
     g⁻¹u in σ and in u's orbit, so g⁻¹u = u, and g⁻¹τ = τ as both are faces of σ
     on one vertex set.
-    """
-
-    def __init__(self, ok, witness):
-        self.ok = ok
-        self.witness = witness  # (element index, simplex, face, kind), or None
-
-
-def check_regular_action(qt):
-    """The quotient-regularity condition, read off the orbit trisp `qt`.
 
     The generators commute with the boundaries, so the representative σ of the
     first irregular orbit repeats a vertex (PreconditionError) or has vertices
     v ≠ w in one orbit; only then is the group closed, to name a g with gv = w:
-    g moves the common face {w} of σ and gσ.
+    g moves the common face {w} of σ and gσ.  The witness is (element index,
+    simplex, face, kind); None when the condition holds.
     """
     if qt.regular:
-        return RegularActionReport(True, None)
+        return None
     d, orbit = qt.regularity_violations[0]
     sigma = qt.reps[d][orbit]
     vertices = qt.source.vertex_tuple(d, sigma)
@@ -501,7 +493,7 @@ def check_regular_action(qt):
     proj0 = qt.projection[0]
     v, w = next((v, w) for v in vertices for w in vertices if v != w and proj0[v] == proj0[w])
     gi = next(gi for gi, g in enumerate(qt.action.elements) if g.dims[0][v] == w)
-    return RegularActionReport(False, (gi, (d, sigma), (0, w), "moved"))
+    return (gi, (d, sigma), (0, w), "moved")
 
 
 class QuotientCategory:
@@ -542,8 +534,8 @@ def quotient_category(c, action):
     Union-find roots are least members, so the classes do not depend on the
     order of the unions.
     """
-    horizontal, witness = check_horizontal(c, action)
-    if not horizontal:
+    witness = check_horizontal(c, action)
+    if witness is not None:
         raise PreconditionError(f"action is not horizontal at {witness}")
     obj_class, obj_reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
 

@@ -716,8 +716,8 @@ def quotient_category_oracle(c, action):
     """`symmetry.quotient_category` as it was before it scanned only
     representative pairs: the fixpoint and the functor check run over every
     entry of the composition table."""
-    horizontal, witness = check_horizontal(c, action)
-    if not horizontal:
+    witness = check_horizontal(c, action)
+    if witness is not None:
         raise PreconditionError(f"action is not horizontal at {witness}")
     obj_class, obj_reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
 
@@ -1008,7 +1008,7 @@ def collapse_oracle(t, matching, red_vertices):
                     if key in up and key not in removed and is_free(key):
                         queue.append(key)
     if len(steps) != len(up):
-        _acyclic, cycle = check_matching_acyclic(t, partner_arrays(t, matching))
+        cycle = check_matching_acyclic(t, partner_arrays(t, matching))
         raise AssertionError(
             f"collapse got stuck with {len(up) - len(steps)} pairs left; cycle: {cycle}"
         )

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import signal
 import subprocess
@@ -8,6 +9,26 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).parents[1] / "scripts" / "check_site_mutants.py"
+
+
+def test_check_sites_finds_each_kind_of_site_and_no_other_raise():
+    source = (
+        "def stage(report, x):\n"
+        "    if x < 0:\n"
+        "        raise InputError(f'bad {x}')\n"
+        "    if x == 1:\n"
+        "        raise SoundnessError('one')\n"
+        "    if x == 2:\n"
+        "        raise PreconditionError('two')\n"
+        "    if x == 3:\n"
+        "        report.fail('three', 'why')\n"
+        "    report.done('stage')\n"
+    )
+    spec = importlib.util.spec_from_file_location("check_site_mutants", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    sites = script.check_sites(source)
+    assert [node.lineno for node in sites] == [5, 7, 9]
 
 
 def _processes_under(path):

@@ -618,6 +618,21 @@ def test_pipeline_61_fails_when_the_pushed_map_does_not_verify(capsys, monkeypat
     )
 
 
+def test_pipeline_62_fails_when_the_image_quotient_is_not_the_red_subtrisp(capsys, monkeypatch):
+    # the stitch translates the cone collapse through this stage's match
+    from trispcat import graphs
+    from trispcat.trisp import TrispMatch
+
+    failing = TrispMatch(False, None, ("counts", (3, 2), (3, 3)))
+    monkeypatch.setattr(graphs, "check_image_subtrisp_equality", lambda p, f, qc: failing)
+    code = main(["dgn", "pipeline", "--n", "4", "--pipeline", "62"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "failed: stage 'image_subtrisp_equality': ('counts', (3, 2), (3, 3))\n"
+    )
+
+
 @pytest.mark.slow
 def test_pipeline_62_n6_is_pinned():
     # a child process, so that the run's memory is handed back when it exits

@@ -47,21 +47,20 @@ from oracles import (
 def test_equivariance_trivial_group(two_edges_z2):
     _p, nv, _cat, tact, cmap = two_edges_z2
     triv = trivial_trisp_action(nv.trisp)
-    assert check_equivariant(triv, cmap).ok
+    assert check_equivariant(triv, cmap) == []
 
 
 def test_equivariance_two_edge_fixture(two_edges_z2):
     _p, _nv, _cat, tact, cmap = two_edges_z2
-    report = check_equivariant(tact, cmap)
-    assert report.ok
+    assert check_equivariant(tact, cmap) == []
 
 
 def test_equivariance_witness_for_skewed_map(two_edges_z2):
     _p, nv, _cat, tact, _cmap = two_edges_z2
     skew = TrispClosureMap(frozenset({1, 3}), frozenset({0, 2}), {1: 0, 3: 0}, "min")
-    report = check_equivariant(tact, skew)
-    assert not report.map_equivariant
-    assert any(w[0] == "not-equivariant" for w in report.witnesses)
+    witnesses = check_equivariant(tact, skew)
+    assert witnesses == [("not-equivariant", 0, 1), ("not-equivariant", 0, 3)]
+    assert any(w[0] == "not-equivariant" for w in witnesses)
 
 
 def test_push_trivial_group_keeps_map(two_edges_z2):
@@ -337,7 +336,7 @@ def test_lift_condition_necessity_by_exhaustive_assignment_search():
                         qt.projection[0][candidate.mapping[b]] == psi.mapping[qt.projection[0][b]]
                         for b in blue
                     )
-                    if also_pushes and check_equivariant(tact, candidate).ok:
+                    if also_pushes and check_equivariant(tact, candidate) == []:
                         lift_exists = True
                         break
             if lift_exists:

@@ -268,7 +268,7 @@ def test_orbits_from_generators_random(seed):
         for g in action.elements
         for x in range(c.n_objects)
     )
-    assert check_horizontal(c, action)[0] == horizontal
+    assert (check_horizontal(c, action) is None) == horizontal
     # a group of poset automorphisms is horizontal: x < hx would give the
     # cycle x < hx < ... < h^k x = x
     assert horizontal
@@ -286,21 +286,17 @@ def test_pushing_through_the_induced_action_closes_no_group(dgn4_bundle):
 def test_z2_on_double_filled_triangle(double_filled):
     t, action, _psi = double_filled
     assert action.order == 2
-    report = check_regular_action(quotient_trisp(t, action))
-    assert report.ok
+    assert check_regular_action(quotient_trisp(t, action)) is None
 
 
 def test_horizontality_of_poset_automorphisms(two_edges_z2):
     _p, _nv, cat_action, _tact, _cmap = two_edges_z2
-    ok, witness = check_horizontal(_p.category, cat_action)
-    assert ok and witness is None
+    assert check_horizontal(_p.category, cat_action) is None
 
 
 def test_horizontality_witness_on_raw_permutation():
     c = AcyclicCategory(["a", "b"], [(0, 1)])
-    ok, witness = check_horizontal(c, GroupAction((CatAut((1, 0), (0,)),)))
-    assert not ok
-    assert witness == (0, 1)
+    assert check_horizontal(c, GroupAction((CatAut((1, 0), (0,)),))) == (0, 1)
 
 
 def test_induced_action_on_hexagon(triangle_boundary):
@@ -349,18 +345,18 @@ def _assert_witness_violates(t, action, witness):
 def test_regular_action_fails_on_direct_complex_action():
     k = build_dgn(4)
     action = dgn_trisp_action(k)
-    report = check_regular_action(quotient_trisp(k.trisp, action))
-    assert not report.ok
-    _assert_witness_violates(k.trisp, action, report.witness)
+    witness = check_regular_action(quotient_trisp(k.trisp, action))
+    assert witness is not None
+    _assert_witness_violates(k.trisp, action, witness)
 
 
 def _assert_regularity_matches_oracle(t, action, regular):
-    report = check_regular_action(quotient_trisp(t, action))
-    assert report.ok == regular
+    witness = check_regular_action(quotient_trisp(t, action))
+    assert (witness is None) == regular
     if regular:
         assert "elements" not in action.__dict__
     else:
-        _assert_witness_violates(t, action, report.witness)
+        _assert_witness_violates(t, action, witness)
     assert regular_action_oracle(t, action)[0] == regular
 
 
