@@ -23,6 +23,8 @@ def _load(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json reads nested arrays and objects by recursion
+        raise InputError(f"{path} nests too deeply to read") from exc
 
 
 def _emit(args, payload, text=None):
@@ -62,8 +64,6 @@ def _load_trisp_action(doc, t):
             if "dims" not in g:
                 raise InputError("trisp action generators need 'dims'")
             auts.append(symmetry.TrispAut(tuple(_indices(p) for p in g["dims"])))
-        if not auts:
-            return symmetry.trivial_trisp_action(t)
         return symmetry.close_group(auts, on=t)
 
 
@@ -74,8 +74,6 @@ def _load_cat_action(doc, c):
             if "objects" not in g or "morphisms" not in g:
                 raise InputError("category action generators need 'objects' and 'morphisms'")
             auts.append(symmetry.CatAut(_indices(g["objects"]), _indices(g["morphisms"])))
-        if not auts:
-            return symmetry.trivial_cat_action(c)
         return symmetry.close_group(auts, on=c)
 
 
@@ -169,8 +167,6 @@ def cmd_quotient(args):
 def cmd_closure(args):
     t = trisp.Trisp.from_json(_load(args.input))
     cmap = closure.TrispClosureMap.from_json(_load(args.map))
-    if args.convention:
-        cmap = closure.TrispClosureMap(cmap.blue, cmap.red, cmap.mapping, args.convention)
     sub = args.verb
     if sub in ("verify", "collapse") and args.action is not None:
         raise InputError(f"closure {sub} takes no --action")
@@ -274,7 +270,6 @@ def build_parser():
     p.add_argument("--input", required=True, help="trisp file")
     p.add_argument("--map", required=True, help="closure map file")
     p.add_argument("--action", help="trisp action file (push/lift)")
-    p.add_argument("--convention", choices=["min", "max"])
     p.add_argument("--output")
 
     p = sub.add_parser("dgn", help="disconnected graph complexes and pipelines")

@@ -155,21 +155,20 @@ def face_poset(k):
 
 
 def set_partitions(n):
-    """All partitions of {0..n-1} in canonical form (sorted tuples of sorted tuples)."""
-    if n == 0:
-        return [()]
-    out = []
+    """All partitions of {0..n-1} in canonical form (sorted tuples of sorted tuples), sorted.
 
-    def grow(k, blocks):
-        if k == n:
-            out.append(tuple(sorted(tuple(sorted(b)) for b in blocks)))
-            return
-        for i in range(len(blocks)):
-            grow(k + 1, blocks[:i] + [blocks[i] + [k]] + blocks[i + 1:])
-        grow(k + 1, blocks + [[k]])
-
-    grow(1, [[0]])
-    return sorted(out)
+    Built level by level: each partition of {0..k-1} puts k into each of its
+    blocks in turn, or into a new block.  k exceeds every element placed, so
+    each block stays sorted, and so do the blocks by their first elements.
+    """
+    partitions = [()]
+    for k in range(n):
+        grown = []
+        for p in partitions:
+            grown += [p[:i] + (block + (k,),) + p[i + 1:] for i, block in enumerate(p)]
+            grown.append(p + ((k,),))
+        partitions = grown
+    return sorted(partitions)
 
 
 def partition_label(partition):
@@ -230,28 +229,28 @@ def transitive_closure_operator(k, fp):
     return tuple(fp.position[k.closed[k.components[d][s]]] for d, s in fp.elements)
 
 
-def image_partition_isomorphism(k, fp, f):
-    """Order isomorphism between the operator image and the partition poset.
+def image_partition_isomorphism(k, fp, f, pp):
+    """None if the operator image is order isomorphic to `pp`, else a witness.
 
     The image, as a subposet of the inclusion-ordered face poset, is matched
-    against the partition poset in its inclusion orientation
-    (``fine_on_top=False``); the bijection sends a closed edge set to the
-    partition of its components.  The mapped image relation is compared with
-    the partition order as a whole; only a mismatch scans pairs for a witness.
+    against the partition poset `pp` in its inclusion orientation
+    (``fine_on_top=False``); the map sends a closed edge set to the
+    partition of its components.  Unless it is a bijection, the witness is
+    ("sizes", image elements, partitions they reach, partitions).  The
+    mapped image relation is compared with the partition order as a whole;
+    when they differ, the bijection shows it at a first pair (x, y).
     """
-    pp = partition_poset(k.n, fine_on_top=False)
     image = sorted(set(f))
     elements = map(fp.elements.__getitem__, image)
     bijection = {x: pp.index[k.components[d][s]] for x, (d, s) in zip(image, elements)}
-    if sorted(bijection.values()) != list(range(len(pp.partitions))):
-        return False, None, pp
+    reached = len(set(bijection.values()))
+    if not len(image) == reached == len(pp.partitions):
+        return ("sizes", len(image), reached, len(pp.partitions))
     relation = [(x, y) for x, y in fp.poset.mor_of if x in bijection and y in bijection]
     if {(bijection[x], bijection[y]) for x, y in relation} == set(pp.poset.mor_of):
-        return True, bijection, pp
-    for x in image:
-        for y in image:
-            if x != y and fp.poset.lt(x, y) != pp.poset.lt(bijection[x], bijection[y]):
-                return False, (x, y), pp
+        return None
+    b, lt, pp_lt = bijection, fp.poset.lt, pp.poset.lt
+    return next((x, y) for x in image for y in image if lt(x, y) != pp_lt(b[x], b[y]))
 
 
 # -- symmetric group actions -------------------------------------------------
@@ -400,8 +399,9 @@ def pipeline_quotient_trisp(n):
     cls = check_closure_operator(fp.poset, f)
     if not (cls.monotone and cls.idempotent and cls.ascending):
         report.fail("closure_operator", str(cls.to_json()))
-    iso_ok, iso_witness, pp = image_partition_isomorphism(k, fp, f)
-    if not iso_ok:
+    pp = partition_poset(n, fine_on_top=False)
+    iso_witness = image_partition_isomorphism(k, fp, f, pp)
+    if iso_witness is not None:
         report.fail("closure_operator", f"image not isomorphic to partitions at {iso_witness}")
     report.done("closure_operator", image_size=len(set(f)))
 

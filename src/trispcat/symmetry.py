@@ -190,20 +190,27 @@ def close_group(generators, on):
     """The action generated by `generators`, each checked to be an automorphism of `on`.
 
     `on` is a category, a poset or a trisp; a generator that is not a genuine
-    automorphism raises with a witness.  A category is checked entry by entry
-    of its composition.  A poset's generators are object maps or `CatAut`s,
-    each built once by `CatAut.from_poset` from its object map, which is the
-    whole check: `obj` is a permutation, and each ``mor[m]`` is by
-    construction ``mor_of[(obj[x], obj[y])]`` for m: x -> y.  So ``mor`` is
-    injective on a finite set, hence a permutation, and it sends the
-    composite x -> z of x -> y -> z to the composite of the images.  A
-    `CatAut` whose ``mor`` differs from the built one is refused at the
-    first morphism where they differ, with the witness ("order", m).
+    automorphism raises with a witness.  No generators give the trivial
+    action, generated by the identity of `on`.  A category is checked entry
+    by entry of its composition.  A poset's generators are object maps, each
+    built by `CatAut.from_poset`, which is the whole check: `obj` is a
+    permutation, and each ``mor[m]`` is by construction
+    ``mor_of[(obj[x], obj[y])]`` for m: x -> y.  So ``mor`` is injective on
+    a finite set, hence a permutation, and it sends the composite x -> z of
+    x -> y -> z to the composite of the images.
     """
+    if not generators:
+        c = on.category if isinstance(on, Poset) else on
+        if isinstance(c, AcyclicCategory):
+            return GroupAction((CatAut(tuple(range(c.n_objects)), tuple(range(c.n_morphisms))),))
+        return GroupAction((TrispAut(tuple(tuple(range(on.n(d))) for d in range(on.dim + 1))),))
     built = []
     for k, g in enumerate(generators):
         if isinstance(on, Poset):
-            g, witness = _poset_generator(on, g)
+            try:
+                g, witness = CatAut.from_poset(on, g), None
+            except InputError as exc:  # names the first relation whose image is not one
+                witness = exc
         elif isinstance(on, AcyclicCategory):
             witness = cat_automorphism_violation(on, g)
         else:
@@ -212,32 +219,6 @@ def close_group(generators, on):
             raise InputError(f"generator {k} is not an automorphism: {witness}")
         built.append(g)
     return GroupAction(tuple(built))
-
-
-def _poset_generator(p, g):
-    """(the automorphism of `p` built from the object map of `g`, None), or (None, witness)."""
-    obj = tuple(g.obj if isinstance(g, CatAut) else g)
-    if not _is_perm(obj, p.n):
-        return None, ("not-a-permutation",)
-    try:
-        aut = CatAut.from_poset(p, obj)
-    except InputError as exc:  # names the first relation whose image is not one
-        return None, str(exc)
-    if isinstance(g, CatAut) and g.mor != aut.mor:
-        if len(g.mor) != len(aut.mor):
-            return None, ("not-a-permutation",)
-        return None, ("order", next(m for m, (a, b) in enumerate(zip(g.mor, aut.mor)) if a != b))
-    return aut, None
-
-
-def trivial_cat_action(c):
-    identity = CatAut(tuple(range(c.n_objects)), tuple(range(c.n_morphisms)))
-    return GroupAction((identity,))
-
-
-def trivial_trisp_action(t):
-    identity = TrispAut(tuple(tuple(range(t.n(d))) for d in range(t.dim + 1)))
-    return GroupAction((identity,))
 
 
 class _UnionFind:

@@ -70,7 +70,6 @@ from trispcat.symmetry import (
     orbit_partition,
     quotient_category,
     quotient_trisp,
-    trivial_cat_action,
 )
 from trispcat.trisp import euler_characteristic, induced_subtrisp
 
@@ -288,7 +287,7 @@ def subgroups_upto_order(p, max_order):
     """All subgroups of Aut(P) of order at most max_order (as GroupActions)."""
     auts = poset_automorphisms(p)
     seen = {}
-    trivial = trivial_cat_action(p.category)
+    trivial = close_group([], on=p.category)
     seen[frozenset(trivial.elements)] = trivial
     for g in auts:
         action = GroupAction((g,))
@@ -315,7 +314,7 @@ def random_action(rng, p, max_order=6, attempts=8):
         action = GroupAction(tuple(gens))
         if 1 < action.order <= max_order:
             return action
-    return trivial_cat_action(p.category)
+    return close_group([], on=p.category)
 
 
 def object_maps(action):
@@ -589,7 +588,7 @@ def check_operator_class_coherence(p, action, f):
         raise PreconditionError("operator is not one-sided")
     if not report.descending:
         p = as_poset(opposite_category(p.category))
-        action = close_group(list(action.generators), on=p)
+        action = close_group([g.obj for g in action.generators], on=p)
     if any(f[g.obj[x]] != g.obj[f[x]] for g in action.generators for x in range(p.n)):
         raise PreconditionError("operator is not equivariant")
     qc = quotient_category(p.category, action)

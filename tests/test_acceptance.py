@@ -368,7 +368,7 @@ def test_criterion_09_regularity_condition_witness(dgn4_bundle):
 def test_criterion_10_congruence_equals_decomposition(triangle_boundary, two_edges_z2):
     t0 = time.perf_counter()
     from trispcat.accat import AcyclicCategory, validate_category
-    from trispcat.symmetry import CatAut, trivial_cat_action
+    from trispcat.symmetry import CatAut
 
     fixtures = []
     p1, a1 = triangle_boundary
@@ -385,7 +385,7 @@ def test_criterion_10_congruence_equals_decomposition(triangle_boundary, two_edg
     assert validate_category(fork).ok
     fixtures.append((fork, close_group([CatAut((0, 2, 1, 3), (1, 0, 3, 2, 5, 4))], on=fork)))
     c3 = chain_poset(3).category
-    fixtures.append((c3, trivial_cat_action(c3)))
+    fixtures.append((c3, close_group([], on=c3)))
     assert all(c.n_morphisms <= 10 for c, _a in fixtures)
 
     discrepancies = 0

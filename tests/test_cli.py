@@ -73,6 +73,18 @@ def test_validate_non_utf8_input_exits_two(capsys, tmp_path):
     assert capsys.readouterr().err.startswith(f"input error: {bad} is not valid JSON: ")
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["nerve"], ["closure", "collapse"]])
+def test_deeply_nested_json_exits_two(capsys, tmp_path, argv):
+    # json reads nested arrays by recursion, which 100,000 levels exhaust
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    flags = ["--input", str(deep)] + (["--map", str(deep)] if argv[0] == "closure" else [])
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {deep} nests too deeply to read\n"
+
+
 def test_validate_trisp_and_dot(capsys, tmp_path, chain3):
     t = nerve(chain3.category).trisp
     path = write(tmp_path / "t.json", t.to_json())
@@ -290,6 +302,17 @@ def test_build_with_pipeline_is_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: dgn build takes no --pipeline\n"
+
+
+def test_closure_takes_no_convention_option(capsys, tmp_path):
+    # the map document states its convention
+    t_file = write(tmp_path / "t.json", nerve(chain_poset(2).category).trisp.to_json())
+    map_file = write(tmp_path / "m.json", {"blue": [1], "red": [0], "map": {"1": 0}})
+    argv = ["closure", "verify", "--input", t_file, "--map", map_file, "--convention", "max"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --convention max" in captured.err
 
 
 def test_closure_verify_and_collapse_reject_an_action(capsys, tmp_path):

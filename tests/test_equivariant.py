@@ -27,11 +27,10 @@ from trispcat.nerve import nerve
 from trispcat.symmetry import (
     GroupAction,
     TrispAut,
+    close_group,
     induced_trisp_action,
     quotient_category,
     quotient_trisp,
-    trivial_cat_action,
-    trivial_trisp_action,
 )
 from trispcat.trisp import Trisp
 
@@ -46,7 +45,7 @@ from oracles import (
 
 def test_equivariance_trivial_group(two_edges_z2):
     _p, nv, _cat, tact, cmap = two_edges_z2
-    triv = trivial_trisp_action(nv.trisp)
+    triv = close_group([], on=nv.trisp)
     assert check_equivariant(triv, cmap) == []
 
 
@@ -65,7 +64,7 @@ def test_equivariance_witness_for_skewed_map(two_edges_z2):
 
 def test_push_trivial_group_keeps_map(two_edges_z2):
     _p, nv, _cat, _tact, cmap = two_edges_z2
-    triv = trivial_trisp_action(nv.trisp)
+    triv = close_group([], on=nv.trisp)
     pushed, _report = push_closure_map(quotient_trisp(nv.trisp, triv), cmap)
     assert pushed.blue == cmap.blue and pushed.mapping == cmap.mapping
 
@@ -122,7 +121,7 @@ def test_push_to_orbits_refuses_an_orbit_with_blue_and_red_vertices(two_edges_z2
 
 def test_lift_condition_trivial_group(two_edges_z2):
     _p, nv, _cat, _tact, cmap = two_edges_z2
-    triv = trivial_trisp_action(nv.trisp)
+    triv = close_group([], on=nv.trisp)
     qt = quotient_trisp(nv.trisp, triv)
     report = check_lift_condition(qt, cmap)
     assert report.holds
@@ -152,10 +151,47 @@ def test_lift_rejected_on_double_filled(double_filled):
     assert not verify_trisp_closure_map(t, cand).ok
 
 
+# the path 0 - 1 - 2, with edges (0, 1) and (1, 2)
+_PATH = Trisp((3, 2), [[(1, 0), (2, 1)]])
+
+
+def test_lift_candidate_refuses_a_blue_vertex_with_no_partner():
+    # under the trivial group, 0 must go to 2, which no edge joins it to
+    qt = quotient_trisp(_PATH, close_group([], on=_PATH))
+    psi = TrispClosureMap(frozenset({0}), frozenset({1, 2}), {0: 2}, "min")
+    with pytest.raises(PreconditionError, match=r"^lift condition fails: \{'0': \[\]\}$"):
+        lift_candidate(qt, psi)
+
+
+def test_lift_requires_a_regular_action():
+    # the cyclically oriented hollow triangle and its rotation: simplicial,
+    # but each edge has both its vertices in the one vertex orbit
+    cycle = Trisp((3, 3), [[(1, 0), (2, 1), (0, 2)]])
+    qt = quotient_trisp(cycle, close_group([TrispAut(((1, 2, 0), (1, 2, 0)))], on=cycle))
+    psi = TrispClosureMap(frozenset(), frozenset({0}), {}, "min")
+    with pytest.raises(PreconditionError) as got:
+        lift_closure_map(qt, psi)
+    assert str(got.value) == "quotient-regularity fails: (1, (1, 0), (0, 1), 'moved')"
+
+
+def test_lift_requires_psi_to_verify_on_the_quotient():
+    qt = quotient_trisp(_PATH, close_group([], on=_PATH))
+    psi = TrispClosureMap(frozenset({0}), frozenset({1, 2}), {0: 2}, "min")
+    with pytest.raises(PreconditionError, match="^psi does not verify on the quotient$"):
+        lift_closure_map(qt, psi)
+
+
+def test_image_quotient_nerve_refuses_a_subset_the_action_moves_out(two_edges_z2):
+    p, _nv, cat_action, _tact, _cmap = two_edges_z2
+    # the swap sends r1 to r2, which the subset leaves out
+    with pytest.raises(PreconditionError, match="^subset is not closed under the action$"):
+        equivariant.image_quotient_nerve(p, cat_action, [0])
+
+
 def test_class_coherence_trivial_and_identity(chain3):
     f = (0, 1, 2)
     ok, witnesses = check_operator_class_coherence(
-        chain3, trivial_cat_action(chain3.category), f
+        chain3, close_group([], on=chain3.category), f
     )
     assert ok and not witnesses
 
@@ -170,7 +206,7 @@ def test_class_coherence_two_edges(two_edges_z2):
 def test_image_subtrisp_equality_trivial(two_edges_z2):
     p, _nv, cat_action, _tact, _cmap = two_edges_z2
     f = (0, 0, 2, 2)
-    trivial = quotient_category(p.category, trivial_cat_action(p.category))
+    trivial = quotient_category(p.category, close_group([], on=p.category))
     match = check_image_subtrisp_equality(p, f, trivial)
     assert match.ok
     match = check_image_subtrisp_equality(p, f, quotient_category(p.category, cat_action))
@@ -181,7 +217,7 @@ def test_quotient_poset_closure_trivial_group_reduces_to_induced(chain3):
     from trispcat.closure import induced_trisp_closure_map
 
     f = (0, 1, 1)
-    trivial = quotient_category(chain3.category, trivial_cat_action(chain3.category))
+    trivial = quotient_category(chain3.category, close_group([], on=chain3.category))
     qmap, report = quotient_poset_closure_map(chain3, f, trivial)
     assert qmap == induced_trisp_closure_map(chain3, f)
     assert report.ok
@@ -201,7 +237,7 @@ def test_quotient_poset_closure_two_edges(two_edges_z2):
 
 def test_poset_transfers_reject_a_quotient_of_another_poset(chain3):
     other = poset_from_relation(["a", "b", "c"], [(0, 1)])
-    qc = quotient_category(other.category, trivial_cat_action(other.category))
+    qc = quotient_category(other.category, close_group([], on=other.category))
     f = (0, 1, 1)
     for transfer in (quotient_poset_closure_map, check_image_subtrisp_equality):
         with pytest.raises(PreconditionError, match="not a quotient of this poset"):
@@ -227,7 +263,7 @@ def test_quotient_poset_closure_map_requires_an_equivariant_operator(two_edges_z
 
 def test_quotient_poset_closure_map_refuses_an_image_that_leaves_a_class(chain3, monkeypatch):
     # an induced map that sends 1 to 2 while the operator sends it to 0
-    trivial = quotient_category(chain3.category, trivial_cat_action(chain3.category))
+    trivial = quotient_category(chain3.category, close_group([], on=chain3.category))
     skewed = TrispClosureMap(frozenset({1}), frozenset({0, 2}), {1: 2}, "min")
     monkeypatch.setattr(equivariant, "induced_trisp_closure_map", lambda p, f, report: skewed)
     with pytest.raises(SoundnessError, match="operator image is not constant on classes"):

@@ -22,6 +22,7 @@ from trispcat.graphs import (
     partition_poset,
     pipeline_quotient_category,
     pipeline_quotient_trisp,
+    set_partitions,
     transitive_closure_operator,
 )
 from trispcat.nerve import nerve
@@ -187,13 +188,33 @@ def test_each_face_carries_its_components_and_each_partition_its_closure(n):
 
 
 def test_image_isomorphic_to_partition_poset(dgn4_bundle):
-    ok, bijection, pp = image_partition_isomorphism(
-        dgn4_bundle["k"], dgn4_bundle["fp"], dgn4_bundle["f"]
-    )
-    assert ok
-    assert len(bijection) == 13
+    k, fp, f = dgn4_bundle["k"], dgn4_bundle["fp"], dgn4_bundle["f"]
+    pp = partition_poset(4, fine_on_top=False)
+    assert image_partition_isomorphism(k, fp, f, pp) is None
+    assert len(set(f)) == len(pp.partitions) == 13
     # inclusion orientation: a finer partition lies below a coarser one
     assert pp.poset.lt(pp.index[((0, 1), (2,), (3,))], pp.index[((0, 1, 2), (3,))])
+
+
+def test_image_partition_isomorphism_names_a_missed_partition(dgn4_bundle):
+    k, fp, f = dgn4_bundle["k"], dgn4_bundle["fp"], dgn4_bundle["f"]
+    # an operator that sends one image element onto another misses a partition
+    a, b = sorted(set(f))[:2]
+    merged = tuple(b if x == a else x for x in f)
+    pp = partition_poset(4, fine_on_top=False)
+    assert image_partition_isomorphism(k, fp, merged, pp) == ("sizes", 12, 12, 13)
+
+
+def test_set_partitions_are_every_partition_once_canonical_and_sorted():
+    bell = [1, 1, 2, 5, 15, 52, 203, 877]
+    for n, count in enumerate(bell):
+        partitions = set_partitions(n)
+        assert len(partitions) == len(set(partitions)) == count
+        assert partitions == sorted(partitions)
+        for p in partitions:
+            assert all(block == tuple(sorted(block)) and block for block in p)
+            assert list(p) == sorted(p)
+            assert sorted(x for block in p for x in block) == list(range(n))
 
 
 def test_partition_poset_orientation():

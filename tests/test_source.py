@@ -86,6 +86,25 @@ def _modules():
     return [(name, node) for name, node in _package_nodes() if isinstance(node, ast.Module)]
 
 
+def test_only_the_action_builders_call_group_action():
+    # every action on a category, a poset or a trisp comes from close_group;
+    # the two others carry a checked action to a nerve and close S_n on n points
+    callers = set()
+    for name, module in _modules():
+        for top in module.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called == "GroupAction":
+                        callers.add((name, getattr(top, "name", None)))
+    assert callers == {
+        ("symmetry.py", "close_group"),
+        ("symmetry.py", "induced_trisp_action"),
+        ("graphs.py", "_sn_group"),
+    }
+
+
 def test_every_public_definition_is_used_in_the_package():
     # what only tests reach belongs in tests/oracles.py, not in the package;
     # an import alias is not a use, and neither is a call from its own body;

@@ -35,8 +35,6 @@ from trispcat.symmetry import (
     orbit_partition,
     quotient_category,
     quotient_trisp,
-    trivial_cat_action,
-    trivial_trisp_action,
     trisp_automorphism_violation,
 )
 from trispcat.trisp import Trisp
@@ -93,18 +91,20 @@ def test_from_poset_rejects_a_non_permutation(chain3, obj):
 
 
 def test_close_group_checks_a_poset_by_its_order(chain3):
+    # a poset generator is an object map, checked against the order; a
+    # morphism map is checked by the composition scan of the category
     swapped = CatAut((0, 1, 2), (1, 0, 2))
     assert poset_automorphism_violation(chain3, swapped) == ("order", 0)
-    with pytest.raises(InputError, match=r"generator 0 is not an automorphism: \('order', 0\)"):
-        close_group([swapped], on=chain3)
-    with pytest.raises(InputError, match="not-a-permutation"):
-        close_group([CatAut((0, 1, 1), (0, 1, 2))], on=chain3)
+    with pytest.raises(InputError, match=r"generator 0 is not an automorphism: \('target', 0\)"):
+        close_group([swapped], on=chain3.category)
+    with pytest.raises(InputError, match=r"\[0, 1, 1\] is not a permutation of the 3 objects"):
+        close_group([(0, 1, 1)], on=chain3)
 
 
 def test_close_group_builds_a_poset_generator_from_its_object_map(chain3):
     # an object map is built into its automorphism; one that breaks the
     # order is refused at the first relation whose image is not one
-    action = close_group([(0, 1, 2), CatAut((0, 1, 2), (0, 1, 2))], on=chain3)
+    action = close_group([(0, 1, 2), [0, 1, 2]], on=chain3)
     assert action.generators == (CatAut((0, 1, 2), (0, 1, 2)),) * 2
     antichain = poset_from_relation(3, [])
     assert close_group([[1, 2, 0]], on=antichain).order == 3
@@ -113,41 +113,44 @@ def test_close_group_builds_a_poset_generator_from_its_object_map(chain3):
         close_group([(0, 1, 2), (1, 0, 2)], on=chain3)
     assert str(got.value) == refused.format(1) + "relabelling does not keep the order at (0, 1)"
     with pytest.raises(InputError, match=r"does not keep the order at \(1, 2\)"):
-        close_group([CatAut((0, 2, 1), (0, 1, 2))], on=chain3)
+        close_group([(0, 2, 1)], on=chain3)
     with pytest.raises(InputError) as got:
         close_group([(0, 1)], on=chain3)
-    assert str(got.value) == refused.format(0) + "('not-a-permutation',)"
-    with pytest.raises(InputError, match="not-a-permutation"):
-        close_group([CatAut((0, 1, 2), (0, 1))], on=chain3)
+    assert str(got.value) == refused.format(0) + "[0, 1] is not a permutation of the 3 objects"
 
 
 @settings(max_examples=40, deadline=None)
 @given(posets(max_n=5))
 def test_order_check_agrees_with_the_composition_scan(p):
     # every object permutation: from_poset accepts exactly the automorphisms,
-    # which both checks and close_group accept, and all three reject one with
-    # two morphisms swapped, close_group with the reference check's witness
+    # which both checks accept, and close_group on the poset builds them from
+    # their object maps; both checks reject one with two morphisms swapped,
+    # and so does close_group on the category, with the scan's witness
     c = p.category
     for perm in itertools.permutations(range(p.n)):
         keeps = all(p.lt(perm[x], perm[y]) for (x, y) in p.mor_of)
         try:
             g = CatAut.from_poset(p, perm)
-        except InputError:
+        except InputError as exc:
             assert not keeps
+            with pytest.raises(InputError) as got:
+                close_group([perm], on=p)
+            assert str(got.value) == f"generator 0 is not an automorphism: {exc}"
             continue
         assert keeps
         assert poset_automorphism_violation(p, g) is None
         assert cat_automorphism_violation(c, g) is None
-        assert close_group([g], on=p).generators == (g,)
+        assert close_group([perm], on=p).generators == (g,)
+        assert close_group([g], on=c).generators == (g,)
         if c.n_morphisms >= 2:
             mor = list(g.mor)
             mor[0], mor[-1] = mor[-1], mor[0]
             bad = CatAut(g.obj, tuple(mor))
             assert poset_automorphism_violation(p, bad) is not None
-            assert cat_automorphism_violation(c, bad) is not None
+            witness = cat_automorphism_violation(c, bad)
+            assert witness is not None
             with pytest.raises(InputError) as got:
-                close_group([bad], on=p)
-            witness = poset_automorphism_violation(p, bad)
+                close_group([bad], on=c)
             assert str(got.value) == f"generator 0 is not an automorphism: {witness}"
 
 
@@ -179,7 +182,7 @@ def _criterion_10_fixtures(triangle_boundary, two_edges_z2):
         (p2.category, a2),
         (par, close_group([CatAut((0, 1), (1, 0))], on=par)),
         (fork, close_group([CatAut((0, 2, 1, 3), (1, 0, 3, 2, 5, 4))], on=fork)),
-        (c3, trivial_cat_action(c3)),
+        (c3, close_group([], on=c3)),
         (arrow, GroupAction((CatAut((1, 0), (0,)),))),
     ]
 
@@ -198,7 +201,7 @@ def test_representative_pairs_match_the_full_scan_random(seed):
     p = random_poset(rng, max_n=7)
     action = random_action(rng, p)
     path = random_path_category(rng)
-    for c, action in ((p.category, action), (path, trivial_cat_action(path))):
+    for c, action in ((p.category, action), (path, close_group([], on=path))):
         assert _quotient_outcome(quotient_category, c, action) == _quotient_outcome(
             quotient_category_oracle, c, action
         )
@@ -223,13 +226,22 @@ def test_terminal_object_of_random_quotients_is_the_definition(seed):
 
 
 def test_trivial_action_order_one(chain3):
-    assert trivial_cat_action(chain3.category).order == 1
+    assert close_group([], on=chain3.category).order == 1
 
 
 def test_trivial_actions_are_generated_by_the_identity(chain3):
-    t = nerve(chain3.category).trisp
-    for action in (trivial_cat_action(chain3.category), trivial_trisp_action(t)):
-        assert action.generators == action.elements
+    # no generators: the identity of a category, a poset or a trisp, empty or not
+    cases = [
+        (chain3.category, CatAut((0, 1, 2), (0, 1, 2))),
+        (chain3, CatAut((0, 1, 2), (0, 1, 2))),
+        (nerve(chain3.category).trisp, TrispAut(((0, 1, 2), (0, 1, 2), (0,)))),
+        (Trisp([], []), TrispAut(())),
+        (AcyclicCategory([], []), CatAut((), ())),
+        (poset_from_relation(0, []), CatAut((), ())),
+    ]
+    for on, identity in cases:
+        action = close_group([], on=on)
+        assert action.generators == action.elements == (identity,)
         assert is_identity(action.generators[0])
 
 
@@ -386,7 +398,7 @@ def test_regularity_from_orbits_matches_the_definition_on_other_actions(double_f
 def test_regularity_rejects_a_loop_edge():
     t = Trisp((1, 1), [[(0, 0)]])
     with pytest.raises(PreconditionError, match=r"trisp is not regular at \(1, 0\)"):
-        check_regular_action(quotient_trisp(t, trivial_trisp_action(t)))
+        check_regular_action(quotient_trisp(t, close_group([], on=t)))
 
 
 def test_double_transposition_edge_pair_is_a_witness():
@@ -408,7 +420,7 @@ def test_double_transposition_edge_pair_is_a_witness():
 
 def test_quotient_trisp_trivial_group_is_identity(chain3):
     t = nerve(chain3.category).trisp
-    qt = quotient_trisp(t, trivial_trisp_action(t))
+    qt = quotient_trisp(t, close_group([], on=t))
     assert qt.trisp.counts == t.counts
     assert all(qt.projection[d] == tuple(range(t.n(d))) for d in range(t.dim + 1))
 
@@ -444,7 +456,7 @@ def test_projection_commutes_with_boundaries(triangle_boundary):
 
 
 def test_quotient_category_trivial_group_is_identity(chain3):
-    qc = quotient_category(chain3.category, trivial_cat_action(chain3.category))
+    qc = quotient_category(chain3.category, close_group([], on=chain3.category))
     assert qc.category.n_objects == chain3.category.n_objects
     assert qc.category.n_morphisms == chain3.category.n_morphisms
     assert qc.obj_class == tuple(range(3))
@@ -533,7 +545,7 @@ def test_induced_action_checks_the_chain_index(dgn4_bundle):
 
 
 def test_canonical_map_trivial_group_is_isomorphism(chain3):
-    cm = canonical_map(quotient_category(chain3.category, trivial_cat_action(chain3.category)))
+    cm = canonical_map(quotient_category(chain3.category, close_group([], on=chain3.category)))
     assert cm.vertex_bijective
     assert all(cm.surjective_by_dim)
     for d in range(cm.nerve_dst.trisp.dim + 1):
@@ -650,7 +662,7 @@ def test_orbit_nerve_of_the_partition_poset(n, fine_on_top):
 
 def test_orbit_nerve_of_the_empty_poset():
     p = poset_from_relation(0, [])
-    on = orbit_nerve(p, object_maps(trivial_cat_action(p.category)))
+    on = orbit_nerve(p, object_maps(close_group([], on=p.category)))
     assert on.trisp.counts == () and on.chains == () and on.obj_orbit == ()
 
 
