@@ -31,9 +31,8 @@ from .equivariant import (
 from .errors import InputError, NotAPosetError, PipelineError, PreconditionError, SoundnessError
 from .nerve import Nerve, nerve
 from .symmetry import (
-    CatAut,
+    Aut,
     GroupAction,
-    TrispAut,
     canonical_map,
     check_horizontal,
     check_regular_action,

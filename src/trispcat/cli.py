@@ -63,7 +63,7 @@ def _load_trisp_action(doc, t):
         for g in doc["generators"]:
             if "dims" not in g:
                 raise InputError("trisp action generators need 'dims'")
-            auts.append(symmetry.TrispAut(tuple(_indices(p) for p in g["dims"])))
+            auts.append(symmetry.Aut(tuple(_indices(p) for p in g["dims"])))
         return symmetry.close_group(auts, on=t)
 
 
@@ -73,7 +73,7 @@ def _load_cat_action(doc, c):
         for g in doc["generators"]:
             if "objects" not in g or "morphisms" not in g:
                 raise InputError("category action generators need 'objects' and 'morphisms'")
-            auts.append(symmetry.CatAut(_indices(g["objects"]), _indices(g["morphisms"])))
+            auts.append(symmetry.Aut((_indices(g["objects"]), _indices(g["morphisms"]))))
         return symmetry.close_group(auts, on=c)
 
 
@@ -119,10 +119,7 @@ def cmd_nerve(args):
 def cmd_quotient(args):
     doc = _load(args.input)
     act_doc = _load(args.action)
-    kind = _detect(doc)
-    if args.mode and args.mode != kind:
-        raise InputError(f"--mode {args.mode} but input is a {kind}")
-    if kind == "trisp":
+    if _detect(doc) == "trisp":
         t = trisp.Trisp.from_json(doc)
         action = _load_trisp_action(act_doc, t)
         qt = symmetry.quotient_trisp(t, action)
@@ -262,7 +259,6 @@ def build_parser():
     p = sub.add_parser("quotient", help="quotient by a group action")
     p.add_argument("--input", required=True)
     p.add_argument("--action", required=True)
-    p.add_argument("--mode", choices=["category", "trisp"])
     p.add_argument("--output")
 
     p = sub.add_parser("closure", help="closure map operations")

@@ -15,7 +15,7 @@ from .accat import check_closure_operator, subposet
 from .closure import TrispClosureMap, induced_trisp_closure_map, verify_trisp_closure_map
 from .errors import PreconditionError, SoundnessError
 from .symmetry import check_regular_action, close_group, quotient_category
-from .trisp import compute_simplicial_flag, induced_subtrisp, trisps_equal_over_vertices
+from .trisp import induced_subtrisp, is_simplicial, trisps_equal_over_vertices
 
 
 def check_equivariant(action, cmap):
@@ -164,7 +164,7 @@ def lift_closure_map(qt, psi):
     orbits.  The least vertex of a blue orbit o maps to its partner, which
     lies in the orbit psi(o), so the push sends o to psi(o), by psi's convention.
     """
-    if not compute_simplicial_flag(qt.source).is_simplicial:
+    if not is_simplicial(qt.source):
         raise PreconditionError(
             "lifting is guaranteed only for abstract simplicial complexes; "
             "use lift_candidate to inspect the forced assignment"
@@ -187,7 +187,7 @@ def _poset_action_is_equivariant(p, action, f):
     """First object x with f(gx) != g f(x) for a generator g, as (x,), else None."""
     for g in action.generators:
         for x in range(p.n):
-            if f[g.obj[x]] != g.obj[f[x]]:
+            if f[g.dims[0][x]] != g.dims[0][f[x]]:
                 return (x,)
     return None
 
@@ -198,9 +198,9 @@ def image_quotient_nerve(p, action, image):
     pos = {x: i for i, x in enumerate(keep)}
     gens = []
     for g in action.generators:
-        if any(g.obj[x] not in pos for x in keep):
+        if any(g.dims[0][x] not in pos for x in keep):
             raise PreconditionError("subset is not closed under the action")
-        gens.append([pos[g.obj[x]] for x in keep])
+        gens.append([pos[g.dims[0][x]] for x in keep])
     return keep, quotient_category(sub_p.category, close_group(gens, on=sub_p))
 
 

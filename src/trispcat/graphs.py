@@ -32,7 +32,7 @@ from .equivariant import (
 )
 from .errors import InputError, PipelineError, SoundnessError
 from .nerve import chain_counts
-from .symmetry import GroupAction, close_group, orbit_nerve, quotient_category
+from .symmetry import Aut, GroupAction, close_group, orbit_nerve, quotient_category
 from .trisp import (
     euler_characteristic,
     reverse_trisp,
@@ -306,7 +306,7 @@ def partition_action(pp):
 
 def _sn_group(n):
     """S_n closed once, on n points, from `sn_generator_perms`; raises unless its order is n!."""
-    group = GroupAction(sn_generator_perms(n))
+    group = GroupAction(tuple(Aut((perm,)) for perm in sn_generator_perms(n)))
     if group.order != math.factorial(n):
         raise SoundnessError(f"the S_{n} generators generate a group of order {group.order}")
     return group
@@ -322,7 +322,7 @@ def _lift(group, action):
     action is faithful, as on faces and on partitions.  `itemgetter` gives a
     tuple for two or more indices; these posets always have at least 3 objects.
     """
-    gens = [g.obj for g in action.generators]
+    gens = [g.dims[0] for g in action.generators]
     lifted = [tuple(range(len(gens[0])))]
     for _g, k, j in group.tree[1:]:
         lifted.append(itemgetter(*lifted[j])(gens[k]))

@@ -1,26 +1,29 @@
 """Group actions on categories and trisps; orbits, quotients, and the canonical map.
 
-Group elements are explicit permutation tables: an automorphism of a
-category permutes objects and morphisms, an automorphism of a trisp
-permutes simplices dimension by dimension, commuting with the boundary
-operators.  An action is given by its generators; orbits, quotients,
-equivariance and horizontality read only those, and a quotient category is
-read off the composable pairs whose first source is an orbit representative.
-A poset action is given by object maps: each is built into an automorphism
-by one pass over the order, since a poset composes through its order and
-has no composition table to check.  The group itself is closed, by
-breadth-first products of generators, only when a caller reads its elements
-or order.  Kernels on a nerve read whole tables: an induced action maps
-chains column by column, the automorphism check compares boundary columns,
-and orbits are labelled by a stack search along the generators.  The orbit
-trisp of a poset's nerve is also built without the nerve: `orbit_nerve`
-takes the group as the object maps of its elements, closed by the caller,
-and lists each orbit of chains once, by its least chain, extending each
-least chain at its top under its stabilizer (orderly generation).
+A group element is one type, `Aut`: one permutation per level.  The levels
+of a trisp are its dimensions; those of a category are its objects and its
+morphisms, which are the vertices and edges of its nerve, and S_n on n
+points has one level.  Elements multiply level by level.  An automorphism
+of a category keeps sources, targets and composition; one of a trisp
+commutes with the boundary operators.  An action is given by its
+generators; orbits, quotients, equivariance and horizontality read only
+those, and a quotient category is read off the composable pairs whose first
+source is an orbit representative.  A poset action is given by object maps:
+each is built into an automorphism by one pass over the order, since a
+poset composes through its order and has no composition table to check.
+The group itself is closed, by breadth-first products of generators, only
+when a caller reads its elements or order.  Kernels on a nerve read whole
+tables: an induced action maps chains column by column, the automorphism
+check compares boundary columns, and orbits are labelled by a stack search
+along the generators.  The orbit trisp of a poset's nerve is also built
+without the nerve: `orbit_nerve` takes the group as the object maps of its
+elements, closed by the caller, and lists each orbit of chains once, by its
+least chain, extending each least chain at its top under its stabilizer
+(orderly generation).
 """
 
 from functools import cached_property
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter
 
 from .accat import AcyclicCategory, Poset, validate_category
 from .errors import InputError, PreconditionError, SoundnessError
@@ -37,69 +40,62 @@ def _is_perm(p, n):
     return len(p) == n and sorted(p) == list(range(n))
 
 
-class CatAut:
-    """Automorphism of a category: an object permutation plus a morphism permutation."""
+class Aut:
+    """A group element: `dims` holds one permutation per level.
 
-    def __init__(self, obj, mor):
-        self.obj = obj
-        self.mor = mor
-
-    def __eq__(self, other):
-        return type(other) is CatAut and self.obj == other.obj and self.mor == other.mor
-
-    def __hash__(self):
-        return hash((self.obj, self.mor))
-
-    def __mul__(self, other):
-        return CatAut(_compose_perm(self.obj, other.obj), _compose_perm(self.mor, other.mor))
-
-    @classmethod
-    def from_poset(cls, p, obj):
-        """The automorphism of a poset that moves its objects by `obj`.
-
-        Raises InputError if `obj` is not a permutation of the objects, or
-        names the first relation x < y whose image is not a relation.
-        """
-        obj = tuple(obj)
-        if not _is_perm(obj, p.n):
-            raise InputError(f"{list(obj)} is not a permutation of the {p.n} objects")
-        mor = [None] * p.category.n_morphisms
-        for (x, y), m in p.mor_of.items():
-            image = p.mor_of.get((obj[x], obj[y]))
-            if image is None:
-                raise InputError(f"relabelling does not keep the order at {(x, y)}")
-            mor[m] = image
-        return cls(obj, tuple(mor))
-
-
-class TrispAut:
-    """Automorphism of a trisp: one simplex permutation per dimension."""
+    A trisp's levels are its dimensions, a category's are (objects,
+    morphisms), and S_n on n points has the one level of its points.
+    """
 
     def __init__(self, dims):
         self.dims = dims
 
     def __eq__(self, other):
-        return type(other) is TrispAut and self.dims == other.dims
+        return type(other) is Aut and self.dims == other.dims
 
     def __hash__(self):
         return hash(self.dims)
 
     def __mul__(self, other):
-        return TrispAut(tuple(_compose_perm(g, h) for g, h in zip(self.dims, other.dims)))
+        return Aut(tuple(map(_compose_perm, self.dims, other.dims)))
+
+
+def _identity(sizes):
+    """The element that fixes every level, of the given sizes."""
+    return Aut(tuple(tuple(range(n)) for n in sizes))
+
+
+def poset_automorphism(p, obj):
+    """The automorphism ``Aut((obj, mor))`` of a poset that moves its objects by `obj`.
+
+    Raises InputError if `obj` is not a permutation of the objects, or
+    names the first relation x < y whose image is not a relation.
+    """
+    obj = tuple(obj)
+    if not _is_perm(obj, p.n):
+        raise InputError(f"{list(obj)} is not a permutation of the {p.n} objects")
+    mor = [None] * p.category.n_morphisms
+    for (x, y), m in p.mor_of.items():
+        image = p.mor_of.get((obj[x], obj[y]))
+        if image is None:
+            raise InputError(f"relabelling does not keep the order at {(x, y)}")
+        mor[m] = image
+    return Aut((obj, tuple(mor)))
 
 
 def cat_automorphism_violation(c, g):
-    """None if g is an automorphism of c, else a witness tuple."""
-    if not _is_perm(g.obj, c.n_objects) or not _is_perm(g.mor, c.n_morphisms):
+    """None if g, on levels (objects, morphisms), is an automorphism of c, else a witness tuple."""
+    if len(g.dims) != 2 or not all(map(_is_perm, g.dims, (c.n_objects, c.n_morphisms))):
         return ("not-a-permutation",)
+    obj, mor = g.dims
     for m in range(c.n_morphisms):
-        gm = g.mor[m]
-        if c.src[gm] != g.obj[c.src[m]]:
+        gm = mor[m]
+        if c.src[gm] != obj[c.src[m]]:
             return ("source", m)
-        if c.tgt[gm] != g.obj[c.tgt[m]]:
+        if c.tgt[gm] != obj[c.tgt[m]]:
             return ("target", m)
     for (m1, m2), m12 in c.comp.items():
-        if c.comp.get((g.mor[m1], g.mor[m2])) != g.mor[m12]:
+        if c.comp.get((mor[m1], mor[m2])) != mor[m12]:
             return ("composition", (m1, m2))
     return None
 
@@ -128,12 +124,10 @@ def trisp_automorphism_violation(t, g):
 
 
 class GroupAction:
-    """A finite group, given by a nonempty tuple of generators.
+    """A finite group, given by a nonempty tuple of generators, each an `Aut`.
 
-    The generators are automorphisms (`CatAut` or `TrispAut`) or bare
-    permutations of 0..n-1 as tuples.  Orbits, equivariance and
-    horizontality are decided from the generators alone; the group's
-    elements are closed from them only when first read.
+    Orbits, equivariance and horizontality are decided from the generators
+    alone; the group's elements are closed from them only when first read.
     """
 
     def __init__(self, generators):
@@ -149,20 +143,14 @@ class GroupAction:
         generator k times entry j.  Entry 0 is (identity, -1, -1), and each
         level multiplies the last one on the left by each generator in turn.
         """
-        first, product = self.generators[0], mul
-        if isinstance(first, tuple):
-            identity, product = tuple(range(len(first))), _compose_perm
-        elif isinstance(first, CatAut):
-            identity = CatAut(tuple(range(len(first.obj))), tuple(range(len(first.mor))))
-        else:
-            identity = TrispAut(tuple(tuple(range(len(p))) for p in first.dims))
+        identity = _identity(map(len, self.generators[0].dims))
         index = {identity: 0}
         tree, frontier = [(identity, -1, -1)], [identity]
         while frontier:
             new = []
             for k, g in enumerate(self.generators):
                 for h in frontier:
-                    gh = product(g, h)
+                    gh = g * h
                     if gh not in index:
                         index[gh] = len(tree)
                         tree.append((gh, k, index[h]))
@@ -172,28 +160,24 @@ class GroupAction:
 
     @cached_property
     def elements(self):
-        """Every element of `tree`, sorted."""
-
-        def key(g):
-            if isinstance(g, CatAut):
-                return (g.obj, g.mor)
-            return g.dims if isinstance(g, TrispAut) else g
-
-        return tuple(sorted((g for g, _k, _j in self.tree), key=key))
+        """Every element of `tree`, sorted by its permutations."""
+        return tuple(sorted((g for g, _k, _j in self.tree), key=attrgetter("dims")))
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.tree)
 
 
 def close_group(generators, on):
     """The action generated by `generators`, each checked to be an automorphism of `on`.
 
-    `on` is a category, a poset or a trisp; a generator that is not a genuine
-    automorphism raises with a witness.  No generators give the trivial
-    action, generated by the identity of `on`.  A category is checked entry
-    by entry of its composition.  A poset's generators are object maps, each
-    built by `CatAut.from_poset`, which is the whole check: `obj` is a
+    `on` is a category, a poset or a trisp.  A generator of a category is
+    ``Aut((obj, mor))`` and one of a trisp has one permutation per
+    dimension; one that is not a genuine automorphism raises with a
+    witness.  No generators give the trivial action, generated by the
+    identity on the level sizes of `on`.  A category is checked entry by
+    entry of its composition.  A poset's generators are object maps, each
+    built by `poset_automorphism`, which is the whole check: `obj` is a
     permutation, and each ``mor[m]`` is by construction
     ``mor_of[(obj[x], obj[y])]`` for m: x -> y.  So ``mor`` is injective on
     a finite set, hence a permutation, and it sends the composite x -> z of
@@ -201,14 +185,13 @@ def close_group(generators, on):
     """
     if not generators:
         c = on.category if isinstance(on, Poset) else on
-        if isinstance(c, AcyclicCategory):
-            return GroupAction((CatAut(tuple(range(c.n_objects)), tuple(range(c.n_morphisms))),))
-        return GroupAction((TrispAut(tuple(tuple(range(on.n(d))) for d in range(on.dim + 1))),))
+        sizes = (c.n_objects, c.n_morphisms) if isinstance(c, AcyclicCategory) else on.counts
+        return GroupAction((_identity(sizes),))
     built = []
     for k, g in enumerate(generators):
         if isinstance(on, Poset):
             try:
-                g, witness = CatAut.from_poset(on, g), None
+                g, witness = poset_automorphism(on, g), None
             except InputError as exc:  # names the first relation whose image is not one
                 witness = exc
         elif isinstance(on, AcyclicCategory):
@@ -279,7 +262,7 @@ def check_horizontal(c, action):
     Returns (source, target) of the first such morphism, or None.  Generator
     orbits suffice: if y = hx and z = kx, then z = (kh⁻¹)y.
     """
-    orbit, _reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
+    orbit, _reps = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)
     for x, y in zip(c.src, c.tgt):
         if x != y and orbit[x] == orbit[y]:
             return (x, y)
@@ -295,7 +278,7 @@ def induced_trisp_action(nv, action):
 
     Pipeline 61 builds its orbit trisp with `orbit_nerve` and never runs
     this check, because on a poset it cannot fail.  There each generator
-    comes from `CatAut.from_poset`, so its object map g is a permutation
+    comes from `poset_automorphism`, so its object map g is a permutation
     with x < y => gx < gy.  As a permutation of the finite set of relations
     it has an inverse that keeps the order too.  So g sends a chain
     x_0 < ... < x_d to the chain gx_0 < ... < gx_d, bijectively in each
@@ -306,11 +289,12 @@ def induced_trisp_action(nv, action):
     columns = [list(zip(*nv.chains[d])) for d in range(1, t.dim + 1)]
     gens = []
     for g in action.generators:
-        dims = [g.obj] if t.dim >= 0 else []  # the empty category has an empty nerve
+        obj, mor = g.dims
+        dims = [obj] if t.dim >= 0 else []  # the empty category has an empty nerve
         for cols in columns:
-            images = zip(*[[g.mor[m] for m in col] for col in cols])
+            images = zip(*[[mor[m] for m in col] for col in cols])
             dims.append(tuple([index[ms] for ms in images]))
-        aut = TrispAut(tuple(dims))
+        aut = Aut(tuple(dims))
         witness = trisp_automorphism_violation(t, aut)
         if witness is not None:
             raise SoundnessError(f"induced map is not an automorphism: {witness}")
@@ -518,7 +502,7 @@ def quotient_category(c, action):
     witness = check_horizontal(c, action)
     if witness is not None:
         raise PreconditionError(f"action is not horizontal at {witness}")
-    obj_class, obj_reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
+    obj_class, obj_reps = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)
 
     pairs = []  # (m1, m2, composite) with src[m1] an orbit representative
     for x in obj_reps:
@@ -530,7 +514,7 @@ def quotient_category(c, action):
                 pairs.append((m1, m2, m12))
 
     # each morphism orbit starts as one class, rooted at its least member
-    mor_orbit, mor_reps = orbit_partition([g.mor for g in action.generators], c.n_morphisms)
+    mor_orbit, mor_reps = orbit_partition([g.dims[1] for g in action.generators], c.n_morphisms)
     uf = _UnionFind(c.n_morphisms)
     uf.parent = [mor_reps[k] for k in mor_orbit]
     # congruence: composites of pairs in one class pair share a class; a pass

@@ -165,10 +165,6 @@ class TrispReport:
     def ok(self):
         return not self.identity_violations and not self.regularity_violations
 
-    @property
-    def regular(self):
-        return not self.regularity_violations
-
     def to_json(self):
         out = {
             "ok": self.ok,
@@ -238,11 +234,16 @@ def edge_matrix(t, d, s, cache):
     return mat
 
 
-def compute_simplicial_flag(t):
-    """Brute-force simpliciality and flagness check; intended for desk scale."""
-    simplicial = all(
+def is_simplicial(t):
+    """Do distinct simplices have distinct vertex sets?"""
+    return all(
         len({frozenset(vt) for vt in t.vertex_tuples(d)}) == t.n(d) for d in range(1, t.dim + 1)
     )
+
+
+def compute_simplicial_flag(t):
+    """Brute-force simpliciality and flagness check; intended for desk scale."""
+    simplicial = is_simplicial(t)
 
     cache = {}
     # dimension 2: every composable edge pair must span exactly one triangle

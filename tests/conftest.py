@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from trispcat.accat import poset_from_relation
 from trispcat.nerve import nerve
-from trispcat.symmetry import CatAut, TrispAut, close_group
+from trispcat.symmetry import Aut, close_group
 from trispcat.trisp import Trisp
 
 from oracles import chain_poset
@@ -28,7 +28,7 @@ def double_filled():
     from trispcat.closure import TrispClosureMap
 
     t = Trisp((3, 3, 2), [[(1, 0), (2, 0), (2, 1)], [(2, 1, 0), (2, 1, 0)]])
-    action = close_group([TrispAut(((0, 1, 2), (0, 1, 2), (1, 0)))], on=t)
+    action = close_group([Aut(((0, 1, 2), (0, 1, 2), (1, 0)))], on=t)
     psi = TrispClosureMap(frozenset({0}), frozenset({1, 2}), {0: 2}, "min")
     return t, action, psi
 
@@ -44,7 +44,7 @@ def triangle_boundary():
     mor = [None] * 6
     for (x, y), m in p.mor_of.items():
         mor[m] = p.mor_of[(obj[x], obj[y])]
-    action = close_group([CatAut(obj, tuple(mor))], on=p.category)
+    action = close_group([Aut((obj, tuple(mor)))], on=p.category)
     return p, action
 
 
@@ -62,7 +62,7 @@ def two_edges_z2():
     mor = [None] * 2
     for (x, y), m in p.mor_of.items():
         mor[m] = p.mor_of[(obj[x], obj[y])]
-    cat_action = close_group([CatAut(obj, tuple(mor))], on=p.category)
+    cat_action = close_group([Aut((obj, tuple(mor)))], on=p.category)
     nv = nerve(p.category)
     from trispcat.symmetry import induced_trisp_action
 

@@ -58,10 +58,9 @@ from trispcat.errors import InputError, PreconditionError, SoundnessError
 from trispcat.graphs import lift_to_edges, partition_label, set_partitions, sn_generator_perms
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
-    CatAut,
+    Aut,
     GroupAction,
     QuotientCategory,
-    TrispAut,
     _is_perm,
     _UnionFind,
     check_horizontal,
@@ -133,7 +132,7 @@ def burnside_chain_orbit_counts(p, action):
     """
     totals = []
     for g in action.elements:
-        fixed, _keep = subposet(p, [x for x in range(p.n) if g.obj[x] == x])
+        fixed, _keep = subposet(p, [x for x in range(p.n) if g.dims[0][x] == x])
         counts = count_chains_by_length(fixed.category)
         totals = [a + b for a, b in zip_longest(totals, counts, fillvalue=0)]
     while totals and totals[-1] == 0:
@@ -200,7 +199,7 @@ def decomposition_quotient_classes(c, action):
         changed = False
         for g in action.elements:
             for m in range(c.n_morphisms):
-                a, b = orbit[m], orbit[g.mor[m]]
+                a, b = orbit[m], orbit[g.dims[1][m]]
                 if a != b:
                     lo, hi = min(a, b), max(a, b)
                     for i in range(c.n_morphisms):
@@ -279,7 +278,7 @@ def poset_automorphisms(p):
             mor = [None] * p.category.n_morphisms
             for (x, y), m in p.mor_of.items():
                 mor[m] = p.mor_of[(perm[x], perm[y])]
-            out.append(CatAut(tuple(perm), tuple(mor)))
+            out.append(Aut((tuple(perm), tuple(mor))))
     return out
 
 
@@ -322,7 +321,7 @@ def object_maps(action):
 
     This is how `orbit_nerve` takes its group.
     """
-    return [g.obj for g in action.elements]
+    return [g.dims[0] for g in action.elements]
 
 
 def random_path_category(rng, max_nodes=5, max_edges=6):
@@ -449,15 +448,15 @@ def poset_automorphism_violation(p, g):
 
     A poset's hom-sets have at most one element and it composes through its
     order, so the composite of the images of x < y < z is the one morphism
-    gx -> gz, the image of the composite.  It suffices that g.mor sends each
-    x -> y to the morphism gx -> gy.
+    gx -> gz, the image of the composite.  It suffices that the morphism map
+    of g = (obj, mor) sends each x -> y to the morphism gx -> gy.
     """
     c = p.category
-    if not _is_perm(g.obj, c.n_objects) or not _is_perm(g.mor, c.n_morphisms):
+    obj, mor = g.dims
+    if not _is_perm(obj, c.n_objects) or not _is_perm(mor, c.n_morphisms):
         return ("not-a-permutation",)
-    obj, mor_of = g.obj, p.mor_of
     for m, (x, y) in enumerate(zip(c.src, c.tgt)):
-        if g.mor[m] != mor_of.get((obj[x], obj[y])):
+        if mor[m] != p.mor_of.get((obj[x], obj[y])):
             return ("order", m)
     return None
 
@@ -588,8 +587,8 @@ def check_operator_class_coherence(p, action, f):
         raise PreconditionError("operator is not one-sided")
     if not report.descending:
         p = as_poset(opposite_category(p.category))
-        action = close_group([g.obj for g in action.generators], on=p)
-    if any(f[g.obj[x]] != g.obj[f[x]] for g in action.generators for x in range(p.n)):
+        action = close_group([g.dims[0] for g in action.generators], on=p)
+    if any(f[g.dims[0][x]] != g.dims[0][f[x]] for g in action.generators for x in range(p.n)):
         raise PreconditionError("operator is not equivariant")
     qc = quotient_category(p.category, action)
     keep, sub_qc = image_quotient_nerve(p, action, f)
@@ -676,16 +675,13 @@ def invert_perm(g):
 
 
 def inverse(g):
-    """Inverse of a CatAut or a TrispAut."""
-    if isinstance(g, CatAut):
-        return CatAut(invert_perm(g.obj), invert_perm(g.mor))
-    return TrispAut(tuple(invert_perm(p) for p in g.dims))
+    """Inverse of an automorphism, level by level."""
+    return Aut(tuple(invert_perm(p) for p in g.dims))
 
 
 def is_identity(g):
-    """Does the CatAut or TrispAut fix everything?"""
-    perms = (g.obj, g.mor) if isinstance(g, CatAut) else g.dims
-    return all(all(i == x for i, x in enumerate(p)) for p in perms)
+    """Does the automorphism fix everything?"""
+    return all(all(i == x for i, x in enumerate(p)) for p in g.dims)
 
 
 def regular_action_oracle(t, action):
@@ -718,12 +714,12 @@ def quotient_category_oracle(c, action):
     witness = check_horizontal(c, action)
     if witness is not None:
         raise PreconditionError(f"action is not horizontal at {witness}")
-    obj_class, obj_reps = orbit_partition([g.obj for g in action.generators], c.n_objects)
+    obj_class, obj_reps = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)
 
     uf = _UnionFind(c.n_morphisms)
     for g in action.generators:
         for m in range(c.n_morphisms):
-            uf.union(m, g.mor[m])
+            uf.union(m, g.dims[1][m])
     changed = True
     while changed:
         changed = False
@@ -838,7 +834,7 @@ def dgn_trisp_action(k, perms=None):
                 image = tuple(sorted(eperm[e] for e in face))
                 table.append(k.index[frozenset(image)][1])
             dims.append(tuple(table))
-        g = TrispAut(tuple(dims))
+        g = Aut(tuple(dims))
         witness = simplicial_automorphism_violation(k.trisp, g)
         if witness is not None:
             raise AssertionError(f"relabeling {perm} is not a setwise automorphism: {witness}")

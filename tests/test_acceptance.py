@@ -88,7 +88,7 @@ def equivariant_corpus(poset_corpus):
                 (f, rep)
                 for f, rep in one_sided
                 if all(
-                    f[g.obj[x]] == g.obj[f[x]]
+                    f[g.dims[0][x]] == g.dims[0][f[x]]
                     for g in action.elements
                     for x in range(p.n)
                 )
@@ -368,7 +368,7 @@ def test_criterion_09_regularity_condition_witness(dgn4_bundle):
 def test_criterion_10_congruence_equals_decomposition(triangle_boundary, two_edges_z2):
     t0 = time.perf_counter()
     from trispcat.accat import AcyclicCategory, validate_category
-    from trispcat.symmetry import CatAut
+    from trispcat.symmetry import Aut
 
     fixtures = []
     p1, a1 = triangle_boundary
@@ -376,14 +376,14 @@ def test_criterion_10_congruence_equals_decomposition(triangle_boundary, two_edg
     p2, _nv, a2, _t, _c = two_edges_z2
     fixtures.append((p2.category, a2))
     par = AcyclicCategory(["a", "b"], [(0, 1), (0, 1)])
-    fixtures.append((par, close_group([CatAut((0, 1), (1, 0))], on=par)))
+    fixtures.append((par, close_group([Aut(((0, 1), (1, 0)))], on=par)))
     fork = AcyclicCategory(
         ["a", "b1", "b2", "c"],
         [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (0, 3)],
         [(0, 2, 4), (1, 3, 5)],
     )
     assert validate_category(fork).ok
-    fixtures.append((fork, close_group([CatAut((0, 2, 1, 3), (1, 0, 3, 2, 5, 4))], on=fork)))
+    fixtures.append((fork, close_group([Aut(((0, 2, 1, 3), (1, 0, 3, 2, 5, 4)))], on=fork)))
     c3 = chain_poset(3).category
     fixtures.append((c3, close_group([], on=c3)))
     assert all(c.n_morphisms <= 10 for c, _a in fixtures)

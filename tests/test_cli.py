@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from trispcat.cli import main
 from trispcat.closure import full_collapse_audit, induced_trisp_closure_map
 from trispcat.nerve import nerve
-from trispcat.symmetry import CatAut
+from trispcat.symmetry import poset_automorphism
 
 from oracles import chain_poset, is_identity, object_maps
 
@@ -148,7 +148,7 @@ def test_quotient_category_command(capsys, tmp_path, triangle_boundary):
     g = action.generators[0]
     act_file = write(
         tmp_path / "act.json",
-        {"generators": [{"objects": list(g.obj), "morphisms": list(g.mor)}]},
+        {"generators": [{"objects": list(g.dims[0]), "morphisms": list(g.dims[1])}]},
     )
     code, out = run(capsys, "quotient", "--input", cat_file, "--action", act_file)
     assert code == 0
@@ -164,9 +164,7 @@ def test_quotient_trisp_command(capsys, tmp_path, double_filled):
     t_file = write(tmp_path / "t.json", t.to_json())
     g = next(g for g in action.elements if not is_identity(g))
     act_file = write(tmp_path / "act.json", {"generators": [{"dims": [list(p) for p in g.dims]}]})
-    code, out = run(
-        capsys, "quotient", "--input", t_file, "--action", act_file, "--mode", "trisp"
-    )
+    code, out = run(capsys, "quotient", "--input", t_file, "--action", act_file)
     assert code == 0
     doc = json.loads(out)
     assert [layer["count"] for layer in doc["quotient"]["dims"]] == [3, 3, 1]
@@ -315,6 +313,19 @@ def test_closure_takes_no_convention_option(capsys, tmp_path):
     assert "unrecognized arguments: --convention max" in captured.err
 
 
+def test_quotient_takes_no_mode_option(capsys, tmp_path, double_filled):
+    # the kind of the input is read off the document
+    t, action, _psi = double_filled
+    t_file = write(tmp_path / "t.json", t.to_json())
+    generators = [{"dims": [list(p) for p in g.dims]} for g in action.generators]
+    act_file = write(tmp_path / "act.json", {"generators": generators})
+    argv = ["quotient", "--input", t_file, "--action", act_file, "--mode", "trisp"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --mode trisp" in captured.err
+
+
 def test_closure_verify_and_collapse_reject_an_action(capsys, tmp_path):
     t_file = write(tmp_path / "t.json", nerve(chain_poset(2).category).trisp.to_json())
     map_file = write(tmp_path / "m.json", {"blue": [1], "red": [0], "map": {"1": 0}})
@@ -358,7 +369,7 @@ def test_quotient_of_dgn4_face_poset(capsys, tmp_path, dgn4_bundle):
         tmp_path / "act.json",
         {
             "generators": [
-                {"objects": list(g.obj), "morphisms": list(g.mor)} for g in act.generators
+                {"objects": list(g.dims[0]), "morphisms": list(g.dims[1])} for g in act.generators
             ]
         },
     )
@@ -557,13 +568,18 @@ def test_pipeline_61_builds_no_subdivision(capsys, monkeypatch, n):
 @pytest.mark.parametrize("n", [4, 5])
 @pytest.mark.parametrize("variant", ["61", "62"])
 def test_pipelines_close_no_group_of_automorphisms(capsys, monkeypatch, variant, n):
-    # S_n is closed once, on n points; pipeline 61 lifts its elements to the posets
+    # S_n is closed once, on n points, as elements of one level; pipeline 61
+    # lifts them to the posets, and no element of two levels is multiplied
     from trispcat import symmetry
 
-    def forbidden(*_args):
-        raise AssertionError("a group of category automorphisms was closed")
+    product = symmetry.Aut.__mul__
 
-    monkeypatch.setattr(symmetry.CatAut, "__mul__", forbidden)
+    def one_level_only(g, h):
+        if len(g.dims) > 1:
+            raise AssertionError("a group of category automorphisms was closed")
+        return product(g, h)
+
+    monkeypatch.setattr(symmetry.Aut, "__mul__", one_level_only)
     code, out = run(capsys, "dgn", "pipeline", "--n", str(n), "--pipeline", variant)
     assert code == 0
     certs = json.dumps(json.loads(out)["certificates"], sort_keys=True, separators=(",", ":"))
@@ -723,8 +739,8 @@ def _quotient_documents():
         ["v0", "v1", "v2", "e0", "e1", "e2"],
         [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)],
     )
-    rotation = CatAut.from_poset(hexagon, (1, 2, 0, 4, 5, 3))
-    rotate = {"objects": list(rotation.obj), "morphisms": list(rotation.mor)}
+    rotation = poset_automorphism(hexagon, (1, 2, 0, 4, 5, 3))
+    rotate = {"objects": list(rotation.dims[0]), "morphisms": list(rotation.dims[1])}
     return [
         ("category", hexagon.category.to_json(), {"generators": [rotate]}),
         # no generators: a mutated category reaches validation and the quotient
@@ -828,18 +844,16 @@ def _mutate(doc, data):
 @given(
     st.sampled_from(range(len(_quotient_documents()))),
     st.sampled_from(["input", "action", "both"]),
-    st.booleans(),
     st.data(),
 )
-def test_quotient_exit_codes_hold_on_mutated_documents(which, target, with_mode, data):
-    kind, doc, action = copy.deepcopy(_quotient_documents()[which])
+def test_quotient_exit_codes_hold_on_mutated_documents(which, target, data):
+    _kind, doc, action = copy.deepcopy(_quotient_documents()[which])
     if target != "action":
         doc = _mutate(doc, data)
     if target != "input":
         action = _mutate(action, data)
-    argv = ["quotient", "--mode", kind] if with_mode else ["quotient"]
     with tempfile.TemporaryDirectory() as tmp:
-        _run_documents(argv, [doc, action], tmp)
+        _run_documents(["quotient"], [doc, action], tmp)
 
 
 def _check_exit_contract(argv):

@@ -25,8 +25,8 @@ from trispcat.errors import PreconditionError, SoundnessError
 from trispcat.graphs import build_dgn, face_poset, face_poset_action, transitive_closure_operator
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
+    Aut,
     GroupAction,
-    TrispAut,
     close_group,
     induced_trisp_action,
     quotient_category,
@@ -80,7 +80,7 @@ def test_push_two_edge_fixture(two_edges_z2):
 
 def test_push_requires_a_regular_action():
     digon = Trisp((2, 2), [[(1, 0), (0, 1)]])
-    qt = quotient_trisp(digon, GroupAction((TrispAut(((1, 0), (1, 0))),)))
+    qt = quotient_trisp(digon, GroupAction((Aut(((1, 0), (1, 0))),)))
     cmap = TrispClosureMap(frozenset({1}), frozenset({0}), {1: 0}, "min")
     with pytest.raises(PreconditionError, match="quotient-regularity fails"):
         push_closure_map(qt, cmap)
@@ -143,6 +143,20 @@ def test_lift_two_edge_fixture_roundtrip(two_edges_z2):
     assert lifted.blue == cmap.blue
 
 
+def test_lift_tests_simpliciality_without_the_flag_search(monkeypatch, two_edges_z2):
+    # the lift reads only whether the source is simplicial, not whether it is flag
+    from trispcat import trisp
+
+    def forbidden(_t):
+        raise AssertionError("the flag search ran")
+
+    monkeypatch.setattr(trisp, "compute_simplicial_flag", forbidden)
+    monkeypatch.setattr(equivariant, "compute_simplicial_flag", forbidden, raising=False)
+    _p, nv, _cat, tact, cmap = two_edges_z2
+    qt = quotient_trisp(nv.trisp, tact)
+    assert lift_closure_map(qt, push_closure_map(qt, cmap)[0]).mapping == dict(cmap.mapping)
+
+
 def test_lift_rejected_on_double_filled(double_filled):
     t, action, psi = double_filled
     with pytest.raises(PreconditionError, match="simplicial"):
@@ -167,7 +181,7 @@ def test_lift_requires_a_regular_action():
     # the cyclically oriented hollow triangle and its rotation: simplicial,
     # but each edge has both its vertices in the one vertex orbit
     cycle = Trisp((3, 3), [[(1, 0), (2, 1), (0, 2)]])
-    qt = quotient_trisp(cycle, close_group([TrispAut(((1, 2, 0), (1, 2, 0)))], on=cycle))
+    qt = quotient_trisp(cycle, close_group([Aut(((1, 2, 0), (1, 2, 0)))], on=cycle))
     psi = TrispClosureMap(frozenset(), frozenset({0}), {}, "min")
     with pytest.raises(PreconditionError) as got:
         lift_closure_map(qt, psi)
@@ -307,7 +321,7 @@ def _equivariant_one_sided_operators(p, action):
         if report.direction() is None:
             continue
         if all(
-            f[g.obj[x]] == g.obj[f[x]] for g in action.elements for x in range(p.n)
+            f[g.dims[0][x]] == g.dims[0][f[x]] for g in action.elements for x in range(p.n)
         ):
             out.append((f, report))
     return out

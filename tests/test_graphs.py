@@ -255,7 +255,7 @@ def _partition_map(pp, perm):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_lifted_elements_are_the_relabellings(n):
     group = _sn_group(n)
-    perms = [perm for perm, _k, _j in group.tree]
+    perms = [g.dims[0] for g, _k, _j in group.tree]
     assert sorted(perms) == sorted(permutations(range(n)))
     k = build_dgn(n)
     fp = face_poset(k)
@@ -295,7 +295,7 @@ def test_operator_is_equivariant(dgn4_bundle):
     f, act = dgn4_bundle["f"], dgn4_bundle["act"]
     for g in act.elements:
         for x in range(len(f)):
-            assert f[g.obj[x]] == g.obj[f[x]]
+            assert f[g.dims[0][x]] == g.dims[0][f[x]]
 
 
 def test_partition_quotient_objects_and_terminal():

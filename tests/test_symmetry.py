@@ -22,9 +22,8 @@ from trispcat.graphs import (
 )
 from trispcat.nerve import chain_counts, nerve
 from trispcat.symmetry import (
-    CatAut,
+    Aut,
     GroupAction,
-    TrispAut,
     canonical_map,
     cat_automorphism_violation,
     check_horizontal,
@@ -33,6 +32,7 @@ from trispcat.symmetry import (
     induced_trisp_action,
     orbit_nerve,
     orbit_partition,
+    poset_automorphism,
     quotient_category,
     quotient_trisp,
     trisp_automorphism_violation,
@@ -63,14 +63,14 @@ from test_accat import assert_terminal_object_is_the_definition, posets
 
 def test_close_group_s3_on_antichain():
     p = poset_from_relation(3, [])
-    swap = CatAut((1, 0, 2), ())
-    cycle = CatAut((1, 2, 0), ())
+    swap = Aut(((1, 0, 2), ()))
+    cycle = Aut(((1, 2, 0), ()))
     action = close_group([swap, cycle], on=p.category)
     assert action.order == 6
 
 
 def test_close_group_rejects_non_automorphism(chain3):
-    bad = CatAut((1, 0, 2), (0, 1, 2))
+    bad = Aut(((1, 0, 2), (0, 1, 2)))
     with pytest.raises(InputError):
         close_group([bad], on=chain3.category)
 
@@ -78,22 +78,22 @@ def test_close_group_rejects_non_automorphism(chain3):
 def test_from_poset_names_the_first_unordered_pair(chain3):
     # relations in morphism order: 0 < 1, 0 < 2, 1 < 2; (1 0 2) sends 0 < 1 to 1, 0
     with pytest.raises(InputError, match=r"does not keep the order at \(0, 1\)"):
-        CatAut.from_poset(chain3, (1, 0, 2))
+        poset_automorphism(chain3, (1, 0, 2))
     with pytest.raises(InputError, match=r"does not keep the order at \(1, 2\)"):
-        CatAut.from_poset(chain3, (0, 2, 1))
-    assert CatAut.from_poset(chain3, (0, 1, 2)) == CatAut((0, 1, 2), (0, 1, 2))
+        poset_automorphism(chain3, (0, 2, 1))
+    assert poset_automorphism(chain3, (0, 1, 2)) == Aut(((0, 1, 2), (0, 1, 2)))
 
 
 @pytest.mark.parametrize("obj", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)])
 def test_from_poset_rejects_a_non_permutation(chain3, obj):
     with pytest.raises(InputError, match="is not a permutation of the 3 objects"):
-        CatAut.from_poset(chain3, obj)
+        poset_automorphism(chain3, obj)
 
 
 def test_close_group_checks_a_poset_by_its_order(chain3):
     # a poset generator is an object map, checked against the order; a
     # morphism map is checked by the composition scan of the category
-    swapped = CatAut((0, 1, 2), (1, 0, 2))
+    swapped = Aut(((0, 1, 2), (1, 0, 2)))
     assert poset_automorphism_violation(chain3, swapped) == ("order", 0)
     with pytest.raises(InputError, match=r"generator 0 is not an automorphism: \('target', 0\)"):
         close_group([swapped], on=chain3.category)
@@ -105,7 +105,7 @@ def test_close_group_builds_a_poset_generator_from_its_object_map(chain3):
     # an object map is built into its automorphism; one that breaks the
     # order is refused at the first relation whose image is not one
     action = close_group([(0, 1, 2), [0, 1, 2]], on=chain3)
-    assert action.generators == (CatAut((0, 1, 2), (0, 1, 2)),) * 2
+    assert action.generators == (Aut(((0, 1, 2), (0, 1, 2))),) * 2
     antichain = poset_from_relation(3, [])
     assert close_group([[1, 2, 0]], on=antichain).order == 3
     refused = "generator {} is not an automorphism: "
@@ -122,7 +122,7 @@ def test_close_group_builds_a_poset_generator_from_its_object_map(chain3):
 @settings(max_examples=40, deadline=None)
 @given(posets(max_n=5))
 def test_order_check_agrees_with_the_composition_scan(p):
-    # every object permutation: from_poset accepts exactly the automorphisms,
+    # every object permutation: poset_automorphism accepts exactly the automorphisms,
     # which both checks accept, and close_group on the poset builds them from
     # their object maps; both checks reject one with two morphisms swapped,
     # and so does close_group on the category, with the scan's witness
@@ -130,7 +130,7 @@ def test_order_check_agrees_with_the_composition_scan(p):
     for perm in itertools.permutations(range(p.n)):
         keeps = all(p.lt(perm[x], perm[y]) for (x, y) in p.mor_of)
         try:
-            g = CatAut.from_poset(p, perm)
+            g = poset_automorphism(p, perm)
         except InputError as exc:
             assert not keeps
             with pytest.raises(InputError) as got:
@@ -143,9 +143,9 @@ def test_order_check_agrees_with_the_composition_scan(p):
         assert close_group([perm], on=p).generators == (g,)
         assert close_group([g], on=c).generators == (g,)
         if c.n_morphisms >= 2:
-            mor = list(g.mor)
+            mor = list(g.dims[1])
             mor[0], mor[-1] = mor[-1], mor[0]
-            bad = CatAut(g.obj, tuple(mor))
+            bad = Aut((g.dims[0], tuple(mor)))
             assert poset_automorphism_violation(p, bad) is not None
             witness = cat_automorphism_violation(c, bad)
             assert witness is not None
@@ -180,10 +180,10 @@ def _criterion_10_fixtures(triangle_boundary, two_edges_z2):
     return [
         (p1.category, a1),
         (p2.category, a2),
-        (par, close_group([CatAut((0, 1), (1, 0))], on=par)),
-        (fork, close_group([CatAut((0, 2, 1, 3), (1, 0, 3, 2, 5, 4))], on=fork)),
+        (par, close_group([Aut(((0, 1), (1, 0)))], on=par)),
+        (fork, close_group([Aut(((0, 2, 1, 3), (1, 0, 3, 2, 5, 4)))], on=fork)),
         (c3, close_group([], on=c3)),
-        (arrow, GroupAction((CatAut((1, 0), (0,)),))),
+        (arrow, GroupAction((Aut(((1, 0), (0,))),))),
     ]
 
 
@@ -232,12 +232,12 @@ def test_trivial_action_order_one(chain3):
 def test_trivial_actions_are_generated_by_the_identity(chain3):
     # no generators: the identity of a category, a poset or a trisp, empty or not
     cases = [
-        (chain3.category, CatAut((0, 1, 2), (0, 1, 2))),
-        (chain3, CatAut((0, 1, 2), (0, 1, 2))),
-        (nerve(chain3.category).trisp, TrispAut(((0, 1, 2), (0, 1, 2), (0,)))),
-        (Trisp([], []), TrispAut(())),
-        (AcyclicCategory([], []), CatAut((), ())),
-        (poset_from_relation(0, []), CatAut((), ())),
+        (chain3.category, Aut(((0, 1, 2), (0, 1, 2)))),
+        (chain3, Aut(((0, 1, 2), (0, 1, 2)))),
+        (nerve(chain3.category).trisp, Aut(((0, 1, 2), (0, 1, 2), (0,)))),
+        (Trisp([], []), Aut(())),
+        (AcyclicCategory([], []), Aut(((), ()))),
+        (poset_from_relation(0, []), Aut(((), ()))),
     ]
     for on, identity in cases:
         action = close_group([], on=on)
@@ -269,14 +269,14 @@ def test_orbits_from_generators_random(seed):
     p = random_poset(rng, max_n=6)
     action = random_action(rng, p)
     c = p.category
-    _orbits_agree(action, (c.n_objects, c.n_morphisms), lambda g, d: (g.obj, g.mor)[d])
+    _orbits_agree(action, (c.n_objects, c.n_morphisms), lambda g, d: g.dims[d])
     nv = nerve(c)
     tact = induced_trisp_action(nv, action)
     _orbits_agree(tact, nv.trisp.counts, lambda g, d: g.dims[d])
     assert tact.order == action.order
     # horizontality by its all-elements definition: gx != x is never joined to x
     horizontal = not any(
-        g.obj[x] != x and (c.hom(x, g.obj[x]) or c.hom(g.obj[x], x))
+        g.dims[0][x] != x and (c.hom(x, g.dims[0][x]) or c.hom(g.dims[0][x], x))
         for g in action.elements
         for x in range(c.n_objects)
     )
@@ -308,7 +308,7 @@ def test_horizontality_of_poset_automorphisms(two_edges_z2):
 
 def test_horizontality_witness_on_raw_permutation():
     c = AcyclicCategory(["a", "b"], [(0, 1)])
-    assert check_horizontal(c, GroupAction((CatAut((1, 0), (0,)),))) == (0, 1)
+    assert check_horizontal(c, GroupAction((Aut(((1, 0), (0,))),))) == (0, 1)
 
 
 def test_induced_action_on_hexagon(triangle_boundary):
@@ -329,9 +329,9 @@ def test_induced_action_checks_generators_under_optimize():
     code = (
         "from trispcat.accat import AcyclicCategory\n"
         "from trispcat.nerve import nerve\n"
-        "from trispcat.symmetry import CatAut, GroupAction, induced_trisp_action\n"
+        "from trispcat.symmetry import Aut, GroupAction, induced_trisp_action\n"
         "c = AcyclicCategory(['a', 'b', 'c'], [(0, 2), (1, 2)])\n"
-        "swap = CatAut((0, 1, 2), (1, 0))  # fixes every object, swaps a->c and b->c\n"
+        "swap = Aut(((0, 1, 2), (1, 0)))  # fixes every object, swaps a->c and b->c\n"
         "try:\n"
         "    induced_trisp_action(nerve(c), GroupAction((swap,)))\n"
         "except AssertionError as exc:\n"
@@ -392,7 +392,7 @@ def test_regularity_from_orbits_matches_the_definition_on_other_actions(double_f
     t, action, _psi = double_filled  # its two 2-simplices share every vertex
     _assert_regularity_matches_oracle(t, action, True)
     digon = Trisp((2, 2), [[(1, 0), (0, 1)]])
-    _assert_regularity_matches_oracle(digon, GroupAction((TrispAut(((1, 0), (1, 0))),)), False)
+    _assert_regularity_matches_oracle(digon, GroupAction((Aut(((1, 0), (1, 0))),)), False)
 
 
 def test_regularity_rejects_a_loop_edge():
@@ -485,9 +485,17 @@ def test_quotient_category_requires_horizontal():
 
     # a raw permutation pair that is not an automorphism, wrapped without validation
     c = AcyclicCategory(["a", "b"], [(0, 1)])
-    fake = GroupAction((CatAut((1, 0), (0,)),))
+    fake = GroupAction((Aut(((1, 0), (0,))),))
     with pytest.raises(PreconditionError):
         quotient_category(c, fake)
+
+
+def test_quotient_category_requires_a_complete_composition_table():
+    # a -> b -> c with no composite a -> c: the pair (0, 1) has no entry
+    c = AcyclicCategory(["a", "b", "c"], [(0, 1), (1, 2)])
+    with pytest.raises(PreconditionError) as got:
+        quotient_category(c, close_group([], on=c))
+    assert str(got.value) == "composition table incomplete at (0, 1)"
 
 
 def test_orbit_partition_least_representative():
@@ -530,7 +538,7 @@ def test_automorphism_violation_names_the_first_face(dgn4_bundle):
                 a, b = rng.sample(range(t.n(d)), 2)
                 dims = list(g.dims)
                 dims[d] = _swap(dims[d], a, b)
-                broken = TrispAut(tuple(dims))
+                broken = Aut(tuple(dims))
                 witness = trisp_automorphism_violation(t, broken)
                 assert witness is not None and witness[0] == "boundary"
                 assert witness == automorphism_violation_by_face(t, broken)
@@ -578,7 +586,7 @@ def test_congruence_matches_decomposition_oracle_fixtures(triangle_boundary, two
     fixtures.append((p2.category, a2))
     # parallel pair swapped by an involution
     par = AcyclicCategory(["a", "b"], [(0, 1), (0, 1)])
-    swap = close_group([CatAut((0, 1), (1, 0))], on=par)
+    swap = close_group([Aut(((0, 1), (1, 0)))], on=par)
     fixtures.append((par, swap))
     # free category on a fork with two composite routes
     fork = AcyclicCategory(
@@ -587,7 +595,7 @@ def test_congruence_matches_decomposition_oracle_fixtures(triangle_boundary, two
         [(0, 2, 4), (1, 3, 5)],
     )
     assert validate_category(fork).ok
-    sym = close_group([CatAut((0, 2, 1, 3), (1, 0, 3, 2, 5, 4))], on=fork)
+    sym = close_group([Aut(((0, 2, 1, 3), (1, 0, 3, 2, 5, 4)))], on=fork)
     fixtures.append((fork, sym))
     for c, action in fixtures:
         qc = quotient_category(c, action)
