@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from trispcat.accat import check_closure_operator
+from trispcat.accat import check_closure_operator, closure_direction
 from trispcat.closure import TrispClosureMap, verify_trisp_closure_map
 from trispcat.nerve import nerve
 
@@ -36,7 +36,7 @@ def main():
             continue
         nv = nerve(p.category)
         for f in monotone_idempotent_maps(p):
-            if check_closure_operator(p, f).direction() is not None:
+            if closure_direction(check_closure_operator(p, f)) is not None:
                 continue
             red = frozenset(f)
             blue = frozenset(range(p.n)) - red

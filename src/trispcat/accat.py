@@ -10,7 +10,10 @@ A poset built by `poset_from_relation` stores none: in a poset (x<y)(y<z)
 is x<z, so ``comp`` is a read-only view that looks the composite up in
 the order.  An operator on a poset is the tuple of its object images,
 ``f[x]``: a poset has at most one morphism between two objects, so the
-images of the objects fix those of the morphisms.
+images of the objects fix those of the morphisms.  A check returns its
+witnesses, and a property holds when its witnesses are empty:
+`check_closure_operator` returns a list per property, and
+`closure_direction` reads the one-sided rule off them.
 """
 
 from collections import Counter
@@ -341,59 +344,34 @@ def covers(p):
     return out
 
 
-class ClosureReport:
-    """Flags for a candidate closure operator; each False flag has witnesses."""
-
-    def __init__(self, monotone, idempotent, descending, ascending, witnesses):
-        self.monotone = monotone
-        self.idempotent = idempotent
-        self.descending = descending
-        self.ascending = ascending
-        self.witnesses = witnesses
-
-    @property
-    def is_closure_operator(self):
-        return self.monotone and self.idempotent
-
-    def direction(self):
-        """'descending' or 'ascending' when one-sided (identity counts as both)."""
-        if not self.is_closure_operator:
-            return None
-        if self.descending:
-            return "descending"
-        if self.ascending:
-            return "ascending"
-        return None
-
-    def to_json(self):
-        return {
-            "monotone": self.monotone,
-            "idempotent": self.idempotent,
-            "descending": self.descending,
-            "ascending": self.ascending,
-            "witnesses": {k: list(v) for k, v in self.witnesses.items()},
-        }
-
-
 def check_closure_operator(p, f):
-    """Classify an operator `f` (object images) on a poset: monotone, idempotent, one-sided.
+    """The witnesses against an operator `f` (object images) on a poset, by property.
 
-    The monotone witnesses are every relation x < y with f(x) not below f(y).
+    Returns a dict of four lists, ``monotone``, ``idempotent``,
+    ``descending`` and ``ascending``; a property holds when its list is
+    empty.  The monotone witnesses are every relation x < y with f(x) not
+    below f(y), the others the objects x at which the property fails.
     """
     mor_of, objects = p.mor_of, range(p.n)
-    witnesses = {
+    return {
         "monotone": [(x, y) for x, y in mor_of if f[x] != f[y] and (f[x], f[y]) not in mor_of],
         "idempotent": [x for x in objects if f[f[x]] != f[x]],
         "descending": [x for x in objects if f[x] != x and (f[x], x) not in mor_of],
         "ascending": [x for x in objects if f[x] != x and (x, f[x]) not in mor_of],
     }
-    return ClosureReport(
-        monotone=not witnesses["monotone"],
-        idempotent=not witnesses["idempotent"],
-        descending=not witnesses["descending"],
-        ascending=not witnesses["ascending"],
-        witnesses=witnesses,
-    )
+
+
+def closure_direction(witnesses):
+    """'descending' or 'ascending' for a one-sided closure operator, else None.
+
+    `witnesses` is what `check_closure_operator` returned for the operator.
+    The identity is both; it counts as 'descending'.
+    """
+    if witnesses["monotone"] or witnesses["idempotent"]:
+        return None
+    if not witnesses["descending"]:
+        return "descending"
+    return None if witnesses["ascending"] else "ascending"
 
 
 def find_terminal_object(c):

@@ -13,13 +13,15 @@ the boundary rows.  Replaying a certificate, reading a trisp and the
 `closure` command run with the cyclic garbage collector paused
 (`trisp.nogc`): their tables are flat containers of ints with no reference
 cycles, so each collection their allocations would set off scans them all
-and frees nothing.
+and frees nothing.  A check returns its witnesses: the verification
+report holds its failures beside what the matching reads, and the map
+verifies when there are none (`ok`).
 """
 
 from array import array
 from itertools import compress
 
-from .accat import check_closure_operator, directed_cycle, find_terminal_object
+from .accat import check_closure_operator, closure_direction, directed_cycle, find_terminal_object
 from .errors import InputError, PreconditionError, SoundnessError, malformed
 from .trisp import euler_characteristic, induced_subtrisp, nogc, regularity_violations
 
@@ -116,8 +118,7 @@ def _extensions(t, targets, d):
 
 
 class ClosureVerifyReport:
-    def __init__(self, ok, failures, contained, extended, partners, targets):
-        self.ok = ok
+    def __init__(self, failures, contained, extended, partners, targets):
         self.failures = failures  # (d, s, extension count)
         self.contained = contained  # simplices whose extreme blue vertex maps into the simplex
         self.extended = extended
@@ -126,6 +127,10 @@ class ClosureVerifyReport:
 
     def __eq__(self, other):
         return type(other) is ClosureVerifyReport and vars(self) == vars(other)
+
+    @property
+    def ok(self):
+        return not self.failures
 
     def to_json(self):
         return {
@@ -165,22 +170,21 @@ def verify_trisp_closure_map(t, cmap):
                 failures.append((d, s, count[s]))
                 last[s] = -1
         partners.append(last)
-    return ClosureVerifyReport(not failures, failures, contained, extended, partners, targets)
+    return ClosureVerifyReport(failures, contained, extended, partners, targets)
 
 
-def induced_trisp_closure_map(p, f, report=None):
+def induced_trisp_closure_map(p, f, witnesses=None):
     """Closure map on the nerve of a poset induced by a one-sided closure operator.
 
     Red vertices are the image of the operator, blue the rest; a descending
     operator selects minimal blue vertices, an ascending one maximal.
+    `witnesses` is `check_closure_operator(p, f)`, computed when not given.
     """
-    if report is None:
-        report = check_closure_operator(p, f)
-    direction = report.direction()
+    if witnesses is None:
+        witnesses = check_closure_operator(p, f)
+    direction = closure_direction(witnesses)
     if direction is None:
-        raise PreconditionError(
-            "operator is not a one-sided closure operator: " + str(report.to_json())
-        )
+        raise PreconditionError(f"operator is not a one-sided closure operator: {witnesses}")
     red = frozenset(f)
     blue = frozenset(range(p.n)) - red
     mapping = {b: f[b] for b in blue}

@@ -11,7 +11,7 @@ operator still induces a closure map on the nerve of the quotient category:
 the push of the map the operator induces on the nerve of the poset.
 """
 
-from .accat import check_closure_operator, subposet
+from .accat import subposet
 from .closure import TrispClosureMap, induced_trisp_closure_map, verify_trisp_closure_map
 from .errors import PreconditionError, SoundnessError
 from .symmetry import check_regular_action, close_group, quotient_category
@@ -116,6 +116,9 @@ def check_lift_condition(qt, psi):
     """Unique red partner in the image orbit, joined by a unique 1-simplex."""
     t = qt.source
     proj0 = qt.projection[0] if qt.projection else ()
+    members = {}  # orbit -> its vertices, ascending
+    for v, orbit in enumerate(proj0):
+        members.setdefault(orbit, []).append(v)
     blue = [v for v in range(t.n(0)) if proj0[v] in psi.blue]
     edges_between = {}
     for e in range(t.n(1)):
@@ -126,10 +129,8 @@ def check_lift_condition(qt, psi):
     assignment = {}
     holds = True
     for b in blue:
-        target_orbit = psi.mapping[proj0[b]]
-        orbit_vertices = [v for v in range(t.n(0)) if proj0[v] == target_orbit]
         cand = []
-        for r in orbit_vertices:
+        for r in members.get(psi.mapping[proj0[b]], ()):
             count = len(edges_between.get((b, r), ()))
             if count:
                 cand.append((r, count))
@@ -205,7 +206,8 @@ def image_quotient_nerve(p, action, image):
 
 
 def check_image_subtrisp_equality(p, f, qc):
-    """The red part of the nerve of `qc`, a quotient of `p`, is the nerve of the image quotient.
+    """(mapping, witness): is the red part of the nerve of `qc`, a quotient of `p`,
+    the nerve of the image quotient?  As `trisps_equal_over_vertices` returns them.
 
     Red vertices of the quotient are the classes meeting the operator image.
     The subtrisp of the quotient nerve they induce must equal, boundary for
@@ -239,12 +241,9 @@ def quotient_poset_closure_map(p, f, qc):
     """
     if qc.source is not p.category:
         raise PreconditionError("the quotient is not a quotient of this poset")
-    report = check_closure_operator(p, f)
-    if report.direction() is None:
-        raise PreconditionError("operator is not a one-sided closure operator")
+    cmap = induced_trisp_closure_map(p, f)
     if _poset_action_is_equivariant(p, qc.action, f) is not None:
         raise PreconditionError("operator is not equivariant")
-    cmap = induced_trisp_closure_map(p, f, report)
     least = [members[0] for members in qc.obj_members]
     pushed, verify = push_to_orbits(qc.nerve.trisp, qc.obj_class, least, cmap)
     if any(qc.obj_class[f[x]] != pushed.mapping[qc.obj_class[x]] for x in cmap.blue):

@@ -396,9 +396,9 @@ def pipeline_quotient_trisp(n):
     report.done("barycentric", counts=counts)
 
     f = transitive_closure_operator(k, fp)
-    cls = check_closure_operator(fp.poset, f)
-    if not (cls.monotone and cls.idempotent and cls.ascending):
-        report.fail("closure_operator", str(cls.to_json()))
+    witnesses = check_closure_operator(fp.poset, f)
+    if witnesses["monotone"] or witnesses["idempotent"] or witnesses["ascending"]:
+        report.fail("closure_operator", str(witnesses))
     pp = partition_poset(n, fine_on_top=False)
     iso_witness = image_partition_isomorphism(k, fp, f, pp)
     if iso_witness is not None:
@@ -421,7 +421,7 @@ def pipeline_quotient_trisp(n):
         report.fail("regularity_condition", str(qt.regularity_witness))
     report.done("regularity_condition")
 
-    cmap = induced_trisp_closure_map(fp.poset, f, cls)
+    cmap = induced_trisp_closure_map(fp.poset, f, witnesses)
     pushed, verify = push_to_orbits(qt.trisp, qt.obj_orbit, [c[0] for c in qt.chains[0]], cmap)
     if not verify.ok:
         report.fail("induced_closure_map", f"pushed map failed verification: {verify.failures[:3]}")
@@ -443,9 +443,9 @@ def pipeline_quotient_trisp(n):
     for parent in cert.final.to_parent[0]:
         d, s = fp.elements[qt.chains[0][parent][0]]
         vmap.append(pqt.obj_orbit[pp.index[k.components[d][s]]])
-    match = trisps_equal_over_vertices(cert.final.trisp, pqt.trisp, vmap)
-    if not match.ok:
-        report.fail("target_equality", str(match.witness))
+    _mapping, witness = trisps_equal_over_vertices(cert.final.trisp, pqt.trisp, vmap)
+    if witness is not None:
+        report.fail("target_equality", str(witness))
     report.done("target_equality", counts=list(pqt.trisp.counts))
 
     chi = euler_characteristic(cert.final.trisp)
@@ -507,9 +507,9 @@ def pipeline_quotient_category(n):
     cert = full_collapse_audit(nerve_q.trisp, qmap, qverify)
     report.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
-    match52 = check_image_subtrisp_equality(fp.poset, f, qc)
-    if not match52.ok:
-        report.fail("image_subtrisp_equality", str(match52.witness))
+    match52, witness = check_image_subtrisp_equality(fp.poset, f, qc)
+    if witness is not None:
+        report.fail("image_subtrisp_equality", str(witness))
     report.done("image_subtrisp_equality")
 
     pp = partition_poset(n, fine_on_top=True)
@@ -545,13 +545,15 @@ def pipeline_quotient_category(n):
     for cls in range(pqc.category.n_objects):
         x = fp.position[k.closed[pp.partitions[pqc.obj_members[cls][0]]]]
         vmap2[cls] = sub_qc.obj_class[pos[x]]
-    match_mirror = trisps_equal_over_vertices(pn_q.trisp, reverse_trisp(sub_qc.nerve.trisp), vmap2)
-    if not match_mirror.ok:
-        report.fail("stitch", f"partition nerve mismatch: {match_mirror.witness}")
+    match_mirror, witness = trisps_equal_over_vertices(
+        pn_q.trisp, reverse_trisp(sub_qc.nerve.trisp), vmap2
+    )
+    if witness is not None:
+        report.fail("stitch", f"partition nerve mismatch: {witness}")
     translated = []
     for (d, s), (d2, s2) in cone_cert.steps:
-        a = match52.mapping[d][match_mirror.mapping[d][s]]
-        b = match52.mapping[d2][match_mirror.mapping[d2][s2]]
+        a = match52[d][match_mirror[d][s]]
+        b = match52[d2][match_mirror[d2][s2]]
         translated.append(((d, cert.final.to_parent[d][a]), (d2, cert.final.to_parent[d2][b])))
     full_steps = list(cert.steps) + translated
     remaining = verify_collapse_sequence(nerve_q.trisp, full_steps)

@@ -3,7 +3,9 @@
 A trisp stores, per dimension d, only the simplex count and for d >= 1 the
 boundary table ``bnd[d][s][i]`` = index of the i-th face of simplex s in
 dimension d-1.  Everything else (vertex tuples, skeleta) is derived, so
-there is a single source of truth.
+there is a single source of truth.  A check returns its witnesses, and a
+result comes paired with its witness: `trisps_equal_over_vertices`
+returns (mapping, witness), exactly one of them None.
 """
 
 import functools
@@ -334,25 +336,21 @@ def euler_characteristic(t):
     return sum((-1) ** d * t.n(d) for d in range(t.dim + 1))
 
 
-class TrispMatch:
-    def __init__(self, ok, mapping, witness):
-        self.ok = ok
-        self.mapping = mapping  # per dimension, tuple T1-index -> T2-index, or None
-        self.witness = witness  # tuple, or None
-
-
 def trisps_equal_over_vertices(t1, t2, vertex_map):
-    """Dimension-wise simplex bijection commuting with all boundaries.
+    """(mapping, witness): a dimension-wise simplex bijection commuting with all boundaries.
 
-    The bijection on 0-simplices is given; higher dimensions are matched
-    deterministically by grouping simplices on their (already matched)
-    boundary rows and pairing groups in canonical order.
+    Exactly one of the two is None.  The mapping holds, per dimension, the
+    tuple of `t2` indices of the simplices of `t1`; the witness is a tuple
+    that names the first mismatch.  The bijection on 0-simplices is given;
+    higher dimensions are matched deterministically by grouping simplices
+    on their (already matched) boundary rows and pairing groups in
+    canonical order.
     """
     vertex_map = tuple(vertex_map)
     if t1.counts != t2.counts:
-        return TrispMatch(False, None, ("counts", t1.counts, t2.counts))
+        return None, ("counts", t1.counts, t2.counts)
     if t1.dim >= 0 and (sorted(vertex_map) != list(range(t2.n(0))) or len(vertex_map) != t1.n(0)):
-        return TrispMatch(False, None, ("vertex-map-not-bijective",))
+        return None, ("vertex-map-not-bijective",)
     mapping = [vertex_map]
     for d in range(1, t1.dim + 1):
         prev = mapping[d - 1]
@@ -364,16 +362,16 @@ def trisps_equal_over_vertices(t1, t2, vertex_map):
             groups2.setdefault(t2.faces(d, s), []).append(s)
         if set(groups1) != set(groups2):
             missing = sorted(set(groups1) ^ set(groups2))[0]
-            return TrispMatch(False, None, ("unmatched-boundary-row", d, missing))
+            return None, ("unmatched-boundary-row", d, missing)
         level = [0] * t1.n(d)
         for key, members in groups1.items():
             others = groups2[key]
             if len(members) != len(others):
-                return TrispMatch(False, None, ("multiplicity", d, key, len(members), len(others)))
+                return None, ("multiplicity", d, key, len(members), len(others))
             for a, b in zip(sorted(members), sorted(others)):
                 level[a] = b
         mapping.append(tuple(level))
-    return TrispMatch(True, tuple(mapping), None)
+    return tuple(mapping), None
 
 
 def reverse_trisp(t):

@@ -89,7 +89,6 @@ def dgn4_bundle():
     f = transitive_closure_operator(k, fp)
     act = face_poset_action(k, fp)
     tact = induced_trisp_action(bd, act)
-    report = check_closure_operator(fp.poset, f)
     return {
         "k": k,
         "fp": fp,
@@ -97,5 +96,5 @@ def dgn4_bundle():
         "f": f,
         "act": act,
         "tact": tact,
-        "closure_report": report,
+        "closure_witnesses": check_closure_operator(fp.poset, f),
     }

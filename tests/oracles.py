@@ -42,6 +42,7 @@ from trispcat.accat import (
     Poset,
     as_poset,
     check_closure_operator,
+    closure_direction,
     directed_cycle,
     poset_from_relation,
     subposet,
@@ -582,10 +583,10 @@ def check_operator_class_coherence(p, action, f):
     ascending operator is checked as a descending one on the opposite poset,
     where the same permutations act.  Returns (ok, witnesses).
     """
-    report = check_closure_operator(p, f)
-    if report.direction() is None:
+    witnesses = check_closure_operator(p, f)
+    if closure_direction(witnesses) is None:
         raise PreconditionError("operator is not one-sided")
-    if not report.descending:
+    if witnesses["descending"]:
         p = as_poset(opposite_category(p.category))
         action = close_group([g.dims[0] for g in action.generators], on=p)
     if any(f[g.dims[0][x]] != g.dims[0][f[x]] for g in action.generators for x in range(p.n)):
@@ -620,7 +621,7 @@ def quotient_poset_closure_oracle(p, f, qc):
     image of its members, which must agree.  As `quotient_poset_closure_map`
     built it before it pushed the map `f` induces on the nerve of `p`.
     """
-    direction = check_closure_operator(p, f).direction()
+    direction = closure_direction(check_closure_operator(p, f))
     if direction is None:
         raise PreconditionError("operator is not a one-sided closure operator")
     red = frozenset(qc.obj_class[x] for x in set(f))
@@ -917,7 +918,7 @@ def verify_trisp_closure_map_oracle(t, cmap):
                 partners[d][s] = exts[0][0]
             else:
                 failures.append((d, s, len(exts)))
-    return ClosureVerifyReport(not failures, failures, contained, extended, partners, targets)
+    return ClosureVerifyReport(failures, contained, extended, partners, targets)
 
 
 def closure_matching_oracle(t, cmap, verify_report):

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from trispcat.accat import check_closure_operator, find_terminal_object
+from trispcat.accat import check_closure_operator, closure_direction, find_terminal_object
 from trispcat.closure import (
     TrispClosureMap,
     full_collapse_audit,
@@ -82,7 +82,7 @@ def equivariant_corpus(poset_corpus):
     """(poset, nerve, action, induced trisp action, one-sided equivariant maps)."""
     out = []
     for p, nv, maps in poset_corpus:
-        one_sided = [(f, rep) for f, rep in maps if rep.direction() is not None]
+        one_sided = [(f, rep) for f, rep in maps if closure_direction(rep) is not None]
         for action in subgroups_upto_order(p, 4):
             equivariant = [
                 (f, rep)
@@ -183,7 +183,7 @@ def test_criterion_03_one_sided_operators_induce_closure_maps(poset_corpus):
     mixed_fail_min = mixed_fail_max = mixed_fail_both = 0
     for p, nv, maps in poset_corpus:
         for f, rep in maps:
-            direction = rep.direction()
+            direction = closure_direction(rep)
             if direction is not None:
                 one_sided += 1
                 cmap = induced_trisp_closure_map(p, f, rep)
@@ -229,15 +229,16 @@ def test_criterion_05_poset_quotient_transfer(equivariant_corpus, dgn4_bundle):
         for f, rep in equivariant:
             ok, witnesses = check_operator_class_coherence(p, action, f)
             assert ok, witnesses
-            assert check_image_subtrisp_equality(p, f, quotient_category(p.category, action)).ok
-            _qmap, report = quotient_poset_closure_map(p, f, quotient_category(p.category, action))
+            qc = quotient_category(p.category, action)
+            assert check_image_subtrisp_equality(p, f, qc)[1] is None
+            _qmap, report = quotient_poset_closure_map(p, f, qc)
             assert report.ok
 
     fp, f, act = dgn4_bundle["fp"], dgn4_bundle["f"], dgn4_bundle["act"]
     ok, witnesses = check_operator_class_coherence(fp.poset, act, f)
     assert ok, witnesses
     qc = quotient_category(fp.category, act)
-    assert check_image_subtrisp_equality(fp.poset, f, qc).ok
+    assert check_image_subtrisp_equality(fp.poset, f, qc)[1] is None
     _qmap, report = quotient_poset_closure_map(fp.poset, f, qc)
     assert report.ok
 
@@ -264,7 +265,7 @@ def test_criterion_06_every_verified_map_collapses(poset_corpus, two_edges_z2, d
 
     for p, nv, maps in poset_corpus:
         for f, rep in maps:
-            if rep.direction() is not None:
+            if closure_direction(rep) is not None:
                 audit(nv.trisp, induced_trisp_closure_map(p, f, rep))
 
     _p, nv, _cat, tact, cmap = two_edges_z2
@@ -273,7 +274,7 @@ def test_criterion_06_every_verified_map_collapses(poset_corpus, two_edges_z2, d
     audit(qt.trisp, push_closure_map(qt, cmap)[0])
 
     fp, f, bd, tact4 = dgn4_bundle["fp"], dgn4_bundle["f"], dgn4_bundle["bd"], dgn4_bundle["tact"]
-    cmap4 = induced_trisp_closure_map(fp.poset, f, dgn4_bundle["closure_report"])
+    cmap4 = induced_trisp_closure_map(fp.poset, f, dgn4_bundle["closure_witnesses"])
     audit(bd.trisp, cmap4)
     qt4 = quotient_trisp(bd.trisp, tact4)
     audit(qt4.trisp, push_closure_map(qt4, cmap4)[0])

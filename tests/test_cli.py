@@ -340,16 +340,22 @@ def test_closure_verify_and_collapse_reject_an_action(capsys, tmp_path):
 
 def test_counterexample_script_prints_operator_tuples():
     root = os.path.join(os.path.dirname(__file__), "..")
-    out = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "find_operator_counterexamples.py"),
-         "--max-n", "3"],
-        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[0] == "poset [(0, 1)]  operator (0, 0, 0)"
+
+    def search(*args):
+        out = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "find_operator_counterexamples.py"),
+             *args],
+            env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        return out
+
+    assert search("--max-n", "3").stdout.splitlines()[0] == "poset [(0, 1)]  operator (0, 0, 0)"
+    # every poset on at most 4 elements, so the count pins which operators are one-sided
+    assert search("--max-n", "4", "--limit", "1000").stderr == "total hits: 223\n"
 
 
 def test_nerve_of_partition_poset_file(capsys, tmp_path):
@@ -650,19 +656,40 @@ def test_pipeline_61_fails_when_the_pushed_map_does_not_verify(capsys, monkeypat
     from trispcat import equivariant
     from trispcat.closure import ClosureVerifyReport
 
-    failing = ClosureVerifyReport(False, [(1, 0, 2)], 0, 0, [], [])
+    failing = ClosureVerifyReport([(1, 0, 2)], 0, 0, [], [])
     monkeypatch.setattr(equivariant, "verify_trisp_closure_map", lambda t, cmap: failing)
     assert _pipeline_61_n4_failure(capsys) == (
         "failed: stage 'induced_closure_map': pushed map failed verification: [(1, 0, 2)]\n"
     )
 
 
+def test_pipeline_61_fails_when_the_operator_is_not_ascending(capsys, monkeypatch):
+    # pipeline 61 pushes the map with convention max, which needs an ascending operator
+    from trispcat import graphs
+
+    witnesses = {"monotone": [], "idempotent": [], "descending": [], "ascending": [3]}
+    monkeypatch.setattr(graphs, "check_closure_operator", lambda p, f: witnesses)
+    assert _pipeline_61_n4_failure(capsys) == (
+        "failed: stage 'closure_operator': "
+        "{'monotone': [], 'idempotent': [], 'descending': [], 'ascending': [3]}\n"
+    )
+
+
+def test_pipeline_61_fails_when_the_collapse_ends_off_the_partition_quotient(capsys, monkeypatch):
+    from trispcat import graphs
+
+    mismatch = (None, ("counts", (3, 2), (3, 3)))
+    monkeypatch.setattr(graphs, "trisps_equal_over_vertices", lambda t1, t2, vmap: mismatch)
+    assert _pipeline_61_n4_failure(capsys) == (
+        "failed: stage 'target_equality': ('counts', (3, 2), (3, 3))\n"
+    )
+
+
 def test_pipeline_62_fails_when_the_image_quotient_is_not_the_red_subtrisp(capsys, monkeypatch):
     # the stitch translates the cone collapse through this stage's match
     from trispcat import graphs
-    from trispcat.trisp import TrispMatch
 
-    failing = TrispMatch(False, None, ("counts", (3, 2), (3, 3)))
+    failing = (None, ("counts", (3, 2), (3, 3)))
     monkeypatch.setattr(graphs, "check_image_subtrisp_equality", lambda p, f, qc: failing)
     code = main(["dgn", "pipeline", "--n", "4", "--pipeline", "62"])
     captured = capsys.readouterr()

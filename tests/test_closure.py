@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from trispcat.accat import (
     as_poset,
     check_closure_operator,
+    closure_direction,
     poset_from_relation,
 )
 from trispcat.closure import (
@@ -86,8 +87,9 @@ def test_induced_requires_one_sided(chain3):
     # monotone idempotent but neither descending nor ascending
     p = poset_from_relation(3, [(0, 1), (0, 2)])
     f = (1, 1, 1)
-    report = check_closure_operator(p, f)
-    assert report.is_closure_operator and report.direction() is None
+    witnesses = check_closure_operator(p, f)
+    assert not witnesses["monotone"] and not witnesses["idempotent"]
+    assert closure_direction(witnesses) is None
     with pytest.raises(PreconditionError):
         induced_trisp_closure_map(p, f)
 
@@ -135,8 +137,7 @@ def _other_map(report, t):
 
 def _contained_off_by_one(report, t):
     tampered = ClosureVerifyReport(
-        report.ok, report.failures, report.contained + 1, report.extended, report.partners,
-        report.targets,
+        report.failures, report.contained + 1, report.extended, report.partners, report.targets,
     )
     return tampered, "matching rules disagree in size"
 
@@ -440,7 +441,7 @@ def test_convention_swap_through_opposite(chain3):
     assert cmap.convention == "min"
     op = as_poset(opposite_category(p.category))
     f_op = (0, 1, 1)
-    assert check_closure_operator(op, f_op).direction() == "ascending"
+    assert closure_direction(check_closure_operator(op, f_op)) == "ascending"
     cmap_op = induced_trisp_closure_map(op, f_op)
     assert cmap_op.convention == "max"
     assert verify_trisp_closure_map(nerve(op.category).trisp, cmap_op).ok
@@ -459,10 +460,10 @@ def test_one_sided_operators_verify_exhaustively_n6():
     for p in all_posets_upto_iso(6):
         nv = nerve(p.category)
         for f in monotone_idempotent_maps(p):
-            report = check_closure_operator(p, f)
-            if report.direction() is None:
+            witnesses = check_closure_operator(p, f)
+            if closure_direction(witnesses) is None:
                 continue
-            cmap = induced_trisp_closure_map(p, f, report)
+            cmap = induced_trisp_closure_map(p, f, witnesses)
             assert verify_trisp_closure_map(nv.trisp, cmap).ok, (p.mor_of, f)
 
 
@@ -494,11 +495,10 @@ def test_random_descending_operators_collapse(p, rng):
     maps = monotone_idempotent_maps(p)
     rng.shuffle(maps)
     for f in maps[:6]:
-        report = check_closure_operator(p, f)
-        direction = report.direction()
-        if direction is None:
+        witnesses = check_closure_operator(p, f)
+        if closure_direction(witnesses) is None:
             continue
-        cmap = induced_trisp_closure_map(p, f, report)
+        cmap = induced_trisp_closure_map(p, f, witnesses)
         t = nerve(p.category).trisp
         cert = _collapse_agrees_with_the_oracle(t, cmap)
         assert euler_characteristic(cert.final.trisp) == euler_characteristic(t)
@@ -525,7 +525,7 @@ def _random_maps(rng, p):
     """Closure maps on the nerve of p: induced ones (they verify) and random ones (most fail)."""
     maps = []
     for f in monotone_idempotent_maps(p)[:4]:
-        if check_closure_operator(p, f).direction() is not None:
+        if closure_direction(check_closure_operator(p, f)) is not None:
             red = frozenset(f)
             blue = frozenset(range(p.n)) - red
             maps.append((blue, red, {b: f[b] for b in blue}))

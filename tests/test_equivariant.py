@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trispcat import equivariant
-from trispcat.accat import check_closure_operator, poset_from_relation
+from trispcat.accat import check_closure_operator, closure_direction, poset_from_relation
 from trispcat.closure import (
     ClosureVerifyReport,
     TrispClosureMap,
@@ -106,7 +106,7 @@ def test_push_requires_equivariance(two_edges_z2):
 def test_push_refuses_a_pushed_map_that_does_not_verify(two_edges_z2, monkeypatch):
     _p, nv, _cat, tact, cmap = two_edges_z2
     push = equivariant.push_to_orbits
-    failing = ClosureVerifyReport(False, [(0, 1, 2)], 0, 0, [], [])
+    failing = ClosureVerifyReport([(0, 1, 2)], 0, 0, [], [])
     monkeypatch.setattr(equivariant, "push_to_orbits", lambda *args: (push(*args)[0], failing))
     with pytest.raises(SoundnessError, match=r"pushed map failed verification: \[\(0, 1, 2\)\]"):
         push_closure_map(quotient_trisp(nv.trisp, tact), cmap)
@@ -221,10 +221,12 @@ def test_image_subtrisp_equality_trivial(two_edges_z2):
     p, _nv, cat_action, _tact, _cmap = two_edges_z2
     f = (0, 0, 2, 2)
     trivial = quotient_category(p.category, close_group([], on=p.category))
-    match = check_image_subtrisp_equality(p, f, trivial)
-    assert match.ok
-    match = check_image_subtrisp_equality(p, f, quotient_category(p.category, cat_action))
-    assert match.ok
+    _mapping, witness = check_image_subtrisp_equality(p, f, trivial)
+    assert witness is None
+    _mapping, witness = check_image_subtrisp_equality(
+        p, f, quotient_category(p.category, cat_action)
+    )
+    assert witness is None
 
 
 def test_quotient_poset_closure_trivial_group_reduces_to_induced(chain3):
@@ -279,7 +281,7 @@ def test_quotient_poset_closure_map_refuses_an_image_that_leaves_a_class(chain3,
     # an induced map that sends 1 to 2 while the operator sends it to 0
     trivial = quotient_category(chain3.category, close_group([], on=chain3.category))
     skewed = TrispClosureMap(frozenset({1}), frozenset({0, 2}), {1: 2}, "min")
-    monkeypatch.setattr(equivariant, "induced_trisp_closure_map", lambda p, f, report: skewed)
+    monkeypatch.setattr(equivariant, "induced_trisp_closure_map", lambda p, f: skewed)
     with pytest.raises(SoundnessError, match="operator image is not constant on classes"):
         quotient_poset_closure_map(chain3, (0, 0, 2), trivial)
 
@@ -300,7 +302,7 @@ def test_quotient_poset_closure_map_is_the_class_by_class_map_random(seed):
     p = random_poset(rng, max_n=5)
     action = random_action(rng, p, max_order=6)
     qc = quotient_category(p.category, action)
-    for f, _report in _equivariant_one_sided_operators(p, action)[:6]:
+    for f, _witnesses in _equivariant_one_sided_operators(p, action)[:6]:
         _assert_push_matches_the_class_by_class_map(p, f, qc)
 
 
@@ -317,13 +319,13 @@ def test_quotient_poset_closure_map_is_the_class_by_class_map_on_dgn(n):
 def _equivariant_one_sided_operators(p, action):
     out = []
     for f in monotone_idempotent_maps(p):
-        report = check_closure_operator(p, f)
-        if report.direction() is None:
+        witnesses = check_closure_operator(p, f)
+        if closure_direction(witnesses) is None:
             continue
         if all(
             f[g.dims[0][x]] == g.dims[0][f[x]] for g in action.elements for x in range(p.n)
         ):
-            out.append((f, report))
+            out.append((f, witnesses))
     return out
 
 
@@ -336,17 +338,18 @@ def test_push_and_sectionwise_checks_random(seed):
     nv = nerve(p.category)
     tact = induced_trisp_action(nv, action)
     operators = _equivariant_one_sided_operators(p, action)[:4]
-    for f, report in operators:
+    for f, witnesses in operators:
         from trispcat.closure import induced_trisp_closure_map
 
-        cmap = induced_trisp_closure_map(p, f, report)
+        cmap = induced_trisp_closure_map(p, f, witnesses)
         qt = quotient_trisp(nv.trisp, tact)
         pushed, report = push_closure_map(qt, cmap)
         assert report.ok
         ok, witnesses = check_operator_class_coherence(p, action, f)
         assert ok, witnesses
-        assert check_image_subtrisp_equality(p, f, quotient_category(p.category, action)).ok
-        _qmap, report = quotient_poset_closure_map(p, f, quotient_category(p.category, action))
+        qc = quotient_category(p.category, action)
+        assert check_image_subtrisp_equality(p, f, qc)[1] is None
+        _qmap, report = quotient_poset_closure_map(p, f, qc)
         assert report.ok
         # round trip through the quotient when the nerve is simplicial
         lifted = lift_closure_map(qt, pushed)

@@ -121,9 +121,9 @@ def test_barycentric_dgn4_has_25_vertices(dgn4_bundle):
 
 def test_transitive_closure_operator_properties(dgn4_bundle):
     fp, f = dgn4_bundle["fp"], dgn4_bundle["f"]
-    report = dgn4_bundle["closure_report"]
-    assert report.monotone and report.idempotent and report.ascending
-    assert not report.descending
+    witnesses = dgn4_bundle["closure_witnesses"]
+    assert not (witnesses["monotone"] or witnesses["idempotent"] or witnesses["ascending"])
+    assert witnesses["descending"]
     assert len(set(f)) == 13
 
 

@@ -20,7 +20,7 @@ from trispcat.graphs import (
     partition_action,
     partition_poset,
 )
-from trispcat.nerve import chain_counts, nerve
+from trispcat.nerve import Nerve, chain_counts, nerve
 from trispcat.symmetry import (
     Aut,
     GroupAction,
@@ -290,7 +290,7 @@ def test_pushing_through_the_induced_action_closes_no_group(dgn4_bundle):
     # the bundle's own action is shared with tests that read its elements
     b = dgn4_bundle
     tact = induced_trisp_action(b["bd"], b["act"])
-    cmap = induced_trisp_closure_map(b["fp"].poset, b["f"], b["closure_report"])
+    cmap = induced_trisp_closure_map(b["fp"].poset, b["f"], b["closure_witnesses"])
     push_closure_map(quotient_trisp(b["bd"].trisp, tact), cmap)
     assert "elements" not in tact.__dict__
 
@@ -498,6 +498,17 @@ def test_quotient_category_requires_a_complete_composition_table():
     assert str(got.value) == "composition table incomplete at (0, 1)"
 
 
+def test_quotient_category_validates_the_quotient(chain3, monkeypatch):
+    from trispcat import symmetry
+    from trispcat.accat import CategoryReport
+
+    looped = CategoryReport([0], None, [], [], [])
+    monkeypatch.setattr(symmetry, "validate_category", lambda c: looped)
+    with pytest.raises(SoundnessError) as got:
+        quotient_category(chain3.category, close_group([], on=chain3.category))
+    assert str(got.value) == f"quotient category invalid: {looped.to_json()}"
+
+
 def test_orbit_partition_least_representative():
     ids, reps = orbit_partition([(1, 2, 0, 3)], 4)
     assert ids == [0, 0, 0, 1]
@@ -558,6 +569,24 @@ def test_canonical_map_trivial_group_is_isomorphism(chain3):
     assert all(cm.surjective_by_dim)
     for d in range(cm.nerve_dst.trisp.dim + 1):
         assert len(set(cm.entries[d])) == len(cm.entries[d])
+
+
+def test_canonical_map_checks_that_it_commutes_with_boundaries(chain3, monkeypatch):
+    # every edge of the quotient nerve read as its first edge, 0 -> 1
+    monkeypatch.setattr(Nerve, "simplex_of_morphisms", lambda self, morphisms: 0)
+    with pytest.raises(SoundnessError) as got:
+        canonical_map(quotient_category(chain3.category, close_group([], on=chain3.category)))
+    assert str(got.value) == "canonical map does not commute with boundaries"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_canonical_map_is_the_identity_on_vertices(seed):
+    # why canonical_map has no bijectivity check: vertex orbit o goes to class o
+    rng = random.Random(seed)
+    p = random_poset(rng, max_n=6)
+    qc = quotient_category(p.category, random_action(rng, p))
+    assert canonical_map(qc).entries[0] == tuple(range(qc.category.n_objects))
 
 
 def test_canonical_map_hexagon_bijective(triangle_boundary):

@@ -145,8 +145,8 @@ def test_nerve_with_parallel_composite_is_flag():
 def test_induced_subtrisp_full_and_empty():
     t = full_triangle()
     sub = induced_subtrisp(t, range(3))
-    match = trisps_equal_over_vertices(sub.trisp, t, range(3))
-    assert match.ok
+    _mapping, witness = trisps_equal_over_vertices(sub.trisp, t, range(3))
+    assert witness is None
     empty = induced_subtrisp(t, set())
     assert empty.trisp.counts == ()
 
@@ -168,16 +168,16 @@ def test_euler_characteristic_values(double_filled):
 def test_equality_rejects_dimension_mismatch():
     edge = Trisp((2, 1), [[(1, 0)]])
     point = Trisp((1,), [])
-    assert not trisps_equal_over_vertices(edge, point, [0]).ok
+    assert trisps_equal_over_vertices(edge, point, [0]) == (None, ("counts", (2, 1), (1,)))
 
 
 def test_equality_is_boundary_sensitive():
     path_012 = Trisp((3, 2), [[(1, 0), (2, 1)]])
     fork_from_0 = Trisp((3, 2), [[(1, 0), (2, 0)]])
-    assert not trisps_equal_over_vertices(path_012, fork_from_0, range(3)).ok
+    assert trisps_equal_over_vertices(path_012, fork_from_0, range(3))[0] is None
     path_201 = Trisp((3, 2), [[(0, 2), (1, 0)]])
-    assert not trisps_equal_over_vertices(path_012, path_201, range(3)).ok
-    assert trisps_equal_over_vertices(path_012, path_201, (2, 0, 1)).ok
+    assert trisps_equal_over_vertices(path_012, path_201, range(3))[0] is None
+    assert trisps_equal_over_vertices(path_012, path_201, (2, 0, 1))[1] is None
 
 
 def test_reverse_trisp_matches_opposite_nerve(chain3):
@@ -185,8 +185,8 @@ def test_reverse_trisp_matches_opposite_nerve(chain3):
     backward = nerve(opposite_category(chain3.category)).trisp
     rev = reverse_trisp(forward)
     assert validate_trisp(rev).ok
-    match = trisps_equal_over_vertices(backward, rev, range(3))
-    assert match.ok
+    _mapping, witness = trisps_equal_over_vertices(backward, rev, range(3))
+    assert witness is None
 
 
 def test_simplicial_from_faces_requires_closure():
@@ -238,4 +238,4 @@ def test_nerves_of_posets_are_regular_simplicial_flag(p):
 def test_subtrisp_of_all_vertices_is_identity(p):
     t = nerve(p.category).trisp
     sub = induced_subtrisp(t, range(t.n(0)))
-    assert trisps_equal_over_vertices(sub.trisp, t, range(t.n(0))).ok
+    assert trisps_equal_over_vertices(sub.trisp, t, range(t.n(0)))[1] is None
