@@ -9,17 +9,22 @@ acyclic matching plus an elementary collapse sequence.  The matching is the
 verification's own per-dimension partner arrays (the unique extension of
 each simplex, or -1), checked and then read as they are.  The kernels keep
 per-dimension arrays indexed by simplex id and read coface incidences off
-the boundary rows.  Replaying a certificate, reading a trisp and the
-`closure` command run with the cyclic garbage collector paused
-(`trisp.nogc`): their tables are flat containers of ints with no reference
-cycles, so each collection their allocations would set off scans them all
-and frees nothing.  A check returns its witnesses: the verification
-report holds its failures beside what the matching reads, and the map
-verifies when there are none (`ok`).
+the boundary rows.  A replay gives each simplex its removal time in one
+pass over the steps and checks those times in one pass over the boundary
+columns, with no simplex removed after one of its faces; the stepwise
+replay runs only to name the first bad step of a sequence that fails.
+Replaying a certificate, reading a trisp and the `closure` command run
+with the cyclic garbage collector paused (`trisp.nogc`): their tables are
+flat containers of ints with no reference cycles, so each collection
+their allocations would set off scans them all and frees nothing.  A
+check returns its witnesses: the verification report holds its failures
+beside what the matching reads, and the map verifies when there are none
+(`ok`).
 """
 
 from array import array
 from itertools import compress
+from operator import itemgetter, le
 
 from .accat import check_closure_operator, closure_direction, directed_cycle, find_terminal_object
 from .errors import InputError, PreconditionError, SoundnessError, malformed
@@ -48,7 +53,9 @@ class TrispClosureMap:
         return type(other) is TrispClosureMap and vars(self) == vars(other)
 
     def check_vertices(self, t):
-        if self.blue | self.red != set(range(t.n(0))):
+        # blue and red are disjoint ints, so n of them in range(n) are all of it
+        vertices = self.blue | self.red
+        if len(vertices) != t.n(0) or vertices and not 0 <= min(vertices) <= max(vertices) < t.n(0):
             raise InputError("blue and red must partition the vertex set")
 
     def to_json(self):
@@ -107,13 +114,25 @@ def _targets(t, cmap):
 
 
 def _extensions(t, targets, d):
-    """Per d-simplex σ: count of (τ, j), ∂_j τ = σ, j-th vertex σ's target; and the last τ."""
-    target, count, last = targets[d], [0] * t.n(d), array("l", [-1]) * t.n(d)
-    for tau, (row, vt) in enumerate(zip(t.boundary_table(d + 1), t.vertex_tuples(d + 1))):
-        for f, v in zip(row, vt):
-            if target[f] == v:
-                count[f] += 1
-                last[f] = tau
+    """Per d-simplex σ: count of (τ, j), ∂_j τ = σ, j-th vertex σ's target; and the last τ.
+
+    Each coface τ is read once, at j = vt(τ).index(target(τ)), which needs
+    a regular trisp whose faces satisfy the simplicial identities, so that
+    vt(∂_j τ) is vt(τ) without its j-th vertex.  Say (τ, j) counts for
+    σ = ∂_j τ: the j-th vertex v of τ is σ's target, an image, so red.
+    Dropping a red vertex keeps the blue vertices in their order, so τ has
+    σ's extreme blue vertex and target v, and regularity makes j the one
+    position of v in τ.  Conversely, if v = target(τ) is the j-th vertex
+    of τ, it is red, so ∂_j τ has target v too.  A τ with no blue vertex
+    (target -1) counts for nothing, as none of its faces has one either.
+    """
+    count, last = [0] * t.n(d), array("l", [-1]) * t.n(d)
+    up = targets[d + 1] if d < t.dim else ()
+    for tau, (b, row, vt) in enumerate(zip(up, t.boundary_table(d + 1), t.vertex_tuples(d + 1))):
+        if b in vt:
+            f = row[vt.index(b)]
+            count[f] += 1
+            last[f] = tau
     return count, last
 
 
@@ -147,8 +166,8 @@ def verify_trisp_closure_map(t, cmap):
     For each such simplex, with b its extreme blue vertex: either the image
     of b is one of its vertices (then the face dropping that vertex exists
     automatically), or there must be exactly one coface extending it by the
-    image of b; `_extensions` counts them from the boundary rows, and the
-    report records that unique coface as the simplex's partner.
+    image of b; `_extensions` counts them, reading each coface once, and
+    the report records that unique coface as the simplex's partner.
     """
     cmap.check_vertices(t)
     irregular = regularity_violations(t)
@@ -346,10 +365,64 @@ def verify_collapse_sequence(t, steps):
     Each step must remove two present simplices, given as lists or tuples
     (d, s) of two ints (bools and floats are refused) in range, of adjacent
     dimensions, the first a free face of the second and the second maximal
-    (which freeness implies only on a regular trisp).  Coface counts and
-    presence flags are per-dimension arrays.  Returns the set of remaining
-    simplices.
+    (which freeness implies only on a regular trisp).  Returns the set of
+    remaining simplices.
+
+    The steps are checked as one order relation, not replayed one by one.
+    `_removal_times` gives each simplex the index of the step that removes
+    it, or len(steps) if none; then the sequence replays exactly when every
+    boundary incidence (c, f) has rm[c] <= rm[f], one pass per boundary
+    column.  Proof: only a step's own pair shares a removal time, σ occurs
+    once in τ's row, and before step k the present simplices are those with
+    rm >= k.  So the step (σ, τ) at k finds σ free iff every incidence of σ
+    other than the one in τ has rm < k, that is rm <= rm[σ] = k; and τ
+    maximal iff every coface of τ has rm < k, that is rm <= rm[τ] = k.  A
+    face never removed has the greatest time, so its incidences hold
+    anyway.  When either pass fails, `_replay_stepwise` runs on the same
+    steps to name the first bad step.
     """
+    if not isinstance(steps, (list, tuple)):
+        steps = list(steps)  # both passes may read it
+    end, dims = len(steps), range(t.dim + 1)
+    rm = _removal_times(t, steps)
+    if rm is not None and all(
+        all(map(le, rm[d], map(rm[d - 1].__getitem__, map(itemgetter(j), t.boundary_table(d)))))
+        for d in dims[1:] for j in range(d + 1)
+    ):
+        return {(d, s) for d in dims for s in compress(range(t.n(d)), map(end.__eq__, rm[d]))}
+    return _replay_stepwise(t, steps)
+
+
+def _removal_times(t, steps):
+    """rm[d][s] = index of the step removing (d, s), or len(steps); None for an unfit list.
+
+    A list is unfit when a step is not a pair of lists or tuples (d, s) of
+    ints, its simplices are out of range, of dimensions other than d and
+    d + 1 or already removed, or σ does not occur exactly once in τ's
+    boundary row.  The stepwise replay decides an unfit list; it refuses
+    every one whose pairs are exactly lists or tuples, not subclasses.
+    """
+    end, bnd = len(steps), [t.boundary_table(d) for d in range(t.dim + 1)]
+    rm = [[end] * t.n(d) for d in range(t.dim + 1)]
+    try:
+        for k, (sigma, tau) in enumerate(steps):
+            if not (type(sigma) in (tuple, list) and type(tau) in (tuple, list)):
+                return None
+            (d, s), (d1, s1) = sigma, tau
+            if not (
+                type(d) is type(s) is type(d1) is type(s1) is int
+                and 0 <= d and d1 == d + 1 and 0 <= s and 0 <= s1
+                and rm[d][s] == end == rm[d1][s1] and bnd[d1][s1].count(s) == 1
+            ):
+                return None
+            rm[d][s] = rm[d1][s1] = k
+    except (TypeError, ValueError, IndexError):  # not a pair of pairs, or out of range
+        return None
+    return rm
+
+
+def _replay_stepwise(t, steps):
+    """`verify_collapse_sequence` step by step: coface counts and presence flags per dimension."""
     dims = range(t.dim + 1)
     bnd = [t.boundary_table(d) for d in dims]
     count = _coface_counts(t)

@@ -338,6 +338,26 @@ def test_closure_verify_and_collapse_reject_an_action(capsys, tmp_path):
         assert captured.err == f"input error: closure {verb} takes no --action\n"
 
 
+def test_closure_verify_and_collapse_refuse_a_huge_vertex_count_without_allocating(tmp_path):
+    import resource
+
+    def limit_memory():  # a regression fails with MemoryError instead of filling the machine
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    t_file = write(tmp_path / "t.json", {"dims": [{"count": 100_000_000_000}]})
+    map_file = write(tmp_path / "m.json", {"blue": [0], "red": [1, 2], "map": {"0": 2}})
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    for verb in ("verify", "collapse"):
+        argv = ["closure", verb, "--input", t_file, "--map", map_file]
+        child = subprocess.run(
+            [sys.executable, "-m", "trispcat.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_memory,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == "input error: blue and red must partition the vertex set\n"
+
+
 def test_counterexample_script_prints_operator_tuples():
     root = os.path.join(os.path.dirname(__file__), "..")
 

@@ -563,7 +563,8 @@ def test_array_kernels_agree_with_the_reference_kernels(rng):
         if kind != "returned":
             continue
         steps = list(cert[0])
-        trials = [steps, steps + steps[:1]]
+        trials = [steps, steps + steps[:1], steps[::-1]]
+        trials += [steps[:k] for k in rng.sample(range(len(steps)), min(3, len(steps)))]
         if len(steps) >= 2:
             i, j = rng.sample(range(len(steps)), 2)
             swapped = list(steps)
@@ -593,6 +594,10 @@ REPLAY_REJECTIONS = [
     ([((0, 0), (1, 1))], "(0, 0) is not a face of (1, 1)"),
     ([((0, 0), (1, 0)), ((0, 0), (1, 0))], "step removes absent simplex: (0, 0), (1, 0)"),
     ([((0, 1), (1, 1)), ((0, 0), (1, 0))], "face (0, 1) is not free (count 2)"),
+    (
+        [((0, 1), (1, 1)), ((0, 0), (1, 0)), ((0, 0), (1, 0))],
+        "face (0, 1) is not free (count 2)",
+    ),
 ]
 
 
@@ -603,6 +608,10 @@ def test_replay_rejects_malformed_and_unsound_steps():
         with pytest.raises(SoundnessError) as info:
             verify_collapse_sequence(t, steps)
         assert str(info.value) == message
+    loop = Trisp((1, 1), [[(0, 0)]])  # one edge whose two faces are the one vertex
+    with pytest.raises(SoundnessError) as info:
+        verify_collapse_sequence(loop, [((0, 0), (1, 0))])
+    assert str(info.value) == "face (0, 0) is not free (count 2)"
 
 
 def test_replay_rejections_survive_optimize():
