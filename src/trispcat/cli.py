@@ -93,7 +93,7 @@ def cmd_validate(args):
         _emit(args, {"kind": "category", **report.to_json()})
         return 0 if report.ok else 1
     t = trisp.Trisp.from_json(doc)
-    report = trisp.validate_trisp(t, compute_flags=t.total <= 3000)
+    report = trisp.validate_trisp(t)
     if args.format == "dot":
         _emit(args, None, trisp.skeleton_dot(t))
         return 0 if report.ok else 1
@@ -181,6 +181,8 @@ def cmd_closure(args):
         return 0
     if args.action is None:
         raise InputError(f"closure {sub} needs --action")
+    if sub == "push":
+        cmap.check_vertices(t)  # the map lives on t; refuse it before the action is built
     qt = symmetry.quotient_trisp(t, _load_trisp_action(_load(args.action), t))
     if sub == "push":
         try:

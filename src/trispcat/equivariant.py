@@ -95,14 +95,21 @@ def push_closure_map(qt, cmap):
 class LiftConditionReport:
     """Per blue vertex: candidate red partners in the prescribed orbit.
 
-    The condition holds when each candidate set is a single vertex joined by
-    a single 1-simplex; the assignment is then forced.
+    The condition holds when each candidate list is a single vertex joined
+    by a single 1-simplex; the assignment, blue vertex -> red partner, is
+    then forced, and empty when the condition fails.
     """
 
-    def __init__(self, holds, candidates, assignment):
-        self.holds = holds
+    def __init__(self, candidates):
         self.candidates = candidates  # blue vertex -> list of (red vertex, 1-simplex count)
-        self.assignment = assignment  # blue vertex -> red vertex, when holds
+
+    @property
+    def holds(self):
+        return all(len(c) == 1 and c[0][1] == 1 for c in self.candidates.values())
+
+    @property
+    def assignment(self):
+        return {b: c[0][0] for b, c in self.candidates.items()} if self.holds else {}
 
     def to_json(self):
         return {
@@ -126,20 +133,11 @@ def check_lift_condition(qt, psi):
         for key in ((u, w), (w, u)):
             edges_between.setdefault(key, []).append(e)
     candidates = {}
-    assignment = {}
-    holds = True
     for b in blue:
-        cand = []
-        for r in members.get(psi.mapping[proj0[b]], ()):
-            count = len(edges_between.get((b, r), ()))
-            if count:
-                cand.append((r, count))
-        candidates[b] = cand
-        if len(cand) == 1 and cand[0][1] == 1:
-            assignment[b] = cand[0][0]
-        else:
-            holds = False
-    return LiftConditionReport(holds, candidates, assignment if holds else {})
+        orbit = members.get(psi.mapping[proj0[b]], ())
+        counts = ((r, len(edges_between.get((b, r), ()))) for r in orbit)
+        candidates[b] = [(r, count) for r, count in counts if count]
+    return LiftConditionReport(candidates)
 
 
 def lift_candidate(qt, psi):

@@ -480,6 +480,12 @@ def pipeline_quotient_category(n):
     operator image pushed to its classes, is the same set.  The stitch
     builds its image quotient by the same call as the stage, so the
     numbering `match52` reads is its own.
+
+    The cone collapse ends on the single vertex `terminal` with no check:
+    `verify_trisp_closure_map` refuses an irregular trisp, `collapse` raises
+    unless what is left is `induced_subtrisp(pn_q.trisp, {terminal})`, and
+    on a regular trisp no simplex of positive dimension has one vertex
+    only, so that subtrisp has the counts (1,).
     """
     report = PipelineReport("quotient-category", n)
 
@@ -532,8 +538,6 @@ def pipeline_quotient_category(n):
     pn_q = pqc.nerve
     cone = cone_closure_map(pqc.category, terminal)
     cone_cert = full_collapse_audit(pn_q.trisp, cone)
-    if cone_cert.final.trisp.counts != (1,):
-        report.fail("cone_collapse", f"final counts {cone_cert.final.trisp.counts}")
     report.done("cone_collapse", steps=len(cone_cert.steps))
 
     # stitch the cone collapse back into the big nerve through the two

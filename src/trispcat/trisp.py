@@ -10,6 +10,7 @@ returns (mapping, witness), exactly one of them None.
 
 import functools
 import gc
+from collections import Counter
 from itertools import chain, combinations, repeat
 
 from .errors import InputError, malformed
@@ -142,26 +143,16 @@ class Trisp:
 # -- validation -----------------------------------------------------------
 
 
-class SimplicialFlag:
-    """Is the trisp an abstract simplicial complex, and is it flag?
-
-    `is_simplicial`: distinct simplices have distinct vertex sets.
-    `is_flag_complex`: the trisp is maximal given its 1-skeleton, among
-    trisps whose simplices have unique 1-skeleta; concretely, every
-    composable pair of edges spans exactly one triangle, and every coherent
-    clique (all triples realized) is filled by exactly one simplex.
-    """
-
-    def __init__(self, is_simplicial, is_flag_complex):
-        self.is_simplicial = is_simplicial
-        self.is_flag_complex = is_flag_complex
+# `validate_trisp` classifies a valid trisp of at most this many simplices
+CLASSIFY_LIMIT = 3000
 
 
 class TrispReport:
-    def __init__(self, identity_violations, regularity_violations, flags):
+    def __init__(self, identity_violations, regularity_violations, is_simplicial, is_flag_complex):
         self.identity_violations = identity_violations
         self.regularity_violations = regularity_violations
-        self.flags = flags  # SimplicialFlag, or None
+        self.is_simplicial = is_simplicial  # None when not classified
+        self.is_flag_complex = is_flag_complex  # None when not classified
 
     @property
     def ok(self):
@@ -173,19 +164,19 @@ class TrispReport:
             "identity_violations": [list(w) for w in self.identity_violations],
             "regularity_violations": [list(w) for w in self.regularity_violations],
         }
-        if self.flags is not None:
-            out["is_simplicial"] = self.flags.is_simplicial
-            out["is_flag_complex"] = self.flags.is_flag_complex
+        if self.is_simplicial is not None:
+            out["is_simplicial"] = self.is_simplicial
+            out["is_flag_complex"] = self.is_flag_complex
         return out
 
 
-def validate_trisp(t, compute_flags=True):
+def validate_trisp(t):
     """Check the simplicial identities and regularity; classify the result.
 
     The identity checked is ∂_i ∂_j = ∂_{j-1} ∂_i for i < j.  Regularity
-    means every d-simplex has d+1 distinct vertices.  Flags are computed
-    only for valid trisps (pass compute_flags=False to skip the flag search
-    on large complexes).
+    means every d-simplex has d+1 distinct vertices.  A valid trisp of at
+    most CLASSIFY_LIMIT simplices is classified by `is_simplicial` and
+    `is_flag_complex`; otherwise both are None.
     """
     identity = []
     for d in range(2, t.dim + 1):
@@ -195,10 +186,9 @@ def validate_trisp(t, compute_flags=True):
                 if t.face(d - 1, row[j], i) != t.face(d - 1, row[i], j - 1):
                     identity.append((d, s, i, j))
     regularity = [] if identity else regularity_violations(t)
-    flags = None
-    if not identity and not regularity and compute_flags:
-        flags = compute_simplicial_flag(t)
-    return TrispReport(identity, regularity, flags)
+    if identity or regularity or t.total > CLASSIFY_LIMIT:
+        return TrispReport(identity, regularity, None, None)
+    return TrispReport(identity, regularity, is_simplicial(t), is_flag_complex(t))
 
 
 def regularity_violations(t):
@@ -219,23 +209,6 @@ def regularity_violations(t):
     return out
 
 
-def edge_matrix(t, d, s, cache):
-    """For each position pair i < j, the 1-simplex of σ spanning those positions."""
-    key = (d, s)
-    if key in cache:
-        return cache[key]
-    if d == 1:
-        mat = {(0, 1): s}
-    else:
-        mat = dict(edge_matrix(t, d - 1, t.face(d, s, d), cache))
-        last = edge_matrix(t, d - 1, t.face(d, s, 0), cache)
-        mat[(0, d)] = edge_matrix(t, d - 1, t.face(d, s, 1), cache)[(0, d - 1)]
-        for i in range(1, d):
-            mat[(i, d)] = last[(i - 1, d - 1)]
-    cache[key] = mat
-    return mat
-
-
 def is_simplicial(t):
     """Do distinct simplices have distinct vertex sets?"""
     return all(
@@ -243,67 +216,55 @@ def is_simplicial(t):
     )
 
 
-def compute_simplicial_flag(t):
-    """Brute-force simpliciality and flagness check; intended for desk scale."""
-    simplicial = is_simplicial(t)
+def is_flag_complex(t):
+    """Is the valid trisp `t` flag, maximal given its 1-skeleton?
 
-    cache = {}
-    # dimension 2: every composable edge pair must span exactly one triangle
-    fillings = {}
-    for s in range(t.n(2)):
-        key = (t.face(2, s, 2), t.face(2, s, 0))
-        fillings[key] = fillings.get(key, 0) + 1
-    edges = t.vertex_tuples(1)
-    flag = all(
-        fillings.get((e1, e2), 0) == 1
-        for e1, (_u, v) in enumerate(edges)
-        for e2, (w, _x) in enumerate(edges)
-        if w == v
-    )
+    Among trisps whose simplices have unique 1-skeleta, that is condition
+    A, every composable edge pair (e, e') spans exactly one triangle, whose
+    ∂_1 is the pair's filler; and, level by level, every coherent clique is
+    the key of exactly one simplex.  A key lists a simplex's edges (i, j) by
+    j, then i: a d-simplex's key is its ∂_d face's key and then its last
+    column, the first entry of its ∂_1 face's last column followed by its
+    ∂_0 face's last column.  A coherent clique extends a (d-1)-simplex σ by
+    an edge e out of σ's last vertex: its edge from vertex a is the filler
+    of (σ's edge (a, d-1), e), and the fillers must agree on each triple
+    (a, b, d) with b < d-1.
 
-    if flag:
-        # extend realized cliques by one vertex at a time; every coherent
-        # clique (all triples realized as triangles) must be filled once
-        triangles = {
-            tuple(edge_matrix(t, 2, s, cache)[p] for p in ((0, 1), (0, 2), (1, 2)))
-            for s in range(t.n(2))
-        }
-        edges_between = {}
-        for e in range(t.n(1)):
-            u, w = t.vertex_tuple(1, e)
-            edges_between.setdefault((u, w), []).append(e)
-        d = 3
-        while flag and t.n(d - 1) > 0:
-            candidates = set()
-            for s in range(t.n(d - 1)):
-                mat = edge_matrix(t, d - 1, s, cache)
-                verts = t.vertex_tuple(d - 1, s)
-                for w in range(t.n(0)):
-                    if w in verts:
-                        continue
-                    options = [edges_between.get((v, w), ()) for v in verts]
-                    if any(not o for o in options):
-                        continue
-                    stack = [()]
-                    for opts in options:
-                        stack = [chosen + (e,) for chosen in stack for e in opts]
-                    for chosen in stack:
-                        if all(
-                            (mat[(a, b)], chosen[a], chosen[b]) in triangles
-                            for a, b in combinations(range(len(verts)), 2)
-                        ):
-                            full = dict(mat)
-                            for i, e in enumerate(chosen):
-                                full[(i, d)] = e
-                            candidates.add(tuple(sorted(full.items())))
-            realized_d = {}
-            for s in range(t.n(d)):
-                key = tuple(sorted(edge_matrix(t, d, s, cache).items()))
-                realized_d[key] = realized_d.get(key, 0) + 1
-            flag = all(realized_d.get(key, 0) == 1 for key in candidates)
-            d += 1
-
-    return SimplicialFlag(simplicial, flag)
+    This is the search over every new vertex w and every choice of one edge
+    from each vertex of σ to w whose triples all span triangles.  Under A
+    the triple (a, d-1, d) spans a triangle exactly when the edge from a is
+    the filler of (σ's edge (a, d-1), e), e the edge from d-1; so e forces
+    the rest, and the other triples are the coherence test.  Nor can w be
+    a vertex of σ: e is no loop, and were w vertex a < d-1 of σ, A would
+    give (σ's edge (a, d-1), e) a triangle on the vertices (a, d-1, a),
+    which a regular trisp does not have.
+    """
+    table = t.boundary_table(2)
+    filler = {(f2, f0): f1 for f0, f1, f2 in table}
+    outgoing = {}  # vertex -> the edges leaving it
+    for e, (u, _w) in enumerate(t.vertex_tuples(1)):
+        outgoing.setdefault(u, []).append(e)
+    # a triangle's (∂_2, ∂_0) is composable, so A is a count
+    composable = sum(len(outgoing.get(w, ())) for _u, w in t.vertex_tuples(1))
+    if not len(filler) == t.n(2) == composable:
+        return False
+    keys = [(f2, f1, f0) for f0, f1, f2 in table]
+    columns = [(f1, f0) for f0, f1, _f2 in table]
+    for d in range(3, t.dim + 2):  # keys and columns are those of the (d-1)-simplices
+        rows = t.boundary_table(d)
+        next_columns = [(columns[row[1]][0],) + columns[row[0]] for row in rows]
+        next_keys = [keys[row[d]] + col for row, col in zip(rows, next_columns)]
+        filled = Counter(next_keys)
+        for key, col, vt in zip(keys, columns, t.vertex_tuples(d - 1)):
+            for e in outgoing.get(vt[-1], ()):
+                clique = [filler[c, e] for c in col] + [e]
+                if all(
+                    clique[a] == filler[key[b * (b - 1) // 2 + a], clique[b]]
+                    for b in range(1, d - 1) for a in range(b)
+                ) and filled[key + tuple(clique)] != 1:
+                    return False
+        keys, columns = next_keys, next_columns
+    return True
 
 
 # -- derived constructions -------------------------------------------------

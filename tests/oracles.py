@@ -11,7 +11,10 @@ labelled orbits by a search, the closure kernels on dicts and sets keyed by
 them onto per-dimension arrays, the category quotient over the whole
 composition table, as it was before the library scanned only
 orbit-representative pairs, and the recursive search for a collapse to a
-point, as it was before the library gave it its own stack.  The
+point, as it was before the library gave it its own stack, and the
+flag search over every new vertex and every choice of edges into it on
+recursive per-simplex edge matrices, as it was before the library forced
+the choice through the fillers of composable edge pairs.  The
 composition table of a poset, the partition poset from an all-pairs
 refinement scan and the poset automorphism check against a given morphism
 map are kept as they were before a poset composed through its order, was
@@ -71,7 +74,7 @@ from trispcat.symmetry import (
     quotient_category,
     quotient_trisp,
 )
-from trispcat.trisp import euler_characteristic, induced_subtrisp
+from trispcat.trisp import CLASSIFY_LIMIT, euler_characteristic, induced_subtrisp
 
 
 def natural_orders(n):
@@ -1080,3 +1083,110 @@ def search_collapse_to_point_oracle(t):
 
     steps = dfs(frozenset((d, s) for d in range(t.dim + 1) for s in range(t.n(d))))
     return tuple(steps) if steps is not None else None
+
+
+def edge_matrix(t, d, s, cache):
+    """For each position pair i < j, the 1-simplex of σ spanning those positions."""
+    key = (d, s)
+    if key in cache:
+        return cache[key]
+    if d == 1:
+        mat = {(0, 1): s}
+    else:
+        mat = dict(edge_matrix(t, d - 1, t.face(d, s, d), cache))
+        last = edge_matrix(t, d - 1, t.face(d, s, 0), cache)
+        mat[(0, d)] = edge_matrix(t, d - 1, t.face(d, s, 1), cache)[(0, d - 1)]
+        for i in range(1, d):
+            mat[(i, d)] = last[(i - 1, d - 1)]
+    cache[key] = mat
+    return mat
+
+
+def flag_failure_dimension(t):
+    """The least dimension at which the valid trisp `t` is not flag, or None if it is.
+
+    Dimension 2: every composable pair of edges must span exactly one
+    triangle.  Dimension d >= 3: every coherent clique, a realized
+    (d-1)-simplex with a new vertex w and one edge into w from each of its
+    vertices, every triple realized as a triangle, must be filled once.
+    """
+    cache = {}
+    fillings = Counter((t.face(2, s, 2), t.face(2, s, 0)) for s in range(t.n(2)))
+    edges = t.vertex_tuples(1)
+    if not all(
+        fillings[e1, e2] == 1
+        for e1, (_u, v) in enumerate(edges)
+        for e2, (w, _x) in enumerate(edges)
+        if w == v
+    ):
+        return 2
+    triangles = {
+        tuple(edge_matrix(t, 2, s, cache)[p] for p in ((0, 1), (0, 2), (1, 2)))
+        for s in range(t.n(2))
+    }
+    edges_between = {}
+    for e, (u, w) in enumerate(edges):
+        edges_between.setdefault((u, w), []).append(e)
+    d = 3
+    while t.n(d - 1) > 0:
+        candidates = set()
+        for s in range(t.n(d - 1)):
+            mat = edge_matrix(t, d - 1, s, cache)
+            verts = t.vertex_tuple(d - 1, s)
+            for w in range(t.n(0)):
+                if w in verts:
+                    continue
+                options = [edges_between.get((v, w), ()) for v in verts]
+                stack = [()]
+                for opts in options:
+                    stack = [chosen + (e,) for chosen in stack for e in opts]
+                for chosen in stack:
+                    if all(
+                        (mat[(a, b)], chosen[a], chosen[b]) in triangles
+                        for a, b in combinations(range(len(verts)), 2)
+                    ):
+                        full = dict(mat)
+                        for i, e in enumerate(chosen):
+                            full[(i, d)] = e
+                        candidates.add(tuple(sorted(full.items())))
+        realized = Counter(
+            tuple(sorted(edge_matrix(t, d, s, cache).items())) for s in range(t.n(d))
+        )
+        if any(realized[key] != 1 for key in candidates):
+            return d
+        d += 1
+    return None
+
+
+def validate_trisp_oracle(t):
+    """`validate_trisp(t).to_json()` from the definitions.
+
+    Identities face by face, regularity by counting distinct vertices,
+    simpliciality by sorted vertex tuples and flagness by
+    `flag_failure_dimension`.
+    """
+    identity = [
+        [d, s, i, j]
+        for d in range(2, t.dim + 1)
+        for s in range(t.n(d))
+        for i, j in combinations(range(d + 1), 2)
+        if t.face(d - 1, t.face(d, s, j), i) != t.face(d - 1, t.face(d, s, i), j - 1)
+    ]
+    regularity = [] if identity else [
+        [d, s]
+        for d in range(1, t.dim + 1)
+        for s, vt in enumerate(t.vertex_tuples(d))
+        if len(set(vt)) != d + 1
+    ]
+    out = {
+        "ok": not identity and not regularity,
+        "identity_violations": identity,
+        "regularity_violations": regularity,
+    }
+    if out["ok"] and t.total <= CLASSIFY_LIMIT:
+        out["is_simplicial"] = all(
+            len({tuple(sorted(vt)) for vt in t.vertex_tuples(d)}) == t.n(d)
+            for d in range(t.dim + 1)
+        )
+        out["is_flag_complex"] = flag_failure_dimension(t) is None
+    return out

@@ -338,7 +338,9 @@ def test_closure_verify_and_collapse_reject_an_action(capsys, tmp_path):
         assert captured.err == f"input error: closure {verb} takes no --action\n"
 
 
-def test_closure_verify_and_collapse_refuse_a_huge_vertex_count_without_allocating(tmp_path):
+def test_closure_verify_collapse_and_push_refuse_a_huge_vertex_count_without_allocating(
+    tmp_path,
+):
     import resource
 
     def limit_memory():  # a regression fails with MemoryError instead of filling the machine
@@ -346,9 +348,11 @@ def test_closure_verify_and_collapse_refuse_a_huge_vertex_count_without_allocati
 
     t_file = write(tmp_path / "t.json", {"dims": [{"count": 100_000_000_000}]})
     map_file = write(tmp_path / "m.json", {"blue": [0], "red": [1, 2], "map": {"0": 2}})
+    action_file = write(tmp_path / "a.json", {"generators": []})
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    for verb in ("verify", "collapse"):
-        argv = ["closure", verb, "--input", t_file, "--map", map_file]
+    # push checks the map before it builds the action, whose arrays hold every vertex
+    for verb, extra in (("verify", []), ("collapse", []), ("push", ["--action", action_file])):
+        argv = ["closure", verb, "--input", t_file, "--map", map_file, *extra]
         child = subprocess.run(
             [sys.executable, "-m", "trispcat.cli", *argv],
             env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_memory,
@@ -705,17 +709,117 @@ def test_pipeline_61_fails_when_the_collapse_ends_off_the_partition_quotient(cap
     )
 
 
+def test_pipeline_61_fails_when_the_operator_is_not_equivariant(capsys, monkeypatch):
+    from trispcat import graphs
+
+    monkeypatch.setattr(graphs, "_poset_action_is_equivariant", lambda p, action, f: (7,))
+    assert _pipeline_61_n4_failure(capsys) == (
+        "failed: stage 'action': operator not equivariant at 7\n"
+    )
+
+
+def test_pipeline_61_fails_when_the_final_complex_is_not_acyclic(capsys, monkeypatch):
+    from trispcat import graphs
+
+    monkeypatch.setattr(graphs, "euler_characteristic", lambda t: 0)
+    assert _pipeline_61_n4_failure(capsys) == (
+        "failed: stage 'endpoint_search': final complex has Euler characteristic 0\n"
+    )
+
+
+def test_pipeline_61_fails_when_no_collapse_reaches_a_vertex(capsys, monkeypatch):
+    from trispcat import graphs
+
+    monkeypatch.setattr(graphs, "search_collapse_to_point", lambda t: None)
+    assert _pipeline_61_n4_failure(capsys) == (
+        "failed: stage 'endpoint_search': no sequence of elementary collapses reaches a vertex\n"
+    )
+
+
+def _pipeline_62_n4_failure(capsys):
+    code = main(["dgn", "pipeline", "--n", "4", "--pipeline", "62"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    return captured.err
+
+
 def test_pipeline_62_fails_when_the_image_quotient_is_not_the_red_subtrisp(capsys, monkeypatch):
     # the stitch translates the cone collapse through this stage's match
     from trispcat import graphs
 
     failing = (None, ("counts", (3, 2), (3, 3)))
     monkeypatch.setattr(graphs, "check_image_subtrisp_equality", lambda p, f, qc: failing)
-    code = main(["dgn", "pipeline", "--n", "4", "--pipeline", "62"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err == (
+    assert _pipeline_62_n4_failure(capsys) == (
         "failed: stage 'image_subtrisp_equality': ('counts', (3, 2), (3, 3))\n"
+    )
+
+
+def test_pipeline_62_fails_when_the_quotient_map_does_not_verify(capsys, monkeypatch):
+    from trispcat import graphs
+    from trispcat.closure import ClosureVerifyReport
+
+    failing = ClosureVerifyReport([(1, 0, 2)], 0, 0, [], [])
+    monkeypatch.setattr(graphs, "quotient_poset_closure_map", lambda p, f, qc: (None, failing))
+    assert _pipeline_62_n4_failure(capsys) == (
+        "failed: stage 'quotient_closure_map': [(1, 0, 2)]\n"
+    )
+
+
+def test_pipeline_62_fails_when_the_partition_quotient_has_too_many_objects(
+    capsys, monkeypatch
+):
+    # one number partition for all: the quotient's 3 objects are too many
+    from trispcat import graphs
+
+    monkeypatch.setattr(graphs, "number_partition", lambda partition: ())
+    assert _pipeline_62_n4_failure(capsys) == (
+        "failed: stage 'partition_quotient': 3 objects, expected 1\n"
+    )
+
+
+def test_pipeline_62_fails_when_the_partition_quotient_has_no_terminal_object(
+    capsys, monkeypatch
+):
+    from trispcat import graphs
+
+    monkeypatch.setattr(graphs, "find_terminal_object", lambda c: None)
+    assert _pipeline_62_n4_failure(capsys) == (
+        "failed: stage 'partition_quotient': no terminal object\n"
+    )
+
+
+def test_pipeline_62_fails_when_the_terminal_object_is_not_the_finest_class(
+    capsys, monkeypatch
+):
+    # at n = 4 the terminal class is object 0, of the partition type (2, 1, 1)
+    from trispcat import graphs
+
+    monkeypatch.setattr(graphs, "find_terminal_object", lambda c: 1)
+    assert _pipeline_62_n4_failure(capsys) == (
+        "failed: stage 'partition_quotient': terminal object is ((0,), (1, 2, 3))\n"
+    )
+
+
+def test_pipeline_62_fails_when_the_partition_nerve_is_not_the_mirrored_image(
+    capsys, monkeypatch
+):
+    from trispcat import graphs
+
+    mismatch = (None, ("counts", (3, 2), (3, 3)))
+    monkeypatch.setattr(graphs, "trisps_equal_over_vertices", lambda t1, t2, vmap: mismatch)
+    assert _pipeline_62_n4_failure(capsys) == (
+        "failed: stage 'stitch': partition nerve mismatch: ('counts', (3, 2), (3, 3))\n"
+    )
+
+
+def test_pipeline_62_fails_when_the_stitched_collapse_leaves_more_than_a_vertex(
+    capsys, monkeypatch
+):
+    from trispcat import graphs
+
+    monkeypatch.setattr(graphs, "verify_collapse_sequence", lambda t, steps: {(0, 0), (0, 1)})
+    assert _pipeline_62_n4_failure(capsys) == (
+        "failed: stage 'stitch': stitched collapse leaves [(0, 0), (0, 1)]\n"
     )
 
 

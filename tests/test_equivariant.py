@@ -150,8 +150,8 @@ def test_lift_tests_simpliciality_without_the_flag_search(monkeypatch, two_edges
     def forbidden(_t):
         raise AssertionError("the flag search ran")
 
-    monkeypatch.setattr(trisp, "compute_simplicial_flag", forbidden)
-    monkeypatch.setattr(equivariant, "compute_simplicial_flag", forbidden, raising=False)
+    monkeypatch.setattr(trisp, "is_flag_complex", forbidden)
+    monkeypatch.setattr(equivariant, "is_flag_complex", forbidden, raising=False)
     _p, nv, _cat, tact, cmap = two_edges_z2
     qt = quotient_trisp(nv.trisp, tact)
     assert lift_closure_map(qt, push_closure_map(qt, cmap)[0]).mapping == dict(cmap.mapping)

@@ -65,7 +65,7 @@ def test_dgn_range_checked():
 def test_dgn_faces_are_hereditary(dgn4_bundle):
     k = dgn4_bundle["k"]
     report = validate_trisp(k.trisp)
-    assert report.ok and report.flags.is_simplicial
+    assert report.ok and report.is_simplicial
     for level in k.faces_by_dim:
         for face in level:
             for size in range(1, len(face)):
@@ -333,8 +333,8 @@ def test_cone_on_partition_quotient_collapses_to_point():
 def test_barycentric_dgn4_is_simplicial_flag_nerve(dgn4_bundle):
     report = validate_trisp(dgn4_bundle["bd"].trisp)
     assert report.ok
-    assert report.flags.is_simplicial
-    assert report.flags.is_flag_complex
+    assert report.is_simplicial
+    assert report.is_flag_complex
 
 
 def test_pipeline_quotient_trisp_n3():

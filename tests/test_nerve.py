@@ -129,7 +129,7 @@ def test_transitive_closure_images_are_chains(dgn4_bundle):
 @settings(max_examples=30, deadline=None)
 @given(posets(max_n=5))
 def test_nerves_regular_on_random_posets(p):
-    assert validate_trisp(nerve(p.category).trisp, compute_flags=False).ok
+    assert validate_trisp(nerve(p.category).trisp).ok
 
 
 def test_nerves_of_random_path_categories_are_regular_flag():
@@ -144,7 +144,7 @@ def test_nerves_of_random_path_categories_are_regular_flag():
         assert validate_category(c).ok
         report = validate_trisp(nerve(c).trisp)
         assert report.ok
-        assert report.flags.is_flag_complex
+        assert report.is_flag_complex
         assert list(nerve(c).trisp.counts) == count_chains_by_length(c)
 
 

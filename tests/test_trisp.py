@@ -7,6 +7,7 @@ from itertools import combinations
 from trispcat.errors import InputError
 from trispcat.nerve import nerve
 from trispcat.trisp import (
+    CLASSIFY_LIMIT,
     Trisp,
     euler_characteristic,
     induced_subtrisp,
@@ -18,7 +19,14 @@ from trispcat.trisp import (
     validate_trisp,
 )
 
-from oracles import chain_poset, opposite_category
+from oracles import (
+    chain_poset,
+    flag_failure_dimension,
+    opposite_category,
+    random_path_category,
+    random_poset,
+    validate_trisp_oracle,
+)
 from test_accat import posets
 
 
@@ -36,8 +44,8 @@ def test_double_filled_triangle_valid_not_simplicial(double_filled):
     t, _action, _psi = double_filled
     report = validate_trisp(t)
     assert report.ok
-    assert not report.flags.is_simplicial
-    assert not report.flags.is_flag_complex
+    assert not report.is_simplicial
+    assert not report.is_flag_complex
     assert euler_characteristic(t) == 2
 
 
@@ -114,16 +122,86 @@ def test_hollow_triangle_not_flag():
     faces = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
     t, _, _ = simplicial_from_faces(3, faces)
     report = validate_trisp(t)
-    assert report.ok and report.flags.is_simplicial
-    assert not report.flags.is_flag_complex
+    assert report.ok and report.is_simplicial
+    assert not report.is_flag_complex
+
+
+def _hollow_tetrahedron():
+    faces = [f for size in (1, 2, 3) for f in combinations(range(4), size)]
+    return simplicial_from_faces(4, faces)[0]
 
 
 def test_boundary_of_tetrahedron_not_flag():
-    faces = [f for size in (1, 2, 3) for f in combinations(range(4), size)]
-    t, _, _ = simplicial_from_faces(4, faces)
-    report = validate_trisp(t)
-    assert report.ok and report.flags.is_simplicial
-    assert not report.flags.is_flag_complex
+    report = validate_trisp(_hollow_tetrahedron())
+    assert report.ok and report.is_simplicial
+    assert not report.is_flag_complex
+
+
+def _top_changed(t, rng, duplicate):
+    """`t` with one top simplex dropped, or listed twice."""
+    bnd = [list(t.boundary_table(d)) for d in range(1, t.dim + 1)]
+    top = bnd[-1]
+    s = rng.randrange(len(top))
+    if duplicate:
+        top.append(top[s])
+    else:
+        del top[s]
+    return Trisp(list(t.counts[:-1]) + [len(top)], bnd)
+
+
+def _random_trisp(rng):
+    """A small trisp of one of the families the flag check is compared on."""
+    family = rng.randrange(6)
+    if family == 0:  # random boundary rows, mostly invalid
+        counts = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        return Trisp(counts, [
+            [tuple(rng.randrange(counts[d - 1]) for _ in range(d + 1)) for _ in range(counts[d])]
+            for d in range(1, len(counts))
+        ])
+    if family == 1:  # a simplicial complex on random facets
+        n = rng.randint(1, 6)
+        sizes = [rng.randint(1, min(n, 4)) for _ in range(rng.randint(1, 6))]
+        facets = [rng.sample(range(n), k) for k in sizes]
+        faces = [(v,) for v in range(n)]
+        faces += [sub for f in facets for k in range(1, len(f) + 1) for sub in combinations(f, k)]
+        return simplicial_from_faces(n, faces)[0]
+    c = random_poset(rng, max_n=6).category if rng.random() < 0.6 else random_path_category(rng)
+    t = nerve(c).trisp
+    if family == 2 or t.dim < 1:
+        return t
+    if family == 3:
+        return induced_subtrisp(t, [v for v in range(t.n(0)) if rng.random() < 0.7]).trisp
+    return _top_changed(t, rng, duplicate=family == 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_validate_trisp_matches_the_brute_force_oracle(seed):
+    t = _random_trisp(random.Random(seed))
+    assert validate_trisp(t).to_json() == validate_trisp_oracle(t)
+
+
+def test_flag_check_meets_failures_above_dimension_two():
+    # condition A holds on these, and a clique at d = 3 is missing or filled twice
+    tetrahedron = nerve(chain_poset(4).category).trisp
+    fixed = [_hollow_tetrahedron()] + [
+        _top_changed(tetrahedron, random.Random(0), duplicate) for duplicate in (False, True)
+    ]
+    assert [flag_failure_dimension(t) for t in fixed] == [3, 3, 3]
+    for t in fixed:
+        assert validate_trisp(t).to_json() == validate_trisp_oracle(t)
+    # the families the differential test draws from reach such failures too
+    rng = random.Random(0)
+    drawn = [_random_trisp(rng) for _ in range(400)]
+    assert any(validate_trisp(t).ok and (flag_failure_dimension(t) or 0) >= 3 for t in drawn)
+
+
+def test_classification_is_left_out_above_the_limit():
+    at_limit = validate_trisp(Trisp((CLASSIFY_LIMIT,), []))
+    assert at_limit.is_simplicial and at_limit.is_flag_complex
+    report = validate_trisp(Trisp((CLASSIFY_LIMIT + 1,), []))
+    assert report.ok and report.is_simplicial is None and report.is_flag_complex is None
+    assert "is_flag_complex" not in report.to_json()
 
 
 def test_nerve_with_parallel_composite_is_flag():
@@ -138,8 +216,8 @@ def test_nerve_with_parallel_composite_is_flag():
     assert validate_category(c).ok
     report = validate_trisp(nerve(c).trisp)
     assert report.ok
-    assert report.flags.is_flag_complex
-    assert not report.flags.is_simplicial  # two edges a -> c share a vertex set
+    assert report.is_flag_complex
+    assert not report.is_simplicial  # two edges a -> c share a vertex set
 
 
 def test_induced_subtrisp_full_and_empty():
@@ -229,8 +307,8 @@ def test_skeleton_dot():
 def test_nerves_of_posets_are_regular_simplicial_flag(p):
     report = validate_trisp(nerve(p.category).trisp)
     assert report.ok
-    assert report.flags.is_simplicial
-    assert report.flags.is_flag_complex
+    assert report.is_simplicial
+    assert report.is_flag_complex
 
 
 @settings(max_examples=30, deadline=None)
