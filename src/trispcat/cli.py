@@ -202,21 +202,22 @@ def cmd_closure(args):
         return 0
     if sub == "lift":
         condition = equivariant.check_lift_condition(qt, cmap)
-        payload = {"lift_condition": condition.to_json()}
+        payload = {"lift_condition": condition.to_json(), "ok": False}
         try:
-            lifted = equivariant.lift_closure_map(qt, cmap)
-            payload.update({"ok": True, "map": lifted.to_json()})
-            _emit(args, payload)
-            return 0
+            lifted, report = equivariant.lift_closure_map(qt, cmap, condition)
+            if not report.ok:
+                payload["error"] = f"map does not verify upstairs: {report.failures[:3]}"
         except PreconditionError as exc:
-            payload.update({"ok": False, "error": str(exc)})
+            payload["error"], lifted = str(exc), None
             if condition.holds:
-                candidate = equivariant.lift_candidate(qt, cmap)
-                report = closure.verify_trisp_closure_map(t, candidate)
-                payload["candidate"] = candidate.to_json()
-                payload["candidate_verify"] = report.to_json()
-            _emit(args, payload)
-            return 1
+                lifted = equivariant.lift_candidate(qt, cmap, condition)
+                report = closure.verify_trisp_closure_map(t, lifted)
+        if "error" not in payload:
+            payload.update({"ok": True, "map": lifted.to_json()})
+        elif lifted is not None:
+            payload.update({"candidate": lifted.to_json(), "candidate_verify": report.to_json()})
+        _emit(args, payload)
+        return 0 if payload["ok"] else 1
     raise InputError(f"unknown closure subcommand {sub!r}")
 
 
@@ -296,6 +297,9 @@ def main(argv=None):
         return handlers[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
+        return 2
+    except MemoryError:  # an input too large to hold, such as a huge simplex count
+        sys.stderr.write("input error: the input is too large to hold in memory\n")
         return 2
     except NotAPosetError as exc:
         sys.stderr.write(f"not a poset: {exc}\n")

@@ -8,7 +8,8 @@ exactly when each blue vertex has a unique red partner in the right orbit
 (and the trisp is an honest simplicial complex).  Finally, a poset quotient
 need not be a poset, but the quotient of a one-sided equivariant closure
 operator still induces a closure map on the nerve of the quotient category:
-the push of the map the operator induces on the nerve of the poset.
+the push of the map the operator induces on the nerve of the poset.  One
+check, `check_equivariant`, decides equivariance, of operators too.
 """
 
 from .accat import subposet
@@ -25,6 +26,13 @@ def check_equivariant(action, cmap):
     gi, b), ("not-equivariant", gi, b) and ("red-not-closed", gi, r).
     Checked on the generators, so witnesses name a generator index: what
     holds for each generator holds for every product of generators.
+
+    On the map that an idempotent operator f on a poset induces on its
+    nerve (red the image of f, blue the rest, b -> f(b)), the list is empty
+    iff f(gx) = g f(x) for every object x and generator g.
+    ⇒: red x has gx red and f(gx) = gx = g f(x); blue x has f(gx) = g f(x).
+    ⇐: a blue b with gb red gives gb = f(gb) = g f(b), so f(b) = b, and a
+    red r with gr blue gives f(gr) = g f(r) = gr; both contradict.
     """
     witnesses = []
     for gi, g in enumerate(action.generators):
@@ -140,28 +148,30 @@ def check_lift_condition(qt, psi):
     return LiftConditionReport(candidates)
 
 
-def lift_candidate(qt, psi):
-    """The forced candidate lift to `qt.source`, without any verification."""
-    report = check_lift_condition(qt, psi)
-    if not report.holds:
-        raise PreconditionError(f"lift condition fails: {report.to_json()['candidates']}")
+def lift_candidate(qt, psi, condition):
+    """The unverified forced lift to `qt.source`; `condition` is `check_lift_condition(qt, psi)`."""
+    if not condition.holds:
+        raise PreconditionError(f"lift condition fails: {condition.to_json()['candidates']}")
     proj0 = qt.projection[0] if qt.projection else ()
     blue = frozenset(v for v, orbit in enumerate(proj0) if orbit in psi.blue)
     red = frozenset(v for v, orbit in enumerate(proj0) if orbit in psi.red)
-    return TrispClosureMap(blue, red, dict(report.assignment), psi.convention)
+    return TrispClosureMap(blue, red, dict(condition.assignment), psi.convention)
 
 
-def lift_closure_map(qt, psi):
-    """Lift a closure map from the orbit trisp `qt` back to its source.
+def lift_closure_map(qt, psi, condition):
+    """(the forced lift, its report on `qt.source`) of a closure map on the orbit trisp `qt`.
 
-    Guaranteed only for abstract simplicial complexes; on general trisps the
-    forced candidate may fail, so non-simplicial input is rejected.
+    `condition` is `check_lift_condition(qt, psi)`.  Guaranteed only for
+    abstract simplicial complexes, so other input is rejected.  The caller
+    judges the report.
 
-    The push of the lift is psi, with no check.  psi verifies, so its blue
-    and red orbits partition the orbits, none empty; the forced lift colours
-    each vertex as psi colours its orbit, so its push has psi's blue and red
-    orbits.  The least vertex of a blue orbit o maps to its partner, which
-    lies in the orbit psi(o), so the push sends o to psi(o), by psi's convention.
+    The lift is equivariant and pushes to psi, so `push_closure_map` would
+    find nothing more.  Blue and red are unions of orbits.  g carries the
+    one edge from a blue b to its partner r onto an edge from gb to gr, and
+    gr is red in psi([b]) = psi([gb]); as gb has one partner, it is gr.  psi
+    verifies, so its blue and red orbits partition the orbits; the lift
+    colours each vertex as psi colours its orbit, and sends the least vertex
+    of a blue orbit o into psi(o).  So its push is psi, verified on `qt`.
     """
     if not is_simplicial(qt.source):
         raise PreconditionError(
@@ -174,21 +184,11 @@ def lift_closure_map(qt, psi):
     psi_report = verify_trisp_closure_map(qt.trisp, psi)
     if not psi_report.ok:
         raise PreconditionError("psi does not verify on the quotient")
-    lift = lift_candidate(qt, psi)
-    push_closure_map(qt, lift)  # verifies the lift on the source
-    return lift
+    lift = lift_candidate(qt, psi, condition)
+    return lift, verify_trisp_closure_map(qt.source, lift)
 
 
 # -- poset quotients --------------------------------------------------------
-
-
-def _poset_action_is_equivariant(p, action, f):
-    """First object x with f(gx) != g f(x) for a generator g, as (x,), else None."""
-    for g in action.generators:
-        for x in range(p.n):
-            if f[g.dims[0][x]] != g.dims[0][f[x]]:
-                return (x,)
-    return None
 
 
 def image_quotient_nerve(p, action, image):
@@ -240,7 +240,7 @@ def quotient_poset_closure_map(p, f, qc):
     if qc.source is not p.category:
         raise PreconditionError("the quotient is not a quotient of this poset")
     cmap = induced_trisp_closure_map(p, f)
-    if _poset_action_is_equivariant(p, qc.action, f) is not None:
+    if check_equivariant(qc.action, cmap):
         raise PreconditionError("operator is not equivariant")
     least = [members[0] for members in qc.obj_members]
     pushed, verify = push_to_orbits(qc.nerve.trisp, qc.obj_class, least, cmap)

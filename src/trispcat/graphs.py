@@ -24,7 +24,7 @@ from .closure import (
     verify_collapse_sequence,
 )
 from .equivariant import (
-    _poset_action_is_equivariant,
+    check_equivariant,
     check_image_subtrisp_equality,
     image_quotient_nerve,
     push_to_orbits,
@@ -403,12 +403,13 @@ def pipeline_quotient_trisp(n):
     iso_witness = image_partition_isomorphism(k, fp, f, pp)
     if iso_witness is not None:
         report.fail("closure_operator", f"image not isomorphic to partitions at {iso_witness}")
+    cmap = induced_trisp_closure_map(fp.poset, f, witnesses)
     report.done("closure_operator", image_size=len(set(f)))
 
     act = face_poset_action(k, fp)
-    witness = _poset_action_is_equivariant(fp.poset, act, f)
-    if witness is not None:
-        report.fail("action", f"operator not equivariant at {witness[0]}")
+    equivariance = check_equivariant(act, cmap)
+    if equivariance:
+        report.fail("action", f"operator not equivariant: {equivariance[:3]}")
     group = _sn_group(n)
     report.done("action", order=group.order)
 
@@ -421,7 +422,6 @@ def pipeline_quotient_trisp(n):
         report.fail("regularity_condition", str(qt.regularity_witness))
     report.done("regularity_condition")
 
-    cmap = induced_trisp_closure_map(fp.poset, f, witnesses)
     pushed, verify = push_to_orbits(qt.trisp, qt.obj_orbit, [c[0] for c in qt.chains[0]], cmap)
     if not verify.ok:
         report.fail("induced_closure_map", f"pushed map failed verification: {verify.failures[:3]}")

@@ -128,7 +128,7 @@ def test_criterion_01_double_filling_obstruction(double_filled):
     assert condition.holds and condition.assignment == {0: 2}
 
     # the forced candidate fails with the double extension of the edge {b, x}
-    forced = lift_candidate(qt, psi)
+    forced = lift_candidate(qt, psi, condition)
     report = verify_trisp_closure_map(t, forced)
     assert not report.ok and report.failures == [(1, 0, 2)]
     assert t.vertex_tuple(1, 0) == (0, 1)  # vertices b and x

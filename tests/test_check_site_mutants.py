@@ -11,6 +11,13 @@ import pytest
 SCRIPT = Path(__file__).parents[1] / "scripts" / "check_site_mutants.py"
 
 
+def _load_script():
+    spec = importlib.util.spec_from_file_location("check_site_mutants", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_check_sites_finds_each_kind_of_site_and_no_other_raise():
     source = (
         "def stage(report, x):\n"
@@ -24,11 +31,38 @@ def test_check_sites_finds_each_kind_of_site_and_no_other_raise():
         "        report.fail('three', 'why')\n"
         "    report.done('stage')\n"
     )
-    spec = importlib.util.spec_from_file_location("check_site_mutants", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    sites = script.check_sites(source)
+    sites = _load_script().check_sites(source)
     assert [node.lineno for node in sites] == [5, 7, 9]
+
+
+def test_suite_order_runs_the_modules_quoting_a_site_first():
+    source = (
+        "def stage(report, x):\n"
+        "    if x == 1:\n"
+        "        raise SoundnessError(f'orbit {x} left its class')\n"
+        "    if x == 2:\n"
+        "        report.fail('stitch', str(x))\n"
+        "    if x == 3:\n"
+        "        raise PreconditionError(x)\n"
+    )
+    script = _load_script()
+    left, stitch, bare = script.check_sites(source)
+    modules = {
+        "tests/test_a.py": "assert code == 0",
+        "tests/test_b.py": "match='orbit'",  # too short a piece to pick a module
+        "tests/test_c.py": "assert str(got.value) == 'orbit 1 left its class'",
+        "tests/test_d.py": "failed: stage 'stitch': 2",
+    }
+    assert script.message_pieces(left) == ["left its class"]
+    assert script.suite_order(left, modules) == [
+        "tests/test_c.py", "tests/test_a.py", "tests/test_b.py", "tests/test_d.py",
+    ]
+    assert script.message_pieces(stitch) == ["stage 'stitch'"]
+    assert script.suite_order(stitch, modules) == [
+        "tests/test_d.py", "tests/test_a.py", "tests/test_b.py", "tests/test_c.py",
+    ]
+    # a message with no literal text keeps the given order
+    assert script.suite_order(bare, modules) == list(modules)
 
 
 def _processes_under(path):

@@ -14,10 +14,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trispcat import equivariant
 from trispcat.cli import main
 from trispcat.closure import full_collapse_audit, induced_trisp_closure_map
 from trispcat.nerve import nerve
-from trispcat.symmetry import poset_automorphism
+from trispcat.symmetry import poset_automorphism, quotient_trisp
 
 from oracles import chain_poset, is_identity, object_maps
 
@@ -252,6 +253,89 @@ def test_closure_lift_documented_failure(capsys, tmp_path, double_filled):
     assert doc["candidate_verify"]["failures"] == [[1, 0, 2]]
 
 
+def _count_calls(monkeypatch, names):
+    """A counter of calls to each named function, wherever the package imported it."""
+    from trispcat import closure, symmetry
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(equivariant, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (closure, symmetry, equivariant):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+_LIFT_CHECKS = (
+    "check_lift_condition", "check_regular_action", "verify_trisp_closure_map", "check_equivariant",
+)
+
+
+def test_closure_lift_decides_each_hypothesis_once(capsys, monkeypatch, tmp_path, two_edges_z2):
+    # psi verified on the quotient and the lift on the source; equivariance
+    # and the push of the lift follow, as `lift_closure_map` proves
+    _p, nv, _cat, tact, cmap = two_edges_z2
+    psi = equivariant.push_closure_map(quotient_trisp(nv.trisp, tact), cmap)[0]
+    t_file = write(tmp_path / "t.json", nv.trisp.to_json())
+    map_file = write(tmp_path / "m.json", psi.to_json())
+    gens = [{"dims": [list(p) for p in g.dims]} for g in tact.generators]
+    act_file = write(tmp_path / "act.json", {"generators": gens})
+    calls = _count_calls(monkeypatch, _LIFT_CHECKS)
+    code, out = run(
+        capsys, "closure", "lift", "--input", t_file, "--map", map_file, "--action", act_file
+    )
+    assert (code, json.loads(out)["map"]) == (0, json.loads(json.dumps(cmap.to_json())))
+    assert calls == {
+        "check_lift_condition": 1, "check_regular_action": 1,
+        "verify_trisp_closure_map": 2, "check_equivariant": 0,
+    }
+
+
+def test_failing_closure_lift_checks_its_condition_once(
+    capsys, monkeypatch, tmp_path, double_filled
+):
+    # the source is not simplicial; the forced candidate is built from the
+    # one condition report and verified once
+    t, _action, psi = double_filled
+    t_file = write(tmp_path / "t.json", t.to_json())
+    map_file = write(tmp_path / "m.json", psi.to_json())
+    act_file = write(tmp_path / "act.json", _FILLED_SWAP)
+    calls = _count_calls(monkeypatch, _LIFT_CHECKS)
+    code, out = run(
+        capsys, "closure", "lift", "--input", t_file, "--map", map_file, "--action", act_file
+    )
+    assert (code, json.loads(out)["candidate_verify"]["ok"]) == (1, False)
+    assert calls == {
+        "check_lift_condition": 1, "check_regular_action": 0,
+        "verify_trisp_closure_map": 1, "check_equivariant": 0,
+    }
+
+
+def test_closure_lift_reports_a_lift_that_fails_upstairs(
+    capsys, monkeypatch, tmp_path, double_filled
+):
+    # with the simpliciality check waved through, the double filling's forced
+    # lift fails on the source; the report says so and shows the candidate
+    t, _action, psi = double_filled
+    monkeypatch.setattr(equivariant, "is_simplicial", lambda t: True)
+    t_file = write(tmp_path / "t.json", t.to_json())
+    map_file = write(tmp_path / "m.json", psi.to_json())
+    act_file = write(tmp_path / "act.json", _FILLED_SWAP)
+    code, out = run(
+        capsys, "closure", "lift", "--input", t_file, "--map", map_file, "--action", act_file
+    )
+    doc = json.loads(out)
+    assert (code, doc["ok"]) == (1, False)
+    assert doc["error"] == "map does not verify upstairs: [(1, 0, 2)]"
+    assert doc["candidate"] == {"blue": [0], "red": [1, 2], "map": {"0": 2}, "convention": "min"}
+    assert doc["candidate_verify"]["failures"] == [[1, 0, 2]]
+
+
 def test_dgn_build_and_pipeline(capsys, tmp_path):
     code, out = run(capsys, "dgn", "build", "--n", "4")
     assert code == 0
@@ -338,28 +422,49 @@ def test_closure_verify_and_collapse_reject_an_action(capsys, tmp_path):
         assert captured.err == f"input error: closure {verb} takes no --action\n"
 
 
-def test_closure_verify_collapse_and_push_refuse_a_huge_vertex_count_without_allocating(
-    tmp_path,
-):
+def _run_under_1gib(argv):
+    """The CLI run in a child process whose address space is capped at 1 GiB."""
     import resource
 
     def limit_memory():  # a regression fails with MemoryError instead of filling the machine
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return subprocess.run(
+        [sys.executable, "-m", "trispcat.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_memory,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def _huge_count_files(tmp_path):
     t_file = write(tmp_path / "t.json", {"dims": [{"count": 100_000_000_000}]})
     map_file = write(tmp_path / "m.json", {"blue": [0], "red": [1, 2], "map": {"0": 2}})
     action_file = write(tmp_path / "a.json", {"generators": []})
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return t_file, map_file, action_file
+
+
+def test_closure_verify_collapse_and_push_refuse_a_huge_vertex_count_without_allocating(
+    tmp_path,
+):
+    t_file, map_file, action_file = _huge_count_files(tmp_path)
     # push checks the map before it builds the action, whose arrays hold every vertex
     for verb, extra in (("verify", []), ("collapse", []), ("push", ["--action", action_file])):
-        argv = ["closure", verb, "--input", t_file, "--map", map_file, *extra]
-        child = subprocess.run(
-            [sys.executable, "-m", "trispcat.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_memory,
-            capture_output=True, text=True, timeout=120,
-        )
+        child = _run_under_1gib(["closure", verb, "--input", t_file, "--map", map_file, *extra])
         assert (child.returncode, child.stdout) == (2, "")
         assert child.stderr == "input error: blue and red must partition the vertex set\n"
+
+
+def test_lift_and_quotient_exit_2_on_a_vertex_count_too_large_to_hold(tmp_path):
+    # both build the action's arrays on every vertex before any check can refuse
+    t_file, map_file, action_file = _huge_count_files(tmp_path)
+    for argv in (
+        ["closure", "lift", "--input", t_file, "--map", map_file, "--action", action_file],
+        ["quotient", "--input", t_file, "--action", action_file],
+    ):
+        child = _run_under_1gib(argv)
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == "input error: the input is too large to hold in memory\n"
 
 
 def test_counterexample_script_prints_operator_tuples():
@@ -712,9 +817,10 @@ def test_pipeline_61_fails_when_the_collapse_ends_off_the_partition_quotient(cap
 def test_pipeline_61_fails_when_the_operator_is_not_equivariant(capsys, monkeypatch):
     from trispcat import graphs
 
-    monkeypatch.setattr(graphs, "_poset_action_is_equivariant", lambda p, action, f: (7,))
+    witnesses = [("not-equivariant", 0, 7)]
+    monkeypatch.setattr(graphs, "check_equivariant", lambda action, cmap: witnesses)
     assert _pipeline_61_n4_failure(capsys) == (
-        "failed: stage 'action': operator not equivariant at 7\n"
+        "failed: stage 'action': operator not equivariant: [('not-equivariant', 0, 7)]\n"
     )
 
 

@@ -152,6 +152,15 @@ def test_closure_matching_refuses_a_tampered_report(tamper):
     assert str(exc.value) == message
 
 
+def test_closure_matching_refuses_a_failing_report(double_filled):
+    # the forced lift of the double filling: the edge {b, x} extends twice
+    t, _action, psi = double_filled
+    report = verify_trisp_closure_map(t, psi)
+    with pytest.raises(PreconditionError) as exc:
+        closure_matching(t, psi, report)
+    assert str(exc.value) == "not a closure map: [(1, 0, 2)]"
+
+
 def test_edge_fixture_collapse():
     t, cmap = edge_fixture()
     cert = full_collapse_audit(t, cmap)

@@ -138,7 +138,9 @@ def test_lift_condition_double_filled(double_filled):
 def test_lift_two_edge_fixture_roundtrip(two_edges_z2):
     _p, nv, _cat, tact, cmap = two_edges_z2
     qt = quotient_trisp(nv.trisp, tact)
-    lifted = lift_closure_map(qt, push_closure_map(qt, cmap)[0])
+    psi = push_closure_map(qt, cmap)[0]
+    lifted, report = lift_closure_map(qt, psi, check_lift_condition(qt, psi))
+    assert report.ok
     assert lifted.mapping == dict(cmap.mapping)
     assert lifted.blue == cmap.blue
 
@@ -154,14 +156,18 @@ def test_lift_tests_simpliciality_without_the_flag_search(monkeypatch, two_edges
     monkeypatch.setattr(equivariant, "is_flag_complex", forbidden, raising=False)
     _p, nv, _cat, tact, cmap = two_edges_z2
     qt = quotient_trisp(nv.trisp, tact)
-    assert lift_closure_map(qt, push_closure_map(qt, cmap)[0]).mapping == dict(cmap.mapping)
+    psi = push_closure_map(qt, cmap)[0]
+    lifted, _report = lift_closure_map(qt, psi, check_lift_condition(qt, psi))
+    assert lifted.mapping == dict(cmap.mapping)
 
 
 def test_lift_rejected_on_double_filled(double_filled):
     t, action, psi = double_filled
+    qt = quotient_trisp(t, action)
+    condition = check_lift_condition(qt, psi)
     with pytest.raises(PreconditionError, match="simplicial"):
-        lift_closure_map(quotient_trisp(t, action), psi)
-    cand = lift_candidate(quotient_trisp(t, action), psi)
+        lift_closure_map(qt, psi, condition)
+    cand = lift_candidate(qt, psi, condition)
     assert not verify_trisp_closure_map(t, cand).ok
 
 
@@ -174,7 +180,7 @@ def test_lift_candidate_refuses_a_blue_vertex_with_no_partner():
     qt = quotient_trisp(_PATH, close_group([], on=_PATH))
     psi = TrispClosureMap(frozenset({0}), frozenset({1, 2}), {0: 2}, "min")
     with pytest.raises(PreconditionError, match=r"^lift condition fails: \{'0': \[\]\}$"):
-        lift_candidate(qt, psi)
+        lift_candidate(qt, psi, check_lift_condition(qt, psi))
 
 
 def test_lift_requires_a_regular_action():
@@ -184,7 +190,7 @@ def test_lift_requires_a_regular_action():
     qt = quotient_trisp(cycle, close_group([Aut(((1, 2, 0), (1, 2, 0)))], on=cycle))
     psi = TrispClosureMap(frozenset(), frozenset({0}), {}, "min")
     with pytest.raises(PreconditionError) as got:
-        lift_closure_map(qt, psi)
+        lift_closure_map(qt, psi, check_lift_condition(qt, psi))
     assert str(got.value) == "quotient-regularity fails: (1, (1, 0), (0, 1), 'moved')"
 
 
@@ -192,7 +198,7 @@ def test_lift_requires_psi_to_verify_on_the_quotient():
     qt = quotient_trisp(_PATH, close_group([], on=_PATH))
     psi = TrispClosureMap(frozenset({0}), frozenset({1, 2}), {0: 2}, "min")
     with pytest.raises(PreconditionError, match="^psi does not verify on the quotient$"):
-        lift_closure_map(qt, psi)
+        lift_closure_map(qt, psi, check_lift_condition(qt, psi))
 
 
 def test_image_quotient_nerve_refuses_a_subset_the_action_moves_out(two_edges_z2):
@@ -352,7 +358,8 @@ def test_push_and_sectionwise_checks_random(seed):
         _qmap, report = quotient_poset_closure_map(p, f, qc)
         assert report.ok
         # round trip through the quotient when the nerve is simplicial
-        lifted = lift_closure_map(qt, pushed)
+        lifted, lift_report = lift_closure_map(qt, pushed, check_lift_condition(qt, pushed))
+        assert lift_report.ok
         assert lifted.blue == cmap.blue and lifted.mapping == dict(cmap.mapping)
 
 
