@@ -19,9 +19,10 @@ along the generators.  The orbit trisp of a poset's nerve is also built
 without the nerve: `orbit_nerve` takes the group as the object maps of its
 elements, closed by the caller, and lists each orbit of chains once, by its
 least chain, extending each least chain at its top under its stabilizer
-(orderly generation).
+(orderly generation) and finding its faces by transporters carried down.
 """
 
+from bisect import bisect_left
 from functools import cached_property
 from operator import attrgetter, itemgetter
 
@@ -368,15 +369,16 @@ def orbit_nerve(p, elements):
     """The orbit trisp of the nerve of the poset `p` under a group, by orderly generation.
 
     `elements` is the group, closed by the caller, as the object map of
-    each element, listed once.  Precondition: each is an automorphism of
-    `p`.  They are read only through counts, minima and all(), so their
-    order does not matter.  An object's orbit is its set of images, and
-    orbits are numbered by least member.  Each orbit of chains is listed
-    once, by its least chain in the lexicographic order of object tuples:
+    each element, listed once: two that agree on the base below raise
+    PreconditionError.  Precondition: each is an automorphism of `p`.
+    Their order does not matter.  An object's orbit is its set of images,
+    and orbits are numbered by least member.  Each orbit o of chains is
+    listed once, by its least chain L(o) in the lexicographic order of
+    object tuples:
     - the least chains of the vertex orbits are their least objects;
     - a least chain C with stabilizer S is extended at its top by each y
-      above it that is least in its S-orbit, and C + y has stabilizer
-      {g in S : gy = y}.
+      above it that is least in its S-orbit (every y when S is the
+      identity alone), and C + y has stabilizer {g in S : gy = y}.
     C + y is least in its orbit: an image gC + gy is larger unless gC = C,
     and then g is in S and gy >= y.  Every orbit is reached once: a chain
     D + z is moved by some g onto C + gz with C least, and then by some h
@@ -384,48 +386,91 @@ def orbit_nerve(p, elements):
     orbit would lie in one S-orbit.  Taking the parents in order and each
     y ascending lists every level sorted by least chain.
 
-    The last face of C + y is its parent C.  Any other face f is looked up
-    by its least image: the minimum of gf over the transporters of f's
-    first object, the g that send it to the least object of its orbit.
+    Each least chain carries, for its face F_i in orbit o_i, an element h_i
+    with h_i F_i = L(o_i).  The faces of C + y are C and each F_i + y.  An
+    image gF + gy is least only if gF = L(o), that is for g in Stab(L(o))∘h:
+    the least image of F + y is L(o) + y', the child of o at y', where y'
+    is least in the Stab(L(o))-orbit of w = h y, and s∘h carries F + y onto
+    it for the s with s w = y'.  A vertex y is the empty chain + y, carried
+    by the inverse of an element that takes y's least object to y.  An
+    element is named by its images of a base, objects each moved by an
+    element that fixes the ones before, so s∘h is one lookup.
     """
+    n, order = p.n, len(elements)
     up = [sorted(p.category.tgt[m] for m in out) for out in p.category.out]
-    obj_orbit, reps = [-1] * p.n, []
-    for x in range(p.n):
+    obj_orbit, reps, images = [-1] * n, [], []
+    for x in range(n):
         if obj_orbit[x] < 0:
-            for g in elements:
-                obj_orbit[g[x]] = len(reps)
+            images.append(list(map(itemgetter(x), elements)))
+            for y in images[-1]:
+                obj_orbit[y] = len(reps)
             reps.append(x)
-    transporters = {}
+    base, fixers = [], elements
+    for x in range(n):
+        if len(fixers) > 1 and any(g[x] != x for g in fixers):
+            base.append(x)
+            fixers = [g for g in fixers if g[x] == x]
+    keys = list(zip(*[list(map(itemgetter(b), elements)) for b in base])) or [()] * order
+    index = dict(zip(keys, range(order)))
+    if len(index) < order:
+        j = next(j for j, key in enumerate(keys) if index[key] != j)
+        raise PreconditionError(f"elements {j} and {index[keys[j]]} agree on the base {base}")
+    e = index[tuple(base)]
+    trivial = [elements[e]]  # the one stabilizer that is the identity alone
 
-    def face_orbit(face, index):
-        x = face[0]
-        if len(face) == 1:
-            return obj_orbit[x]
-        if x not in transporters:
-            least = reps[obj_orbit[x]]
-            transporters[x] = [g for g in elements if g[x] == least]
-        return index[min(map(itemgetter(*face), transporters[x]))]
+    def least_point(o, w):
+        """The least point of w's orbit under Stab(L(o)), and an element taking w to it."""
+        if prev[o] is elements:  # o is the empty chain
+            g = elements[images[obj_orbit[w]].index(w)]
+            return reps[obj_orbit[w]], elements[index[tuple(map(g.index, base))]]
+        moved = [s[w] for s in prev[o]]
+        return min(moved), prev[o][moved.index(min(moved))]
 
-    level = [((r,), [g for g in elements if g[r] == r]) for r in reps]
+    # level 0: a vertex's one face is the empty chain, whose stabilizer is the group
+    prev, tops, first, ids = [elements], reps, [0, len(reps)], range(len(reps))
+    level, rows, carried = [(r,) for r in reps], [(0,)] * len(reps), [e] * len(reps)
+    stabs = [[g for g in elements if g[r] == r] for r in reps]
+    stabs = [stab if len(stab) > 1 else trivial for stab in stabs]
     chains, sizes, bnd = [], [], []
     while level:
-        chains.append(tuple(chain for chain, _stab in level))
-        sizes.append(tuple(len(elements) // len(stab) for _chain, stab in level))
-        index = {chain: k for k, chain in enumerate(chains[-1])}
-        grown, rows = [], []
-        for k, (chain, stab) in enumerate(level):
+        chains.append(tuple(level))
+        # one shared int for the many chains whose stabilizer is the identity alone
+        sizes.append(tuple(order if stab is trivial else order // len(stab) for stab in stabs))
+        width, least = len(level[0]), {}
+        grown, grown_stabs, grown_rows, grown_carried, grown_first = [], [], [], [], []
+        for k, chain in enumerate(level):
+            stab = stabs[k]
+            grown_first.append(len(grown))
+            if not up[chain[-1]]:
+                continue
+            faces = [(first[o], first[o + 1], o, elements[h], h, prev[o] is trivial)
+                     for o, h in zip(rows[k], carried[k * width:(k + 1) * width])]
             for y in up[chain[-1]]:
-                if all(g[y] >= y for g in stab):
-                    child = chain + (y,)
-                    grown.append((child, [g for g in stab if g[y] == y]))
-                    faces = [child[:i] + child[i + 1:] for i in range(len(chain))]
-                    rows.append((*[face_orbit(face, index) for face in faces], k))
+                if stab is not trivial and any(g[y] < y for g in stab):
+                    continue
+                fixing = trivial if stab is trivial else [g for g in stab if g[y] == y]
+                grown.append(chain + (y,))
+                grown_stabs.append(trivial if len(fixing) == 1 else fixing)
+                row = []
+                for lo, hi, o, g, h, plain in faces:
+                    w = g[y]
+                    if not plain:
+                        w, s = least.get((o, w)) or least.setdefault((o, w), least_point(o, w))
+                        if s is not trivial[0]:
+                            h = index[tuple(map(s.__getitem__, keys[h]))]
+                    # the child of o at w: o's children have the tops tops[lo:hi], ascending
+                    row.append(ids[bisect_left(tops, w, lo, hi)])
+                    grown_carried.append(h)
+                grown_rows.append((*row, k))
+                grown_carried.append(e)
         if grown:
-            bnd.append(rows)
-        level = grown
+            bnd.append(grown_rows)
+        grown_first.append(len(grown))
+        # one int object per index, shared by every row that names it
+        tops, first, ids = [chain[-1] for chain in grown], grown_first, list(range(len(grown)))
+        prev, stabs, rows, carried, level = stabs, grown_stabs, grown_rows, grown_carried, grown
     t = Trisp(list(map(len, chains)), bnd)
-    violations = regularity_violations(t)
-    return OrbitNerve(t, tuple(chains), tuple(sizes), tuple(obj_orbit), violations)
+    return OrbitNerve(t, tuple(chains), tuple(sizes), tuple(obj_orbit), regularity_violations(t))
 
 
 def check_regular_action(qt):

@@ -367,9 +367,17 @@ def test_pipeline_takes_only_61_or_62(capsys, alias):
     assert f"argument --pipeline: invalid choice: '{alias}'" in captured.err
 
 
-def test_pipeline_61_refuses_n6_before_building(capsys):
-    assert main(["dgn", "pipeline", "--n", "6", "--pipeline", "61"]) == 2
-    assert "pipeline 61 runs for n <= 5" in capsys.readouterr().err
+def test_pipeline_61_refuses_n7_before_building(capsys, monkeypatch):
+    from trispcat import graphs
+
+    def build_dgn(n):
+        raise AssertionError(f"DG_{n} was built")
+
+    monkeypatch.setattr(graphs, "build_dgn", build_dgn)
+    assert main(["dgn", "pipeline", "--n", "7", "--pipeline", "61"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: pipeline 61 runs for n <= 6, got 7\n"
 
 
 def test_pipeline_dot_format_is_input_error(capsys):
@@ -951,6 +959,32 @@ def test_pipeline_62_n6_is_pinned():
     assert stages["quotient_category"]["nerve_counts"] == [
         43, 462, 2451, 7874, 16543, 23245, 21650, 12830, 4382, 657
     ]
+
+
+@pytest.mark.slow
+def test_pipeline_61_n6_is_pinned():
+    # a child process, so that the run's memory, about 1 GB, is handed back when it exits
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    run61 = subprocess.run(
+        [sys.executable, "-m", "trispcat.cli", "dgn", "pipeline", "--n", "6", "--pipeline", "61"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run61.returncode == 0, run61.stderr
+    report = json.loads(run61.stdout)
+    certs = json.dumps(report["certificates"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(certs.encode()).hexdigest() == (
+        "a979e10df804fb899d4abbd49f5d53b011fdfa3b545df3107f926fd70b836c4f"
+    )
+    assert len(report["certificates"]["collapse"]) == 858_610
+    assert len(report["certificates"]["endpoint"]) == 44
+    stages = {s["name"]: s["info"] for s in report["stages"]}
+    assert stages["quotient"]["counts"] == [
+        43, 843, 8925, 52979, 183777, 386512, 499590, 388080, 166320, 30240
+    ]
+    assert stages["collapse"]["final_counts"] == [9, 28, 36, 16]
 
 
 @pytest.mark.slow

@@ -707,6 +707,43 @@ def test_orbit_nerve_of_the_partition_poset(n, fine_on_top):
     _assert_orbit_nerve_is_the_quotient_of_the_nerve(pp.poset, partition_action(pp))
 
 
+def _ranks_under_s3(ranks):
+    """`ranks` ranks of the objects 0, 1, 2, every object below every one of a higher rank.
+
+    S_3 permutes each rank alike; its generators swap the first two and
+    the last two objects of every rank.
+    """
+    p = poset_from_relation(3 * ranks, [
+        (x, y) for x in range(3 * ranks) for y in range(3 * (x // 3 + 1), 3 * ranks)
+    ])
+    gens = [tuple(x - x % 3 + g[x % 3] for x in range(3 * ranks)) for g in [(1, 0, 2), (0, 2, 1)]]
+    return p, close_group(gens, on=p)
+
+
+def test_orbit_nerve_composes_a_stabilizer_element_with_a_transporter():
+    # Stab((3, 6)) swaps the last two objects of every rank, so the least
+    # image of a face such as (4, 7) + 11, carried onto (3, 6) + 11 by a
+    # transporter h, is found by a non-identity s in that stabilizer, and s∘h
+    # carries the face down to the chains above it
+    p, action = _ranks_under_s3(4)
+    on = _assert_orbit_nerve_is_the_quotient_of_the_nerve(p, action)
+    assert list(on.trisp.counts) == [4, 12, 20, 14]
+    assert on.chains[1][:3] == ((0, 3), (0, 4), (0, 6))
+
+
+@pytest.mark.parametrize("repeated", [0, 3])
+def test_orbit_nerve_refuses_an_element_listed_twice(repeated):
+    # the identity listed twice leaves two elements that fix every object, so
+    # the base search covers them all; another element listed twice is found
+    # once the base is; either would make |G| / |Stab| miscount orbit sizes
+    p, action = _ranks_under_s3(2)
+    elements = object_maps(action)
+    elements.append(elements[repeated])
+    with pytest.raises(PreconditionError) as got:
+        orbit_nerve(p, elements)
+    assert str(got.value) == f"elements {repeated} and 6 agree on the base [0, 1]"
+
+
 def test_orbit_nerve_of_the_empty_poset():
     p = poset_from_relation(0, [])
     on = orbit_nerve(p, object_maps(close_group([], on=p.category)))
