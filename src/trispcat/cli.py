@@ -160,7 +160,6 @@ def cmd_quotient(args):
     return 0 if all(cmap.surjective_by_dim) and cmap.vertex_bijective else 1
 
 
-@trisp.nogc
 def cmd_closure(args):
     t = trisp.Trisp.from_json(_load(args.input))
     cmap = closure.TrispClosureMap.from_json(_load(args.map))
@@ -281,6 +280,7 @@ def build_parser():
     return parser
 
 
+@trisp.nogc
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)

@@ -13,8 +13,8 @@ the boundary rows.  A replay gives each simplex its removal time in one
 pass over the steps and checks those times in one pass over the boundary
 columns, with no simplex removed after one of its faces; the stepwise
 replay runs only to name the first bad step of a sequence that fails.
-Replaying a certificate, reading a trisp and the `closure` command run
-with the cyclic garbage collector paused (`trisp.nogc`): their tables are
+Replaying a certificate, reading a trisp and every CLI command run with
+the cyclic garbage collector paused (`trisp.nogc`): their tables are
 flat containers of ints with no reference cycles, so each collection
 their allocations would set off scans them all and frees nothing.  A
 check returns its witnesses: the verification report holds its failures

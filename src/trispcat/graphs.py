@@ -352,15 +352,13 @@ class PipelineReport:
         raise PipelineError(name, message)
 
     def to_json(self):
+        # json writes the step tuples as arrays, so they need no copy into lists
         return {
             "variant": self.variant,
             "n": self.n,
             "ok": self.ok,
             "stages": self.stages,
-            "certificates": {
-                name: [[list(a), list(b)] for a, b in steps]
-                for name, steps in self.certificates.items()
-            },
+            "certificates": self.certificates,
         }
 
 

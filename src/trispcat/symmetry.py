@@ -537,10 +537,34 @@ def quotient_category(c, action):
     whole morphism orbits from the start, and every composable pair is a
     translate (g r1, g r2) of a representative pair, with composite g r12.
     So the pair has the class key of (r1, r2), and its composite lies in the
-    class of r12: a fixpoint over the representative pairs is closed over
-    all pairs too, and it is the same least congruence.
-    Union-find roots are least members, so the classes do not depend on the
-    order of the unions.
+    class of r12: classes closed over the representative pairs are closed
+    over all pairs too.  Union-find roots are least members, so the classes
+    do not depend on the order of the unions.
+
+    One pass over the representative pairs reaches the least congruence,
+    so there is no second pass.  Call ab and ab' adjacent when b and b'
+    lie in one morphism orbit, and let ≈ be the equivalence generated by
+    the orbits and adjacency; every congruence holding the orbits holds ≈.
+    And ≈ is a congruence:
+    - if b ≈ b' and both follow a, then ab ≈ ab': move each morphism of a
+      chain from b to b' onto the source of b by a group element; an orbit
+      step becomes one by an element fixing that source, so a times its
+      two sides is an adjacency, and an adjacency pq, pq' becomes the
+      adjacency (ap)q, (ap)q';
+    - if a ≈ a' in one step, each b after a has b' = g b after a' with
+      ab ≈ a'b': for a' = g a, a'b' = g(ab); for a = pq, a' = pq' with
+      q' = g q, ab = p(qb) and a'b' = p g(qb) are adjacent.  Walking a
+      chain from a to a' and ending with the first case, ab ≈ a'b'
+      whenever b ≈ b'.
+    The pass makes every adjacency, and each of its unions is forced, so
+    its classes are those of ≈.  A group element moves ab and ab' onto the
+    composites of two representative pairs in the inner loop of one first
+    factor r1, where their keys agree: the second factors share an orbit,
+    so a class from the start, and no union in that loop touches the class
+    of r1.  Such a union joins composites that end in the orbit of the
+    second factor's target, which is not the orbit of r1's target (the
+    action is horizontal and `c` acyclic), and each class keeps the
+    endpoint orbits of its members.
 
     Two checks are left out because they cannot fail.  Endpoints are
     constant on classes, so each class takes those of its least member:
@@ -548,9 +572,7 @@ def quotient_category(c, action):
     and their targets in another, as each generator is an automorphism,
     and a union joins two composites whose first factors share a class and
     whose last factors share a class.  Each class pair has one composite
-    class, so the projection is a functor: the loop ends on a pass without
-    a union, in which the classes stay fixed and every composite already
-    lies in the class of the first composite of its class pair.
+    class, as the classes are a congruence, so the projection is a functor.
     """
     witness = check_horizontal(c, action)
     if witness is not None:
@@ -570,16 +592,12 @@ def quotient_category(c, action):
     mor_orbit, mor_reps = orbit_partition([g.dims[1] for g in action.generators], c.n_morphisms)
     uf = _UnionFind(c.n_morphisms)
     uf.parent = [mor_reps[k] for k in mor_orbit]
-    # congruence: composites of pairs in one class pair share a class; a pass
-    # without a union is run with fixed classes, so the fixpoint is closed
-    changed = True
-    while changed:
-        changed = False
-        first = {}
-        for m1, m2, m12 in pairs:
-            claimed = first.setdefault((uf.find(m1), uf.find(m2)), m12)
-            if claimed != m12:
-                changed |= uf.union(claimed, m12)
+    # congruence: composites of pairs in one class pair share a class
+    first = {}
+    for m1, m2, m12 in pairs:
+        claimed = first.setdefault((uf.find(m1), uf.find(m2)), m12)
+        if claimed != m12:
+            uf.union(claimed, m12)
 
     mor_class, roots = uf.classes()  # each root is the least member of its class
     obj_members = [[] for _ in obj_reps]

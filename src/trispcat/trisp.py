@@ -24,6 +24,17 @@ def nogc(fn):
     built and replayed from are tuples, lists, bytearrays and arrays of ints
     with no reference cycles, so on a large trisp those runs find nothing and
     scan every live table each time.
+
+    The pause is taken once per command, at `cli.main`, and no command
+    handler takes its own.  The library entry points that callers use
+    directly, without `main`, take it too: `Trisp.from_json`,
+    `closure.verify_collapse_sequence` and `accat.poset_from_relation`.
+    Nested pauses are harmless: the inner one finds the collector off and
+    leaves it off.  The pause is safe because no command builds a reference
+    cycle: all it allocates is freed by reference counting, so no later
+    collection has anything of the command's to free.  Only argparse's
+    parser is cyclic, and it waits for the next collection whether or not
+    the collector was paused while it was built.
     """
 
     @functools.wraps(fn)

@@ -340,6 +340,15 @@ def random_path_category(rng, max_nodes=5, max_edges=6):
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b:
             edges.append((min(a, b), max(a, b)))
+    return path_category(n, edges)[0]
+
+
+def path_category(n, edges, order=sorted):
+    """Free category on the DAG multigraph with `n` objects and `edges`, (src, tgt) pairs.
+
+    Its morphisms are the directed paths, tuples of edge indices, numbered
+    as `order` lists them.  Returns the category and that list of paths.
+    """
     by_src = {}
     for i, (a, _b) in enumerate(edges):
         by_src.setdefault(a, []).append(i)
@@ -353,7 +362,7 @@ def random_path_category(rng, max_nodes=5, max_edges=6):
         ]
         paths.extend(new)
         frontier = new
-    paths.sort()
+    paths = order(paths)
     index = {p: i for i, p in enumerate(paths)}
     morphisms = [
         (edges[p[0]][0], edges[p[-1]][1], "e" + "".join(map(str, p))) for p in paths
@@ -364,7 +373,7 @@ def random_path_category(rng, max_nodes=5, max_edges=6):
         for p2 in paths
         if edges[p1[-1]][1] == edges[p2[0]][0]
     ]
-    return AcyclicCategory(n, morphisms, comp)
+    return AcyclicCategory(n, morphisms, comp), paths
 
 
 def chain_poset(k):

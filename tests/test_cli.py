@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import gc
 import hashlib
 import importlib
 import io
@@ -635,6 +636,89 @@ def test_soundness_failure_exits_one_without_traceback(capsys, tmp_path, monkeyp
     assert code == 1 and captured.out == ""
     assert captured.err == "failed: final subtrisp is not the red subtrisp\n"
     assert "Traceback" not in captured.err
+
+
+class _CollectorProbe(io.StringIO):
+    """An output stream that notes, at every write, whether the cyclic collector runs."""
+
+    def __init__(self, seen):
+        super().__init__()
+        self.seen = seen
+
+    def write(self, text):
+        self.seen.append(gc.isenabled())
+        return super().write(text)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("outcome", ["succeeds", "fails", "input-error", "usage-error"])
+@pytest.mark.parametrize("command", ["pipeline", "validate"])
+def test_every_command_pauses_the_collector_and_restores_it(
+    command, outcome, enabled, tmp_path, monkeypatch
+):
+    # the pause is taken once, in `main`: every write a command makes, its
+    # usage errors included, and every stage runs with the collector off
+    from trispcat import graphs
+
+    seen = []
+    if command == "pipeline":
+        build_dgn = graphs.build_dgn
+
+        def noted_build(n):
+            seen.append(gc.isenabled())
+            return build_dgn(n)
+
+        monkeypatch.setattr(graphs, "build_dgn", noted_build)
+        argv = ["dgn", "pipeline", "--n", "3"]
+        if outcome == "fails":
+            monkeypatch.setattr(graphs, "search_collapse_to_point", lambda t: None)
+        elif outcome == "input-error":
+            argv += ["--output", str(tmp_path / "missing" / "report.json")]
+        elif outcome == "usage-error":
+            argv[-1] = "three"
+    else:
+        cycle = {
+            "objects": [{"id": 0, "label": "a"}, {"id": 1, "label": "b"}],
+            "morphisms": [
+                {"id": 0, "src": 0, "tgt": 1, "label": "m"},
+                {"id": 1, "src": 1, "tgt": 0, "label": "w"},
+            ],
+            "composition": [],
+        }
+        path = tmp_path / "input.json"
+        if outcome == "input-error":
+            path.write_text('{"objects": [', encoding="utf-8")
+        else:
+            write(path, cycle if outcome == "fails" else chain_poset(3).category.to_json())
+        argv = ["validate", "--input", str(path)]
+        if outcome == "usage-error":
+            argv += ["--format", "svg"]
+    out, err = _CollectorProbe(seen), _CollectorProbe(seen)
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main(argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    assert seen and not any(seen)
+    assert code == {"succeeds": 0, "fails": 1, "input-error": 2, "usage-error": 2}[outcome]
+    # each case ends on the path it is named for
+    if outcome == "succeeds":
+        assert json.loads(out.getvalue())["ok"] and err.getvalue() == ""
+    elif outcome == "fails" and command == "pipeline":
+        assert err.getvalue().startswith("failed: stage 'endpoint_search'")
+    elif outcome == "fails":
+        assert json.loads(out.getvalue())["cycle"] and err.getvalue() == ""
+    elif outcome == "input-error":
+        assert err.getvalue().startswith("input error: ")
+    else:
+        assert "usage: trispcat" in err.getvalue() and out.getvalue() == ""
+    if command == "pipeline" and outcome != "usage-error":
+        assert len(seen) > 1  # the stage probe and the output
 
 
 # sha256 of the `certificates` of `dgn pipeline`, serialised with sorted keys and no spaces

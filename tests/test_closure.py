@@ -708,3 +708,32 @@ def test_the_certificate_path_pauses_the_collector_and_restores_it(
     assert seen and not any(seen)
     if entry == "cli":
         assert outcome == (1 if fails else 0)
+
+
+def test_the_pipelines_and_the_audit_build_no_reference_cycles():
+    # what makes the pause in `cli.main` safe: with the collector off, all
+    # these calls allocate is freed by reference counting, so a collection
+    # afterwards finds nothing, not even among their dropped results
+    from trispcat import graphs
+
+    was, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()  # what earlier tests left
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        results = [graphs.pipeline_quotient_trisp(4), graphs.pipeline_quotient_category(4)]
+        k = graphs.build_dgn(4)
+        fp = graphs.face_poset(k)
+        f = graphs.transitive_closure_operator(k, fp)
+        cmap = induced_trisp_closure_map(fp.poset, f, check_closure_operator(fp.poset, f))
+        cert = full_collapse_audit(nerve(fp.category).trisp, cmap)
+        assert [report.ok for report, _cert in results] == [True, True]
+        assert cert.final.trisp.counts == (13, 18)  # the proper part of the partition lattice
+        del results, k, fp, f, cmap, cert
+        found = gc.collect()
+        saved = list(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        (gc.enable if was else gc.disable)()
+    assert (found, saved) == (0, [])

@@ -257,3 +257,23 @@ def test_every_benchmark_span_names_a_function_of_the_package():
         if not found:
             missing.append(span)
     assert missing == []
+
+
+def test_the_collector_is_paused_once_per_command():
+    # `cli.main` pauses the collector for every command, so no handler takes
+    # a pause of its own; the other pauses are the library entry points that
+    # callers use without `main`, as `trisp.nogc` says
+    paused = {
+        (name, node.name)
+        for name, node in _package_nodes()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+        if (decorator.id if isinstance(decorator, ast.Name) else getattr(decorator, "attr", None))
+        == "nogc"
+    }
+    assert paused == {
+        ("cli.py", "main"),
+        ("trisp.py", "from_json"),
+        ("closure.py", "verify_collapse_sequence"),
+        ("accat.py", "poset_from_relation"),
+    }

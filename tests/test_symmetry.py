@@ -50,6 +50,7 @@ from oracles import (
     is_identity,
     iterated_faces,
     object_maps,
+    path_category,
     poset_automorphism_violation,
     quotient_category_oracle,
     random_action,
@@ -205,6 +206,40 @@ def test_representative_pairs_match_the_full_scan_random(seed):
         assert _quotient_outcome(quotient_category, c, action) == _quotient_outcome(
             quotient_category_oracle, c, action
         )
+
+
+PATH_ORDERS = {
+    "shortest-first": lambda paths: sorted(paths, key=lambda p: (len(p), p)),
+    "longest-first": lambda paths: sorted(paths, key=lambda p: (-len(p), p)),
+    "shuffled": lambda paths: random.Random(3).sample(paths, len(paths)),
+}
+
+
+@pytest.mark.parametrize("order", sorted(PATH_ORDERS))
+def test_one_pass_reaches_the_congruence_on_a_twisted_free_category(order):
+    # the free category on edges a_i: x -> y, e_i: y -> m(i) and f_i: m(i) -> w,
+    # i in Z2 x Z2, with m(i) = z for i in {0, 3} and z' otherwise; the group
+    # acts on each edge index by xor and swaps z and z' by either generator.
+    # With q ~ q' the paths a e q and a e q' lie in different orbits: its 68
+    # paths fall into 17 orbits, which the congruence joins into 6 classes.
+    # The pass meets the pairs in whatever order the morphism ids give them.
+    x, y, z, z2, w = range(5)
+    mid = [z, z2, z2, z]
+    edges = [(x, y)] * 4 + [(y, mid[i]) for i in range(4)] + [(mid[i], w) for i in range(4)]
+    c, paths = path_category(5, edges, PATH_ORDERS[order])
+    index = {p: m for m, p in enumerate(paths)}
+    gens = []
+    for g in (1, 2):
+        edge_map = [e - e % 4 + (e % 4 ^ g) for e in range(len(edges))]
+        mor = tuple(index[tuple(edge_map[e] for e in p)] for p in paths)
+        gens.append(Aut(((x, y, z2, z, w), mor)))
+    action = close_group(gens, on=c)
+    assert action.order == 4
+    assert len(set(orbit_partition([g.dims[1] for g in gens], len(paths))[0])) == 17
+    outcome = _quotient_outcome(quotient_category, c, action)
+    assert outcome == _quotient_outcome(quotient_category_oracle, c, action)
+    quotient = outcome[-1]  # the free category on the path x -> y -> {z, z'} -> w
+    assert (len(quotient["objects"]), len(quotient["morphisms"])) == (4, 6)
 
 
 def test_terminal_object_of_fixture_quotients_is_the_definition(triangle_boundary, two_edges_z2):
