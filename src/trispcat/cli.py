@@ -4,9 +4,9 @@ Exit codes: 0 success / property holds, 1 checked mathematical failure with
 a witness in the report, 2 malformed input.
 """
 
-import argparse
 import json
 import sys
+import types
 
 from . import accat, closure, equivariant, graphs, symmetry, trisp
 from .errors import (
@@ -244,48 +244,87 @@ def cmd_dgn(args):
     raise InputError(f"unknown dgn subcommand {args.verb!r}")
 
 
+_FORMAT = {"choices": ["json", "dot"], "default": "json"}
+
+# command -> (help, verbs or None, {long option: argparse's `add_argument` keywords})
+COMMANDS = {
+    "validate": ("validate a category or trisp file", None,
+                 {"--input": {"required": True}, "--output": {}, "--format": _FORMAT}),
+    "nerve": ("nerve of a category file", None,
+              {"--input": {"required": True}, "--output": {}, "--format": _FORMAT}),
+    "quotient": ("quotient by a group action", None,
+                 {"--input": {"required": True}, "--action": {"required": True}, "--output": {}}),
+    "closure": ("closure map operations", ["verify", "push", "lift", "collapse"], {
+        "--input": {"required": True, "help": "trisp file"},
+        "--map": {"required": True, "help": "closure map file"},
+        "--action": {"help": "trisp action file (push/lift)"},
+        "--output": {},
+    }),
+    "dgn": ("disconnected graph complexes and pipelines", ["build", "pipeline"], {
+        "--n": {"type": int, "required": True},
+        "--pipeline": {"choices": ["61", "62"], "help": "61 (the default) or 62"},
+        "--output": {},
+        "--format": _FORMAT,
+    }),
+}
+
+
 def build_parser():
+    import argparse  # only the lines `_parse_plain` declines pay for it
+
     parser = argparse.ArgumentParser(prog="trispcat")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a category or trisp file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-
-    p = sub.add_parser("nerve", help="nerve of a category file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-
-    p = sub.add_parser("quotient", help="quotient by a group action")
-    p.add_argument("--input", required=True)
-    p.add_argument("--action", required=True)
-    p.add_argument("--output")
-
-    p = sub.add_parser("closure", help="closure map operations")
-    p.add_argument("verb", choices=["verify", "push", "lift", "collapse"])
-    p.add_argument("--input", required=True, help="trisp file")
-    p.add_argument("--map", required=True, help="closure map file")
-    p.add_argument("--action", help="trisp action file (push/lift)")
-    p.add_argument("--output")
-
-    p = sub.add_parser("dgn", help="disconnected graph complexes and pipelines")
-    p.add_argument("verb", choices=["build", "pipeline"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pipeline", choices=["61", "62"], help="61 (the default) or 62")
-    p.add_argument("--output")
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-
+    for command, (text, verbs, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if verbs is not None:
+            p.add_argument("verb", choices=verbs)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
     return parser
+
+
+def _parse_plain(argv):
+    """The namespace argparse makes of a plain command line, or None for any other.
+
+    A plain line is a command, its verb where it has verbs, then `--name
+    value` pairs of its options, each at most once and every required one
+    given.  A value does not start with `-`, passes the option's type and
+    lies in its choices.  Help, abbreviations, `--name=value`, repeated
+    options and usage errors are left to argparse, which prints them.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _text, verbs, options = COMMANDS[argv[0]]
+    args, rest = {"command": argv[0]}, argv[1:]
+    if verbs is not None:
+        if not rest or rest[0] not in verbs:
+            return None
+        args["verb"], rest = rest[0], rest[1:]
+    args.update((flag[2:], spec.get("default")) for flag, spec in options.items())
+    flags, given = rest[::2], set(rest[::2])
+    required = {flag for flag, spec in options.items() if spec.get("required")}
+    if len(rest) % 2 or len(given) < len(flags) or not required <= given <= options.keys():
+        return None
+    for flag, text in zip(flags, rest[1::2]):
+        spec = options[flag]
+        try:  # the `int` argparse calls: it takes ' 7' and '1_0', and refuses '²'
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if text.startswith("-") or value not in spec.get("choices", [value]):
+            return None
+        args[flag[2:]] = value
+    return types.SimpleNamespace(**args)
 
 
 @trisp.nogc
 def main(argv=None):
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse wrote its usage error (code 2) or help (0)
-        return exc.code
+    args = _parse_plain(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse wrote its usage error (code 2) or help (0)
+            return exc.code
     handlers = {
         "validate": cmd_validate,
         "nerve": cmd_nerve,

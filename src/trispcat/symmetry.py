@@ -397,7 +397,7 @@ def orbit_nerve(p, elements):
     element that fixes the ones before, so s∘h is one lookup.
     """
     n, order = p.n, len(elements)
-    up = [sorted(p.category.tgt[m] for m in out) for out in p.category.out]
+    up = [sorted(map(p.category.tgt.__getitem__, out)) for out in p.category.out]
     obj_orbit, reps, images = [-1] * n, [], []
     for x in range(n):
         if obj_orbit[x] < 0:

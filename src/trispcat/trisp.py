@@ -32,9 +32,9 @@ def nogc(fn):
     Nested pauses are harmless: the inner one finds the collector off and
     leaves it off.  The pause is safe because no command builds a reference
     cycle: all it allocates is freed by reference counting, so no later
-    collection has anything of the command's to free.  Only argparse's
-    parser is cyclic, and it waits for the next collection whether or not
-    the collector was paused while it was built.
+    collection has anything of the command's to free.  argparse's parser is
+    cyclic; `cli.main` builds it only for a line `cli._parse_plain` declines
+    (help, abbreviations, usage errors), and it waits for a later collection.
     """
 
     @functools.wraps(fn)

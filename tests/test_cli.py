@@ -13,10 +13,10 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trispcat import equivariant
-from trispcat.cli import main
+from trispcat.cli import COMMANDS, _parse_plain, build_parser, main
 from trispcat.closure import full_collapse_audit, induced_trisp_closure_map
 from trispcat.nerve import nerve
 from trispcat.symmetry import poset_automorphism, quotient_trisp
@@ -393,6 +393,117 @@ def test_build_with_pipeline_is_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: dgn build takes no --pipeline\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["closure", "--help"]])
+def test_help_is_argparse_help(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: trispcat") and captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"]])
+def test_no_command_or_an_unknown_one_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: trispcat") and captured.out == ""
+
+
+def test_abbreviated_and_joined_options_still_parse(capsys, chain3_file):
+    code, out = run(capsys, "validate", "--inp", chain3_file)
+    assert code == 0 and json.loads(out)["kind"] == "category"
+    code, out = run(capsys, "dgn", "pipeline", "--n=3")
+    assert code == 0 and json.loads(out)["n"] == 3
+
+
+def test_a_repeated_option_takes_its_last_value(capsys):
+    code, out = run(capsys, "dgn", "pipeline", "--n", "3", "--pipeline", "61", "--pipeline", "62")
+    assert code == 0 and json.loads(out)["variant"] == "quotient-category"
+
+
+def _argparse_fields(argv):
+    """The fields of argparse's namespace for `argv`, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_ALL_FLAGS = sorted({flag for _text, _verbs, options in COMMANDS.values() for flag in options})
+_ALL_VERBS = sorted({verb for _text, verbs, _options in COMMANDS.values() for verb in verbs or []})
+_VALUES = ["", "-", "-3", "05", "1_0", "²", "٣", " 7", "+4", "3", "x y", "in.json", "61", "62",
+           "json", "dot", "svg", "--", "-h", "--help", *_ALL_VERBS]
+_INTS = ["3", "05", "1_0", " 7", "+4", "٣", "²", "-3"]  # `int` refuses only "²"
+_WORDS = st.one_of(
+    st.sampled_from([*COMMANDS, *_ALL_FLAGS, *_VALUES]),
+    st.sampled_from(_ALL_FLAGS).flatmap(lambda f: st.integers(3, len(f)).map(lambda k: f[:k])),
+    st.text(max_size=3),
+)
+
+
+def _rarely(draw, strategy):
+    """One draw from `strategy` a quarter of the time, else nothing."""
+    return [draw(strategy)] if draw(st.integers(0, 3)) == 0 else []
+
+
+@st.composite
+def _command_lines(draw):
+    """A command and verb, then options exact, abbreviated, `=`-joined or bare, with stray words."""
+    command = draw(st.sampled_from([*COMMANDS, "dgnx", ""]))
+    _text, verbs, options = COMMANDS.get(command, ("", None, {}))
+    argv = [command]
+    if verbs:
+        argv.append(draw(st.sampled_from(verbs) if draw(st.integers(0, 3)) else _WORDS))
+    flags = [flag for flag in draw(st.permutations(sorted(options))) if draw(st.integers(0, 3))]
+    for flag in flags + _rarely(draw, st.sampled_from(_ALL_FLAGS)):
+        spec = options.get(flag, {})
+        likely = spec.get("choices") or (_INTS if "type" in spec else ["in.json"])
+        value = draw(st.sampled_from(likely) if draw(st.integers(0, 3)) else _WORDS)
+        how = draw(st.sampled_from(["exact"] * 6 + ["abbreviated", "joined", "bare"]))
+        if how == "abbreviated":
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        argv += {"joined": [f"{flag}={value}"], "bare": [flag]}.get(how, [flag, value])
+    for word in _rarely(draw, _WORDS):
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+@example(["dgn", "pipeline", "--n", "²"])  # a digit to `str.isdigit`, not to `int`
+@example(["dgn", "pipeline", "--n", " 7", "--pipeline", "61"])  # argparse's `int` strips it
+@example(["dgn", "build", "--n", "1_0", "--format", "dot", "--format", "json"])
+@example(["closure", "build", "--input", "t.json", "--map", "m.json"])
+@example(["validate", "--input", "-"])
+@example(["validate", "--output", "out.json", "--input"])
+def test_a_plain_line_parses_as_argparse_parses_it(argv):
+    plain, fields = _parse_plain(argv), _argparse_fields(argv)
+    assert plain is None or vars(plain) == fields
+
+
+# every form the README and the benchmark run, with and without their optional options
+_PLAIN_LINES = [
+    ["validate", "--input", "in.json"],
+    ["validate", "--input", "in.json", "--output", "out.json", "--format", "dot"],
+    ["nerve", "--input", "category.json", "--output", "trisp.json", "--format", "json"],
+    ["quotient", "--input", "in.json", "--action", "action.json"],
+    ["quotient", "--input", "in.json", "--action", "action.json", "--output", "out.json"],
+    *(["closure", verb, "--input", "trisp.json", "--map", "closure.json"]
+      for verb in ["verify", "push", "lift", "collapse"]),
+    ["closure", "push", "--input", "t.json", "--map", "m.json", "--action", "a.json",
+     "--output", "out.json"],
+    ["closure", "collapse", "--input", "t.json", "--map", "m.json", "--output", "cert.json"],
+    ["dgn", "build", "--n", "4", "--format", "dot", "--output", "dg4.dot"],
+    *(["dgn", "pipeline", "--n", n, "--pipeline", v] for n in "56" for v in ["61", "62"]),
+    ["dgn", "pipeline", "--n", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", _PLAIN_LINES, ids=" ".join)
+def test_documented_and_benchmarked_lines_take_the_plain_path(argv):
+    plain = _parse_plain(argv)
+    assert plain is not None and vars(plain) == _argparse_fields(argv)
 
 
 def test_closure_takes_no_convention_option(capsys, tmp_path):

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 
 import pytest
@@ -710,11 +712,12 @@ def test_the_certificate_path_pauses_the_collector_and_restores_it(
         assert outcome == (1 if fails else 0)
 
 
-def test_the_pipelines_and_the_audit_build_no_reference_cycles():
+def test_the_pipelines_and_the_audit_build_no_reference_cycles(tmp_path):
     # what makes the pause in `cli.main` safe: with the collector off, all
     # these calls allocate is freed by reference counting, so a collection
-    # afterwards finds nothing, not even among their dropped results
-    from trispcat import graphs
+    # afterwards finds nothing, not even among their dropped results; the
+    # commands run whole, their parse included
+    from trispcat import cli, graphs
 
     was, flags = gc.isenabled(), gc.get_debug()
     gc.collect()  # what earlier tests left
@@ -726,10 +729,21 @@ def test_the_pipelines_and_the_audit_build_no_reference_cycles():
         fp = graphs.face_poset(k)
         f = graphs.transitive_closure_operator(k, fp)
         cmap = induced_trisp_closure_map(fp.poset, f, check_closure_operator(fp.poset, f))
-        cert = full_collapse_audit(nerve(fp.category).trisp, cmap)
+        bd = nerve(fp.category).trisp
+        cert = full_collapse_audit(bd, cmap)
         assert [report.ok for report, _cert in results] == [True, True]
         assert cert.final.trisp.counts == (13, 18)  # the proper part of the partition lattice
-        del results, k, fp, f, cmap, cert
+        files = [tmp_path / "bd4.json", tmp_path / "map.json"]
+        for path, doc in zip(files, [bd.to_json(), cmap.to_json()]):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [
+                cli.main(["dgn", "pipeline", "--n", "4"]),
+                cli.main(["closure", "collapse", "--input", str(files[0]), "--map", str(files[1])]),
+            ]
+        assert codes == [0, 0] and out.getvalue().count("\n") == 2
+        del results, k, fp, f, cmap, bd, cert, files, out
         found = gc.collect()
         saved = list(gc.garbage)
     finally:

@@ -46,24 +46,38 @@ def test_no_package_module_imports_dataclasses():
     assert _importers("dataclasses") == set()
 
 
-def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+def _loaded_by(setup, probe):
+    """The modules a fresh interpreter loads running `probe` after `setup`."""
     # a fresh interpreter, so that what the test run has loaded does not count
     src = str(Path(__file__).parents[1] / "src")
-    probe = subprocess.run(
+    child = subprocess.run(
         [
             sys.executable, "-c",
-            "import sys; before = set(sys.modules); import trispcat, trispcat.cli; "
-            "print(' '.join(sorted(set(sys.modules) - before)))",
+            f"import sys; {setup}; before = set(sys.modules); {probe}; "
+            "sys.__stdout__.write(' '.join(sorted(set(sys.modules) - before)))",
         ],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
-    loaded = set(probe.stdout.split())
+    return set(child.stdout.split())
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    loaded = _loaded_by("pass", "import trispcat, trispcat.cli")
     assert "trispcat.cli" in loaded
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "linecache", "copy"}
-    assert loaded & heavy == set()
+    # argparse is built only for the command lines the plain parse declines
+    assert loaded & (heavy | {"argparse", "gettext"}) == set()
+
+
+def test_a_plain_cli_call_loads_no_argparse_gettext_or_locale():
+    loaded = _loaded_by(
+        "import io, trispcat, trispcat.cli; sys.stdout = io.StringIO()",
+        "assert trispcat.cli.main(['dgn', 'pipeline', '--n', '3']) == 0",
+    )
+    assert loaded & {"argparse", "gettext", "locale"} == set()
 
 
 def test_no_quotient_piece_is_an_optional_parameter():
