@@ -10,6 +10,7 @@ quote the site's message run first, so a killed site usually stops in them.
 
     python3 scripts/check_site_mutants.py              # every module
     python3 scripts/check_site_mutants.py symmetry     # one module
+    python3 scripts/check_site_mutants.py symmetry graphs equivariant
 
 The checkout is copied once to a temporary directory, and each mutant is
 written into that copy in turn, so nothing inside the checkout changes and
@@ -123,13 +124,14 @@ def _exit_on_signal(signum, _frame):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("module", nargs="?", help="a module of the package, such as accat")
+    parser.add_argument("module", nargs="*", help="modules of the package, such as accat")
     args = parser.parse_args()
     names = sorted(f for f in os.listdir(os.path.join(ROOT, PACKAGE)) if f.endswith(".py"))
     if args.module:
-        names = [f for f in names if f == args.module.removesuffix(".py") + ".py"]
-        if not names:
-            parser.error(f"no module {args.module!r} in {PACKAGE}")
+        wanted = {m.removesuffix(".py") + ".py" for m in args.module}
+        for missing in sorted(wanted - set(names)):
+            parser.error(f"no module {missing.removesuffix('.py')!r} in {PACKAGE}")
+        names = [f for f in names if f in wanted]
     survivors = []
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, _exit_on_signal)

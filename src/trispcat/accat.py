@@ -17,7 +17,8 @@ witnesses, and a property holds when its witnesses are empty:
 """
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -73,6 +74,11 @@ class AcyclicCategory:
         for m, x in enumerate(src):
             out[x].append(m)
         self.out = tuple(map(tuple, out))
+
+    @cached_property
+    def mor_of(self):
+        """(x, y) -> the morphism x -> y, for a category with at most one (a poset's)."""
+        return dict(zip(zip(self.src, self.tgt), range(len(self.src))))
 
     @property
     def n_objects(self):
@@ -219,7 +225,7 @@ class Poset:
 
     def __init__(self, category):
         self.category = category
-        self.mor_of = dict(zip(zip(category.src, category.tgt), range(category.n_morphisms)))
+        self.mor_of = self.relation = category.mor_of  # relation: pairs closing to the order
 
     @property
     def n(self):
@@ -250,11 +256,11 @@ def poset_from_relation(labels, strict_pairs):
 
     Descendant sets are unions taken in reverse topological order.  The
     columns are written directly, as the closure of the checked pairs needs
-    no row checks: morphisms x -> y, labelled "x<y", are listed by source
-    and then by target, so ``out[x]`` is a contiguous range.  There is no
-    composition table; ``comp`` reads each composite off the order.  The
-    collector is paused: a collection here would scan the key tuples and
-    labels of every morphism made so far, all of them live.
+    no row checks: morphisms x -> y, labelled "x<y" when read, are listed
+    by source and then by target, so ``out[x]`` is a contiguous range.
+    ``comp`` reads each composite off the order.  The given pairs, less
+    repeats, are the poset's ``relation``.  The collector is paused: a
+    collection here would scan the key tuples of every morphism made so far.
     """
     if isinstance(labels, int):
         labels = [str(i) for i in range(labels)]
@@ -282,18 +288,31 @@ def poset_from_relation(labels, strict_pairs):
     for x in reversed(order):
         desc[x] = succ[x].union(*map(desc.__getitem__, succ[x]))
     cat = AcyclicCategory(labels, ())
-    names = cat.objects
-    src, tgt, mor_labels, out = [], [], [], []
+    src, tgt, out = [], [], []
     for x in range(n):
         ys = sorted(desc[x])
         out.append(tuple(range(len(tgt), len(tgt) + len(ys))))
         src += [x] * len(ys)
         tgt += ys
-        mor_labels += map(f"{names[x]}<".__add__, map(names.__getitem__, ys))
-    cat.src, cat.tgt, cat.mor_labels, cat.out = tuple(src), tuple(tgt), tuple(mor_labels), tuple(out)
+    cat.src, cat.tgt, cat.out = tuple(src), tuple(tgt), tuple(out)
+    cat.mor_labels = _OrderLabels(cat.objects, cat.src, cat.tgt)
     p = Poset(cat)
     cat.comp = _OrderComposition(cat, p.mor_of)
+    p.relation = tuple((x, y) for x in range(n) for y in sorted(succ[x]))
     return p
+
+
+class _OrderLabels(Sequence):
+    """The labels "x<y" of a poset's morphisms, read off its object labels when read."""
+
+    def __init__(self, names, src, tgt):
+        self._names, self._src, self._tgt = names, src, tgt
+
+    def __getitem__(self, m):
+        return f"{self._names[self._src[m]]}<{self._names[self._tgt[m]]}"
+
+    def __len__(self):
+        return len(self._src)
 
 
 class _OrderComposition(Mapping):
@@ -336,12 +355,14 @@ def subposet(p, keep):
 
 
 def covers(p):
-    """Cover relations of a poset (the Hasse diagram edges)."""
-    out = []
-    for x, y in sorted(p.mor_of):
-        if not any(p.lt(x, z) and p.lt(z, y) for z in range(p.n)):
-            out.append((x, y))
-    return out
+    """Cover relations of a poset (the Hasse diagram edges), sorted.
+
+    x < y is a cover when no z has x < z < y; every such z is above x, so
+    the covers of x are what is above x less what is above those.
+    """
+    above = [set(map(p.category.tgt.__getitem__, ms)) for ms in p.category.out]
+    upper_covers = [ys.difference(*map(above.__getitem__, ys)) for ys in above]
+    return [(x, y) for x, ys in enumerate(upper_covers) for y in sorted(ys)]
 
 
 def check_closure_operator(p, f):

@@ -8,9 +8,9 @@ of a category keeps sources, targets and composition; one of a trisp
 commutes with the boundary operators.  An action is given by its
 generators; orbits, quotients, equivariance and horizontality read only
 those, and a quotient category is read off the composable pairs whose first
-source is an orbit representative.  A poset action is given by object maps:
-each is built into an automorphism by one pass over the order, since a
-poset composes through its order and has no composition table to check.
+source is an orbit representative.  A poset action holds object maps only,
+checked on the pairs that generate the order; `morphism_maps` reads a
+morphism image off the order where a quotient or a nerve needs one.
 The group itself is closed, by breadth-first products of generators, only
 when a caller reads its elements or order.  Kernels on a nerve read whole
 tables: an induced action maps chains column by column, the automorphism
@@ -67,21 +67,32 @@ def _identity(sizes):
 
 
 def poset_automorphism(p, obj):
-    """The automorphism ``Aut((obj, mor))`` of a poset that moves its objects by `obj`.
+    """The automorphism ``Aut((obj,))`` of a poset that moves its objects by `obj`.
 
     Raises InputError if `obj` is not a permutation of the objects, or
-    names the first relation x < y whose image is not a relation.
+    names the first pair x < y of ``p.relation`` whose image is not a
+    relation.  The pairs suffice: a bijection that sends each of them to a
+    relation sends their transitive closure, the order, into the order, so
+    it maps the finite set of relations injectively into itself, hence onto
+    it, and is an automorphism.
     """
     obj = tuple(obj)
     if not _is_perm(obj, p.n):
         raise InputError(f"{list(obj)} is not a permutation of the {p.n} objects")
-    mor = [None] * p.category.n_morphisms
-    for (x, y), m in p.mor_of.items():
-        image = p.mor_of.get((obj[x], obj[y]))
-        if image is None:
-            raise InputError(f"relabelling does not keep the order at {(x, y)}")
-        mor[m] = image
-    return Aut((obj, tuple(mor)))
+    for x, y in p.relation:
+        if (obj[x], obj[y]) not in p.mor_of:
+            raise InputError(f"relabelling sends {x} < {y} to {obj[x]}, {obj[y]}, not a relation")
+    return Aut((obj,))
+
+
+def morphism_maps(c, action):
+    """Each generator's permutation of the morphisms of `c`: its second level,
+    or for a poset generator, an object map g, m: x -> y goes to the one
+    morphism gx -> gy (the keys of ``c.mor_of`` are in morphism order)."""
+    if len(action.generators[0].dims) == 2:
+        return [g.dims[1] for g in action.generators]
+    mor_of, objs = c.mor_of, [g.dims[0] for g in action.generators]
+    return [tuple([mor_of[(g[x], g[y])] for x, y in mor_of]) for g in objs]
 
 
 def cat_automorphism_violation(c, g):
@@ -178,15 +189,14 @@ def close_group(generators, on):
     witness.  No generators give the trivial action, generated by the
     identity on the level sizes of `on`.  A category is checked entry by
     entry of its composition.  A poset's generators are object maps, each
-    built by `poset_automorphism`, which is the whole check: `obj` is a
-    permutation, and each ``mor[m]`` is by construction
-    ``mor_of[(obj[x], obj[y])]`` for m: x -> y.  So ``mor`` is injective on
-    a finite set, hence a permutation, and it sends the composite x -> z of
-    x -> y -> z to the composite of the images.
+    checked and held as ``Aut((obj,))`` by `poset_automorphism`; the image
+    of a morphism is fixed by its ends (`morphism_maps`), and it sends the
+    composite x -> z of x -> y -> z to the composite of the images.
     """
     if not generators:
-        c = on.category if isinstance(on, Poset) else on
-        sizes = (c.n_objects, c.n_morphisms) if isinstance(c, AcyclicCategory) else on.counts
+        if isinstance(on, Poset):
+            return GroupAction((_identity((on.n,)),))
+        sizes = (on.n_objects, on.n_morphisms) if isinstance(on, AcyclicCategory) else on.counts
         return GroupAction((_identity(sizes),))
     built = []
     for k, g in enumerate(generators):
@@ -289,8 +299,8 @@ def induced_trisp_action(nv, action):
     t, index = nv.trisp, nv.index
     columns = [list(zip(*nv.chains[d])) for d in range(1, t.dim + 1)]
     gens = []
-    for g in action.generators:
-        obj, mor = g.dims
+    for g, mor in zip(action.generators, morphism_maps(nv.category, action)):
+        obj = g.dims[0]
         dims = [obj] if t.dim >= 0 else []  # the empty category has an empty nerve
         for cols in columns:
             images = zip(*[[mor[m] for m in col] for col in cols])
@@ -579,25 +589,23 @@ def quotient_category(c, action):
         raise PreconditionError(f"action is not horizontal at {witness}")
     obj_class, obj_reps = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)
 
-    pairs = []  # (m1, m2, composite) with src[m1] an orbit representative
+    # each morphism orbit starts as one class, rooted at its least member
+    mor_orbit, mor_reps = orbit_partition(morphism_maps(c, action), c.n_morphisms)
+    uf = _UnionFind(c.n_morphisms)
+    uf.parent = [mor_reps[k] for k in mor_orbit]
+    # congruence: composites of pairs in one class pair share a class
+    pairs, first = [], {}  # pairs: (m1, m2, composite), src[m1] an orbit representative
     for x in obj_reps:
         for m1 in c.out[x]:
+            r1 = uf.find(m1)  # once: no union in m1's loop touches its class (above)
             for m2 in c.out[c.tgt[m1]]:
                 m12 = c.comp.get((m1, m2))
                 if m12 is None:
                     raise PreconditionError(f"composition table incomplete at {(m1, m2)}")
                 pairs.append((m1, m2, m12))
-
-    # each morphism orbit starts as one class, rooted at its least member
-    mor_orbit, mor_reps = orbit_partition([g.dims[1] for g in action.generators], c.n_morphisms)
-    uf = _UnionFind(c.n_morphisms)
-    uf.parent = [mor_reps[k] for k in mor_orbit]
-    # congruence: composites of pairs in one class pair share a class
-    first = {}
-    for m1, m2, m12 in pairs:
-        claimed = first.setdefault((uf.find(m1), uf.find(m2)), m12)
-        if claimed != m12:
-            uf.union(claimed, m12)
+                claimed = first.setdefault((r1, uf.find(m2)), m12)
+                if claimed != m12:
+                    uf.union(claimed, m12)
 
     mor_class, roots = uf.classes()  # each root is the least member of its class
     obj_members = [[] for _ in obj_reps]

@@ -440,6 +440,13 @@ def poset_from_relation_oracle(labels, strict_pairs):
     return p
 
 
+def covers_oracle(p):
+    """The cover relations of a poset by brute force: each relation x < y with
+    no object z at all such that x < z < y, in sorted order."""
+    lt, objects = p.lt, range(p.n)
+    return [(x, y) for x, y in sorted(p.mor_of) if not any(lt(x, z) and lt(z, y) for z in objects)]
+
+
 def leq(p, x, y):
     """x <= y in the poset p."""
     return x == y or (x, y) in p.mor_of

@@ -26,6 +26,7 @@ from oracles import (
     all_posets_upto_iso,
     chain_poset,
     check_functor,
+    covers_oracle,
     leq,
     nerve_oracle,
     opposite_category,
@@ -170,8 +171,10 @@ def test_poset_from_relation_matches_the_bitmask_builder(relation):
     p = poset_from_relation(labels, pairs)
     c, e = p.category, expected.category
     assert c.objects == e.objects
-    assert (c.src, c.tgt, c.out, c.mor_labels) == (e.src, e.tgt, e.out, e.mor_labels)
+    # the labels "x<y", read off the object labels, are the strings the oracle stores
+    assert (c.src, c.tgt, c.out, tuple(c.mor_labels)) == (e.src, e.tgt, e.out, e.mor_labels)
     assert list(p.mor_of.items()) == list(expected.mor_of.items())
+    assert p.relation == tuple(sorted(set(pairs)))
     assert len(c.comp) == len(e.comp)
 
 
@@ -279,6 +282,23 @@ def posets(draw, max_n=6):
     mask = draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
     pairs = [pair for i, pair in enumerate(combinations(range(n), 2)) if (mask >> i) & 1]
     return poset_from_relation(n, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(posets(max_n=8), st.randoms(use_true_random=False))
+def test_covers_match_the_brute_force(p, rng):
+    # on the poset, on a relabelled copy read back through as_poset, and on
+    # any relation read as a category document: cycles and self-loops too
+    label = rng.sample(range(p.n), p.n)
+    relabelled = AcyclicCategory(p.n, [(label[x], label[y]) for x, y in p.mor_of])
+    pairs = {(rng.randrange(p.n), rng.randrange(p.n)) for _ in range(rng.randrange(3 * p.n))}
+    for q in (p, as_poset(relabelled), as_poset(AcyclicCategory(p.n, sorted(pairs)))):
+        assert covers(q) == covers_oracle(q)
+
+
+def test_covers_of_the_dg4_face_poset_are_its_facets():
+    fp = face_poset(build_dgn(4))
+    assert covers(fp.poset) == covers_oracle(fp.poset) == sorted(fp.poset.relation)
 
 
 @settings(max_examples=60, deadline=None)

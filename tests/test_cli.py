@@ -19,7 +19,7 @@ from trispcat import equivariant
 from trispcat.cli import COMMANDS, _parse_plain, build_parser, main
 from trispcat.closure import full_collapse_audit, induced_trisp_closure_map
 from trispcat.nerve import nerve
-from trispcat.symmetry import poset_automorphism, quotient_trisp
+from trispcat.symmetry import close_group, morphism_maps, quotient_trisp
 
 from oracles import chain_poset, is_identity, object_maps
 
@@ -620,13 +620,10 @@ def test_nerve_of_partition_poset_file(capsys, tmp_path):
 def test_quotient_of_dgn4_face_poset(capsys, tmp_path, dgn4_bundle):
     fp, act = dgn4_bundle["fp"], dgn4_bundle["act"]
     cat_file = write(tmp_path / "fp.json", fp.category.to_json())
+    maps = zip(act.generators, morphism_maps(fp.category, act))
     act_file = write(
         tmp_path / "act.json",
-        {
-            "generators": [
-                {"objects": list(g.dims[0]), "morphisms": list(g.dims[1])} for g in act.generators
-            ]
-        },
+        {"generators": [{"objects": list(g.dims[0]), "morphisms": list(mor)} for g, mor in maps]},
     )
     code, out = run(capsys, "quotient", "--input", cat_file, "--action", act_file)
     assert code == 0
@@ -1225,8 +1222,9 @@ def _quotient_documents():
         ["v0", "v1", "v2", "e0", "e1", "e2"],
         [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)],
     )
-    rotation = poset_automorphism(hexagon, (1, 2, 0, 4, 5, 3))
-    rotate = {"objects": list(rotation.dims[0]), "morphisms": list(rotation.dims[1])}
+    rotation = close_group([(1, 2, 0, 4, 5, 3)], on=hexagon)
+    [mor] = morphism_maps(hexagon.category, rotation)
+    rotate = {"objects": list(rotation.generators[0].dims[0]), "morphisms": list(mor)}
     return [
         ("category", hexagon.category.to_json(), {"generators": [rotate]}),
         # no generators: a mutated category reaches validation and the quotient

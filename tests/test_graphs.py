@@ -159,8 +159,8 @@ def test_partition_poset_from_merges_matches_the_refinement_scan(n, fine_on_top)
     assert pp.partitions == parts
     assert pp.index == {q: i for i, q in enumerate(parts)}
     c, expected = pp.category, p.category
-    assert (c.objects, c.src, c.tgt, c.mor_labels) == (
-        expected.objects, expected.src, expected.tgt, expected.mor_labels
+    assert (c.objects, c.src, c.tgt, tuple(c.mor_labels)) == (
+        expected.objects, expected.src, expected.tgt, tuple(expected.mor_labels)
     )
 
 
@@ -408,6 +408,23 @@ def test_pipeline_quotient_category_n4():
     assert report.ok
     stages = {s["name"]: s for s in report.stages}
     assert stages["partition_quotient"]["info"]["objects"] == 3
+
+
+def test_pipeline_61_builds_no_morphism_map_and_no_morphism_label(monkeypatch):
+    # its actions are object maps checked on generating pairs; pipeline 62's
+    # four category quotients derive morphism maps, and label their classes
+    from trispcat import accat, symmetry
+
+    read = []
+    maps, label = symmetry.morphism_maps, accat._OrderLabels.__getitem__
+    monkeypatch.setattr(symmetry, "morphism_maps", lambda c, a: read.append("map") or maps(c, a))
+    monkeypatch.setattr(
+        accat._OrderLabels, "__getitem__", lambda o, m: read.append("label") or label(o, m)
+    )
+    report, _cert = pipeline_quotient_trisp(4)
+    assert report.ok and read == []
+    report, _steps = pipeline_quotient_category(4)
+    assert report.ok and read.count("map") == 4 and "label" in read
 
 
 @pytest.mark.slow

@@ -8,6 +8,7 @@ from trispcat.accat import (
     AcyclicCategory,
     as_poset,
     poset_from_relation,
+    subposet,
     validate_category,
 )
 from trispcat.closure import induced_trisp_closure_map
@@ -30,6 +31,7 @@ from trispcat.symmetry import (
     check_regular_action,
     close_group,
     induced_trisp_action,
+    morphism_maps,
     orbit_nerve,
     orbit_partition,
     poset_automorphism,
@@ -76,13 +78,15 @@ def test_close_group_rejects_non_automorphism(chain3):
         close_group([bad], on=chain3.category)
 
 
-def test_from_poset_names_the_first_unordered_pair(chain3):
-    # relations in morphism order: 0 < 1, 0 < 2, 1 < 2; (1 0 2) sends 0 < 1 to 1, 0
-    with pytest.raises(InputError, match=r"does not keep the order at \(0, 1\)"):
+def test_from_poset_names_the_first_generating_pair_it_breaks(chain3):
+    # the generating pairs are 0 < 1 and 1 < 2; (1 0 2) sends 0 < 1 to 1, 0
+    with pytest.raises(InputError) as got:
         poset_automorphism(chain3, (1, 0, 2))
-    with pytest.raises(InputError, match=r"does not keep the order at \(1, 2\)"):
+    assert str(got.value) == "relabelling sends 0 < 1 to 1, 0, not a relation"
+    with pytest.raises(InputError) as got:
         poset_automorphism(chain3, (0, 2, 1))
-    assert poset_automorphism(chain3, (0, 1, 2)) == Aut(((0, 1, 2), (0, 1, 2)))
+    assert str(got.value) == "relabelling sends 1 < 2 to 2, 1, not a relation"
+    assert poset_automorphism(chain3, (0, 1, 2)) == Aut(((0, 1, 2),))
 
 
 @pytest.mark.parametrize("obj", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)])
@@ -106,14 +110,14 @@ def test_close_group_builds_a_poset_generator_from_its_object_map(chain3):
     # an object map is built into its automorphism; one that breaks the
     # order is refused at the first relation whose image is not one
     action = close_group([(0, 1, 2), [0, 1, 2]], on=chain3)
-    assert action.generators == (Aut(((0, 1, 2), (0, 1, 2))),) * 2
+    assert action.generators == (Aut(((0, 1, 2),)),) * 2
     antichain = poset_from_relation(3, [])
     assert close_group([[1, 2, 0]], on=antichain).order == 3
     refused = "generator {} is not an automorphism: "
     with pytest.raises(InputError) as got:
         close_group([(0, 1, 2), (1, 0, 2)], on=chain3)
-    assert str(got.value) == refused.format(1) + "relabelling does not keep the order at (0, 1)"
-    with pytest.raises(InputError, match=r"does not keep the order at \(1, 2\)"):
+    assert str(got.value) == refused.format(1) + "relabelling sends 0 < 1 to 1, 0, not a relation"
+    with pytest.raises(InputError, match="relabelling sends 1 < 2 to 2, 1, not a relation"):
         close_group([(0, 2, 1)], on=chain3)
     with pytest.raises(InputError) as got:
         close_group([(0, 1)], on=chain3)
@@ -124,9 +128,10 @@ def test_close_group_builds_a_poset_generator_from_its_object_map(chain3):
 @given(posets(max_n=5))
 def test_order_check_agrees_with_the_composition_scan(p):
     # every object permutation: poset_automorphism accepts exactly the automorphisms,
-    # which both checks accept, and close_group on the poset builds them from
-    # their object maps; both checks reject one with two morphisms swapped,
-    # and so does close_group on the category, with the scan's witness
+    # and close_group on the poset holds their object maps; with the morphism
+    # map derived from the order both checks accept them, and both reject one
+    # with two morphisms swapped, as close_group on the category does, with
+    # the scan's witness
     c = p.category
     for perm in itertools.permutations(range(p.n)):
         keeps = all(p.lt(perm[x], perm[y]) for (x, y) in p.mor_of)
@@ -138,10 +143,12 @@ def test_order_check_agrees_with_the_composition_scan(p):
                 close_group([perm], on=p)
             assert str(got.value) == f"generator 0 is not an automorphism: {exc}"
             continue
-        assert keeps
+        assert keeps and g == Aut((perm,))
+        assert close_group([perm], on=p).generators == (g,)
+        [mor] = morphism_maps(c, GroupAction((g,)))
+        g = Aut((perm, mor))
         assert poset_automorphism_violation(p, g) is None
         assert cat_automorphism_violation(c, g) is None
-        assert close_group([perm], on=p).generators == (g,)
         assert close_group([g], on=c).generators == (g,)
         if c.n_morphisms >= 2:
             mor = list(g.dims[1])
@@ -153,6 +160,39 @@ def test_order_check_agrees_with_the_composition_scan(p):
             with pytest.raises(InputError) as got:
                 close_group([bad], on=c)
             assert str(got.value) == f"generator 0 is not an automorphism: {witness}"
+
+
+@st.composite
+def generated_posets(draw, max_n=5):
+    """A poset from a relabelled relation with transitive pairs thrown in, its
+    view through `as_poset`, and a subposet of it."""
+    p = draw(posets(max_n))
+    rng = draw(st.randoms(use_true_random=False))
+    label = rng.sample(range(p.n), p.n)
+    pairs = [(label[x], label[y]) for x, y in p.relation]
+    pairs += [(label[x], label[y]) for x, y in p.mor_of if rng.random() < 0.5]
+    q = poset_from_relation(p.n, rng.sample(pairs, len(pairs)) * 2)
+    keep = [x for x in range(q.n) if rng.random() < 0.7]
+    return [q, as_poset(q.category), subposet(q, keep)[0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_posets())
+def test_the_relation_check_accepts_what_the_order_oracle_accepts(ps):
+    # each object permutation is checked on the generating pairs only; it
+    # passes exactly when the morphism map it fixes keeps the whole order
+    for p in ps:
+        assert set(p.relation) <= set(p.mor_of)
+        for perm in itertools.permutations(range(p.n)):
+            ends = zip(p.category.src, p.category.tgt)
+            mor = tuple(p.mor_of.get((perm[x], perm[y]), -1) for x, y in ends)
+            accepted = poset_automorphism_violation(p, Aut((perm, mor))) is None
+            try:
+                poset_automorphism(p, perm)
+            except InputError as exc:
+                assert not accepted and str(exc).startswith("relabelling sends ")
+            else:
+                assert accepted
 
 
 def _quotient_outcome(quotient, c, action):
@@ -206,6 +246,47 @@ def test_representative_pairs_match_the_full_scan_random(seed):
         assert _quotient_outcome(quotient_category, c, action) == _quotient_outcome(
             quotient_category_oracle, c, action
         )
+
+
+def _explicit(p, action):
+    """The action of object maps on the poset `p`, each given with its morphism
+    map, read off the order and checked by the composition scan."""
+    c = p.category
+    gens = []
+    for g in action.generators:
+        obj = g.dims[0]
+        gens.append(Aut((obj, tuple(p.mor_of[(obj[x], obj[y])] for x, y in zip(c.src, c.tgt)))))
+    return close_group(gens, on=c)
+
+
+def _assert_quotients_agree(p, action):
+    explicit = _explicit(p, action)
+    assert morphism_maps(p.category, action) == [g.dims[1] for g in explicit.generators]
+    outcomes = [_quotient_outcome(quotient_category, p.category, a) for a in (action, explicit)]
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0][0], tuple):  # a quotient, not an exception
+        maps = [canonical_map(quotient_category(p.category, a)).entries for a in (action, explicit)]
+        assert maps[0] == maps[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_a_poset_action_quotients_as_its_explicit_morphism_maps(seed):
+    # object maps only: quotient_category and canonical_map derive the
+    # morphism maps, and agree with the same action given with them
+    rng = random.Random(seed)
+    p = random_poset(rng, max_n=7)
+    action = close_group([g.dims[0] for g in random_action(rng, p).generators], on=p)
+    assert all(len(g.dims) == 1 for g in action.generators)
+    _assert_quotients_agree(p, action)
+
+
+def test_the_sn_actions_quotient_as_their_explicit_morphism_maps(dgn4_bundle):
+    pp = partition_poset(4)
+    fp, act = dgn4_bundle["fp"], dgn4_bundle["act"]
+    for p, action in ((fp.poset, act), (pp.poset, partition_action(pp))):
+        assert all(len(g.dims) == 1 for g in action.generators)
+        _assert_quotients_agree(p, action)
 
 
 PATH_ORDERS = {
@@ -268,11 +349,11 @@ def test_trivial_actions_are_generated_by_the_identity(chain3):
     # no generators: the identity of a category, a poset or a trisp, empty or not
     cases = [
         (chain3.category, Aut(((0, 1, 2), (0, 1, 2)))),
-        (chain3, Aut(((0, 1, 2), (0, 1, 2)))),
+        (chain3, Aut(((0, 1, 2),))),
         (nerve(chain3.category).trisp, Aut(((0, 1, 2), (0, 1, 2), (0,)))),
         (Trisp([], []), Aut(())),
         (AcyclicCategory([], []), Aut(((), ()))),
-        (poset_from_relation(0, []), Aut(((), ()))),
+        (poset_from_relation(0, []), Aut(((),))),
     ]
     for on, identity in cases:
         action = close_group([], on=on)
