@@ -484,6 +484,12 @@ def pipeline_quotient_category(n):
     unless what is left is `induced_subtrisp(pn_q.trisp, {terminal})`, and
     on a regular trisp no simplex of positive dimension has one vertex
     only, so that subtrisp has the counts (1,).
+
+    At n = 4, 5, 6 the quotient is the poset of the faces' isomorphism
+    classes under "is isomorphic to a subgraph of", as a test checks: one
+    morphism per related class pair, 4, 44, 462, from 4, 55, 843 morphism
+    orbits.  At n = 7 its order complex has 2,997,716,809 simplices, a lower
+    bound on the nerve: every related pair carries a morphism, and chains compose.
     """
     report = PipelineReport("quotient-category", n)
 

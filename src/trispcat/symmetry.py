@@ -222,12 +222,10 @@ class _UnionFind:
         self.parent = list(range(n))
 
     def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        while parent[x] != x:  # path halving: point x at its grandparent, then step there
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
@@ -237,11 +235,14 @@ class _UnionFind:
         return True
 
     def classes(self):
-        """(class id per item, least member per class), classes numbered by least member."""
-        roots = [self.find(x) for x in range(len(self.parent))]
-        reps = sorted(set(roots))
-        rank = {r: k for k, r in enumerate(reps)}
-        return [rank[r] for r in roots], reps
+        """(class id per item, least member per class), classes numbered by least member, in
+        one ascending pass, as `union` and `find` point an item only at a smaller one."""
+        class_of, reps = [], []
+        for x, p in enumerate(self.parent):
+            class_of.append(len(reps) if p == x else class_of[p])
+            if p == x:
+                reps.append(x)
+        return class_of, reps
 
 
 def orbit_partition(perms, n):
@@ -543,13 +544,13 @@ def quotient_category(c, action):
     the generators are automorphisms of it (as `close_group` checks).
 
     Only the representative pairs are scanned: the composable pairs (m1, m2)
-    whose first source is an object-orbit representative.  Every class holds
-    whole morphism orbits from the start, and every composable pair is a
-    translate (g r1, g r2) of a representative pair, with composite g r12.
-    So the pair has the class key of (r1, r2), and its composite lies in the
-    class of r12: classes closed over the representative pairs are closed
-    over all pairs too.  Union-find roots are least members, so the classes
-    do not depend on the order of the unions.
+    whose first source is an object-orbit representative.  The union-find
+    runs on the morphism orbits, and every composable pair is a translate
+    (g r1, g r2) of a representative pair, with composite g r12.  So the
+    pair has the class key of (r1, r2), and its composite lies in the class
+    of r12: classes closed over the representative pairs are closed over all
+    pairs, and their first composites give the class composition.  Roots are
+    least orbits, so the classes do not depend on the order of the unions.
 
     One pass over the representative pairs reaches the least congruence,
     so there is no second pass.  Call ab and ab' adjacent when b and b'
@@ -576,48 +577,46 @@ def quotient_category(c, action):
     action is horizontal and `c` acyclic), and each class keeps the
     endpoint orbits of its members.
 
-    Two checks are left out because they cannot fail.  Endpoints are
-    constant on classes, so each class takes those of its least member:
-    the members of a morphism orbit have their sources in one object orbit
-    and their targets in another, as each generator is an automorphism,
-    and a union joins two composites whose first factors share a class and
-    whose last factors share a class.  Each class pair has one composite
-    class, as the classes are a congruence, so the projection is a functor.
+    A check is left out because it cannot fail.  Endpoints are constant on
+    classes, so each class takes those of its least member: the members of
+    a morphism orbit have their sources in one object orbit and their
+    targets in another, as each generator is an automorphism, and a union
+    joins two composites whose first factors share a class and whose last
+    factors share a class.  Each class pair has one composite class, as the
+    classes are a congruence (`AcyclicCategory` rejects a second one), so
+    the projection is a functor.
     """
     witness = check_horizontal(c, action)
     if witness is not None:
         raise PreconditionError(f"action is not horizontal at {witness}")
     obj_class, obj_reps = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)
 
-    # each morphism orbit starts as one class, rooted at its least member
+    # union-find nodes are the morphism orbits, numbered by least member
     mor_orbit, mor_reps = orbit_partition(morphism_maps(c, action), c.n_morphisms)
-    uf = _UnionFind(c.n_morphisms)
-    uf.parent = [mor_reps[k] for k in mor_orbit]
+    uf = _UnionFind(len(mor_reps))
     # congruence: composites of pairs in one class pair share a class
-    pairs, first = [], {}  # pairs: (m1, m2, composite), src[m1] an orbit representative
+    first = {}  # (class of m1's orbit, class of m2's orbit) -> orbit of the first composite
     for x in obj_reps:
         for m1 in c.out[x]:
-            r1 = uf.find(m1)  # once: no union in m1's loop touches its class (above)
+            r1 = uf.find(mor_orbit[m1])  # once: no union in m1's loop touches its class (above)
             for m2 in c.out[c.tgt[m1]]:
                 m12 = c.comp.get((m1, m2))
                 if m12 is None:
                     raise PreconditionError(f"composition table incomplete at {(m1, m2)}")
-                pairs.append((m1, m2, m12))
-                claimed = first.setdefault((r1, uf.find(m2)), m12)
-                if claimed != m12:
-                    uf.union(claimed, m12)
+                o12 = mor_orbit[m12]
+                uf.union(first.setdefault((r1, uf.find(mor_orbit[m2])), o12), o12)
 
-    mor_class, roots = uf.classes()  # each root is the least member of its class
+    orbit_class, root_orbits = uf.classes()  # each class's least orbit
     obj_members = [[] for _ in obj_reps]
     for x in range(c.n_objects):
         obj_members[obj_class[x]].append(x)
 
-    # the class composition is the image of the composition
-    comp_entries = {(mor_class[m1], mor_class[m2]): mor_class[m12] for m1, m2, m12 in pairs}
-
-    labels = [f"[{c.objects[obj_members[k][0]]}]" for k in range(len(obj_reps))]
+    labels = [f"[{c.objects[x]}]" for x in obj_reps]
+    roots = [mor_reps[k] for k in root_orbits]  # each class's least morphism
     mor_list = [(obj_class[c.src[m]], obj_class[c.tgt[m]], f"[{c.mor_labels[m]}]") for m in roots]
-    quotient = AcyclicCategory(labels, mor_list, [(a, b, m) for (a, b), m in comp_entries.items()])
+    # the class composition is the image of the first-composite table
+    comp = [(orbit_class[a], orbit_class[b], orbit_class[o]) for (a, b), o in first.items()]
+    quotient = AcyclicCategory(labels, mor_list, comp)
     report = validate_category(quotient)
     if not report.ok:
         raise SoundnessError(f"quotient category invalid: {report.to_json()}")
@@ -626,7 +625,7 @@ def quotient_category(c, action):
         action,
         quotient,
         tuple(obj_class),
-        tuple(mor_class),
+        tuple(map(orbit_class.__getitem__, mor_orbit)),
         tuple(tuple(m) for m in obj_members),
     )
 
@@ -673,14 +672,8 @@ def canonical_map(qc):
     nerve_src = nerve(qc.source)
     qt = quotient_trisp(nerve_src.trisp, induced_trisp_action(nerve_src, qc.action))
     nerve_dst = qc.nerve
-    entries = []
-    for d in range(nerve_src.trisp.dim + 1):
-        level = []
-        for rep in qt.reps[d]:
-            if d == 0:
-                level.append(qc.obj_class[rep])
-            else:
-                img = tuple(qc.mor_class[m] for m in nerve_src.chains[d][rep])
-                level.append(nerve_dst.simplex_of_morphisms(img))
-        entries.append(tuple(level))
+    entries = [tuple(qc.obj_class[v] for v in qt.reps[0])] if qt.reps else []
+    for chains, reps in zip(nerve_src.chains[1:], qt.reps[1:]):
+        images = (tuple(qc.mor_class[m] for m in chains[rep]) for rep in reps)
+        entries.append(tuple(map(nerve_dst.simplex_of_morphisms, images)))
     return CanonicalMap(nerve_dst, tuple(entries))

@@ -29,8 +29,10 @@ opposite categories, the functor an order-preserving map of a poset
 induces, functor checks, nerves of functors, class coherence of an
 operator, the closure map on a poset quotient built class by class, as it
 was before the library pushed the operator's own map to the classes, lifts
-through the canonical map, and a matching turned from
-pairs into the partner arrays the library collapses and back.
+through the canonical map, a matching turned from
+pairs into the partner arrays the library collapses and back, and the
+isomorphism classes of disconnected graphs, each the least image of an
+edge bitmask over S_n, ordered by subgraphs, with their chains counted.
 """
 
 from __future__ import annotations
@@ -525,6 +527,74 @@ def transitive_closure_oracle(k, fp):
         closed = [k.edge_index[pair] for block in partition for pair in combinations(block, 2)]
         images.append(fp.position[k.index[frozenset(closed)]])
     return tuple(images)
+
+
+class GraphClasses(NamedTuple):
+    edges: tuple  # edge -> vertex pair, lexicographic; edge i is bit i of a graph's mask
+    class_of: dict  # mask of each disconnected graph with an edge -> its class, a mask
+    related: frozenset  # (a, b): some graph of class a is a proper subgraph of one of class b
+    chain_counts: tuple  # chains a_0 < ... < a_d of classes, per d: the order complex
+
+
+def graph_class_oracle(n):
+    """The disconnected graphs with an edge on n labelled vertices, up to isomorphism,
+    ordered by "is isomorphic to a proper subgraph of".
+
+    A graph is the bitmask of its edges, and its class is the least image of
+    the mask over the n! vertex permutations.  Each permutation maps a mask
+    byte by byte through its own edge tables; the images of distinct bytes
+    share no bit, so they add.  Deleting one edge keeps a graph disconnected
+    and generates the subgraph order, and the class order is its image,
+    closed transitively: a ⊂ b and g b ⊂ c give g a ⊂ c.
+    """
+    edges = tuple(combinations(range(n), 2))
+    bit = {pair: 1 << i for i, pair in enumerate(edges)}
+    widths = [min(8, len(edges) - j) for j in range(0, len(edges), 8)]
+    tables = []
+    for perm in permutations(range(n)):
+        images = [bit[tuple(sorted((perm[a], perm[b])))] for a, b in edges]
+        per_byte = []
+        for j, width in enumerate(widths):
+            table = [0] * (1 << width)
+            for byte in range(1, 1 << width):
+                low = byte & -byte
+                table[byte] = table[byte ^ low] | images[8 * j + low.bit_length() - 1]
+            per_byte.append(table)
+        tables.append(per_byte)
+
+    def disconnected(mask):
+        reached, stack = {0}, [0]
+        while stack:
+            a = stack.pop()
+            for (u, v), b in bit.items():
+                if mask & b and a in (u, v) and u + v - a not in reached:
+                    reached.add(u + v - a)
+                    stack.append(u + v - a)
+        return len(reached) < n
+
+    shifts = range(0, 8 * len(widths), 8)
+    class_of = {}
+    for mask in range(1, 1 << len(edges)):
+        if disconnected(mask):
+            parts = [mask >> s & 255 for s in shifts]
+            class_of[mask] = min(sum(map(list.__getitem__, t, parts)) for t in tables)
+    above = {a: set() for a in class_of.values()}
+    for mask, b in class_of.items():
+        for e in bit.values():
+            if mask & e and mask != e:
+                above[class_of[mask ^ e]].add(b)
+    for a in sorted(above, key=int.bit_count, reverse=True):  # the larger graphs first
+        above[a] |= {c for b in list(above[a]) for c in above[b]}
+    related = frozenset((a, b) for a, bs in above.items() for b in bs)
+
+    ends, counts = dict.fromkeys(above, 1), []
+    while any(ends.values()):
+        counts.append(sum(ends.values()))
+        grown = dict.fromkeys(above, 0)
+        for a, b in related:
+            grown[b] += ends[a]
+        ends = grown
+    return GraphClasses(edges, class_of, related, tuple(counts))
 
 
 def opposite_category(c):

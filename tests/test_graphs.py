@@ -37,6 +37,7 @@ from trispcat.trisp import Trisp, simplicial_from_faces, validate_trisp
 
 from oracles import (
     dgn_trisp_action,
+    graph_class_oracle,
     object_maps,
     partition_of_edges,
     partition_poset_oracle,
@@ -408,6 +409,27 @@ def test_pipeline_quotient_category_n4():
     assert report.ok
     stages = {s["name"]: s for s in report.stages}
     assert stages["partition_quotient"]["info"]["objects"] == 3
+
+
+@pytest.mark.parametrize("n", [4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_pipeline_62_quotient_is_the_poset_of_graph_classes(n):
+    # the face poset's quotient by S_n against graph isomorphism classes: the
+    # same object classes, one morphism per related class pair (4, 44, 462,
+    # where the morphism orbits number 4, 55, 843), and the order complex
+    oracle = graph_class_oracle(n)
+    bit = {pair: 1 << i for i, pair in enumerate(oracle.edges)}
+    k = build_dgn(n)
+    fp = face_poset(k)
+    qc = quotient_category(fp.category, face_poset_action(k, fp))
+    masks = [sum(bit[k.edges[e]] for e in k.faces_by_dim[d][s]) for d, s in fp.elements]
+    assert sorted(masks) == sorted(oracle.class_of)
+    to_oracle = dict(zip(qc.obj_class, (oracle.class_of[mask] for mask in masks)))
+    assert len(to_oracle) == qc.category.n_objects == len(set(to_oracle.values()))
+    assert all(to_oracle[qc.obj_class[x]] == oracle.class_of[mask] for x, mask in enumerate(masks))
+    q = qc.category
+    pairs = sorted((to_oracle[a], to_oracle[b]) for a, b in zip(q.src, q.tgt))
+    assert pairs == sorted(oracle.related)
+    assert qc.nerve.trisp.counts == oracle.chain_counts
 
 
 def test_pipeline_61_builds_no_morphism_map_and_no_morphism_label(monkeypatch):

@@ -291,3 +291,31 @@ def test_the_collector_is_paused_once_per_command():
         ("closure.py", "verify_collapse_sequence"),
         ("accat.py", "poset_from_relation"),
     }
+
+
+def test_every_benchmark_work_counter_reads_a_count_off_its_function(dgn4_bundle):
+    # the traced run applies each reader in the tracer's COUNTERS to what its
+    # span's function returns; on DG_4's real return values each must give a
+    # non-negative int, so a change to what they read fails here, untraced
+    import importlib.util
+
+    from trispcat.closure import full_collapse_audit, induced_trisp_closure_map
+    from trispcat.graphs import face_poset
+
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    fp, bd = dgn4_bundle["fp"], dgn4_bundle["bd"]
+    returned = {
+        "symmetry.close_group": dgn4_bundle["act"],  # what face_poset_action returns
+        "accat.poset_from_relation": face_poset(dgn4_bundle["k"]).poset,
+        "nerve.nerve": bd,
+        "closure.collapse": full_collapse_audit(
+            bd.trisp, induced_trisp_closure_map(fp.poset, dgn4_bundle["f"])
+        ),
+    }
+    assert sorted(tracer.COUNTERS) == sorted(returned)
+    for span, (_counter, read) in tracer.COUNTERS.items():
+        count = read(returned[span])
+        assert type(count) is int and count >= 0, span

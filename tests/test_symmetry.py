@@ -281,12 +281,22 @@ def test_a_poset_action_quotients_as_its_explicit_morphism_maps(seed):
     _assert_quotients_agree(p, action)
 
 
-def test_the_sn_actions_quotient_as_their_explicit_morphism_maps(dgn4_bundle):
-    pp = partition_poset(4)
-    fp, act = dgn4_bundle["fp"], dgn4_bundle["act"]
-    for p, action in ((fp.poset, act), (pp.poset, partition_action(pp))):
+def test_the_sn_actions_quotient_as_their_explicit_morphism_maps():
+    # and as the full-scan oracle quotients them, on the DG_n face poset and
+    # both orientations of the partition poset, n = 4, 5
+    posets = []
+    for n in (4, 5):
+        k = build_dgn(n)
+        fp = face_poset(k)
+        posets.append((fp.poset, face_poset_action(k, fp)))
+        for pp in (partition_poset(n), partition_poset(n, fine_on_top=False)):
+            posets.append((pp.poset, partition_action(pp)))
+    for p, action in posets:
         assert all(len(g.dims) == 1 for g in action.generators)
         _assert_quotients_agree(p, action)
+        assert _quotient_outcome(quotient_category, p.category, action) == _quotient_outcome(
+            quotient_category_oracle, p.category, _explicit(p, action)
+        )
 
 
 PATH_ORDERS = {
