@@ -16,6 +16,7 @@ witnesses, and a property holds when its witnesses are empty:
 `closure_direction` reads the one-sided rule off them.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from functools import cached_property
@@ -77,7 +78,7 @@ class AcyclicCategory:
 
     @cached_property
     def mor_of(self):
-        """(x, y) -> the morphism x -> y, for a category with at most one (a poset's)."""
+        """(x, y) -> the morphism x -> y, for a category with at most one; built when read."""
         return dict(zip(zip(self.src, self.tgt), range(len(self.src))))
 
     @property
@@ -221,11 +222,11 @@ def directed_cycle(roots, successors):
 
 
 class Poset:
-    """A finite poset, viewed as an acyclic category with hom-sets of size <= 1."""
+    """A finite poset, viewed as an acyclic category with hom-sets of size <= 1,
+    whose order is read through its up-sets: ``above[x]``, the objects above x."""
 
-    def __init__(self, category):
-        self.category = category
-        self.mor_of = self.relation = category.mor_of  # relation: pairs closing to the order
+    def __init__(self, category, above, relation):  # relation: pairs closing to the order
+        self.category, self.above, self.relation = category, above, relation
 
     @property
     def n(self):
@@ -236,7 +237,7 @@ class Poset:
         return self.category.objects
 
     def lt(self, x, y):
-        return (x, y) in self.mor_of
+        return y in self.above[x]
 
     def __repr__(self):
         return f"Poset({self.n} elements, {self.category.n_morphisms} relations)"
@@ -244,9 +245,9 @@ class Poset:
 
 def as_poset(c):
     """View a category as a poset; raises NotAPosetError with a witness pair."""
-    p = Poset(c)
-    if len(p.mor_of) < c.n_morphisms:
-        raise NotAPosetError(next(pair for pair, k in Counter(zip(c.src, c.tgt)).items() if k > 1))
+    p = Poset(c, [set(map(c.tgt.__getitem__, ms)) for ms in c.out], tuple(zip(c.src, c.tgt)))
+    if sum(map(len, p.above)) < c.n_morphisms:
+        raise NotAPosetError(next(pair for pair, k in Counter(p.relation).items() if k > 1))
     return p
 
 
@@ -258,9 +259,9 @@ def poset_from_relation(labels, strict_pairs):
     columns are written directly, as the closure of the checked pairs needs
     no row checks: morphisms x -> y, labelled "x<y" when read, are listed
     by source and then by target, so ``out[x]`` is a contiguous range.
-    ``comp`` reads each composite off the order.  The given pairs, less
-    repeats, are the poset's ``relation``.  The collector is paused: a
-    collection here would scan the key tuples of every morphism made so far.
+    ``comp`` reads each composite off the order.  The descendant sets are
+    the up-sets, the given pairs less repeats the ``relation``.  The
+    collector is paused: a collection would scan every tuple made so far.
     """
     if isinstance(labels, int):
         labels = [str(i) for i in range(labels)]
@@ -296,10 +297,8 @@ def poset_from_relation(labels, strict_pairs):
         tgt += ys
     cat.src, cat.tgt, cat.out = tuple(src), tuple(tgt), tuple(out)
     cat.mor_labels = _OrderLabels(cat.objects, cat.src, cat.tgt)
-    p = Poset(cat)
-    cat.comp = _OrderComposition(cat, p.mor_of)
-    p.relation = tuple((x, y) for x in range(n) for y in sorted(succ[x]))
-    return p
+    cat.comp = _OrderComposition(cat.src, cat.tgt, cat.out)
+    return Poset(cat, desc, tuple((x, y) for x in range(n) for y in sorted(succ[x])))
 
 
 class _OrderLabels(Sequence):
@@ -319,19 +318,20 @@ class _OrderComposition(Mapping):
     """The composition of a poset's category, read off its order.
 
     ``self[(m1, m2)]`` is the morphism src[m1] -> tgt[m2] when tgt[m1] ==
-    src[m2], and a KeyError otherwise.  Pairs are listed by m1 and then by
-    m2, the order in which a stored table would be filled, and counted
-    without listing them.
+    src[m2], bisected in the range out[src[m1]], whose targets ascend, and a
+    KeyError otherwise.  Pairs are listed by m1 and then by m2, the order in
+    which a stored table would be filled, and counted without listing them.
     """
 
-    def __init__(self, c, mor_of):
-        self._src, self._tgt, self._out, self._mor_of = c.src, c.tgt, c.out, mor_of
+    def __init__(self, src, tgt, out):
+        self._src, self._tgt, self._out = src, tgt, out
 
     def __getitem__(self, pair):
         m1, m2 = pair
         src, tgt = self._src, self._tgt
         if 0 <= m1 < len(src) and 0 <= m2 < len(src) and tgt[m1] == src[m2]:
-            return self._mor_of[(src[m1], tgt[m2])]
+            ms = self._out[src[m1]]
+            return bisect_left(tgt, tgt[m2], ms[0], ms[-1] + 1)
         raise KeyError(pair)
 
     def __iter__(self):
@@ -349,7 +349,7 @@ def subposet(p, keep):
     """Induced subposet on `keep`; returns (poset, new-to-old index map)."""
     keep = sorted(keep)
     pos = {x: i for i, x in enumerate(keep)}
-    pairs = [(pos[x], pos[y]) for (x, y) in p.mor_of if x in pos and y in pos]
+    pairs = [(pos[x], pos[y]) for x in keep for y in p.above[x].intersection(pos)]
     labels = [p.labels[x] for x in keep]
     return poset_from_relation(labels, pairs), tuple(keep)
 
@@ -360,8 +360,7 @@ def covers(p):
     x < y is a cover when no z has x < z < y; every such z is above x, so
     the covers of x are what is above x less what is above those.
     """
-    above = [set(map(p.category.tgt.__getitem__, ms)) for ms in p.category.out]
-    upper_covers = [ys.difference(*map(above.__getitem__, ys)) for ys in above]
+    upper_covers = [ys.difference(*map(p.above.__getitem__, ys)) for ys in p.above]
     return [(x, y) for x, ys in enumerate(upper_covers) for y in sorted(ys)]
 
 
@@ -373,12 +372,12 @@ def check_closure_operator(p, f):
     empty.  The monotone witnesses are every relation x < y with f(x) not
     below f(y), the others the objects x at which the property fails.
     """
-    mor_of, objects = p.mor_of, range(p.n)
+    ends, above, objects = zip(p.category.src, p.category.tgt), p.above, range(p.n)
     return {
-        "monotone": [(x, y) for x, y in mor_of if f[x] != f[y] and (f[x], f[y]) not in mor_of],
+        "monotone": [(x, y) for x, y in ends if f[x] != f[y] and f[y] not in above[f[x]]],
         "idempotent": [x for x in objects if f[f[x]] != f[x]],
-        "descending": [x for x in objects if f[x] != x and (f[x], x) not in mor_of],
-        "ascending": [x for x in objects if f[x] != x and (x, f[x]) not in mor_of],
+        "descending": [x for x in objects if f[x] != x and x not in above[f[x]]],
+        "ascending": [x for x in objects if f[x] != x and f[x] not in above[x]],
     }
 
 

@@ -15,7 +15,7 @@ check, `check_equivariant`, decides equivariance, of operators too.
 from .accat import subposet
 from .closure import TrispClosureMap, induced_trisp_closure_map, verify_trisp_closure_map
 from .errors import PreconditionError, SoundnessError
-from .symmetry import check_regular_action, close_group, quotient_category
+from .symmetry import check_regular_action, close_group, lift_elements, poset_quotient_category
 from .trisp import induced_subtrisp, is_simplicial, trisps_equal_over_vertices
 
 
@@ -191,8 +191,9 @@ def lift_closure_map(qt, psi, condition):
 # -- poset quotients --------------------------------------------------------
 
 
-def image_quotient_nerve(p, action, image):
-    """(kept elements, quotient) of the induced subposet on an action-closed subset."""
+def image_quotient_nerve(p, action, group, image):
+    """(kept elements, quotient) of the induced subposet on an action-closed subset,
+    read off its orbit nerve under `group` lifted as `action` (`lift_elements`)."""
     sub_p, keep = subposet(p, set(image))
     pos = {x: i for i, x in enumerate(keep)}
     gens = []
@@ -200,16 +201,18 @@ def image_quotient_nerve(p, action, image):
         if any(g.dims[0][x] not in pos for x in keep):
             raise PreconditionError("subset is not closed under the action")
         gens.append([pos[g.dims[0][x]] for x in keep])
-    return keep, quotient_category(sub_p.category, close_group(gens, on=sub_p))
+    act = close_group(gens, on=sub_p)
+    return keep, poset_quotient_category(sub_p, act, list(dict.fromkeys(lift_elements(group, act))))
 
 
-def check_image_subtrisp_equality(p, f, qc):
+def check_image_subtrisp_equality(p, f, qc, group):
     """(mapping, witness): is the red part of the nerve of `qc`, a quotient of `p`,
     the nerve of the image quotient?  As `trisps_equal_over_vertices` returns them.
 
     Red vertices of the quotient are the classes meeting the operator image.
     The subtrisp of the quotient nerve they induce must equal, boundary for
-    boundary, the nerve of the quotient category of the image subposet.
+    boundary, the nerve of the image subposet's quotient by `group`, lifted
+    as ``qc.action`` (`image_quotient_nerve`).
     """
     if qc.source is not p.category:
         raise PreconditionError("the quotient is not a quotient of this poset")
@@ -217,7 +220,7 @@ def check_image_subtrisp_equality(p, f, qc):
     red_classes = sorted({qc.obj_class[x] for x in image})
     sub = induced_subtrisp(qc.nerve.trisp, set(red_classes))
 
-    keep, sub_qc = image_quotient_nerve(p, qc.action, image)
+    keep, sub_qc = image_quotient_nerve(p, qc.action, group, image)
 
     # vertex identification: class of x in the image quotient -> position of
     # the class of x among the red classes of the big quotient

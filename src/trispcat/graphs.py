@@ -13,7 +13,6 @@ partitions.
 import math
 import time
 from itertools import combinations
-from operator import itemgetter
 
 from .accat import check_closure_operator, find_terminal_object, poset_from_relation
 from .closure import (
@@ -32,7 +31,9 @@ from .equivariant import (
 )
 from .errors import InputError, PipelineError, SoundnessError
 from .nerve import chain_counts
-from .symmetry import Aut, GroupAction, close_group, orbit_nerve, quotient_category
+from .symmetry import (
+    Aut, GroupAction, close_group, lift_elements, orbit_nerve, poset_quotient_category,
+)
 from .trisp import (
     euler_characteristic,
     reverse_trisp,
@@ -237,8 +238,8 @@ def image_partition_isomorphism(k, fp, f, pp):
     (``fine_on_top=False``); the map sends a closed edge set to the
     partition of its components.  Unless it is a bijection, the witness is
     ("sizes", image elements, partitions they reach, partitions).  The
-    mapped image relation is compared with the partition order as a whole;
-    when they differ, the bijection shows it at a first pair (x, y).
+    mapped up-sets are compared with those of the partition order; when
+    they differ, the bijection shows it at a first pair (x, y).
     """
     image = sorted(set(f))
     elements = map(fp.elements.__getitem__, image)
@@ -246,10 +247,10 @@ def image_partition_isomorphism(k, fp, f, pp):
     reached = len(set(bijection.values()))
     if not len(image) == reached == len(pp.partitions):
         return ("sizes", len(image), reached, len(pp.partitions))
-    relation = [(x, y) for x, y in fp.poset.mor_of if x in bijection and y in bijection]
-    if {(bijection[x], bijection[y]) for x, y in relation} == set(pp.poset.mor_of):
+    b, above, pp_above = bijection, fp.poset.above, pp.poset.above
+    if all({b[y] for y in above[x] if y in b} == pp_above[b[x]] for x in image):
         return None
-    b, lt, pp_lt = bijection, fp.poset.lt, pp.poset.lt
+    lt, pp_lt = fp.poset.lt, pp.poset.lt
     return next((x, y) for x in image for y in image if lt(x, y) != pp_lt(b[x], b[y]))
 
 
@@ -270,15 +271,14 @@ def lift_to_edges(perm, edges, edge_index):
 def _sn_action(p, n, relabel):
     """S_n on a poset, moving its objects by `relabel(perm)`; the group is not closed.
 
-    Generator k is built from ``sn_generator_perms(n)[k]``, so `_lift` can
+    Generator k is built from ``sn_generator_perms(n)[k]``, so `lift_elements` can
     carry the elements of `_sn_group(n)` to the poset.  `relabel` must be an
     action, relabel(g∘h) = relabel(g)∘relabel(h), as moving faces and
     partitions by a vertex permutation is.
 
-    The action is horizontal with no check: `close_group` builds each
-    generator as a poset automorphism, so every group element h is one.  If
-    x < hx for h of order k, then x < hx < ... < h^k x = x is a cycle in a
-    finite poset, which is impossible; hx < x likewise.
+    The action is horizontal: `close_group` checks each generator to be a
+    poset automorphism, so every element h is one, and x < hx for h of order
+    k would close a cycle x < hx < ... < h^k x = x; hx < x likewise.
     """
     return close_group([relabel(perm) for perm in sn_generator_perms(n)], on=p)
 
@@ -310,23 +310,6 @@ def _sn_group(n):
     if group.order != math.factorial(n):
         raise SoundnessError(f"the S_{n} generators generate a group of order {group.order}")
     return group
-
-
-def _lift(group, action):
-    """The object map in `action`, an `_sn_action`, of every element of `group`, in tree order.
-
-    Element i, generator k times element j in `group.tree`, lifts by one
-    product to L_k∘lift(j), where L_k is the object map of generator k of
-    `action`.  As relabelling is an action, that is the relabelling by
-    element i.  Each element of the acting group is listed once when the
-    action is faithful, as on faces and on partitions.  `itemgetter` gives a
-    tuple for two or more indices; these posets always have at least 3 objects.
-    """
-    gens = [g.dims[0] for g in action.generators]
-    lifted = [tuple(range(len(gens[0])))]
-    for _g, k, j in group.tree[1:]:
-        lifted.append(itemgetter(*lifted[j])(gens[k]))
-    return lifted
 
 
 # -- pipelines ----------------------------------------------------------------
@@ -380,7 +363,7 @@ def pipeline_quotient_trisp(n):
     docstrings why their upstairs checks cannot fail here.  The
     partition-chain complex is built the same way.  S_n is closed once, on
     n points, and each element is lifted to the faces and to the partitions
-    by one product (`_lift`).  Runs for n <= 6: DG_7 has 230,895 faces, and
+    by one product (`lift_elements`).  Runs for n <= 6: DG_7 has 230,895 faces, and
     n = 7 is not measured.
     """
     if n > 6:
@@ -411,7 +394,7 @@ def pipeline_quotient_trisp(n):
     group = _sn_group(n)
     report.done("action", order=group.order)
 
-    qt = orbit_nerve(fp.poset, _lift(group, act))
+    qt = orbit_nerve(fp.poset, lift_elements(group, act))
     sums = [sum(sizes) for sizes in qt.orbit_sizes]
     if sums != counts:
         report.fail("quotient", f"the orbits hold {sums} chains, the subdivision {counts}")
@@ -436,7 +419,7 @@ def pipeline_quotient_trisp(n):
     report.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
     # the final subtrisp must be the quotient of the partition-chain complex
-    pqt = orbit_nerve(pp.poset, _lift(group, partition_action(pp)))
+    pqt = orbit_nerve(pp.poset, lift_elements(group, partition_action(pp)))
     vmap = []
     for parent in cert.final.to_parent[0]:
         d, s = fp.elements[qt.chains[0][parent][0]]
@@ -466,7 +449,9 @@ def pipeline_quotient_category(n):
     Builds the quotient category of the face poset by the symmetric group,
     the closure map its equivariant operator induces there, collapses onto
     the nerve of the image quotient, and finishes through the terminal
-    object of the partition quotient.  CLI name: pipeline 62.
+    object of the partition quotient.  CLI name: pipeline 62.  Its four
+    quotients are read off orbit nerves (`poset_quotient_category`) under S_n
+    closed on n points and lifted (`lift_elements`): no morphism is mapped.
 
     The stitch carries the cone collapse into the big nerve through
     `match_mirror`, from the partition quotient's nerve to the mirror of the
@@ -498,9 +483,10 @@ def pipeline_quotient_category(n):
     report.done("build_complex", faces=fp.category.n_objects)
     f = transitive_closure_operator(k, fp)
     act = face_poset_action(k, fp)
-    report.done("action", order=_sn_group(n).order)
+    group = _sn_group(n)
+    report.done("action", order=group.order)
 
-    qc = quotient_category(fp.category, act)
+    qc = poset_quotient_category(fp.poset, act, lift_elements(group, act))
     nerve_q = qc.nerve
     report.done(
         "quotient_category",
@@ -517,14 +503,14 @@ def pipeline_quotient_category(n):
     cert = full_collapse_audit(nerve_q.trisp, qmap, qverify)
     report.done("collapse", steps=len(cert.steps), final_counts=list(cert.final.trisp.counts))
 
-    match52, witness = check_image_subtrisp_equality(fp.poset, f, qc)
+    match52, witness = check_image_subtrisp_equality(fp.poset, f, qc, group)
     if witness is not None:
         report.fail("image_subtrisp_equality", str(witness))
     report.done("image_subtrisp_equality")
 
     pp = partition_poset(n, fine_on_top=True)
     pact = partition_action(pp)
-    pqc = quotient_category(pp.category, pact)
+    pqc = poset_quotient_category(pp.poset, pact, lift_elements(group, pact))
     expected_objects = len({number_partition(p) for p in pp.partitions})
     if pqc.category.n_objects != expected_objects:
         report.fail(
@@ -547,7 +533,7 @@ def pipeline_quotient_category(n):
     # stitch the cone collapse back into the big nerve through the two
     # identifications: partition quotient ~ mirror of image quotient ~ red subtrisp
     image = sorted(set(f))
-    keep, sub_qc = image_quotient_nerve(fp.poset, act, image)
+    keep, sub_qc = image_quotient_nerve(fp.poset, act, group, image)
     pos = {x: i for i, x in enumerate(keep)}
     vmap2 = [None] * pn_q.trisp.n(0)
     for cls in range(pqc.category.n_objects):

@@ -7,10 +7,11 @@ points has one level.  Elements multiply level by level.  An automorphism
 of a category keeps sources, targets and composition; one of a trisp
 commutes with the boundary operators.  An action is given by its
 generators; orbits, quotients, equivariance and horizontality read only
-those, and a quotient category is read off the composable pairs whose first
-source is an orbit representative.  A poset action holds object maps only,
-checked on the pairs that generate the order; `morphism_maps` reads a
-morphism image off the order where a quotient or a nerve needs one.
+those.  A quotient category is read off the composable pairs whose first
+source is an orbit representative, or a poset's off its chain orbits.  A
+poset action holds object maps only, checked on the pairs that generate
+the order; `morphism_maps` reads a morphism image off the order where a
+category quotient or a nerve needs one.
 The group itself is closed, by breadth-first products of generators, only
 when a caller reads its elements or order.  Kernels on a nerve read whole
 tables: an induced action maps chains column by column, the automorphism
@@ -76,11 +77,11 @@ def poset_automorphism(p, obj):
     it maps the finite set of relations injectively into itself, hence onto
     it, and is an automorphism.
     """
-    obj = tuple(obj)
+    obj, above = tuple(obj), p.above
     if not _is_perm(obj, p.n):
         raise InputError(f"{list(obj)} is not a permutation of the {p.n} objects")
     for x, y in p.relation:
-        if (obj[x], obj[y]) not in p.mor_of:
+        if obj[y] not in above[obj[x]]:
             raise InputError(f"relabelling sends {x} < {y} to {obj[x]}, {obj[y]}, not a relation")
     return Aut((obj,))
 
@@ -213,6 +214,23 @@ def close_group(generators, on):
             raise InputError(f"generator {k} is not an automorphism: {witness}")
         built.append(g)
     return GroupAction(tuple(built))
+
+
+def lift_elements(group, action):
+    """The object map in `action` of each element of the closed `group`, in tree order.
+
+    A homomorphism must send generator k of `group` to that of `action`, as
+    S_n on n points goes to its relabellings, or an action to its restriction.
+    Element i, generator k times element j in `group.tree`, lifts to L_k∘lift(j),
+    L_k the object map of generator k; each is listed once when the homomorphism
+    is one to one.  `itemgetter` gives a tuple for two or more indices; on fewer
+    objects the action is trivial.
+    """
+    gens = [g.dims[0] for g in action.generators]
+    lifted = [tuple(range(len(gens[0])))]
+    for _g, k, j in group.tree[1:] if len(lifted[0]) > 1 else ():
+        lifted.append(itemgetter(*lifted[j])(gens[k]))
+    return lifted
 
 
 class _UnionFind:
@@ -381,11 +399,12 @@ def orbit_nerve(p, elements):
 
     `elements` is the group, closed by the caller, as the object map of
     each element, listed once: two that agree on the base below raise
-    PreconditionError.  Precondition: each is an automorphism of `p`.
-    Their order does not matter.  An object's orbit is its set of images,
-    and orbits are numbered by least member.  Each orbit o of chains is
-    listed once, by its least chain L(o) in the lexicographic order of
-    object tuples:
+    PreconditionError.  Preconditions: each is an automorphism of `p`, and
+    the targets of each ``out[x]`` ascend, as `poset_from_relation` lists
+    them: they are x's up-list, not sorted again.  The order of the
+    elements does not matter.  An object's orbit is its set of images, and
+    orbits are numbered by least member.  Each orbit o of chains is listed
+    once, by its least chain L(o) in the lexicographic order of object tuples:
     - the least chains of the vertex orbits are their least objects;
     - a least chain C with stabilizer S is extended at its top by each y
       above it that is least in its S-orbit (every y when S is the
@@ -407,8 +426,16 @@ def orbit_nerve(p, elements):
     element is named by its images of a base, objects each moved by an
     element that fixes the ones before, so s∘h is one lookup.
     """
-    n, order = p.n, len(elements)
-    up = [sorted(map(p.category.tgt.__getitem__, out)) for out in p.category.out]
+    obj_orbit = next(levels := _chain_orbits(p, elements))
+    chains, sizes, bnd = list(zip(*levels)) or ((), (), ())
+    t = Trisp(list(map(len, chains)), list(bnd[1:]))
+    return OrbitNerve(t, chains, sizes, tuple(obj_orbit), regularity_violations(t))
+
+
+def _chain_orbits(p, elements):
+    """`orbit_nerve`'s object orbits, then per level (least chains, sizes, rows), grown lazily."""
+    n, order, tgt = p.n, len(elements), p.category.tgt
+    up = [tgt[ms[0]:ms[-1] + 1] if ms else () for ms in p.category.out]
     obj_orbit, reps, images = [-1] * n, [], []
     for x in range(n):
         if obj_orbit[x] < 0:
@@ -428,6 +455,7 @@ def orbit_nerve(p, elements):
         raise PreconditionError(f"elements {j} and {index[keys[j]]} agree on the base {base}")
     e = index[tuple(base)]
     trivial = [elements[e]]  # the one stabilizer that is the identity alone
+    yield obj_orbit
 
     def least_point(o, w):
         """The least point of w's orbit under Stab(L(o)), and an element taking w to it."""
@@ -442,11 +470,10 @@ def orbit_nerve(p, elements):
     level, rows, carried = [(r,) for r in reps], [(0,)] * len(reps), [e] * len(reps)
     stabs = [[g for g in elements if g[r] == r] for r in reps]
     stabs = [stab if len(stab) > 1 else trivial for stab in stabs]
-    chains, sizes, bnd = [], [], []
     while level:
-        chains.append(tuple(level))
         # one shared int for the many chains whose stabilizer is the identity alone
-        sizes.append(tuple(order if stab is trivial else order // len(stab) for stab in stabs))
+        sizes = tuple(order if stab is trivial else order // len(stab) for stab in stabs)
+        yield tuple(level), sizes, rows
         width, least = len(level[0]), {}
         grown, grown_stabs, grown_rows, grown_carried, grown_first = [], [], [], [], []
         for k, chain in enumerate(level):
@@ -474,14 +501,10 @@ def orbit_nerve(p, elements):
                     grown_carried.append(h)
                 grown_rows.append((*row, k))
                 grown_carried.append(e)
-        if grown:
-            bnd.append(grown_rows)
         grown_first.append(len(grown))
         # one int object per index, shared by every row that names it
         tops, first, ids = [chain[-1] for chain in grown], grown_first, list(range(len(grown)))
         prev, stabs, rows, carried, level = stabs, grown_stabs, grown_rows, grown_carried, grown
-    t = Trisp(list(map(len, chains)), bnd)
-    return OrbitNerve(t, tuple(chains), tuple(sizes), tuple(obj_orbit), regularity_violations(t))
 
 
 def check_regular_action(qt):
@@ -520,8 +543,8 @@ class QuotientCategory:
     """Colimit quotient of a category by a group action.
 
     Objects are object orbits; morphisms are classes of the congruence
-    generated by m ~ gm and closed under composition of equal classes.
-    """
+    generated by m ~ gm and closed under composition of equal classes;
+    ``mor_class`` is None when read off chain orbits (`poset_quotient_category`)."""
 
     def __init__(self, source, action, category, obj_class, mor_class, obj_members):
         self.source = source  # AcyclicCategory
@@ -543,14 +566,13 @@ def quotient_category(c, action):
     Preconditions: `c` is a valid acyclic category (`validate_category`) and
     the generators are automorphisms of it (as `close_group` checks).
 
-    Only the representative pairs are scanned: the composable pairs (m1, m2)
-    whose first source is an object-orbit representative.  The union-find
-    runs on the morphism orbits, and every composable pair is a translate
-    (g r1, g r2) of a representative pair, with composite g r12.  So the
-    pair has the class key of (r1, r2), and its composite lies in the class
-    of r12: classes closed over the representative pairs are closed over all
-    pairs, and their first composites give the class composition.  Roots are
-    least orbits, so the classes do not depend on the order of the unions.
+    Only the representative pairs (m1, m2), whose first source is an
+    object-orbit representative, are scanned.  The union-find runs on the
+    morphism orbits.  A composable pair is a translate (g r1, g r2) of a
+    representative pair, with composite g r12, so it has the class key of
+    (r1, r2) and its composite lies in the class of r12: the first
+    composites give the class composition.  Roots are least orbits, so the
+    classes do not depend on the order of the unions.
 
     One pass over the representative pairs reaches the least congruence,
     so there is no second pass.  Call ab and ab' adjacent when b and b'
@@ -605,14 +627,49 @@ def quotient_category(c, action):
                     raise PreconditionError(f"composition table incomplete at {(m1, m2)}")
                 o12 = mor_orbit[m12]
                 uf.union(first.setdefault((r1, uf.find(mor_orbit[m2])), o12), o12)
+    return _class_quotient(c, action, obj_class, uf, first, mor_reps, mor_orbit)
 
+
+def poset_quotient_category(p, action, elements):
+    """`quotient_category` of the poset `p`, read off the 2-skeleton of its orbit nerve.
+
+    `elements` is the group `action` generates, as `orbit_nerve` takes it.
+    The union-find runs on the morphism orbits, each led by its least chain
+    x < y, whose morphism is its least, so the classes are numbered and
+    labelled as in `quotient_category`.  An orbit of chains x < y < z has
+    the row ∂0, ∂1, ∂2, the orbits of y < z, x < z, x < y.  One pass keys
+    each row by (class ∂2, class ∂0) and unites ∂1 with the first composite
+    of its key.  It is enough, by `quotient_category`'s argument on rows: a
+    group element moves adjacent ab, ab' onto x < y < z, x < y < z', x < y
+    least; a least chain's prefix is least, so their orbits' rows share the
+    parent x < y and the orbit ∂0 of b and b', and come one after another.
+    No union among them touches the class of ∂2 or of a ∂0, as it joins
+    composites from x's orbit into another than y's (the action is
+    horizontal, `p` acyclic), where ∂2 ends and each ∂0 starts.
+    """
+    levels = _chain_orbits(p, elements)
+    obj_class, _vertices = next(levels), next(levels, None)
+    edges = next(levels, ((),))[0]  # a poset with no morphism has no level 1, nor 2
+    witness = next(((x, y) for x, y in edges if obj_class[x] == obj_class[y]), None)
+    if witness is not None:  # as `check_horizontal` names it: the first is least in its orbit
+        raise PreconditionError(f"action is not horizontal at {witness}")
+    uf, first = _UnionFind(len(edges)), {}
+    for a0, a1, a2 in next(levels, ((), (), ()))[2]:
+        uf.union(first.setdefault((uf.find(a2), uf.find(a0)), a1), a1)
+    tgt, out = p.category.tgt, p.category.out
+    least = [bisect_left(tgt, y, out[x][0], out[x][-1] + 1) for x, y in edges]
+    return _class_quotient(p.category, action, obj_class, uf, first, least, None)
+
+
+def _class_quotient(c, action, obj_class, uf, first, least, mor_orbit):
+    """The quotient whose morphisms are `uf`'s classes of orbits, each orbit k led by
+    the morphism `least[k]`; `mor_orbit`, morphism -> orbit, or None, gives mor_class."""
     orbit_class, root_orbits = uf.classes()  # each class's least orbit
-    obj_members = [[] for _ in obj_reps]
-    for x in range(c.n_objects):
-        obj_members[obj_class[x]].append(x)
-
-    labels = [f"[{c.objects[x]}]" for x in obj_reps]
-    roots = [mor_reps[k] for k in root_orbits]  # each class's least morphism
+    obj_members = [[] for _ in range(max(obj_class, default=-1) + 1)]
+    for x, k in enumerate(obj_class):
+        obj_members[k].append(x)
+    labels = [f"[{c.objects[members[0]]}]" for members in obj_members]
+    roots = map(least.__getitem__, root_orbits)  # each class's least morphism
     mor_list = [(obj_class[c.src[m]], obj_class[c.tgt[m]], f"[{c.mor_labels[m]}]") for m in roots]
     # the class composition is the image of the first-composite table
     comp = [(orbit_class[a], orbit_class[b], orbit_class[o]) for (a, b), o in first.items()]
@@ -620,14 +677,9 @@ def quotient_category(c, action):
     report = validate_category(quotient)
     if not report.ok:
         raise SoundnessError(f"quotient category invalid: {report.to_json()}")
-    return QuotientCategory(
-        c,
-        action,
-        quotient,
-        tuple(obj_class),
-        tuple(map(orbit_class.__getitem__, mor_orbit)),
-        tuple(tuple(m) for m in obj_members),
-    )
+    mor_class = None if mor_orbit is None else tuple(map(orbit_class.__getitem__, mor_orbit))
+    obj_members = tuple(map(tuple, obj_members))
+    return QuotientCategory(c, action, quotient, tuple(obj_class), mor_class, obj_members)
 
 
 class CanonicalMap:
@@ -656,7 +708,7 @@ class CanonicalMap:
 
 
 def canonical_map(qc):
-    """The canonical map of `qc`, from the orbit trisp of the nerve of its source.
+    """The canonical map of `qc` (from `quotient_category`), off its source nerve's orbit trisp.
 
     It commutes with the boundaries with no check.  The class projection is
     a functor (`quotient_category`), so the i-th face of a chain, which drops

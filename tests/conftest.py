@@ -42,8 +42,8 @@ def triangle_boundary():
     )
     obj = (1, 2, 0, 4, 5, 3)
     mor = [None] * 6
-    for (x, y), m in p.mor_of.items():
-        mor[m] = p.mor_of[(obj[x], obj[y])]
+    for (x, y), m in p.category.mor_of.items():
+        mor[m] = p.category.mor_of[(obj[x], obj[y])]
     action = close_group([Aut((obj, tuple(mor)))], on=p.category)
     return p, action
 
@@ -60,8 +60,8 @@ def two_edges_z2():
     p = poset_from_relation(["r1", "b1", "r2", "b2"], [(0, 1), (2, 3)])
     obj = (2, 3, 0, 1)
     mor = [None] * 2
-    for (x, y), m in p.mor_of.items():
-        mor[m] = p.mor_of[(obj[x], obj[y])]
+    for (x, y), m in p.category.mor_of.items():
+        mor[m] = p.category.mor_of[(obj[x], obj[y])]
     cat_action = close_group([Aut((obj, tuple(mor)))], on=p.category)
     nv = nerve(p.category)
     from trispcat.symmetry import induced_trisp_action

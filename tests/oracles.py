@@ -44,7 +44,6 @@ from typing import NamedTuple
 
 from trispcat.accat import (
     AcyclicCategory,
-    Poset,
     as_poset,
     check_closure_operator,
     closure_direction,
@@ -59,7 +58,6 @@ from trispcat.closure import (
     TrispClosureMap,
     check_matching_acyclic,
 )
-from trispcat.equivariant import image_quotient_nerve
 from trispcat.errors import InputError, PreconditionError, SoundnessError
 from trispcat.graphs import lift_to_edges, partition_label, set_partitions, sn_generator_perms
 from trispcat.nerve import nerve
@@ -282,8 +280,8 @@ def poset_automorphisms(p):
     for perm in permutations(range(p.n)):
         if all(p.lt(perm[x], perm[y]) == p.lt(x, y) for x in range(p.n) for y in range(p.n)):
             mor = [None] * p.category.n_morphisms
-            for (x, y), m in p.mor_of.items():
-                mor[m] = p.mor_of[(perm[x], perm[y])]
+            for (x, y), m in p.category.mor_of.items():
+                mor[m] = p.category.mor_of[(perm[x], perm[y])]
             out.append(Aut((tuple(perm), tuple(mor))))
     return out
 
@@ -395,7 +393,7 @@ def poset_composition_table(p):
     table = {}
     for i, (x, y) in enumerate(zip(c.src, c.tgt)):
         for j in by_src.get(y, ()):
-            table[(i, j)] = p.mor_of[(x, c.tgt[j])]
+            table[(i, j)] = p.category.mor_of[(x, c.tgt[j])]
     return table
 
 
@@ -437,7 +435,7 @@ def poset_from_relation_oracle(labels, strict_pairs):
             pairs.append((x, low.bit_length() - 1))
             mask ^= low
     cat = AcyclicCategory(labels, [(x, y, f"{labels[x]}<{labels[y]}") for x, y in pairs])
-    p = Poset(cat)
+    p = as_poset(cat)
     cat.comp = poset_composition_table(p)
     return p
 
@@ -446,12 +444,13 @@ def covers_oracle(p):
     """The cover relations of a poset by brute force: each relation x < y with
     no object z at all such that x < z < y, in sorted order."""
     lt, objects = p.lt, range(p.n)
-    return [(x, y) for x, y in sorted(p.mor_of) if not any(lt(x, z) and lt(z, y) for z in objects)]
+    pairs = sorted(zip(p.category.src, p.category.tgt))
+    return [(x, y) for x, y in pairs if not any(lt(x, z) and lt(z, y) for z in objects)]
 
 
 def leq(p, x, y):
     """x <= y in the poset p."""
-    return x == y or (x, y) in p.mor_of
+    return x == y or (x, y) in p.category.mor_of
 
 
 def terminal_objects(c):
@@ -478,7 +477,7 @@ def poset_automorphism_violation(p, g):
     if not _is_perm(obj, c.n_objects) or not _is_perm(mor, c.n_morphisms):
         return ("not-a-permutation",)
     for m, (x, y) in enumerate(zip(c.src, c.tgt)):
-        if mor[m] != p.mor_of.get((obj[x], obj[y])):
+        if mor[m] != p.category.mor_of.get((obj[x], obj[y])):
             return ("order", m)
     return None
 
@@ -619,11 +618,11 @@ def poset_functor(p, obj):
     """The functor on a poset that an order-preserving object map induces."""
     obj = tuple(obj)
     mor = [None] * p.category.n_morphisms
-    for (x, y), m in p.mor_of.items():
+    for (x, y), m in p.category.mor_of.items():
         fx, fy = obj[x], obj[y]
         if not leq(p, fx, fy):
             raise ValueError(f"object map is not order-preserving at {(x, y)}")
-        mor[m] = None if fx == fy else p.mor_of[(fx, fy)]
+        mor[m] = None if fx == fy else p.category.mor_of[(fx, fy)]
     return Functor(obj, tuple(mor))
 
 
@@ -681,12 +680,15 @@ def check_operator_class_coherence(p, action, f):
     if any(f[g.dims[0][x]] != g.dims[0][f[x]] for g in action.generators for x in range(p.n)):
         raise PreconditionError("operator is not equivariant")
     qc = quotient_category(p.category, action)
-    keep, sub_qc = image_quotient_nerve(p, action, f)
-    sub_p = as_poset(sub_qc.source)
+    sub_p, keep = subposet(p, set(f))  # the image quotient, on the morphism-orbit path
     pos = {x: i for i, x in enumerate(keep)}
+    sub_gens = [[pos[g.dims[0][x]] for x in keep] for g in action.generators]
+    sub_qc = quotient_category(sub_p.category, close_group(sub_gens, on=sub_p))
 
     def arrow_class(q, poset, x, y):
-        return ("id", q.obj_class[x]) if x == y else ("mor", q.mor_class[poset.mor_of[(x, y)]])
+        if x == y:
+            return ("id", q.obj_class[x])
+        return ("mor", q.mor_class[poset.category.mor_of[(x, y)]])
 
     witnesses = []
     for members in class_members(qc.mor_class):

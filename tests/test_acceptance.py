@@ -187,7 +187,7 @@ def test_criterion_03_one_sided_operators_induce_closure_maps(poset_corpus):
             if direction is not None:
                 one_sided += 1
                 cmap = induced_trisp_closure_map(p, f, rep)
-                assert verify_trisp_closure_map(nv.trisp, cmap).ok, (p.mor_of, f)
+                assert verify_trisp_closure_map(nv.trisp, cmap).ok, (p.category.mor_of, f)
             else:
                 mixed += 1
                 bad_min = not verify_trisp_closure_map(nv.trisp, _candidate(f, p, "min")).ok
@@ -230,7 +230,7 @@ def test_criterion_05_poset_quotient_transfer(equivariant_corpus, dgn4_bundle):
             ok, witnesses = check_operator_class_coherence(p, action, f)
             assert ok, witnesses
             qc = quotient_category(p.category, action)
-            assert check_image_subtrisp_equality(p, f, qc)[1] is None
+            assert check_image_subtrisp_equality(p, f, qc, action)[1] is None
             _qmap, report = quotient_poset_closure_map(p, f, qc)
             assert report.ok
 
@@ -238,7 +238,7 @@ def test_criterion_05_poset_quotient_transfer(equivariant_corpus, dgn4_bundle):
     ok, witnesses = check_operator_class_coherence(fp.poset, act, f)
     assert ok, witnesses
     qc = quotient_category(fp.category, act)
-    assert check_image_subtrisp_equality(fp.poset, f, qc)[1] is None
+    assert check_image_subtrisp_equality(fp.poset, f, qc, act)[1] is None
     _qmap, report = quotient_poset_closure_map(fp.poset, f, qc)
     assert report.ok
 

@@ -1054,7 +1054,7 @@ def test_pipeline_62_fails_when_the_image_quotient_is_not_the_red_subtrisp(capsy
     from trispcat import graphs
 
     failing = (None, ("counts", (3, 2), (3, 3)))
-    monkeypatch.setattr(graphs, "check_image_subtrisp_equality", lambda p, f, qc: failing)
+    monkeypatch.setattr(graphs, "check_image_subtrisp_equality", lambda p, f, qc, g: failing)
     assert _pipeline_62_n4_failure(capsys) == (
         "failed: stage 'image_subtrisp_equality': ('counts', (3, 2), (3, 3))\n"
     )

@@ -205,7 +205,7 @@ def test_image_quotient_nerve_refuses_a_subset_the_action_moves_out(two_edges_z2
     p, _nv, cat_action, _tact, _cmap = two_edges_z2
     # the swap sends r1 to r2, which the subset leaves out
     with pytest.raises(PreconditionError, match="^subset is not closed under the action$"):
-        equivariant.image_quotient_nerve(p, cat_action, [0])
+        equivariant.image_quotient_nerve(p, cat_action, cat_action, [0])
 
 
 def test_class_coherence_trivial_and_identity(chain3):
@@ -227,10 +227,10 @@ def test_image_subtrisp_equality_trivial(two_edges_z2):
     p, _nv, cat_action, _tact, _cmap = two_edges_z2
     f = (0, 0, 2, 2)
     trivial = quotient_category(p.category, close_group([], on=p.category))
-    _mapping, witness = check_image_subtrisp_equality(p, f, trivial)
+    _mapping, witness = check_image_subtrisp_equality(p, f, trivial, trivial.action)
     assert witness is None
     _mapping, witness = check_image_subtrisp_equality(
-        p, f, quotient_category(p.category, cat_action)
+        p, f, quotient_category(p.category, cat_action), cat_action
     )
     assert witness is None
 
@@ -261,9 +261,10 @@ def test_poset_transfers_reject_a_quotient_of_another_poset(chain3):
     other = poset_from_relation(["a", "b", "c"], [(0, 1)])
     qc = quotient_category(other.category, close_group([], on=other.category))
     f = (0, 1, 1)
-    for transfer in (quotient_poset_closure_map, check_image_subtrisp_equality):
+    transfers = [(quotient_poset_closure_map, ()), (check_image_subtrisp_equality, (qc.action,))]
+    for transfer, group in transfers:
         with pytest.raises(PreconditionError, match="not a quotient of this poset"):
-            transfer(chain3, f, qc)
+            transfer(chain3, f, qc, *group)
 
 
 def test_quotient_poset_closure_map_requires_a_one_sided_operator(two_edges_z2):
@@ -354,7 +355,7 @@ def test_push_and_sectionwise_checks_random(seed):
         ok, witnesses = check_operator_class_coherence(p, action, f)
         assert ok, witnesses
         qc = quotient_category(p.category, action)
-        assert check_image_subtrisp_equality(p, f, qc)[1] is None
+        assert check_image_subtrisp_equality(p, f, qc, action)[1] is None
         _qmap, report = quotient_poset_closure_map(p, f, qc)
         assert report.ok
         # round trip through the quotient when the nerve is simplicial

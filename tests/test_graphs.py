@@ -9,7 +9,6 @@ from trispcat.closure import induced_trisp_closure_map, verify_trisp_closure_map
 from trispcat.equivariant import check_equivariant, push_closure_map, push_to_orbits
 from trispcat.errors import InputError
 from trispcat.graphs import (
-    _lift,
     _sn_group,
     build_dgn,
     edge_list,
@@ -29,6 +28,7 @@ from trispcat.nerve import nerve
 from trispcat.symmetry import (
     check_regular_action,
     induced_trisp_action,
+    lift_elements,
     orbit_nerve,
     quotient_category,
     quotient_trisp,
@@ -82,7 +82,7 @@ def test_face_poset_shapes(dgn4_bundle):
     assert face_poset(point).category.n_objects == 1
     edge = simplicial_from_faces(2, [(0,), (1,), (0, 1)])[0]
     assert face_poset(edge).category.n_objects == 3
-    assert len(face_poset(edge).poset.mor_of) == 2
+    assert len(face_poset(edge).poset.category.mor_of) == 2
 
 
 def test_face_poset_rejects_non_simplicial(double_filled):
@@ -265,7 +265,7 @@ def test_lifted_elements_are_the_relabellings(n):
         pp = partition_poset(n, fine_on_top=fine_on_top)
         posets.append((partition_action(pp), functools.partial(_partition_map, pp)))
     for act, relabel in posets:
-        lifted = _lift(group, act)
+        lifted = lift_elements(group, act)
         assert lifted == [relabel(perm) for perm in perms]
         # the old path: the object maps `GroupAction.elements` closes
         assert sorted(lifted) == object_maps(act)
@@ -433,20 +433,30 @@ def test_pipeline_62_quotient_is_the_poset_of_graph_classes(n):
 
 
 def test_pipeline_61_builds_no_morphism_map_and_no_morphism_label(monkeypatch):
-    # its actions are object maps checked on generating pairs; pipeline 62's
-    # four category quotients derive morphism maps, and label their classes
+    # its actions are object maps checked on generating pairs; pipeline 62
+    # reads its four category quotients off chain orbits, so it derives no
+    # morphism map either, and labels only the least morphism of each class;
+    # both read the order through up-sets, never building a poset's index
+    # (x, y) -> m
     from trispcat import accat, symmetry
 
     read = []
     maps, label = symmetry.morphism_maps, accat._OrderLabels.__getitem__
+    index = accat.AcyclicCategory.mor_of.func
     monkeypatch.setattr(symmetry, "morphism_maps", lambda c, a: read.append("map") or maps(c, a))
     monkeypatch.setattr(
         accat._OrderLabels, "__getitem__", lambda o, m: read.append("label") or label(o, m)
     )
+    monkeypatch.setattr(
+        accat.AcyclicCategory, "mor_of", property(lambda c: read.append("index") or index(c))
+    )
     report, _cert = pipeline_quotient_trisp(4)
     assert report.ok and read == []
     report, _steps = pipeline_quotient_category(4)
-    assert report.ok and read.count("map") == 4 and "label" in read
+    stages = {s["name"]: s["info"] for s in report.stages}
+    assert report.ok and "map" not in read and "index" not in read
+    assert 0 < read.count("label") == len(read)
+    assert stages["quotient_category"]["morphisms"] <= read.count("label")
 
 
 @pytest.mark.slow

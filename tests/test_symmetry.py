@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trispcat import symmetry
 from trispcat.accat import (
     AcyclicCategory,
     as_poset,
@@ -12,14 +13,16 @@ from trispcat.accat import (
     validate_category,
 )
 from trispcat.closure import induced_trisp_closure_map
-from trispcat.equivariant import push_closure_map
+from trispcat.equivariant import image_quotient_nerve, push_closure_map
 from trispcat.errors import InputError, NotAPosetError, PreconditionError, SoundnessError
 from trispcat.graphs import (
+    _sn_group,
     build_dgn,
     face_poset,
     face_poset_action,
     partition_action,
     partition_poset,
+    transitive_closure_operator,
 )
 from trispcat.nerve import chain_counts, nerve
 from trispcat.symmetry import (
@@ -31,10 +34,12 @@ from trispcat.symmetry import (
     check_regular_action,
     close_group,
     induced_trisp_action,
+    lift_elements,
     morphism_maps,
     orbit_nerve,
     orbit_partition,
     poset_automorphism,
+    poset_quotient_category,
     quotient_category,
     quotient_trisp,
     trisp_automorphism_violation,
@@ -134,7 +139,7 @@ def test_order_check_agrees_with_the_composition_scan(p):
     # the scan's witness
     c = p.category
     for perm in itertools.permutations(range(p.n)):
-        keeps = all(p.lt(perm[x], perm[y]) for (x, y) in p.mor_of)
+        keeps = all(p.lt(perm[x], perm[y]) for (x, y) in p.category.mor_of)
         try:
             g = poset_automorphism(p, perm)
         except InputError as exc:
@@ -170,7 +175,7 @@ def generated_posets(draw, max_n=5):
     rng = draw(st.randoms(use_true_random=False))
     label = rng.sample(range(p.n), p.n)
     pairs = [(label[x], label[y]) for x, y in p.relation]
-    pairs += [(label[x], label[y]) for x, y in p.mor_of if rng.random() < 0.5]
+    pairs += [(label[x], label[y]) for x, y in p.category.mor_of if rng.random() < 0.5]
     q = poset_from_relation(p.n, rng.sample(pairs, len(pairs)) * 2)
     keep = [x for x in range(q.n) if rng.random() < 0.7]
     return [q, as_poset(q.category), subposet(q, keep)[0]]
@@ -182,10 +187,10 @@ def test_the_relation_check_accepts_what_the_order_oracle_accepts(ps):
     # each object permutation is checked on the generating pairs only; it
     # passes exactly when the morphism map it fixes keeps the whole order
     for p in ps:
-        assert set(p.relation) <= set(p.mor_of)
+        assert set(p.relation) <= set(p.category.mor_of)
         for perm in itertools.permutations(range(p.n)):
             ends = zip(p.category.src, p.category.tgt)
-            mor = tuple(p.mor_of.get((perm[x], perm[y]), -1) for x, y in ends)
+            mor = tuple(p.category.mor_of.get((perm[x], perm[y]), -1) for x, y in ends)
             accepted = poset_automorphism_violation(p, Aut((perm, mor))) is None
             try:
                 poset_automorphism(p, perm)
@@ -255,7 +260,7 @@ def _explicit(p, action):
     gens = []
     for g in action.generators:
         obj = g.dims[0]
-        gens.append(Aut((obj, tuple(p.mor_of[(obj[x], obj[y])] for x, y in zip(c.src, c.tgt)))))
+        gens.append(Aut((obj, tuple(c.mor_of[(obj[x], obj[y])] for x, y in zip(c.src, c.tgt)))))
     return close_group(gens, on=c)
 
 
@@ -297,6 +302,95 @@ def test_the_sn_actions_quotient_as_their_explicit_morphism_maps():
         assert _quotient_outcome(quotient_category, p.category, action) == _quotient_outcome(
             quotient_category_oracle, p.category, _explicit(p, action)
         )
+
+
+def _orbit_row_outcomes(p, action, elements, explicit):
+    """The orbit-row quotient of `p`, `quotient_category` and its oracle, each as
+    (obj_class, obj_members, category JSON) or as (exception type, message).
+
+    The oracle takes `explicit`, the action with its morphism maps.  Each
+    union-find the orbit rows run is kept, and a second pass over the rows
+    must unite nothing.
+    """
+    made = []
+
+    class Recorded(symmetry._UnionFind):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "_UnionFind", Recorded)
+        orbit = _quotient_outcome(lambda _c, a: poset_quotient_category(p, a, elements), p, action)
+    if made:
+        [uf], t = made, orbit_nerve(p, elements).trisp
+        first = {}
+        for a0, a1, a2 in t.boundary_table(2) if t.dim >= 2 else ():
+            assert not uf.union(first.setdefault((uf.find(a2), uf.find(a0)), a1), a1)
+    outcomes = [
+        orbit,
+        _quotient_outcome(quotient_category, p.category, action),
+        _quotient_outcome(quotient_category_oracle, p.category, explicit),
+    ]
+    return [o if len(o) == 2 else (o[0], *o[2:]) for o in outcomes]
+
+
+def _assert_orbit_rows_agree(p, action, elements, explicit):
+    orbit, path, oracle = _orbit_row_outcomes(p, action, elements, explicit)
+    assert orbit == path == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_the_orbit_row_quotient_is_the_morphism_orbit_quotient_random(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, max_n=7)
+    action = random_action(rng, p)
+    _assert_orbit_rows_agree(p, action, object_maps(action), action)
+
+
+def _sn_posets(n):
+    """(poset, S_n action, lifted elements) for the DG_n face poset, its
+    operator image and both orientations of the partition poset."""
+    group, k = _sn_group(n), build_dgn(n)
+    fp = face_poset(k)
+    act = face_poset_action(k, fp)
+    sub, keep = subposet(fp.poset, set(transitive_closure_operator(k, fp)))
+    pos = {x: i for i, x in enumerate(keep)}
+    sub_act = close_group([[pos[g.dims[0][x]] for x in keep] for g in act.generators], on=sub)
+    out = [(fp.poset, act, lift_elements(group, act)), (sub, sub_act, object_maps(sub_act))]
+    for pp in (partition_poset(n), partition_poset(n, fine_on_top=False)):
+        pact = partition_action(pp)
+        out.append((pp.poset, pact, lift_elements(group, pact)))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_orbit_row_quotient_is_the_morphism_orbit_quotient_on_the_sn_posets(n):
+    # DG_3's face poset has no morphism, so its orbit nerve has no level 1
+    for p, action, elements in _sn_posets(n):
+        _assert_orbit_rows_agree(p, action, elements, _explicit(p, action))
+    assert _sn_posets(3)[0][0].category.n_morphisms == 0
+
+
+def test_the_orbit_row_quotient_refuses_a_non_horizontal_action():
+    # a swap of the ends of an arrow, not an automorphism, wrapped unchecked;
+    # without the check its one class would be a loop, an invalid quotient
+    p = chain_poset(2)
+    action = GroupAction((Aut(((1, 0),)),))
+    outcomes = _orbit_row_outcomes(p, action, [(0, 1), (1, 0)], action)
+    assert outcomes == [(PreconditionError, "action is not horizontal at (0, 1)")] * 3
+
+
+def test_an_image_quotient_on_fewer_than_two_objects_lifts_the_identity():
+    # two minimal objects swapped below a fixed top: the top alone, or no
+    # object, is a closed subset, on which the group lifts to one element
+    p = poset_from_relation(3, [(0, 2), (1, 2)])
+    action = close_group([(1, 0, 2)], on=p)
+    for image, objects in (([2], 1), ([], 0)):
+        keep, qc = image_quotient_nerve(p, action, action, image)
+        assert keep == tuple(image) and qc.category.n_objects == objects
+        assert lift_elements(action, qc.action) == [tuple(range(objects))]
 
 
 PATH_ORDERS = {
@@ -344,7 +438,7 @@ def test_terminal_object_of_fixture_quotients_is_the_definition(triangle_boundar
 def test_terminal_object_of_random_quotients_is_the_definition(seed):
     rng = random.Random(seed)
     p = random_poset(rng, max_n=6)
-    with_top = poset_from_relation(p.n + 1, [*p.mor_of, *((x, p.n) for x in range(p.n))])
+    with_top = poset_from_relation(p.n + 1, [*p.category.mor_of, *((x, p.n) for x in range(p.n))])
     for q in (p, with_top):
         assert_terminal_object_is_the_definition(
             quotient_category(q.category, random_action(rng, q)).category
@@ -632,6 +726,10 @@ def test_quotient_category_validates_the_quotient(chain3, monkeypatch):
     monkeypatch.setattr(symmetry, "validate_category", lambda c: looped)
     with pytest.raises(SoundnessError) as got:
         quotient_category(chain3.category, close_group([], on=chain3.category))
+    assert str(got.value) == f"quotient category invalid: {looped.to_json()}"
+    trivial = close_group([], on=chain3)
+    with pytest.raises(SoundnessError) as got:  # and on the orbit rows
+        poset_quotient_category(chain3, trivial, [(0, 1, 2)])
     assert str(got.value) == f"quotient category invalid: {looped.to_json()}"
 
 
