@@ -32,7 +32,8 @@ def main():
 
     hits = 0
     for p in all_posets_upto_iso(args.max_n):
-        if p.n < 2 or not (p.category.mor_of or args.include_antichains):
+        order = sorted(zip(p.category.src, p.category.tgt))
+        if p.n < 2 or not (order or args.include_antichains):
             continue
         nv = nerve(p.category)
         for f in monotone_idempotent_maps(p):
@@ -47,7 +48,7 @@ def main():
             }
             if all(not r.ok for r in reports.values()):
                 hits += 1
-                print(f"poset {sorted(p.category.mor_of)}  operator {f}")
+                print(f"poset {order}  operator {f}")
                 for conv, r in reports.items():
                     print(f"  {conv}: first failure {r.failures[0]}")
                 if hits >= args.limit:

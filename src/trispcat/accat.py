@@ -10,8 +10,9 @@ A poset built by `poset_from_relation` stores none: in a poset (x<y)(y<z)
 is x<z, so ``comp`` is a read-only view that looks the composite up in
 the order.  An operator on a poset is the tuple of its object images,
 ``f[x]``: a poset has at most one morphism between two objects, so the
-images of the objects fix those of the morphisms.  A check returns its
-witnesses, and a property holds when its witnesses are empty:
+images of the objects fix those of the morphisms; nothing indexes a
+morphism by its ends, as a poset's order is read through its up-sets.  A
+check returns its witnesses, and a property holds when they are empty:
 `check_closure_operator` returns a list per property, and
 `closure_direction` reads the one-sided rule off them.
 """
@@ -19,7 +20,6 @@ witnesses, and a property holds when its witnesses are empty:
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -75,11 +75,6 @@ class AcyclicCategory:
         for m, x in enumerate(src):
             out[x].append(m)
         self.out = tuple(map(tuple, out))
-
-    @cached_property
-    def mor_of(self):
-        """(x, y) -> the morphism x -> y, for a category with at most one; built when read."""
-        return dict(zip(zip(self.src, self.tgt), range(len(self.src))))
 
     @property
     def n_objects(self):

@@ -403,7 +403,7 @@ def pipeline_quotient_trisp(n):
         report.fail("regularity_condition", str(qt.regularity_witness))
     report.done("regularity_condition")
 
-    pushed, verify = push_to_orbits(qt.trisp, qt.obj_orbit, [c[0] for c in qt.chains[0]], cmap)
+    pushed, verify = push_to_orbits(qt.trisp, qt.obj_orbit, qt.tops[0], cmap)
     if not verify.ok:
         report.fail("induced_closure_map", f"pushed map failed verification: {verify.failures[:3]}")
     # the orbits with a partner are the extended ones, each standing for its chains
@@ -422,7 +422,7 @@ def pipeline_quotient_trisp(n):
     pqt = orbit_nerve(pp.poset, lift_elements(group, partition_action(pp)))
     vmap = []
     for parent in cert.final.to_parent[0]:
-        d, s = fp.elements[qt.chains[0][parent][0]]
+        d, s = fp.elements[qt.tops[0][parent]]
         vmap.append(pqt.obj_orbit[pp.index[k.components[d][s]]])
     _mapping, witness = trisps_equal_over_vertices(cert.final.trisp, pqt.trisp, vmap)
     if witness is not None:

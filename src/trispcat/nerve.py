@@ -16,8 +16,7 @@ _CYCLE = "chains do not terminate; the category has a directed cycle"
 
 
 class Nerve:
-    def __init__(self, category, trisp, chains, index):
-        self.category = category
+    def __init__(self, trisp, chains, index):
         self.trisp = trisp
         self.chains = chains  # chains[d][s] = morphism tuple of the d-simplex s
         self.index = index  # morphism tuple -> simplex index, over all d >= 1
@@ -77,7 +76,7 @@ def nerve(c):
         ends = [tgt[m] for m in lasts]
         rank = list(accumulate(map(ne, keys[1:], keys), initial=0))
         chains.append(level)
-    return Nerve(c, Trisp([len(lvl) for lvl in chains], bnd), tuple(chains), index)
+    return Nerve(Trisp([len(lvl) for lvl in chains], bnd), tuple(chains), index)
 
 
 def chain_counts(c):

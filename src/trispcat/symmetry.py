@@ -10,8 +10,8 @@ generators; orbits, quotients, equivariance and horizontality read only
 those.  A quotient category is read off the composable pairs whose first
 source is an orbit representative, or a poset's off its chain orbits.  A
 poset action holds object maps only, checked on the pairs that generate
-the order; `morphism_maps` reads a morphism image off the order where a
-category quotient or a nerve needs one.
+the order; it has no morphism level, so the paths that map morphisms
+(`quotient_category`, `induced_trisp_action`) refuse it.
 The group itself is closed, by breadth-first products of generators, only
 when a caller reads its elements or order.  Kernels on a nerve read whole
 tables: an induced action maps chains column by column, the automorphism
@@ -86,14 +86,11 @@ def poset_automorphism(p, obj):
     return Aut((obj,))
 
 
-def morphism_maps(c, action):
-    """Each generator's permutation of the morphisms of `c`: its second level,
-    or for a poset generator, an object map g, m: x -> y goes to the one
-    morphism gx -> gy (the keys of ``c.mor_of`` are in morphism order)."""
-    if len(action.generators[0].dims) == 2:
-        return [g.dims[1] for g in action.generators]
-    mor_of, objs = c.mor_of, [g.dims[0] for g in action.generators]
-    return [tuple([mor_of[(g[x], g[y])] for x, y in mor_of]) for g in objs]
+def morphism_maps(action):
+    """Each generator's morphism map, its second level; a poset action has none."""
+    if len(action.generators[0].dims) == 1:
+        raise PreconditionError("a poset action has no morphism level; see poset_quotient_category")
+    return [g.dims[1] for g in action.generators]
 
 
 def cat_automorphism_violation(c, g):
@@ -190,9 +187,9 @@ def close_group(generators, on):
     witness.  No generators give the trivial action, generated by the
     identity on the level sizes of `on`.  A category is checked entry by
     entry of its composition.  A poset's generators are object maps, each
-    checked and held as ``Aut((obj,))`` by `poset_automorphism`; the image
-    of a morphism is fixed by its ends (`morphism_maps`), and it sends the
-    composite x -> z of x -> y -> z to the composite of the images.
+    checked and held as ``Aut((obj,))`` by `poset_automorphism`.  Such an
+    action has no morphism level: `orbit_nerve` and `poset_quotient_category`
+    take it, and the paths that map morphisms refuse it (`morphism_maps`).
     """
     if not generators:
         if isinstance(on, Poset):
@@ -304,11 +301,12 @@ def induced_trisp_action(nv, action):
 
     Chains are mapped column by column: position j of every chain of one
     dimension goes through g's morphism map at once.  Each image is checked
-    to be an automorphism of the nerve.
+    to be an automorphism of the nerve.  A poset action has no morphism
+    level and is refused (`morphism_maps`).
 
-    Pipeline 61 builds its orbit trisp with `orbit_nerve` and never runs
-    this check, because on a poset it cannot fail.  There each generator
-    comes from `poset_automorphism`, so its object map g is a permutation
+    A poset's orbit trisp is built by `orbit_nerve`, which runs no such
+    check, because on a poset it cannot fail.  There each generator comes
+    from `poset_automorphism`, so its object map g is a permutation
     with x < y => gx < gy.  As a permutation of the finite set of relations
     it has an inverse that keeps the order too.  So g sends a chain
     x_0 < ... < x_d to the chain gx_0 < ... < gx_d, bijectively in each
@@ -318,7 +316,7 @@ def induced_trisp_action(nv, action):
     t, index = nv.trisp, nv.index
     columns = [list(zip(*nv.chains[d])) for d in range(1, t.dim + 1)]
     gens = []
-    for g, mor in zip(action.generators, morphism_maps(nv.category, action)):
+    for g, mor in zip(action.generators, morphism_maps(action)):
         obj = g.dims[0]
         dims = [obj] if t.dim >= 0 else []  # the empty category has an empty nerve
         for cols in columns:
@@ -370,12 +368,13 @@ class OrbitNerve:
     Built from chain orbits by `orbit_nerve`, never from the nerve itself,
     and numbered as `quotient_trisp` numbers the orbits of the nerve: in
     each dimension by least member.  A chain is its object tuple, listed
-    from the least object up, as the nerve's vertex tuples are.
+    from the least object up, as the nerve's vertex tuples are.  Of a least
+    chain only the top is kept; its row's last entry is the orbit of the rest.
     """
 
-    def __init__(self, trisp, chains, orbit_sizes, obj_orbit, regularity_violations):
+    def __init__(self, trisp, tops, orbit_sizes, obj_orbit, regularity_violations):
         self.trisp = trisp
-        self.chains = chains  # per dimension, orbit -> its least chain
+        self.tops = tops  # per dimension, orbit -> the top object of its least chain
         self.orbit_sizes = orbit_sizes  # per dimension, orbit -> |G| / |Stab| of its chains
         self.obj_orbit = obj_orbit  # object -> vertex orbit
         self.regularity_violations = regularity_violations
@@ -390,8 +389,11 @@ class OrbitNerve:
         if not self.regularity_violations:
             return None
         d, o = self.regularity_violations[0]
-        chain = self.chains[d][o]
-        return ((d, o), chain, tuple(self.obj_orbit[x] for x in chain))
+        chain, s = [self.tops[d][o]], o
+        for k in range(d, 0, -1):  # down the last faces, the chain less its top each time
+            s = self.trisp.boundary_table(k)[s][-1]
+            chain.append(self.tops[k - 1][s])
+        return ((d, o), tuple(chain[::-1]), tuple(self.obj_orbit[x] for x in chain[::-1]))
 
 
 def orbit_nerve(p, elements):
@@ -427,13 +429,13 @@ def orbit_nerve(p, elements):
     element that fixes the ones before, so s∘h is one lookup.
     """
     obj_orbit = next(levels := _chain_orbits(p, elements))
-    chains, sizes, bnd = list(zip(*levels)) or ((), (), ())
-    t = Trisp(list(map(len, chains)), list(bnd[1:]))
-    return OrbitNerve(t, chains, sizes, tuple(obj_orbit), regularity_violations(t))
+    tops, sizes, bnd = list(zip(*levels)) or ((), (), ())
+    t = Trisp(list(map(len, tops)), list(bnd[1:]))
+    return OrbitNerve(t, tops, sizes, tuple(obj_orbit), regularity_violations(t))
 
 
 def _chain_orbits(p, elements):
-    """`orbit_nerve`'s object orbits, then per level (least chains, sizes, rows), grown lazily."""
+    """`orbit_nerve`'s object orbits, then per level (tops, sizes, rows), grown lazily."""
     n, order, tgt = p.n, len(elements), p.category.tgt
     up = [tgt[ms[0]:ms[-1] + 1] if ms else () for ms in p.category.out]
     obj_orbit, reps, images = [-1] * n, [], []
@@ -467,27 +469,27 @@ def _chain_orbits(p, elements):
 
     # level 0: a vertex's one face is the empty chain, whose stabilizer is the group
     prev, tops, first, ids = [elements], reps, [0, len(reps)], range(len(reps))
-    level, rows, carried = [(r,) for r in reps], [(0,)] * len(reps), [e] * len(reps)
+    rows, carried = [(0,)] * len(reps), [e] * len(reps)
     stabs = [[g for g in elements if g[r] == r] for r in reps]
     stabs = [stab if len(stab) > 1 else trivial for stab in stabs]
-    while level:
+    while tops:
         # one shared int for the many chains whose stabilizer is the identity alone
         sizes = tuple(order if stab is trivial else order // len(stab) for stab in stabs)
-        yield tuple(level), sizes, rows
-        width, least = len(level[0]), {}
+        yield tops, sizes, rows
+        width, least = len(rows[0]), {}  # a chain's length, its number of faces
         grown, grown_stabs, grown_rows, grown_carried, grown_first = [], [], [], [], []
-        for k, chain in enumerate(level):
+        for k, top in enumerate(tops):
             stab = stabs[k]
             grown_first.append(len(grown))
-            if not up[chain[-1]]:
+            if not up[top]:
                 continue
             faces = [(first[o], first[o + 1], o, elements[h], h, prev[o] is trivial)
                      for o, h in zip(rows[k], carried[k * width:(k + 1) * width])]
-            for y in up[chain[-1]]:
+            for y in up[top]:
                 if stab is not trivial and any(g[y] < y for g in stab):
                     continue
                 fixing = trivial if stab is trivial else [g for g in stab if g[y] == y]
-                grown.append(chain + (y,))
+                grown.append(y)
                 grown_stabs.append(trivial if len(fixing) == 1 else fixing)
                 row = []
                 for lo, hi, o, g, h, plain in faces:
@@ -503,8 +505,8 @@ def _chain_orbits(p, elements):
                 grown_carried.append(e)
         grown_first.append(len(grown))
         # one int object per index, shared by every row that names it
-        tops, first, ids = [chain[-1] for chain in grown], grown_first, list(range(len(grown)))
-        prev, stabs, rows, carried, level = stabs, grown_stabs, grown_rows, grown_carried, grown
+        tops, first, ids = grown, grown_first, list(range(len(grown)))
+        prev, stabs, rows, carried = stabs, grown_stabs, grown_rows, grown_carried
 
 
 def check_regular_action(qt):
@@ -608,13 +610,13 @@ def quotient_category(c, action):
     classes are a congruence (`AcyclicCategory` rejects a second one), so
     the projection is a functor.
     """
+    maps = morphism_maps(action)  # a poset action is refused first
     witness = check_horizontal(c, action)
     if witness is not None:
         raise PreconditionError(f"action is not horizontal at {witness}")
+    # union-find nodes are the morphism orbits, by least member
+    mor_orbit, mor_reps = orbit_partition(maps, c.n_morphisms)
     obj_class, obj_reps = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)
-
-    # union-find nodes are the morphism orbits, numbered by least member
-    mor_orbit, mor_reps = orbit_partition(morphism_maps(c, action), c.n_morphisms)
     uf = _UnionFind(len(mor_reps))
     # congruence: composites of pairs in one class pair share a class
     first = {}  # (class of m1's orbit, class of m2's orbit) -> orbit of the first composite
@@ -648,8 +650,9 @@ def poset_quotient_category(p, action, elements):
     horizontal, `p` acyclic), where ∂2 ends and each ∂0 starts.
     """
     levels = _chain_orbits(p, elements)
-    obj_class, _vertices = next(levels), next(levels, None)
-    edges = next(levels, ((),))[0]  # a poset with no morphism has no level 1, nor 2
+    obj_class, vertices = next(levels), next(levels, ((),))[0]
+    tops, _sizes, rows = next(levels, ((), (), ()))  # no morphism: no level 1, nor 2
+    edges = [(vertices[row[-1]], y) for row, y in zip(rows, tops)]  # parent x, top y
     witness = next(((x, y) for x, y in edges if obj_class[x] == obj_class[y]), None)
     if witness is not None:  # as `check_horizontal` names it: the first is least in its orbit
         raise PreconditionError(f"action is not horizontal at {witness}")

@@ -10,7 +10,7 @@ from trispcat.nerve import nerve
 from trispcat.symmetry import Aut, close_group
 from trispcat.trisp import Trisp
 
-from oracles import chain_poset
+from oracles import chain_poset, explicit_action
 
 
 @pytest.fixture
@@ -40,11 +40,7 @@ def triangle_boundary():
         ["v0", "v1", "v2", "e0", "e1", "e2"],
         [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)],
     )
-    obj = (1, 2, 0, 4, 5, 3)
-    mor = [None] * 6
-    for (x, y), m in p.category.mor_of.items():
-        mor[m] = p.category.mor_of[(obj[x], obj[y])]
-    action = close_group([Aut((obj, tuple(mor)))], on=p.category)
+    action = explicit_action(p, close_group([(1, 2, 0, 4, 5, 3)], on=p))
     return p, action
 
 
@@ -58,11 +54,7 @@ def two_edges_z2():
     from trispcat.closure import induced_trisp_closure_map
 
     p = poset_from_relation(["r1", "b1", "r2", "b2"], [(0, 1), (2, 3)])
-    obj = (2, 3, 0, 1)
-    mor = [None] * 2
-    for (x, y), m in p.category.mor_of.items():
-        mor[m] = p.category.mor_of[(obj[x], obj[y])]
-    cat_action = close_group([Aut((obj, tuple(mor)))], on=p.category)
+    cat_action = explicit_action(p, close_group([(2, 3, 0, 1)], on=p))
     nv = nerve(p.category)
     from trispcat.symmetry import induced_trisp_action
 
@@ -73,7 +65,12 @@ def two_edges_z2():
 
 @pytest.fixture(scope="session")
 def dgn4_bundle():
-    """Shared n=4 application data: complex, face poset, operator, actions."""
+    """Shared n=4 application data: complex, face poset, operator, actions.
+
+    ``act`` is S_4 as `face_poset_action` builds it, object maps only;
+    ``cat_act`` is the same action with its morphism maps, as the category
+    path takes it, and ``tact`` its action on the nerve.
+    """
     from trispcat.accat import check_closure_operator
     from trispcat.graphs import (
         build_dgn,
@@ -88,13 +85,15 @@ def dgn4_bundle():
     bd = nerve(fp.category)
     f = transitive_closure_operator(k, fp)
     act = face_poset_action(k, fp)
-    tact = induced_trisp_action(bd, act)
+    cat_act = explicit_action(fp.poset, act)
+    tact = induced_trisp_action(bd, cat_act)
     return {
         "k": k,
         "fp": fp,
         "bd": bd,
         "f": f,
         "act": act,
+        "cat_act": cat_act,
         "tact": tact,
         "closure_witnesses": check_closure_operator(fp.poset, f),
     }

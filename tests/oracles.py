@@ -24,7 +24,9 @@ checks, as it was before it wrote its columns directly; the components of
 an edge set by union-find and its transitive closure through the edges
 inside them, as they were before DG_n carried each face's partition.
 Inverses and identity tests of group elements live here too, with the small
-constructions only tests read: the test x <= y in a poset, chain posets,
+constructions only tests read: the test x <= y in a poset, a poset's
+index (x, y) -> m and its action given with the morphism maps that index
+reads, the form in which the category path takes it, chain posets,
 opposite categories, the functor an order-preserving map of a poset
 induces, functor checks, nerves of functors, class coherence of an
 operator, the closure map on a poset quotient built class by class, as it
@@ -276,13 +278,11 @@ def monotone_idempotent_maps(p):
 
 def poset_automorphisms(p):
     """All automorphisms of a poset, as category automorphisms."""
-    out = []
+    out, mor_of = [], morphism_index(p.category)
     for perm in permutations(range(p.n)):
         if all(p.lt(perm[x], perm[y]) == p.lt(x, y) for x in range(p.n) for y in range(p.n)):
-            mor = [None] * p.category.n_morphisms
-            for (x, y), m in p.category.mor_of.items():
-                mor[m] = p.category.mor_of[(perm[x], perm[y])]
-            out.append(Aut((tuple(perm), tuple(mor))))
+            mor = tuple(mor_of[(perm[x], perm[y])] for x, y in zip(p.category.src, p.category.tgt))
+            out.append(Aut((tuple(perm), mor)))
     return out
 
 
@@ -318,6 +318,26 @@ def random_action(rng, p, max_order=6, attempts=8):
         if 1 < action.order <= max_order:
             return action
     return close_group([], on=p.category)
+
+
+def morphism_index(c):
+    """(x, y) -> the morphism x -> y, in a category with at most one, read off its ends."""
+    return dict(zip(zip(c.src, c.tgt), range(c.n_morphisms)))
+
+
+def explicit_action(p, action):
+    """The action of object maps on the poset `p`, each given with its morphism
+    map, read off the order and checked by the composition scan.
+
+    A poset action has no morphism level; this is the form in which the
+    category path (`quotient_category`, `induced_trisp_action`) takes it.
+    """
+    c, mor_of = p.category, morphism_index(p.category)
+    gens = []
+    for g in action.generators:
+        obj = g.dims[0]
+        gens.append(Aut((obj, tuple(mor_of[(obj[x], obj[y])] for x, y in zip(c.src, c.tgt)))))
+    return close_group(gens, on=c)
 
 
 def object_maps(action):
@@ -390,10 +410,10 @@ def poset_composition_table(p):
     by_src = {}
     for j, y in enumerate(c.src):
         by_src.setdefault(y, []).append(j)
-    table = {}
+    table, mor_of = {}, morphism_index(c)
     for i, (x, y) in enumerate(zip(c.src, c.tgt)):
         for j in by_src.get(y, ()):
-            table[(i, j)] = p.category.mor_of[(x, c.tgt[j])]
+            table[(i, j)] = mor_of[(x, c.tgt[j])]
     return table
 
 
@@ -450,7 +470,7 @@ def covers_oracle(p):
 
 def leq(p, x, y):
     """x <= y in the poset p."""
-    return x == y or (x, y) in p.category.mor_of
+    return x == y or bool(p.category.hom(x, y))
 
 
 def terminal_objects(c):
@@ -476,8 +496,9 @@ def poset_automorphism_violation(p, g):
     obj, mor = g.dims
     if not _is_perm(obj, c.n_objects) or not _is_perm(mor, c.n_morphisms):
         return ("not-a-permutation",)
+    mor_of = morphism_index(c)
     for m, (x, y) in enumerate(zip(c.src, c.tgt)):
-        if mor[m] != p.category.mor_of.get((obj[x], obj[y])):
+        if mor[m] != mor_of.get((obj[x], obj[y])):
             return ("order", m)
     return None
 
@@ -617,12 +638,12 @@ class Functor(NamedTuple):
 def poset_functor(p, obj):
     """The functor on a poset that an order-preserving object map induces."""
     obj = tuple(obj)
-    mor = [None] * p.category.n_morphisms
-    for (x, y), m in p.category.mor_of.items():
+    mor_of, mor = morphism_index(p.category), []
+    for x, y in zip(p.category.src, p.category.tgt):
         fx, fy = obj[x], obj[y]
         if not leq(p, fx, fy):
             raise ValueError(f"object map is not order-preserving at {(x, y)}")
-        mor[m] = None if fx == fy else p.category.mor_of[(fx, fy)]
+        mor.append(None if fx == fy else mor_of[(fx, fy)])
     return Functor(obj, tuple(mor))
 
 
@@ -679,24 +700,25 @@ def check_operator_class_coherence(p, action, f):
         action = close_group([g.dims[0] for g in action.generators], on=p)
     if any(f[g.dims[0][x]] != g.dims[0][f[x]] for g in action.generators for x in range(p.n)):
         raise PreconditionError("operator is not equivariant")
-    qc = quotient_category(p.category, action)
+    qc = quotient_category(p.category, explicit_action(p, action))
     sub_p, keep = subposet(p, set(f))  # the image quotient, on the morphism-orbit path
     pos = {x: i for i, x in enumerate(keep)}
     sub_gens = [[pos[g.dims[0][x]] for x in keep] for g in action.generators]
-    sub_qc = quotient_category(sub_p.category, close_group(sub_gens, on=sub_p))
+    sub_qc = quotient_category(sub_p.category, explicit_action(sub_p, close_group(sub_gens, on=sub_p)))
+    p_mor, sub_mor = morphism_index(p.category), morphism_index(sub_p.category)
 
-    def arrow_class(q, poset, x, y):
+    def arrow_class(q, mor_of, x, y):
         if x == y:
             return ("id", q.obj_class[x])
-        return ("mor", q.mor_class[poset.category.mor_of[(x, y)]])
+        return ("mor", q.mor_class[mor_of[(x, y)]])
 
     witnesses = []
     for members in class_members(qc.mor_class):
         tags_q, tags_img = set(), set()
         for m in members:
             fx, fy = f[p.category.src[m]], f[p.category.tgt[m]]
-            tags_q.add(arrow_class(qc, p, fx, fy))
-            tags_img.add(arrow_class(sub_qc, sub_p, pos[fx], pos[fy]))
+            tags_q.add(arrow_class(qc, p_mor, fx, fy))
+            tags_img.add(arrow_class(sub_qc, sub_mor, pos[fx], pos[fy]))
         if len(tags_q) > 1:
             witnesses.append(("quotient", members, tuple(sorted(tags_q))))
         if len(tags_img) > 1:

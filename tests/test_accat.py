@@ -173,7 +173,6 @@ def test_poset_from_relation_matches_the_bitmask_builder(relation):
     assert c.objects == e.objects
     # the labels "x<y", read off the object labels, are the strings the oracle stores
     assert (c.src, c.tgt, c.out, tuple(c.mor_labels)) == (e.src, e.tgt, e.out, e.mor_labels)
-    assert list(p.category.mor_of.items()) == list(expected.category.mor_of.items())
     assert p.above == expected.above  # the up-sets, kept from the closure
     assert p.relation == tuple(sorted(set(pairs)))
     assert len(c.comp) == len(e.comp)
@@ -291,7 +290,8 @@ def test_covers_match_the_brute_force(p, rng):
     # on the poset, on a relabelled copy read back through as_poset, and on
     # any relation read as a category document: cycles and self-loops too
     label = rng.sample(range(p.n), p.n)
-    relabelled = AcyclicCategory(p.n, [(label[x], label[y]) for x, y in p.category.mor_of])
+    ends = zip(p.category.src, p.category.tgt)
+    relabelled = AcyclicCategory(p.n, [(label[x], label[y]) for x, y in ends])
     pairs = {(rng.randrange(p.n), rng.randrange(p.n)) for _ in range(rng.randrange(3 * p.n))}
     for q in (p, as_poset(relabelled), as_poset(AcyclicCategory(p.n, sorted(pairs)))):
         assert covers(q) == covers_oracle(q)
@@ -316,7 +316,7 @@ def test_ac_maps_on_posets_preserve_order(p, rng):
         return
     f = poset_functor(p, values)
     assert check_functor(p.category, p.category, f) == []
-    for (x, y) in p.category.mor_of:
+    for x, y in zip(p.category.src, p.category.tgt):
         assert leq(p, f.obj[x], f.obj[y])
 
 
@@ -361,8 +361,8 @@ def test_long_chain_composes_without_a_table():
     # a stored table would hold C(800, 3) composites and take minutes to build
     p = poset_from_relation(800, [(i, i + 1) for i in range(799)])
     assert len(p.category.comp) == 85_013_600
-    m1, m2 = p.category.mor_of[(10, 500)], p.category.mor_of[(500, 799)]
-    assert p.category.comp[(m1, m2)] == p.category.mor_of[(10, 799)]
+    [m1], [m2] = p.category.hom(10, 500), p.category.hom(500, 799)
+    assert (p.category.comp[(m1, m2)],) == p.category.hom(10, 799)
     assert p.category.comp.get((m2, m1)) is None
 
 

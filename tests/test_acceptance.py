@@ -51,6 +51,7 @@ from oracles import (
     check_operator_class_coherence,
     decomposition_quotient_classes,
     dgn_trisp_action,
+    explicit_action,
     inverse,
     iterated_faces,
     monotone_idempotent_maps,
@@ -151,8 +152,8 @@ def test_criterion_02_canonical_map_surjectivity(triangle_boundary, dgn4_bundle)
     cm = canonical_map(quotient_category(p.category, action))
     assert cm.vertex_bijective and all(cm.surjective_by_dim)
 
-    fp, act = dgn4_bundle["fp"], dgn4_bundle["act"]
-    qc = quotient_category(fp.category, act)
+    fp = dgn4_bundle["fp"]
+    qc = quotient_category(fp.category, dgn4_bundle["cat_act"])
     cm = canonical_map(qc)
     assert cm.vertex_bijective and all(cm.surjective_by_dim)
     lifts = canonical_lifts(qc, cm)
@@ -187,7 +188,7 @@ def test_criterion_03_one_sided_operators_induce_closure_maps(poset_corpus):
             if direction is not None:
                 one_sided += 1
                 cmap = induced_trisp_closure_map(p, f, rep)
-                assert verify_trisp_closure_map(nv.trisp, cmap).ok, (p.category.mor_of, f)
+                assert verify_trisp_closure_map(nv.trisp, cmap).ok, (p.relation, f)
             else:
                 mixed += 1
                 bad_min = not verify_trisp_closure_map(nv.trisp, _candidate(f, p, "min")).ok
@@ -237,7 +238,7 @@ def test_criterion_05_poset_quotient_transfer(equivariant_corpus, dgn4_bundle):
     fp, f, act = dgn4_bundle["fp"], dgn4_bundle["f"], dgn4_bundle["act"]
     ok, witnesses = check_operator_class_coherence(fp.poset, act, f)
     assert ok, witnesses
-    qc = quotient_category(fp.category, act)
+    qc = quotient_category(fp.category, dgn4_bundle["cat_act"])
     assert check_image_subtrisp_equality(fp.poset, f, qc, act)[1] is None
     _qmap, report = quotient_poset_closure_map(fp.poset, f, qc)
     assert report.ok
@@ -310,8 +311,7 @@ def test_criterion_08_quotient_category_pipeline():
     t0 = time.perf_counter()
     for n, expected_objects in ((4, 3), (5, 5)):
         pp = partition_poset(n)
-        act = partition_action(pp)
-        qc = quotient_category(pp.category, act)
+        qc = quotient_category(pp.category, explicit_action(pp.poset, partition_action(pp)))
         assert qc.category.n_objects == expected_objects
         terminal = find_terminal_object(qc.category)
         assert terminal is not None

@@ -19,9 +19,9 @@ from trispcat import equivariant
 from trispcat.cli import COMMANDS, _parse_plain, build_parser, main
 from trispcat.closure import full_collapse_audit, induced_trisp_closure_map
 from trispcat.nerve import nerve
-from trispcat.symmetry import close_group, morphism_maps, quotient_trisp
+from trispcat.symmetry import close_group, induced_trisp_action, quotient_trisp
 
-from oracles import chain_poset, is_identity, object_maps
+from oracles import chain_poset, explicit_action, is_identity
 
 
 def write(path, payload):
@@ -620,10 +620,10 @@ def test_nerve_of_partition_poset_file(capsys, tmp_path):
 def test_quotient_of_dgn4_face_poset(capsys, tmp_path, dgn4_bundle):
     fp, act = dgn4_bundle["fp"], dgn4_bundle["act"]
     cat_file = write(tmp_path / "fp.json", fp.category.to_json())
-    maps = zip(act.generators, morphism_maps(fp.category, act))
+    gens = [g.dims for g in explicit_action(fp.poset, act).generators]
     act_file = write(
         tmp_path / "act.json",
-        {"generators": [{"objects": list(g.dims[0]), "morphisms": list(mor)} for g, mor in maps]},
+        {"generators": [{"objects": list(obj), "morphisms": list(mor)} for obj, mor in gens]},
     )
     code, out = run(capsys, "quotient", "--input", cat_file, "--action", act_file)
     assert code == 0
@@ -967,18 +967,46 @@ def test_pipeline_61_fails_its_quotient_when_an_orbit_is_miscounted(capsys, monk
     )
 
 
-def test_pipeline_61_names_an_irregular_orbit_by_its_least_chain(capsys, monkeypatch):
-    from trispcat import graphs, symmetry
+def _least_chain_witness(n, d, o):
+    """The regularity witness of the orbit (d, o) of DG_n's subdivision under S_n,
+    read off the nerve and `quotient_trisp`: the orbit's least chain and the
+    vertex orbit of each of its objects."""
+    from trispcat import graphs
 
-    k = graphs.build_dgn(4)
+    k = graphs.build_dgn(n)
     fp = graphs.face_poset(k)
-    on = symmetry.orbit_nerve(fp.poset, object_maps(graphs.face_poset_action(k, fp)))
-    chain = on.chains[1][2]
+    nv = nerve(fp.category)
+    act = explicit_action(fp.poset, graphs.face_poset_action(k, fp))
+    qt = quotient_trisp(nv.trisp, induced_trisp_action(nv, act))
+    chain = nv.trisp.vertex_tuple(d, qt.reps[d][o])
+    return ((d, o), chain, tuple(qt.projection[0][x] for x in chain))
+
+
+def test_pipeline_61_names_an_irregular_orbit_by_its_least_chain(capsys, monkeypatch):
+    from trispcat import symmetry
+
+    witness = _least_chain_witness(4, 1, 2)
     monkeypatch.setattr(symmetry, "regularity_violations", lambda t: [(1, 2)])
-    witness = ((1, 2), chain, tuple(on.obj_orbit[x] for x in chain))
     assert _pipeline_61_n4_failure(capsys) == (
         f"failed: stage 'regularity_condition': {witness}\n"
     )
+
+
+@pytest.mark.parametrize("d, o, witness", [
+    (2, 7, "((2, 7), (0, 10, 177), (0, 1, 7))"),
+    (3, 5, "((3, 5), (0, 10, 55, 262), (0, 1, 3, 10))"),
+])
+def test_pipeline_61_names_an_irregular_orbit_above_dimension_one(capsys, monkeypatch, d, o, witness):
+    # the least chain is rebuilt from the rows down to the vertex it starts
+    # at, and the witness still names the irregular orbit (d, o)
+    from trispcat import symmetry
+
+    assert str(_least_chain_witness(5, d, o)) == witness
+    monkeypatch.setattr(symmetry, "regularity_violations", lambda t: [(d, o)])
+    code = main(["dgn", "pipeline", "--n", "5", "--pipeline", "61"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"failed: stage 'regularity_condition': {witness}\n"
 
 
 def test_pipeline_61_fails_when_the_pushed_map_does_not_verify(capsys, monkeypatch):
@@ -1222,9 +1250,8 @@ def _quotient_documents():
         ["v0", "v1", "v2", "e0", "e1", "e2"],
         [(0, 3), (0, 5), (1, 3), (1, 4), (2, 4), (2, 5)],
     )
-    rotation = close_group([(1, 2, 0, 4, 5, 3)], on=hexagon)
-    [mor] = morphism_maps(hexagon.category, rotation)
-    rotate = {"objects": list(rotation.generators[0].dims[0]), "morphisms": list(mor)}
+    [rotation] = explicit_action(hexagon, close_group([(1, 2, 0, 4, 5, 3)], on=hexagon)).generators
+    rotate = {"objects": list(rotation.dims[0]), "morphisms": list(rotation.dims[1])}
     return [
         ("category", hexagon.category.to_json(), {"generators": [rotate]}),
         # no generators: a mutated category reaches validation and the quotient

@@ -475,7 +475,7 @@ def test_one_sided_operators_verify_exhaustively_n6():
             if closure_direction(witnesses) is None:
                 continue
             cmap = induced_trisp_closure_map(p, f, witnesses)
-            assert verify_trisp_closure_map(nv.trisp, cmap).ok, (p.category.mor_of, f)
+            assert verify_trisp_closure_map(nv.trisp, cmap).ok, (p.relation, f)
 
 
 def _collapse_agrees_with_the_oracle(t, cmap):

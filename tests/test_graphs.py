@@ -26,10 +26,13 @@ from trispcat.graphs import (
 )
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
+    Aut,
+    GroupAction,
     check_regular_action,
     induced_trisp_action,
     lift_elements,
     orbit_nerve,
+    poset_quotient_category,
     quotient_category,
     quotient_trisp,
 )
@@ -37,7 +40,9 @@ from trispcat.trisp import Trisp, simplicial_from_faces, validate_trisp
 
 from oracles import (
     dgn_trisp_action,
+    explicit_action,
     graph_class_oracle,
+    morphism_index,
     object_maps,
     partition_of_edges,
     partition_poset_oracle,
@@ -82,7 +87,7 @@ def test_face_poset_shapes(dgn4_bundle):
     assert face_poset(point).category.n_objects == 1
     edge = simplicial_from_faces(2, [(0,), (1,), (0, 1)])[0]
     assert face_poset(edge).category.n_objects == 3
-    assert len(face_poset(edge).poset.category.mor_of) == 2
+    assert face_poset(edge).poset.category.n_morphisms == 2
 
 
 def test_face_poset_rejects_non_simplicial(double_filled):
@@ -302,8 +307,7 @@ def test_operator_is_equivariant(dgn4_bundle):
 def test_partition_quotient_objects_and_terminal():
     for n, expected in ((4, 3), (5, 5)):
         pp = partition_poset(n)
-        act = partition_action(pp)
-        qc = quotient_category(pp.category, act)
+        qc = quotient_category(pp.category, explicit_action(pp.poset, partition_action(pp)))
         assert qc.category.n_objects == expected
         t = find_terminal_object(qc.category)
         assert t is not None
@@ -319,8 +323,7 @@ def test_cone_on_partition_quotient_collapses_to_point():
     from trispcat.closure import cone_closure_map, full_collapse_audit, verify_trisp_closure_map
 
     pp = partition_poset(4)
-    act = partition_action(pp)
-    qc = quotient_category(pp.category, act)
+    qc = quotient_category(pp.category, explicit_action(pp.poset, partition_action(pp)))
     nv = nerve(qc.category)
     t = find_terminal_object(qc.category)
     cone = cone_closure_map(qc.category, t)
@@ -389,10 +392,10 @@ def test_pipeline_61_pushes_what_the_subdivision_pushes(n, extended):
     act = face_poset_action(k, fp)
     cmap = induced_trisp_closure_map(fp.poset, f, check_closure_operator(fp.poset, f))
     bd = nerve(fp.category)
-    tact = induced_trisp_action(bd, act)
+    tact = induced_trisp_action(bd, explicit_action(fp.poset, act))
     upstairs, upstairs_report = push_closure_map(quotient_trisp(bd.trisp, tact), cmap)
     on = orbit_nerve(fp.poset, object_maps(act))
-    pushed, verify = push_to_orbits(on.trisp, on.obj_orbit, [c[0] for c in on.chains[0]], cmap)
+    pushed, verify = push_to_orbits(on.trisp, on.obj_orbit, on.tops[0], cmap)
     # the same map on the same orbit numbering, with the same report downstairs
     assert (pushed.blue, pushed.red, pushed.mapping, pushed.convention) == (
         upstairs.blue, upstairs.red, upstairs.mapping, upstairs.convention
@@ -415,46 +418,54 @@ def test_pipeline_quotient_category_n4():
 def test_pipeline_62_quotient_is_the_poset_of_graph_classes(n):
     # the face poset's quotient by S_n against graph isomorphism classes: the
     # same object classes, one morphism per related class pair (4, 44, 462,
-    # where the morphism orbits number 4, 55, 843), and the order complex
+    # where the morphism orbits number 4, 55, 843), and the order complex;
+    # both paths: off the orbit nerve, as pipeline 62 reads it, and off the
+    # morphism orbits, as `trispcat quotient` reads it.  `face_poset_action`
+    # checked the generators as poset automorphisms, so the morphism maps
+    # are read off the order without `close_group`'s composition scan.
     oracle = graph_class_oracle(n)
     bit = {pair: 1 << i for i, pair in enumerate(oracle.edges)}
     k = build_dgn(n)
     fp = face_poset(k)
-    qc = quotient_category(fp.category, face_poset_action(k, fp))
+    act = face_poset_action(k, fp)
+    c, mor_of = fp.category, morphism_index(fp.category)
+    ends = list(zip(c.src, c.tgt))
+    objs = [g.dims[0] for g in act.generators]
+    gens = tuple(Aut((g, tuple(mor_of[(g[x], g[y])] for x, y in ends))) for g in objs)
     masks = [sum(bit[k.edges[e]] for e in k.faces_by_dim[d][s]) for d, s in fp.elements]
     assert sorted(masks) == sorted(oracle.class_of)
-    to_oracle = dict(zip(qc.obj_class, (oracle.class_of[mask] for mask in masks)))
-    assert len(to_oracle) == qc.category.n_objects == len(set(to_oracle.values()))
-    assert all(to_oracle[qc.obj_class[x]] == oracle.class_of[mask] for x, mask in enumerate(masks))
-    q = qc.category
-    pairs = sorted((to_oracle[a], to_oracle[b]) for a, b in zip(q.src, q.tgt))
-    assert pairs == sorted(oracle.related)
-    assert qc.nerve.trisp.counts == oracle.chain_counts
+    for qc in (
+        poset_quotient_category(fp.poset, act, lift_elements(_sn_group(n), act)),
+        quotient_category(c, GroupAction(gens)),
+    ):
+        to_oracle = dict(zip(qc.obj_class, (oracle.class_of[mask] for mask in masks)))
+        assert len(to_oracle) == qc.category.n_objects == len(set(to_oracle.values()))
+        assert all(
+            to_oracle[qc.obj_class[x]] == oracle.class_of[mask] for x, mask in enumerate(masks)
+        )
+        q = qc.category
+        pairs = sorted((to_oracle[a], to_oracle[b]) for a, b in zip(q.src, q.tgt))
+        assert pairs == sorted(oracle.related)
+        assert qc.nerve.trisp.counts == oracle.chain_counts
 
 
 def test_pipeline_61_builds_no_morphism_map_and_no_morphism_label(monkeypatch):
     # its actions are object maps checked on generating pairs; pipeline 62
-    # reads its four category quotients off chain orbits, so it derives no
-    # morphism map either, and labels only the least morphism of each class;
-    # both read the order through up-sets, never building a poset's index
-    # (x, y) -> m
+    # reads its four category quotients off chain orbits, so it reads no
+    # morphism map either, and labels only the least morphism of each class
     from trispcat import accat, symmetry
 
     read = []
     maps, label = symmetry.morphism_maps, accat._OrderLabels.__getitem__
-    index = accat.AcyclicCategory.mor_of.func
-    monkeypatch.setattr(symmetry, "morphism_maps", lambda c, a: read.append("map") or maps(c, a))
+    monkeypatch.setattr(symmetry, "morphism_maps", lambda a: read.append("map") or maps(a))
     monkeypatch.setattr(
         accat._OrderLabels, "__getitem__", lambda o, m: read.append("label") or label(o, m)
-    )
-    monkeypatch.setattr(
-        accat.AcyclicCategory, "mor_of", property(lambda c: read.append("index") or index(c))
     )
     report, _cert = pipeline_quotient_trisp(4)
     assert report.ok and read == []
     report, _steps = pipeline_quotient_category(4)
     stages = {s["name"]: s["info"] for s in report.stages}
-    assert report.ok and "map" not in read and "index" not in read
+    assert report.ok and "map" not in read
     assert 0 < read.count("label") == len(read)
     assert stages["quotient_category"]["morphisms"] <= read.count("label")
 
@@ -489,6 +500,6 @@ def test_canonical_map_surjectivity_n5():
 
     k = build_dgn(5)
     fp = face_poset(k)
-    act = face_poset_action(k, fp)
+    act = explicit_action(fp.poset, face_poset_action(k, fp))
     cm = canonical_map(quotient_category(fp.category, act))
     assert cm.vertex_bijective and all(cm.surjective_by_dim)

@@ -205,7 +205,7 @@ RECORD_FIELDS = {
     "Aut": "dims",
     "GroupAction": "generators",
     "QuotientTrisp": "source action trisp projection reps regularity_violations",
-    "OrbitNerve": "trisp chains orbit_sizes obj_orbit regularity_violations",
+    "OrbitNerve": "trisp tops orbit_sizes obj_orbit regularity_violations",
     "QuotientCategory": "source action category obj_class mor_class obj_members",
     "CanonicalMap": "nerve_dst entries",
     "TrispReport": "identity_violations regularity_violations is_simplicial is_flag_complex",

@@ -28,6 +28,7 @@ from trispcat.nerve import chain_counts, nerve
 from trispcat.symmetry import (
     Aut,
     GroupAction,
+    OrbitNerve,
     canonical_map,
     cat_automorphism_violation,
     check_horizontal,
@@ -35,7 +36,6 @@ from trispcat.symmetry import (
     close_group,
     induced_trisp_action,
     lift_elements,
-    morphism_maps,
     orbit_nerve,
     orbit_partition,
     poset_automorphism,
@@ -53,9 +53,11 @@ from oracles import (
     chain_poset,
     decomposition_quotient_classes,
     dgn_trisp_action,
+    explicit_action,
     inverse,
     is_identity,
     iterated_faces,
+    morphism_index,
     object_maps,
     path_category,
     poset_automorphism_violation,
@@ -134,12 +136,12 @@ def test_close_group_builds_a_poset_generator_from_its_object_map(chain3):
 def test_order_check_agrees_with_the_composition_scan(p):
     # every object permutation: poset_automorphism accepts exactly the automorphisms,
     # and close_group on the poset holds their object maps; with the morphism
-    # map derived from the order both checks accept them, and both reject one
+    # map read off the order both checks accept them, and both reject one
     # with two morphisms swapped, as close_group on the category does, with
     # the scan's witness
     c = p.category
     for perm in itertools.permutations(range(p.n)):
-        keeps = all(p.lt(perm[x], perm[y]) for (x, y) in p.category.mor_of)
+        keeps = all(p.lt(perm[x], perm[y]) for x, y in zip(c.src, c.tgt))
         try:
             g = poset_automorphism(p, perm)
         except InputError as exc:
@@ -150,8 +152,7 @@ def test_order_check_agrees_with_the_composition_scan(p):
             continue
         assert keeps and g == Aut((perm,))
         assert close_group([perm], on=p).generators == (g,)
-        [mor] = morphism_maps(c, GroupAction((g,)))
-        g = Aut((perm, mor))
+        [g] = explicit_action(p, GroupAction((g,))).generators
         assert poset_automorphism_violation(p, g) is None
         assert cat_automorphism_violation(c, g) is None
         assert close_group([g], on=c).generators == (g,)
@@ -175,7 +176,8 @@ def generated_posets(draw, max_n=5):
     rng = draw(st.randoms(use_true_random=False))
     label = rng.sample(range(p.n), p.n)
     pairs = [(label[x], label[y]) for x, y in p.relation]
-    pairs += [(label[x], label[y]) for x, y in p.category.mor_of if rng.random() < 0.5]
+    ends = zip(p.category.src, p.category.tgt)
+    pairs += [(label[x], label[y]) for x, y in ends if rng.random() < 0.5]
     q = poset_from_relation(p.n, rng.sample(pairs, len(pairs)) * 2)
     keep = [x for x in range(q.n) if rng.random() < 0.7]
     return [q, as_poset(q.category), subposet(q, keep)[0]]
@@ -187,10 +189,11 @@ def test_the_relation_check_accepts_what_the_order_oracle_accepts(ps):
     # each object permutation is checked on the generating pairs only; it
     # passes exactly when the morphism map it fixes keeps the whole order
     for p in ps:
-        assert set(p.relation) <= set(p.category.mor_of)
+        mor_of = morphism_index(p.category)
+        assert set(p.relation) <= set(mor_of)
         for perm in itertools.permutations(range(p.n)):
             ends = zip(p.category.src, p.category.tgt)
-            mor = tuple(p.category.mor_of.get((perm[x], perm[y]), -1) for x, y in ends)
+            mor = tuple(mor_of.get((perm[x], perm[y]), -1) for x, y in ends)
             accepted = poset_automorphism_violation(p, Aut((perm, mor))) is None
             try:
                 poset_automorphism(p, perm)
@@ -253,62 +256,46 @@ def test_representative_pairs_match_the_full_scan_random(seed):
         )
 
 
-def _explicit(p, action):
-    """The action of object maps on the poset `p`, each given with its morphism
-    map, read off the order and checked by the composition scan."""
-    c = p.category
-    gens = []
-    for g in action.generators:
-        obj = g.dims[0]
-        gens.append(Aut((obj, tuple(c.mor_of[(obj[x], obj[y])] for x, y in zip(c.src, c.tgt)))))
-    return close_group(gens, on=c)
-
-
-def _assert_quotients_agree(p, action):
-    explicit = _explicit(p, action)
-    assert morphism_maps(p.category, action) == [g.dims[1] for g in explicit.generators]
-    outcomes = [_quotient_outcome(quotient_category, p.category, a) for a in (action, explicit)]
-    assert outcomes[0] == outcomes[1]
-    if isinstance(outcomes[0][0], tuple):  # a quotient, not an exception
-        maps = [canonical_map(quotient_category(p.category, a)).entries for a in (action, explicit)]
-        assert maps[0] == maps[1]
+_NO_MORPHISM_LEVEL = "a poset action has no morphism level; see poset_quotient_category"
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
-def test_a_poset_action_quotients_as_its_explicit_morphism_maps(seed):
-    # object maps only: quotient_category and canonical_map derive the
-    # morphism maps, and agree with the same action given with them
+def test_quotient_category_refuses_a_poset_action(seed):
+    # object maps only: a named refusal before any other check, not an
+    # IndexError; the same action given with its morphism maps quotients as
+    # the oracle does
     rng = random.Random(seed)
     p = random_poset(rng, max_n=7)
     action = close_group([g.dims[0] for g in random_action(rng, p).generators], on=p)
     assert all(len(g.dims) == 1 for g in action.generators)
-    _assert_quotients_agree(p, action)
+    assert _quotient_outcome(quotient_category, p.category, action) == (
+        PreconditionError, _NO_MORPHISM_LEVEL
+    )
+    explicit = explicit_action(p, action)
+    assert _quotient_outcome(quotient_category, p.category, explicit) == _quotient_outcome(
+        quotient_category_oracle, p.category, explicit
+    )
 
 
-def test_the_sn_actions_quotient_as_their_explicit_morphism_maps():
-    # and as the full-scan oracle quotients them, on the DG_n face poset and
-    # both orientations of the partition poset, n = 4, 5
-    posets = []
-    for n in (4, 5):
-        k = build_dgn(n)
-        fp = face_poset(k)
-        posets.append((fp.poset, face_poset_action(k, fp)))
-        for pp in (partition_poset(n), partition_poset(n, fine_on_top=False)):
-            posets.append((pp.poset, partition_action(pp)))
-    for p, action in posets:
-        assert all(len(g.dims) == 1 for g in action.generators)
-        _assert_quotients_agree(p, action)
-        assert _quotient_outcome(quotient_category, p.category, action) == _quotient_outcome(
-            quotient_category_oracle, p.category, _explicit(p, action)
-        )
+def test_induced_trisp_action_refuses_a_poset_action(dgn4_bundle):
+    # the S_4 action on DG_4's face poset as face_poset_action builds it, object
+    # maps only, and the same action with its morphism maps
+    fp, act, bd = dgn4_bundle["fp"], dgn4_bundle["act"], dgn4_bundle["bd"]
+    assert all(len(g.dims) == 1 for g in act.generators)
+    with pytest.raises(PreconditionError) as got:
+        induced_trisp_action(bd, act)
+    assert str(got.value) == _NO_MORPHISM_LEVEL
+    tact = induced_trisp_action(bd, explicit_action(fp.poset, act))
+    assert [g.dims[0] for g in tact.generators] == [g.dims[0] for g in act.generators]
 
 
 def _orbit_row_outcomes(p, action, elements, explicit):
     """The orbit-row quotient of `p`, `quotient_category` and its oracle, each as
     (obj_class, obj_members, category JSON) or as (exception type, message).
 
-    The oracle takes `explicit`, the action with its morphism maps.  Each
+    `quotient_category` and the oracle take `explicit`, the action with its
+    morphism maps.  Each
     union-find the orbit rows run is kept, and a second pass over the rows
     must unite nothing.
     """
@@ -329,7 +316,7 @@ def _orbit_row_outcomes(p, action, elements, explicit):
             assert not uf.union(first.setdefault((uf.find(a2), uf.find(a0)), a1), a1)
     outcomes = [
         orbit,
-        _quotient_outcome(quotient_category, p.category, action),
+        _quotient_outcome(quotient_category, p.category, explicit),
         _quotient_outcome(quotient_category_oracle, p.category, explicit),
     ]
     return [o if len(o) == 2 else (o[0], *o[2:]) for o in outcomes]
@@ -369,7 +356,7 @@ def _sn_posets(n):
 def test_the_orbit_row_quotient_is_the_morphism_orbit_quotient_on_the_sn_posets(n):
     # DG_3's face poset has no morphism, so its orbit nerve has no level 1
     for p, action, elements in _sn_posets(n):
-        _assert_orbit_rows_agree(p, action, elements, _explicit(p, action))
+        _assert_orbit_rows_agree(p, action, elements, explicit_action(p, action))
     assert _sn_posets(3)[0][0].category.n_morphisms == 0
 
 
@@ -377,8 +364,8 @@ def test_the_orbit_row_quotient_refuses_a_non_horizontal_action():
     # a swap of the ends of an arrow, not an automorphism, wrapped unchecked;
     # without the check its one class would be a loop, an invalid quotient
     p = chain_poset(2)
-    action = GroupAction((Aut(((1, 0),)),))
-    outcomes = _orbit_row_outcomes(p, action, [(0, 1), (1, 0)], action)
+    action, explicit = (GroupAction((Aut(dims),)) for dims in (((1, 0),), ((1, 0), (0,))))
+    outcomes = _orbit_row_outcomes(p, action, [(0, 1), (1, 0)], explicit)
     assert outcomes == [(PreconditionError, "action is not horizontal at (0, 1)")] * 3
 
 
@@ -438,7 +425,8 @@ def test_terminal_object_of_fixture_quotients_is_the_definition(triangle_boundar
 def test_terminal_object_of_random_quotients_is_the_definition(seed):
     rng = random.Random(seed)
     p = random_poset(rng, max_n=6)
-    with_top = poset_from_relation(p.n + 1, [*p.category.mor_of, *((x, p.n) for x in range(p.n))])
+    ends = zip(p.category.src, p.category.tgt)
+    with_top = poset_from_relation(p.n + 1, [*ends, *((x, p.n) for x in range(p.n))])
     for q in (p, with_top):
         assert_terminal_object_is_the_definition(
             quotient_category(q.category, random_action(rng, q)).category
@@ -509,7 +497,7 @@ def test_orbits_from_generators_random(seed):
 def test_pushing_through_the_induced_action_closes_no_group(dgn4_bundle):
     # the bundle's own action is shared with tests that read its elements
     b = dgn4_bundle
-    tact = induced_trisp_action(b["bd"], b["act"])
+    tact = induced_trisp_action(b["bd"], b["cat_act"])
     cmap = induced_trisp_closure_map(b["fp"].poset, b["f"], b["closure_witnesses"])
     push_closure_map(quotient_trisp(b["bd"].trisp, tact), cmap)
     assert "elements" not in tact.__dict__
@@ -784,7 +772,7 @@ def test_induced_action_checks_the_chain_index(dgn4_bundle):
     a, b = nv.chains[2][:2]
     nv.index[a], nv.index[b] = nv.index[b], nv.index[a]
     with pytest.raises(SoundnessError, match="not an automorphism"):
-        induced_trisp_action(nv, dgn4_bundle["act"])
+        induced_trisp_action(nv, dgn4_bundle["cat_act"])
 
 
 def test_canonical_map_trivial_group_is_isomorphism(chain3):
@@ -831,8 +819,7 @@ def test_canonical_map_hexagon_bijective(triangle_boundary):
 
 
 def test_canonical_map_lifts_round_trip(dgn4_bundle):
-    fp, act = dgn4_bundle["fp"], dgn4_bundle["act"]
-    qc = quotient_category(fp.category, act)
+    qc = quotient_category(dgn4_bundle["fp"].category, dgn4_bundle["cat_act"])
     cm = canonical_map(qc)
     assert all(cm.surjective_by_dim)
     lifts = canonical_lifts(qc, cm)
@@ -888,14 +875,22 @@ def test_canonical_map_surjective_random(seed):
 
 
 def _assert_orbit_nerve_is_the_quotient_of_the_nerve(p, action):
-    """The orbit nerve equals `quotient_trisp` of the nerve, table for table."""
+    """The orbit nerve equals `quotient_trisp` of the nerve, table for table.
+
+    Each orbit's least chain, as the regularity witness would rebuild it from
+    the tops and the rows, is the vertex tuple of its least member upstairs.
+    """
     on = orbit_nerve(p, object_maps(action))
     nv = nerve(p.category)
-    qt = quotient_trisp(nv.trisp, induced_trisp_action(nv, action))
+    qt = quotient_trisp(nv.trisp, induced_trisp_action(nv, explicit_action(p, action)))
     assert on.trisp.counts == qt.trisp.counts
     for d in range(qt.trisp.dim + 1):
         assert on.trisp.boundary_table(d) == qt.trisp.boundary_table(d)
-        assert on.chains[d] == tuple(nv.trisp.vertex_tuple(d, rep) for rep in qt.reps[d])
+        least = [nv.trisp.vertex_tuple(d, rep) for rep in qt.reps[d]]
+        assert list(on.tops[d]) == [chain[-1] for chain in least]
+        for o, chain in enumerate(least):
+            named = OrbitNerve(on.trisp, on.tops, on.orbit_sizes, on.obj_orbit, [(d, o)])
+            assert named.regularity_witness[:2] == ((d, o), chain)
     assert on.obj_orbit == qt.projection[0]
     # each orbit counted once: the orbit sizes add up to the chains, per dimension
     assert [sum(sizes) for sizes in on.orbit_sizes] == list(nv.trisp.counts)
@@ -922,6 +917,17 @@ def test_orbit_nerve_of_the_dgn_face_poset(n, counts):
     fp = face_poset(k)
     on = _assert_orbit_nerve_is_the_quotient_of_the_nerve(fp.poset, face_poset_action(k, fp))
     assert list(on.trisp.counts) == counts
+
+
+def test_orbit_nerve_keeps_one_int_per_simplex_and_no_chain():
+    # on DG_5's face poset each orbit of chains keeps one int, the top object
+    # of its least chain; no chain tuple is stored, and its rows are the trisp's
+    k = build_dgn(5)
+    fp = face_poset(k)
+    on = orbit_nerve(fp.poset, object_maps(face_poset_action(k, fp)))
+    assert list(map(len, on.tops)) == list(on.trisp.counts) == [12, 55, 122, 153, 105, 30]
+    assert {type(top) for level in on.tops for top in level} == {int}
+    assert not hasattr(on, "chains")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -952,7 +958,9 @@ def test_orbit_nerve_composes_a_stabilizer_element_with_a_transporter():
     p, action = _ranks_under_s3(4)
     on = _assert_orbit_nerve_is_the_quotient_of_the_nerve(p, action)
     assert list(on.trisp.counts) == [4, 12, 20, 14]
-    assert on.chains[1][:3] == ((0, 3), (0, 4), (0, 6))
+    # the least chains (0, 3), (0, 4), (0, 6): one parent, the vertex 0
+    assert on.tops[1][:3] == [3, 4, 6] and on.tops[0][0] == 0
+    assert [row[-1] for row in on.trisp.boundary_table(1)[:3]] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("repeated", [0, 3])
@@ -971,7 +979,7 @@ def test_orbit_nerve_refuses_an_element_listed_twice(repeated):
 def test_orbit_nerve_of_the_empty_poset():
     p = poset_from_relation(0, [])
     on = orbit_nerve(p, object_maps(close_group([], on=p.category)))
-    assert on.trisp.counts == () and on.chains == () and on.obj_orbit == ()
+    assert on.trisp.counts == () and on.tops == () and on.obj_orbit == ()
 
 
 def test_chain_counts_refuse_a_cycle():
