@@ -57,24 +57,19 @@ def _indices(entries):
     return entries
 
 
-def _load_trisp_action(doc, t):
+def _load_action(doc, on):
+    """The action that the generators of `doc` generate on the trisp or category `on`."""
+    is_trisp = isinstance(on, trisp.Trisp)
     with malformed("action"):
         auts = []
         for g in doc["generators"]:
-            if "dims" not in g:
+            if is_trisp and "dims" not in g:
                 raise InputError("trisp action generators need 'dims'")
-            auts.append(symmetry.Aut(tuple(_indices(p) for p in g["dims"])))
-        return symmetry.close_group(auts, on=t)
-
-
-def _load_cat_action(doc, c):
-    with malformed("action"):
-        auts = []
-        for g in doc["generators"]:
-            if "objects" not in g or "morphisms" not in g:
+            if not is_trisp and ("objects" not in g or "morphisms" not in g):
                 raise InputError("category action generators need 'objects' and 'morphisms'")
-            auts.append(symmetry.Aut((_indices(g["objects"]), _indices(g["morphisms"]))))
-        return symmetry.close_group(auts, on=c)
+            levels = g["dims"] if is_trisp else (g["objects"], g["morphisms"])
+            auts.append(symmetry.Aut(tuple(map(_indices, levels))))
+        return symmetry.close_group(auts, on=on)
 
 
 def cmd_validate(args):
@@ -121,7 +116,7 @@ def cmd_quotient(args):
     act_doc = _load(args.action)
     if _detect(doc) == "trisp":
         t = trisp.Trisp.from_json(doc)
-        action = _load_trisp_action(act_doc, t)
+        action = _load_action(act_doc, t)
         qt = symmetry.quotient_trisp(t, action)
         payload = {
             "quotient": qt.trisp.to_json(),
@@ -132,7 +127,7 @@ def cmd_quotient(args):
         _emit(args, payload)
         return 0
     c = accat.AcyclicCategory.from_json(doc)
-    action = _load_cat_action(act_doc, c)
+    action = _load_action(act_doc, c)
     report = accat.validate_category(c)
     if not report.ok:
         _emit(args, {"error": "input category invalid", **report.to_json()})
@@ -182,7 +177,7 @@ def cmd_closure(args):
         raise InputError(f"closure {sub} needs --action")
     if sub == "push":
         cmap.check_vertices(t)  # the map lives on t; refuse it before the action is built
-    qt = symmetry.quotient_trisp(t, _load_trisp_action(_load(args.action), t))
+    qt = symmetry.quotient_trisp(t, _load_action(_load(args.action), t))
     if sub == "push":
         try:
             pushed, report = equivariant.push_closure_map(qt, cmap)
@@ -246,21 +241,21 @@ def cmd_dgn(args):
 
 _FORMAT = {"choices": ["json", "dot"], "default": "json"}
 
-# command -> (help, verbs or None, {long option: argparse's `add_argument` keywords})
+# command -> (handler, help, verbs or None, {long option: argparse's `add_argument` keywords})
 COMMANDS = {
-    "validate": ("validate a category or trisp file", None,
+    "validate": (cmd_validate, "validate a category or trisp file", None,
                  {"--input": {"required": True}, "--output": {}, "--format": _FORMAT}),
-    "nerve": ("nerve of a category file", None,
+    "nerve": (cmd_nerve, "nerve of a category file", None,
               {"--input": {"required": True}, "--output": {}, "--format": _FORMAT}),
-    "quotient": ("quotient by a group action", None,
+    "quotient": (cmd_quotient, "quotient by a group action", None,
                  {"--input": {"required": True}, "--action": {"required": True}, "--output": {}}),
-    "closure": ("closure map operations", ["verify", "push", "lift", "collapse"], {
+    "closure": (cmd_closure, "closure map operations", ["verify", "push", "lift", "collapse"], {
         "--input": {"required": True, "help": "trisp file"},
         "--map": {"required": True, "help": "closure map file"},
         "--action": {"help": "trisp action file (push/lift)"},
         "--output": {},
     }),
-    "dgn": ("disconnected graph complexes and pipelines", ["build", "pipeline"], {
+    "dgn": (cmd_dgn, "disconnected graph complexes and pipelines", ["build", "pipeline"], {
         "--n": {"type": int, "required": True},
         "--pipeline": {"choices": ["61", "62"], "help": "61 (the default) or 62"},
         "--output": {},
@@ -274,7 +269,7 @@ def build_parser():
 
     parser = argparse.ArgumentParser(prog="trispcat")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, verbs, options) in COMMANDS.items():
+    for command, (_handler, text, verbs, options) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         if verbs is not None:
             p.add_argument("verb", choices=verbs)
@@ -294,7 +289,7 @@ def _parse_plain(argv):
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    _text, verbs, options = COMMANDS[argv[0]]
+    _handler, _text, verbs, options = COMMANDS[argv[0]]
     args, rest = {"command": argv[0]}, argv[1:]
     if verbs is not None:
         if not rest or rest[0] not in verbs:
@@ -325,15 +320,8 @@ def main(argv=None):
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse wrote its usage error (code 2) or help (0)
             return exc.code
-    handlers = {
-        "validate": cmd_validate,
-        "nerve": cmd_nerve,
-        "quotient": cmd_quotient,
-        "closure": cmd_closure,
-        "dgn": cmd_dgn,
-    }
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command][0](args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

@@ -7,15 +7,17 @@ points has one level.  Elements multiply level by level.  An automorphism
 of a category keeps sources, targets and composition; one of a trisp
 commutes with the boundary operators.  An action is given by its
 generators; orbits, quotients, equivariance and horizontality read only
-those.  A quotient category is read off the composable pairs whose first
-source is an orbit representative, or a poset's off its chain orbits.  A
-poset action holds object maps only, checked on the pairs that generate
-the order; it has no morphism level, so the paths that map morphisms
-(`quotient_category`, `induced_trisp_action`) refuse it.
-The group itself is closed, by breadth-first products of generators, only
-when a caller reads its elements or order.  Kernels on a nerve read whole
-tables: an induced action maps chains column by column, the automorphism
-check compares boundary columns, and orbits are labelled by a stack search
+those.  A quotient category is read off orbit rows, the orbits of the
+faces of its composable pairs, by one congruence pass: the rows of the
+pairs whose first source is an orbit representative, or of a poset's
+chain orbits.  A poset action holds object maps only, checked on the
+pairs that generate the order; it has no morphism level, so the paths
+that map morphisms (`quotient_category`, `induced_trisp_action`) refuse
+it.  The group itself is closed, by breadth-first products of
+generators, only when a caller reads its elements or order.  Kernels on
+a nerve read whole tables: an induced action maps edges by morphism and
+longer chains by their faces (∂_0, ∂_d), the automorphism check compares
+boundary columns, and orbits are labelled by a stack search
 along the generators.  The orbit trisp of a poset's nerve is also built
 without the nerve: `orbit_nerve` takes the group as the object maps of its
 elements, closed by the caller, and lists each orbit of chains once, by its
@@ -283,26 +285,25 @@ def orbit_partition(perms, n):
     return orbit, reps
 
 
-def check_horizontal(c, action):
+def check_horizontal(obj_orbit, pairs):
     """No morphism joins two distinct objects of one orbit: every orbit is an antichain.
 
-    Returns (source, target) of the first such morphism, or None.  Generator
-    orbits suffice: if y = hx and z = kx, then z = (kh⁻¹)y.
+    `obj_orbit` gives each object's orbit, under a group's generators or its
+    elements alike: if y = hx and z = kx, then z = (kh⁻¹)y.  `pairs` are the
+    (source, target) of the morphisms to check.  Returns the first pair
+    whose ends differ and share an orbit, or None.
     """
-    orbit, _reps = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)
-    for x, y in zip(c.src, c.tgt):
-        if x != y and orbit[x] == orbit[y]:
-            return (x, y)
-    return None
+    return next(((x, y) for x, y in pairs if x != y and obj_orbit[x] == obj_orbit[y]), None)
 
 
 def induced_trisp_action(nv, action):
     """Transport a category action to the nerve: g sends a chain to its image chain.
 
-    Chains are mapped column by column: position j of every chain of one
-    dimension goes through g's morphism map at once.  Each image is checked
-    to be an automorphism of the nerve.  A poset action has no morphism
-    level and is refused (`morphism_maps`).
+    An edge goes through g's morphism map, and a longer chain to the chain
+    whose faces (∂_0, ∂_d) are the images of its own (`Nerve.images`); a
+    pair that is no chain's gives an entry -1, so no permutation.  Each
+    image is checked to be an automorphism of the nerve.  A poset action
+    has no morphism level and is refused (`morphism_maps`).
 
     A poset's orbit trisp is built by `orbit_nerve`, which runs no such
     check, because on a poset it cannot fail.  There each generator comes
@@ -313,16 +314,9 @@ def induced_trisp_action(nv, action):
     dimension, and dropping x_i commutes with applying g: the induced map
     commutes with every boundary.
     """
-    t, index = nv.trisp, nv.index
-    columns = [list(zip(*nv.chains[d])) for d in range(1, t.dim + 1)]
-    gens = []
+    t, gens = nv.trisp, []
     for g, mor in zip(action.generators, morphism_maps(action)):
-        obj = g.dims[0]
-        dims = [obj] if t.dim >= 0 else []  # the empty category has an empty nerve
-        for cols in columns:
-            images = zip(*[[mor[m] for m in col] for col in cols])
-            dims.append(tuple([index[ms] for ms in images]))
-        aut = Aut(tuple(dims))
+        aut = Aut(tuple(nv.images(t, g.dims[0], [mor[m] for m in nv.morphisms])))
         witness = trisp_automorphism_violation(t, aut)
         if witness is not None:
             raise SoundnessError(f"induced map is not an automorphism: {witness}")
@@ -568,19 +562,79 @@ def quotient_category(c, action):
     Preconditions: `c` is a valid acyclic category (`validate_category`) and
     the generators are automorphisms of it (as `close_group` checks).
 
-    Only the representative pairs (m1, m2), whose first source is an
-    object-orbit representative, are scanned.  The union-find runs on the
-    morphism orbits.  A composable pair is a translate (g r1, g r2) of a
-    representative pair, with composite g r12, so it has the class key of
-    (r1, r2) and its composite lies in the class of r12: the first
-    composites give the class composition.  Roots are least orbits, so the
-    classes do not depend on the order of the unions.
+    The rows are the representative pairs (m1, m2), whose first source is an
+    object-orbit representative, listed m1 by m1, one run each.  A composable
+    pair is a translate (g m1, g m2) of one, so two pairs with one first
+    factor move into one run, and every orbit of pairs has a row.
+    """
+    maps = morphism_maps(action)  # a poset action is refused first
+    obj_class, obj_reps = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)
+    witness = check_horizontal(obj_class, zip(c.src, c.tgt))
+    if witness is not None:
+        raise PreconditionError(f"action is not horizontal at {witness}")
+    mor_orbit, mor_reps = orbit_partition(maps, c.n_morphisms)
+    rows = _pair_rows(c, obj_reps, mor_orbit)
+    return _class_quotient(c, action, obj_class, rows, mor_reps, mor_orbit)
 
-    One pass over the representative pairs reaches the least congruence,
-    so there is no second pass.  Call ab and ab' adjacent when b and b'
-    lie in one morphism orbit, and let ≈ be the equivalence generated by
-    the orbits and adjacency; every congruence holding the orbits holds ≈.
-    And ≈ is a congruence:
+
+def _pair_rows(c, firsts, mor_orbit):
+    """The orbits of m2, m1 m2 and m1 for each composable pair whose first source is in
+    `firsts`, first factor by first factor."""
+    for x in firsts:
+        for m1 in c.out[x]:
+            for m2 in c.out[c.tgt[m1]]:
+                m12 = c.comp.get((m1, m2))
+                if m12 is None:
+                    raise PreconditionError(f"composition table incomplete at {(m1, m2)}")
+                yield mor_orbit[m2], mor_orbit[m12], mor_orbit[m1]
+
+
+def poset_quotient_category(p, action, elements):
+    """`quotient_category` of the poset `p`, read off the 2-skeleton of its orbit nerve.
+
+    `elements` is the group `action` generates, as `orbit_nerve` takes it.
+    Each morphism orbit is led by its least chain x < y, whose morphism is
+    its least, so the classes are numbered and labelled as in
+    `quotient_category`.  The rows are those of the orbit nerve's level 2:
+    an orbit of chains x < y < z has the row of the orbits of y < z, x < z
+    and x < y, and the rows of one parent x < y, listed by least chain,
+    make a run.  A group element moves two pairs with one first factor onto
+    x < y < z and x < y < z' with x < y least, and the least chain of an
+    orbit has a least prefix, so the least chains of both orbits extend
+    x < y.
+    """
+    levels = _chain_orbits(p, elements)
+    obj_class, vertices = next(levels), next(levels, ((),))[0]
+    tops, _sizes, rows = next(levels, ((), (), ()))  # no morphism: no level 1, nor 2
+    edges = [(vertices[row[-1]], y) for row, y in zip(rows, tops)]  # parent x, top y
+    # the first least edge that is not horizontal is the least such morphism, as `quotient_category`
+    witness = check_horizontal(obj_class, edges)
+    if witness is not None:
+        raise PreconditionError(f"action is not horizontal at {witness}")
+    tgt, out = p.category.tgt, p.category.out
+    least = [bisect_left(tgt, y, out[x][0], out[x][-1] + 1) for x, y in edges]
+    rows = next(levels, ((), (), ()))[2]
+    return _class_quotient(p.category, action, obj_class, rows, least, None)
+
+
+def _class_quotient(c, action, obj_class, rows, least, mor_orbit):
+    """The quotient of `c` by the congruence on morphism orbits that `rows` generate.
+
+    Orbit k is led by the morphism ``least[k]``, and `mor_orbit`, morphism
+    -> orbit, or None, gives ``mor_class``.  A row (a0, a1, a2) is the faces
+    ∂0, ∂1, ∂2 of a composable pair ab: the orbits of b, ab and a.  Every
+    orbit of pairs has a row.  The rows come in runs, the pairs of one first
+    factor each, and any two pairs with one first factor are moved by a
+    group element into one run.  The union-find runs on the orbits, in one
+    pass: it keys each row by (class of a2, class of a0) and unites a1 with
+    the first composite of its key.  Roots are least orbits, so the classes
+    do not depend on the order of the unions; the first composites give the
+    class composition.
+
+    One pass reaches the least congruence that holds the orbits.  Call ab
+    and ab' adjacent when b and b' lie in one orbit, and let ≈ be the
+    equivalence generated by the orbits and adjacency; every such
+    congruence holds ≈.  And ≈ is a congruence:
     - if b ≈ b' and both follow a, then ab ≈ ab': move each morphism of a
       chain from b to b' onto the source of b by a group element; an orbit
       step becomes one by an element fixing that source, so a times its
@@ -592,14 +646,12 @@ def quotient_category(c, action):
       chain from a to a' and ending with the first case, ab ≈ a'b'
       whenever b ≈ b'.
     The pass makes every adjacency, and each of its unions is forced, so
-    its classes are those of ≈.  A group element moves ab and ab' onto the
-    composites of two representative pairs in the inner loop of one first
-    factor r1, where their keys agree: the second factors share an orbit,
-    so a class from the start, and no union in that loop touches the class
-    of r1.  Such a union joins composites that end in the orbit of the
-    second factor's target, which is not the orbit of r1's target (the
-    action is horizontal and `c` acyclic), and each class keeps the
-    endpoint orbits of its members.
+    its classes are those of ≈.  A group element moves adjacent ab, ab'
+    into one run, where their rows share a2 and a0, and no union in the run
+    changes the class of either: it joins composites from the orbit of a's
+    source into another than that of a's target, where a2 ends and each a0
+    starts (the action is horizontal, `c` acyclic), and each class keeps
+    the endpoint orbits of its members.
 
     A check is left out because it cannot fail.  Endpoints are constant on
     classes, so each class takes those of its least member: the members of
@@ -610,63 +662,9 @@ def quotient_category(c, action):
     classes are a congruence (`AcyclicCategory` rejects a second one), so
     the projection is a functor.
     """
-    maps = morphism_maps(action)  # a poset action is refused first
-    witness = check_horizontal(c, action)
-    if witness is not None:
-        raise PreconditionError(f"action is not horizontal at {witness}")
-    # union-find nodes are the morphism orbits, by least member
-    mor_orbit, mor_reps = orbit_partition(maps, c.n_morphisms)
-    obj_class, obj_reps = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)
-    uf = _UnionFind(len(mor_reps))
-    # congruence: composites of pairs in one class pair share a class
-    first = {}  # (class of m1's orbit, class of m2's orbit) -> orbit of the first composite
-    for x in obj_reps:
-        for m1 in c.out[x]:
-            r1 = uf.find(mor_orbit[m1])  # once: no union in m1's loop touches its class (above)
-            for m2 in c.out[c.tgt[m1]]:
-                m12 = c.comp.get((m1, m2))
-                if m12 is None:
-                    raise PreconditionError(f"composition table incomplete at {(m1, m2)}")
-                o12 = mor_orbit[m12]
-                uf.union(first.setdefault((r1, uf.find(mor_orbit[m2])), o12), o12)
-    return _class_quotient(c, action, obj_class, uf, first, mor_reps, mor_orbit)
-
-
-def poset_quotient_category(p, action, elements):
-    """`quotient_category` of the poset `p`, read off the 2-skeleton of its orbit nerve.
-
-    `elements` is the group `action` generates, as `orbit_nerve` takes it.
-    The union-find runs on the morphism orbits, each led by its least chain
-    x < y, whose morphism is its least, so the classes are numbered and
-    labelled as in `quotient_category`.  An orbit of chains x < y < z has
-    the row ∂0, ∂1, ∂2, the orbits of y < z, x < z, x < y.  One pass keys
-    each row by (class ∂2, class ∂0) and unites ∂1 with the first composite
-    of its key.  It is enough, by `quotient_category`'s argument on rows: a
-    group element moves adjacent ab, ab' onto x < y < z, x < y < z', x < y
-    least; a least chain's prefix is least, so their orbits' rows share the
-    parent x < y and the orbit ∂0 of b and b', and come one after another.
-    No union among them touches the class of ∂2 or of a ∂0, as it joins
-    composites from x's orbit into another than y's (the action is
-    horizontal, `p` acyclic), where ∂2 ends and each ∂0 starts.
-    """
-    levels = _chain_orbits(p, elements)
-    obj_class, vertices = next(levels), next(levels, ((),))[0]
-    tops, _sizes, rows = next(levels, ((), (), ()))  # no morphism: no level 1, nor 2
-    edges = [(vertices[row[-1]], y) for row, y in zip(rows, tops)]  # parent x, top y
-    witness = next(((x, y) for x, y in edges if obj_class[x] == obj_class[y]), None)
-    if witness is not None:  # as `check_horizontal` names it: the first is least in its orbit
-        raise PreconditionError(f"action is not horizontal at {witness}")
-    uf, first = _UnionFind(len(edges)), {}
-    for a0, a1, a2 in next(levels, ((), (), ()))[2]:
+    uf, first = _UnionFind(len(least)), {}
+    for a0, a1, a2 in rows:
         uf.union(first.setdefault((uf.find(a2), uf.find(a0)), a1), a1)
-    tgt, out = p.category.tgt, p.category.out
-    least = [bisect_left(tgt, y, out[x][0], out[x][-1] + 1) for x, y in edges]
-    return _class_quotient(p.category, action, obj_class, uf, first, least, None)
-
-
-def _class_quotient(c, action, obj_class, uf, first, least, mor_orbit):
-    """The quotient whose morphisms are `uf`'s classes of orbits, each orbit k led by
-    the morphism `least[k]`; `mor_orbit`, morphism -> orbit, or None, gives mor_class."""
     orbit_class, root_orbits = uf.classes()  # each class's least orbit
     obj_members = [[] for _ in range(max(obj_class, default=-1) + 1)]
     for x, k in enumerate(obj_class):
@@ -722,13 +720,14 @@ def canonical_map(qc):
     orbits of the nerve and the object classes of `qc` are the orbits of
     the same object permutations, both numbered by their least member
     (`orbit_partition`), and the vertex orbit o goes to the class of its
-    least vertex, which is o.
+    least vertex, which is o.  So it is filled in level by level: an edge
+    orbit goes to the class of its least chain's morphism, and a longer
+    orbit to the chain of classes whose faces (∂_0, ∂_d) are the images of
+    its own (`Nerve.images`); no morphism goes to an identity.
     """
     nerve_src = nerve(qc.source)
     qt = quotient_trisp(nerve_src.trisp, induced_trisp_action(nerve_src, qc.action))
-    nerve_dst = qc.nerve
-    entries = [tuple(qc.obj_class[v] for v in qt.reps[0])] if qt.reps else []
-    for chains, reps in zip(nerve_src.chains[1:], qt.reps[1:]):
-        images = (tuple(qc.mor_class[m] for m in chains[rep]) for rep in reps)
-        entries.append(tuple(map(nerve_dst.simplex_of_morphisms, images)))
-    return CanonicalMap(nerve_dst, tuple(entries))
+    reps = (*qt.reps, (), ())
+    obj = [qc.obj_class[v] for v in reps[0]]
+    mor = [qc.mor_class[nerve_src.morphisms[e]] for e in reps[1]]
+    return CanonicalMap(qc.nerve, tuple(qc.nerve.images(qt.trisp, obj, mor)))

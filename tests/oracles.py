@@ -2,7 +2,8 @@
 
 Everything here recomputes results by brute force along a different route
 than the library: path counting for nerve sizes, the nerve built chain by
-chain on whole tuples, as it was before the library read whole levels,
+chain on whole tuples with its tuple index, as it was before the library
+read whole levels and kept each simplex as its boundary row only,
 factorization matching for morphism classes, exhaustive enumeration of
 posets and operators, the automorphism check face by face and orbits by
 union-find, as they were before the library compared whole columns and
@@ -69,7 +70,6 @@ from trispcat.symmetry import (
     QuotientCategory,
     _is_perm,
     _UnionFind,
-    check_horizontal,
     close_group,
     induced_trisp_action,
     orbit_partition,
@@ -665,21 +665,23 @@ def check_functor(c, d, f):
     return witnesses
 
 
-def nerve_map_images(nv_src, nv_dst, f):
-    """images[d][s] = (dim, index) in nv_dst of the simplex (d, s) of nv_src under f.
+def nerve_map_images(c_src, c_dst, f):
+    """images[d][s] = (dim, index) in the nerve of c_dst of the simplex (d, s) of that of c_src
+    under the functor f, both nerves numbered by `nerve_oracle`.
 
     Identity components of the image chain are deleted; a chain that
     collapses entirely goes to the vertex of its image object.
     """
+    chains, index = nerve_oracle(c_src)[0], nerve_oracle(c_dst)[2]
     images = []
-    for d, level in enumerate(nv_src.chains):
+    for d, level in enumerate(chains):
         row = []
         for s, ms in enumerate(level):
             img = tuple(f.mor[m] for m in ms if f.mor[m] is not None)
             if img:
-                row.append((len(img), nv_dst.simplex_of_morphisms(img)))
+                row.append((len(img), index[img]))
             else:
-                row.append((0, f.obj[nv_src.trisp.vertex_tuple(d, s)[0]]))
+                row.append((0, f.obj[c_src.src[ms[0]] if d else s]))
         images.append(tuple(row))
     return tuple(images)
 
@@ -762,21 +764,24 @@ def canonical_lifts(qc, cm):
     `cm` is the canonical map of `qc`; its orbits are those of the orbit
     trisp rebuilt here.  A chain of classes is lifted one morphism at a
     time: each next class member must start where the lifted chain ends.
+    The quotient nerve's chains and the source nerve's index come from
+    `nerve_oracle`.
     """
     c = qc.source
     nerve_src = nerve(c)
     qt = quotient_trisp(nerve_src.trisp, induced_trisp_action(nerve_src, qc.action))
+    index, dst_chains = nerve_oracle(c)[2], nerve_oracle(qc.category)[0]
     mor_members = class_members(qc.mor_class)
     lifts = [tuple(qt.projection[0][members[0]] for members in qc.obj_members)]
     for d in range(1, cm.nerve_dst.trisp.dim + 1):
         level = []
-        for classes in cm.nerve_dst.chains[d]:
+        for classes in dst_chains[d]:
             lifted = []
             for cls in classes:
                 lifted.append(next(
                     m for m in mor_members[cls] if not lifted or c.src[m] == c.tgt[lifted[-1]]
                 ))
-            level.append(qt.projection[d][nerve_src.simplex_of_morphisms(lifted)])
+            level.append(qt.projection[d][index[tuple(lifted)]])
         lifts.append(tuple(level))
     return tuple(lifts)
 
@@ -824,10 +829,11 @@ def regular_action_oracle(t, action):
 def quotient_category_oracle(c, action):
     """`symmetry.quotient_category` as it was before it scanned only
     representative pairs: the fixpoint and the functor check run over every
-    entry of the composition table."""
-    witness = check_horizontal(c, action)
-    if witness is not None:
-        raise PreconditionError(f"action is not horizontal at {witness}")
+    entry of the composition table.  Horizontality is decided from its
+    definition, over every group element: no morphism joins x to gx != x."""
+    for x, y in zip(c.src, c.tgt):
+        if x != y and any(g.dims[0][x] == y for g in action.elements):
+            raise PreconditionError(f"action is not horizontal at {(x, y)}")
     obj_class, obj_reps = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)
 
     uf = _UnionFind(c.n_morphisms)

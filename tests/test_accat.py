@@ -341,8 +341,9 @@ def _assert_composition_is_the_table(p):
     assert validate_category(c).ok and validate_category(stored).ok
     assert validate_category(c).to_json() == validate_category(stored).to_json()
     nv = nerve(c)
-    chains, bnd, index = nerve_oracle(stored)
-    assert nv.chains == chains and nv.index == index
+    chains, bnd, _index = nerve_oracle(stored)
+    assert nv.trisp.counts == tuple(map(len, chains))
+    assert nv.morphisms == tuple(ms for (ms,) in (chains + ((),))[1])
     assert [nv.trisp.boundary_table(d) for d in range(1, len(chains))] == bnd
 
 

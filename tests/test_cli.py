@@ -430,8 +430,8 @@ def _argparse_fields(argv):
             return None
 
 
-_ALL_FLAGS = sorted({flag for _text, _verbs, options in COMMANDS.values() for flag in options})
-_ALL_VERBS = sorted({verb for _text, verbs, _options in COMMANDS.values() for verb in verbs or []})
+_ALL_FLAGS = sorted({flag for *_head, options in COMMANDS.values() for flag in options})
+_ALL_VERBS = sorted({verb for *_head, verbs, _options in COMMANDS.values() for verb in verbs or []})
 _VALUES = ["", "-", "-3", "05", "1_0", "²", "٣", " 7", "+4", "3", "x y", "in.json", "61", "62",
            "json", "dot", "svg", "--", "-h", "--help", *_ALL_VERBS]
 _INTS = ["3", "05", "1_0", " 7", "+4", "٣", "²", "-3"]  # `int` refuses only "²"
@@ -451,7 +451,7 @@ def _rarely(draw, strategy):
 def _command_lines(draw):
     """A command and verb, then options exact, abbreviated, `=`-joined or bare, with stray words."""
     command = draw(st.sampled_from([*COMMANDS, "dgnx", ""]))
-    _text, verbs, options = COMMANDS.get(command, ("", None, {}))
+    _handler, _text, verbs, options = COMMANDS.get(command, (None, "", None, {}))
     argv = [command]
     if verbs:
         argv.append(draw(st.sampled_from(verbs) if draw(st.integers(0, 3)) else _WORDS))

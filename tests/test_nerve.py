@@ -40,15 +40,37 @@ def test_nerve_boundaries_follow_chain_structure(chain3):
 
 
 def test_chains_are_morphism_tuples_over_vertex_tuples(dgn4_bundle):
+    # a chain read off the rows: its face ∂_d, then the last morphism of its face ∂_0
     nv = dgn4_bundle["bd"]
     c = dgn4_bundle["fp"].category
-    for d in range(nv.trisp.dim + 1):
-        for s, ms in enumerate(nv.chains[d]):
-            assert type(ms) is tuple and len(ms) == d
+    chains = [((),) * nv.trisp.n(0), tuple((m,) for m in nv.morphisms)]
+    for d in range(2, nv.trisp.dim + 1):
+        below = chains[-1]
+        chains.append(tuple(below[r[-1]] + below[r[0]][-1:] for r in nv.trisp.boundary_table(d)))
+    for d, level in enumerate(chains):
+        for s, ms in enumerate(level):
+            assert len(ms) == d
             assert all(c.tgt[a] == c.src[b] for a, b in zip(ms, ms[1:]))
             objects = (c.src[ms[0]],) + tuple(c.tgt[m] for m in ms) if d else (s,)
             assert nv.trisp.vertex_tuple(d, s) == objects
-            assert not d or nv.simplex_of_morphisms(ms) == s
+    assert tuple(chains) == nerve_oracle(c)[0]
+
+
+def _assert_end_faces_fix_the_chains(nv):
+    # a d-chain, d >= 2, is the only one of its level with its faces (∂_0, ∂_d)
+    for d in range(2, nv.trisp.dim + 1):
+        ends = [(row[0], row[-1]) for row in nv.trisp.boundary_table(d)]
+        assert len(set(ends)) == len(ends)
+
+
+def test_end_faces_fix_the_chains(dgn4_bundle):
+    rng = random.Random(40)
+    nerves = [nerve(random_path_category(rng)) for _ in range(60)]
+    # parallel morphisms give two edges one vertex pair, and chains through them
+    assert any(len(set(nv.trisp.vertex_tuples(1))) < nv.trisp.n(1) for nv in nerves)
+    assert any(nv.trisp.dim >= 3 for nv in nerves)
+    for nv in nerves + [dgn4_bundle["bd"]]:
+        _assert_end_faces_fix_the_chains(nv)
 
 
 def test_nerve_needs_total_composition():
@@ -79,7 +101,7 @@ def test_simplex_counts_match_path_counting_random(p):
 
 def test_identity_map_induces_identity(chain3):
     nv = nerve(chain3.category)
-    tm = nerve_map_images(nv, nv, poset_functor(chain3, [0, 1, 2]))
+    tm = nerve_map_images(chain3.category, chain3.category, poset_functor(chain3, [0, 1, 2]))
     for d in range(nv.trisp.dim + 1):
         for s in range(nv.trisp.n(d)):
             assert tm[d][s] == (d, s)
@@ -87,39 +109,39 @@ def test_identity_map_induces_identity(chain3):
 
 def test_constant_map_collapses_edge_to_vertex():
     p = chain_poset(2)
-    nv = nerve(p.category)
     t = find_terminal_object(p.category)
     f = poset_functor(p, [t, t])
-    assert nerve_map_images(nv, nv, f)[1][0] == (0, t)
+    assert nerve_map_images(p.category, p.category, f)[1][0] == (0, t)
 
 
-def _degeneracy_aware_commutes(nv_src, nv_dst, f, tm):
-    for d in range(1, nv_src.trisp.dim + 1):
-        for s in range(nv_src.trisp.n(d)):
+def _degeneracy_aware_commutes(c, f, tm):
+    nv, chains = nerve(c), nerve_oracle(c)[0]
+    for d in range(1, nv.trisp.dim + 1):
+        for s in range(nv.trisp.n(d)):
             pos = [0]  # image position of each vertex of the chain
-            for m in nv_src.chains[d][s]:
+            for m in chains[d][s]:
                 pos.append(pos[-1] + (f.mor[m] is not None))
             img_d, img_s = tm[d][s]
             for j in range(d + 1):
-                face_image = tm[d - 1][nv_src.trisp.face(d, s, j)]
+                face_image = tm[d - 1][nv.trisp.face(d, s, j)]
                 collapses = pos.count(pos[j]) > 1
                 if collapses:
                     assert face_image == (img_d, img_s)
                 else:
-                    expected = (img_d - 1, nv_dst.trisp.face(img_d, img_s, pos[j]))
+                    expected = (img_d - 1, nv.trisp.face(img_d, img_s, pos[j]))
                     assert face_image == expected
 
 
 def test_nerve_map_commutes_with_boundaries_after_degeneracy_removal(chain3):
-    nv = nerve(chain3.category)
-    f = poset_functor(chain3, [0, 0, 2])
-    _degeneracy_aware_commutes(nv, nv, f, nerve_map_images(nv, nv, f))
+    c, f = chain3.category, poset_functor(chain3, [0, 0, 2])
+    _degeneracy_aware_commutes(c, f, nerve_map_images(c, c, f))
 
 
 def test_transitive_closure_images_are_chains(dgn4_bundle):
     f, bd = poset_functor(dgn4_bundle["fp"].poset, dgn4_bundle["f"]), dgn4_bundle["bd"]
-    tm = nerve_map_images(bd, bd, f)
-    _degeneracy_aware_commutes(bd, bd, f, tm)
+    c = dgn4_bundle["fp"].category
+    tm = nerve_map_images(c, c, f)
+    _degeneracy_aware_commutes(c, f, tm)
     for d in range(1, bd.trisp.dim + 1):
         for s in range(bd.trisp.n(d)):
             # image objects are closed
@@ -149,14 +171,13 @@ def test_nerves_of_random_path_categories_are_regular_flag():
 
 
 def _assert_nerve_matches_oracle(c):
+    # the edges' morphisms and the rows fix every chain: a d-chain, d >= 2, is
+    # its face ∂_d and the last morphism of its face ∂_0
     nv = nerve(c)
-    chains, bnd, index = nerve_oracle(c)
-    assert nv.chains == chains
+    chains, bnd, _index = nerve_oracle(c)
+    assert nv.trisp.counts == tuple(map(len, chains))
+    assert nv.morphisms == tuple(ms for (ms,) in (chains + ((),))[1])
     assert [nv.trisp.boundary_table(d) for d in range(1, len(chains))] == bnd
-    assert nv.index == index
-    for level in chains[1:]:
-        for s, ms in enumerate(level):
-            assert nv.simplex_of_morphisms(ms) == s
     return nv
 
 

@@ -24,7 +24,7 @@ from trispcat.graphs import (
     partition_poset,
     transitive_closure_operator,
 )
-from trispcat.nerve import chain_counts, nerve
+from trispcat.nerve import Nerve, chain_counts, nerve
 from trispcat.symmetry import (
     Aut,
     GroupAction,
@@ -488,7 +488,8 @@ def test_orbits_from_generators_random(seed):
         for g in action.elements
         for x in range(c.n_objects)
     )
-    assert (check_horizontal(c, action) is None) == horizontal
+    obj_orbit = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)[0]
+    assert (check_horizontal(obj_orbit, zip(c.src, c.tgt)) is None) == horizontal
     # a group of poset automorphisms is horizontal: x < hx would give the
     # cycle x < hx < ... < h^k x = x
     assert horizontal
@@ -510,13 +511,16 @@ def test_z2_on_double_filled_triangle(double_filled):
 
 
 def test_horizontality_of_poset_automorphisms(two_edges_z2):
-    _p, _nv, cat_action, _tact, _cmap = two_edges_z2
-    assert check_horizontal(_p.category, cat_action) is None
+    p, _nv, cat_action, _tact, _cmap = two_edges_z2
+    obj_orbit = orbit_partition([g.dims[0] for g in cat_action.generators], p.n)[0]
+    assert check_horizontal(obj_orbit, zip(p.category.src, p.category.tgt)) is None
 
 
 def test_horizontality_witness_on_raw_permutation():
-    c = AcyclicCategory(["a", "b"], [(0, 1)])
-    assert check_horizontal(c, GroupAction((Aut(((1, 0), (0,))),))) == (0, 1)
+    # the swap of a and b, not an automorphism of a -> b: that arrow joins its orbit
+    obj_orbit = orbit_partition([(1, 0)], 2)[0]
+    assert check_horizontal(obj_orbit, [(0, 1)]) == (0, 1)
+    assert check_horizontal(obj_orbit, [(1, 1)]) is None  # a loop joins no two objects
 
 
 def test_induced_action_on_hexagon(triangle_boundary):
@@ -767,12 +771,12 @@ def test_automorphism_violation_names_the_first_face(dgn4_bundle):
                 assert witness == automorphism_violation_by_face(t, broken)
 
 
-def test_induced_action_checks_the_chain_index(dgn4_bundle):
+def test_induced_action_checks_the_edge_morphisms(dgn4_bundle):
     nv = nerve(dgn4_bundle["fp"].category)
-    a, b = nv.chains[2][:2]
-    nv.index[a], nv.index[b] = nv.index[b], nv.index[a]
+    swapped = list(nv.morphisms)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
     with pytest.raises(SoundnessError, match="not an automorphism"):
-        induced_trisp_action(nv, dgn4_bundle["cat_act"])
+        induced_trisp_action(Nerve(nv.trisp, tuple(swapped)), dgn4_bundle["cat_act"])
 
 
 def test_canonical_map_trivial_group_is_isomorphism(chain3):
