@@ -157,16 +157,15 @@ class GroupAction:
         """
         identity = _identity(map(len, self.generators[0].dims))
         index = {identity: 0}
-        tree, frontier = [(identity, -1, -1)], [identity]
+        tree, frontier = [(identity, -1, -1)], [(identity, 0)]
         while frontier:
             new = []
             for k, g in enumerate(self.generators):
-                for h in frontier:
-                    gh = g * h
-                    if gh not in index:
-                        index[gh] = len(tree)
-                        tree.append((gh, k, index[h]))
-                        new.append(gh)
+                for h, j in frontier:  # each element carries its own index
+                    gh, i = g * h, len(tree)
+                    if index.setdefault(gh, i) == i:  # hashes gh once
+                        tree.append((gh, k, j))
+                        new.append((gh, i))
             frontier = new
         return tuple(tree)
 
@@ -291,7 +290,10 @@ def check_horizontal(obj_orbit, pairs):
     `obj_orbit` gives each object's orbit, under a group's generators or its
     elements alike: if y = hx and z = kx, then z = (kh⁻¹)y.  `pairs` are the
     (source, target) of the morphisms to check.  Returns the first pair
-    whose ends differ and share an orbit, or None.
+    whose ends differ and share an orbit, or None.  Only `quotient_category`
+    calls it, on category documents: a group of automorphisms of an acyclic
+    category is always horizontal (`orbit_nerve` gives the proof), so it
+    fails only on a map that no checked action holds.
     """
     return next(((x, y) for x, y in pairs if x != y and obj_orbit[x] == obj_orbit[y]), None)
 
@@ -303,16 +305,9 @@ def induced_trisp_action(nv, action):
     whose faces (∂_0, ∂_d) are the images of its own (`Nerve.images`); a
     pair that is no chain's gives an entry -1, so no permutation.  Each
     image is checked to be an automorphism of the nerve.  A poset action
-    has no morphism level and is refused (`morphism_maps`).
-
-    A poset's orbit trisp is built by `orbit_nerve`, which runs no such
-    check, because on a poset it cannot fail.  There each generator comes
-    from `poset_automorphism`, so its object map g is a permutation
-    with x < y => gx < gy.  As a permutation of the finite set of relations
-    it has an inverse that keeps the order too.  So g sends a chain
-    x_0 < ... < x_d to the chain gx_0 < ... < gx_d, bijectively in each
-    dimension, and dropping x_i commutes with applying g: the induced map
-    commutes with every boundary.
+    has no morphism level and is refused (`morphism_maps`); a poset's
+    orbit trisp is built by `orbit_nerve`, whose docstring proves the
+    check cannot fail there.
     """
     t, gens = nv.trisp, []
     for g, mor in zip(action.generators, morphism_maps(action)):
@@ -366,28 +361,11 @@ class OrbitNerve:
     chain only the top is kept; its row's last entry is the orbit of the rest.
     """
 
-    def __init__(self, trisp, tops, orbit_sizes, obj_orbit, regularity_violations):
+    def __init__(self, trisp, tops, orbit_sizes, obj_orbit):
         self.trisp = trisp
         self.tops = tops  # per dimension, orbit -> the top object of its least chain
         self.orbit_sizes = orbit_sizes  # per dimension, orbit -> |G| / |Stab| of its chains
         self.obj_orbit = obj_orbit  # object -> vertex orbit
-        self.regularity_violations = regularity_violations
-
-    @property
-    def regularity_witness(self):
-        """None when the orbit trisp is regular, else its first irregular orbit.
-
-        The witness is read off that orbit's least chain: ((d, orbit), the
-        chain, the vertex orbit of each of its objects), two of which agree.
-        """
-        if not self.regularity_violations:
-            return None
-        d, o = self.regularity_violations[0]
-        chain, s = [self.tops[d][o]], o
-        for k in range(d, 0, -1):  # down the last faces, the chain less its top each time
-            s = self.trisp.boundary_table(k)[s][-1]
-            chain.append(self.tops[k - 1][s])
-        return ((d, o), tuple(chain[::-1]), tuple(self.obj_orbit[x] for x in chain[::-1]))
 
 
 def orbit_nerve(p, elements):
@@ -421,11 +399,22 @@ def orbit_nerve(p, elements):
     by the inverse of an element that takes y's least object to y.  An
     element is named by its images of a base, objects each moved by an
     element that fixes the ones before, so s∘h is one lookup.
+
+    No check of the result can fail, so none is run.  An automorphism g
+    keeps x < y and, a permutation of the finite set of relations, has an
+    inverse that keeps it too; so g sends each chain to a chain, bijectively
+    in each dimension, and dropping x_i commutes with applying g: the
+    induced map commutes with every boundary.  No two objects of one chain
+    share an orbit: x < hx gives hx < h²x, and so on, up to the cycle
+    x < hx < ... < h^k x = x for h of order k; hx < x likewise.  Hence:
+    - the orbit trisp is regular: the vertices of an orbit are the vertex
+      orbits of its least chain's objects, which are distinct;
+    - the action is horizontal: no relation joins two objects of one orbit.
     """
     obj_orbit = next(levels := _chain_orbits(p, elements))
     tops, sizes, bnd = list(zip(*levels)) or ((), (), ())
     t = Trisp(list(map(len, tops)), list(bnd[1:]))
-    return OrbitNerve(t, tops, sizes, tuple(obj_orbit), regularity_violations(t))
+    return OrbitNerve(t, tops, sizes, tuple(obj_orbit))
 
 
 def _chain_orbits(p, elements):
@@ -601,18 +590,16 @@ def poset_quotient_category(p, action, elements):
     make a run.  A group element moves two pairs with one first factor onto
     x < y < z and x < y < z' with x < y least, and the least chain of an
     orbit has a least prefix, so the least chains of both orbits extend
-    x < y.
+    x < y.  The action is horizontal, so it is not checked (`orbit_nerve`
+    gives the proof); a map that is not an automorphism, passed unchecked,
+    may give a loop, which `validate_category` refuses.
     """
     levels = _chain_orbits(p, elements)
     obj_class, vertices = next(levels), next(levels, ((),))[0]
     tops, _sizes, rows = next(levels, ((), (), ()))  # no morphism: no level 1, nor 2
-    edges = [(vertices[row[-1]], y) for row, y in zip(rows, tops)]  # parent x, top y
-    # the first least edge that is not horizontal is the least such morphism, as `quotient_category`
-    witness = check_horizontal(obj_class, edges)
-    if witness is not None:
-        raise PreconditionError(f"action is not horizontal at {witness}")
     tgt, out = p.category.tgt, p.category.out
-    least = [bisect_left(tgt, y, out[x][0], out[x][-1] + 1) for x, y in edges]
+    parents = (vertices[row[-1]] for row in rows)  # an edge orbit's least chain is parent < top
+    least = [bisect_left(tgt, y, out[x][0], out[x][-1] + 1) for x, y in zip(parents, tops)]
     rows = next(levels, ((), (), ()))[2]
     return _class_quotient(p.category, action, obj_class, rows, least, None)
 

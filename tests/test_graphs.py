@@ -357,7 +357,7 @@ def test_pipeline_quotient_trisp_n4():
 
 
 def test_pipeline_quotient_trisp_stage_order():
-    """The quotient stage times quotient_trisp, before the regularity check reads it."""
+    """The quotient stage times the orbit nerve, before the pushed map is verified on it."""
     report, _cert = pipeline_quotient_trisp(4)
     assert [s["name"] for s in report.stages] == [
         "build_complex",
@@ -365,7 +365,6 @@ def test_pipeline_quotient_trisp_stage_order():
         "closure_operator",
         "action",
         "quotient",
-        "regularity_condition",
         "induced_closure_map",
         "collapse",
         "target_equality",
@@ -377,6 +376,24 @@ def test_pipeline_quotient_trisp_stage_order():
     stages = {s["name"]: s for s in report.stages}
     assert stages["quotient"]["info"] == {"counts": [4, 4, 1]}
     assert stages["induced_closure_map"]["info"]["verified"] is True
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pipeline_61_scans_its_orbit_trisp_for_regularity_once(monkeypatch, n):
+    # the orbit nerve is regular by construction; the one scan is the
+    # closure-map verification's, on the orbit trisp
+    from trispcat import closure, symmetry, trisp
+
+    scans, scan = [], trisp.regularity_violations
+    for module in (closure, symmetry, trisp):
+        monkeypatch.setattr(
+            module, "regularity_violations",
+            lambda t, name=module.__name__: scans.append((name, t.counts)) or scan(t),
+        )
+    report, _cert = pipeline_quotient_trisp(n)
+    stages = {s["name"]: s["info"] for s in report.stages}
+    assert report.ok
+    assert scans == [("trispcat.closure", tuple(stages["quotient"]["counts"]))]
 
 
 @pytest.mark.parametrize("n, extended", [(3, 0), (4, 36), (5, 23_645)])

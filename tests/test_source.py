@@ -100,9 +100,8 @@ def _modules():
     return [(name, node) for name, node in _package_nodes() if isinstance(node, ast.Module)]
 
 
-def test_only_the_action_builders_call_group_action():
-    # every action on a category, a poset or a trisp comes from close_group;
-    # the two others carry a checked action to a nerve and close S_n on n points
+def _callers(function):
+    """(file name, top-level name) of each package definition that calls `function`."""
     callers = set()
     for name, module in _modules():
         for top in module.body:
@@ -110,12 +109,28 @@ def test_only_the_action_builders_call_group_action():
                 if isinstance(node, ast.Call):
                     func = node.func
                     called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if called == "GroupAction":
+                    if called == function:
                         callers.add((name, getattr(top, "name", None)))
-    assert callers == {
+    return callers
+
+
+def test_only_the_action_builders_call_group_action():
+    # every action on a category, a poset or a trisp comes from close_group;
+    # the two others carry a checked action to a nerve and close S_n on n points
+    assert _callers("GroupAction") == {
         ("symmetry.py", "close_group"),
         ("symmetry.py", "induced_trisp_action"),
         ("graphs.py", "_sn_group"),
+    }
+
+
+def test_only_the_input_facing_checks_scan_for_regularity():
+    # a poset's orbit nerve is regular by construction (orbit_nerve's proof),
+    # so no builder of one scans it; a trisp is scanned where input reaches it
+    assert _callers("regularity_violations") == {
+        ("trisp.py", "validate_trisp"),
+        ("closure.py", "verify_trisp_closure_map"),
+        ("symmetry.py", "quotient_trisp"),
     }
 
 
@@ -205,7 +220,7 @@ RECORD_FIELDS = {
     "Aut": "dims",
     "GroupAction": "generators",
     "QuotientTrisp": "source action trisp projection reps regularity_violations",
-    "OrbitNerve": "trisp tops orbit_sizes obj_orbit regularity_violations",
+    "OrbitNerve": "trisp tops orbit_sizes obj_orbit",
     "QuotientCategory": "source action category obj_class mor_class obj_members",
     "CanonicalMap": "nerve_dst entries",
     "Nerve": "trisp morphisms",
@@ -218,7 +233,7 @@ def test_the_field_guard_sees_every_record_field():
     # the guard below reads fields off __init__ stores; a record class that
     # stopped storing its fields there would drop out of it unseen
     expected = [f"{cls}.{field}" for cls, names in RECORD_FIELDS.items() for field in names.split()]
-    assert len(expected) == 66
+    assert len(expected) == 65
     assert sorted(set(expected) - set(_stored_fields())) == []
 
 

@@ -28,7 +28,6 @@ from trispcat.nerve import Nerve, chain_counts, nerve
 from trispcat.symmetry import (
     Aut,
     GroupAction,
-    OrbitNerve,
     canonical_map,
     cat_automorphism_violation,
     check_horizontal,
@@ -44,7 +43,7 @@ from trispcat.symmetry import (
     quotient_trisp,
     trisp_automorphism_violation,
 )
-from trispcat.trisp import Trisp
+from trispcat.trisp import Trisp, regularity_violations
 
 from oracles import (
     automorphism_violation_by_face,
@@ -290,14 +289,13 @@ def test_induced_trisp_action_refuses_a_poset_action(dgn4_bundle):
     assert [g.dims[0] for g in tact.generators] == [g.dims[0] for g in act.generators]
 
 
-def _orbit_row_outcomes(p, action, elements, explicit):
-    """The orbit-row quotient of `p`, `quotient_category` and its oracle, each as
-    (obj_class, obj_members, category JSON) or as (exception type, message).
+def _assert_orbit_rows_agree(p, action, elements, explicit):
+    """The orbit-row quotient of `p` equals `quotient_category` and its oracle, each
+    as (obj_class, obj_members, category JSON) or as (exception type, message).
 
     `quotient_category` and the oracle take `explicit`, the action with its
-    morphism maps.  Each
-    union-find the orbit rows run is kept, and a second pass over the rows
-    must unite nothing.
+    morphism maps.  Each union-find the orbit rows run is kept, and a second
+    pass over the rows must unite nothing.
     """
     made = []
 
@@ -319,11 +317,7 @@ def _orbit_row_outcomes(p, action, elements, explicit):
         _quotient_outcome(quotient_category, p.category, explicit),
         _quotient_outcome(quotient_category_oracle, p.category, explicit),
     ]
-    return [o if len(o) == 2 else (o[0], *o[2:]) for o in outcomes]
-
-
-def _assert_orbit_rows_agree(p, action, elements, explicit):
-    orbit, path, oracle = _orbit_row_outcomes(p, action, elements, explicit)
+    orbit, path, oracle = [o if len(o) == 2 else (o[0], *o[2:]) for o in outcomes]
     assert orbit == path == oracle
 
 
@@ -360,13 +354,33 @@ def test_the_orbit_row_quotient_is_the_morphism_orbit_quotient_on_the_sn_posets(
     assert _sn_posets(3)[0][0].category.n_morphisms == 0
 
 
-def test_the_orbit_row_quotient_refuses_a_non_horizontal_action():
-    # a swap of the ends of an arrow, not an automorphism, wrapped unchecked;
-    # without the check its one class would be a loop, an invalid quotient
+def test_the_category_quotient_refuses_a_non_horizontal_action():
+    # a swap of the ends of an arrow, not an automorphism, wrapped unchecked
+    c, explicit = chain_poset(2).category, GroupAction((Aut(((1, 0), (0,))),))
+    outcomes = [_quotient_outcome(q, c, explicit) for q in (quotient_category, quotient_category_oracle)]
+    assert outcomes == [(PreconditionError, "action is not horizontal at (0, 1)")] * 2
+
+
+def test_close_group_refuses_the_arrow_swap():
+    # the premise the orbit-row quotient rests on: no checked action swaps
+    # the ends of an arrow, as a swap is no automorphism
     p = chain_poset(2)
-    action, explicit = (GroupAction((Aut(dims),)) for dims in (((1, 0),), ((1, 0), (0,))))
-    outcomes = _orbit_row_outcomes(p, action, [(0, 1), (1, 0)], explicit)
-    assert outcomes == [(PreconditionError, "action is not horizontal at (0, 1)")] * 3
+    with pytest.raises(InputError) as on_poset:
+        close_group([(1, 0)], on=p)
+    assert str(on_poset.value) == (
+        "generator 0 is not an automorphism: relabelling sends 0 < 1 to 1, 0, not a relation"
+    )
+    with pytest.raises(InputError) as on_category:
+        close_group([Aut(((1, 0), (0,)))], on=p.category)
+    assert str(on_category.value) == "generator 0 is not an automorphism: ('source', 0)"
+
+
+def test_the_orbit_row_quotient_of_an_unchecked_arrow_swap_has_a_loop():
+    # the orbit-row path checks no horizontality; given the swap unchecked,
+    # its one class is a loop, which the quotient's validation refuses
+    p = chain_poset(2)
+    with pytest.raises(SoundnessError, match=r"^quotient category invalid: .*'self_loops': \[0\]"):
+        poset_quotient_category(p, GroupAction((Aut(((1, 0),)),)), [(0, 1), (1, 0)])
 
 
 def test_an_image_quotient_on_fewer_than_two_objects_lifts_the_identity():
@@ -881,8 +895,8 @@ def test_canonical_map_surjective_random(seed):
 def _assert_orbit_nerve_is_the_quotient_of_the_nerve(p, action):
     """The orbit nerve equals `quotient_trisp` of the nerve, table for table.
 
-    Each orbit's least chain, as the regularity witness would rebuild it from
-    the tops and the rows, is the vertex tuple of its least member upstairs.
+    Each orbit's top is the top of the vertex tuple of its least member
+    upstairs, and the orbit trisp is regular, as `orbit_nerve` proves.
     """
     on = orbit_nerve(p, object_maps(action))
     nv = nerve(p.category)
@@ -890,17 +904,12 @@ def _assert_orbit_nerve_is_the_quotient_of_the_nerve(p, action):
     assert on.trisp.counts == qt.trisp.counts
     for d in range(qt.trisp.dim + 1):
         assert on.trisp.boundary_table(d) == qt.trisp.boundary_table(d)
-        least = [nv.trisp.vertex_tuple(d, rep) for rep in qt.reps[d]]
-        assert list(on.tops[d]) == [chain[-1] for chain in least]
-        for o, chain in enumerate(least):
-            named = OrbitNerve(on.trisp, on.tops, on.orbit_sizes, on.obj_orbit, [(d, o)])
-            assert named.regularity_witness[:2] == ((d, o), chain)
+        assert list(on.tops[d]) == [nv.trisp.vertex_tuple(d, rep)[-1] for rep in qt.reps[d]]
     assert on.obj_orbit == qt.projection[0]
     # each orbit counted once: the orbit sizes add up to the chains, per dimension
     assert [sum(sizes) for sizes in on.orbit_sizes] == list(nv.trisp.counts)
     assert chain_counts(p.category) == list(nv.trisp.counts)
-    assert on.regularity_violations == qt.regularity_violations == []
-    assert on.regularity_witness is None
+    assert regularity_violations(on.trisp) == qt.regularity_violations == []
     assert burnside_chain_orbit_counts(p, action) == list(on.trisp.counts)
     return on
 
