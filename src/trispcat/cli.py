@@ -194,25 +194,23 @@ def cmd_closure(args):
             },
         )
         return 0
-    if sub == "lift":
-        condition = equivariant.check_lift_condition(qt, cmap)
-        payload = {"lift_condition": condition.to_json(), "ok": False}
-        try:
-            lifted, report = equivariant.lift_closure_map(qt, cmap, condition)
-            if not report.ok:
-                payload["error"] = f"map does not verify upstairs: {report.failures[:3]}"
-        except PreconditionError as exc:
-            payload["error"], lifted = str(exc), None
-            if condition.holds:
-                lifted = equivariant.lift_candidate(qt, cmap, condition)
-                report = closure.verify_trisp_closure_map(t, lifted)
-        if "error" not in payload:
-            payload.update({"ok": True, "map": lifted.to_json()})
-        elif lifted is not None:
-            payload.update({"candidate": lifted.to_json(), "candidate_verify": report.to_json()})
-        _emit(args, payload)
-        return 0 if payload["ok"] else 1
-    raise InputError(f"unknown closure subcommand {sub!r}")
+    condition = equivariant.check_lift_condition(qt, cmap)  # the verb is "lift"
+    payload = {"lift_condition": condition.to_json(), "ok": False}
+    try:
+        lifted, report = equivariant.lift_closure_map(qt, cmap, condition)
+        if not report.ok:
+            payload["error"] = f"map does not verify upstairs: {report.failures[:3]}"
+    except PreconditionError as exc:
+        payload["error"], lifted = str(exc), None
+        if condition.holds:
+            lifted = equivariant.lift_candidate(qt, cmap, condition)
+            report = closure.verify_trisp_closure_map(t, lifted)
+    if "error" not in payload:
+        payload.update({"ok": True, "map": lifted.to_json()})
+    elif lifted is not None:
+        payload.update({"candidate": lifted.to_json(), "candidate_verify": report.to_json()})
+    _emit(args, payload)
+    return 0 if payload["ok"] else 1
 
 
 def cmd_dgn(args):
@@ -227,16 +225,14 @@ def cmd_dgn(args):
         payload["edge_labels"] = [k.edge_label(e) for e in range(len(k.edges))]
         _emit(args, payload)
         return 0
-    if args.verb == "pipeline":
-        if args.format == "dot":
-            raise InputError("dgn pipeline has no dot format")
-        if args.pipeline == "62":
-            report, _steps = graphs.pipeline_quotient_category(args.n)
-        else:
-            report, _cert = graphs.pipeline_quotient_trisp(args.n)
-        _emit(args, report.to_json())
-        return 0 if report.ok else 1
-    raise InputError(f"unknown dgn subcommand {args.verb!r}")
+    if args.format == "dot":  # the verb is "pipeline"
+        raise InputError("dgn pipeline has no dot format")
+    if args.pipeline == "62":
+        report, _steps = graphs.pipeline_quotient_category(args.n)
+    else:
+        report, _cert = graphs.pipeline_quotient_trisp(args.n)
+    _emit(args, report.to_json())
+    return 0 if report.ok else 1
 
 
 _FORMAT = {"choices": ["json", "dot"], "default": "json"}

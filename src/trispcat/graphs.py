@@ -12,7 +12,7 @@ partitions.
 
 import math
 import time
-from itertools import combinations
+from itertools import chain, combinations
 
 from .accat import check_closure_operator, find_terminal_object, poset_from_relation
 from .closure import (
@@ -56,11 +56,11 @@ class GraphComplex:
         self.edges = edges  # edge id -> vertex pair
         self.trisp = trisp
         self.faces_by_dim = faces_by_dim  # per dimension, sorted tuples of edge ids
-        self.index = index  # frozenset of edge ids -> (d, s)
+        self.index = index  # frozenset of edge ids -> face (the face poset's object)
         self.edge_index = edge_index  # vertex pair -> edge id
         # per dimension, the partition of each face (one object per partition)
         self.components = components
-        self.closed = closed  # partition -> (d, s) of the union of complete graphs on its blocks
+        self.closed = closed  # partition -> face of the union of complete graphs on its blocks
 
     def edge_label(self, e):
         a, b = self.edges[e]
@@ -77,6 +77,9 @@ def build_dgn(n):
     edge's ends; one block left means connected, and it is dropped.  A face
     is its partition's closure when it has as many edges as the complete
     graphs on the blocks.  Blocks are sorted, ordered by least member.
+
+    A face is numbered by its place in (dimension, index) order, as
+    `face_poset` numbers its objects; `index` and `closed` give that number.
     """
     if not 3 <= n <= 6:
         raise InputError(f"n must be between 3 and 6, got {n}")
@@ -103,23 +106,22 @@ def build_dgn(n):
         ])
     levels.pop()  # the first empty level
     faces = [face for level in levels for face, _p in level]
-    trisp, faces_by_dim, index = simplicial_from_faces(m, faces)
+    trisp, faces_by_dim = simplicial_from_faces(m, faces)
+    index = {frozenset(face): x for x, face in enumerate(faces)}
     components = tuple(tuple(p for _face, p in level) for level in levels)
     closed = {
-        p: (d, s)
-        for d, parts in enumerate(components)
-        for s, p in enumerate(parts)
-        if d + 1 == sum(len(b) * (len(b) - 1) // 2 for b in p)
+        p: x
+        for x, (face, p) in enumerate(chain.from_iterable(levels))
+        if len(face) == sum(len(b) * (len(b) - 1) // 2 for b in p)
     }
     edge_index = {pair: e for e, pair in enumerate(edges)}
     return GraphComplex(n, edges, trisp, faces_by_dim, index, edge_index, components, closed)
 
 
 class FacePoset:
-    def __init__(self, poset, elements, position):
+    def __init__(self, poset, elements):
         self.poset = poset
-        self.elements = elements  # object -> (d, s) of the underlying trisp
-        self.position = position  # (d, s) -> object
+        self.elements = elements  # object -> (d, s) of the underlying trisp, in (d, s) order
 
     @property
     def category(self):
@@ -136,7 +138,6 @@ def face_poset(k):
     """
     t = k.trisp if isinstance(k, GraphComplex) else k
     elements = [(d, s) for d in range(t.dim + 1) for s in range(t.n(d))]
-    position = {ds: i for i, ds in enumerate(elements)}
     pairs, labels, offset = [], [], 0
     for d in range(t.dim + 1):
         keys = list(map(frozenset, t.vertex_tuples(d)))
@@ -149,7 +150,7 @@ def face_poset(k):
                 pairs += zip(map(below.__add__, column), faces)
         offset += t.n(d)
     poset = poset_from_relation(labels, pairs)
-    return FacePoset(poset, tuple(elements), position)
+    return FacePoset(poset, tuple(elements))
 
 
 # -- partitions --------------------------------------------------------------
@@ -227,7 +228,7 @@ def transitive_closure_operator(k, fp):
     and equivariant on the face poset (`check_closure_operator` checks the
     first three); its image is the poset of nontrivial set partitions.
     """
-    return tuple(fp.position[k.closed[k.components[d][s]]] for d, s in fp.elements)
+    return tuple(k.closed[k.components[d][s]] for d, s in fp.elements)
 
 
 def image_partition_isomorphism(k, fp, f, pp):
@@ -286,10 +287,7 @@ def _sn_action(p, n, relabel):
 def face_poset_action(k, fp):
     def relabel(perm):
         eperm = lift_to_edges(perm, k.edges, k.edge_index)
-        return [
-            fp.position[k.index[frozenset(eperm[e] for e in k.faces_by_dim[d][s])]]
-            for (d, s) in fp.elements
-        ]
+        return [k.index[frozenset(eperm[e] for e in k.faces_by_dim[d][s])] for d, s in fp.elements]
 
     return _sn_action(fp.poset, k.n, relabel)
 
@@ -519,7 +517,7 @@ def pipeline_quotient_category(n):
     terminal = find_terminal_object(pqc.category)
     if terminal is None:
         report.fail("partition_quotient", "no terminal object")
-    rep_partition = pp.partitions[pqc.obj_members[terminal][0]]
+    rep_partition = pp.partitions[pqc.obj_reps[terminal]]
     if number_partition(rep_partition) != tuple([2] + [1] * (n - 2)):
         report.fail("partition_quotient", f"terminal object is {rep_partition}")
     report.done("partition_quotient", objects=pqc.category.n_objects, terminal=terminal)
@@ -536,7 +534,7 @@ def pipeline_quotient_category(n):
     pos = {x: i for i, x in enumerate(keep)}
     vmap2 = [None] * pn_q.trisp.n(0)
     for cls in range(pqc.category.n_objects):
-        x = fp.position[k.closed[pp.partitions[pqc.obj_members[cls][0]]]]
+        x = k.closed[pp.partitions[pqc.obj_reps[cls]]]
         vmap2[cls] = sub_qc.obj_class[pos[x]]
     match_mirror, witness = trisps_equal_over_vertices(
         pn_q.trisp, reverse_trisp(sub_qc.nerve.trisp), vmap2

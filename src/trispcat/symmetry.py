@@ -531,13 +531,13 @@ class QuotientCategory:
     generated by m ~ gm and closed under composition of equal classes;
     ``mor_class`` is None when read off chain orbits (`poset_quotient_category`)."""
 
-    def __init__(self, source, action, category, obj_class, mor_class, obj_members):
+    def __init__(self, source, action, category, obj_class, mor_class, obj_reps):
         self.source = source  # AcyclicCategory
         self.action = action  # GroupAction
         self.category = category
         self.obj_class = obj_class  # object -> class index
         self.mor_class = mor_class  # morphism -> class index
-        self.obj_members = obj_members
+        self.obj_reps = obj_reps  # class index -> its least object
 
     @cached_property
     def nerve(self):
@@ -563,7 +563,7 @@ def quotient_category(c, action):
         raise PreconditionError(f"action is not horizontal at {witness}")
     mor_orbit, mor_reps = orbit_partition(maps, c.n_morphisms)
     rows = _pair_rows(c, obj_reps, mor_orbit)
-    return _class_quotient(c, action, obj_class, rows, mor_reps, mor_orbit)
+    return _class_quotient(c, action, obj_class, obj_reps, rows, mor_reps, mor_orbit)
 
 
 def _pair_rows(c, firsts, mor_orbit):
@@ -595,24 +595,25 @@ def poset_quotient_category(p, action, elements):
     may give a loop, which `validate_category` refuses.
     """
     levels = _chain_orbits(p, elements)
-    obj_class, vertices = next(levels), next(levels, ((),))[0]
+    obj_class, obj_reps = next(levels), next(levels, ((),))[0]  # level 0's tops: least objects
     tops, _sizes, rows = next(levels, ((), (), ()))  # no morphism: no level 1, nor 2
     tgt, out = p.category.tgt, p.category.out
-    parents = (vertices[row[-1]] for row in rows)  # an edge orbit's least chain is parent < top
+    parents = (obj_reps[row[-1]] for row in rows)  # an edge orbit's least chain is parent < top
     least = [bisect_left(tgt, y, out[x][0], out[x][-1] + 1) for x, y in zip(parents, tops)]
     rows = next(levels, ((), (), ()))[2]
-    return _class_quotient(p.category, action, obj_class, rows, least, None)
+    return _class_quotient(p.category, action, obj_class, obj_reps, rows, least, None)
 
 
-def _class_quotient(c, action, obj_class, rows, least, mor_orbit):
+def _class_quotient(c, action, obj_class, obj_reps, rows, least, mor_orbit):
     """The quotient of `c` by the congruence on morphism orbits that `rows` generate.
 
-    Orbit k is led by the morphism ``least[k]``, and `mor_orbit`, morphism
-    -> orbit, or None, gives ``mor_class``.  A row (a0, a1, a2) is the faces
-    ∂0, ∂1, ∂2 of a composable pair ab: the orbits of b, ab and a.  Every
-    orbit of pairs has a row.  The rows come in runs, the pairs of one first
-    factor each, and any two pairs with one first factor are moved by a
-    group element into one run.  The union-find runs on the orbits, in one
+    Object class k is led by the object ``obj_reps[k]``, orbit k by the
+    morphism ``least[k]``, and `mor_orbit`, morphism -> orbit, or None,
+    gives ``mor_class``.  A row (a0, a1, a2) is the faces ∂0, ∂1, ∂2 of a
+    composable pair ab: the orbits of b, ab and a.  Every orbit of pairs
+    has a row.  The rows come in runs, the pairs of one first factor each,
+    and any two pairs with one first factor are moved by a group element
+    into one run.  The union-find runs on the orbits, in one
     pass: it keys each row by (class of a2, class of a0) and unites a1 with
     the first composite of its key.  Roots are least orbits, so the classes
     do not depend on the order of the unions; the first composites give the
@@ -653,10 +654,7 @@ def _class_quotient(c, action, obj_class, rows, least, mor_orbit):
     for a0, a1, a2 in rows:
         uf.union(first.setdefault((uf.find(a2), uf.find(a0)), a1), a1)
     orbit_class, root_orbits = uf.classes()  # each class's least orbit
-    obj_members = [[] for _ in range(max(obj_class, default=-1) + 1)]
-    for x, k in enumerate(obj_class):
-        obj_members[k].append(x)
-    labels = [f"[{c.objects[members[0]]}]" for members in obj_members]
+    labels = [f"[{c.objects[x]}]" for x in obj_reps]
     roots = map(least.__getitem__, root_orbits)  # each class's least morphism
     mor_list = [(obj_class[c.src[m]], obj_class[c.tgt[m]], f"[{c.mor_labels[m]}]") for m in roots]
     # the class composition is the image of the first-composite table
@@ -666,8 +664,7 @@ def _class_quotient(c, action, obj_class, rows, least, mor_orbit):
     if not report.ok:
         raise SoundnessError(f"quotient category invalid: {report.to_json()}")
     mor_class = None if mor_orbit is None else tuple(map(orbit_class.__getitem__, mor_orbit))
-    obj_members = tuple(map(tuple, obj_members))
-    return QuotientCategory(c, action, quotient, tuple(obj_class), mor_class, obj_members)
+    return QuotientCategory(c, action, quotient, tuple(obj_class), mor_class, tuple(obj_reps))
 
 
 class CanonicalMap:

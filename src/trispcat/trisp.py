@@ -356,9 +356,10 @@ def simplicial_from_faces(n_vertices, faces):
     """Build the simplicial trisp on the given downward-closed family of faces.
 
     Faces are iterables of vertex indices; every nonempty proper subset of a
-    face must itself be present.  Returns (trisp, faces_by_dim, index) where
-    index maps a frozenset to its (d, s).  A sorted face's facets ∂_d, ..., ∂_0
-    are its ``combinations(f, d)``, looked up in the level below by tuple.
+    face must itself be present.  Returns (trisp, faces_by_dim), the d-simplex
+    s being the sorted face ``faces_by_dim[d][s]``.  A sorted face's facets
+    ∂_d, ..., ∂_0 are its ``combinations(f, d)``, looked up in the level below
+    by tuple.
     """
     by_dim = {}
     for f in faces:
@@ -382,8 +383,7 @@ def simplicial_from_faces(n_vertices, faces):
     if dim >= 0 and faces_by_dim[0] != tuple((v,) for v in range(n_vertices)):
         raise InputError("all vertices must appear as 0-dimensional faces")
     counts = [n_vertices] + [len(faces_by_dim[d]) for d in range(1, dim + 1)]
-    index = {frozenset(f): (d, s) for d, level in enumerate(faces_by_dim) for s, f in enumerate(level)}
-    return Trisp(counts, bnd), faces_by_dim, index
+    return Trisp(counts, bnd), faces_by_dim
 
 
 def skeleton_dot(t):

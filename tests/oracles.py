@@ -545,7 +545,7 @@ def transitive_closure_oracle(k, fp):
     for d, s in fp.elements:
         partition = partition_of_edges(k.n, k.faces_by_dim[d][s], k.edges)
         closed = [k.edge_index[pair] for block in partition for pair in combinations(block, 2)]
-        images.append(fp.position[k.index[frozenset(closed)]])
+        images.append(k.index[frozenset(closed)])
     return tuple(images)
 
 
@@ -742,8 +742,9 @@ def quotient_poset_closure_oracle(p, f, qc):
     red = frozenset(qc.obj_class[x] for x in set(f))
     blue = frozenset(range(qc.category.n_objects)) - red
     mapping = {}
+    members = class_members(qc.obj_class)
     for cls in blue:
-        images = {qc.obj_class[f[x]] for x in qc.obj_members[cls]}
+        images = {qc.obj_class[f[x]] for x in members[cls]}
         if len(images) != 1:
             raise SoundnessError("operator image is not constant on classes")
         mapping[cls] = images.pop()
@@ -772,7 +773,7 @@ def canonical_lifts(qc, cm):
     qt = quotient_trisp(nerve_src.trisp, induced_trisp_action(nerve_src, qc.action))
     index, dst_chains = nerve_oracle(c)[2], nerve_oracle(qc.category)[0]
     mor_members = class_members(qc.mor_class)
-    lifts = [tuple(qt.projection[0][members[0]] for members in qc.obj_members)]
+    lifts = [tuple(qt.projection[0][x] for x in qc.obj_reps)]
     for d in range(1, cm.nerve_dst.trisp.dim + 1):
         level = []
         for classes in dst_chains[d]:
@@ -852,9 +853,6 @@ def quotient_category_oracle(c, action):
     mor_members = [[] for _ in roots]
     for m in range(c.n_morphisms):
         mor_members[mor_class[m]].append(m)
-    obj_members = [[] for _ in obj_reps]
-    for x in range(c.n_objects):
-        obj_members[obj_class[x]].append(x)
 
     q_src, q_tgt = [], []
     for members in mor_members:
@@ -871,7 +869,7 @@ def quotient_category_oracle(c, action):
         if comp_entries.setdefault(key, mor_class[m12]) != mor_class[m12]:
             raise SoundnessError(f"the projection is not a functor at {(m1, m2)}")
 
-    labels = [f"[{c.objects[obj_members[k][0]]}]" for k in range(len(obj_reps))]
+    labels = [f"[{c.objects[x]}]" for x in obj_reps]
     mor_list = [
         (q_src[k], q_tgt[k], f"[{c.mor_labels[mor_members[k][0]]}]") for k in range(len(roots))
     ]
@@ -885,7 +883,7 @@ def quotient_category_oracle(c, action):
         quotient,
         tuple(obj_class),
         tuple(mor_class),
-        tuple(tuple(m) for m in obj_members),
+        tuple(obj_reps),
     )
 
 
@@ -949,11 +947,8 @@ def dgn_trisp_action(k, perms=None):
         eperm = lift_to_edges(perm, k.edges, k.edge_index)
         dims = []
         for level in k.faces_by_dim:
-            table = []
-            for face in level:
-                image = tuple(sorted(eperm[e] for e in face))
-                table.append(k.index[frozenset(image)][1])
-            dims.append(tuple(table))
+            place = {face: s for s, face in enumerate(level)}
+            dims.append(tuple(place[tuple(sorted(eperm[e] for e in face))] for face in level))
         g = Aut(tuple(dims))
         witness = simplicial_automorphism_violation(k.trisp, g)
         if witness is not None:

@@ -315,7 +315,7 @@ def test_criterion_08_quotient_category_pipeline():
         assert qc.category.n_objects == expected_objects
         terminal = find_terminal_object(qc.category)
         assert terminal is not None
-        rep = pp.partitions[qc.obj_members[terminal][0]]
+        rep = pp.partitions[qc.obj_reps[terminal]]
         assert number_partition(rep) == tuple([2] + [1] * (n - 2))
         for x in range(qc.category.n_objects):
             if x != terminal:
@@ -354,7 +354,7 @@ def test_criterion_09_regularity_condition_witness(dgn4_bundle):
     eperm = lift_to_edges((2, 3, 0, 1), edges, edge_index)
     element = next(g for g in direct.elements if g.dims[0] == eperm)
     e12, e34 = edge_index[(0, 1)], edge_index[(2, 3)]
-    d, s = k.index[frozenset({e12, e34})]
+    d, s = dgn4_bundle["fp"].elements[k.index[frozenset({e12, e34})]]
     assert element.dims[d][s] == s
     assert any(element.dims[0][v] != v for v in k.trisp.vertex_tuple(d, s))
 

@@ -191,11 +191,12 @@ def test_cyclic_matching_detected():
     # hollow triangle with every vertex matched to the edge it does not start
     from trispcat.trisp import simplicial_from_faces
 
-    t, _, index = simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    t, faces_by_dim = simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    edge = faces_by_dim[1].index
     pairs = (
-        ((0, 0), (1, index[frozenset({0, 1})][1])),
-        ((0, 1), (1, index[frozenset({1, 2})][1])),
-        ((0, 2), (1, index[frozenset({0, 2})][1])),
+        ((0, 0), (1, edge((0, 1)))),
+        ((0, 1), (1, edge((1, 2)))),
+        ((0, 2), (1, edge((0, 2)))),
     )
     cycle = check_matching_acyclic(t, oracles.partner_arrays(t, pairs))
     assert cycle
@@ -211,11 +212,12 @@ def test_deep_acyclic_matching_has_no_recursion_limit():
 def test_collapse_rejects_stuck_matching():
     from trispcat.trisp import simplicial_from_faces
 
-    t, _, index = simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    t, faces_by_dim = simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    edge = faces_by_dim[1].index
     pairs = (
-        ((0, 0), (1, index[frozenset({0, 1})][1])),
-        ((0, 1), (1, index[frozenset({1, 2})][1])),
-        ((0, 2), (1, index[frozenset({0, 2})][1])),
+        ((0, 0), (1, edge((0, 1)))),
+        ((0, 1), (1, edge((1, 2)))),
+        ((0, 2), (1, edge((0, 2)))),
     )
     with pytest.raises(AssertionError, match=r"cycle: \[\("):
         collapse(t, oracles.partner_arrays(t, pairs), ())
@@ -350,7 +352,7 @@ def test_search_collapse_full_triangle(chain3):
 def test_search_detects_non_collapsible():
     from trispcat.trisp import simplicial_from_faces
 
-    hollow, _, _ = simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    hollow, _ = simplicial_from_faces(3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
     assert search_collapse_to_point(hollow) is None
     assert oracles.search_collapse_to_point_oracle(hollow) is None
 

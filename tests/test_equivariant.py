@@ -21,7 +21,7 @@ from trispcat.equivariant import (
     push_to_orbits,
     quotient_poset_closure_map,
 )
-from trispcat.errors import PreconditionError, SoundnessError
+from trispcat.errors import InputError, PreconditionError, SoundnessError
 from trispcat.graphs import build_dgn, face_poset, face_poset_action, transitive_closure_operator
 from trispcat.nerve import nerve
 from trispcat.symmetry import (
@@ -29,6 +29,7 @@ from trispcat.symmetry import (
     GroupAction,
     close_group,
     induced_trisp_action,
+    poset_quotient_category,
     quotient_category,
     quotient_trisp,
 )
@@ -38,6 +39,7 @@ from oracles import (
     check_operator_class_coherence,
     explicit_action,
     monotone_idempotent_maps,
+    object_maps,
     quotient_poset_closure_oracle,
     random_action,
     random_poset,
@@ -115,8 +117,9 @@ def test_push_refuses_a_pushed_map_that_does_not_verify(two_edges_z2, monkeypatc
 
 def test_push_to_orbits_refuses_an_orbit_with_blue_and_red_vertices(two_edges_z2):
     _p, nv, _cat, _tact, cmap = two_edges_z2
-    # r1 and b1 put in one orbit, which no action closed on blue and red does
-    with pytest.raises(SoundnessError, match="blue and red orbits overlap despite closedness"):
+    # r1 and b1 put in one orbit, which no action closed on blue and red does;
+    # no caller skips the equivariance check, and the map refuses the overlap itself
+    with pytest.raises(InputError, match="blue and red overlap"):
         push_to_orbits(nv.trisp, (0, 0, 1, 1), (0, 2), cmap)
 
 
@@ -285,15 +288,6 @@ def test_quotient_poset_closure_map_requires_an_equivariant_operator(two_edges_z
         quotient_poset_closure_map(p, (0, 0, 2, 3), qc)
 
 
-def test_quotient_poset_closure_map_refuses_an_image_that_leaves_a_class(chain3, monkeypatch):
-    # an induced map that sends 1 to 2 while the operator sends it to 0
-    trivial = quotient_category(chain3.category, close_group([], on=chain3.category))
-    skewed = TrispClosureMap(frozenset({1}), frozenset({0, 2}), {1: 2}, "min")
-    monkeypatch.setattr(equivariant, "induced_trisp_closure_map", lambda p, f: skewed)
-    with pytest.raises(SoundnessError, match="operator image is not constant on classes"):
-        quotient_poset_closure_map(chain3, (0, 0, 2), trivial)
-
-
 def _assert_push_matches_the_class_by_class_map(p, f, qc):
     qmap, report = quotient_poset_closure_map(p, f, qc)
     reference = quotient_poset_closure_oracle(p, f, qc)
@@ -309,9 +303,15 @@ def test_quotient_poset_closure_map_is_the_class_by_class_map_random(seed):
     rng = random.Random(seed)
     p = random_poset(rng, max_n=5)
     action = random_action(rng, p, max_order=6)
-    qc = quotient_category(p.category, action)
+    # the category path, and the poset path on the object maps of the same group
+    quotients = (
+        quotient_category(p.category, action),
+        poset_quotient_category(p, close_group([g.dims[0] for g in action.generators], on=p),
+                                object_maps(action)),
+    )
     for f, _witnesses in _equivariant_one_sided_operators(p, action)[:6]:
-        _assert_push_matches_the_class_by_class_map(p, f, qc)
+        for qc in quotients:
+            _assert_push_matches_the_class_by_class_map(p, f, qc)
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -135,7 +135,7 @@ def test_transitive_closure_operator_properties(dgn4_bundle):
 
 def test_single_edge_is_fixed_point(dgn4_bundle):
     k, fp, f = dgn4_bundle["k"], dgn4_bundle["fp"], dgn4_bundle["f"]
-    x = fp.position[k.index[frozenset({0})]]
+    x = k.index[frozenset({0})]
     assert f[x] == x
 
 
@@ -146,8 +146,19 @@ def test_path_closes_to_triangle_at_n5():
     edge_index = {pair: e for e, pair in enumerate(k.edges)}
     path = frozenset({edge_index[(0, 1)], edge_index[(1, 2)]})
     triangle = frozenset({edge_index[(0, 1)], edge_index[(0, 2)], edge_index[(1, 2)]})
-    x = fp.position[k.index[path]]
-    assert f[x] == fp.position[k.index[triangle]]
+    x = k.index[path]
+    assert f[x] == k.index[triangle]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_face_is_numbered_as_the_face_poset_numbers_its_objects(n):
+    # `index` gives the face poset's object, which is the face's place in (d, s) order
+    k = build_dgn(n)
+    fp = face_poset(k)
+    for d, level in enumerate(k.faces_by_dim):
+        for s, face in enumerate(level):
+            assert fp.elements[k.index[frozenset(face)]] == (d, s)
+    assert len(k.index) == len(fp.elements)
 
 
 def test_partition_poset_counts():
@@ -186,10 +197,11 @@ def test_each_face_carries_its_components_and_each_partition_its_closure(n):
     assert len({id(p) for parts in k.components for p in parts}) == len(distinct)
     # every partition but the discrete and the one-block ones (Bell number minus 2)
     assert len(k.closed) == {3: 3, 4: 13, 5: 50, 6: 201}[n]
-    for partition, (d, s) in k.closed.items():
-        inside = [k.edge_index[pair] for block in partition for pair in combinations(block, 2)]
-        assert k.faces_by_dim[d][s] == tuple(sorted(inside))
     fp = face_poset(k)
+    for partition, x in k.closed.items():
+        inside = [k.edge_index[pair] for block in partition for pair in combinations(block, 2)]
+        d, s = fp.elements[x]
+        assert k.faces_by_dim[d][s] == tuple(sorted(inside))
     assert transitive_closure_operator(k, fp) == transitive_closure_oracle(k, fp)
 
 
@@ -245,7 +257,7 @@ def _face_map(k, fp, perm):
     # the relabelling `face_poset_action` applies to a generator
     eperm = lift_to_edges(perm, k.edges, k.edge_index)
     return tuple(
-        fp.position[k.index[frozenset(eperm[e] for e in k.faces_by_dim[d][s])]]
+        k.index[frozenset(eperm[e] for e in k.faces_by_dim[d][s])]
         for d, s in fp.elements
     )
 
@@ -311,7 +323,7 @@ def test_partition_quotient_objects_and_terminal():
         assert qc.category.n_objects == expected
         t = find_terminal_object(qc.category)
         assert t is not None
-        rep = pp.partitions[qc.obj_members[t][0]]
+        rep = pp.partitions[qc.obj_reps[t]]
         assert number_partition(rep) == tuple([2] + [1] * (n - 2))
         for x in range(qc.category.n_objects):
             if x != t:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -68,6 +69,7 @@ from oracles import (
     union_find_orbits,
 )
 from test_accat import assert_terminal_object_is_the_definition, posets
+from test_graphs import _face_map
 
 
 def test_close_group_s3_on_antichain():
@@ -208,7 +210,7 @@ def _quotient_outcome(quotient, c, action):
     except Exception as exc:  # the outcome compared is the exception and its message
         return (type(exc), str(exc))
     return (
-        qc.obj_class, qc.mor_class, qc.obj_members, qc.category.to_json()
+        qc.obj_class, qc.mor_class, qc.obj_reps, qc.category.to_json()
     )
 
 
@@ -291,7 +293,7 @@ def test_induced_trisp_action_refuses_a_poset_action(dgn4_bundle):
 
 def _assert_orbit_rows_agree(p, action, elements, explicit):
     """The orbit-row quotient of `p` equals `quotient_category` and its oracle, each
-    as (obj_class, obj_members, category JSON) or as (exception type, message).
+    as (obj_class, obj_reps, category JSON) or as (exception type, message).
 
     `quotient_category` and the oracle take `explicit`, the action with its
     morphism maps.  Each union-find the orbit rows run is kept, and a second
@@ -530,6 +532,74 @@ def test_horizontality_of_poset_automorphisms(two_edges_z2):
     assert check_horizontal(obj_orbit, zip(p.category.src, p.category.tgt)) is None
 
 
+def _acyclic(n, edges):
+    """Whether the quiver on n objects with these (source, target) edges has no cycle."""
+    indegree, seen = [0] * n, 0
+    for _a, b in edges:
+        indegree[b] += 1
+    ready = [x for x in range(n) if not indegree[x]]
+    while ready:
+        x, seen = ready.pop(), seen + 1
+        for a, b in edges:
+            if a == x:
+                indegree[b] -= 1
+                if not indegree[b]:
+                    ready.append(b)
+    return seen == n
+
+
+def _random_symmetric_free_category(rng, max_edges=8):
+    """The free category on a random acyclic quiver closed under a random object
+    permutation, and the action of the automorphism that permutation induces.
+
+    Edges are added an orbit at a time, an orbit whose edges would close a
+    cycle is skipped, and an orbit may come twice, so that the category has
+    parallel morphisms.  Edge i of an orbit goes to edge i + 1.
+    """
+    n = rng.randint(2, 5)
+    perm = rng.sample(range(n), n)
+    edges, edge_map = [], []
+    for _ in range(rng.randint(1, 4)):
+        orbit = [tuple(rng.sample(range(n), 2))]
+        while (perm[orbit[-1][0]], perm[orbit[-1][1]]) != orbit[0]:
+            orbit.append((perm[orbit[-1][0]], perm[orbit[-1][1]]))
+        copies = rng.choice([1, 2])
+        if len(edges) + copies * len(orbit) > max_edges or not _acyclic(n, edges + orbit):
+            continue
+        for _copy in range(copies):
+            start = len(edges)
+            edges += orbit
+            edge_map += [start + (i + 1) % len(orbit) for i in range(len(orbit))]
+    c, paths = path_category(n, edges)
+    index = {path: m for m, path in enumerate(paths)}
+    mor = tuple(index[tuple(edge_map[e] for e in path)] for path in paths)
+    return c, close_group([Aut((tuple(perm), mor))], on=c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_automorphisms_of_acyclic_categories_are_horizontal_random(seed):
+    # the premise that would let `quotient_category` drop `check_horizontal`:
+    # no morphism of an acyclic category, parallel ones included, joins two
+    # distinct objects of one orbit, orbits taken over every group element
+    c, action = _random_symmetric_free_category(random.Random(seed))
+    orbit = [{g.dims[0][x] for g in action.elements} for x in range(c.n_objects)]
+    assert not any(y in orbit[x] for x, y in zip(c.src, c.tgt))
+    obj_orbit = orbit_partition([g.dims[0] for g in action.generators], c.n_objects)[0]
+    assert check_horizontal(obj_orbit, zip(c.src, c.tgt)) is None
+
+
+def test_the_random_symmetric_free_categories_have_parallel_morphisms():
+    # the generator above reaches parallel morphisms and moved objects
+    parallel = moved = 0
+    for seed in range(40):
+        c, action = _random_symmetric_free_category(random.Random(seed))
+        ends = list(zip(c.src, c.tgt))
+        parallel += len(set(ends)) < len(ends)
+        moved += any(g.dims[0] != tuple(range(c.n_objects)) for g in action.generators)
+    assert parallel and moved
+
+
 def test_horizontality_witness_on_raw_permutation():
     # the swap of a and b, not an automorphism of a -> b: that arrow joins its orbit
     obj_orbit = orbit_partition([(1, 0)], 2)[0]
@@ -636,10 +706,9 @@ def test_double_transposition_edge_pair_is_a_witness():
     perm = (2, 3, 0, 1)  # the double transposition (1 3)(2 4), zero-based
     eperm = lift_to_edges(perm, edges, edge_index)
     e12, e34 = edge_index[(0, 1)], edge_index[(2, 3)]
-    sigma = k.index[frozenset({e12, e34})]
+    d, s = face_poset(k).elements[k.index[frozenset({e12, e34})]]
     assert eperm[e12] == e34 and eperm[e34] == e12
     # the simplex {12, 34} is fixed as a set while its vertices swap
-    d, s = sigma
     face = k.faces_by_dim[d][s]
     assert tuple(sorted(eperm[e] for e in face)) == face
 
@@ -930,6 +999,30 @@ def test_orbit_nerve_of_the_dgn_face_poset(n, counts):
     fp = face_poset(k)
     on = _assert_orbit_nerve_is_the_quotient_of_the_nerve(fp.poset, face_poset_action(k, fp))
     assert list(on.trisp.counts) == counts
+
+
+def _cyclic_dihedral_alternating(n):
+    """Generators of Z_n, the dihedral group of order 2n and A_n, as vertex permutations."""
+    cycle = tuple(range(1, n)) + (0,)
+    reflection = tuple(-i % n for i in range(n))
+    three_cycles = [tuple({0: 1, 1: i, i: 0}.get(x, x) for x in range(n)) for i in range(2, n)]
+    return {"Z": [cycle], "D": [cycle, reflection], "A": three_cycles}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("name", ["Z", "D", "A"])
+def test_orbit_nerve_of_the_dgn_face_poset_under_subgroups_of_sn(n, name):
+    # the orbit nerve against the quotient of the nerve and the Burnside
+    # counts, under groups that are not S_n; A_5's counts are pinned
+    k = build_dgn(n)
+    fp = face_poset(k)
+    # each generator moves the faces as `face_poset_action` moves them under S_n
+    action = close_group([_face_map(k, fp, g) for g in _cyclic_dihedral_alternating(n)[name]],
+                         on=fp.poset)
+    assert action.order == {"Z": n, "D": 2 * n, "A": math.factorial(n) // 2}[name]
+    on = _assert_orbit_nerve_is_the_quotient_of_the_nerve(fp.poset, action)
+    if (n, name) == (5, "A"):
+        assert list(on.trisp.counts) == [13, 73, 201, 290, 210, 60]
 
 
 def test_orbit_nerve_keeps_one_int_per_simplex_and_no_chain():

@@ -120,7 +120,7 @@ def test_vertex_tuple_deletion_identity(dgn4_bundle):
 
 def test_hollow_triangle_not_flag():
     faces = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
-    t, _, _ = simplicial_from_faces(3, faces)
+    t, _ = simplicial_from_faces(3, faces)
     report = validate_trisp(t)
     assert report.ok and report.is_simplicial
     assert not report.is_flag_complex
@@ -237,7 +237,7 @@ def test_induced_subtrisp_skips_middle_vertex():
 
 def test_euler_characteristic_values(double_filled):
     assert euler_characteristic(full_triangle()) == 1
-    hollow, _, _ = simplicial_from_faces(
+    hollow, _ = simplicial_from_faces(
         3, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
     )
     assert euler_characteristic(hollow) == 0
